@@ -44,17 +44,17 @@ from .graph import (
     TaxonomyGraph,
     compute_depths,
     load_edge_list,
-    lowest_common_subsumer,
-    second_order_neighborhood,
     shortest_path_length,
 )
 from .manifest import artifact_version, read_manifest, write_manifest
 from .metrics import (
     MEASURES,
     InformationContentTable,
+    SimilarityRows,
     load_raw_counts,
     pair_similarity,
     propagate_counts,
+    similarity_row,
 )
 from .trainer import (
     Batch,
@@ -101,6 +101,7 @@ __all__ = [
     "ModelScorer",
     "NumericError",
     "SentenceInstance",
+    "SimilarityRows",
     "StructuralError",
     "TaxonomyGraph",
     "TaxovecError",
@@ -121,7 +122,6 @@ __all__ = [
     "load_edge_list",
     "load_embeddings",
     "load_raw_counts",
-    "lowest_common_subsumer",
     "make_batches",
     "micro_f1",
     "one_vs_all_dot",
@@ -134,9 +134,9 @@ __all__ = [
     "run_benchmark",
     "save_embeddings",
     "score",
-    "second_order_neighborhood",
     "select_senses",
     "shortest_path_length",
+    "similarity_row",
     "spearman",
     "static_selection",
     "train",

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import DepthIndex, TaxonomyGraph, bfs_distances
-from .metrics import InformationContentTable, jcn_index, validate_measure, wup_index
+from .graph import DepthIndex, TaxonomyGraph
+from .metrics import InformationContentTable, similarity_row
 from .trainer import EmbeddingMatrix
 
 TIMER_FLOOR_S = 100e-6
@@ -37,33 +37,10 @@ def one_vs_all_graph(
     (or pairs without a common subsumer) score 0. JCN keeps its infinity
     sentinel for zero-distance pairs.
     """
-    m = validate_measure(measure)
-    vi = g.idx(v)
-    if m in ("shp", "lch"):
-        dist = np.asarray(bfs_distances(g.neighbors, vi), dtype=np.float64)
-        reachable = dist >= 0
-        if m == "shp":
-            with np.errstate(divide="ignore"):  # -1 sentinels are masked below
-                vals = 1.0 / (1.0 + dist)
-            return np.where(reachable, vals, 0.0)
-        if depths is None:
-            raise ConfigError("measure 'lch' requires node depths")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = -np.log((dist + 1.0) / (2.0 * depths.max_depth))
-        return np.where(reachable, vals, 0.0)
-
-    if depths is None:
-        raise ConfigError(f"measure {m!r} requires node depths")
-    if m == "jcn" and ic_table is None:
-        raise ConfigError("measure 'jcn' requires an information content table")
-    src_anc = g.ancestors(vi)
-    out = np.empty(g.n, dtype=np.float64)
-    for t in range(g.n):
-        t_anc = g.ancestors(t)
-        if m == "wup":
-            out[t] = wup_index(g, depths, vi, t, src_anc, t_anc)
-        else:
-            out[t] = jcn_index(g, depths, ic_table, vi, t, src_anc, t_anc)
+    targets, sims = similarity_row(g, measure, g.idx(v), depths, ic_table)
+    sims[np.isnan(sims)] = 0.0
+    out = np.zeros(g.n)
+    out[targets] = sims
     return out
 
 

@@ -32,13 +32,11 @@ from .errors import ConfigError, DataError, NumericError
 from .evaluation import (
     MeasureScorer,
     ModelScorer,
-    dynamic_selection,
     evaluate,
     load_candidates,
     load_lemma_pairs,
     make_records,
     score_histogram,
-    static_selection,
 )
 from .graph import compute_depths, load_edge_list
 from .manifest import write_manifest
@@ -59,24 +57,8 @@ single-token lines insert isolated nodes.
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.option(
-    "--threads",
-    type=click.IntRange(min=1),
-    default=1,
-    show_default=True,
-    help="Global worker cap. This build computes everything on one worker; "
-    "the value is validated and recorded in the manifest.",
-)
-@click.pass_context
-def cli(ctx: click.Context, threads: int) -> None:
+def cli() -> None:
     """Node embeddings that approximate taxonomy graph similarity measures."""
-    ctx.obj = {"threads": threads}
-
-
-def _threads() -> int:
-    ctx = click.get_current_context(silent=True)
-    root = ctx.find_root() if ctx else None
-    return (root.obj or {}).get("threads", 1) if root else 1
 
 
 def _load_graph(graph_path: str, virtual_root: str | None):
@@ -139,7 +121,7 @@ def cmd_similarities(graph_path, virtual_root, measure, mode, threshold, top_k, 
     if ic_counts:
         inputs["ic_counts"] = ic_counts
     config = dict(build.header())
-    config.update(virtual_root=virtual_root or "-", threads=_threads())
+    config["virtual_root"] = virtual_root or "-"
     write_manifest(manifest_path or f"{output}.manifest", "similarities", config, inputs, seed, time.perf_counter() - t0)
 
     click.echo(
@@ -220,7 +202,7 @@ def cmd_train(graph_path, virtual_root, pairs_path, dev_path, dim, alpha, negati
         "batch_size": batch_size, "epochs": epochs,
         "learning_rate": learning_rate, "l1": l1,
         "early_stop_patience": patience, "dtype": dtype,
-        "virtual_root": virtual_root or "-", "threads": _threads(),
+        "virtual_root": virtual_root or "-",
     }
     write_manifest(manifest_path or f"{output}.manifest", "train", config, inputs, seed, time.perf_counter() - t0)
     click.echo(f"wrote {m.n}x{m.d} embeddings to {output}")
@@ -281,12 +263,7 @@ def cmd_eval_sim(graph_path, virtual_root, pairs_path, candidates_path, measure,
         row = f"{report.spearman!r}\t{report.n_evaluated}\t{report.n_excluded}\t{missing}\t{report.selection}\t{report.scorer}\t{report.golds}"
         Path(report_path).write_text(header + "\n" + row + "\n", encoding="utf-8")
     if histogram_path:
-        if selection == "static":
-            selected, _ = static_selection(records, g, measure, depths, ic_table)
-        else:
-            selected, _ = dynamic_selection(records, scorer.m, scorer.mode)
-        preds = [scorer.score(p.u, p.v) for p in selected]
-        rows = score_histogram(preds, bins=bins)
+        rows = score_histogram(report.predictions, bins=bins)
         with Path(histogram_path).open("w", encoding="utf-8") as fh:
             for lo, hi, count in rows:
                 fh.write(f"{lo!r}\t{hi!r}\t{count}\n")
@@ -301,7 +278,7 @@ def cmd_eval_sim(graph_path, virtual_root, pairs_path, candidates_path, measure,
     config = {
         "measure": measure, "scorer": scorer_kind, "score_mode": score_mode,
         "selection": selection, "golds": golds, "bins": bins,
-        "virtual_root": virtual_root or "-", "threads": _threads(),
+        "virtual_root": virtual_root or "-",
     }
     write_manifest(manifest_path or "taxovec-eval-sim.manifest", "eval-sim", config, inputs, None, time.perf_counter() - t0)
 
@@ -387,7 +364,7 @@ def cmd_wsd(graph_path, virtual_root, instances_path, scorer_kind, measure, ic_c
     config = {
         "scorer": scorer_kind, "measure": measure or "-", "score_mode": score_mode,
         "threshold": threshold, "baseline": baseline or "-",
-        "virtual_root": virtual_root or "-", "threads": _threads(),
+        "virtual_root": virtual_root or "-",
     }
     write_manifest(manifest_path or "taxovec-wsd.manifest", "wsd", config, inputs, seed, time.perf_counter() - t0)
 
@@ -403,8 +380,8 @@ def cmd_neighbors(model_path, node, k, score_mode, manifest_path):
     t0 = time.perf_counter()
     m = load_embeddings(model_path)
     if k > m.n:
-        click.echo(f"k={k} exceeds node count {m.n}; clipping to {m.n - 1}", err=True)
-        k = m.n - 1
+        click.echo(f"k={k} exceeds node count {m.n}; clipping to {m.n}", err=True)
+        k = m.n
     if score_mode == "dot":
         scores = bench_mod.one_vs_all_dot(m, node)
     else:
@@ -417,7 +394,7 @@ def cmd_neighbors(model_path, node, k, score_mode, manifest_path):
     for idx in order:
         click.echo(f"{m.ids[int(idx)]}\t{float(scores[int(idx)])!r}")
 
-    config = {"node": node, "k": k, "score_mode": score_mode, "threads": _threads()}
+    config = {"node": node, "k": k, "score_mode": score_mode}
     write_manifest(manifest_path or "taxovec-neighbors.manifest", "neighbors", config, {"model": model_path}, None, time.perf_counter() - t0)
 
 
@@ -497,7 +474,7 @@ def cmd_bench(graph_path, virtual_root, measure, ic_counts, model_path, dim, que
     config = {
         "measure": measure, "methods": ",".join(method_tuple), "repeats": repeats,
         "queries": ",".join(query_list), "topk": topk, "dim": dim,
-        "virtual_root": virtual_root or "-", "threads": _threads(),
+        "virtual_root": virtual_root or "-",
     }
     write_manifest(manifest_path or "taxovec-bench.manifest", "bench", config, inputs, seed, time.perf_counter() - t0)
 

@@ -1,26 +1,24 @@
 """Training dataset construction.
 
-Builds (node, node, similarity) triples from a taxonomy graph: enumerate
-candidate pairs (all connected pairs, or only second-order neighborhoods
-in fast mode), drop pairs under a raw threshold, keep each node's top-k
-most similar partners, unity-normalize the survivors, and shuffle with a
-seeded PRNG.
+Builds (node, node, similarity) triples from a taxonomy graph: score each
+source node against every node it reaches (any distance in full mode,
+at most two edges in fast mode) with one similarity row, drop pairs under
+a raw threshold, keep each node's top-k most similar partners,
+unity-normalize the survivors, and shuffle with a seeded PRNG.
 
-Enumeration streams one source node at a time against bounded per-node
-heaps, so memory stays O(nodes * top_k) regardless of how many candidate
-pairs exist. Sources are processed sequentially here; because survivors
-are canonically sorted before the seeded shuffle, a parallel enumeration
-over source nodes would produce the identical file.
+Similarity is symmetric, so a node's own row holds all of its partners
+and its top-k come from that row alone. Memory stays O(nodes * top_k)
+plus one row, however many candidate pairs exist. Survivors are sorted
+canonically before the shuffle, so the file depends only on the graph
+and the config.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +29,7 @@ from .errors import (
     EmptyDatasetError,
 )
 from .graph import DepthIndex, TaxonomyGraph
-from .metrics import (
-    InformationContentTable,
-    jcn_index,
-    lch_from_path,
-    shp_from_path,
-    validate_measure,
-    wup_index,
-)
+from .metrics import InformationContentTable, SimilarityRows, validate_measure
 
 DEFAULT_THRESHOLDS = {"shp": 0.1, "jcn": 0.1, "wup": 0.3, "lch": 1.5}
 
@@ -121,74 +112,6 @@ def unity_normalize(values: list[float]) -> list[float]:
     return [max(0.0, min(1.0, (x - lo) / span)) for x in values]
 
 
-def _pair_stream_full(
-    g: TaxonomyGraph,
-    measure: str,
-    depths: DepthIndex | None,
-    ic_table: InformationContentTable | None,
-    ancestors: list[set[int]] | None,
-) -> Iterator[tuple[int, int, float]]:
-    """All connected unordered pairs (u < v) with raw similarity, one BFS per source."""
-    for src in range(g.n):
-        dist = [-1] * g.n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            a = queue.popleft()
-            da = dist[a] + 1
-            for w in g.neighbors[a]:
-                if dist[w] < 0:
-                    dist[w] = da
-                    queue.append(w)
-        yield from _score_targets(g, measure, depths, ic_table, ancestors, src, dist)
-
-
-def _pair_stream_fast(
-    g: TaxonomyGraph,
-    measure: str,
-    depths: DepthIndex | None,
-    ic_table: InformationContentTable | None,
-    ancestors: list[set[int]] | None,
-) -> Iterator[tuple[int, int, float]]:
-    """Unordered pairs (u < v) at undirected distance 1 or 2 only."""
-    for src in range(g.n):
-        dist = [-1] * g.n
-        dist[src] = 0
-        for a in g.neighbors[src]:
-            if dist[a] < 0:
-                dist[a] = 1
-        for a in g.neighbors[src]:
-            for w in g.neighbors[a]:
-                if dist[w] < 0:
-                    dist[w] = 2
-        yield from _score_targets(g, measure, depths, ic_table, ancestors, src, dist)
-
-
-def _score_targets(
-    g: TaxonomyGraph,
-    measure: str,
-    depths: DepthIndex | None,
-    ic_table: InformationContentTable | None,
-    ancestors: list[set[int]] | None,
-    src: int,
-    dist: list[int],
-) -> Iterator[tuple[int, int, float]]:
-    src_anc = ancestors[src] if ancestors is not None else None
-    for tgt in range(src + 1, g.n):
-        d = dist[tgt]
-        if d < 0:
-            continue
-        if measure == "shp":
-            sim = shp_from_path(d)
-        elif measure == "lch":
-            sim = lch_from_path(d, depths.max_depth)
-        elif measure == "wup":
-            sim = wup_index(g, depths, src, tgt, src_anc, ancestors[tgt])
-        else:
-            sim = jcn_index(g, depths, ic_table, src, tgt, src_anc, ancestors[tgt])
-        yield src, tgt, sim
-
-
 def _build(
     g: TaxonomyGraph,
     cfg: DatasetConfig,
@@ -196,42 +119,27 @@ def _build(
     ic_table: InformationContentTable | None,
 ) -> DatasetBuild:
     measure = cfg.measure.lower()
-    if measure != "shp" and depths is None:
-        raise ConfigError(f"measure {measure!r} requires node depths")
-    if measure == "jcn" and ic_table is None:
-        raise ConfigError("measure 'jcn' requires an information content table")
-
-    ancestors = None
-    if measure in ("wup", "jcn"):
-        ancestors = [g.ancestors(i) for i in range(g.n)]
-
-    stream = _pair_stream_fast if cfg.mode == "fast" else _pair_stream_full
+    rows = SimilarityRows(g, measure, depths, ic_table)
+    max_dist = 2 if cfg.mode == "fast" else None
     threshold = cfg.raw_threshold
 
-    # per-node min-heaps of the k best (sim, -partner) keys seen so far
-    heaps: list[list[tuple[float, int]]] = [[] for _ in range(g.n)]
-    k = cfg.top_k
+    survivors: dict[tuple[int, int], float] = {}
     candidates = 0
     kept = 0
-    for u, v, sim in stream(g, measure, depths, ic_table, ancestors):
-        candidates += 1
-        if sim < threshold:
-            continue
-        kept += 1
-        for node, partner in ((u, v), (v, u)):
-            key = (sim, -partner)
-            heap = heaps[node]
-            if len(heap) < k:
-                heapq.heappush(heap, key)
-            elif key > heap[0]:
-                heapq.heapreplace(heap, key)
-
-    survivors: dict[tuple[int, int], float] = {}
-    for node, heap in enumerate(heaps):
-        for sim, neg_partner in heap:
-            partner = -neg_partner
-            key = (node, partner) if node < partner else (partner, node)
-            survivors[key] = sim
+    for src in range(g.n):
+        targets, sims = rows.row(src, max_dist)
+        targets, sims = targets[1:], sims[1:]  # the source itself comes first
+        sims[np.isnan(sims)] = 0.0  # a reached pair without common subsumer
+        passing = sims >= threshold
+        later = targets > src  # each unordered pair is counted from its smaller end
+        candidates += int(np.count_nonzero(later))
+        kept += int(np.count_nonzero(passing & later))
+        targets, sims = targets[passing], sims[passing]
+        # similarity is symmetric, so a node's own row holds all its partners;
+        # its top-k are the best by (sim desc, partner index asc)
+        top = np.lexsort((targets, -sims))[: cfg.top_k]
+        for t, s in zip(targets[top].tolist(), sims[top].tolist()):
+            survivors[(src, t) if src < t else (t, src)] = s
     if not survivors:
         raise EmptyDatasetError(
             f"no pairs survive threshold {threshold!r} for measure {measure!r}"

@@ -19,7 +19,12 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateRangeError
 from .graph import DepthIndex, TaxonomyGraph
-from .metrics import InformationContentTable, pair_similarity, validate_measure
+from .metrics import (
+    InformationContentTable,
+    SimilarityRows,
+    pair_similarity,
+    validate_measure,
+)
 from .trainer import EmbeddingMatrix, score
 
 
@@ -182,21 +187,6 @@ class ModelScorer:
         return score(self.m, u, v, self.mode)
 
 
-def _pair_connected(
-    g: TaxonomyGraph,
-    measure: str,
-    u: str,
-    v: str,
-    depths: DepthIndex | None,
-) -> bool:
-    from .graph import shortest_path_length
-    from .metrics import lcs_index
-
-    if measure in ("shp", "lch"):
-        return shortest_path_length(g, u, v) is not None
-    return lcs_index(g, depths, g.idx(u), g.idx(v)) is not None
-
-
 def static_selection(
     records: list[LemmaPairRecord],
     g: TaxonomyGraph,
@@ -212,21 +202,22 @@ def static_selection(
     path for shp/lch, no common subsumer for wup/jcn) are excluded and
     counted.
     """
-    m = validate_measure(measure)
+    rows = SimilarityRows(g, measure, depths, ic_table)
     out: list[SelectedPair] = []
     excluded = 0
     for rec in records:
         best: SelectedPair | None = None
-        any_connected = False
         for c1 in rec.candidates1:
+            targets, sims = rows.row(g.idx(c1))
+            row = np.full(g.n, np.nan)  # NaN: no path or no common subsumer
+            row[targets] = sims
             for c2 in rec.candidates2:
-                if not _pair_connected(g, m, c1, c2, depths):
+                sim = float(row[g.idx(c2)])
+                if math.isnan(sim):
                     continue
-                any_connected = True
-                sim = pair_similarity(m, g, c1, c2, depths, ic_table)
                 if best is None or sim > best.selection_score:
                     best = SelectedPair(c1, c2, rec.gold_score, sim)
-        if not any_connected:
+        if best is None:
             excluded += 1
             continue
         out.append(best)
@@ -263,6 +254,7 @@ class EvalReport:
     selection: str
     scorer: str
     golds: str
+    predictions: list[float]  # the scorer's value on each selected pair
 
 
 def evaluate(
@@ -320,6 +312,7 @@ def evaluate(
         selection=selection,
         scorer=scorer.name,
         golds=golds,
+        predictions=preds,
     )
 
 

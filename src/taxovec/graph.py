@@ -165,19 +165,31 @@ def load_edge_list(path: str | Path, virtual_root: str | None = None) -> Taxonom
     return TaxonomyGraph(ids, edges)
 
 
-def bfs_distances(adjacency: list[list[int]], src: int) -> list[int]:
-    """Unweighted distances from `src` over an adjacency list; -1 = unreachable."""
-    dist = [-1] * len(adjacency)
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                queue.append(w)
-    return dist
+def bfs_distances(
+    adjacency: list[list[int]], src: int, max_dist: int | None = None
+) -> tuple[list[int], list[int]]:
+    """Breadth-first reach of `src` over an adjacency list.
+
+    Returns (order, starts): the reached nodes in visit order, `src`
+    first, and level offsets such that the nodes at distance d are
+    order[starts[d]:starts[d + 1]] (the last level may be empty). With
+    `max_dist`, only nodes within that many edges are visited, so the
+    work follows the reach rather than the graph size.
+    """
+    seen = bytearray(len(adjacency))
+    seen[src] = 1
+    order = [src]
+    starts = [0]
+    while starts[-1] < len(order) and (max_dist is None or len(starts) <= max_dist):
+        level = order[starts[-1] :]
+        starts.append(len(order))
+        for u in level:
+            for w in adjacency[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    order.append(w)
+    starts.append(len(order))
+    return order, starts
 
 
 def shortest_path_length(g: TaxonomyGraph, u: str, v: str) -> int | None:
@@ -217,29 +229,3 @@ def compute_depths(g: TaxonomyGraph) -> DepthIndex:
     # acyclicity guarantees every node reaches a root through parents
     assert all(depths), "depth computation missed a node"
     return DepthIndex(tuple(depths), max(depths))
-
-
-def lowest_common_subsumer(
-    g: TaxonomyGraph, depths: DepthIndex, u: str, v: str
-) -> str | None:
-    """Deepest common ancestor of two nodes, None when they share none.
-
-    Ancestorhood is reflexive. Depth ties go to the smaller dense index,
-    which makes the result deterministic for a fixed load order.
-    """
-    common = g.ancestors(g.idx(u)) & g.ancestors(g.idx(v))
-    if not common:
-        return None
-    best = max(common, key=lambda a: (depths.depths[a], -a))
-    return g.ids[best]
-
-
-def second_order_neighborhood(g: TaxonomyGraph, v: str) -> set[str]:
-    """All nodes at undirected distance 1 or 2 from `v`, excluding `v`."""
-    vi = g.idx(v)
-    out: set[int] = set()
-    for a in g.neighbors[vi]:
-        out.add(a)
-        out.update(g.neighbors[a])
-    out.discard(vi)
-    return {g.ids[i] for i in out}

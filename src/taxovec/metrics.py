@@ -5,16 +5,24 @@ Disconnected pairs (no undirected path, or no common subsumer where one
 is required) score 0.0. JCN between nodes whose propagated counts make
 the distance collapse to zero returns math.inf; normalization downstream
 clips such pairs to the top of the similarity range.
+
+pair_similarity scores one pair. SimilarityRows scores one node against
+every node it reaches, with the same values; every caller that needs
+many pairs (dataset builds, one-vs-all queries, static selection) goes
+through it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, DataError
-from .graph import DepthIndex, TaxonomyGraph, shortest_path_length
+from .graph import DepthIndex, TaxonomyGraph, bfs_distances, shortest_path_length
 
 MEASURES = ("shp", "lch", "wup", "jcn")
 
@@ -99,36 +107,21 @@ def lch_from_path(pathlen: int | None, max_depth: int) -> float:
     return -math.log((pathlen + 1) / (2.0 * max_depth))
 
 
-def lcs_index(
-    g: TaxonomyGraph,
-    depths: DepthIndex,
-    ui: int,
-    vi: int,
-    u_anc: set[int] | None = None,
-    v_anc: set[int] | None = None,
-) -> int | None:
+def lcs_index(g: TaxonomyGraph, depths: DepthIndex, ui: int, vi: int) -> int | None:
     """Dense index of the deepest common ancestor, or None.
 
-    Callers that score one node against many pass a precomputed ancestor
-    set to avoid rebuilding it per pair. Ties on depth break toward the
-    smaller index.
+    Ancestorhood is reflexive. Ties on depth break toward the smaller
+    index, which makes the result deterministic for a fixed load order.
     """
-    common = (u_anc or g.ancestors(ui)) & (v_anc or g.ancestors(vi))
+    common = g.ancestors(ui) & g.ancestors(vi)
     if not common:
         return None
     return max(common, key=lambda a: (depths.depths[a], -a))
 
 
-def wup_index(
-    g: TaxonomyGraph,
-    depths: DepthIndex,
-    ui: int,
-    vi: int,
-    u_anc: set[int] | None = None,
-    v_anc: set[int] | None = None,
-) -> float:
+def wup_index(g: TaxonomyGraph, depths: DepthIndex, ui: int, vi: int) -> float:
     """Wu-Palmer 2*depth(lcs) / (depth(u)+depth(v)); 0.0 without a common subsumer."""
-    lcs = lcs_index(g, depths, ui, vi, u_anc, v_anc)
+    lcs = lcs_index(g, depths, ui, vi)
     if lcs is None:
         return 0.0
     return 2.0 * depths.depths[lcs] / (depths.depths[ui] + depths.depths[vi])
@@ -140,8 +133,6 @@ def jcn_index(
     table: InformationContentTable,
     ui: int,
     vi: int,
-    u_anc: set[int] | None = None,
-    v_anc: set[int] | None = None,
 ) -> float:
     """Jiang-Conrath 1 / (ic(u) + ic(v) - 2*ic(lcs)).
 
@@ -152,7 +143,7 @@ def jcn_index(
     ic_v = table.ic(vi)
     if math.isinf(ic_u) or math.isinf(ic_v):
         return 0.0
-    lcs = lcs_index(g, depths, ui, vi, u_anc, v_anc)
+    lcs = lcs_index(g, depths, ui, vi)
     if lcs is None:
         return 0.0
     denom = ic_u + ic_v - 2.0 * table.ic(lcs)
@@ -170,6 +161,18 @@ def validate_measure(measure: str) -> str:
     return m
 
 
+def _measure_with_context(
+    measure: str, depths: DepthIndex | None, ic_table: InformationContentTable | None
+) -> str:
+    """Validated measure name; a missing DepthIndex or IC table is a config error."""
+    m = validate_measure(measure)
+    if m in ("lch", "wup", "jcn") and depths is None:
+        raise ConfigError(f"measure {m!r} requires node depths")
+    if m == "jcn" and ic_table is None:
+        raise ConfigError("measure 'jcn' requires an information content table")
+    return m
+
+
 def pair_similarity(
     measure: str,
     g: TaxonomyGraph,
@@ -183,11 +186,7 @@ def pair_similarity(
     `lch` and `wup` need a DepthIndex, `jcn` needs both a DepthIndex and
     an InformationContentTable; missing requirements are config errors.
     """
-    m = validate_measure(measure)
-    if m in ("lch", "wup", "jcn") and depths is None:
-        raise ConfigError(f"measure {m!r} requires node depths")
-    if m == "jcn" and ic_table is None:
-        raise ConfigError("measure 'jcn' requires an information content table")
+    m = _measure_with_context(measure, depths, ic_table)
     if m == "shp":
         return shp_from_path(shortest_path_length(g, u, v))
     if m == "lch":
@@ -196,3 +195,120 @@ def pair_similarity(
     if m == "wup":
         return wup_index(g, depths, ui, vi)
     return jcn_index(g, depths, ic_table, ui, vi)
+
+
+def _topological_levels(g: TaxonomyGraph) -> tuple[np.ndarray, list[tuple]]:
+    """Longest-path level of every node, and the DP schedule below level 0.
+
+    Every parent sits on a lower level than its child. The schedule holds,
+    per level from 1 up: its nodes, each node followed by its parents, and
+    the offsets of those families (for np.maximum.reduceat).
+    """
+    remaining = [len(ps) for ps in g.parents]
+    level = [0] * g.n
+    topo = [i for i in range(g.n) if not remaining[i]]
+    for u in topo:
+        for c in g.children[u]:
+            level[c] = max(level[c], level[u] + 1)
+            remaining[c] -= 1
+            if not remaining[c]:
+                topo.append(c)
+    by_level: list[list[int]] = [[] for _ in range(max(level, default=0) + 1)]
+    for u in topo:
+        by_level[level[u]].append(u)
+    schedule = []
+    for nodes in by_level[1:]:
+        sizes = [1 + len(g.parents[u]) for u in nodes]
+        schedule.append((
+            np.array(nodes),
+            np.array([x for u in nodes for x in (u, *g.parents[u])]),
+            np.cumsum([0] + sizes[:-1]),
+        ))
+    return np.array(level), schedule
+
+
+class SimilarityRows:
+    """Scores one source node against every node it reaches, under one measure.
+
+    Rows agree exactly with pair_similarity. The shp/lch rows map each
+    breadth-first distance through shp_from_path/lch_from_path. The
+    wup/jcn rows take the deepest common subsumer of the source and every
+    node from one pass over a topological schedule of the DAG:
+
+        best[t] = max(key(t) if t is an ancestor of src, best[p] for parents p)
+
+    with key (depth, -index), the tie order of lcs_index. That schedule,
+    the key ranks and the IC vector are derived once here and shared by
+    every row, so build one instance per batch of rows.
+    """
+
+    def __init__(
+        self,
+        g: TaxonomyGraph,
+        measure: str,
+        depths: DepthIndex | None = None,
+        ic_table: InformationContentTable | None = None,
+    ):
+        self.g = g
+        self.measure = _measure_with_context(measure, depths, ic_table)
+        if self.measure == "shp":
+            self._path_score = shp_from_path
+        elif self.measure == "lch":
+            self._path_score = functools.partial(lch_from_path, max_depth=depths.max_depth)
+        else:
+            n = g.n
+            self._depth = np.asarray(depths.depths, dtype=np.int64)
+            self._by_rank = np.lexsort((-np.arange(n), self._depth))
+            self._rank = np.empty(n, dtype=np.int64)
+            self._rank[self._by_rank] = np.arange(n)
+            self._level, self._schedule = _topological_levels(g)
+        if self.measure == "jcn":
+            self._ic = np.array([ic_table.ic(i) for i in range(g.n)])
+
+    def row(self, src: int, max_dist: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(targets, scores) for dense index `src`.
+
+        `targets` holds every node within `max_dist` undirected edges of
+        `src` (all connected nodes when None) in breadth-first visit
+        order, `src` first; `scores` holds their raw similarities. Nodes
+        absent from `targets` have no path to `src` within the limit. A
+        wup/jcn target sharing no common subsumer with `src` scores NaN,
+        where pair_similarity reports 0.0.
+        """
+        order, starts = bfs_distances(self.g.neighbors, src, max_dist)
+        targets = np.array(order)
+        if self.measure in ("shp", "lch"):
+            per_dist = [self._path_score(d) for d in range(len(starts) - 1)]
+            return targets, np.repeat(per_dist, np.diff(starts))
+
+        best = np.full(self.g.n, -1, dtype=np.int64)
+        anc = np.fromiter(self.g.ancestors(src), dtype=np.int64)
+        best[anc] = self._rank[anc]
+        # a node's best depends only on lower levels: stop at the deepest target
+        for nodes, families, offsets in self._schedule[: self._level[targets].max()]:
+            best[nodes] = np.maximum.reduceat(best[families], offsets)
+        rank = best[targets]
+        lcs = self._by_rank[rank]  # garbage where rank < 0; masked below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.measure == "wup":
+                depth = self._depth
+                scores = 2.0 * depth[lcs] / (depth[src] + depth[targets])
+            else:
+                ic = self._ic
+                denom = ic[src] + ic[targets] - 2.0 * ic[lcs]
+                scores = np.where(denom < _EPS, np.inf, 1.0 / denom)
+                scores[np.isinf(ic[src]) | np.isinf(ic[targets])] = 0.0
+        scores[rank < 0] = np.nan
+        return targets, scores
+
+
+def similarity_row(
+    g: TaxonomyGraph,
+    measure: str,
+    src: int,
+    depths: DepthIndex | None = None,
+    ic_table: InformationContentTable | None = None,
+    max_dist: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One row of SimilarityRows; see SimilarityRows.row for the layout."""
+    return SimilarityRows(g, measure, depths, ic_table).row(src, max_dist)

@@ -42,10 +42,7 @@ class TestOneVsAllGraph:
                     row = one_vs_all_graph(g, measure, src, depths, table)
                     for t, tid in enumerate(g.ids):
                         want = pair_similarity(measure, g, src, tid, depths, table)
-                        if math.isinf(want):
-                            assert math.isinf(row[t])
-                        else:
-                            assert row[t] == pytest.approx(want, rel=1e-12)
+                        assert row[t] == want
 
     def test_jcn_keeps_infinity_on_self(self, chain3):
         depths = compute_depths(chain3)

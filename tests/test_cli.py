@@ -56,7 +56,7 @@ class TestSimilarities:
 
     def test_manifest_digest_and_config(self, workdir):
         main(
-            ["--threads", "2", "similarities", "--graph", "chain.tsv",
+            ["similarities", "--graph", "chain.tsv",
              "--measure", "shp", "--seed", "5", "--output", "pairs.tsv"]
         )
         got = read_manifest(workdir / "pairs.tsv.manifest")
@@ -66,7 +66,6 @@ class TestSimilarities:
         assert got["config.measure"] == "shp"
         assert got["config.mode"] == "full"
         assert got["config.top_k"] == "50"
-        assert got["config.threads"] == "2"
 
     def test_full_and_fast_agree_on_chain(self, workdir):
         for mode in ("full", "fast"):
@@ -241,6 +240,20 @@ class TestEvalSim:
         assert len((workdir / "hist.tsv").read_text().splitlines()) == 4
         assert (workdir / "taxovec-eval-sim.manifest").exists()
 
+    def test_histogram_counts_every_evaluated_pair(self, workdir, capsys):
+        self.setup_files(workdir)
+        code = main(
+            ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv",
+             "--candidates", "candidates.tsv", "--measure", "shp",
+             "--scorer", "measure", "--histogram", "hist.tsv", "--bins", "3"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        evaluated = int(out.split("evaluated=")[1].split()[0])
+        rows = (workdir / "hist.tsv").read_text().splitlines()
+        assert len(rows) == 3
+        assert sum(int(r.split("\t")[2]) for r in rows) == evaluated
+
     def test_normalized_measure_scorer(self, workdir, capsys):
         self.setup_files(workdir)
         main(["similarities", "--graph", "tree.tsv", "--measure", "shp",
@@ -355,8 +368,10 @@ class TestNeighbors:
         code = main(["neighbors", "--model", "emb.txt", "--node", "c", "--k", "99"])
         assert code == 0
         captured = capsys.readouterr()
-        assert "clipping to 6" in captured.err
-        assert len(captured.out.splitlines()) == 6
+        # the node ranks itself, so all 7 nodes print
+        assert "clipping to 7" in captured.err
+        lines = captured.out.splitlines()
+        assert sorted(l.split("\t")[0] for l in lines) == sorted(load_embeddings(tree_pairs / "emb.txt").ids)
 
     def test_unknown_node_is_a_data_error(self, tree_pairs, capsys):
         main(["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv",

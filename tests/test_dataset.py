@@ -316,3 +316,88 @@ class TestTrainingPairType:
         p = TrainingPair("a", "b", 0.5)
         assert tuple(p) == ("a", "b", 0.5)
         assert p.s == 0.5
+
+
+# Multi-inheritance DAG; then a forest whose node `s` has a parent in each
+# of two trees (so the trees are connected but share no subsumer), a third
+# tree and an isolated node; then the same forest under a virtual root.
+DAG_EDGES = "".join(f"n{c:02d}\tn{p:02d}\n" for c, p in random_dag_edges(30, 5, extra=9))
+FOREST_EDGES = (
+    "a1\ta0\na2\ta0\na3\ta1\na4\ta1\na5\ta2\n"
+    "b1\tb0\nb2\tb0\nb3\tb1\n"
+    "s\ta3\ns\tb1\ns1\ts\n"
+    "c1\tc0\nc2\tc0\nlone\n"
+)
+IDENTITY_THRESHOLDS = {"shp": None, "lch": 0.5, "wup": None, "jcn": None}
+
+# sha256 of write_pairs output, captured from the per-pair implementation
+# that predates the similarity-row kernel.
+PAIRS_DIGESTS = {
+    "dag/shp/full/None/3": "518b0fbc35eabe947e7cb22cccda4639e6e48db1bb104ec00b84cee8696e7132",
+    "dag/shp/fast/None/3": "fe7b845f25985c3fc5cd5c097374fadf51ff74ce5cc4202614752d83242f491d",
+    "dag/lch/full/0.5/3": "098a3fb6fd6937da7d21de6ac7e5ec9a31cf5b71a02db4f07bff794daea3cd6e",
+    "dag/lch/fast/0.5/3": "ab961aa97abc743ec3a403ce7170956b881df7273c500da5affac94c86a18d33",
+    "dag/wup/full/None/3": "c3c51b9f6726c0345c55defa15649fcc292ac2bdba6513c02697eb1de38d3d97",
+    "dag/wup/fast/None/3": "276a373cd75508e3561e76ba26ba8ef3ee0a233e496e21a582544ac3d6d7c152",
+    "dag/jcn/full/None/3": "19ff5cb77973935cc567def0860769767fc1ebdfb9ad53797ae5bd8e42316f40",
+    "dag/jcn/fast/None/3": "f8a081a43346c0445b756e21d7958bb08ed5d3b5b53fc4646def2b76c1468ddc",
+    "forest/shp/full/None/3": "50e924b99f584b7fbb837588094992b9f2079ea5e9d0d5f728b2ad2b30638551",
+    "forest/shp/fast/None/3": "c9aefb1f72d5c9b01eb2ac2396b75a21722afb8c35c4034ca5f96f3bee996877",
+    "forest/lch/full/0.5/3": "484f7b5d4f9c5a7f5277b2dd14891460c097003a2dbd6dcf4ecbd02ddd1f34f0",
+    "forest/lch/fast/0.5/3": "890f03b93a9ff6926c45e275038978cfd12ba5d56ab99e5820e0ac93be2d612d",
+    "forest/wup/full/None/3": "06c569bc0e78ecb9cc9b400a0a253b4fdd357c18e7a85d08327b01815d7f1638",
+    "forest/wup/fast/None/3": "ebfd80e8f0289ddac608ef1e704bbc0b4d0a76542ccd73228fa6867c91071324",
+    "forest/jcn/full/None/3": "86f9bf4f6ad936c9aaba17c6e82da97476cae1ba382fa00843b65299c985765a",
+    "forest/jcn/fast/None/3": "38eaa81bcd8315d053f45791c9850009c8416f49b9b25904178d1f8bc3115b9f",
+    "rooted/shp/full/None/3": "074f5efa7b3825a04c0cc2293f47b49502fb0d76c4f4b4c9f6f8ba9aecf58d64",
+    "rooted/shp/fast/None/3": "2febf395e65d64a29df548efe23fbec265dc41a2c4efea8e5d4c0fcc16f66241",
+    "rooted/lch/full/0.5/3": "0901bcf80e1e5f5ac0c2b8795f636ebf7cf2da3af7553cc3174478450924d566",
+    "rooted/lch/fast/0.5/3": "493d1183254ea8d65bbc595f0af737be820b2dc1e2e601e453fea00093f708a9",
+    "rooted/wup/full/None/3": "345d3fed81ac87b8e9f8bbaf4098b3da8f28e17bdb9443491277e5f76cf8d2c8",
+    "rooted/wup/fast/None/3": "abb8457c2bfbd436c115e0ea3339dd7cfb1cde78913302d16a523ca98d05a985",
+    "rooted/jcn/full/None/3": "fc1af5c82101c1fc0926dde5e91741d94921d1e1247531f63a600bc35ba2f9f3",
+    "rooted/jcn/fast/None/3": "476901d2fa1a8e3d2c14fe66ad1cb884092684fcdcd90b33af55a8382147b78a",
+    "forest/wup/full/0.0/50": "bb480ddf9b305ac0b0e3eb92030df1f47ceb855ac37dac0eb3e66d390aa97bef",
+}
+
+
+def pairs_digests(tmp_path) -> dict[str, str]:
+    import hashlib
+
+    from taxovec.graph import load_edge_list
+
+    graphs = {}
+    for name, text, root in (
+        ("dag", DAG_EDGES, None),
+        ("forest", FOREST_EDGES, None),
+        ("rooted", FOREST_EDGES, "ROOT"),
+    ):
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(text)
+        graphs[name] = load_edge_list(path, virtual_root=root)
+    cases = [
+        (name, measure, mode, IDENTITY_THRESHOLDS[measure], 3)
+        for name in graphs
+        for measure in ("shp", "lch", "wup", "jcn")
+        for mode in ("full", "fast")
+    ]
+    # keeps every candidate, including the connected pairs without a common
+    # subsumer, which score 0.0
+    cases.append(("forest", "wup", "full", 0.0, 50))
+    out = {}
+    for name, measure, mode, threshold, top_k in cases:
+        g = graphs[name]
+        depths = compute_depths(g)
+        table = propagate_counts(g, [float(i % 3) for i in range(g.n)])
+        cfg = DatasetConfig(measure=measure, threshold=threshold, top_k=top_k, mode=mode, seed=11)
+        build = (build_fast if mode == "fast" else build_full)(g, cfg, depths, table)
+        path = tmp_path / "pairs.tsv"
+        write_pairs(path, build)
+        key = f"{name}/{measure}/{mode}/{threshold}/{top_k}"
+        out[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+class TestByteIdentity:
+    def test_pairs_files_match_recorded_digests(self, tmp_path):
+        assert pairs_digests(tmp_path) == PAIRS_DIGESTS

@@ -25,7 +25,7 @@ from taxovec.evaluation import (
     static_selection,
 )
 from taxovec.graph import TaxonomyGraph, compute_depths
-from taxovec.metrics import pair_similarity
+from taxovec.metrics import pair_similarity, propagate_counts
 from taxovec.trainer import EmbeddingMatrix, TrainConfig, score, train
 
 from conftest import random_tree_graph
@@ -156,6 +156,29 @@ class TestStaticSelection:
         assert len(sel) == 1
         assert (sel[0].u, sel[0].v) == ("a", "b")
 
+    def test_wup_jcn_exclude_only_pairs_without_common_subsumer(self):
+        # s has a parent in each tree: a1 and b1 are connected through s but
+        # share no subsumer; x is unobserved, so its jcn scores are 0.0
+        g = TaxonomyGraph(
+            ["a0", "a1", "x", "b0", "b1", "s"],
+            [("a1", "a0"), ("x", "a0"), ("b1", "b0"), ("s", "a1"), ("s", "b1")],
+        )
+        depths = compute_depths(g)
+        table = propagate_counts(g, [1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+        records = [
+            LemmaPairRecord("l1", "l2", 1.0, ("a1",), ("b1",)),  # no subsumer
+            LemmaPairRecord("l3", "l4", 2.0, ("a1", "b1"), ("x",)),  # a0 is shared
+        ]
+        for measure in ("wup", "jcn"):
+            sel, excluded = static_selection(records, g, measure, depths, table)
+            assert excluded == 1
+            assert [(p.u, p.v) for p in sel] == [("a1", "x")]
+            want = pair_similarity(measure, g, "a1", "x", depths, table)
+            assert sel[0].selection_score == want
+        assert sel[0].selection_score == 0.0
+        # both pairs have a path, so shp keeps both records
+        assert static_selection(records, g, "shp")[1] == 0
+
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(4)
         for seed in range(5):
@@ -266,6 +289,13 @@ class TestEvaluate:
             [scorer.score(p.u, p.v) for p in sel], [p.gold_score for p in sel]
         )
         assert report.spearman == pytest.approx(expected)
+
+    def test_returns_predictions_of_selected_pairs(self):
+        g, depths, records = self.setup_graph()
+        scorer = MeasureScorer(g, "shp", depths)
+        report = evaluate(records, scorer, "static", g=g, measure="shp", depths=depths)
+        sel, _ = static_selection(records, g, "shp", depths)
+        assert report.predictions == [scorer.score(p.u, p.v) for p in sel]
 
     def test_record_order_does_not_matter(self):
         g, depths, records = self.setup_graph()

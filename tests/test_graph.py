@@ -10,12 +10,12 @@ import pytest
 from taxovec.errors import EdgeListError, StructuralError, UnknownNodeError
 from taxovec.graph import (
     TaxonomyGraph,
+    bfs_distances,
     compute_depths,
     load_edge_list,
-    lowest_common_subsumer,
-    second_order_neighborhood,
     shortest_path_length,
 )
+from taxovec.metrics import lcs_index
 
 from conftest import ids_for, random_dag_edges, random_dag_graph, random_tree_graph, rooted_tree_edges
 from oracles import ancestor_closure, depth_oracle, floyd_warshall_undirected, lcs_oracle
@@ -156,6 +156,18 @@ class TestDepths:
             assert got.max_depth == max(expected)
 
 
+def lowest_common_subsumer(g, depths, u, v):
+    """lcs_index over node ids."""
+    lcs = lcs_index(g, depths, g.idx(u), g.idx(v))
+    return None if lcs is None else g.ids[lcs]
+
+
+def second_order_neighborhood(g, v):
+    """Nodes the breadth-first reach finds within two edges of `v`, minus `v`."""
+    order, _ = bfs_distances(g.neighbors, g.idx(v), max_dist=2)
+    return {g.ids[i] for i in order[1:]}
+
+
 class TestLowestCommonSubsumer:
     def test_star_siblings(self, star3):
         d = compute_depths(star3)
@@ -211,6 +223,30 @@ class TestSecondOrderNeighborhood:
                     if u != v and shortest_path_length(g, v, u) in (1, 2)
                 }
                 assert second_order_neighborhood(g, v) == expected
+
+
+class TestBfsDistances:
+    def test_levels_match_floyd_warshall(self):
+        for seed in range(5):
+            n = 40
+            edges = random_dag_edges(n, seed, extra=seed * 3)
+            g = TaxonomyGraph(ids_for(n), [(f"n{c:03d}", f"n{p:03d}") for c, p in edges])
+            dist = floyd_warshall_undirected(n, edges)
+            for src in range(n):
+                order, starts = bfs_distances(g.neighbors, src)
+                assert order[0] == src
+                assert sorted(order) == [v for v in range(n) if math.isfinite(dist[src, v])]
+                for d in range(len(starts) - 1):
+                    for v in order[starts[d] : starts[d + 1]]:
+                        assert dist[src, v] == d
+
+    def test_max_dist_cuts_the_reach(self):
+        g = TaxonomyGraph(["a", "b", "c", "d"], [("b", "a"), ("c", "b"), ("d", "c")])
+        assert bfs_distances(g.neighbors, 0, max_dist=0) == ([0], [0, 1])
+        assert bfs_distances(g.neighbors, 0, max_dist=1) == ([0, 1], [0, 1, 2])
+        order, starts = bfs_distances(g.neighbors, 0)
+        assert order == [0, 1, 2, 3]
+        assert starts[:4] == [0, 1, 2, 3]
 
 
 class TestConstruction:

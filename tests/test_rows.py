@@ -1,0 +1,157 @@
+"""Similarity-row kernel tests: rows against the per-pair measures.
+
+Graphs are drawn by hypothesis: random DAGs with multiple inheritance,
+forests whose trees can share a child, and the same forests joined under
+a virtual root by load_edge_list.
+"""
+
+from __future__ import annotations
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from taxovec.errors import ConfigError
+from taxovec.graph import TaxonomyGraph, compute_depths, load_edge_list, shortest_path_length
+from taxovec.metrics import (
+    MEASURES,
+    SimilarityRows,
+    lcs_index,
+    pair_similarity,
+    propagate_counts,
+    similarity_row,
+)
+
+from oracles import floyd_warshall_undirected
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def edge_lists(draw, forest: bool):
+    """(node count, child->parent edges toward smaller indices)."""
+    n = draw(st.integers(2, 14))
+    edges = set()
+    for c in range(1, n):
+        # in a forest some nodes start a new tree
+        if not forest or draw(st.booleans()):
+            edges.add((c, draw(st.integers(0, c - 1))))
+    for _ in range(draw(st.integers(0, n // 2))):
+        c = draw(st.integers(1, n - 1))
+        edges.add((c, draw(st.integers(0, c - 1))))
+    return n, sorted(edges)
+
+
+def graph_from(n: int, edges: list[tuple[int, int]], virtual_root: bool) -> TaxonomyGraph:
+    lines = [f"n{i}" for i in range(n)] + [f"n{c}\tn{p}" for c, p in edges]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return load_edge_list(path, virtual_root="ROOT" if virtual_root else None)
+
+
+graphs = st.one_of(
+    edge_lists(forest=False).map(lambda ne: graph_from(*ne, virtual_root=False)),
+    edge_lists(forest=True).map(lambda ne: graph_from(*ne, virtual_root=False)),
+    edge_lists(forest=True).map(lambda ne: graph_from(*ne, virtual_root=True)),
+)
+
+
+def context(g: TaxonomyGraph, seed: int):
+    rng = np.random.default_rng(seed)
+    raw = [float(x) for x in rng.integers(0, 3, size=g.n)]
+    raw[0] += 1.0  # some mass, some unobserved nodes
+    return compute_depths(g), propagate_counts(g, raw)
+
+
+def dense_rows(g, measure, depths, table, max_dist=None) -> np.ndarray:
+    """n x n matrix of rows; NaN where a node is not in the source's row."""
+    rows = SimilarityRows(g, measure, depths, table)
+    out = np.full((g.n, g.n), np.nan)
+    for src in range(g.n):
+        targets, sims = rows.row(src, max_dist)
+        assert targets[0] == src
+        out[src, targets] = sims
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(g=graphs, seed=st.integers(0, 3))
+def test_row_equals_pair_similarity(g, seed):
+    depths, table = context(g, seed)
+    for measure in MEASURES:
+        rows = dense_rows(g, measure, depths, table)
+        for u in range(g.n):
+            for v in range(g.n):
+                want = pair_similarity(measure, g, g.ids[u], g.ids[v], depths, table)
+                got = rows[u, v]
+                if math.isnan(got):
+                    # absent: no path; NaN inside the row: no common subsumer
+                    assert want == 0.0
+                    if measure in ("shp", "lch"):
+                        assert shortest_path_length(g, g.ids[u], g.ids[v]) is None
+                    else:
+                        assert lcs_index(g, depths, u, v) is None
+                else:
+                    assert got == want
+
+
+@PROPERTY_SETTINGS
+@given(g=graphs, seed=st.integers(0, 3))
+def test_rows_are_symmetric(g, seed):
+    depths, table = context(g, seed)
+    for measure in MEASURES:
+        rows = dense_rows(g, measure, depths, table)
+        assert np.array_equal(rows, rows.T, equal_nan=True)
+
+
+@PROPERTY_SETTINGS
+@given(g=graphs)
+def test_two_edge_reach_matches_floyd_warshall(g):
+    edges = [(c, p) for c in range(g.n) for p in g.parents[c]]
+    dist = floyd_warshall_undirected(g.n, edges)
+    depths, table = context(g, 0)
+    full = dense_rows(g, "wup", depths, table)
+    for src in range(g.n):
+        targets, sims = similarity_row(g, "wup", src, depths, max_dist=2)
+        assert sorted(targets.tolist()) == np.flatnonzero(dist[src] <= 2).tolist()
+        assert np.array_equal(sims, full[src, targets], equal_nan=True)
+
+
+class TestSimilarityRows:
+    def test_nan_marks_connected_pair_without_common_subsumer(self):
+        # s has a parent in each tree, so a1 and b1 are connected through it
+        g = TaxonomyGraph(
+            ["a0", "a1", "b0", "b1", "s"],
+            [("a1", "a0"), ("b1", "b0"), ("s", "a1"), ("s", "b1")],
+        )
+        depths = compute_depths(g)
+        targets, sims = similarity_row(g, "wup", g.idx("a1"), depths)
+        got = dict(zip((g.ids[t] for t in targets), sims.tolist()))
+        assert set(got) == set(g.ids)
+        assert math.isnan(got["b1"]) and math.isnan(got["b0"])
+        assert got["s"] == pair_similarity("wup", g, "a1", "s", depths)
+
+    def test_shp_row_in_visit_order(self, chain3):
+        targets, sims = similarity_row(chain3, "shp", chain3.idx("a"))
+        assert targets.tolist() == [0, 1, 2]
+        assert sims.tolist() == [1.0, 0.5, 1 / 3]
+
+    def test_unreachable_nodes_are_absent(self):
+        g = TaxonomyGraph(["a", "b", "lone"], [("b", "a")])
+        for measure in ("shp", "wup"):
+            targets, _ = similarity_row(g, measure, g.idx("a"), compute_depths(g))
+            assert g.idx("lone") not in targets.tolist()
+
+    def test_missing_context_is_a_config_error(self, chain3):
+        with pytest.raises(ConfigError, match="depths"):
+            SimilarityRows(chain3, "wup")
+        with pytest.raises(ConfigError, match="information content"):
+            SimilarityRows(chain3, "jcn", compute_depths(chain3))
+        with pytest.raises(ConfigError, match="unknown measure"):
+            SimilarityRows(chain3, "cosine")
