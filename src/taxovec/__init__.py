@@ -54,7 +54,6 @@ from .metrics import (
     load_raw_counts,
     pair_similarity,
     propagate_counts,
-    similarity_row,
 )
 from .trainer import (
     Batch,
@@ -73,6 +72,7 @@ from .wsd import (
     WsdConfig,
     build_sentence_graph,
     disambiguate,
+    disambiguate_sweep,
     micro_f1,
     random_sense_baseline,
     select_senses,
@@ -117,6 +117,7 @@ __all__ = [
     "build_sentence_graph",
     "compute_depths",
     "disambiguate",
+    "disambiguate_sweep",
     "dynamic_selection",
     "evaluate",
     "load_edge_list",
@@ -136,7 +137,6 @@ __all__ = [
     "score",
     "select_senses",
     "shortest_path_length",
-    "similarity_row",
     "spearman",
     "static_selection",
     "train",

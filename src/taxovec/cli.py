@@ -61,8 +61,9 @@ def cli() -> None:
     """Node embeddings that approximate taxonomy graph similarity measures."""
 
 
-def _load_graph(graph_path: str, virtual_root: str | None):
-    return load_edge_list(graph_path, virtual_root=virtual_root)
+def _inputs(**paths: str | None) -> dict[str, str]:
+    """Manifest inputs: every given path, without the options left out."""
+    return {name: path for name, path in paths.items() if path}
 
 
 def _measure_context(g, measure: str, ic_counts: str | None):
@@ -110,16 +111,14 @@ IC counts file (jcn only): `node<TAB>count` lines.
 def cmd_similarities(graph_path, virtual_root, measure, mode, threshold, top_k, seed, ic_counts, output, manifest_path):
     """Build a training dataset of similarity-scored node pairs."""
     t0 = time.perf_counter()
-    g = _load_graph(graph_path, virtual_root)
+    g = load_edge_list(graph_path, virtual_root)
     depths, ic_table = _measure_context(g, measure, ic_counts)
     cfg = DatasetConfig(measure=measure, threshold=threshold, top_k=top_k, mode=mode, seed=seed)
     builder = build_fast if mode == "fast" else build_full
     build = builder(g, cfg, depths, ic_table)
     write_pairs(output, build)
 
-    inputs = {"graph": graph_path}
-    if ic_counts:
-        inputs["ic_counts"] = ic_counts
+    inputs = _inputs(graph=graph_path, ic_counts=ic_counts)
     config = dict(build.header())
     config["virtual_root"] = virtual_root or "-"
     write_manifest(manifest_path or f"{output}.manifest", "similarities", config, inputs, seed, time.perf_counter() - t0)
@@ -159,7 +158,7 @@ Pairs file: output of `similarities`. Embeddings output: text, header
 def cmd_train(graph_path, virtual_root, pairs_path, dev_path, dim, alpha, negatives, neg_per_side, batch_size, epochs, learning_rate, l1, seed, patience, dtype, output, manifest_path):
     """Fit node embeddings to a training dataset."""
     t0 = time.perf_counter()
-    g = _load_graph(graph_path, virtual_root)
+    g = load_edge_list(graph_path, virtual_root)
     pairs, _ = read_pairs(pairs_path)
     dev_set = None
     if dev_path:
@@ -193,9 +192,7 @@ def cmd_train(graph_path, virtual_root, pairs_path, dev_path, dim, alpha, negati
     m = train(pairs, g, cfg, on_epoch=on_epoch)
     save_embeddings(m, output)
 
-    inputs = {"graph": graph_path, "pairs": pairs_path}
-    if dev_path:
-        inputs["dev_pairs"] = dev_path
+    inputs = _inputs(graph=graph_path, pairs=pairs_path, dev_pairs=dev_path)
     config = {
         "d": dim, "alpha": alpha, "negatives": negatives,
         "neg_mode": "per-side" if neg_per_side else "total",
@@ -245,7 +242,7 @@ value row. Histogram TSV: `bin_lo<TAB>bin_hi<TAB>count` per bin.
 def cmd_eval_sim(graph_path, virtual_root, pairs_path, candidates_path, measure, ic_counts, model_path, scorer_kind, score_mode, selection, golds, norm_from, histogram_path, bins, report_path, manifest_path):
     """Rank-correlation evaluation over lemma pair benchmarks."""
     t0 = time.perf_counter()
-    g = _load_graph(graph_path, virtual_root)
+    g = load_edge_list(graph_path, virtual_root)
     depths, ic_table = _measure_context(g, measure, ic_counts)
     records, missing = make_records(load_lemma_pairs(pairs_path), load_candidates(candidates_path))
     scorer = _build_scorer(scorer_kind, g, measure, depths, ic_table, model_path, score_mode, norm_from)
@@ -268,13 +265,10 @@ def cmd_eval_sim(graph_path, virtual_root, pairs_path, candidates_path, measure,
             for lo, hi, count in rows:
                 fh.write(f"{lo!r}\t{hi!r}\t{count}\n")
 
-    inputs = {"graph": graph_path, "pairs": pairs_path, "candidates": candidates_path}
-    if ic_counts:
-        inputs["ic_counts"] = ic_counts
-    if model_path:
-        inputs["model"] = model_path
-    if norm_from:
-        inputs["norm_from"] = norm_from
+    inputs = _inputs(
+        graph=graph_path, pairs=pairs_path, candidates=candidates_path,
+        ic_counts=ic_counts, model=model_path, norm_from=norm_from,
+    )
     config = {
         "measure": measure, "scorer": scorer_kind, "score_mode": score_mode,
         "selection": selection, "golds": golds, "bins": bins,
@@ -311,14 +305,27 @@ node id in the last column.
 def cmd_wsd(graph_path, virtual_root, instances_path, scorer_kind, measure, ic_counts, model_path, score_mode, norm_from, threshold, sweep, baseline, seed, predictions_path, manifest_path):
     """Disambiguate word senses by weighted-degree centrality."""
     t0 = time.perf_counter()
-    g = _load_graph(graph_path, virtual_root)
+    g = load_edge_list(graph_path, virtual_root)
     depths, ic_table = _measure_context(g, measure or "shp", ic_counts) if scorer_kind == "measure" else (None, None)
     scorer = _build_scorer(scorer_kind, g, measure, depths, ic_table, model_path, score_mode, norm_from)
     instances = wsd_mod.load_instances(instances_path)
     golds = wsd_mod.gold_maps(instances)
 
-    cfg = wsd_mod.WsdConfig(scorer=scorer, threshold=threshold)
-    predictions, skipped = wsd_mod.disambiguate(instances, cfg)
+    sweep_values = []
+    if sweep:
+        try:
+            lo, hi, step = (float(x) for x in sweep.split(":"))
+            if step <= 0 or hi < lo:
+                raise ValueError
+        except ValueError:
+            raise click.UsageError("--sweep expects `lo:hi:step` with step > 0")
+        while lo <= hi + 1e-12:
+            sweep_values.append(lo)
+            lo += step
+
+    (predictions, skipped), *swept = wsd_mod.disambiguate_sweep(
+        instances, scorer, [threshold, *sweep_values]
+    )
     result = wsd_mod.micro_f1(predictions, golds)
     click.echo(
         f"precision={result.precision:.4f} recall={result.recall:.4f} f1={result.f1:.4f}"
@@ -328,39 +335,22 @@ def cmd_wsd(graph_path, virtual_root, instances_path, scorer_kind, measure, ic_c
         f"gold={result.total_gold} skipped_pairs={skipped}"
     )
 
-    if baseline == "random":
-        base = wsd_mod.micro_f1(wsd_mod.random_sense_baseline(instances, seed), golds)
-        click.echo(f"baseline=random f1={base.f1:.4f}")
-    elif baseline == "first":
-        base = wsd_mod.micro_f1(wsd_mod.first_sense_baseline(instances), golds)
-        click.echo(f"baseline=first f1={base.f1:.4f}")
+    if baseline:
+        picks = (wsd_mod.random_sense_baseline(instances, seed) if baseline == "random"
+                 else wsd_mod.first_sense_baseline(instances))
+        click.echo(f"baseline={baseline} f1={wsd_mod.micro_f1(picks, golds).f1:.4f}")
 
-    if sweep:
-        try:
-            lo_s, hi_s, step_s = sweep.split(":")
-            lo, hi, step = float(lo_s), float(hi_s), float(step_s)
-            if step <= 0 or hi < lo:
-                raise ValueError
-        except ValueError:
-            raise click.UsageError("--sweep expects `lo:hi:step` with step > 0")
-        t = lo
-        while t <= hi + 1e-12:
-            preds_t, _ = wsd_mod.disambiguate(instances, wsd_mod.WsdConfig(scorer=scorer, threshold=t))
-            f1_t = wsd_mod.micro_f1(preds_t, golds).f1
-            click.echo(f"sweep t={t:.4f} f1={f1_t:.4f}")
-            t += step
+    for t, (preds_t, _) in zip(sweep_values, swept):
+        click.echo(f"sweep t={t:.4f} f1={wsd_mod.micro_f1(preds_t, golds).f1:.4f}")
 
     if predictions_path:
         wsd_mod.write_predictions(predictions_path, instances, predictions)
         click.echo(f"wrote predictions to {predictions_path}")
 
-    inputs = {"graph": graph_path, "instances": instances_path}
-    if ic_counts:
-        inputs["ic_counts"] = ic_counts
-    if model_path:
-        inputs["model"] = model_path
-    if norm_from:
-        inputs["norm_from"] = norm_from
+    inputs = _inputs(
+        graph=graph_path, instances=instances_path,
+        ic_counts=ic_counts, model=model_path, norm_from=norm_from,
+    )
     config = {
         "scorer": scorer_kind, "measure": measure or "-", "score_mode": score_mode,
         "threshold": threshold, "baseline": baseline or "-",
@@ -382,14 +372,8 @@ def cmd_neighbors(model_path, node, k, score_mode, manifest_path):
     if k > m.n:
         click.echo(f"k={k} exceeds node count {m.n}; clipping to {m.n}", err=True)
         k = m.n
-    if score_mode == "dot":
-        scores = bench_mod.one_vs_all_dot(m, node)
-    else:
-        mat = m.matrix.astype(np.float64)
-        norms = np.linalg.norm(mat, axis=1)
-        safe = np.where(norms > 0, norms, 1.0)
-        unit = mat / safe[:, None]
-        scores = unit @ unit[m.idx(node)]
+    scores = (bench_mod.one_vs_all_dot(m, node) if score_mode == "dot"
+              else ModelScorer(m, "cosine").grid([node], m.ids)[0])
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")[:k]
     for idx in order:
         click.echo(f"{m.ids[int(idx)]}\t{float(scores[int(idx)])!r}")
@@ -416,7 +400,7 @@ def cmd_neighbors(model_path, node, k, score_mode, manifest_path):
 def cmd_bench(graph_path, virtual_root, measure, ic_counts, model_path, dim, queries, query_nodes, repeats, methods, topk, seed, report_path, manifest_path):
     """Time one-vs-all similarity queries: graph traversal vs dot products."""
     t0 = time.perf_counter()
-    g = _load_graph(graph_path, virtual_root)
+    g = load_edge_list(graph_path, virtual_root)
     depths, ic_table = _measure_context(g, measure, ic_counts)
     method_tuple = tuple(s.strip() for s in methods.split(",") if s.strip())
 
@@ -466,11 +450,7 @@ def cmd_bench(graph_path, virtual_root, measure, ic_counts, model_path, dim, que
                 speedup = "" if report.speedup is None else repr(report.speedup)
                 fh.write(f"{report.method}\t{report.seconds_per_query!r}\t{report.n_targets}\t{report.repeats}\t{speedup}\n")
 
-    inputs = {"graph": graph_path}
-    if ic_counts:
-        inputs["ic_counts"] = ic_counts
-    if model_path:
-        inputs["model"] = model_path
+    inputs = _inputs(graph=graph_path, ic_counts=ic_counts, model=model_path)
     config = {
         "measure": measure, "methods": ",".join(method_tuple), "repeats": repeats,
         "queries": ",".join(query_list), "topk": topk, "dim": dim,

@@ -3,9 +3,13 @@
 A lemma maps to several candidate nodes, so scoring a lemma pair means
 first choosing one node pair. Static selection picks the pair maximizing
 a raw graph measure; dynamic selection picks the pair the embedding model
-itself scores highest. The reported number is the Spearman correlation
+itself scores highest. Both take one grid of scores per record and share
+one selection loop. The reported number is the Spearman correlation
 between predicted scores and gold scores (human judgments, or the graph
 measure's own values when it serves as the gold standard).
+
+A scorer offers `has(node)` and `grid(us, vs)`: a float64 array of the
+scores of every pair in us x vs, raising UnknownNodeError for unknown ids.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,23 +29,15 @@ from .metrics import (
     pair_similarity,
     validate_measure,
 )
-from .trainer import EmbeddingMatrix, score
+from .trainer import EmbeddingMatrix
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks (1-based) with ties averaged."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    n = len(values)
-    sorted_vals = values[order]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Fractional ranks (1-based) with ties averaged; NaNs never tie."""
+    _, inverse, counts = np.unique(
+        values, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x: list[float], y: list[float]) -> float:
@@ -77,42 +73,36 @@ class SelectedPair(NamedTuple):
     selection_score: float
 
 
-def load_lemma_pairs(path: str | Path) -> list[tuple[str, str, float]]:
-    """Read `lemma1<TAB>lemma2<TAB>gold_score` lines; `#` comments allowed."""
+def _tsv_lines(path: str | Path, layout: str) -> Iterator[tuple[str, list[str]]]:
+    """(file:line, fields) of each line outside `#` comments, checked against `layout`."""
     p = Path(path)
-    out: list[tuple[str, str, float]] = []
     with p.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{p}:{lineno}: expected `lemma1<TAB>lemma2<TAB>score`")
-            try:
-                gold = float(fields[2])
-            except ValueError:
-                raise DataError(f"{p}:{lineno}: bad score {fields[2]!r}") from None
-            out.append((fields[0], fields[1], gold))
+            if line and not line.startswith("#"):
+                fields = line.split("\t")
+                if len(fields) != layout.count("<TAB>") + 1:
+                    raise DataError(f"{p}:{lineno}: expected `{layout}`")
+                yield f"{p}:{lineno}", fields
+
+
+def load_lemma_pairs(path: str | Path) -> list[tuple[str, str, float]]:
+    """Read `lemma1<TAB>lemma2<TAB>gold_score` lines; `#` comments allowed."""
+    out: list[tuple[str, str, float]] = []
+    for where, (l1, l2, gold) in _tsv_lines(path, "lemma1<TAB>lemma2<TAB>score"):
+        try:
+            out.append((l1, l2, float(gold)))
+        except ValueError:
+            raise DataError(f"{where}: bad score {gold!r}") from None
     return out
 
 
 def load_candidates(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Read `lemma<TAB>comma-separated node ids` into a candidate map."""
-    p = Path(path)
-    out: dict[str, tuple[str, ...]] = {}
-    with p.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{p}:{lineno}: expected `lemma<TAB>candidates`")
-            lemma, cand_s = fields
-            cands = tuple(c.strip() for c in cand_s.split(",") if c.strip())
-            out[lemma] = cands
-    return out
+    return {
+        lemma: tuple(c.strip() for c in cand_s.split(",") if c.strip())
+        for _, (lemma, cand_s) in _tsv_lines(path, "lemma<TAB>candidates")
+    }
 
 
 def make_records(
@@ -165,16 +155,26 @@ class MeasureScorer:
         suffix = "norm" if norm_range else "raw"
         self.name = f"{self.measure}[{suffix}]"
 
-    def score(self, u: str, v: str) -> float:
-        raw = pair_similarity(self.measure, self.g, u, v, self.depths, self.ic_table)
+    def has(self, node: str) -> bool:
+        return self.g.has(node)
+
+    def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
+        """pair_similarity per cell, rescaled and clipped to [0,1] when normalized."""
+        m, g, depths, table = self.measure, self.g, self.depths, self.ic_table
+        cells = [pair_similarity(m, g, u, v, depths, table) for u in us for v in vs]
+        raw = np.array(cells, dtype=np.float64).reshape(len(us), len(vs))
         if self.norm_range is None:
             return raw
         lo, hi = self.norm_range
-        return max(0.0, min(1.0, (raw - lo) / (hi - lo)))
+        return np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
 
 
 class ModelScorer:
-    """Scores node pairs with embedding dot products or cosines."""
+    """Scores node pairs with embedding dot products or cosines.
+
+    A grid gathers its rows once and takes one matmul stacked over single
+    rows, so each cell is the float64 dot of trainer.score and equals it.
+    """
 
     def __init__(self, m: EmbeddingMatrix, mode: str = "dot"):
         if mode not in ("dot", "cosine"):
@@ -183,8 +183,36 @@ class ModelScorer:
         self.mode = mode
         self.name = f"model[{mode}]"
 
-    def score(self, u: str, v: str) -> float:
-        return score(self.m, u, v, self.mode)
+    def has(self, node: str) -> bool:
+        return node in self.m.index
+
+    def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
+        a, b = (self.m.matrix[[self.m.idx(x) for x in xs]].astype(np.float64) for xs in (us, vs))
+        out = (a[:, None, None, :] @ b[None, :, :, None])[:, :, 0, 0]  # row-by-row dots
+        if self.mode == "cosine":
+            norm_a, norm_b = (np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) for x in (a, b))
+            live = ~np.logical_or.outer(norm_a < 1e-300, norm_b < 1e-300)  # else 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where(live, out / np.outer(norm_a, norm_b), 0.0)
+        return out
+
+
+def _select(
+    records: list[LemmaPairRecord], grids: Iterable[np.ndarray]
+) -> tuple[list[SelectedPair], int]:
+    """Per record, the first strict maximum in (c1, c2) order of its
+    candidates1 x candidates2 grid, skipping NaN cells; records whose
+    cells are all NaN are excluded and counted."""
+    out: list[SelectedPair] = []
+    for rec, grid in zip(records, grids):
+        cells = grid.ravel()
+        valid = np.flatnonzero(~np.isnan(cells))
+        if len(valid):
+            best = int(valid[np.argmax(cells[valid])])
+            i, j = divmod(best, len(rec.candidates2))
+            c1, c2 = rec.candidates1[i], rec.candidates2[j]
+            out.append(SelectedPair(c1, c2, rec.gold_score, float(cells[best])))
+    return out, len(records) - len(out)
 
 
 def static_selection(
@@ -196,32 +224,21 @@ def static_selection(
 ) -> tuple[list[SelectedPair], int]:
     """Per record, the candidate pair with maximal raw graph similarity.
 
-    Candidate pairs are tried in list order and only a strictly greater
-    similarity replaces the incumbent, so ties resolve to the smallest
-    index pair. Records where every candidate pair is disconnected (no
-    path for shp/lch, no common subsumer for wup/jcn) are excluded and
-    counted.
+    The grid takes one SimilarityRows row per candidate in candidates1.
+    A disconnected pair (no path for shp/lch, no common subsumer for
+    wup/jcn) is a NaN cell.
     """
     rows = SimilarityRows(g, measure, depths, ic_table)
-    out: list[SelectedPair] = []
-    excluded = 0
-    for rec in records:
-        best: SelectedPair | None = None
-        for c1 in rec.candidates1:
+
+    def grid(rec: LemmaPairRecord) -> np.ndarray:
+        cols = [g.idx(c2) for c2 in rec.candidates2]
+        out = np.full((len(rec.candidates1), g.n), np.nan)
+        for i, c1 in enumerate(rec.candidates1):
             targets, sims = rows.row(g.idx(c1))
-            row = np.full(g.n, np.nan)  # NaN: no path or no common subsumer
-            row[targets] = sims
-            for c2 in rec.candidates2:
-                sim = float(row[g.idx(c2)])
-                if math.isnan(sim):
-                    continue
-                if best is None or sim > best.selection_score:
-                    best = SelectedPair(c1, c2, rec.gold_score, sim)
-        if best is None:
-            excluded += 1
-            continue
-        out.append(best)
-    return out, excluded
+            out[i, targets] = sims
+        return out[:, cols]
+
+    return _select(records, map(grid, records))
 
 
 def dynamic_selection(
@@ -231,19 +248,10 @@ def dynamic_selection(
 ) -> tuple[list[SelectedPair], int]:
     """Per record, the candidate pair the model itself scores highest.
 
-    Same strict-max iteration as static_selection, so ties resolve to the
-    smallest index pair. Unembedded candidates raise a lookup error.
+    The grid is ModelScorer.grid. Unembedded candidates raise a lookup error.
     """
-    out: list[SelectedPair] = []
-    for rec in records:
-        best: SelectedPair | None = None
-        for c1 in rec.candidates1:
-            for c2 in rec.candidates2:
-                sim = score(m, c1, c2, mode)
-                if best is None or sim > best.selection_score:
-                    best = SelectedPair(c1, c2, rec.gold_score, sim)
-        out.append(best)
-    return out, 0
+    scorer = ModelScorer(m, mode)
+    return _select(records, (scorer.grid(r.candidates1, r.candidates2) for r in records))
 
 
 @dataclass
@@ -270,37 +278,36 @@ def evaluate(
     """Correlate a scorer against gold scores over selected candidate pairs.
 
     selection "static" picks pairs by the raw graph measure (g and measure
-    required); "dynamic" picks them with the scorer's own model. golds
-    "human" correlates against the records' gold scores, "measure" against
-    the graph measure's value on each selected pair.
+    required); "dynamic" picks them on the scorer's own grid, whose
+    selected cells are then the predictions. golds "human" correlates
+    against the records' gold scores, "measure" against the graph
+    measure's value on each selected pair.
     """
     if selection == "static":
         if g is None or measure is None:
             raise ConfigError("static selection requires a graph and a measure")
         selected, excluded = static_selection(records, g, measure, depths, ic_table)
+        preds = [float(scorer.grid([p.u], [p.v])[0, 0]) for p in selected]
     elif selection == "dynamic":
         if not isinstance(scorer, ModelScorer):
             raise ConfigError("dynamic selection requires a model scorer")
         selected, excluded = dynamic_selection(records, scorer.m, scorer.mode)
+        preds = [p.selection_score for p in selected]
     else:
         raise ConfigError(f"unknown selection {selection!r}; expected static or dynamic")
 
     if len(selected) < 3:
         raise DataError(f"need at least 3 evaluable records, got {len(selected)}")
-
-    preds = [scorer.score(p.u, p.v) for p in selected]
     if golds == "human":
         gold_values = [p.gold_score for p in selected]
     elif golds == "measure":
         if g is None or measure is None:
             raise ConfigError("measure golds require a graph and a measure")
-        if selection == "static":
-            gold_values = [p.selection_score for p in selected]
-        else:
-            gold_values = [
-                pair_similarity(measure, g, p.u, p.v, depths, ic_table)
-                for p in selected
-            ]
+        gold_values = [
+            p.selection_score if selection == "static"
+            else pair_similarity(measure, g, p.u, p.v, depths, ic_table)
+            for p in selected
+        ]
     else:
         raise ConfigError(f"unknown golds {golds!r}; expected human or measure")
 

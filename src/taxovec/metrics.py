@@ -300,15 +300,3 @@ class SimilarityRows:
                 scores[np.isinf(ic[src]) | np.isinf(ic[targets])] = 0.0
         scores[rank < 0] = np.nan
         return targets, scores
-
-
-def similarity_row(
-    g: TaxonomyGraph,
-    measure: str,
-    src: int,
-    depths: DepthIndex | None = None,
-    ic_table: InformationContentTable | None = None,
-    max_dist: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One row of SimilarityRows; see SimilarityRows.row for the layout."""
-    return SimilarityRows(g, measure, depths, ic_table).row(src, max_dist)

@@ -6,18 +6,24 @@ strictly above a threshold. Each token then takes its candidate with the
 highest weighted degree (sum of incident edge weights); ties, including
 the no-edges case, fall back to the first listed candidate, which is the
 most frequent sense when lists are frequency-ordered.
+
+Scoring and thresholding are separate steps: score_sentence takes one
+`grid(us, vs)` of the scorer (see evaluation) over a sentence's candidates
+that the scorer `has`, and SentenceScores.graph thresholds those scores,
+so a threshold sweep scores each sentence once.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TaxovecError
+from .errors import ConfigError, DataError
 from .evaluation import MeasureScorer, ModelScorer
 
 
@@ -64,33 +70,53 @@ class SentenceGraph:
     skipped_pairs: int = 0
 
 
+@dataclass
+class SentenceScores:
+    """A sentence's scored cross-token pairs: `pairs` index `nodes` in (token a,
+    token b, candidate of a, candidate of b) order with a before b."""
+
+    nodes: list[GraphNode]
+    pairs: np.ndarray
+    weights: np.ndarray
+    skipped_pairs: int
+
+    def graph(self, threshold: float) -> SentenceGraph:
+        """Edges strictly above `threshold`, degrees summed in pair order."""
+        graph = SentenceGraph(dict.fromkeys(self.nodes, 0.0), [], self.skipped_pairs)
+        keep = self.weights > threshold
+        for (a, b), w in zip(self.pairs[keep].tolist(), self.weights[keep].tolist()):
+            graph.edges.append((self.nodes[a], self.nodes[b], w))
+            graph.degree[self.nodes[a]] += w
+            graph.degree[self.nodes[b]] += w
+        return graph
+
+
+def score_sentence(
+    inst: SentenceInstance, scorer: MeasureScorer | ModelScorer
+) -> SentenceScores:
+    """One scorer grid over the sentence's known candidates; a pair with a
+    candidate the scorer does not have is left out and counted as skipped."""
+    slots = [tok for tok in inst.tokens if tok.candidates]
+    nodes = [(tok.index, cand) for tok in slots for cand in tok.candidates]
+    slot = np.repeat(np.arange(len(slots)), [len(tok.candidates) for tok in slots])
+    known = list(dict.fromkeys(cand for _, cand in nodes if scorer.has(cand)))
+    col = {cand: k for k, cand in enumerate(known)}
+    pos = np.array([col.get(cand, -1) for _, cand in nodes], dtype=np.int64)
+    a, b = np.nonzero(slot[:, None] < slot[None, :])
+    pairs = np.column_stack((a, b))[np.lexsort((b, a, slot[b], slot[a]))]
+    cells = pos[pairs]
+    scored = (cells >= 0).all(axis=1)
+    weights = scorer.grid(known, known)[cells[scored, 0], cells[scored, 1]]
+    return SentenceScores(nodes, pairs[scored], weights, len(pairs) - len(weights))
+
+
 def build_sentence_graph(inst: SentenceInstance, cfg: WsdConfig) -> SentenceGraph:
     """Weighted graph over candidate senses; edges only across tokens.
 
     A pair the scorer cannot handle (unknown node, no embedding) is
     skipped and counted rather than failing the sentence.
     """
-    graph = SentenceGraph(degree={}, edges=[])
-    slots = [tok for tok in inst.tokens if tok.candidates]
-    for tok in slots:
-        for cand in tok.candidates:
-            graph.degree.setdefault((tok.index, cand), 0.0)
-    for a in range(len(slots)):
-        for b in range(a + 1, len(slots)):
-            ta, tb = slots[a], slots[b]
-            for ca in ta.candidates:
-                for cb in tb.candidates:
-                    try:
-                        w = cfg.scorer.score(ca, cb)
-                    except TaxovecError:
-                        graph.skipped_pairs += 1
-                        continue
-                    if w > cfg.threshold:
-                        na, nb = (ta.index, ca), (tb.index, cb)
-                        graph.edges.append((na, nb, w))
-                        graph.degree[na] += w
-                        graph.degree[nb] += w
-    return graph
+    return score_sentence(inst, cfg.scorer).graph(cfg.threshold)
 
 
 def select_senses(graph: SentenceGraph, inst: SentenceInstance) -> dict[int, str]:
@@ -100,31 +126,33 @@ def select_senses(graph: SentenceGraph, inst: SentenceInstance) -> dict[int, str
     (and isolated columns) resolve to the first listed sense. Tokens
     without candidates are absent from the result.
     """
-    choices: dict[int, str] = {}
-    for tok in inst.tokens:
-        if not tok.candidates:
-            continue
-        best = tok.candidates[0]
-        best_deg = graph.degree.get((tok.index, best), 0.0)
-        for cand in tok.candidates[1:]:
-            deg = graph.degree.get((tok.index, cand), 0.0)
-            if deg > best_deg:
-                best, best_deg = cand, deg
-        choices[tok.index] = best
-    return choices
+    return {  # max keeps the first of equal keys
+        tok.index: max(tok.candidates, key=lambda cand: graph.degree.get((tok.index, cand), 0.0))
+        for tok in inst.tokens
+        if tok.candidates
+    }
 
 
 def disambiguate(
     instances: list[SentenceInstance], cfg: WsdConfig
 ) -> tuple[list[dict[int, str]], int]:
     """Predictions per instance plus the count of scorer-skipped pairs."""
-    predictions: list[dict[int, str]] = []
-    skipped = 0
-    for inst in instances:
-        graph = build_sentence_graph(inst, cfg)
-        skipped += graph.skipped_pairs
-        predictions.append(select_senses(graph, inst))
-    return predictions, skipped
+    return disambiguate_sweep(instances, cfg.scorer, [cfg.threshold])[0]
+
+
+def disambiguate_sweep(
+    instances: list[SentenceInstance],
+    scorer: MeasureScorer | ModelScorer,
+    thresholds: Sequence[float],
+) -> list[tuple[list[dict[int, str]], int]]:
+    """disambiguate at every threshold in turn, scoring each sentence once."""
+    cfgs = [WsdConfig(scorer, t) for t in thresholds]  # validates every threshold first
+    scored = [score_sentence(inst, scorer) for inst in instances]
+    skipped = sum(s.skipped_pairs for s in scored)
+    return [
+        ([select_senses(s.graph(cfg.threshold), inst) for s, inst in zip(scored, instances)], skipped)
+        for cfg in cfgs
+    ]
 
 
 def random_sense_baseline(
@@ -212,19 +240,13 @@ def load_instances(path: str | Path) -> list[SentenceInstance]:
     instances: list[SentenceInstance] = []
     current: list[Token] = []
     current_id: str | None = None
-
-    def flush() -> None:
-        nonlocal current, current_id
-        if current:
-            instances.append(SentenceInstance(current_id, tuple(current)))
-        current = []
-        current_id = None
-
     with p.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+        for lineno, line in enumerate(itertools.chain(fh, ["\n"]), 1):  # "\n" ends the last sentence
             line = line.rstrip("\n")
             if not line.strip():
-                flush()
+                if current:
+                    instances.append(SentenceInstance(current_id, tuple(current)))
+                current, current_id = [], None
                 continue
             if line.startswith("#"):
                 continue
@@ -250,7 +272,6 @@ def load_instances(path: str | Path) -> list[SentenceInstance]:
                 candidates = tuple(c.strip() for c in cand_s.split(",") if c.strip())
             gold = None if gold_s == "-" else gold_s
             current.append(Token(tok_idx, lemma, candidates, gold))
-    flush()
     return instances
 
 

@@ -335,8 +335,12 @@ class _PairTable:
         self.table = {frozenset(k): v for k, v in table.items()}
         self.default = default
 
-    def score(self, u, v):
-        return self.table.get(frozenset((u, v)), self.default)
+    def has(self, node):
+        return True
+
+    def grid(self, us, vs):
+        cells = [self.table.get(frozenset((u, v)), self.default) for u in us for v in vs]
+        return np.array(cells, dtype=np.float64).reshape(len(us), len(vs))
 
 
 def test_criterion_6_wsd_selection_logic():

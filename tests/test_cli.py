@@ -7,7 +7,8 @@ import pytest
 
 from taxovec.cli import main
 from taxovec.manifest import file_digest, read_manifest
-from taxovec.trainer import load_embeddings
+from taxovec.evaluation import MeasureScorer
+from taxovec.trainer import load_embeddings, score
 
 CHAIN = "b\ta\nc\tb\n"
 # r with children a, b; a has c, d; b has e, f
@@ -323,6 +324,26 @@ class TestWsd:
         out = capsys.readouterr().out
         assert out.count("sweep t=") == 3
 
+    def test_sweep_scores_each_sentence_once(self, workdir, capsys, monkeypatch):
+        calls = []
+        grid = MeasureScorer.grid
+
+        def counting_grid(self, us, vs):
+            calls.append((tuple(us), tuple(vs)))
+            return grid(self, us, vs)
+
+        monkeypatch.setattr(MeasureScorer, "grid", counting_grid)
+        (workdir / "inst.tsv").write_text(self.INSTANCES)
+        code = main(
+            ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv",
+             "--measure", "shp", "--threshold", "0.3", "--sweep", "0.2:0.4:0.1"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("sweep t=") == 3
+        assert "sweep t=0.3000 f1=1.0000" in out
+        assert len(calls) == 2  # one grid per sentence for all four thresholds
+
     def test_bad_sweep_spec(self, workdir, capsys):
         (workdir / "inst.tsv").write_text(self.INSTANCES)
         code = main(
@@ -372,6 +393,24 @@ class TestNeighbors:
         assert "clipping to 7" in captured.err
         lines = captured.out.splitlines()
         assert sorted(l.split("\t")[0] for l in lines) == sorted(load_embeddings(tree_pairs / "emb.txt").ids)
+
+    def test_cosine_mode_with_zero_row(self, workdir, capsys):
+        rows = {"a": [3.0, 4.0], "b": [0.0, 0.0], "c": [-1.0, 0.5], "d": [6.0, 8.0]}
+        (workdir / "emb.txt").write_text(
+            "4 2\n" + "".join(f"{k} {x!r} {y!r}\n" for k, (x, y) in rows.items())
+        )
+        m = load_embeddings(workdir / "emb.txt")
+        assert main(["neighbors", "--model", "emb.txt", "--node", "a",
+                     "--k", "4", "--score-mode", "cosine"]) == 0
+        got = [l.split("\t") for l in capsys.readouterr().out.splitlines()]
+        assert [node for node, _ in got] == ["a", "d", "b", "c"]
+        for node, value in got:
+            want = score(m, "a", node, "cosine")
+            assert abs(float(value) - want) <= 1e-12 * abs(want)
+        assert main(["neighbors", "--model", "emb.txt", "--node", "b",
+                     "--k", "4", "--score-mode", "cosine"]) == 0
+        got = [l.split("\t") for l in capsys.readouterr().out.splitlines()]
+        assert got == [[node, "0.0"] for node in "abcd"]
 
     def test_unknown_node_is_a_data_error(self, tree_pairs, capsys):
         main(["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv",

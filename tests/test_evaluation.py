@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from taxovec.dataset import DatasetConfig, build_full
-from taxovec.errors import ConfigError, DataError, DegenerateRangeError
+from taxovec.errors import ConfigError, DataError, DegenerateRangeError, UnknownNodeError
 from taxovec.evaluation import (
     LemmaPairRecord,
     MeasureScorer,
@@ -28,7 +28,7 @@ from taxovec.graph import TaxonomyGraph, compute_depths
 from taxovec.metrics import pair_similarity, propagate_counts
 from taxovec.trainer import EmbeddingMatrix, TrainConfig, score, train
 
-from conftest import random_tree_graph
+from conftest import random_dag_graph, random_tree_graph
 from oracles import spearman_oracle
 
 
@@ -286,7 +286,7 @@ class TestEvaluate:
         )
         sel, _ = static_selection(records, g, "shp", depths)
         expected = spearman(
-            [scorer.score(p.u, p.v) for p in sel], [p.gold_score for p in sel]
+            [scorer.grid([p.u], [p.v])[0, 0] for p in sel], [p.gold_score for p in sel]
         )
         assert report.spearman == pytest.approx(expected)
 
@@ -295,7 +295,7 @@ class TestEvaluate:
         scorer = MeasureScorer(g, "shp", depths)
         report = evaluate(records, scorer, "static", g=g, measure="shp", depths=depths)
         sel, _ = static_selection(records, g, "shp", depths)
-        assert report.predictions == [scorer.score(p.u, p.v) for p in sel]
+        assert report.predictions == [scorer.grid([p.u], [p.v])[0, 0] for p in sel]
 
     def test_record_order_does_not_matter(self):
         g, depths, records = self.setup_graph()
@@ -345,11 +345,11 @@ class TestMeasureScorerNormalization:
         depths = compute_depths(star3)
         scorer = MeasureScorer(star3, "shp", depths, norm_range=(0.4, 0.8))
         # raw shp(x, y) = 1/3 -> below range -> clips to 0
-        assert scorer.score("x", "y") == 0.0
+        assert scorer.grid(["x"], ["y"])[0, 0] == 0.0
         # raw shp(r, x) = 0.5 -> (0.5 - 0.4) / 0.4 = 0.25
-        assert scorer.score("r", "x") == pytest.approx(0.25)
+        assert scorer.grid(["r"], ["x"])[0, 0] == pytest.approx(0.25)
         # raw shp(x, x) = 1.0 -> above range -> clips to 1
-        assert scorer.score("x", "x") == 1.0
+        assert scorer.grid(["x"], ["x"])[0, 0] == 1.0
         assert scorer.name == "shp[norm]"
 
     def test_degenerate_range_rejected(self, star3):
@@ -364,6 +364,59 @@ class TestMeasureScorerNormalization:
         m = EmbeddingMatrix(["a"], np.zeros((1, 2)))
         with pytest.raises(ConfigError):
             ModelScorer(m, "manhattan")
+
+
+class TestScorerGrids:
+    """grid is the one scoring entry point; cells match the per-pair functions."""
+
+    def test_model_grid_matches_trainer_score(self):
+        rng = np.random.default_rng(3)
+        ids = [f"n{i}" for i in range(9)]
+        for dtype in (np.float32, np.float64):
+            matrix = rng.normal(size=(9, 7)).astype(dtype)
+            matrix[4] = 0.0
+            m = EmbeddingMatrix(ids, matrix)
+            us, vs = ids[:6], ids[2:] + ["n4", "n0"]
+            for mode in ("dot", "cosine"):
+                grid = ModelScorer(m, mode).grid(us, vs)
+                assert grid.shape == (len(us), len(vs)) and grid.dtype == np.float64
+                for i, u in enumerate(us):
+                    for j, v in enumerate(vs):
+                        want = score(m, u, v, mode)
+                        assert abs(grid[i, j] - want) <= 1e-12 * abs(want)
+            assert ModelScorer(m, "cosine").grid(["n4"], ids).tolist() == [[0.0] * 9]
+
+    def test_model_grid_unknown_id(self):
+        m = EmbeddingMatrix(["a", "b"], np.ones((2, 3)))
+        scorer = ModelScorer(m)
+        assert scorer.has("a") and not scorer.has("zzz")
+        with pytest.raises(UnknownNodeError):
+            scorer.grid(["a"], ["b", "zzz"])
+
+    def test_measure_grid_matches_pair_similarity(self):
+        g = random_dag_graph(30, 5, extra=9)
+        depths = compute_depths(g)
+        raw_counts = [float((7 * i) % 5) for i in range(g.n)]  # some nodes unobserved
+        table = propagate_counts(g, raw_counts)
+        us, vs = g.ids[::3], g.ids[1::4]
+        for measure in ("shp", "lch", "wup", "jcn"):
+            want = np.array(
+                [[pair_similarity(measure, g, u, v, depths, table) for v in vs] for u in us]
+            )
+            raw = MeasureScorer(g, measure, depths, table).grid(us, vs)
+            assert np.array_equal(raw, want)
+            finite = want[np.isfinite(want)]
+            lo, hi = np.percentile(finite, 25), np.percentile(finite, 75)
+            norm = MeasureScorer(g, measure, depths, table, norm_range=(lo, hi)).grid(us, vs)
+            clipped = [[max(0.0, min(1.0, (x - lo) / (hi - lo))) for x in row] for row in want]
+            assert norm.tolist() == clipped
+            assert 0.0 < norm.mean() < 1.0
+
+    def test_measure_grid_unknown_id(self, star3):
+        scorer = MeasureScorer(star3, "shp")
+        assert scorer.has("x") and not scorer.has("zzz")
+        with pytest.raises(UnknownNodeError):
+            scorer.grid(["x", "zzz"], ["y"])
 
 
 class TestScoreHistogram:

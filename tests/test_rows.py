@@ -24,7 +24,6 @@ from taxovec.metrics import (
     lcs_index,
     pair_similarity,
     propagate_counts,
-    similarity_row,
 )
 
 from oracles import floyd_warshall_undirected
@@ -118,7 +117,7 @@ def test_two_edge_reach_matches_floyd_warshall(g):
     depths, table = context(g, 0)
     full = dense_rows(g, "wup", depths, table)
     for src in range(g.n):
-        targets, sims = similarity_row(g, "wup", src, depths, max_dist=2)
+        targets, sims = SimilarityRows(g, "wup", depths).row(src, max_dist=2)
         assert sorted(targets.tolist()) == np.flatnonzero(dist[src] <= 2).tolist()
         assert np.array_equal(sims, full[src, targets], equal_nan=True)
 
@@ -131,21 +130,21 @@ class TestSimilarityRows:
             [("a1", "a0"), ("b1", "b0"), ("s", "a1"), ("s", "b1")],
         )
         depths = compute_depths(g)
-        targets, sims = similarity_row(g, "wup", g.idx("a1"), depths)
+        targets, sims = SimilarityRows(g, "wup", depths).row(g.idx("a1"))
         got = dict(zip((g.ids[t] for t in targets), sims.tolist()))
         assert set(got) == set(g.ids)
         assert math.isnan(got["b1"]) and math.isnan(got["b0"])
         assert got["s"] == pair_similarity("wup", g, "a1", "s", depths)
 
     def test_shp_row_in_visit_order(self, chain3):
-        targets, sims = similarity_row(chain3, "shp", chain3.idx("a"))
+        targets, sims = SimilarityRows(chain3, "shp").row(chain3.idx("a"))
         assert targets.tolist() == [0, 1, 2]
         assert sims.tolist() == [1.0, 0.5, 1 / 3]
 
     def test_unreachable_nodes_are_absent(self):
         g = TaxonomyGraph(["a", "b", "lone"], [("b", "a")])
         for measure in ("shp", "wup"):
-            targets, _ = similarity_row(g, measure, g.idx("a"), compute_depths(g))
+            targets, _ = SimilarityRows(g, measure, compute_depths(g)).row(g.idx("a"))
             assert g.idx("lone") not in targets.tolist()
 
     def test_missing_context_is_a_config_error(self, chain3):

@@ -14,6 +14,7 @@ from taxovec.wsd import (
     WsdConfig,
     build_sentence_graph,
     disambiguate,
+    disambiguate_sweep,
     first_sense_baseline,
     gold_maps,
     load_instances,
@@ -34,10 +35,15 @@ class StubScorer:
         self.default = default
         self.missing = set(missing)
 
-    def score(self, u, v):
-        if u in self.missing or v in self.missing:
-            raise UnknownNodeError(f"no such node {u!r}/{v!r}")
-        return self.table.get(frozenset((u, v)), self.default)
+    def has(self, node):
+        return node not in self.missing
+
+    def grid(self, us, vs):
+        for node in (*us, *vs):
+            if node in self.missing:
+                raise UnknownNodeError(f"no such node {node!r}")
+        cells = [self.table.get(frozenset((u, v)), self.default) for u in us for v in vs]
+        return np.array(cells, dtype=np.float64).reshape(len(us), len(vs))
 
 
 def sentence(*tokens):
@@ -177,6 +183,45 @@ class TestDisambiguate:
         preds, skipped = disambiguate(insts, WsdConfig(scorer, threshold=0.9))
         assert skipped == 2
         assert preds[0] == {0: "A", 1: "B"}
+
+
+class CountingScorer(StubScorer):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.grid_calls = 0
+
+    def grid(self, us, vs):
+        self.grid_calls += 1
+        return super().grid(us, vs)
+
+
+class TestSweep:
+    def test_scores_each_sentence_once(self):
+        rng = np.random.default_rng(5)
+        cands = [f"c{k}" for k in range(9)]
+        table = {(a, b): float(rng.random()) for a in cands for b in cands if a < b}
+        insts = [
+            sentence(
+                (0, "x", tuple(cands[:3]), None),
+                (1, "y", tuple(cands[3:6]), None),
+                (2, "z", (*cands[6:], "GONE"), None),
+            ),
+            sentence((0, "x", ("c1", "c8"), None), (1, "y", (), None), (2, "z", ("c4", "c1"), None)),
+        ]
+        thresholds = (0.2, 0.5, 0.8)
+        scorer = CountingScorer(table, missing={"GONE"})
+        results = disambiguate_sweep(insts, scorer, thresholds)
+        assert scorer.grid_calls == len(insts)
+        for t, result in zip(thresholds, results):
+            assert result == disambiguate(insts, WsdConfig(scorer, threshold=t))
+        assert results[0][1] == 6  # GONE against every candidate of tokens 0 and 1
+        assert results[0][0] != results[2][0]  # the thresholds do differ
+
+    def test_normalized_scorer_rejects_any_out_of_range_threshold(self, star3):
+        scorer = MeasureScorer(star3, "shp", compute_depths(star3), norm_range=(0.2, 1.0))
+        inst = sentence((0, "x", ("x",), None), (1, "y", ("y",), None))
+        with pytest.raises(ConfigError, match="outside"):
+            disambiguate_sweep([inst], scorer, (0.5, 1.5))
 
 
 class TestBaselines:
