@@ -45,6 +45,7 @@ from .trainer import (
     EmbeddingMatrix,
     EpochStats,
     TrainConfig,
+    check_writable_ids,
     load_embeddings,
     save_embeddings,
     train,
@@ -159,6 +160,7 @@ def cmd_train(graph_path, virtual_root, pairs_path, dev_path, dim, alpha, negati
     """Fit node embeddings to a training dataset."""
     t0 = time.perf_counter()
     g = load_edge_list(graph_path, virtual_root)
+    check_writable_ids(g.ids)  # fail before training, not at the save
     pairs, _ = read_pairs(pairs_path)
     dev_set = None
     if dev_path:

@@ -11,6 +11,14 @@ with the L1 sum taken over rows the batch touches. Optimization is Adam
 with lazy sparse moments: untouched rows keep their state, touched rows
 use the global step for bias correction. Parameters are stored in
 float32 by default; all arithmetic runs in float64.
+
+Per batch, every gradient contribution lands in its (touched row, column)
+cell through one flat `np.bincount`, which adds the cell's contributions
+in entry order starting from +0.0, exactly as an `np.add.at` scatter
+would. The Adam step gathers each moment array's touched rows once,
+updates them in place and writes them back once. Pairs are mapped to
+index arrays and the adjacency to CSR once per `train` call. A seed
+fixes the saved embedding byte for byte; the tests pin the digests.
 """
 
 from __future__ import annotations
@@ -80,16 +88,25 @@ def score(m: EmbeddingMatrix, u: str, v: str, mode: str = "dot") -> float:
     raise ConfigError(f"unknown score mode {mode!r}; expected dot or cosine")
 
 
+def check_writable_ids(ids: Sequence[str]) -> None:
+    """Reject ids the whitespace-separated text format cannot hold."""
+    for node in ids:
+        if any(ch.isspace() for ch in node):
+            raise DataError(f"node id {node!r} contains whitespace; not writable")
+
+
 def save_embeddings(m: EmbeddingMatrix, path: str | Path) -> None:
-    """Write the text format: `N d` header, then `node_id v1 ... vd` per row."""
-    p = Path(path)
-    with p.open("w", encoding="utf-8") as fh:
+    """Write the text format: `N d` header, then `node_id v1 ... vd` per row.
+
+    Ids are checked before the file is opened, so a bad id leaves no output.
+    """
+    check_writable_ids(m.ids)
+    with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"{m.n} {m.d}\n")
         for node, row in zip(m.ids, m.matrix):
-            if any(ch.isspace() for ch in node):
-                raise DataError(f"node id {node!r} contains whitespace; not writable")
-            values = " ".join(repr(float(x)) for x in row)
-            fh.write(f"{node} {values}\n")
+            # tolist() widens each entry exactly to a Python float, whose
+            # repr is the shortest string that reads back to the same value
+            fh.write(f"{node} {' '.join(map(repr, row.tolist()))}\n")
 
 
 def load_embeddings(path: str | Path, dtype: str = "float32") -> EmbeddingMatrix:
@@ -184,11 +201,6 @@ class EpochStats:
     dev_spearman: float | None = None
 
 
-def _touched_rows(batch: Batch) -> np.ndarray:
-    parts = [batch.i, batch.j, batch.ni[batch.ni >= 0], batch.nj[batch.nj >= 0]]
-    return np.unique(np.concatenate(parts))
-
-
 def _loss_and_grads(
     V: np.ndarray, batch: Batch, alpha: float, l1: float, want_grads: bool
 ) -> tuple[float, np.ndarray, np.ndarray | None, np.ndarray]:
@@ -214,34 +226,39 @@ def _loss_and_grads(
     size = len(batch)
     loss = float(terms.sum() / size)
 
-    touched = _touched_rows(batch)
+    # Gradient rows in scatter order: every i, every j, then (with alpha)
+    # every present ni and nj. The same list defines the touched rows, so
+    # one unique gives both the rows and each contribution's slot.
+    rows = np.concatenate([batch.i, batch.j, batch.ni[has_ni], batch.nj[has_nj]])
+    touched, slot = np.unique(rows, return_inverse=True)
     if l1 > 0.0:
-        loss += l1 * float(np.abs(V[touched].astype(np.float64, copy=False)).sum())
+        vt = V[touched].astype(np.float64, copy=False)
+        loss += l1 * float(np.abs(vt).sum())
     if not want_grads:
         return loss, touched, None, terms
 
     with np.errstate(over="ignore", invalid="ignore"):  # diverged rows surface
         gi = 2.0 * err[:, None] * vj                    # as a non-finite loss
         gj = 2.0 * err[:, None] * vi
+        contribs = [gi, gj]
         if alpha != 0.0:
             gi -= alpha * vn * has_ni[:, None]
             gj -= alpha * vm * has_nj[:, None]
+            contribs += [-alpha * vi[has_ni], -alpha * vj[has_nj]]
+    all_contribs = np.concatenate(contribs)
+    all_contribs /= size
 
-    rows = [batch.i, batch.j]
-    contribs = [gi, gj]
-    if alpha != 0.0:
-        rows.append(batch.ni[has_ni])
-        contribs.append(-alpha * vi[has_ni])
-        rows.append(batch.nj[has_nj])
-        contribs.append(-alpha * vj[has_nj])
-
-    all_rows = np.concatenate(rows)
-    all_contribs = np.concatenate(contribs) / size
-    pos = np.searchsorted(touched, all_rows)
-    grads = np.zeros((len(touched), V.shape[1]), dtype=np.float64)
-    np.add.at(grads, pos, all_contribs)
+    # One flat bincount sums every contribution into its (row, column) cell
+    # in entry order, starting from +0.0: the same additions as np.add.at.
+    d = V.shape[1]
+    cells = (slot[: len(all_contribs), None] * d + np.arange(d)).ravel()
+    grads = np.bincount(
+        cells, weights=all_contribs.ravel(), minlength=len(touched) * d
+    ).reshape(-1, d)
     if l1 > 0.0:
-        grads += l1 * np.sign(V[touched].astype(np.float64, copy=False))
+        np.sign(vt, out=vt)
+        vt *= l1
+        grads += vt
     return loss, touched, grads, terms
 
 
@@ -285,6 +302,17 @@ def _csr_neighbors(g: TaxonomyGraph) -> tuple[np.ndarray, np.ndarray]:
     return offsets, flat
 
 
+def _index_pairs(
+    pairs: list[TrainingPair], g: TaxonomyGraph
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoint indices and gold scores; UnknownNodeError for a missing node."""
+    P = len(pairs)
+    I = np.fromiter((g.idx(p.u) for p in pairs), dtype=np.int64, count=P)
+    J = np.fromiter((g.idx(p.v) for p in pairs), dtype=np.int64, count=P)
+    S = np.fromiter((p.s for p in pairs), dtype=np.float64, count=P)
+    return I, J, S
+
+
 def make_batches(
     pairs: list[TrainingPair],
     g: TaxonomyGraph,
@@ -302,18 +330,28 @@ def make_batches(
     """
     if not pairs:
         raise ConfigError("cannot make batches from an empty pair list")
-    rng = np.random.default_rng(epoch_seed)
-    P = len(pairs)
-    I = np.fromiter((g.idx(p.u) for p in pairs), dtype=np.int64, count=P)
-    J = np.fromiter((g.idx(p.v) for p in pairs), dtype=np.int64, count=P)
-    S = np.fromiter((p.s for p in pairs), dtype=np.float64, count=P)
+    return _epoch_batches(_index_pairs(pairs, g), _csr_neighbors(g), cfg, epoch_seed)
 
+
+def _epoch_batches(
+    ijs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    csr: tuple[np.ndarray, np.ndarray],
+    cfg: TrainConfig,
+    epoch_seed,
+) -> Iterator[Batch]:
+    """make_batches over pairs already mapped by _index_pairs and a graph
+    already mapped by _csr_neighbors, so train() maps both once."""
+    rng = np.random.default_rng(epoch_seed)
+    I, J, S = ijs
+    offsets, flat = csr
+    n = len(offsets) - 1
+    P = len(I)
     perm = rng.permutation(P)
     I, J, S = I[perm], J[perm], S[perm]
 
     n_i, n_j = cfg.negatives_per_side()
-    K = rng.integers(0, g.n, size=(P, n_i), dtype=np.int64)
-    L = rng.integers(0, g.n, size=(P, n_j), dtype=np.int64)
+    K = rng.integers(0, n, size=(P, n_i), dtype=np.int64)
+    L = rng.integers(0, n, size=(P, n_j), dtype=np.int64)
 
     block = 1 + n_i + n_j
     E = P * block
@@ -333,7 +371,6 @@ def make_batches(
         ei[1 + n_i + t :: block] = J
         ej[1 + n_i + t :: block] = L[:, t]
 
-    offsets, flat = _csr_neighbors(g)
     ni = _sample_neighbors(offsets, flat, ei, rng)
     nj = _sample_neighbors(offsets, flat, ej, rng)
 
@@ -377,9 +414,8 @@ def train(
     nodes_seen = {p.u for p in pairs} | {p.v for p in pairs}
     if len(nodes_seen) < 2:
         raise ConfigError("training pairs must cover at least 2 distinct nodes")
-    for p in pairs:
-        g.idx(p.u)
-        g.idx(p.v)
+    ijs = _index_pairs(pairs, g)
+    csr = _csr_neighbors(g)
 
     rng = np.random.default_rng(cfg.seed)
     V = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(g.n, cfg.d)).astype(cfg.dtype)
@@ -395,7 +431,8 @@ def train(
 
     for epoch in range(cfg.epochs):
         losses: list[float] = []
-        for bi, batch in enumerate(make_batches(pairs, g, cfg, [cfg.seed, epoch])):
+        batches = _epoch_batches(ijs, csr, cfg, [cfg.seed, epoch])
+        for bi, batch in enumerate(batches):
             loss, touched, grads, terms = _loss_and_grads(
                 V, batch, cfg.alpha, cfg.l1, want_grads=True
             )
@@ -408,20 +445,31 @@ def train(
                 )
             losses.append(loss)
 
+            # Adam on the touched rows: one gather and one write-back per
+            # state array, every step in place. The operand order of
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2 and
+            # lr*(m/c1) / (sqrt(v/c2) + eps) fixes the output bytes.
             step += 1
             mm = adam_m[touched]
             vv = adam_v[touched]
             mm *= ADAM_BETA1
             mm += (1 - ADAM_BETA1) * grads
             vv *= ADAM_BETA2
-            vv += (1 - ADAM_BETA2) * grads**2
+            grads *= grads
+            grads *= 1 - ADAM_BETA2
+            vv += grads
             adam_m[touched] = mm
             adam_v[touched] = vv
-            m_hat = mm / (1 - ADAM_BETA1**step)
-            v_hat = vv / (1 - ADAM_BETA2**step)
-            update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            mm /= 1 - ADAM_BETA1**step
+            mm *= cfg.learning_rate
+            vv /= 1 - ADAM_BETA2**step
+            np.sqrt(vv, out=vv)
+            vv += ADAM_EPS
+            mm /= vv
+            rows = V[touched].astype(np.float64, copy=False)
+            rows -= mm
             with np.errstate(over="ignore"):  # float32 overflow -> NumericError next batch
-                V[touched] = (V[touched].astype(np.float64) - update).astype(cfg.dtype)
+                V[touched] = rows
 
         dev_rho = None
         if cfg.dev_set:

@@ -197,6 +197,20 @@ class TestTrain:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_whitespace_id_fails_before_training(self, workdir, capsys):
+        (workdir / "spaced.tsv").write_text("a b\tr\nc\tr\n")
+        (workdir / "pairs.tsv").write_text("a b\tc\t0.5\nc\tr\t1.0\n")
+        code = main(
+            ["train", "--graph", "spaced.tsv", "--pairs", "pairs.tsv",
+             "--dim", "4", "--epochs", "2", "--output", "emb.txt"]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "'a b'" in err and "whitespace" in err
+        assert "epoch" not in out
+        assert not (workdir / "emb.txt").exists()
+        assert not (workdir / "emb.txt.manifest").exists()
+
 
 class TestEvalSim:
     def setup_files(self, workdir):

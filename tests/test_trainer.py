@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from taxovec.trainer import (
     train,
 )
 
-from conftest import random_tree_graph
+from conftest import random_dag_graph, random_tree_graph
 from oracles import finite_difference_grads
 
 
@@ -141,6 +142,70 @@ class TestGradients:
         batch = entry_batch([(0, 1, 0.5, -1, -1, False)])
         touched, _ = batch_gradients(m, batch, alpha=0.01, l1=0.1)
         assert touched.tolist() == [0, 1]
+
+
+def add_at_gradients(V, batch, alpha, l1):
+    """Reference scatter: the per-entry np.add.at loop, in entry order."""
+    V = V.astype(np.float64)
+    has_ni, has_nj = batch.ni >= 0, batch.nj >= 0
+    vi, vj = V[batch.i], V[batch.j]
+    vn = V[np.where(has_ni, batch.ni, 0)]
+    vm = V[np.where(has_nj, batch.nj, 0)]
+    err = np.einsum("ed,ed->e", vi, vj) - batch.s
+    gi = 2.0 * err[:, None] * vj
+    gj = 2.0 * err[:, None] * vi
+    rows, contribs = [batch.i, batch.j], [gi, gj]
+    if alpha != 0.0:
+        gi -= alpha * vn * has_ni[:, None]
+        gj -= alpha * vm * has_nj[:, None]
+        rows += [batch.ni[has_ni], batch.nj[has_nj]]
+        contribs += [-alpha * vi[has_ni], -alpha * vj[has_nj]]
+    touched = np.unique(
+        np.concatenate([batch.i, batch.j, batch.ni[has_ni], batch.nj[has_nj]])
+    )
+    grads = np.zeros((len(touched), V.shape[1]))
+    np.add.at(
+        grads,
+        np.searchsorted(touched, np.concatenate(rows)),
+        np.concatenate(contribs) / len(batch),
+    )
+    if l1 > 0.0:
+        grads += l1 * np.sign(V[touched])
+    return touched, grads
+
+
+class TestScatterReference:
+    """batch_gradients sums exactly as the np.add.at loop does: same cells,
+    same order, same signed zeros."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.5])
+    @pytest.mark.parametrize("l1", [0.0, 1e-3])
+    def test_random_batches_with_a_hub_row(self, alpha, l1):
+        rng = np.random.default_rng(23)
+        for trial in range(5):
+            n_rows, d = 30, int(rng.integers(1, 40))
+            V = rng.normal(size=(n_rows, d)).astype(rng.choice(["float32", "float64"]))
+            batch = random_batch(n_rows, 120, rng)
+            hub = int(rng.integers(n_rows))
+            for col in (batch.i, batch.j, batch.ni, batch.nj):
+                col[rng.random(len(col)) < 0.3] = hub
+            m = EmbeddingMatrix([f"n{k}" for k in range(n_rows)], V)
+            touched, grads = batch_gradients(m, batch, alpha, l1)
+            ref_touched, ref = add_at_gradients(V, batch, alpha, l1)
+            assert touched.tobytes() == ref_touched.tobytes(), trial
+            assert grads.tobytes() == ref.tobytes(), trial
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_all_zero_contributions_keep_their_zero_signs(self, alpha):
+        rng = np.random.default_rng(5)
+        V = np.zeros((5, 4))
+        batch = random_batch(5, 40, rng)
+        batch.s[:] = rng.choice([-0.5, 0.5], len(batch))  # products of -0.0 and +0.0
+        m = EmbeddingMatrix([f"n{k}" for k in range(5)], V)
+        _, grads = batch_gradients(m, batch, alpha)
+        _, ref = add_at_gradients(V, batch, alpha, 0.0)
+        assert grads.tobytes() == ref.tobytes()
+        assert not np.signbit(grads).any()
 
 
 class TestMakeBatches:
@@ -369,9 +434,10 @@ class TestModelIO:
         assert np.array_equal(loaded.matrix, m.matrix)
 
     def test_whitespace_id_rejected(self, tmp_path):
-        m = EmbeddingMatrix(["a b"], np.zeros((1, 2)))
+        m = EmbeddingMatrix(["a", "b", "c d"], np.zeros((3, 2)))
         with pytest.raises(DataError, match="whitespace"):
             save_embeddings(m, tmp_path / "emb.txt")
+        assert not (tmp_path / "emb.txt").exists()
 
     def test_load_validation(self, tmp_path):
         p = tmp_path / "emb.txt"
@@ -397,3 +463,72 @@ class TestModelIO:
             TrainConfig(d=4, learning_rate=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(d=4, epochs=0)
+
+
+def train_digest(tmp_path, **overrides):
+    """sha256 of the saved text embedding of one seeded run, with the
+    number of epochs it ran and of pairs it trained on.
+
+    The graph has multiple inheritance; with `early_stop` a third of the
+    pairs becomes the dev set and training runs until patience ends it.
+    """
+    g = random_dag_graph(40, 3, extra=12)
+    pairs = build_full(g, DatasetConfig(measure="shp", seed=1)).pairs
+    kwargs = dict(d=24, epochs=3, seed=5)
+    if overrides.pop("early_stop", False):
+        kwargs.update(epochs=60, dev_set=pairs[::3])
+        pairs = [p for k, p in enumerate(pairs) if k % 3]
+    kwargs.update(overrides)
+    stats = []
+    m = train(pairs, g, TrainConfig(**kwargs), on_epoch=stats.append)
+    path = tmp_path / "emb.txt"
+    save_embeddings(m, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest(), len(stats), len(pairs)
+
+
+class TestByteIdentity:
+    """Same seed, same bytes: pins the trainer's exact arithmetic, so a
+    rewrite of the batch core that reorders a sum or rounds differently
+    fails here even when every statistical test still passes.
+
+    The digests also depend on numpy's generator streams and reduction
+    kernels (captured with numpy 2.4 on x86-64). After a numpy upgrade
+    that moves them, recapture them from an unchanged trainer.
+    """
+
+    CASES = {
+        "float32": (
+            {},
+            "92f209b88c6ee898cc3b942ea9f15dbc5d32284612b3cd0da8e4ee26586ddc90",
+        ),
+        "float64": (
+            {"dtype": "float64"},
+            "a756d400885abdb7838133c78ce4c29e75540817788ab99c8c173d03b391e66b",
+        ),
+        "no_reg_no_l1": (
+            {"alpha": 0.0, "l1": 0.0},
+            "4956ce0760de6fcda058a572ea8728fca9e3f1b09230c80df5dded8475cf4f4b",
+        ),
+        "neg_total": (
+            {"neg_total": True},
+            "20a39f21c24f68f21c1b1347ea1c4a3bf30c5053326fa115aba2b16832722ef1",
+        ),
+        "ragged_batches": (
+            {"batch_size": 97},
+            "518241ad0b74428c2e7a009761659e7718ff1e997dca792086df92113e4c43b4",
+        ),
+        "early_stop": (
+            {"early_stop": True},
+            "d3f1b114f6dc0d4b10722cf1ae652ec0cae24319813b8100c8046fb8b69686c1",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_digest(self, case, tmp_path):
+        overrides, expected = self.CASES[case]
+        digest, epochs, n_pairs = train_digest(tmp_path, **overrides)
+        if case == "ragged_batches":
+            assert (n_pairs * 7) % 97 != 0
+        if case == "early_stop":
+            assert epochs < 60
+        assert digest == expected
