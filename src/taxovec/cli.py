@@ -26,6 +26,7 @@ from .dataset import (
     build_fast,
     build_full,
     read_pairs,
+    read_pairs_header,
     write_pairs,
 )
 from .errors import ConfigError, DataError, NumericError
@@ -81,7 +82,7 @@ def _measure_context(g, measure: str, ic_counts: str | None):
 def _norm_range_from(pairs_file: str | None) -> tuple[float, float] | None:
     if pairs_file is None:
         return None
-    _, meta = read_pairs(pairs_file)
+    meta = read_pairs_header(pairs_file)
     try:
         return float(meta["norm_min"]), float(meta["norm_max"])
     except (KeyError, ValueError):

@@ -2,20 +2,24 @@
 
 Builds (node, node, similarity) triples from a taxonomy graph: score each
 source node against every node it reaches (any distance in full mode,
-at most two edges in fast mode) with one similarity row, drop pairs under
-a raw threshold, keep each node's top-k most similar partners,
-unity-normalize the survivors, and shuffle with a seeded PRNG.
+at most two edges in fast mode), drop pairs under a raw threshold, keep
+each node's top-k most similar partners, unity-normalize the survivors,
+and shuffle with a seeded PRNG.
 
-Similarity is symmetric, so a node's own row holds all of its partners
-and its top-k come from that row alone. Memory stays O(nodes * top_k)
-plus one row, however many candidate pairs exist. Survivors are sorted
+The sources are scored BLOCK at a time by SimilarityRows.block, one
+bit-parallel traversal per block, and each block's top-k are selected
+for all of its sources at once. Similarity is symmetric, so a node's own
+triples hold all of its partners and its top-k come from its own block.
+A kept pair is recorded once per end as the code min*n + max; one
+np.unique over the codes merges the two ends and sorts the survivors
 canonically before the shuffle, so the file depends only on the graph
-and the config.
+and the config. Memory is one block's triples (at most BLOCK x nodes in
+full mode, BLOCK x the two-edge reach in fast mode; wup/jcn add a
+nodes x BLOCK subsumer table) plus O(nodes * top_k) for the survivors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -29,7 +33,7 @@ from .errors import (
     EmptyDatasetError,
 )
 from .graph import DepthIndex, TaxonomyGraph
-from .metrics import InformationContentTable, SimilarityRows, validate_measure
+from .metrics import BLOCK, InformationContentTable, SimilarityRows, validate_measure
 
 DEFAULT_THRESHOLDS = {"shp": 0.1, "jcn": 0.1, "wup": 0.3, "lch": 1.5}
 
@@ -100,16 +104,22 @@ def unity_normalize(values: list[float]) -> list[float]:
     up clipped to 1.0. Fewer than two distinct finite values leave the
     map undefined.
     """
-    finite = [x for x in values if math.isfinite(x)]
+    return _normalize(np.asarray(values, dtype=np.float64))[0].tolist()
+
+
+def _normalize(values: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """unity_normalize over an array; also returns the finite (min, max)."""
+    finite = values[np.isfinite(values)]
     if len(finite) < 2:
         raise DegenerateRangeError(
             f"normalization needs at least 2 finite values, got {len(finite)}"
         )
-    lo, hi = min(finite), max(finite)
+    lo, hi = float(finite.min()), float(finite.max())
     if hi - lo < 1e-12:
         raise DegenerateRangeError(f"all finite values equal ({lo!r}); range degenerate")
     span = hi - lo
-    return [max(0.0, min(1.0, (x - lo) / span)) for x in values]
+    # fmin before fmax, as max(0, min(1, x)): NaN maps to 1.0
+    return np.fmax(np.fmin((values - lo) / span, 1.0), 0.0), lo, hi
 
 
 def _build(
@@ -123,40 +133,33 @@ def _build(
     max_dist = 2 if cfg.mode == "fast" else None
     threshold = cfg.raw_threshold
 
-    survivors: dict[tuple[int, int], float] = {}
+    codes, sims = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     candidates = 0
     kept = 0
-    for src in range(g.n):
-        targets, sims = rows.row(src, max_dist)
-        targets, sims = targets[1:], sims[1:]  # the source itself comes first
-        sims[np.isnan(sims)] = 0.0  # a reached pair without common subsumer
-        passing = sims >= threshold
-        later = targets > src  # each unordered pair is counted from its smaller end
-        candidates += int(np.count_nonzero(later))
-        kept += int(np.count_nonzero(passing & later))
-        targets, sims = targets[passing], sims[passing]
-        # similarity is symmetric, so a node's own row holds all its partners;
-        # its top-k are the best by (sim desc, partner index asc)
-        top = np.lexsort((targets, -sims))[: cfg.top_k]
-        for t, s in zip(targets[top].tolist(), sims[top].tolist()):
-            survivors[(src, t) if src < t else (t, src)] = s
-    if not survivors:
+    for first in range(0, g.n, BLOCK):
+        block_codes, block_sims, block_candidates, block_kept = _select_block(
+            rows.block(first, max_dist), g.n, threshold, cfg.top_k
+        )
+        codes.append(block_codes)
+        sims.append(block_sims)
+        candidates += block_candidates
+        kept += block_kept
+    codes = np.concatenate(codes)
+    if not len(codes):
         raise EmptyDatasetError(
             f"no pairs survive threshold {threshold!r} for measure {measure!r}"
         )
+    # both ends of a pair may keep it; their scores are equal bit for bit
+    codes, index = np.unique(codes, return_index=True)
+    normalized, lo, hi = _normalize(np.concatenate(sims)[index])
 
-    ordered = sorted(survivors)
-    raw = [survivors[p] for p in ordered]
-    finite = [x for x in raw if math.isfinite(x)]
-    normalized = unity_normalize(raw)
-    lo, hi = min(finite), max(finite)
-
+    perm = np.random.default_rng(cfg.seed).permutation(len(codes))
+    codes, normalized = codes[perm], normalized[perm]
+    ids = g.ids
     pairs = [
-        TrainingPair(g.ids[a], g.ids[b], s)
-        for (a, b), s in zip(ordered, normalized)
+        TrainingPair(ids[a], ids[b], s)
+        for a, b, s in zip((codes // g.n).tolist(), (codes % g.n).tolist(), normalized.tolist())
     ]
-    perm = np.random.default_rng(cfg.seed).permutation(len(pairs))
-    pairs = [pairs[i] for i in perm]
     return DatasetBuild(
         pairs=pairs,
         config=cfg,
@@ -165,6 +168,34 @@ def _build(
         norm_min=lo,
         norm_max=hi,
     )
+
+
+def _select_block(
+    triples: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, threshold: float, top_k: int
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Each source's top-k partners from one block's triples.
+
+    Returns the kept pairs as codes min*n + max with their raw scores,
+    and the block's candidate and threshold-kept counts, each unordered
+    pair counted from its smaller end.
+    """
+    src, tgt, sim = triples
+    sim[np.isnan(sim)] = 0.0  # a reached pair without common subsumer
+    passing = sim >= threshold
+    later = tgt > src
+    candidates = int(np.count_nonzero(later))
+    kept = int(np.count_nonzero(passing & later))
+    passing &= tgt != src
+    src, tgt, sim = src[passing], tgt[passing], sim[passing]
+    # similarity is symmetric, so a node's own triples hold all its partners;
+    # its top-k are the best by (sim desc, partner index asc)
+    order = np.lexsort((tgt, -sim, src))
+    src, tgt, sim = src[order], tgt[order], sim[order]
+    # each triple's rank among its source's, from the sizes of the source runs
+    sizes = np.bincount(src - src[:1])
+    top = np.arange(len(src)) - np.repeat(np.cumsum(sizes) - sizes, sizes) < top_k
+    src, tgt = src[top], tgt[top]
+    return np.minimum(src, tgt) * n + np.maximum(src, tgt), sim[top], candidates, kept
 
 
 def build_full(
@@ -202,16 +233,13 @@ def read_pairs(path: str | Path) -> tuple[list[TrainingPair], dict[str, str]]:
     p = Path(path)
     pairs: list[TrainingPair] = []
     meta: dict[str, str] = {}
-    with p.open(encoding="utf-8") as fh:
+    with p.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
+                _header_entry(line, meta)
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
@@ -225,3 +253,25 @@ def read_pairs(path: str | Path) -> tuple[list[TrainingPair], dict[str, str]]:
                 raise DataError(f"{p}:{lineno}: similarity {s!r} outside [0,1]")
             pairs.append(TrainingPair(u, v, s))
     return pairs, meta
+
+
+def read_pairs_header(path: str | Path) -> dict[str, str]:
+    """The header key=value dict of a training-pairs file, read only up to
+    its first data line."""
+    meta: dict[str, str] = {}
+    with Path(path).open(encoding="utf-8-sig") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            if not line.startswith("#"):
+                break
+            _header_entry(line.rstrip("\n"), meta)
+    return meta
+
+
+def _header_entry(line: str, meta: dict[str, str]) -> None:
+    """Record a `# key=value` comment line in `meta`; other comments are ignored."""
+    body = line.lstrip("#").strip()
+    if "=" in body:
+        key, _, value = body.partition("=")
+        meta[key.strip()] = value.strip()

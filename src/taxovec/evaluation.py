@@ -76,7 +76,7 @@ class SelectedPair(NamedTuple):
 def _tsv_lines(path: str | Path, layout: str) -> Iterator[tuple[str, list[str]]]:
     """(file:line, fields) of each line outside `#` comments, checked against `layout`."""
     p = Path(path)
-    with p.open(encoding="utf-8") as fh:
+    with p.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line and not line.startswith("#"):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import EdgeListError, StructuralError, UnknownNodeError
 
 
@@ -132,7 +134,7 @@ def load_edge_list(path: str | Path, virtual_root: str | None = None) -> Taxonom
             seen.add(node)
             ids.append(node)
 
-    with p.open(encoding="utf-8") as fh:
+    with p.open(encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -190,6 +192,21 @@ def bfs_distances(
                     order.append(w)
     starts.append(len(order))
     return order, starts
+
+
+def csr_adjacency(g: TaxonomyGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The undirected adjacency as CSR arrays (offsets, flat), both int64.
+
+    The neighbors of node i are flat[offsets[i]:offsets[i + 1]], in the
+    sorted order of g.neighbors[i]; an isolated node has an empty slice.
+    """
+    offsets = np.zeros(g.n + 1, dtype=np.int64)
+    for i, adj in enumerate(g.neighbors):
+        offsets[i + 1] = offsets[i] + len(adj)
+    flat = np.fromiter(
+        (w for adj in g.neighbors for w in adj), dtype=np.int64, count=int(offsets[-1])
+    )
+    return offsets, flat
 
 
 def shortest_path_length(g: TaxonomyGraph, u: str, v: str) -> int | None:

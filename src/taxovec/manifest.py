@@ -58,7 +58,7 @@ def write_manifest(
 def read_manifest(path: str | Path) -> dict[str, str]:
     p = Path(path)
     out: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(p.read_text(encoding="utf-8-sig").splitlines(), 1):
         if not line.strip():
             continue
         if "=" not in line:

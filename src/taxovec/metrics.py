@@ -6,10 +6,11 @@ is required) score 0.0. JCN between nodes whose propagated counts make
 the distance collapse to zero returns math.inf; normalization downstream
 clips such pairs to the top of the similarity range.
 
-pair_similarity scores one pair. SimilarityRows scores one node against
-every node it reaches, with the same values; every caller that needs
-many pairs (dataset builds, one-vs-all queries, static selection) goes
-through it.
+pair_similarity scores one pair. SimilarityRows scores many pairs with
+the same values, in two shapes: row() scores one node against every node
+it reaches (one-vs-all queries, static selection), and block() scores a
+block of BLOCK consecutive sources in one traversal (dataset builds).
+Both go through one score function per measure.
 """
 
 from __future__ import annotations
@@ -22,9 +23,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import DepthIndex, TaxonomyGraph, bfs_distances, shortest_path_length
+from .graph import (
+    DepthIndex,
+    TaxonomyGraph,
+    bfs_distances,
+    csr_adjacency,
+    shortest_path_length,
+)
 
 MEASURES = ("shp", "lch", "wup", "jcn")
+
+BLOCK = 64  # sources per block pass: one bit each of a uint64 word
 
 _EPS = 1e-12
 
@@ -52,7 +61,7 @@ def load_raw_counts(path: str | Path, g: TaxonomyGraph) -> list[float]:
     """
     p = Path(path)
     raw = [0.0] * g.n
-    with p.open(encoding="utf-8") as fh:
+    with p.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -228,18 +237,24 @@ def _topological_levels(g: TaxonomyGraph) -> tuple[np.ndarray, list[tuple]]:
 
 
 class SimilarityRows:
-    """Scores one source node against every node it reaches, under one measure.
+    """Scores source nodes against every node they reach, under one measure.
 
-    Rows agree exactly with pair_similarity. The shp/lch rows map each
-    breadth-first distance through shp_from_path/lch_from_path. The
-    wup/jcn rows take the deepest common subsumer of the source and every
-    node from one pass over a topological schedule of the DAG:
+    Scores agree exactly with pair_similarity. shp/lch map each
+    breadth-first distance through shp_from_path/lch_from_path. wup/jcn
+    take the deepest common subsumer of a source and every node from one
+    pass over a topological schedule of the DAG:
 
         best[t] = max(key(t) if t is an ancestor of src, best[p] for parents p)
 
     with key (depth, -index), the tie order of lcs_index. That schedule,
-    the key ranks and the IC vector are derived once here and shared by
-    every row, so build one instance per batch of rows.
+    the key ranks, the IC vector and the CSR adjacency are derived once
+    per instance and shared by every row and block, so build one instance
+    per batch of queries.
+
+    row() serves one source with a plain BFS. block() serves BLOCK sources
+    at once: a bit-parallel BFS (one uint64 word per node, bit j for the
+    j-th source; Then et al., VLDB 2014) and the same DP with one column
+    per source. Both score through _scores, so each formula lives once.
     """
 
     def __init__(
@@ -278,8 +293,8 @@ class SimilarityRows:
         order, starts = bfs_distances(self.g.neighbors, src, max_dist)
         targets = np.array(order)
         if self.measure in ("shp", "lch"):
-            per_dist = [self._path_score(d) for d in range(len(starts) - 1)]
-            return targets, np.repeat(per_dist, np.diff(starts))
+            dist = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+            return targets, self._scores(src, targets, dist)
 
         best = np.full(self.g.n, -1, dtype=np.int64)
         anc = np.fromiter(self.g.ancestors(src), dtype=np.int64)
@@ -287,8 +302,85 @@ class SimilarityRows:
         # a node's best depends only on lower levels: stop at the deepest target
         for nodes, families, offsets in self._schedule[: self._level[targets].max()]:
             best[nodes] = np.maximum.reduceat(best[families], offsets)
-        rank = best[targets]
-        lcs = self._by_rank[rank]  # garbage where rank < 0; masked below
+        return targets, self._scores(src, targets, best[targets])
+
+    def block(
+        self, first: int, max_dist: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sources, targets, scores) triples for the sources first, ...,
+        min(first + BLOCK, n) - 1.
+
+        For each of those sources the triples hold exactly the (target,
+        score) pairs of row(source, max_dist), the source itself
+        included, grouped by distance rather than in visit order.
+
+        Each level ORs the frontier's words into their neighbours' words
+        over the frontier's CSR slices only, and unpacks just the words
+        that gained bits. A level costs the frontier's edges plus one
+        scan of an n-word array, and only reached pairs are
+        materialised, so a fast-mode block costs its reach, not BLOCK x n.
+        """
+        offsets, flat, degree = self._csr
+        n = self.g.n
+        src = np.arange(first, min(first + BLOCK, n))
+        frontier = src
+        words = np.left_shift(np.uint64(1), np.arange(len(src), dtype=np.uint64))
+        seen = np.zeros(n, dtype=np.uint64)
+        seen[src] = words
+        reach = np.zeros(n, dtype=np.uint64)  # work array, all zero between levels
+        targets, columns, sizes = [src], [src - first], [len(src)]  # per distance
+        while max_dist is None or len(sizes) <= max_dist:
+            # OR each frontier word into the words of its node's neighbours
+            deg = degree[frontier]
+            ends = np.cumsum(deg)
+            edges = np.arange(ends[-1]) + np.repeat(offsets[frontier] - ends + deg, deg)
+            np.bitwise_or.at(reach, flat[edges], np.repeat(words, deg))
+            touched = np.flatnonzero(reach)
+            new = reach[touched] & ~seen[touched]
+            reach[touched] = 0
+            fresh = np.flatnonzero(new)
+            if not len(fresh):
+                break
+            frontier, words = touched[fresh], new[fresh]
+            seen[frontier] |= words
+            # emit (target, source) for the set bits of the new words only
+            bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+            found = np.flatnonzero(bits.view(bool))  # word i, bit j at 64 * i + j
+            targets.append(frontier[found >> 6])
+            columns.append(found & 63)
+            sizes.append(len(found))
+        targets = np.concatenate(targets)
+        columns = np.concatenate(columns)
+        sources = first + columns
+        if self.measure in ("shp", "lch"):
+            dist = np.repeat(np.arange(len(sizes)), sizes)
+            return sources, targets, self._scores(sources, targets, dist)
+
+        best = np.full((n, len(src)), -1, dtype=np.int64)
+        for j, s in enumerate(src.tolist()):
+            anc = np.fromiter(self.g.ancestors(s), dtype=np.int64)
+            best[anc, j] = self._rank[anc]
+        for nodes, families, offs in self._schedule[: self._level[targets].max()]:
+            best[nodes] = np.maximum.reduceat(best[families], offs, axis=0)
+        return sources, targets, self._scores(sources, targets, best[targets, columns])
+
+    @functools.cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR adjacency (offsets, flat) and every node's degree."""
+        offsets, flat = csr_adjacency(self.g)
+        return offsets, flat, np.diff(offsets)
+
+    def _scores(self, src, targets: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """Raw similarities of the pairs (src, targets[i]).
+
+        `src` is one index or one per target. `key` is the breadth-first
+        distance for shp/lch, and the rank of the deepest common subsumer
+        for wup/jcn, -1 where there is none (scored NaN).
+        """
+        if self.measure in ("shp", "lch"):
+            per_dist = [self._path_score(d) for d in range(int(key.max(initial=0)) + 1)]
+            return np.array(per_dist)[key]
+        lcs = self._by_rank[key]  # garbage where key < 0; masked below
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.measure == "wup":
                 depth = self._depth
@@ -298,5 +390,5 @@ class SimilarityRows:
                 denom = ic[src] + ic[targets] - 2.0 * ic[lcs]
                 scores = np.where(denom < _EPS, np.inf, 1.0 / denom)
                 scores[np.isinf(ic[src]) | np.isinf(ic[targets])] = 0.0
-        scores[rank < 0] = np.nan
-        return targets, scores
+        scores[key < 0] = np.nan
+        return scores

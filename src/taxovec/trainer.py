@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataset import TrainingPair
 from .errors import ConfigError, DataError, NumericError, UnknownNodeError
-from .graph import TaxonomyGraph
+from .graph import TaxonomyGraph, csr_adjacency
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -111,7 +111,7 @@ def save_embeddings(m: EmbeddingMatrix, path: str | Path) -> None:
 
 def load_embeddings(path: str | Path, dtype: str = "float32") -> EmbeddingMatrix:
     p = Path(path)
-    with p.open(encoding="utf-8") as fh:
+    with p.open(encoding="utf-8-sig") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"{p}:1: expected header `N d`")
@@ -292,16 +292,6 @@ def _sample_neighbors(
     return np.where(deg > 0, flat[picks], -1)
 
 
-def _csr_neighbors(g: TaxonomyGraph) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.zeros(g.n + 1, dtype=np.int64)
-    for i, adj in enumerate(g.neighbors):
-        offsets[i + 1] = offsets[i] + len(adj)
-    flat = np.fromiter(
-        (w for adj in g.neighbors for w in adj), dtype=np.int64, count=int(offsets[-1])
-    )
-    return offsets, flat
-
-
 def _index_pairs(
     pairs: list[TrainingPair], g: TaxonomyGraph
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,7 +320,7 @@ def make_batches(
     """
     if not pairs:
         raise ConfigError("cannot make batches from an empty pair list")
-    return _epoch_batches(_index_pairs(pairs, g), _csr_neighbors(g), cfg, epoch_seed)
+    return _epoch_batches(_index_pairs(pairs, g), csr_adjacency(g), cfg, epoch_seed)
 
 
 def _epoch_batches(
@@ -340,7 +330,7 @@ def _epoch_batches(
     epoch_seed,
 ) -> Iterator[Batch]:
     """make_batches over pairs already mapped by _index_pairs and a graph
-    already mapped by _csr_neighbors, so train() maps both once."""
+    already mapped by csr_adjacency, so train() maps both once."""
     rng = np.random.default_rng(epoch_seed)
     I, J, S = ijs
     offsets, flat = csr
@@ -415,7 +405,7 @@ def train(
     if len(nodes_seen) < 2:
         raise ConfigError("training pairs must cover at least 2 distinct nodes")
     ijs = _index_pairs(pairs, g)
-    csr = _csr_neighbors(g)
+    csr = csr_adjacency(g)
 
     rng = np.random.default_rng(cfg.seed)
     V = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(g.n, cfg.d)).astype(cfg.dtype)

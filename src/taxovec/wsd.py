@@ -240,7 +240,7 @@ def load_instances(path: str | Path) -> list[SentenceInstance]:
     instances: list[SentenceInstance] = []
     current: list[Token] = []
     current_id: str | None = None
-    with p.open(encoding="utf-8") as fh:
+    with p.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(itertools.chain(fh, ["\n"]), 1):  # "\n" ends the last sentence
             line = line.rstrip("\n")
             if not line.strip():

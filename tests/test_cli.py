@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from taxovec.cli import main
+from taxovec.cli import _norm_range_from, main
+from taxovec.dataset import read_pairs
+from taxovec.errors import DataError
 from taxovec.manifest import file_digest, read_manifest
 from taxovec.evaluation import MeasureScorer
 from taxovec.trainer import load_embeddings, score
@@ -280,6 +282,26 @@ class TestEvalSim:
         )
         assert code == 0
         assert "scorer=shp[norm]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("graph", ["chain.tsv", "tree.tsv"])
+    @pytest.mark.parametrize("measure", ["shp", "lch", "wup"])
+    def test_norm_range_matches_read_pairs(self, workdir, graph, measure):
+        main(["similarities", "--graph", graph, "--measure", measure,
+              "--threshold", "0.0", "--output", "pairs.tsv"])
+        meta = read_pairs("pairs.tsv")[1]
+        want = (float(meta["norm_min"]), float(meta["norm_max"]))
+        assert _norm_range_from("pairs.tsv") == want
+
+    def test_norm_range_reads_only_the_header(self, workdir):
+        # a bad data row is never parsed, and a header line after the first
+        # data row is not part of the header
+        (workdir / "pairs.tsv").write_text(
+            "# norm_min=0.25\n# norm_max=0.5\na\tb\tnot-a-number\n"
+        )
+        assert _norm_range_from("pairs.tsv") == (0.25, 0.5)
+        (workdir / "late.tsv").write_text("# norm_min=0.25\na\tb\t1.0\n# norm_max=0.5\n")
+        with pytest.raises(DataError, match="late.tsv: header lacks usable norm_min/norm_max"):
+            _norm_range_from("late.tsv")
 
     def test_scorer_model_requires_model_path(self, workdir, capsys):
         self.setup_files(workdir)

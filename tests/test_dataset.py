@@ -14,6 +14,7 @@ from taxovec.dataset import (
     build_fast,
     build_full,
     read_pairs,
+    read_pairs_header,
     unity_normalize,
     write_pairs,
 )
@@ -299,6 +300,14 @@ class TestFilesAndDeterminism:
         with pytest.raises(DataError, match="bad similarity"):
             read_pairs(p)
 
+    def test_read_skips_utf8_bom(self, tmp_path):
+        p = tmp_path / "pairs.tsv"
+        p.write_text("\ufeff# norm_min=0.25\na\tb\t0.5\n", encoding="utf-8")
+        assert read_pairs(p) == ([TrainingPair("a", "b", 0.5)], {"norm_min": "0.25"})
+        assert read_pairs_header(p) == {"norm_min": "0.25"}
+        p.write_text("\ufeffa\tb\t0.5\n", encoding="utf-8")
+        assert read_pairs(p) == ([TrainingPair("a", "b", 0.5)], {})
+
     def test_pair_invariants(self):
         for seed in range(4):
             g = random_tree_graph(30, seed)
@@ -330,8 +339,22 @@ FOREST_EDGES = (
 )
 IDENTITY_THRESHOLDS = {"shp": None, "lch": 0.5, "wup": None, "jcn": None}
 
+# Graphs larger than one 64-source block, with a node count that is no
+# multiple of 64: a 150-node multi-inheritance DAG with three roots; the
+# same DAG with two isolated nodes, one first in load order and one in
+# the middle; and the DAG under a virtual root.
+_BLOCK_LINES = [
+    f"m{c:03d}\tm{p:03d}" for c, p in random_dag_edges(150, 7, extra=40) if c not in (1, 2)
+]
+BLOCK_DAG_EDGES = "".join(line + "\n" for line in _BLOCK_LINES)
+BLOCK_ISOLATED_EDGES = "".join(
+    line + "\n"
+    for line in ["iso_a", *_BLOCK_LINES[:75], "iso_b", *_BLOCK_LINES[75:]]
+)
+
 # sha256 of write_pairs output, captured from the per-pair implementation
-# that predates the similarity-row kernel.
+# that predates the similarity-row kernel; the block-* digests from the
+# per-source row build that predates the block pass.
 PAIRS_DIGESTS = {
     "dag/shp/full/None/3": "518b0fbc35eabe947e7cb22cccda4639e6e48db1bb104ec00b84cee8696e7132",
     "dag/shp/fast/None/3": "fe7b845f25985c3fc5cd5c097374fadf51ff74ce5cc4202614752d83242f491d",
@@ -358,6 +381,32 @@ PAIRS_DIGESTS = {
     "rooted/jcn/full/None/3": "fc1af5c82101c1fc0926dde5e91741d94921d1e1247531f63a600bc35ba2f9f3",
     "rooted/jcn/fast/None/3": "476901d2fa1a8e3d2c14fe66ad1cb884092684fcdcd90b33af55a8382147b78a",
     "forest/wup/full/0.0/50": "bb480ddf9b305ac0b0e3eb92030df1f47ceb855ac37dac0eb3e66d390aa97bef",
+    "block/shp/full/None/3": "1ceb57cd199683f1e331a2bab18b8f258282e0a2e36976d06f8c1ec7c3e4ac3e",
+    "block/shp/fast/None/3": "723f139279fc682b1149909adf9e513eea320776073e0094a1e01952965ae9cf",
+    "block/lch/full/0.5/3": "9d83f77933e54651534d6b97aa9c838040a86da84eee5907ef97a52a8fb08697",
+    "block/lch/fast/0.5/3": "f71230914ce544926d0b411dba4ba38e78d71cd5243dcd93a400e952c1ee2174",
+    "block/wup/full/None/3": "ace572ce41f77ed8d738bcae7f5b8bb9a90fae3f6f75eaeb178349302a35ae05",
+    "block/wup/fast/None/3": "d870e3a6baec3087a015d04f6c0d1b6f3a8154879541d91c0197ba900f83c8a8",
+    "block/jcn/full/None/3": "36ac005c07af651da74d4e440f8f7552ac60dbef15b3d07ca5b8f03f35a5fe8b",
+    "block/jcn/fast/None/3": "25265979332e3bbe014da03ee17ca44386dc77447ab05197ea387d9b12243136",
+    "block-isolated/shp/full/None/3": "1ceb57cd199683f1e331a2bab18b8f258282e0a2e36976d06f8c1ec7c3e4ac3e",
+    "block-isolated/shp/fast/None/3": "723f139279fc682b1149909adf9e513eea320776073e0094a1e01952965ae9cf",
+    "block-isolated/lch/full/0.5/3": "9d83f77933e54651534d6b97aa9c838040a86da84eee5907ef97a52a8fb08697",
+    "block-isolated/lch/fast/0.5/3": "f71230914ce544926d0b411dba4ba38e78d71cd5243dcd93a400e952c1ee2174",
+    "block-isolated/wup/full/None/3": "ace572ce41f77ed8d738bcae7f5b8bb9a90fae3f6f75eaeb178349302a35ae05",
+    "block-isolated/wup/fast/None/3": "d870e3a6baec3087a015d04f6c0d1b6f3a8154879541d91c0197ba900f83c8a8",
+    "block-isolated/jcn/full/None/3": "c6cea03e180c41a310875c4d660f15010ac6685ac3cd04808adf699a7ae3ddd5",
+    "block-isolated/jcn/fast/None/3": "65395f885578205ed87baba6be7e16902bf979cdefab767cf6a1d7f3630f1e50",
+    "block-rooted/shp/full/None/3": "a6a98930e59623ece6fc9bb7308d703d77f1ce076fcf116cef47dc953c82ef6b",
+    "block-rooted/shp/fast/None/3": "7520cc97a5c3dccb2a02a99eb900296cb47ddd54f5bb991679d4f7613c7673c2",
+    "block-rooted/lch/full/0.5/3": "931da3295266198d16d5c078351f54fde4bbf7583a57d3dd14ff559f620dae3d",
+    "block-rooted/lch/fast/0.5/3": "70c4b5737020a9f3042f1d3490d1978cc064e4085c914a87b0250b9930756f36",
+    "block-rooted/wup/full/None/3": "ad699bd7c37aa2b5ae03d64c1e5ba0d8617886a72012aa3195faa38ffa6ba27c",
+    "block-rooted/wup/fast/None/3": "33aa8a726b72fb79c2195f67153941267f6ea384e6d13a225ef4c4a6ac7e660e",
+    "block-rooted/jcn/full/None/3": "f75704dd40724a8ff118eaf8fc8e22f91ac2bdd0ccbca6325a66a9088c17f27e",
+    "block-rooted/jcn/fast/None/3": "06dabb1db21066699a29277e562b16773798d6735550da97adbaddda0621f67d",
+    "block-isolated/jcn/full/0.0/50": "a9f921cd3cf63ef3f97efce5b68407b1b35a5e5d3884f40654fb08d8860b58ef",
+    "block-rooted/wup/fast/0.0/50": "df18a9cb294cafb556ba41a901046cfde809ae36b8c458fc07db17bda35b612d",
 }
 
 
@@ -371,6 +420,9 @@ def pairs_digests(tmp_path) -> dict[str, str]:
         ("dag", DAG_EDGES, None),
         ("forest", FOREST_EDGES, None),
         ("rooted", FOREST_EDGES, "ROOT"),
+        ("block", BLOCK_DAG_EDGES, None),
+        ("block-isolated", BLOCK_ISOLATED_EDGES, None),
+        ("block-rooted", BLOCK_DAG_EDGES, "ROOT"),
     ):
         path = tmp_path / f"{name}.tsv"
         path.write_text(text)
@@ -384,6 +436,8 @@ def pairs_digests(tmp_path) -> dict[str, str]:
     # keeps every candidate, including the connected pairs without a common
     # subsumer, which score 0.0
     cases.append(("forest", "wup", "full", 0.0, 50))
+    cases.append(("block-isolated", "jcn", "full", 0.0, 50))
+    cases.append(("block-rooted", "wup", "fast", 0.0, 50))
     out = {}
     for name, measure, mode, threshold, top_k in cases:
         g = graphs[name]

@@ -78,6 +78,13 @@ class TestLoaders:
         p.write_text("# header comment\ncat\tdog\t7.35\n\nrun\twalk\t6.2\n")
         assert load_lemma_pairs(p) == [("cat", "dog", 7.35), ("run", "walk", 6.2)]
 
+    def test_utf8_bom_skipped(self, tmp_path):
+        p = tmp_path / "pairs.tsv"
+        p.write_text("\ufeffcat\tdog\t7.35\n", encoding="utf-8")
+        assert load_lemma_pairs(p) == [("cat", "dog", 7.35)]
+        p.write_text("\ufeffcat\tn01\n", encoding="utf-8")
+        assert load_candidates(p) == {"cat": ("n01",)}
+
     def test_lemma_pairs_errors(self, tmp_path):
         p = tmp_path / "pairs.tsv"
         p.write_text("cat\tdog\n")

@@ -30,6 +30,14 @@ class TestLoadEdgeList:
         assert sum(len(ps) for ps in g.parents) == 2
         assert g.roots() == [g.idx("c")]
 
+    def test_utf8_bom_is_not_part_of_the_first_id(self, tmp_path):
+        p = tmp_path / "g.tsv"
+        p.write_text("\ufeffa\tb\nlone\n", encoding="utf-8")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbfa")
+        g = load_edge_list(p)
+        assert g.ids == ("a", "b", "lone")
+        assert g.parents[g.idx("a")] == [g.idx("b")]
+
     def test_self_loop_rejected(self, tmp_path):
         p = tmp_path / "g.tsv"
         p.write_text("a\ta\n")

@@ -56,6 +56,11 @@ class TestWriteRead:
         assert got["input.graph.path"] == str(data)
         assert got["input.graph.sha256"] == file_digest(data)
 
+    def test_read_skips_utf8_bom(self, tmp_path):
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text("\ufeffsubcommand=train\nseed=7\n", encoding="utf-8")
+        assert read_manifest(manifest) == {"subcommand": "train", "seed": "7"}
+
     def test_seed_none_written_as_dash(self, tmp_path):
         manifest = tmp_path / "run.manifest"
         write_manifest(manifest, "neighbors", {}, {}, seed=None, wall_time_s=0.0)

@@ -187,6 +187,11 @@ class TestLoadRawCounts:
         raw = load_raw_counts(p, chain3)
         assert raw == [5.0, 1.0, 0.0]
 
+    def test_utf8_bom_skipped(self, tmp_path, chain3):
+        p = tmp_path / "c.tsv"
+        p.write_text("\ufeffa\t2\n", encoding="utf-8")
+        assert load_raw_counts(p, chain3) == [2.0, 0.0, 0.0]
+
     def test_negative_rejected(self, tmp_path, chain3):
         p = tmp_path / "c.tsv"
         p.write_text("a\t-1\n")

@@ -1,8 +1,11 @@
-"""Similarity-row kernel tests: rows against the per-pair measures.
+"""Similarity-row kernel tests: rows against the per-pair measures, and
+block passes against rows.
 
 Graphs are drawn by hypothesis: random DAGs with multiple inheritance,
 forests whose trees can share a child, and the same forests joined under
-a virtual root by load_edge_list.
+a virtual root by load_edge_list. The block tests add isolated nodes and
+sizes up to 200 nodes, so that blocks of one source, of a full BLOCK and
+of a partial last block all occur.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from taxovec.errors import ConfigError
 from taxovec.graph import TaxonomyGraph, compute_depths, load_edge_list, shortest_path_length
 from taxovec.metrics import (
+    BLOCK,
     MEASURES,
     SimilarityRows,
     lcs_index,
@@ -26,6 +30,7 @@ from taxovec.metrics import (
     propagate_counts,
 )
 
+from conftest import random_dag_edges
 from oracles import floyd_warshall_undirected
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -120,6 +125,65 @@ def test_two_edge_reach_matches_floyd_warshall(g):
         targets, sims = SimilarityRows(g, "wup", depths).row(src, max_dist=2)
         assert sorted(targets.tolist()) == np.flatnonzero(dist[src] <= 2).tolist()
         assert np.array_equal(sims, full[src, targets], equal_nan=True)
+
+
+@st.composite
+def block_graphs(draw):
+    """Graphs of 1 to 200 nodes: DAGs, forests or forests under a virtual
+    root, some with isolated nodes anywhere in the load order."""
+    n = draw(st.one_of(st.integers(1, 200), st.sampled_from([1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 1])))
+    kind = draw(st.sampled_from(["dag", "forest", "rooted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = set()
+    for c in range(1, n):
+        if kind == "dag" or rng.random() < 0.8:
+            edges.add((c, int(rng.integers(0, c))))
+    for _ in range(int(rng.integers(0, n // 4 + 1))):
+        c = int(rng.integers(1, n))
+        edges.add((c, int(rng.integers(0, c))))
+    if draw(st.booleans()):
+        isolated = set(rng.choice(n, size=min(n, 3), replace=False).tolist())
+        edges = {(c, p) for c, p in edges if c not in isolated and p not in isolated}
+    return graph_from(n, sorted(edges), virtual_root=kind == "rooted")
+
+
+def assert_blocks_equal_rows(g, measure, depths, table, max_dist):
+    rows = SimilarityRows(g, measure, depths, table)
+    for first in range(0, g.n, BLOCK):
+        sources, targets, scores = rows.block(first, max_dist)
+        assert set(sources.tolist()) == set(range(first, min(first + BLOCK, g.n)))
+        for src in range(first, min(first + BLOCK, g.n)):
+            mine = sources == src
+            got = sorted(zip(targets[mine].tolist(), scores[mine].tolist()))
+            want_t, want_s = rows.row(src, max_dist)
+            want = sorted(zip(want_t.tolist(), want_s.tolist()))
+            assert [t for t, _ in got] == [t for t, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                assert a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    g=block_graphs(),
+    measure=st.sampled_from(MEASURES),
+    max_dist=st.sampled_from([None, 2]),
+    seed=st.integers(0, 3),
+)
+def test_block_equals_rows(g, measure, max_dist, seed):
+    depths, table = context(g, seed)
+    assert_blocks_equal_rows(g, measure, depths, table, max_dist)
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("max_dist", [None, 2, 1, 0])
+def test_block_equals_rows_past_one_block(measure, max_dist):
+    # 150 nodes, two of them isolated, three blocks
+    n = 150
+    edges = [(c, p) for c, p in random_dag_edges(n, 7, extra=40) if c not in (1, 2)]
+    edges = [(c, p) for c, p in edges if not {c, p} & {40, 100}]
+    g = graph_from(n, edges, virtual_root=False)
+    depths, table = context(g, 1)
+    assert_blocks_equal_rows(g, measure, depths, table, max_dist)
 
 
 class TestSimilarityRows:

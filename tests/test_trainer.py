@@ -433,6 +433,13 @@ class TestModelIO:
         loaded = load_embeddings(path, dtype="float64")
         assert np.array_equal(loaded.matrix, m.matrix)
 
+    def test_load_skips_utf8_bom(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("\ufeff2 2\na 1.0 0.5\nb 0.0 -2.0\n", encoding="utf-8")
+        loaded = load_embeddings(path, dtype="float64")
+        assert loaded.ids == ("a", "b")
+        assert loaded.matrix.tolist() == [[1.0, 0.5], [0.0, -2.0]]
+
     def test_whitespace_id_rejected(self, tmp_path):
         m = EmbeddingMatrix(["a", "b", "c d"], np.zeros((3, 2)))
         with pytest.raises(DataError, match="whitespace"):

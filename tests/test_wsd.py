@@ -323,6 +323,14 @@ class TestInstanceIO:
         assert insts[0].tokens[1].gold is None
         assert insts[1].tokens[0].candidates == ("n04", "n05")
 
+    def test_utf8_bom_skipped(self, tmp_path):
+        # the BOM sits right before the first sentence id
+        plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+        body = self.SAMPLE.split("\n", 1)[1]
+        plain.write_text(body, encoding="utf-8")
+        bom.write_text("\ufeff" + body, encoding="utf-8")
+        assert load_instances(bom) == load_instances(plain)
+
     def test_round_trip_via_predictions(self, tmp_path):
         src = tmp_path / "inst.tsv"
         src.write_text(self.SAMPLE)
