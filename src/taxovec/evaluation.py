@@ -173,7 +173,8 @@ class ModelScorer:
     """Scores node pairs with embedding dot products or cosines.
 
     A grid gathers its rows once and takes one matmul stacked over single
-    rows, so each cell is the float64 dot of trainer.score and equals it.
+    rows, so each cell is the float64 dot of trainer.score and equals it;
+    a live self pair's cosine is exactly 1.0 in both.
     """
 
     def __init__(self, m: EmbeddingMatrix, mode: str = "dot"):
@@ -187,13 +188,15 @@ class ModelScorer:
         return node in self.m.index
 
     def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
-        a, b = (self.m.matrix[[self.m.idx(x) for x in xs]].astype(np.float64) for xs in (us, vs))
+        rows_a, rows_b = ([self.m.idx(x) for x in xs] for xs in (us, vs))
+        a, b = (self.m.matrix[rows].astype(np.float64) for rows in (rows_a, rows_b))
         out = (a[:, None, None, :] @ b[None, :, :, None])[:, :, 0, 0]  # row-by-row dots
         if self.mode == "cosine":
             norm_a, norm_b = (np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) for x in (a, b))
             live = ~np.logical_or.outer(norm_a < 1e-300, norm_b < 1e-300)  # else 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = np.where(live, out / np.outer(norm_a, norm_b), 0.0)
+            out[live & np.equal.outer(rows_a, rows_b)] = 1.0  # self pairs, as in trainer.score
         return out
 
 

@@ -23,10 +23,11 @@ fixes the saved embedding byte for byte; the tests pin the digests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -39,6 +40,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 INIT_SCALE = 0.05
+
+CHUNK_ROWS = 64  # embedding rows per np.loadtxt call; larger chunks were no faster and raised peak RSS
 
 
 class EmbeddingMatrix:
@@ -74,7 +77,10 @@ class EmbeddingMatrix:
 
 
 def score(m: EmbeddingMatrix, u: str, v: str, mode: str = "dot") -> float:
-    """Dot product or cosine of two node rows, computed in float64."""
+    """Dot product or cosine of two node rows, computed in float64.
+
+    The cosine of a nonzero row with itself is exactly 1.0.
+    """
     a = m.row(u).astype(np.float64)
     b = m.row(v).astype(np.float64)
     if mode == "dot":
@@ -84,6 +90,8 @@ def score(m: EmbeddingMatrix, u: str, v: str, mode: str = "dot") -> float:
         nb = math.sqrt(float(b @ b))
         if na < 1e-300 or nb < 1e-300:
             return 0.0
+        if u == v:  # dot / (na * nb) can round to 1 - 2**-53 for a row with itself
+            return 1.0
         return float(a @ b) / (na * nb)
     raise ConfigError(f"unknown score mode {mode!r}; expected dot or cosine")
 
@@ -109,7 +117,36 @@ def save_embeddings(m: EmbeddingMatrix, path: str | Path) -> None:
             fh.write(f"{node} {' '.join(map(repr, row.tolist()))}\n")
 
 
+def _parse_rows(parts: Sequence[list[str]], d: int) -> np.ndarray | None:
+    """The (len(parts), d) float64 values of lines split into [id, values],
+    or None when any line is malformed."""
+    if any(len(fields) != 1 + (d > 0) for fields in parts):  # [id, values], or [id] if d == 0
+        return None
+    if d == 0 or not parts:
+        return np.empty((len(parts), d))
+    try:
+        rows = np.loadtxt([fields[1] for fields in parts], dtype=np.float64, comments=None,
+                          quotechar=None, ndmin=2, max_rows=len(parts))
+    except ValueError:
+        return None
+    return rows if rows.shape == (len(parts), d) else None
+
+
 def load_embeddings(path: str | Path, dtype: str = "float32") -> EmbeddingMatrix:
+    """Read the text format written by save_embeddings.
+
+    Line 1 is `N d` with two non-negative integers. Each of the next N
+    lines is a node id and d values, separated by any whitespace that
+    str.split() splits on. A value is an ASCII decimal float as Python
+    float() reads it, optionally signed, with an optional exponent, or
+    inf/infinity/nan in any case; `_` digit grouping and non-ASCII digits
+    are rejected. Only blank lines may follow the N rows. A UTF-8 BOM
+    is skipped and non-finite values are rejected after the read.
+
+    Rows are parsed CHUNK_ROWS lines at a time by numpy's C tokenizer;
+    a chunk that fails is rescanned line by line to report its first bad
+    line.
+    """
     p = Path(path)
     with p.open(encoding="utf-8-sig") as fh:
         header = fh.readline().split()
@@ -118,21 +155,39 @@ def load_embeddings(path: str | Path, dtype: str = "float32") -> EmbeddingMatrix
         try:
             n, d = int(header[0]), int(header[1])
         except ValueError:
-            raise DataError(f"{p}:1: bad header {' '.join(header)!r}") from None
+            n = d = -1  # reported as a bad header below
+        if n < 0 or d < 0:
+            raise DataError(f"{p}:1: bad header {' '.join(header)!r}")
         ids: list[str] = []
         matrix = np.empty((n, d), dtype=dtype)
-        for k in range(n):
-            fields = fh.readline().split()
-            if len(fields) != d + 1:
-                raise DataError(f"{p}:{k + 2}: expected node id and {d} values")
-            ids.append(fields[0])
-            try:
-                matrix[k] = [float(x) for x in fields[1:]]
-            except ValueError:
-                raise DataError(f"{p}:{k + 2}: non-numeric vector entry") from None
+        while len(ids) < n:
+            first = len(ids) + 2  # file line of the chunk's first row
+            want = min(CHUNK_ROWS, n - len(ids))
+            parts = [line.split(None, 1) for line in itertools.islice(fh, want)]
+            rows = _parse_rows(parts, d)
+            if rows is None:
+                _diagnose(p, parts, first, d)
+            if len(parts) < want:
+                raise DataError(f"{p}:{first + len(parts)}: expected node id and {d} values")
+            matrix[len(ids):len(ids) + want] = rows
+            ids.extend(fields[0] for fields in parts)
+        for lineno, line in enumerate(fh, start=n + 2):
+            if line.strip():
+                raise DataError(f"{p}:{lineno}: row beyond the {n} declared in the header")
     if not np.all(np.isfinite(matrix)):
         raise DataError(f"{p}: non-finite embedding entries")
     return EmbeddingMatrix(ids, matrix)
+
+
+def _diagnose(p: Path, parts: Sequence[list[str]], first: int, d: int) -> NoReturn:
+    """Raise the DataError of the first malformed line of a chunk that
+    failed to parse; parts[k] is line first + k split into [id, values]."""
+    for lineno, fields in enumerate(parts, start=first):
+        if len(" ".join(fields).split()) != d + 1:
+            raise DataError(f"{p}:{lineno}: expected node id and {d} values")
+        if _parse_rows([fields], d) is None:
+            raise DataError(f"{p}:{lineno}: non-numeric vector entry")
+    raise DataError(f"{p}:{first}: rows {first}-{first + len(parts) - 1} do not parse together")
 
 
 @dataclass(frozen=True)

@@ -147,3 +147,35 @@ def prufer_tree(n: int, seed: int) -> list[tuple[int, int]]:
     b = heapq.heappop(leaves)
     edges.append((a, b))
     return edges
+
+
+def load_embeddings_oracle(path, dtype: str = "float32") -> tuple[list[str], np.ndarray]:
+    """The embedding text reader as one readline() and one float() per token.
+
+    Reads the first N rows of the `N d` text format and ignores the rest
+    of the file. Raises ValueError with the same file:line messages as
+    trainer.load_embeddings.
+    """
+    p = str(path)
+    with open(path, encoding="utf-8-sig") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError(f"{p}:1: expected header `N d`")
+        try:
+            n, d = int(header[0]), int(header[1])
+        except ValueError:
+            raise ValueError(f"{p}:1: bad header {' '.join(header)!r}") from None
+        ids: list[str] = []
+        matrix = np.empty((n, d), dtype=dtype)
+        for k in range(n):
+            fields = fh.readline().split()
+            if len(fields) != d + 1:
+                raise ValueError(f"{p}:{k + 2}: expected node id and {d} values")
+            ids.append(fields[0])
+            try:
+                matrix[k] = [float(x) for x in fields[1:]]
+            except ValueError:
+                raise ValueError(f"{p}:{k + 2}: non-numeric vector entry") from None
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{p}: non-finite embedding entries")
+    return ids, matrix
