@@ -22,9 +22,9 @@ from .errors import (
     ConfigError,
     DataError,
     DegenerateRangeError,
-    EdgeListError,
     EmptyDatasetError,
     NumericError,
+    RecordError,
     StructuralError,
     TaxovecError,
     UnknownNodeError,
@@ -90,7 +90,6 @@ __all__ = [
     "DatasetConfig",
     "DegenerateRangeError",
     "DepthIndex",
-    "EdgeListError",
     "EmbeddingMatrix",
     "EmptyDatasetError",
     "EvalReport",
@@ -100,6 +99,7 @@ __all__ = [
     "MeasureScorer",
     "ModelScorer",
     "NumericError",
+    "RecordError",
     "SentenceInstance",
     "SimilarityRows",
     "StructuralError",

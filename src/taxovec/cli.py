@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import sys
 import time
-from pathlib import Path
 
 import click
 import numpy as np
@@ -40,6 +39,7 @@ from .evaluation import (
     score_histogram,
 )
 from .graph import compute_depths, load_edge_list
+from .io import atomic_write, real
 from .manifest import write_manifest
 from .metrics import MEASURES, load_raw_counts, propagate_counts
 from .trainer import (
@@ -84,8 +84,8 @@ def _norm_range_from(pairs_file: str | None) -> tuple[float, float] | None:
         return None
     meta = read_pairs_header(pairs_file)
     try:
-        return float(meta["norm_min"]), float(meta["norm_max"])
-    except (KeyError, ValueError):
+        return tuple(real(meta[key], pairs_file, key) for key in ("norm_min", "norm_max"))
+    except (KeyError, DataError):
         raise DataError(
             f"{pairs_file}: header lacks usable norm_min/norm_max entries"
         ) from None
@@ -261,10 +261,11 @@ def cmd_eval_sim(graph_path, virtual_root, pairs_path, candidates_path, measure,
     if report_path:
         header = "spearman\tevaluated\texcluded_selection\texcluded_missing_candidates\tselection\tscorer\tgolds"
         row = f"{report.spearman!r}\t{report.n_evaluated}\t{report.n_excluded}\t{missing}\t{report.selection}\t{report.scorer}\t{report.golds}"
-        Path(report_path).write_text(header + "\n" + row + "\n", encoding="utf-8")
+        with atomic_write(report_path) as fh:
+            fh.write(header + "\n" + row + "\n")
     if histogram_path:
         rows = score_histogram(report.predictions, bins=bins)
-        with Path(histogram_path).open("w", encoding="utf-8") as fh:
+        with atomic_write(histogram_path) as fh:
             for lo, hi, count in rows:
                 fh.write(f"{lo!r}\t{hi!r}\t{count}\n")
 
@@ -428,10 +429,9 @@ def cmd_bench(graph_path, virtual_root, measure, ic_counts, model_path, dim, que
         ic_table=ic_table, methods=method_tuple, topk=topk,
     )
 
+    reports = [r for r in (result.graph, result.dot) if r is not None]
     rows = []
-    for report in (result.graph, result.dot):
-        if report is None:
-            continue
+    for report in reports:
         speedup = "-" if report.speedup is None else f"{report.speedup:.1f}"
         rows.append((report.method, f"{report.seconds_per_query:.3e}", str(report.n_targets), str(report.repeats), speedup))
         if report.timer_warning:
@@ -445,11 +445,9 @@ def cmd_bench(graph_path, virtual_root, measure, ic_counts, model_path, dim, que
         click.echo(f"top-{topk} overlap: {result.topk_overlap:.3f}")
 
     if report_path:
-        with Path(report_path).open("w", encoding="utf-8") as fh:
+        with atomic_write(report_path) as fh:
             fh.write("method\tseconds_per_query\tn_targets\trepeats\tspeedup\n")
-            for report in (result.graph, result.dot):
-                if report is None:
-                    continue
+            for report in reports:
                 speedup = "" if report.speedup is None else repr(report.speedup)
                 fh.write(f"{report.method}\t{report.seconds_per_query!r}\t{report.n_targets}\t{report.repeats}\t{speedup}\n")
 

@@ -21,6 +21,7 @@ nodes x BLOCK subsumer table) plus O(nodes * top_k) for the survivors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,11 +29,12 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DataError,
     DegenerateRangeError,
     EmptyDatasetError,
+    RecordError,
 )
 from .graph import DepthIndex, TaxonomyGraph
+from .io import atomic_write, header, real, records
 from .metrics import BLOCK, InformationContentTable, SimilarityRows, validate_measure
 
 DEFAULT_THRESHOLDS = {"shp": 0.1, "jcn": 0.1, "wup": 0.3, "lch": 1.5}
@@ -220,58 +222,38 @@ def build_fast(
 
 def write_pairs(path: str | Path, build: DatasetBuild) -> None:
     """Write a `# key=value` header followed by `u<TAB>v<TAB>s` rows."""
-    p = Path(path)
-    with p.open("w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for key, value in build.header().items():
             fh.write(f"# {key}={value}\n")
         for u, v, s in build.pairs:
             fh.write(f"{u}\t{v}\t{s!r}\n")
 
 
+PAIRS_LAYOUT = "u<TAB>v<TAB>s"
+_pair = partial(tuple.__new__, TrainingPair)  # TrainingPair(u, v, s) without its Python-level __new__
+
+
 def read_pairs(path: str | Path) -> tuple[list[TrainingPair], dict[str, str]]:
-    """Read a training-pairs file; returns (pairs, header key=value dict)."""
-    p = Path(path)
+    """Read a training-pairs file; returns (pairs, read_pairs_header(path)).
+
+    s must lie in [0, 1]. A self pair, or a pair whose unordered ends
+    repeat an earlier line's, is a DataError naming both lines.
+    """
     pairs: list[TrainingPair] = []
-    meta: dict[str, str] = {}
-    with p.open(encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                _header_entry(line, meta)
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{p}:{lineno}: expected `u<TAB>v<TAB>s`")
-            u, v, s_str = fields
-            try:
-                s = float(s_str)
-            except ValueError:
-                raise DataError(f"{p}:{lineno}: bad similarity {s_str!r}") from None
-            if not 0.0 <= s <= 1.0:
-                raise DataError(f"{p}:{lineno}: similarity {s!r} outside [0,1]")
-            pairs.append(TrainingPair(u, v, s))
-    return pairs, meta
+    seen: set[tuple[str, str]] = set()
+    for where, (u, v, s) in records(path, PAIRS_LAYOUT):
+        sim = real(s, where, "similarity")
+        if not 0.0 <= sim <= 1.0:
+            raise RecordError(f"{where}: similarity {sim!r} outside [0,1]")
+        if u == v:
+            raise RecordError(f"{where}: self pair on {u!r}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:  # rescan for the first line rather than keep every line's
+            first = next(w for w, f in records(path, PAIRS_LAYOUT) if sorted(f[:2]) == list(key))
+            raise RecordError(f"{where}: pair ({u!r}, {v!r}) repeats {first}")
+        seen.add(key)
+        pairs.append(_pair((u, v, sim)))
+    return pairs, read_pairs_header(path)
 
 
-def read_pairs_header(path: str | Path) -> dict[str, str]:
-    """The header key=value dict of a training-pairs file, read only up to
-    its first data line."""
-    meta: dict[str, str] = {}
-    with Path(path).open(encoding="utf-8-sig") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            if not line.startswith("#"):
-                break
-            _header_entry(line.rstrip("\n"), meta)
-    return meta
-
-
-def _header_entry(line: str, meta: dict[str, str]) -> None:
-    """Record a `# key=value` comment line in `meta`; other comments are ignored."""
-    body = line.lstrip("#").strip()
-    if "=" in body:
-        key, _, value = body.partition("=")
-        meta[key.strip()] = value.strip()
+read_pairs_header = header  # the `# key=value` block opening a pairs file; later comments are not read

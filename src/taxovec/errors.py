@@ -14,8 +14,9 @@ class DataError(TaxovecError):
     """Bad input data: unparseable files, structural violations, lookups."""
 
 
-class EdgeListError(DataError):
-    """Malformed edge-list line; message carries the line number."""
+class RecordError(DataError):
+    """A malformed line in an input file: a wrong field count, an empty
+    field or a bad number. The message starts with file:line."""
 
 
 class StructuralError(DataError):

@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateRangeError
 from .graph import DepthIndex, TaxonomyGraph
+from .io import real, records
 from .metrics import (
     InformationContentTable,
     SimilarityRows,
@@ -73,35 +74,19 @@ class SelectedPair(NamedTuple):
     selection_score: float
 
 
-def _tsv_lines(path: str | Path, layout: str) -> Iterator[tuple[str, list[str]]]:
-    """(file:line, fields) of each line outside `#` comments, checked against `layout`."""
-    p = Path(path)
-    with p.open(encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                fields = line.split("\t")
-                if len(fields) != layout.count("<TAB>") + 1:
-                    raise DataError(f"{p}:{lineno}: expected `{layout}`")
-                yield f"{p}:{lineno}", fields
-
-
 def load_lemma_pairs(path: str | Path) -> list[tuple[str, str, float]]:
-    """Read `lemma1<TAB>lemma2<TAB>gold_score` lines; `#` comments allowed."""
-    out: list[tuple[str, str, float]] = []
-    for where, (l1, l2, gold) in _tsv_lines(path, "lemma1<TAB>lemma2<TAB>score"):
-        try:
-            out.append((l1, l2, float(gold)))
-        except ValueError:
-            raise DataError(f"{where}: bad score {gold!r}") from None
-    return out
+    """Read `lemma1<TAB>lemma2<TAB>score` lines (see taxovec.io)."""
+    return [
+        (l1, l2, real(gold, where, "score"))
+        for where, (l1, l2, gold) in records(path, "lemma1<TAB>lemma2<TAB>score")
+    ]
 
 
 def load_candidates(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Read `lemma<TAB>comma-separated node ids` into a candidate map."""
     return {
         lemma: tuple(c.strip() for c in cand_s.split(",") if c.strip())
-        for _, (lemma, cand_s) in _tsv_lines(path, "lemma<TAB>candidates")
+        for _, (lemma, cand_s) in records(path, "lemma<TAB>candidates")
     }
 
 

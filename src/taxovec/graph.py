@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EdgeListError, StructuralError, UnknownNodeError
+from .errors import StructuralError, UnknownNodeError
+from .io import records
 
 
 class TaxonomyGraph:
@@ -117,54 +118,31 @@ class DepthIndex:
 
 
 def load_edge_list(path: str | Path, virtual_root: str | None = None) -> TaxonomyGraph:
-    """Load a graph from a UTF-8 edge list.
+    """Load a graph from a `child<TAB>parent` edge list (see taxovec.io).
 
-    One `child<TAB>parent` pair per line; `#` starts a comment line; a
-    single-token line inserts an isolated node. When `virtual_root` is
-    given, a node with that id is appended and every parentless node is
-    attached to it as a child.
+    A single-field line inserts an isolated node. Nodes are indexed in
+    order of first mention. When `virtual_root` is given, a node with
+    that id is appended and every parentless node is attached to it as a
+    child.
     """
-    p = Path(path)
-    ids: list[str] = []
-    seen: set[str] = set()
+    mentions: list[str] = []
     edges: list[tuple[str, str]] = []
-
-    def add(node: str) -> None:
-        if node not in seen:
-            seen.add(node)
-            ids.append(node)
-
-    with p.open(encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split("\t")]
-            if len(fields) == 1:
-                add(fields[0])
-            elif len(fields) == 2:
-                child, parent = fields
-                if not child or not parent:
-                    raise EdgeListError(f"{p}:{lineno}: empty node id")
-                if child == parent:
-                    raise StructuralError(f"{p}:{lineno}: self-loop on {child!r}")
-                add(child)
-                add(parent)
-                edges.append((child, parent))
-            else:
-                raise EdgeListError(
-                    f"{p}:{lineno}: expected 1 or 2 tab-separated fields, got {len(fields)}"
-                )
+    for where, fields in records(path, "child[<TAB>parent]"):
+        mentions += fields
+        if len(fields) == 2:
+            if fields[0] == fields[1]:
+                raise StructuralError(f"{where}: self-loop on {fields[0]!r}")
+            edges.append((fields[0], fields[1]))
+    ids = dict.fromkeys(mentions)
 
     if virtual_root is not None:
-        if virtual_root in seen:
+        if virtual_root in ids:
             raise StructuralError(f"virtual root id {virtual_root!r} already in graph")
         has_parent = {c for c, _ in edges}
-        attach = [node for node in ids if node not in has_parent]
-        ids.append(virtual_root)
-        edges.extend((node, virtual_root) for node in attach)
+        edges.extend((node, virtual_root) for node in ids if node not in has_parent)
+        ids[virtual_root] = None
 
-    return TaxonomyGraph(ids, edges)
+    return TaxonomyGraph(list(ids), edges)
 
 
 def bfs_distances(

@@ -13,7 +13,8 @@ from importlib import metadata
 from pathlib import Path
 from typing import Mapping
 
-from .errors import DataError
+from .errors import RecordError
+from .io import atomic_write, records
 
 
 def artifact_version() -> str:
@@ -52,17 +53,16 @@ def write_manifest(
         lines.append(f"input.{name}.sha256={file_digest(p)}")
     for key in sorted(config):
         lines.append(f"config.{key}={config[key]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_manifest(path: str | Path) -> dict[str, str]:
-    p = Path(path)
+    """The key=value lines of a manifest (see taxovec.io)."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8-sig").splitlines(), 1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise DataError(f"{p}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
+    for where, (line,) in records(path, "key=value"):
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise RecordError(f"{where}: expected key=value")
         out[key] = value
     return out

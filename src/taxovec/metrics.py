@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, RecordError
 from .graph import (
     DepthIndex,
     TaxonomyGraph,
@@ -30,6 +30,7 @@ from .graph import (
     csr_adjacency,
     shortest_path_length,
 )
+from .io import real, records
 
 MEASURES = ("shp", "lch", "wup", "jcn")
 
@@ -54,29 +55,17 @@ class InformationContentTable:
 
 
 def load_raw_counts(path: str | Path, g: TaxonomyGraph) -> list[float]:
-    """Read `node<TAB>count` lines into a dense raw-count vector.
+    """Read `node<TAB>count` lines (see taxovec.io) into a dense raw-count vector.
 
-    `#` starts a comment line; nodes absent from the file get 0; repeated
-    nodes accumulate. Unknown ids and negative counts are data errors.
+    Nodes absent from the file get 0; repeated nodes accumulate. Unknown
+    ids and negative or non-finite counts are data errors.
     """
-    p = Path(path)
     raw = [0.0] * g.n
-    with p.open(encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{p}:{lineno}: expected `node<TAB>count`")
-            node, count_s = fields
-            try:
-                count = float(count_s)
-            except ValueError:
-                raise DataError(f"{p}:{lineno}: bad count {count_s!r}") from None
-            if count < 0:
-                raise DataError(f"{p}:{lineno}: negative count for {node!r}")
-            raw[g.idx(node)] += count
+    for where, (node, count_s) in records(path, "node<TAB>count"):
+        count = real(count_s, where, "count")
+        if count < 0:
+            raise RecordError(f"{where}: negative count for {node!r}")
+        raw[g.idx(node)] += count
     return raw
 
 
@@ -99,6 +88,8 @@ def propagate_counts(g: TaxonomyGraph, raw: list[float]) -> InformationContentTa
     total = sum(counts[r] for r in g.roots())
     if total <= 0.0:
         raise DataError("all corpus counts are zero; information content undefined")
+    if not math.isfinite(total):
+        raise DataError(f"corpus counts sum to {total!r}; information content undefined")
     return InformationContentTable(tuple(counts), total)
 
 

@@ -34,6 +34,7 @@ import numpy as np
 from .dataset import TrainingPair
 from .errors import ConfigError, DataError, NumericError, UnknownNodeError
 from .graph import TaxonomyGraph, csr_adjacency
+from .io import atomic_write, natural, open_text
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -104,12 +105,9 @@ def check_writable_ids(ids: Sequence[str]) -> None:
 
 
 def save_embeddings(m: EmbeddingMatrix, path: str | Path) -> None:
-    """Write the text format: `N d` header, then `node_id v1 ... vd` per row.
-
-    Ids are checked before the file is opened, so a bad id leaves no output.
-    """
+    """Write the text format: `N d` header, then `node_id v1 ... vd` per row."""
     check_writable_ids(m.ids)
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{m.n} {m.d}\n")
         for node, row in zip(m.ids, m.matrix):
             # tolist() widens each entry exactly to a Python float, whose
@@ -135,29 +133,21 @@ def _parse_rows(parts: Sequence[list[str]], d: int) -> np.ndarray | None:
 def load_embeddings(path: str | Path, dtype: str = "float32") -> EmbeddingMatrix:
     """Read the text format written by save_embeddings.
 
-    Line 1 is `N d` with two non-negative integers. Each of the next N
-    lines is a node id and d values, separated by any whitespace that
-    str.split() splits on. A value is an ASCII decimal float as Python
-    float() reads it, optionally signed, with an optional exponent, or
-    inf/infinity/nan in any case; `_` digit grouping and non-ASCII digits
-    are rejected. Only blank lines may follow the N rows. A UTF-8 BOM
-    is skipped and non-finite values are rejected after the read.
-
-    Rows are parsed CHUNK_ROWS lines at a time by numpy's C tokenizer;
-    a chunk that fails is rescanned line by line to report its first bad
-    line.
+    Line 1 is `N d`; each of the next N lines is a node id and d values,
+    split on any whitespace; only blank lines may follow. Encoding and
+    numbers are as in taxovec.io, non-finite values rejected after the
+    read. Rows are parsed CHUNK_ROWS lines at a time by numpy's C
+    tokenizer; a chunk that fails is rescanned to report its bad line.
     """
     p = Path(path)
-    with p.open(encoding="utf-8-sig") as fh:
+    with open_text(p) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"{p}:1: expected header `N d`")
         try:
-            n, d = int(header[0]), int(header[1])
-        except ValueError:
-            n = d = -1  # reported as a bad header below
-        if n < 0 or d < 0:
-            raise DataError(f"{p}:1: bad header {' '.join(header)!r}")
+            n, d = (natural(token, f"{p}:1", "header") for token in header)
+        except DataError:
+            raise DataError(f"{p}:1: bad header {' '.join(header)!r}") from None
         ids: list[str] = []
         matrix = np.empty((n, d), dtype=dtype)
         while len(ids) < n:

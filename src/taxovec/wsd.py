@@ -15,7 +15,6 @@ so a threshold sweep scores each sentence once.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +22,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, RecordError
 from .evaluation import MeasureScorer, ModelScorer
+from .io import atomic_write, natural, paragraphs
 
 
 class Token(NamedTuple):
@@ -230,48 +230,27 @@ def gold_maps(instances: list[SentenceInstance]) -> list[dict[int, str]]:
 
 
 def load_instances(path: str | Path) -> list[SentenceInstance]:
-    """Read the token-per-line instance format.
+    """Read the token-per-line instance format (see taxovec.io).
 
     Lines are `sentence_id<TAB>token_index<TAB>lemma<TAB>candidates<TAB>gold`
     with comma-separated candidates; `-` marks no candidates or no gold.
     A blank line ends the current sentence.
     """
-    p = Path(path)
     instances: list[SentenceInstance] = []
-    current: list[Token] = []
-    current_id: str | None = None
-    with p.open(encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(itertools.chain(fh, ["\n"]), 1):  # "\n" ends the last sentence
-            line = line.rstrip("\n")
-            if not line.strip():
-                if current:
-                    instances.append(SentenceInstance(current_id, tuple(current)))
-                current, current_id = [], None
-                continue
-            if line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise DataError(f"{p}:{lineno}: expected 5 tab-separated fields")
-            sent_id, tok_idx_s, lemma, cand_s, gold_s = fields
-            try:
-                tok_idx = int(tok_idx_s)
-            except ValueError:
-                raise DataError(f"{p}:{lineno}: bad token index {tok_idx_s!r}") from None
-            if current_id is None:
-                current_id = sent_id
-            elif sent_id != current_id:
-                raise DataError(
-                    f"{p}:{lineno}: sentence id changed without a blank line "
-                    f"({current_id!r} -> {sent_id!r})"
+    for sentence in paragraphs(path, "sentence_id<TAB>token_index<TAB>lemma<TAB>candidates<TAB>gold"):
+        sent_id = sentence[0][1][0]
+        tokens: dict[int, Token] = {}
+        for where, (sid, tok_idx_s, lemma, cand_s, gold_s) in sentence:
+            tok_idx = natural(tok_idx_s, where, "token index")
+            if sid != sent_id:
+                raise RecordError(
+                    f"{where}: sentence id changed without a blank line ({sent_id!r} -> {sid!r})"
                 )
-            if any(tok.index == tok_idx for tok in current):
-                raise DataError(f"{p}:{lineno}: duplicate token index {tok_idx}")
-            candidates = ()
-            if cand_s != "-":
-                candidates = tuple(c.strip() for c in cand_s.split(",") if c.strip())
-            gold = None if gold_s == "-" else gold_s
-            current.append(Token(tok_idx, lemma, candidates, gold))
+            if tok_idx in tokens:
+                raise RecordError(f"{where}: duplicate token index {tok_idx}")
+            candidates = () if cand_s == "-" else tuple(c.strip() for c in cand_s.split(",") if c.strip())
+            tokens[tok_idx] = Token(tok_idx, lemma, candidates, None if gold_s == "-" else gold_s)
+        instances.append(SentenceInstance(sent_id, tuple(tokens.values())))
     return instances
 
 
@@ -285,8 +264,7 @@ def write_predictions(
         raise DataError(
             f"instance/prediction length mismatch: {len(instances)} vs {len(predictions)}"
         )
-    p = Path(path)
-    with p.open("w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for k, (inst, pred) in enumerate(zip(instances, predictions)):
             if k:
                 fh.write("\n")

@@ -179,3 +179,30 @@ def load_embeddings_oracle(path, dtype: str = "float32") -> tuple[list[str], np.
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{p}: non-finite embedding entries")
     return ids, matrix
+
+
+def records_oracle(path, layout: str) -> list[tuple[int, str, list[str]]]:
+    """(paragraph, file:line, fields) of each record of a TAB-separated file,
+    by the line policy of taxovec.io read one whole file at a time: blank
+    lines advance the paragraph, `#` lines are skipped, fields are split on
+    TAB and stripped. A bad line raises ValueError with the library's text."""
+    names = layout.replace("[", "").replace("]", "").split("<TAB>")
+    least = layout.split("[")[0].count("<TAB>") + 1
+    with open(path, encoding="utf-8-sig") as fh:  # universal newlines: every line end is "\n"
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    out, paragraph = [], 0
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            paragraph += 1
+        elif not line.strip().startswith("#"):
+            fields = [f.strip() for f in line.split("\t")]
+            if not least <= len(fields) <= len(names):
+                allowed = " or ".join(str(k) for k in range(least, len(names) + 1))
+                raise ValueError(f"{path}:{lineno}: expected {allowed} tab-separated "
+                                 f"fields `{layout}`, got {len(fields)}")
+            if "" in fields:
+                raise ValueError(f"{path}:{lineno}: empty {names[fields.index('')]}")
+            out.append((paragraph, f"{path}:{lineno}", fields))
+    return out

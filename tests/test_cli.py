@@ -106,6 +106,26 @@ class TestSimilarities:
         assert code == 0
         assert len(data_rows(workdir / "pairs.tsv")) > 0
 
+    @pytest.mark.parametrize("count", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_count_is_a_data_error_at_its_line(self, workdir, capsys, count):
+        (workdir / "counts.tsv").write_text(f"c\t4\nd\t{count}\n")
+        code = main(
+            ["similarities", "--graph", "tree.tsv", "--measure", "jcn",
+             "--ic-counts", "counts.tsv", "--output", "pairs.tsv"]
+        )
+        assert code == 2
+        assert f"counts.tsv:2: non-finite count '{count}'" in capsys.readouterr().err
+        assert not (workdir / "pairs.tsv").exists()
+
+    def test_counts_overflowing_to_inf_are_a_data_error(self, workdir, capsys):
+        (workdir / "counts.tsv").write_text("c\t1e308\nd\t1e308\n")
+        code = main(
+            ["similarities", "--graph", "tree.tsv", "--measure", "jcn",
+             "--ic-counts", "counts.tsv", "--output", "pairs.tsv"]
+        )
+        assert code == 2
+        assert "corpus counts sum to inf" in capsys.readouterr().err
+
     def test_cyclic_graph_is_a_data_error(self, workdir, capsys):
         (workdir / "cyc.tsv").write_text("a\tb\nb\ta\n")
         code = main(
@@ -302,6 +322,27 @@ class TestEvalSim:
         (workdir / "late.tsv").write_text("# norm_min=0.25\na\tb\t1.0\n# norm_max=0.5\n")
         with pytest.raises(DataError, match="late.tsv: header lacks usable norm_min/norm_max"):
             _norm_range_from("late.tsv")
+
+    @pytest.mark.parametrize("gold", ["nan", "inf"])
+    def test_non_finite_gold_is_a_data_error_at_its_line(self, workdir, capsys, gold):
+        self.setup_files(workdir)
+        with (workdir / "lemma_pairs.tsv").open("a") as fh:
+            fh.write(f"cup\tleaf\t{gold}\n")
+        code = main(
+            ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv",
+             "--candidates", "candidates.tsv", "--measure", "shp",
+             "--scorer", "measure", "--report", "report.tsv"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert f"lemma_pairs.tsv:5: non-finite score '{gold}'" in err
+        assert "spearman" not in out and not (workdir / "report.tsv").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1_0"])
+    def test_norm_range_must_be_finite_reals(self, workdir, value):
+        (workdir / "pairs.tsv").write_text(f"# norm_min=0.25\n# norm_max={value}\na\tb\t1.0\n")
+        with pytest.raises(DataError, match="pairs.tsv: header lacks usable norm_min/norm_max"):
+            _norm_range_from("pairs.tsv")
 
     def test_scorer_model_requires_model_path(self, workdir, capsys):
         self.setup_files(workdir)

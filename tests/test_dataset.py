@@ -300,6 +300,21 @@ class TestFilesAndDeterminism:
         with pytest.raises(DataError, match="bad similarity"):
             read_pairs(p)
 
+    def test_read_rejects_self_and_repeated_pairs(self, tmp_path):
+        p = tmp_path / "pairs.tsv"
+        p.write_text("a\tb\t0.5\nc\tc\t1.0\n")
+        with pytest.raises(DataError, match=r"pairs.tsv:2: self pair on 'c'"):
+            read_pairs(p)
+        for repeat in ("a\tb\t0.25", "b\ta\t0.5"):
+            p.write_text(f"# norm_min=0.0\na\tb\t0.5\nc\td\t1.0\n\n{repeat}\n")
+            with pytest.raises(DataError, match=rf"pairs.tsv:5: pair .* repeats {p}:2$"):
+                read_pairs(p)
+
+    def test_header_is_the_leading_comment_block(self, tmp_path):
+        p = tmp_path / "pairs.tsv"
+        p.write_text("# norm_min=0\n\n# norm_max=1\na\tb\t0.5\n# norm_min=9\n# seed=4\nb\tc\t1.0\n")
+        assert read_pairs(p)[1] == read_pairs_header(p) == {"norm_min": "0", "norm_max": "1"}
+
     def test_read_skips_utf8_bom(self, tmp_path):
         p = tmp_path / "pairs.tsv"
         p.write_text("\ufeff# norm_min=0.25\na\tb\t0.5\n", encoding="utf-8")

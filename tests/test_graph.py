@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from taxovec.errors import EdgeListError, StructuralError, UnknownNodeError
+from taxovec.errors import RecordError, StructuralError, UnknownNodeError
 from taxovec.graph import (
     TaxonomyGraph,
     bfs_distances,
@@ -47,13 +47,13 @@ class TestLoadEdgeList:
     def test_malformed_line_reports_line_number(self, tmp_path):
         p = tmp_path / "g.tsv"
         p.write_text("a\tb\nx\ty\tz\n")
-        with pytest.raises(EdgeListError, match=":2"):
+        with pytest.raises(RecordError, match=":2"):
             load_edge_list(p)
 
     def test_empty_field_reports_line_number(self, tmp_path):
         p = tmp_path / "g.tsv"
         p.write_text("a\t\n")
-        with pytest.raises(EdgeListError, match=":1"):
+        with pytest.raises(RecordError, match=":1"):
             load_edge_list(p)
 
     def test_cycle_names_an_edge(self, tmp_path):

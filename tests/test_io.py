@@ -1,0 +1,357 @@
+"""The shared line reader, number grammar and atomic writer of taxovec.io."""
+
+from __future__ import annotations
+
+import ast
+import builtins
+import itertools
+import os
+import random
+import stat
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import taxovec
+from taxovec import io, trainer
+from taxovec.cli import main
+from taxovec.dataset import DatasetBuild, DatasetConfig, TrainingPair, read_pairs, write_pairs
+from taxovec.errors import DataError, RecordError
+from taxovec.trainer import EmbeddingMatrix, load_embeddings, save_embeddings
+
+from oracles import records_oracle
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+
+
+def _records(path, layout="a<TAB>b"):
+    return list(io.records(path, layout))
+
+
+class TestRecordsPolicy:
+    def test_bom_and_line_ends(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        for body in ("\ufeffa\tb\nc\td\n", "a\tb\r\nc\td\r\n", "a\tb\rc\td\r", "a\tb\nc\td"):
+            p.write_bytes(body.encode("utf-8"))
+            assert _records(p) == [(f"{p}:1", ["a", "b"]), (f"{p}:2", ["c", "d"])]
+
+    def test_comments_and_blank_lines_hold_no_record(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text("# head\n\n \t \n  # indented\na\tb\n#a\tb\n\n")
+        assert _records(p) == [(f"{p}:5", ["a", "b"])]
+
+    def test_fields_are_stripped(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text(" new york \t\u00a0b \nx y\tz\n")
+        assert _records(p) == [(f"{p}:1", ["new york", "b"]), (f"{p}:2", ["x y", "z"])]
+
+    @pytest.mark.parametrize("line, message", [
+        ("a\t", ":1: empty b"),
+        ("\tb", ":1: empty a"),
+        ("a\t \t", ":1: expected 2 tab-separated fields `a<TAB>b`, got 3"),
+        ("a", ":1: expected 2 tab-separated fields `a<TAB>b`, got 1"),
+    ])
+    def test_empty_field_and_wrong_width(self, tmp_path, line, message):
+        p = tmp_path / "f.tsv"
+        p.write_text(line + "\n")
+        with pytest.raises(RecordError, match=message):
+            _records(p)
+
+    def test_optional_trailing_fields(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text("a\nb\tc\n")
+        assert _records(p, "child[<TAB>parent]") == [(f"{p}:1", ["a"]), (f"{p}:2", ["b", "c"])]
+        p.write_text("a\tb\tc\n")
+        with pytest.raises(RecordError, match="expected 1 or 2 tab-separated fields"):
+            _records(p, "child[<TAB>parent]")
+
+    @pytest.mark.parametrize("middle", [
+        "#x\ty", "#", "x y\t", "x\u3000y\t", "x\x0by\t", "\u00e9\t", "x\t\ty", " x\ty",
+    ])
+    def test_plain_blocks_follow_the_policy(self, tmp_path, middle):
+        # whole lines of a block are split in bulk only when that cannot
+        # differ from the policy: comments, empty fields hidden by a space
+        # inside another field, and non-ASCII whitespace all count
+        p = tmp_path / "f.tsv"
+        p.write_text(f"a\tb\n{middle}\nc\td\n", encoding="utf-8")
+        try:
+            want = [(where, fields) for _, where, fields in records_oracle(p, "a[<TAB>b]")]
+        except ValueError as exc:
+            with pytest.raises(RecordError) as got:
+                _records(p, "a[<TAB>b]")
+            assert str(got.value) == str(exc)
+        else:
+            assert _records(p, "a[<TAB>b]") == want
+
+    def test_paragraphs_break_at_blank_lines_only(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text("\n\na\t1\n# no break\nb\t2\n\n\n \nc\t3\n\n")
+        runs = list(io.paragraphs(p, "a<TAB>b"))
+        assert [[fields[0] for _, fields in run] for run in runs] == [["a", "b"], ["c"]]
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 16, 64, 4096]),
+           layout=st.sampled_from(["a<TAB>b", "a[<TAB>b]", "k", "a<TAB>b<TAB>c"]))
+    def test_matches_line_by_line_oracle(self, seed, block, layout):
+        rng = random.Random(seed)
+        names = layout.replace("[", "").replace("]", "").split("<TAB>")
+        text = _drawn_file(rng, range(layout.split("[")[0].count("<TAB>") + 1, len(names) + 1))
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "BLOCK_CHARS", block)
+            p = Path(d) / "f.tsv"
+            p.write_bytes(text.encode("utf-8"))
+            try:
+                want = records_oracle(p, layout)
+            except ValueError as exc:
+                with pytest.raises(RecordError) as got:
+                    list(io.records(p, layout))
+                assert str(got.value) == str(exc)
+                return
+            assert list(io.records(p, layout)) == [(where, f) for _, where, f in want]
+            runs = [[(w, f) for _, w, f in run]
+                    for _, run in itertools.groupby(want, key=lambda r: r[0])]
+            assert list(io.paragraphs(p, layout)) == runs
+
+
+PLAIN = ["a", "b7", "n01"]
+FANCY = ["x y", "\u00e9", "#h", "1.5", "a\u00a0b"]
+PADS = [" ", "\u3000", "\x0b", "\u2028 "]
+BLANK = ["", " ", "\u00a0", "\x1c"]  # empty once stripped
+
+
+def _drawn_file(rng: random.Random, widths: range) -> str:
+    """Mostly plain records, with comments, blank lines, padded fields and
+    odd whitespace mixed in; about a third of the files get one bad line
+    (a wrong width, an empty field or a stray TAB)."""
+    n = rng.randint(0, 60)
+    bad = rng.randrange(n) if n and rng.random() < 0.35 else -1
+    lines, noise = [], rng.choice([0.0, 0.1, 0.2])
+    for k in range(n):
+        kind = rng.random()
+        if kind < noise / 2:
+            lines.append(rng.choice(["", "  ", "\t", " \t "]))
+        elif kind < noise:
+            lines.append(rng.choice(["# k=v", "#", "  # c", "#x\ty"]))
+        fields = [rng.choice(PLAIN) for _ in range(rng.choice(widths))]
+        if rng.random() < noise:
+            j = rng.randrange(len(fields))
+            fields[j] = rng.choice(PADS[:1] + [""]) + rng.choice(FANCY) + rng.choice(PADS + [""])
+        if k == bad:
+            fault = rng.randrange(3)
+            if fault == 0:
+                fields.append(rng.choice(PLAIN))
+            elif fault == 1:
+                fields[rng.randrange(len(fields))] = rng.choice(BLANK)
+            else:
+                fields.append("")
+        lines.append("\t".join(fields))
+    eol = rng.choice(["\n", "\n", "\r\n", "\r"])
+    text = eol.join(lines) + (eol if rng.random() < 0.9 else "")
+    return ("\ufeff" if rng.random() < 0.2 else "") + text
+
+
+class TestNumberGrammar:
+    TOKENS = st.one_of(
+        st.sampled_from(["0", "-0.0", "+.5", "5.", "1e5", "1E-5", ".", "e1", "1e", "inf", "-Infinity",
+                         "nan", "NaN", "1e400", "1e-400", "0x10", "1_0", "\u0663", "\uff11", "1\u0663",
+                         "\u0663.5", "--1", "1.5f", "", "+", "infinit"]),
+        st.text(alphabet="0123456789+-.eEinfatyINFATY_x\u0663\uff11", min_size=1, max_size=8),
+    )
+
+    @PROPERTY_SETTINGS
+    @given(token=TOKENS)
+    def test_real_accepts_what_a_one_by_one_embedding_loads(self, token):
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "emb.txt"
+            p.write_text(f"1 1\nx {token}\n", encoding="utf-8")
+            try:
+                loaded = load_embeddings(p, "float64").matrix[0, 0]
+            except DataError:
+                loaded = None
+        try:
+            value = io.real(token, "f:1", "value")
+        except RecordError:
+            value = None
+        assert (value is None) == (loaded is None), token
+        if value is not None:
+            assert np.float64(value).tobytes() == loaded.tobytes()
+
+    def test_real_messages(self):
+        with pytest.raises(RecordError, match=r"^f:3: bad score '1_0'$"):
+            io.real("1_0", "f:3", "score")
+        with pytest.raises(RecordError, match=r"^f:3: non-finite score 'nan'$"):
+            io.real("nan", "f:3", "score")
+
+    @pytest.mark.parametrize("token, value", [("0", 0), ("007", 7), ("12", 12)])
+    def test_natural_accepts_ascii_digits(self, token, value):
+        assert io.natural(token, "f:1", "count") == value
+
+    @pytest.mark.parametrize("token", ["", "+1", "-1", "1_0", "1.0", "\u0663", "\uff11", " 1"])
+    def test_natural_rejects_everything_else(self, token):
+        with pytest.raises(RecordError, match="f:1: bad count"):
+            io.natural(token, "f:1", "count")
+
+
+class TestGrammarInReaders:
+    """`1_0` and non-ASCII digits used to read as numbers in every reader."""
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11"])
+    @pytest.mark.parametrize("reader, text, where", [
+        ("embeddings", "{t} 1\na 1\n", ":1: bad header"),
+        ("pairs", "a\tb\t0.5\nb\tc\t{t}\n", ":2: bad similarity"),
+        ("counts", "a\t{t}\n", ":1: bad count"),
+        ("lemma pairs", "cat\tdog\t{t}\n", ":1: bad score"),
+        ("instances", "s1\t{t}\tcat\tn1\t-\n", ":1: bad token index"),
+    ])
+    def test_rejected_at_file_line(self, tmp_path, chain3, reader, text, where, token):
+        from taxovec.evaluation import load_lemma_pairs
+        from taxovec.metrics import load_raw_counts
+        from taxovec.wsd import load_instances
+
+        p = tmp_path / "f.txt"
+        p.write_text(text.format(t=token), encoding="utf-8")
+        read = {"embeddings": load_embeddings, "pairs": read_pairs,
+                "counts": lambda q: load_raw_counts(q, chain3),
+                "lemma pairs": load_lemma_pairs, "instances": load_instances}[reader]
+        with pytest.raises(DataError, match=f"{p}{where}"):
+            read(p)
+
+
+    @pytest.mark.parametrize("reader, text, where", [
+        ("embeddings", "+1 1\na 1\n", ":1: bad header '\\+1 1'"),
+        ("instances", "s1\t-1\tcat\tn1\t-\n", ":1: bad token index '-1'"),
+        ("instances", "s1\t+1\tcat\tn1\t-\n", ":1: bad token index '\\+1'"),
+    ])
+    def test_counts_are_digits_only(self, tmp_path, reader, text, where):
+        from taxovec.wsd import load_instances
+
+        p = tmp_path / "f.txt"
+        p.write_text(text)
+        with pytest.raises(DataError, match=f"{p}{where}"):
+            {"embeddings": load_embeddings, "instances": load_instances}[reader](p)
+
+
+IDS = st.text(alphabet="abcXYZ019_.-é#", min_size=1, max_size=6).filter(lambda s: s[0] != "#")
+
+
+class TestRoundTrips:
+    @PROPERTY_SETTINGS
+    @given(pairs=st.lists(st.tuples(IDS, IDS, st.floats(0.0, 1.0)), max_size=40),
+           norm=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))
+    def test_write_then_read_pairs(self, pairs, norm):
+        seen, unique = set(), []
+        for u, v, s in pairs:  # the program never writes self or repeated pairs
+            if u != v and frozenset((u, v)) not in seen:
+                seen.add(frozenset((u, v)))
+                unique.append(TrainingPair(u, v, s))
+        build = DatasetBuild(unique, DatasetConfig(measure="wup", top_k=7, seed=3), 0, 0, *norm)
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "pairs.tsv"
+            write_pairs(p, build)
+            assert read_pairs(p) == (unique, build.header())
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 70), d=st.integers(1, 4),
+           dtype=st.sampled_from(["float32", "float64"]))
+    def test_save_then_load_embeddings(self, seed, n, d, dtype):
+        rng = np.random.default_rng(seed)
+        matrix = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-30, 30, (n, d))).astype(dtype)
+        ids = [f"n{i}é" for i in rng.permutation(n)]
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "emb.txt"
+            save_embeddings(EmbeddingMatrix(ids, matrix), p)
+            m = load_embeddings(p, dtype)
+        assert list(m.ids) == ids and m.matrix.tobytes() == matrix.tobytes()
+
+
+class TestAtomicWrite:
+    def test_exception_keeps_old_content_and_leaves_no_temp(self, tmp_path):
+        p = tmp_path / "out.txt"
+        p.write_text("old\n")
+        for exc in (ValueError, KeyboardInterrupt):
+            with pytest.raises(exc):
+                with io.atomic_write(p) as fh:
+                    fh.write("partial")
+                    raise exc
+            assert p.read_text() == "old\n"
+            assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_success_replaces_content(self, tmp_path):
+        p = tmp_path / "out.txt"
+        p.write_text("old\n")
+        with io.atomic_write(p) as fh:
+            fh.write("new\n")
+        assert p.read_text() == "new\n" and os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_matches_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            with io.atomic_write(tmp_path / "atomic.txt") as fh:
+                fh.write("x")
+        finally:
+            os.umask(old)
+        mode = [stat.S_IMODE(os.stat(tmp_path / f).st_mode) for f in ("plain.txt", "atomic.txt")]
+        assert mode[0] == mode[1] == 0o666 & ~umask
+
+
+class TestInterruptedSave:
+    """Ctrl-C inside save_embeddings leaves no partial embedding file."""
+
+    @pytest.fixture()
+    def interrupt_last_row(self, monkeypatch):
+        calls = itertools.count()
+
+        def interrupting_repr(x):
+            if next(calls) == 3 * 4:  # after three of the four rows, d=4 values each
+                raise KeyboardInterrupt
+            return builtins.repr(x)
+
+        monkeypatch.setattr(trainer, "repr", interrupting_repr, raising=False)
+
+    def _train(self, tmp_path):
+        (tmp_path / "g.tsv").write_text("b\ta\nc\ta\nd\tb\n")
+        (tmp_path / "p.tsv").write_text("a\tb\t1.0\nb\td\t1.0\nc\td\t0.0\n")
+        return main(["train", "--graph", str(tmp_path / "g.tsv"), "--pairs", str(tmp_path / "p.tsv"),
+                     "--dim", "4", "--epochs", "1", "--output", str(tmp_path / "emb.txt")])
+
+    def test_no_output_and_no_temp_file(self, tmp_path, interrupt_last_row, capsys):
+        assert self._train(tmp_path) == 1
+        assert "aborted" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["g.tsv", "p.tsv"]
+
+    def test_existing_output_intact(self, tmp_path, interrupt_last_row):
+        (tmp_path / "emb.txt").write_text("1 1\nkeep 0.5\n")
+        assert self._train(tmp_path) == 1
+        assert (tmp_path / "emb.txt").read_text() == "1 1\nkeep 0.5\n"
+        assert sorted(os.listdir(tmp_path)) == ["emb.txt", "g.tsv", "p.tsv"]
+
+
+def _write_opens(tree: ast.AST):
+    """Line numbers of calls that open a file for writing."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ("write_text", "write_bytes"):
+            yield node.lineno
+        elif name in ("open", "fdopen"):
+            args = node.args + [k.value for k in node.keywords if k.arg == "mode"]
+            modes = [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            flags = {a.attr for a in ast.walk(node) if isinstance(a, ast.Attribute)}
+            if any(set(m) & set("wax+") and set(m) <= set("rwaxbt+") for m in modes) or \
+                    flags & {"O_WRONLY", "O_RDWR", "O_CREAT"}:
+                yield node.lineno
+
+
+def test_only_io_opens_files_for_writing():
+    src = Path(taxovec.__file__).parent
+    found = {f.name: list(_write_opens(ast.parse(f.read_text()))) for f in sorted(src.glob("*.py"))}
+    assert found.pop("io.py"), "the guard no longer sees atomic_write's own open"
+    assert {name: lines for name, lines in found.items() if lines} == {}
