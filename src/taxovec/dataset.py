@@ -140,7 +140,7 @@ def _build(
     kept = 0
     for first in range(0, g.n, BLOCK):
         block_codes, block_sims, block_candidates, block_kept = _select_block(
-            rows.block(first, max_dist), g.n, threshold, cfg.top_k
+            rows.block(np.arange(first, min(first + BLOCK, g.n)), max_dist), g.n, threshold, cfg.top_k
         )
         codes.append(block_codes)
         sims.append(block_sims)

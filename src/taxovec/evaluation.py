@@ -24,12 +24,7 @@ import numpy as np
 from .errors import ConfigError, DataError, DegenerateRangeError
 from .graph import DepthIndex, TaxonomyGraph
 from .io import real, records
-from .metrics import (
-    InformationContentTable,
-    SimilarityRows,
-    pair_similarity,
-    validate_measure,
-)
+from .metrics import BLOCK, InformationContentTable, SimilarityRows
 from .trainer import EmbeddingMatrix
 
 
@@ -127,9 +122,8 @@ class MeasureScorer:
         norm_range: tuple[float, float] | None = None,
     ):
         self.g = g
-        self.measure = validate_measure(measure)
-        self.depths = depths
-        self.ic_table = ic_table
+        self.rows = SimilarityRows(g, measure, depths, ic_table)
+        self.measure = self.rows.measure
         if norm_range is not None:
             lo, hi = norm_range
             if not (math.isfinite(lo) and math.isfinite(hi)) or hi - lo < 1e-12:
@@ -144,10 +138,10 @@ class MeasureScorer:
         return self.g.has(node)
 
     def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
-        """pair_similarity per cell, rescaled and clipped to [0,1] when normalized."""
-        m, g, depths, table = self.measure, self.g, self.depths, self.ic_table
-        cells = [pair_similarity(m, g, u, v, depths, table) for u in us for v in vs]
-        raw = np.array(cells, dtype=np.float64).reshape(len(us), len(vs))
+        """SimilarityRows.grid with pair_similarity's 0.0 for a pair without a
+        path or common subsumer, rescaled and clipped to [0,1] when normalized."""
+        raw = self.rows.grid(us, vs)
+        raw[np.isnan(raw)] = 0.0
         if self.norm_range is None:
             return raw
         lo, hi = self.norm_range
@@ -212,21 +206,11 @@ def static_selection(
 ) -> tuple[list[SelectedPair], int]:
     """Per record, the candidate pair with maximal raw graph similarity.
 
-    The grid takes one SimilarityRows row per candidate in candidates1.
-    A disconnected pair (no path for shp/lch, no common subsumer for
-    wup/jcn) is a NaN cell.
+    The grid is SimilarityRows.grid, where a disconnected pair (no path
+    for shp/lch, no common subsumer for wup/jcn) is a NaN cell.
     """
     rows = SimilarityRows(g, measure, depths, ic_table)
-
-    def grid(rec: LemmaPairRecord) -> np.ndarray:
-        cols = [g.idx(c2) for c2 in rec.candidates2]
-        out = np.full((len(rec.candidates1), g.n), np.nan)
-        for i, c1 in enumerate(rec.candidates1):
-            targets, sims = rows.row(g.idx(c1))
-            out[i, targets] = sims
-        return out[:, cols]
-
-    return _select(records, map(grid, records))
+    return _select(records, (rows.grid(r.candidates1, r.candidates2) for r in records))
 
 
 def dynamic_selection(
@@ -240,6 +224,15 @@ def dynamic_selection(
     """
     scorer = ModelScorer(m, mode)
     return _select(records, (scorer.grid(r.candidates1, r.candidates2) for r in records))
+
+
+def _pair_scores(scorer: MeasureScorer | ModelScorer, pairs: list[SelectedPair]) -> list[float]:
+    """The scorer's value on each pair, from one grid per BLOCK pairs."""
+    scores: list[float] = []
+    for k in range(0, len(pairs), BLOCK):
+        chunk = pairs[k : k + BLOCK]
+        scores += np.diagonal(scorer.grid([p.u for p in chunk], [p.v for p in chunk])).tolist()
+    return scores
 
 
 @dataclass
@@ -275,7 +268,7 @@ def evaluate(
         if g is None or measure is None:
             raise ConfigError("static selection requires a graph and a measure")
         selected, excluded = static_selection(records, g, measure, depths, ic_table)
-        preds = [float(scorer.grid([p.u], [p.v])[0, 0]) for p in selected]
+        preds = _pair_scores(scorer, selected)
     elif selection == "dynamic":
         if not isinstance(scorer, ModelScorer):
             raise ConfigError("dynamic selection requires a model scorer")
@@ -291,11 +284,10 @@ def evaluate(
     elif golds == "measure":
         if g is None or measure is None:
             raise ConfigError("measure golds require a graph and a measure")
-        gold_values = [
-            p.selection_score if selection == "static"
-            else pair_similarity(measure, g, p.u, p.v, depths, ic_table)
-            for p in selected
-        ]
+        if selection == "static":
+            gold_values = [p.selection_score for p in selected]
+        else:
+            gold_values = _pair_scores(MeasureScorer(g, measure, depths, ic_table), selected)
     else:
         raise ConfigError(f"unknown golds {golds!r}; expected human or measure")
 

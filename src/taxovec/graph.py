@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import StructuralError, UnknownNodeError
+from .errors import RecordError, StructuralError, UnknownNodeError
 from .io import records
 
 
@@ -123,7 +123,8 @@ def load_edge_list(path: str | Path, virtual_root: str | None = None) -> Taxonom
     A single-field line inserts an isolated node. Nodes are indexed in
     order of first mention. When `virtual_root` is given, a node with
     that id is appended and every parentless node is attached to it as a
-    child.
+    child. An id may not begin with `#`: first on a pairs-file line, it
+    would read back as a comment.
     """
     mentions: list[str] = []
     edges: list[tuple[str, str]] = []
@@ -132,10 +133,15 @@ def load_edge_list(path: str | Path, virtual_root: str | None = None) -> Taxonom
         if len(fields) == 2:
             if fields[0] == fields[1]:
                 raise StructuralError(f"{where}: self-loop on {fields[0]!r}")
+            # only a parent can: a line whose first field begins with '#' is a comment
+            if fields[1].startswith("#"):
+                raise RecordError(f"{where}: node id {fields[1]!r} begins with '#', which starts a comment")
             edges.append((fields[0], fields[1]))
     ids = dict.fromkeys(mentions)
 
     if virtual_root is not None:
+        if virtual_root.startswith("#"):
+            raise StructuralError(f"virtual root id {virtual_root!r} begins with '#', which starts a comment")
         if virtual_root in ids:
             raise StructuralError(f"virtual root id {virtual_root!r} already in graph")
         has_parent = {c for c, _ in edges}

@@ -6,19 +6,23 @@ is required) score 0.0. JCN between nodes whose propagated counts make
 the distance collapse to zero returns math.inf; normalization downstream
 clips such pairs to the top of the similarity range.
 
-pair_similarity scores one pair. SimilarityRows scores many pairs with
-the same values, in two shapes: row() scores one node against every node
-it reaches (one-vs-all queries, static selection), and block() scores a
-block of BLOCK consecutive sources in one traversal (dataset builds).
-Both go through one score function per measure.
+pair_similarity scores one pair; it and its scalar helpers are the
+per-pair reference. SimilarityRows scores many pairs with the same values,
+in three shapes: row() scores one node against every node it reaches
+(one-vs-all queries), block() scores up to BLOCK sources in one traversal
+(dataset builds), and grid() scores every pair of two id lists (static
+selection, measure scorers). wup/jcn share one subsumer DP, and all
+three shapes go through one score function per measure.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +31,6 @@ from .graph import (
     DepthIndex,
     TaxonomyGraph,
     bfs_distances,
-    csr_adjacency,
     shortest_path_length,
 )
 from .io import real, records
@@ -197,55 +200,74 @@ def pair_similarity(
     return jcn_index(g, depths, ic_table, ui, vi)
 
 
+def _flatten(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, sizes, flat): index lists as one flat array and their slices."""
+    sizes = np.array([len(xs) for xs in lists], dtype=np.int64)
+    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=sizes.sum())
+    return np.cumsum(sizes) - sizes, sizes, flat
+
+
+def _spans(starts: np.ndarray, sizes: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Positions in a flat array of the slices of a non-empty `nodes`, in order."""
+    deg = sizes[nodes]
+    ends = np.cumsum(deg)
+    return np.arange(ends[-1]) + np.repeat(starts[nodes] - ends + deg, deg)
+
+
 def _topological_levels(g: TaxonomyGraph) -> tuple[np.ndarray, list[tuple]]:
     """Longest-path level of every node, and the DP schedule below level 0.
 
-    Every parent sits on a lower level than its child. The schedule holds,
-    per level from 1 up: its nodes, each node followed by its parents, and
-    the offsets of those families (for np.maximum.reduceat).
+    Kahn's algorithm a level at a time: a node joins the next level when
+    its last parent leaves the current one, so every parent sits on a
+    lower level than its child. The schedule holds, per level from 1 up:
+    its nodes, each node followed by its parents, the offsets of those
+    families (for np.maximum.reduceat), and for every family entry the
+    position of its node among the level's nodes.
     """
-    remaining = [len(ps) for ps in g.parents]
-    level = [0] * g.n
-    topo = [i for i in range(g.n) if not remaining[i]]
-    for u in topo:
-        for c in g.children[u]:
-            level[c] = max(level[c], level[u] + 1)
-            remaining[c] -= 1
-            if not remaining[c]:
-                topo.append(c)
-    by_level: list[list[int]] = [[] for _ in range(max(level, default=0) + 1)]
-    for u in topo:
-        by_level[level[u]].append(u)
+    parent_at, n_parents, parents = _flatten(g.parents)
+    child_at, n_children, children = _flatten(g.children)
+    level = np.zeros(g.n, dtype=np.int64)
+    remaining = n_parents.copy()
     schedule = []
-    for nodes in by_level[1:]:
-        sizes = [1 + len(g.parents[u]) for u in nodes]
-        schedule.append((
-            np.array(nodes),
-            np.array([x for u in nodes for x in (u, *g.parents[u])]),
-            np.cumsum([0] + sizes[:-1]),
-        ))
-    return np.array(level), schedule
+    nodes = np.flatnonzero(remaining == 0)
+    while len(nodes):
+        hits = np.bincount(children[_spans(child_at, n_children, nodes)], minlength=g.n)
+        remaining -= hits
+        nodes = np.flatnonzero((remaining == 0) & (hits > 0))
+        level[nodes] = len(schedule) + 1
+        sizes = 1 + n_parents[nodes]
+        owner = np.repeat(np.arange(len(nodes)), sizes)
+        offsets = np.cumsum(sizes) - sizes
+        k = np.arange(len(owner)) - offsets[owner]  # 0 for the node, j for its j-th parent
+        families = np.where(k == 0, nodes[owner], parents[parent_at[nodes[owner]] + k - 1])
+        schedule.append((nodes, families, offsets, owner))
+    return level, schedule[:-1]  # the last level found is empty
 
 
 class SimilarityRows:
-    """Scores source nodes against every node they reach, under one measure.
+    """Scores many node pairs under one measure, in three shapes.
+
+    - row(src, max_dist): one source against every node it reaches, by a
+      plain BFS (one-vs-all queries);
+    - block(sources, max_dist): up to BLOCK sources against every node
+      they reach, by one bit-parallel BFS with one uint64 word per node and
+      bit j for the j-th source (Then et al., VLDB 2014; dataset builds);
+    - grid(us, vs): every pair of two id lists (static selection, measure
+      scorers), through block() for shp/lch and the DP alone for wup/jcn.
 
     Scores agree exactly with pair_similarity. shp/lch map each
     breadth-first distance through shp_from_path/lch_from_path. wup/jcn
-    take the deepest common subsumer of a source and every node from one
-    pass over a topological schedule of the DAG:
+    take the deepest common subsumer of each source and each target from
+    one DP, _subsumers, over a topological schedule of the DAG:
 
         best[t] = max(key(t) if t is an ancestor of src, best[p] for parents p)
 
-    with key (depth, -index), the tie order of lcs_index. That schedule,
-    the key ranks, the IC vector and the CSR adjacency are derived once
-    per instance and shared by every row and block, so build one instance
-    per batch of queries.
-
-    row() serves one source with a plain BFS. block() serves BLOCK sources
-    at once: a bit-parallel BFS (one uint64 word per node, bit j for the
-    j-th source; Then et al., VLDB 2014) and the same DP with one column
-    per source. Both score through _scores, so each formula lives once.
+    with key (depth, -index), the tie order of lcs_index, and one column
+    per source. The DP visits only the ancestor closure of the targets,
+    except after a full reach, which holds that closure already. The
+    schedule, the key ranks, the IC vector and the CSR adjacency are
+    derived once per instance, so build one instance per batch of queries.
+    Every shape scores through _scores, so each formula lives once.
     """
 
     def __init__(
@@ -286,20 +308,14 @@ class SimilarityRows:
         if self.measure in ("shp", "lch"):
             dist = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
             return targets, self._scores(src, targets, dist)
-
-        best = np.full(self.g.n, -1, dtype=np.int64)
-        anc = np.fromiter(self.g.ancestors(src), dtype=np.int64)
-        best[anc] = self._rank[anc]
-        # a node's best depends only on lower levels: stop at the deepest target
-        for nodes, families, offsets in self._schedule[: self._level[targets].max()]:
-            best[nodes] = np.maximum.reduceat(best[families], offsets)
+        best = self._subsumers(src, targets, closed=max_dist is None)
         return targets, self._scores(src, targets, best[targets])
 
     def block(
-        self, first: int, max_dist: int | None = None
+        self, sources: np.ndarray, max_dist: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sources, targets, scores) triples for the sources first, ...,
-        min(first + BLOCK, n) - 1.
+        """(sources, targets, scores) triples for an array of at most BLOCK
+        distinct dense indices `sources`, in any order.
 
         For each of those sources the triples hold exactly the (target,
         score) pairs of row(source, max_dist), the source itself
@@ -311,21 +327,18 @@ class SimilarityRows:
         scan of an n-word array, and only reached pairs are
         materialised, so a fast-mode block costs its reach, not BLOCK x n.
         """
-        offsets, flat, degree = self._csr
-        n = self.g.n
-        src = np.arange(first, min(first + BLOCK, n))
+        starts, degree, flat = self._csr
+        src = np.asarray(sources, dtype=np.int64)
         frontier = src
         words = np.left_shift(np.uint64(1), np.arange(len(src), dtype=np.uint64))
-        seen = np.zeros(n, dtype=np.uint64)
+        seen = np.zeros(self.g.n, dtype=np.uint64)
         seen[src] = words
-        reach = np.zeros(n, dtype=np.uint64)  # work array, all zero between levels
-        targets, columns, sizes = [src], [src - first], [len(src)]  # per distance
+        reach = np.zeros(self.g.n, dtype=np.uint64)  # work array, all zero between levels
+        targets, columns, sizes = [src], [np.arange(len(src))], [len(src)]  # per distance
         while max_dist is None or len(sizes) <= max_dist:
             # OR each frontier word into the words of its node's neighbours
-            deg = degree[frontier]
-            ends = np.cumsum(deg)
-            edges = np.arange(ends[-1]) + np.repeat(offsets[frontier] - ends + deg, deg)
-            np.bitwise_or.at(reach, flat[edges], np.repeat(words, deg))
+            edges = _spans(starts, degree, frontier)
+            np.bitwise_or.at(reach, flat[edges], np.repeat(words, degree[frontier]))
             touched = np.flatnonzero(reach)
             new = reach[touched] & ~seen[touched]
             reach[touched] = 0
@@ -342,29 +355,88 @@ class SimilarityRows:
             sizes.append(len(found))
         targets = np.concatenate(targets)
         columns = np.concatenate(columns)
-        sources = first + columns
         if self.measure in ("shp", "lch"):
             dist = np.repeat(np.arange(len(sizes)), sizes)
-            return sources, targets, self._scores(sources, targets, dist)
+            return src[columns], targets, self._scores(src[columns], targets, dist)
+        best = self._subsumers(src, targets, closed=max_dist is None)
+        return src[columns], targets, self._scores(src[columns], targets, best[targets, columns])
 
-        best = np.full((n, len(src)), -1, dtype=np.int64)
-        for j, s in enumerate(src.tolist()):
-            anc = np.fromiter(self.g.ancestors(s), dtype=np.int64)
-            best[anc, j] = self._rank[anc]
-        for nodes, families, offs in self._schedule[: self._level[targets].max()]:
-            best[nodes] = np.maximum.reduceat(best[families], offs, axis=0)
-        return sources, targets, self._scores(sources, targets, best[targets, columns])
+    def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
+        """Raw scores of every pair in us x vs, shape (len(us), len(vs)).
+
+        A pair without a path (shp/lch) or a common subsumer (wup/jcn)
+        scores NaN, where pair_similarity reports 0.0; an unknown id
+        raises UnknownNodeError. Repeated ids are scored once. shp/lch
+        run one full-reach block() per BLOCK distinct ids of `us` and keep
+        the `vs` columns; wup/jcn run no traversal, only the subsumer DP
+        over the ancestor closure of `vs`, BLOCK ids of `us` at a time.
+        """
+        (rows, row_of), (cols, col_of) = (
+            np.unique(np.array([self.g.idx(x) for x in xs], dtype=np.int64), return_inverse=True)
+            for xs in (us, vs)
+        )
+        out = np.full((len(rows), len(cols)), np.nan)
+        col_at = np.full(self.g.n, -1)
+        col_at[cols] = np.arange(len(cols))
+        for first in range(0, len(rows) if len(cols) else 0, BLOCK):
+            src = rows[first : first + BLOCK]
+            if self.measure in ("shp", "lch"):
+                sources, targets, scores = self.block(src)
+                col = col_at[targets]
+                hit = col >= 0
+                out[first + np.searchsorted(src, sources[hit]), col[hit]] = scores[hit]
+            else:
+                best = self._subsumers(src, cols, closed=False)
+                out[first : first + len(src)] = self._scores(src[:, None], cols, best[cols].T)
+        return out[row_of][:, col_of]
 
     @functools.cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR adjacency (offsets, flat) and every node's degree."""
-        offsets, flat = csr_adjacency(self.g)
-        return offsets, flat, np.diff(offsets)
+        """The undirected adjacency as (starts, degrees, flat)."""
+        return _flatten(self.g.neighbors)
+
+    def _subsumers(self, sources, targets: np.ndarray, closed: bool) -> np.ndarray:
+        """Key rank of the deepest common subsumer of a source and a node,
+        -1 where there is none: best[t] for one source index, best[t, j]
+        for sources[j] of an array. Exact at `targets` and their ancestors.
+
+        A downward pass over the schedule marks the ancestor closure of
+        `targets`; the DP then runs upward over the marked nodes only and
+        skips every level without one. `closed` says that `targets`
+        already holds every ancestor of its nodes, as a full reach does:
+        the marking would then mark all of them, so it is skipped and
+        every level up to the deepest target runs whole.
+        """
+        n = self.g.n
+        best = np.full((n, *np.shape(sources)), -1, dtype=np.int64)
+        for j, s in enumerate(np.atleast_1d(sources).tolist()):
+            anc = np.fromiter(self.g.ancestors(s), dtype=np.int64)
+            best.reshape(n, -1)[anc, j] = self._rank[anc]
+        # a node's best depends only on lower levels: stop at the deepest target
+        levels = self._schedule[: self._level[targets].max(initial=0)]
+        if closed:
+            for nodes, families, offsets, _ in levels:
+                best[nodes] = np.maximum.reduceat(best[families], offsets, axis=0)
+            return best
+        marked = np.zeros(n, dtype=bool)
+        marked[targets] = True
+        hits = []  # deepest level first
+        for nodes, families, _, owner in reversed(levels):
+            hit = marked[nodes]
+            marked[families[hit[owner]]] = True
+            hits.append(hit)
+        for (nodes, families, offsets, owner), hit in zip(levels, reversed(hits)):
+            if hit.any():
+                keep = hit[owner]  # the marked nodes' families, still contiguous
+                offs = np.cumsum(keep)[offsets[hit]] - 1
+                best[nodes[hit]] = np.maximum.reduceat(best[families[keep]], offs, axis=0)
+        return best
 
     def _scores(self, src, targets: np.ndarray, key: np.ndarray) -> np.ndarray:
-        """Raw similarities of the pairs (src, targets[i]).
+        """Raw similarities of the pairs (src, targets).
 
-        `src` is one index or one per target. `key` is the breadth-first
+        `src` and `targets` broadcast against `key`: one index, one per
+        cell, or a column and a row of a grid. `key` is the breadth-first
         distance for shp/lch, and the rank of the deepest common subsumer
         for wup/jcn, -1 where there is none (scored NaN).
         """

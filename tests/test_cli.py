@@ -135,6 +135,20 @@ class TestSimilarities:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("graph, extra", [
+        ("x\t#y\nz\tx\n", []),
+        ("b\ta\n", ["--virtual-root", "#r"]),
+    ])
+    def test_id_beginning_with_hash_is_a_data_error(self, workdir, capsys, graph, extra):
+        (workdir / "hash.tsv").write_text(graph)
+        code = main(
+            ["similarities", "--graph", "hash.tsv", "--measure", "shp", "--threshold", "0",
+             "--output", "pairs.tsv", *extra]
+        )
+        assert code == 2
+        assert "begins with '#'" in capsys.readouterr().err
+        assert not (workdir / "pairs.tsv").exists()
+
     def test_virtual_root_connects_forest(self, workdir):
         (workdir / "forest.tsv").write_text("b\ta\nd\tc\n")
         code = main(

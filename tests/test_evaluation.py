@@ -405,13 +405,15 @@ class TestScorerGrids:
         depths = compute_depths(g)
         raw_counts = [float((7 * i) % 5) for i in range(g.n)]  # some nodes unobserved
         table = propagate_counts(g, raw_counts)
-        us, vs = g.ids[::3], g.ids[1::4]
+        us, vs = g.ids[::3] + g.ids[:4], g.ids[1::4] + g.ids[::9]  # repeats, self pairs
         for measure in ("shp", "lch", "wup", "jcn"):
             want = np.array(
                 [[pair_similarity(measure, g, u, v, depths, table) for v in vs] for u in us]
             )
             raw = MeasureScorer(g, measure, depths, table).grid(us, vs)
             assert np.array_equal(raw, want)
+            if measure == "jcn":  # unobserved endpoints score 0.0, collapsed distances inf
+                assert (raw == 0.0).any() and np.isinf(raw).any()
             finite = want[np.isfinite(want)]
             lo, hi = np.percentile(finite, 25), np.percentile(finite, 75)
             norm = MeasureScorer(g, measure, depths, table, norm_range=(lo, hi)).grid(us, vs)

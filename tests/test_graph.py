@@ -91,6 +91,16 @@ class TestLoadEdgeList:
         with pytest.raises(StructuralError):
             load_edge_list(p, virtual_root="a")
 
+    def test_id_beginning_with_hash_is_rejected(self, tmp_path):
+        # a pair or edge line starting with this id would read back as a comment
+        p = tmp_path / "g.tsv"
+        p.write_text("x\t#y\nz\tx\n")
+        with pytest.raises(RecordError, match=r"g\.tsv:1: node id '#y' begins with '#'"):
+            load_edge_list(p)
+        p.write_text("b\ta\n")
+        with pytest.raises(StructuralError, match="virtual root id '#r' begins with '#'"):
+            load_edge_list(p, virtual_root="#r")
+
     def test_undirected_adjacency_symmetric(self):
         for seed in range(5):
             g = random_dag_graph(25, seed, extra=10)

@@ -355,3 +355,22 @@ def test_only_io_opens_files_for_writing():
     found = {f.name: list(_write_opens(ast.parse(f.read_text()))) for f in sorted(src.glob("*.py"))}
     assert found.pop("io.py"), "the guard no longer sees atomic_write's own open"
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+PER_PAIR_REFERENCE = {"pair_similarity", "shortest_path_length", "lcs_index", "wup_index", "jcn_index"}
+
+
+def test_only_metrics_calls_the_per_pair_reference():
+    # bulk scoring goes through SimilarityRows; the scalar path is the tests' reference
+    src = Path(taxovec.__file__).parent
+    found = {
+        f.name: [
+            node.lineno
+            for node in ast.walk(ast.parse(f.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in PER_PAIR_REFERENCE
+        ]
+        for f in sorted(src.glob("*.py"))
+    }
+    assert found.pop("metrics.py"), "the guard no longer sees pair_similarity's own calls"
+    assert {name: lines for name, lines in found.items() if lines} == {}

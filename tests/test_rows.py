@@ -147,12 +147,15 @@ def block_graphs(draw):
     return graph_from(n, sorted(edges), virtual_root=kind == "rooted")
 
 
-def assert_blocks_equal_rows(g, measure, depths, table, max_dist):
+def assert_blocks_equal_rows(g, measure, depths, table, max_dist, picks=()):
+    """Every block of consecutive sources, then each array in `picks`,
+    against row() of each of its sources."""
     rows = SimilarityRows(g, measure, depths, table)
-    for first in range(0, g.n, BLOCK):
-        sources, targets, scores = rows.block(first, max_dist)
-        assert set(sources.tolist()) == set(range(first, min(first + BLOCK, g.n)))
-        for src in range(first, min(first + BLOCK, g.n)):
+    blocks = [np.arange(first, min(first + BLOCK, g.n)) for first in range(0, g.n, BLOCK)]
+    for block in [*blocks, *picks]:
+        sources, targets, scores = rows.block(block, max_dist)
+        assert set(sources.tolist()) == set(block.tolist())
+        for src in block.tolist():
             mine = sources == src
             got = sorted(zip(targets[mine].tolist(), scores[mine].tolist()))
             want_t, want_s = rows.row(src, max_dist)
@@ -168,10 +171,14 @@ def assert_blocks_equal_rows(g, measure, depths, table, max_dist):
     measure=st.sampled_from(MEASURES),
     max_dist=st.sampled_from([None, 2]),
     seed=st.integers(0, 3),
+    pick=st.tuples(st.integers(1, BLOCK), st.integers(0, 2**32 - 1)),
 )
-def test_block_equals_rows(g, measure, max_dist, seed):
+def test_block_equals_rows(g, measure, max_dist, seed, pick):
     depths, table = context(g, seed)
-    assert_blocks_equal_rows(g, measure, depths, table, max_dist)
+    # also up to BLOCK sources drawn anywhere, in no particular order
+    size, pick_seed = pick
+    sources = np.random.default_rng(pick_seed).choice(g.n, size=min(size, g.n), replace=False)
+    assert_blocks_equal_rows(g, measure, depths, table, max_dist, picks=[sources])
 
 
 @pytest.mark.parametrize("measure", MEASURES)
@@ -183,7 +190,25 @@ def test_block_equals_rows_past_one_block(measure, max_dist):
     edges = [(c, p) for c, p in edges if not {c, p} & {40, 100}]
     g = graph_from(n, edges, virtual_root=False)
     depths, table = context(g, 1)
-    assert_blocks_equal_rows(g, measure, depths, table, max_dist)
+    picks = [np.array([149, 3, 77, 40, 0, 120]), np.random.default_rng(2).choice(n, BLOCK, replace=False)]
+    assert_blocks_equal_rows(g, measure, depths, table, max_dist, picks)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(g=block_graphs(), seed=st.integers(0, 3), data=st.data())
+def test_grid_equals_pair_similarity(g, seed, data):
+    depths, table = context(g, seed)
+    ids = st.sampled_from(g.ids)
+    many = st.lists(ids, unique=True, min_size=min(g.n, BLOCK + 1), max_size=min(g.n, BLOCK + 8))
+    # few or more than BLOCK distinct ids, some repeated; either side may be empty
+    us = data.draw(st.one_of(st.lists(ids, max_size=8), many.map(lambda xs: xs + xs[:3])))
+    vs = data.draw(st.lists(ids, max_size=6))
+    for measure in MEASURES:
+        got = SimilarityRows(g, measure, depths, table).grid(us, vs)
+        assert got.shape == (len(us), len(vs))
+        want = {(u, v): pair_similarity(measure, g, u, v, depths, table) for u in us for v in vs}
+        got[np.isnan(got)] = 0.0
+        assert got.tolist() == [[want[u, v] for v in vs] for u in us]
 
 
 class TestSimilarityRows:
