@@ -64,8 +64,16 @@ def cli() -> None:
 
 
 def _inputs(**paths: str | None) -> dict[str, str]:
-    """Manifest inputs: every given path, without the options left out."""
-    return {name: path for name, path in paths.items() if path}
+    """Manifest inputs: every given path, without the options left out.
+
+    Every command calls this first: a TAB or line break in a path would
+    break its manifest line, so it fails before anything is read or written.
+    """
+    inputs = {name: path for name, path in paths.items() if path}
+    for name, path in inputs.items():
+        if any(ch in path for ch in "\t\r\n"):
+            raise DataError(f"--{name.replace('_', '-')} path {path!r} holds a TAB or line break")
+    return inputs
 
 
 def _measure_context(g, measure: str, ic_counts: str | None):
@@ -113,6 +121,7 @@ IC counts file (jcn only): `node<TAB>count` lines.
 def cmd_similarities(graph_path, virtual_root, measure, mode, threshold, top_k, seed, ic_counts, output, manifest_path):
     """Build a training dataset of similarity-scored node pairs."""
     t0 = time.perf_counter()
+    inputs = _inputs(graph=graph_path, ic_counts=ic_counts)
     g = load_edge_list(graph_path, virtual_root)
     depths, ic_table = _measure_context(g, measure, ic_counts)
     cfg = DatasetConfig(measure=measure, threshold=threshold, top_k=top_k, mode=mode, seed=seed)
@@ -120,7 +129,6 @@ def cmd_similarities(graph_path, virtual_root, measure, mode, threshold, top_k, 
     build = builder(g, cfg, depths, ic_table)
     write_pairs(output, build)
 
-    inputs = _inputs(graph=graph_path, ic_counts=ic_counts)
     config = dict(build.header())
     config["virtual_root"] = virtual_root or "-"
     write_manifest(manifest_path or f"{output}.manifest", "similarities", config, inputs, seed, time.perf_counter() - t0)
@@ -160,6 +168,7 @@ Pairs file: output of `similarities`. Embeddings output: text, header
 def cmd_train(graph_path, virtual_root, pairs_path, dev_path, dim, alpha, negatives, neg_per_side, batch_size, epochs, learning_rate, l1, seed, patience, dtype, output, manifest_path):
     """Fit node embeddings to a training dataset."""
     t0 = time.perf_counter()
+    inputs = _inputs(graph=graph_path, pairs=pairs_path, dev_pairs=dev_path)
     g = load_edge_list(graph_path, virtual_root)
     check_writable_ids(g.ids)  # fail before training, not at the save
     pairs, _ = read_pairs(pairs_path)
@@ -195,7 +204,6 @@ def cmd_train(graph_path, virtual_root, pairs_path, dev_path, dim, alpha, negati
     m = train(pairs, g, cfg, on_epoch=on_epoch)
     save_embeddings(m, output)
 
-    inputs = _inputs(graph=graph_path, pairs=pairs_path, dev_pairs=dev_path)
     config = {
         "d": dim, "alpha": alpha, "negatives": negatives,
         "neg_mode": "per-side" if neg_per_side else "total",
@@ -245,6 +253,10 @@ value row. Histogram TSV: `bin_lo<TAB>bin_hi<TAB>count` per bin.
 def cmd_eval_sim(graph_path, virtual_root, pairs_path, candidates_path, measure, ic_counts, model_path, scorer_kind, score_mode, selection, golds, norm_from, histogram_path, bins, report_path, manifest_path):
     """Rank-correlation evaluation over lemma pair benchmarks."""
     t0 = time.perf_counter()
+    inputs = _inputs(
+        graph=graph_path, pairs=pairs_path, candidates=candidates_path,
+        ic_counts=ic_counts, model=model_path, norm_from=norm_from,
+    )
     g = load_edge_list(graph_path, virtual_root)
     depths, ic_table = _measure_context(g, measure, ic_counts)
     records, missing = make_records(load_lemma_pairs(pairs_path), load_candidates(candidates_path))
@@ -269,10 +281,6 @@ def cmd_eval_sim(graph_path, virtual_root, pairs_path, candidates_path, measure,
             for lo, hi, count in rows:
                 fh.write(f"{lo!r}\t{hi!r}\t{count}\n")
 
-    inputs = _inputs(
-        graph=graph_path, pairs=pairs_path, candidates=candidates_path,
-        ic_counts=ic_counts, model=model_path, norm_from=norm_from,
-    )
     config = {
         "measure": measure, "scorer": scorer_kind, "score_mode": score_mode,
         "selection": selection, "golds": golds, "bins": bins,
@@ -309,6 +317,10 @@ node id in the last column.
 def cmd_wsd(graph_path, virtual_root, instances_path, scorer_kind, measure, ic_counts, model_path, score_mode, norm_from, threshold, sweep, baseline, seed, predictions_path, manifest_path):
     """Disambiguate word senses by weighted-degree centrality."""
     t0 = time.perf_counter()
+    inputs = _inputs(
+        graph=graph_path, instances=instances_path,
+        ic_counts=ic_counts, model=model_path, norm_from=norm_from,
+    )
     g = load_edge_list(graph_path, virtual_root)
     depths, ic_table = _measure_context(g, measure or "shp", ic_counts) if scorer_kind == "measure" else (None, None)
     scorer = _build_scorer(scorer_kind, g, measure, depths, ic_table, model_path, score_mode, norm_from)
@@ -351,10 +363,6 @@ def cmd_wsd(graph_path, virtual_root, instances_path, scorer_kind, measure, ic_c
         wsd_mod.write_predictions(predictions_path, instances, predictions)
         click.echo(f"wrote predictions to {predictions_path}")
 
-    inputs = _inputs(
-        graph=graph_path, instances=instances_path,
-        ic_counts=ic_counts, model=model_path, norm_from=norm_from,
-    )
     config = {
         "scorer": scorer_kind, "measure": measure or "-", "score_mode": score_mode,
         "threshold": threshold, "baseline": baseline or "-",
@@ -372,6 +380,7 @@ def cmd_wsd(graph_path, virtual_root, instances_path, scorer_kind, measure, ic_c
 def cmd_neighbors(model_path, node, k, score_mode, manifest_path):
     """Rank all nodes by similarity to one node (the node itself included)."""
     t0 = time.perf_counter()
+    inputs = _inputs(model=model_path)
     m = load_embeddings(model_path)
     if k > m.n:
         click.echo(f"k={k} exceeds node count {m.n}; clipping to {m.n}", err=True)
@@ -383,7 +392,7 @@ def cmd_neighbors(model_path, node, k, score_mode, manifest_path):
         click.echo(f"{m.ids[int(idx)]}\t{float(scores[int(idx)])!r}")
 
     config = {"node": node, "k": k, "score_mode": score_mode}
-    write_manifest(manifest_path or "taxovec-neighbors.manifest", "neighbors", config, {"model": model_path}, None, time.perf_counter() - t0)
+    write_manifest(manifest_path or "taxovec-neighbors.manifest", "neighbors", config, inputs, None, time.perf_counter() - t0)
 
 
 @cli.command("bench")
@@ -404,6 +413,7 @@ def cmd_neighbors(model_path, node, k, score_mode, manifest_path):
 def cmd_bench(graph_path, virtual_root, measure, ic_counts, model_path, dim, queries, query_nodes, repeats, methods, topk, seed, report_path, manifest_path):
     """Time one-vs-all similarity queries: graph traversal vs dot products."""
     t0 = time.perf_counter()
+    inputs = _inputs(graph=graph_path, ic_counts=ic_counts, model=model_path)
     g = load_edge_list(graph_path, virtual_root)
     depths, ic_table = _measure_context(g, measure, ic_counts)
     method_tuple = tuple(s.strip() for s in methods.split(",") if s.strip())
@@ -451,7 +461,6 @@ def cmd_bench(graph_path, virtual_root, measure, ic_counts, model_path, dim, que
                 speedup = "" if report.speedup is None else repr(report.speedup)
                 fh.write(f"{report.method}\t{report.seconds_per_query!r}\t{report.n_targets}\t{report.repeats}\t{speedup}\n")
 
-    inputs = _inputs(graph=graph_path, ic_counts=ic_counts, model=model_path)
     config = {
         "measure": measure, "methods": ",".join(method_tuple), "repeats": repeats,
         "queries": ",".join(query_list), "topk": topk, "dim": dim,

@@ -8,6 +8,8 @@ path lengths are measured on.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +22,12 @@ from .io import records
 
 
 class TaxonomyGraph:
-    """Immutable directed acyclic hypernym graph over string node ids."""
+    """Immutable directed acyclic hypernym graph over string node ids.
+
+    Construction runs one topological pass that rejects a cycle and stores
+    every node's level and depth; `csr` and `schedule`, the array forms the
+    measures and the trainer share, are derived once per graph on first use.
+    """
 
     def __init__(self, ids: Sequence[str], edges: Iterable[tuple[str, str]]):
         self.ids: tuple[str, ...] = tuple(ids)
@@ -47,7 +54,7 @@ class TaxonomyGraph:
         self.neighbors: list[list[int]] = [
             sorted(set(parents[i]) | set(children[i])) for i in range(n)
         ]
-        self._check_acyclic()
+        self.levels, self.depths = self._topological_pass()
 
     @property
     def n(self) -> int:
@@ -77,30 +84,71 @@ class TaxonomyGraph:
                     stack.append(p)
         return result
 
-    def _check_acyclic(self) -> None:
-        # iterative DFS over child->parent edges; a gray target closes a cycle
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = [WHITE] * self.n
-        for start in range(self.n):
-            if color[start] != WHITE:
-                continue
-            stack: list[tuple[int, int]] = [(start, 0)]
-            color[start] = GRAY
-            while stack:
-                node, k = stack[-1]
-                if k < len(self.parents[node]):
-                    stack[-1] = (node, k + 1)
-                    nxt = self.parents[node][k]
-                    if color[nxt] == GRAY:
-                        raise StructuralError(
-                            f"cycle through edge {self.ids[node]!r} -> {self.ids[nxt]!r}"
-                        )
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, 0))
-                else:
-                    color[node] = BLACK
-                    stack.pop()
+    def _topological_pass(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(levels, depths) of every node from one Kahn pass, parents first.
+
+        A node's level is its longest parent path to a root and its depth
+        1 + its shortest one (roots: level 0, depth 1). A node the pass
+        never reaches still has an unreached parent, so walking those
+        parents closes a cycle; the StructuralError names its last edge.
+        """
+        n = self.n
+        remaining = [len(ps) for ps in self.parents]
+        order = [i for i, k in enumerate(remaining) if not k]
+        levels = [0] * n
+        depths = [1 if not k else n + 1 for k in remaining]
+        for u in order:  # grows while it is walked
+            lu, du = levels[u] + 1, depths[u] + 1
+            for c in self.children[u]:
+                if levels[c] < lu:
+                    levels[c] = lu
+                if depths[c] > du:
+                    depths[c] = du
+                remaining[c] -= 1
+                if not remaining[c]:
+                    order.append(c)
+        if len(order) < n:
+            u = next(i for i, k in enumerate(remaining) if k)
+            walked = set()
+            while u not in walked:
+                walked.add(u)
+                child, u = u, next(p for p in self.parents[u] if remaining[p])
+            raise StructuralError(f"cycle through edge {self.ids[child]!r} -> {self.ids[u]!r}")
+        return tuple(levels), tuple(depths)
+
+    @functools.cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The undirected adjacency as CSR arrays (offsets, flat), both int64.
+
+        The neighbors of node i are flat[offsets[i]:offsets[i + 1]], in the
+        sorted order of neighbors[i]; an isolated node has an empty slice.
+        """
+        return _flatten(self.neighbors)
+
+    @functools.cached_property
+    def schedule(self) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+        """The levels as an int64 array, and the levels above 0 as a
+        schedule for a DP that needs every parent before its child.
+
+        Per level from 1 up the schedule holds: its nodes in index order,
+        each node followed by its parents (its family), the offsets of
+        those families (for np.maximum.reduceat), and for every family
+        entry the position of its node among the level's nodes.
+        """
+        level = np.array(self.levels, dtype=np.int64)
+        order = np.argsort(level, kind="stable")
+        bounds = np.searchsorted(level[order], np.arange(level.max(initial=0) + 2)).tolist()
+        offsets, flat = _flatten(self.parents)
+        n_parents = np.diff(offsets)[order]
+        parents = flat[spans(offsets[order], n_parents)]
+        families = np.insert(parents, np.cumsum(n_parents) - n_parents, order)  # all, in level order
+        family_at = np.concatenate(([0], np.cumsum(n_parents + 1)))
+        owner = np.repeat(np.arange(self.n), n_parents + 1)
+        schedule = []
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            lo, hi = family_at[a], family_at[b]
+            schedule.append((order[a:b], families[lo:hi], family_at[a:b] - lo, owner[lo:hi] - a))
+        return level, schedule
 
 
 @dataclass(frozen=True)
@@ -123,8 +171,9 @@ def load_edge_list(path: str | Path, virtual_root: str | None = None) -> Taxonom
     A single-field line inserts an isolated node. Nodes are indexed in
     order of first mention. When `virtual_root` is given, a node with
     that id is appended and every parentless node is attached to it as a
-    child. An id may not begin with `#`: first on a pairs-file line, it
-    would read back as a comment.
+    child; it must be an id an edge list could hold, not empty, padded or
+    holding a TAB or line break. An id may not begin with `#`: first on a
+    pairs-file line, it would read back as a comment.
     """
     mentions: list[str] = []
     edges: list[tuple[str, str]] = []
@@ -140,6 +189,9 @@ def load_edge_list(path: str | Path, virtual_root: str | None = None) -> Taxonom
     ids = dict.fromkeys(mentions)
 
     if virtual_root is not None:
+        # an id an edge list could not hold would not read back from a pairs file
+        if not virtual_root or virtual_root != virtual_root.strip() or any(ch in virtual_root for ch in "\t\r\n"):
+            raise StructuralError(f"virtual root id {virtual_root!r} is empty, padded or holds a TAB or line break")
         if virtual_root.startswith("#"):
             raise StructuralError(f"virtual root id {virtual_root!r} begins with '#', which starts a comment")
         if virtual_root in ids:
@@ -178,19 +230,18 @@ def bfs_distances(
     return order, starts
 
 
-def csr_adjacency(g: TaxonomyGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The undirected adjacency as CSR arrays (offsets, flat), both int64.
-
-    The neighbors of node i are flat[offsets[i]:offsets[i + 1]], in the
-    sorted order of g.neighbors[i]; an isolated node has an empty slice.
-    """
-    offsets = np.zeros(g.n + 1, dtype=np.int64)
-    for i, adj in enumerate(g.neighbors):
-        offsets[i + 1] = offsets[i] + len(adj)
-    flat = np.fromiter(
-        (w for adj in g.neighbors for w in adj), dtype=np.int64, count=int(offsets[-1])
-    )
+def _flatten(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, flat): index lists as one int64 array and n + 1 slice offsets."""
+    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=int(offsets[-1]))
     return offsets, flat
+
+
+def spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Positions in a flat array of the slices [starts[k], starts[k] + sizes[k]), in order."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + sizes, sizes)
 
 
 def shortest_path_length(g: TaxonomyGraph, u: str, v: str) -> int | None:
@@ -215,18 +266,4 @@ def shortest_path_length(g: TaxonomyGraph, u: str, v: str) -> int | None:
 
 def compute_depths(g: TaxonomyGraph) -> DepthIndex:
     """Depth of every node: 1 + edges on the shortest parent path to a root."""
-    depths = [0] * g.n
-    queue = deque()
-    for r in g.roots():
-        depths[r] = 1
-        queue.append(r)
-    while queue:
-        u = queue.popleft()
-        d = depths[u] + 1
-        for c in g.children[u]:
-            if depths[c] == 0:
-                depths[c] = d
-                queue.append(c)
-    # acyclicity guarantees every node reaches a root through parents
-    assert all(depths), "depth computation missed a node"
-    return DepthIndex(tuple(depths), max(depths))
+    return DepthIndex(g.depths, max(g.depths))

@@ -18,7 +18,6 @@ three shapes go through one score function per measure.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +31,7 @@ from .graph import (
     TaxonomyGraph,
     bfs_distances,
     shortest_path_length,
+    spans,
 )
 from .io import real, records
 
@@ -55,6 +55,11 @@ class InformationContentTable:
         if c <= 0.0:
             return math.inf
         return -math.log(c / self.total)
+
+    @functools.cached_property
+    def ic_vector(self) -> np.ndarray:
+        """ic(i) of every node as a float64 array, derived once per table."""
+        return np.array([self.ic(i) for i in range(len(self.counts))])
 
 
 def load_raw_counts(path: str | Path, g: TaxonomyGraph) -> list[float]:
@@ -200,50 +205,6 @@ def pair_similarity(
     return jcn_index(g, depths, ic_table, ui, vi)
 
 
-def _flatten(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(starts, sizes, flat): index lists as one flat array and their slices."""
-    sizes = np.array([len(xs) for xs in lists], dtype=np.int64)
-    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=sizes.sum())
-    return np.cumsum(sizes) - sizes, sizes, flat
-
-
-def _spans(starts: np.ndarray, sizes: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Positions in a flat array of the slices of a non-empty `nodes`, in order."""
-    deg = sizes[nodes]
-    ends = np.cumsum(deg)
-    return np.arange(ends[-1]) + np.repeat(starts[nodes] - ends + deg, deg)
-
-
-def _topological_levels(g: TaxonomyGraph) -> tuple[np.ndarray, list[tuple]]:
-    """Longest-path level of every node, and the DP schedule below level 0.
-
-    Kahn's algorithm a level at a time: a node joins the next level when
-    its last parent leaves the current one, so every parent sits on a
-    lower level than its child. The schedule holds, per level from 1 up:
-    its nodes, each node followed by its parents, the offsets of those
-    families (for np.maximum.reduceat), and for every family entry the
-    position of its node among the level's nodes.
-    """
-    parent_at, n_parents, parents = _flatten(g.parents)
-    child_at, n_children, children = _flatten(g.children)
-    level = np.zeros(g.n, dtype=np.int64)
-    remaining = n_parents.copy()
-    schedule = []
-    nodes = np.flatnonzero(remaining == 0)
-    while len(nodes):
-        hits = np.bincount(children[_spans(child_at, n_children, nodes)], minlength=g.n)
-        remaining -= hits
-        nodes = np.flatnonzero((remaining == 0) & (hits > 0))
-        level[nodes] = len(schedule) + 1
-        sizes = 1 + n_parents[nodes]
-        owner = np.repeat(np.arange(len(nodes)), sizes)
-        offsets = np.cumsum(sizes) - sizes
-        k = np.arange(len(owner)) - offsets[owner]  # 0 for the node, j for its j-th parent
-        families = np.where(k == 0, nodes[owner], parents[parent_at[nodes[owner]] + k - 1])
-        schedule.append((nodes, families, offsets, owner))
-    return level, schedule[:-1]  # the last level found is empty
-
-
 class SimilarityRows:
     """Scores many node pairs under one measure, in three shapes.
 
@@ -265,9 +226,10 @@ class SimilarityRows:
     with key (depth, -index), the tie order of lcs_index, and one column
     per source. The DP visits only the ancestor closure of the targets,
     except after a full reach, which holds that closure already. The
-    schedule, the key ranks, the IC vector and the CSR adjacency are
-    derived once per instance, so build one instance per batch of queries.
-    Every shape scores through _scores, so each formula lives once.
+    schedule and the CSR adjacency are derived once per graph (g.schedule,
+    g.csr) and the IC vector once per table (ic_table.ic_vector), so an
+    instance costs only its key ranks. Every shape scores through
+    _scores, so each formula lives once.
     """
 
     def __init__(
@@ -289,9 +251,9 @@ class SimilarityRows:
             self._by_rank = np.lexsort((-np.arange(n), self._depth))
             self._rank = np.empty(n, dtype=np.int64)
             self._rank[self._by_rank] = np.arange(n)
-            self._level, self._schedule = _topological_levels(g)
+            self._level, self._schedule = g.schedule
         if self.measure == "jcn":
-            self._ic = np.array([ic_table.ic(i) for i in range(g.n)])
+            self._ic = ic_table.ic_vector
 
     def row(self, src: int, max_dist: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(targets, scores) for dense index `src`.
@@ -327,7 +289,7 @@ class SimilarityRows:
         scan of an n-word array, and only reached pairs are
         materialised, so a fast-mode block costs its reach, not BLOCK x n.
         """
-        starts, degree, flat = self._csr
+        offsets, flat = self.g.csr
         src = np.asarray(sources, dtype=np.int64)
         frontier = src
         words = np.left_shift(np.uint64(1), np.arange(len(src), dtype=np.uint64))
@@ -337,8 +299,9 @@ class SimilarityRows:
         targets, columns, sizes = [src], [np.arange(len(src))], [len(src)]  # per distance
         while max_dist is None or len(sizes) <= max_dist:
             # OR each frontier word into the words of its node's neighbours
-            edges = _spans(starts, degree, frontier)
-            np.bitwise_or.at(reach, flat[edges], np.repeat(words, degree[frontier]))
+            degree = offsets[frontier + 1] - offsets[frontier]
+            edges = spans(offsets[frontier], degree)
+            np.bitwise_or.at(reach, flat[edges], np.repeat(words, degree))
             touched = np.flatnonzero(reach)
             new = reach[touched] & ~seen[touched]
             reach[touched] = 0
@@ -389,11 +352,6 @@ class SimilarityRows:
                 best = self._subsumers(src, cols, closed=False)
                 out[first : first + len(src)] = self._scores(src[:, None], cols, best[cols].T)
         return out[row_of][:, col_of]
-
-    @functools.cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The undirected adjacency as (starts, degrees, flat)."""
-        return _flatten(self.g.neighbors)
 
     def _subsumers(self, sources, targets: np.ndarray, closed: bool) -> np.ndarray:
         """Key rank of the deepest common subsumer of a source and a node,

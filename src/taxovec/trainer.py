@@ -17,8 +17,8 @@ cell through one flat `np.bincount`, which adds the cell's contributions
 in entry order starting from +0.0, exactly as an `np.add.at` scatter
 would. The Adam step gathers each moment array's touched rows once,
 updates them in place and writes them back once. Pairs are mapped to
-index arrays and the adjacency to CSR once per `train` call. A seed
-fixes the saved embedding byte for byte; the tests pin the digests.
+index arrays once per `train` call. A seed fixes the saved embedding
+byte for byte; the tests pin the digests.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .dataset import TrainingPair
 from .errors import ConfigError, DataError, NumericError, UnknownNodeError
-from .graph import TaxonomyGraph, csr_adjacency
+from .graph import TaxonomyGraph
 from .io import atomic_write, natural, open_text
 
 ADAM_BETA1 = 0.9
@@ -232,7 +232,6 @@ class Batch:
     s: np.ndarray
     ni: np.ndarray
     nj: np.ndarray
-    is_negative: np.ndarray
 
     def __len__(self) -> int:
         return len(self.i)
@@ -365,7 +364,7 @@ def make_batches(
     """
     if not pairs:
         raise ConfigError("cannot make batches from an empty pair list")
-    return _epoch_batches(_index_pairs(pairs, g), csr_adjacency(g), cfg, epoch_seed)
+    return _epoch_batches(_index_pairs(pairs, g), g.csr, cfg, epoch_seed)
 
 
 def _epoch_batches(
@@ -374,8 +373,8 @@ def _epoch_batches(
     cfg: TrainConfig,
     epoch_seed,
 ) -> Iterator[Batch]:
-    """make_batches over pairs already mapped by _index_pairs and a graph
-    already mapped by csr_adjacency, so train() maps both once."""
+    """make_batches over pairs already mapped by _index_pairs and the
+    graph's CSR adjacency, so train() maps the pairs once."""
     rng = np.random.default_rng(epoch_seed)
     I, J, S = ijs
     offsets, flat = csr
@@ -393,12 +392,10 @@ def _epoch_batches(
     ei = np.empty(E, dtype=np.int64)
     ej = np.empty(E, dtype=np.int64)
     es = np.zeros(E, dtype=np.float64)
-    neg = np.ones(E, dtype=bool)
 
     ei[0::block] = I
     ej[0::block] = J
     es[0::block] = S
-    neg[0::block] = False
     for t in range(n_i):
         ei[1 + t :: block] = I
         ej[1 + t :: block] = K[:, t]
@@ -417,7 +414,6 @@ def _epoch_batches(
             s=es[start:end],
             ni=ni[start:end],
             nj=nj[start:end],
-            is_negative=neg[start:end],
         )
 
 
@@ -450,7 +446,6 @@ def train(
     if len(nodes_seen) < 2:
         raise ConfigError("training pairs must cover at least 2 distinct nodes")
     ijs = _index_pairs(pairs, g)
-    csr = csr_adjacency(g)
 
     rng = np.random.default_rng(cfg.seed)
     V = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(g.n, cfg.d)).astype(cfg.dtype)
@@ -466,7 +461,7 @@ def train(
 
     for epoch in range(cfg.epochs):
         losses: list[float] = []
-        batches = _epoch_batches(ijs, csr, cfg, [cfg.seed, epoch])
+        batches = _epoch_batches(ijs, g.csr, cfg, [cfg.seed, epoch])
         for bi, batch in enumerate(batches):
             loss, touched, grads, terms = _loss_and_grads(
                 V, batch, cfg.alpha, cfg.l1, want_grads=True

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tempfile
 from collections import deque
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from taxovec.graph import TaxonomyGraph
+from taxovec.graph import TaxonomyGraph, load_edge_list
 
 from oracles import prufer_tree
 
@@ -61,6 +64,38 @@ def random_dag_graph(n: int, seed: int, extra: int = 0) -> TaxonomyGraph:
     ids = ids_for(n)
     edges = [(ids[c], ids[p]) for c, p in random_dag_edges(n, seed, extra)]
     return TaxonomyGraph(ids, edges)
+
+
+@st.composite
+def edge_lists(draw, forest: bool):
+    """(node count, child->parent edges toward smaller indices)."""
+    n = draw(st.integers(2, 14))
+    edges = set()
+    for c in range(1, n):
+        # in a forest some nodes start a new tree
+        if not forest or draw(st.booleans()):
+            edges.add((c, draw(st.integers(0, c - 1))))
+    for _ in range(draw(st.integers(0, n // 2))):
+        c = draw(st.integers(1, n - 1))
+        edges.add((c, draw(st.integers(0, c - 1))))
+    return n, sorted(edges)
+
+
+def graph_from(n: int, edges: list[tuple[int, int]], virtual_root: bool) -> TaxonomyGraph:
+    lines = [f"n{i}" for i in range(n)] + [f"n{c}\tn{p}" for c, p in edges]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return load_edge_list(path, virtual_root="ROOT" if virtual_root else None)
+
+
+# random DAGs with multiple inheritance, forests whose trees can share a
+# child, and the same forests joined under a virtual root by load_edge_list
+graphs = st.one_of(
+    edge_lists(forest=False).map(lambda ne: graph_from(*ne, virtual_root=False)),
+    edge_lists(forest=True).map(lambda ne: graph_from(*ne, virtual_root=False)),
+    edge_lists(forest=True).map(lambda ne: graph_from(*ne, virtual_root=True)),
+)
 
 
 @pytest.fixture

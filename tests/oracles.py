@@ -56,6 +56,19 @@ def depth_oracle(n: int, parent_edges: list[tuple[int, int]]) -> list[int]:
     return [1 + int(min(dist[i, r] for r in roots)) for i in range(n)]
 
 
+def level_oracle(n: int, parent_edges: list[tuple[int, int]]) -> list[int]:
+    """level = edges on the longest directed path to a root, via max-plus
+    matrix relaxation (a DAG has no positive cycle, so it converges)."""
+    length = np.full((n, n), -np.inf)
+    np.fill_diagonal(length, 0.0)
+    for c, p in parent_edges:
+        length[c, p] = 1.0
+    for k in range(n):
+        length = np.maximum(length, length[:, k : k + 1] + length[k : k + 1, :])
+    # a longest path from a node always ends at a root
+    return [int(length[i].max()) for i in range(n)]
+
+
 def lcs_oracle(
     anc: list[set[int]], depths: list[int], u: int, v: int
 ) -> int | None:

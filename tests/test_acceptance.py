@@ -153,10 +153,8 @@ def test_criterion_2_gradient_check():
         i = rng.integers(0, n_rows, n_entries)
         j = rng.integers(0, n_rows, n_entries)
         s = rng.random(n_entries)
-        neg = np.zeros(n_entries, dtype=bool)
         if with_negatives:
-            neg = rng.random(n_entries) < 0.5
-            s[neg] = 0.0
+            s[rng.random(n_entries) < 0.5] = 0.0
         if with_neighbors:
             ni = rng.integers(0, n_rows, n_entries)
             nj = rng.integers(0, n_rows, n_entries)
@@ -165,7 +163,7 @@ def test_criterion_2_gradient_check():
         else:
             ni = np.full(n_entries, -1, dtype=np.int64)
             nj = np.full(n_entries, -1, dtype=np.int64)
-        batch = Batch(i=i, j=j, s=s, ni=ni, nj=nj, is_negative=neg)
+        batch = Batch(i=i, j=j, s=s, ni=ni, nj=nj)
 
         m = EmbeddingMatrix([f"n{r}" for r in range(n_rows)], V)
         touched, grads = batch_gradients(m, batch, alpha=alpha, l1=l1)

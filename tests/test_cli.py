@@ -149,6 +149,19 @@ class TestSimilarities:
         assert "begins with '#'" in capsys.readouterr().err
         assert not (workdir / "pairs.tsv").exists()
 
+    @pytest.mark.parametrize("root", ["v\tx", " v"])
+    def test_virtual_root_that_would_not_read_back_is_a_data_error(self, workdir, capsys, root):
+        # a TAB splits the pairs line written for it; padding is stripped on reading
+        (workdir / "g.tsv").write_text("a\tr\nb\tr\nc\ta\n")
+        code = main(
+            ["similarities", "--graph", "g.tsv", "--measure", "shp", "--threshold", "0",
+             "--virtual-root", root, "--output", "pairs.tsv"]
+        )
+        assert code == 2
+        assert "virtual root id" in capsys.readouterr().err
+        assert not (workdir / "pairs.tsv").exists()
+        assert not (workdir / "pairs.tsv.manifest").exists()
+
     def test_virtual_root_connects_forest(self, workdir):
         (workdir / "forest.tsv").write_text("b\ta\nd\tc\n")
         code = main(
@@ -558,6 +571,22 @@ class TestEntryPoint:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "No such command" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["similarities", "--graph", "{bad}", "--measure", "shp", "--output", "out.tsv"],
+        ["similarities", "--graph", "tree.tsv", "--measure", "jcn", "--ic-counts", "{bad}",
+         "--output", "out.tsv"],
+        ["neighbors", "--model", "{bad}", "--node", "a"],
+    ])
+    @pytest.mark.parametrize("bad", ["a\tb.tsv", "a\nb.tsv", "a\rb.tsv"])
+    def test_input_path_with_tab_or_line_break_fails_first(self, workdir, capsys, args, bad):
+        # the path would break its manifest line: reject it before any work
+        (workdir / bad).write_text("c\tb\nb\ta\n")
+        option = next(a for a, b in zip(args, args[1:]) if b == "{bad}")
+        code = main([bad if a == "{bad}" else a for a in args])
+        assert code == 2
+        assert f"{option} path" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == sorted([bad, "chain.tsv", "tree.tsv"])
 
     def test_missing_input_file(self, workdir, capsys):
         code = main(

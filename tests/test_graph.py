@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxovec.errors import RecordError, StructuralError, UnknownNodeError
 from taxovec.graph import (
@@ -17,8 +20,18 @@ from taxovec.graph import (
 )
 from taxovec.metrics import lcs_index
 
-from conftest import ids_for, random_dag_edges, random_dag_graph, random_tree_graph, rooted_tree_edges
-from oracles import ancestor_closure, depth_oracle, floyd_warshall_undirected, lcs_oracle
+from conftest import (
+    edge_lists,
+    graphs,
+    ids_for,
+    random_dag_edges,
+    random_dag_graph,
+    random_tree_graph,
+    rooted_tree_edges,
+)
+from oracles import ancestor_closure, depth_oracle, floyd_warshall_undirected, lcs_oracle, level_oracle
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 
 class TestLoadEdgeList:
@@ -84,6 +97,14 @@ class TestLoadEdgeList:
         assert g.roots() == [r]
         assert sorted(g.children[r]) == sorted(g.idx(x) for x in ("a", "c", "lone"))
         assert shortest_path_length(g, "b", "d") == 4
+
+    @pytest.mark.parametrize("root", ["", "v\tx", "v\rx", "v\nx", " v", "v ", "\u3000v"])
+    def test_virtual_root_an_edge_list_could_not_hold_is_rejected(self, tmp_path, root):
+        # written into a pairs file, it would split a line or be stripped on reading
+        p = tmp_path / "g.tsv"
+        p.write_text("a\tr\nb\tr\nc\ta\n")
+        with pytest.raises(StructuralError, match="virtual root id .* is empty, padded or holds"):
+            load_edge_list(p, virtual_root=root)
 
     def test_virtual_root_collision(self, tmp_path):
         p = tmp_path / "g.tsv"
@@ -265,6 +286,37 @@ class TestBfsDistances:
         order, starts = bfs_distances(g.neighbors, 0)
         assert order == [0, 1, 2, 3]
         assert starts[:4] == [0, 1, 2, 3]
+
+
+def edges_of(g):
+    return [(c, p) for c in range(g.n) for p in g.parents[c]]
+
+
+@PROPERTY_SETTINGS
+@given(g=graphs)
+def test_levels_and_depths_match_the_oracles(g):
+    assert list(g.levels) == level_oracle(g.n, edges_of(g))
+    assert list(compute_depths(g).depths) == depth_oracle(g.n, edges_of(g))
+
+
+@PROPERTY_SETTINGS
+@given(ne=edge_lists(forest=False), data=st.data())
+def test_a_named_cycle_edge_lies_on_a_cycle(ne, data):
+    n, edges = ne
+    # point nodes at their own descendants: each such edge closes a cycle
+    anc = ancestor_closure(n, edges)
+    down = sorted((a, d) for d in range(n) for a in anc[d] if a != d)
+    back = data.draw(st.lists(st.sampled_from(down), min_size=1, max_size=3, unique=True))
+    edges = edges + back
+    ids = ids_for(n)
+    shuffled = data.draw(st.permutations(ids))  # any index order, any edge order
+    named = [(ids[c], ids[p]) for c, p in data.draw(st.permutations(edges))]
+    with pytest.raises(StructuralError) as err:
+        TaxonomyGraph(shuffled, named)
+    child, parent = re.fullmatch(r"cycle through edge '(\w+)' -> '(\w+)'", str(err.value)).groups()
+    c, p = ids.index(child), ids.index(parent)
+    assert (c, p) in edges
+    assert c in ancestor_closure(n, edges)[p]
 
 
 class TestConstruction:

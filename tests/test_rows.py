@@ -11,8 +11,6 @@ of a partial last block all occur.
 from __future__ import annotations
 
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxovec.errors import ConfigError
-from taxovec.graph import TaxonomyGraph, compute_depths, load_edge_list, shortest_path_length
+from taxovec.graph import TaxonomyGraph, compute_depths, shortest_path_length
 from taxovec.metrics import (
     BLOCK,
     MEASURES,
@@ -30,40 +28,10 @@ from taxovec.metrics import (
     propagate_counts,
 )
 
-from conftest import random_dag_edges
+from conftest import graph_from, graphs, random_dag_edges
 from oracles import floyd_warshall_undirected
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
-
-
-@st.composite
-def edge_lists(draw, forest: bool):
-    """(node count, child->parent edges toward smaller indices)."""
-    n = draw(st.integers(2, 14))
-    edges = set()
-    for c in range(1, n):
-        # in a forest some nodes start a new tree
-        if not forest or draw(st.booleans()):
-            edges.add((c, draw(st.integers(0, c - 1))))
-    for _ in range(draw(st.integers(0, n // 2))):
-        c = draw(st.integers(1, n - 1))
-        edges.add((c, draw(st.integers(0, c - 1))))
-    return n, sorted(edges)
-
-
-def graph_from(n: int, edges: list[tuple[int, int]], virtual_root: bool) -> TaxonomyGraph:
-    lines = [f"n{i}" for i in range(n)] + [f"n{c}\tn{p}" for c, p in edges]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "g.tsv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return load_edge_list(path, virtual_root="ROOT" if virtual_root else None)
-
-
-graphs = st.one_of(
-    edge_lists(forest=False).map(lambda ne: graph_from(*ne, virtual_root=False)),
-    edge_lists(forest=True).map(lambda ne: graph_from(*ne, virtual_root=False)),
-    edge_lists(forest=True).map(lambda ne: graph_from(*ne, virtual_root=True)),
-)
 
 
 def context(g: TaxonomyGraph, seed: int):
@@ -235,6 +203,18 @@ class TestSimilarityRows:
         for measure in ("shp", "wup"):
             targets, _ = SimilarityRows(g, measure, compute_depths(g)).row(g.idx("a"))
             assert g.idx("lone") not in targets.tolist()
+
+    def test_scorers_on_one_graph_share_its_schedule_and_ic_vector(self):
+        # the set-up derived per graph and per table is built once, not per scorer
+        g = graph_from(30, random_dag_edges(30, 3, extra=8), virtual_root=False)
+        depths, table = context(g, 0)
+        rows = [SimilarityRows(g, m, depths, table) for m in ("wup", "jcn", "wup", "jcn")]
+        level, schedule = g.schedule
+        for r in rows:
+            assert r._level is level and r._schedule is schedule
+        assert rows[1]._ic is rows[3]._ic is table.ic_vector
+        assert table.ic_vector.tolist() == [table.ic(i) for i in range(g.n)]
+        assert rows[0].grid(g.ids, g.ids).tobytes() == rows[2].grid(g.ids, g.ids).tobytes()
 
     def test_missing_context_is_a_config_error(self, chain3):
         with pytest.raises(ConfigError, match="depths"):

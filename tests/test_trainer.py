@@ -29,7 +29,7 @@ from oracles import finite_difference_grads
 
 
 def entry_batch(entries):
-    """Build a Batch from (i, j, s, ni, nj, is_negative) tuples."""
+    """Build a Batch from (i, j, s, ni, nj) tuples."""
     cols = list(zip(*entries))
     return Batch(
         i=np.array(cols[0], dtype=np.int64),
@@ -37,7 +37,6 @@ def entry_batch(entries):
         s=np.array(cols[2], dtype=np.float64),
         ni=np.array(cols[3], dtype=np.int64),
         nj=np.array(cols[4], dtype=np.int64),
-        is_negative=np.array(cols[5], dtype=bool),
     )
 
 
@@ -49,37 +48,36 @@ def random_batch(n_rows, n_entries, rng):
     nj = rng.integers(0, n_rows, n_entries)
     ni[rng.random(n_entries) < 0.25] = -1
     nj[rng.random(n_entries) < 0.25] = -1
-    neg = rng.random(n_entries) < 0.5
-    s[neg] = 0.0
-    return Batch(i=i, j=j, s=s, ni=ni, nj=nj, is_negative=neg)
+    s[rng.random(n_entries) < 0.5] = 0.0  # negatives
+    return Batch(i=i, j=j, s=s, ni=ni, nj=nj)
 
 
 class TestLossValues:
     def test_single_positive_squared_error(self):
         m = EmbeddingMatrix(["a", "b"], np.array([[0.2, 0.4], [1.0, 0.0]]))
-        batch = entry_batch([(0, 1, 0.5, -1, -1, False)])
+        batch = entry_batch([(0, 1, 0.5, -1, -1)])
         # dot = 0.2, err = -0.3
         assert batch_loss(m, batch, alpha=0.01) == pytest.approx(0.09, rel=1e-12)
 
     def test_zero_when_dot_matches_target(self):
         m = EmbeddingMatrix(["a", "b"], np.array([[0.5, 0.5], [0.6, 0.2]]))
-        batch = entry_batch([(0, 1, 0.4, -1, -1, False)])
+        batch = entry_batch([(0, 1, 0.4, -1, -1)])
         assert batch_loss(m, batch, alpha=0.0) == 0.0
 
     def test_regularizer_subtracts_neighbor_dots(self):
         V = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.25, 0.0]])
         m = EmbeddingMatrix(["a", "b", "c", "d"], V)
-        batch = entry_batch([(0, 1, 0.0, 2, 3, False)])
+        batch = entry_batch([(0, 1, 0.0, 2, 3)])
         # err = 0; reg_i = v0 . v2 = 0.5, reg_j = v1 . v3 = 0.0
         assert batch_loss(m, batch, alpha=0.01) == pytest.approx(-0.005)
         # missing neighbor slots contribute nothing
-        half = entry_batch([(0, 1, 0.0, 2, -1, False)])
+        half = entry_batch([(0, 1, 0.0, 2, -1)])
         assert batch_loss(m, half, alpha=0.01) == pytest.approx(-0.005)
 
     def test_l1_counts_only_touched_rows(self):
         V = np.array([[0.5, -0.5], [1.0, 1.0], [100.0, 100.0]])
         m = EmbeddingMatrix(["a", "b", "huge"], V)
-        batch = entry_batch([(0, 1, 0.0, -1, -1, False)])
+        batch = entry_batch([(0, 1, 0.0, -1, -1)])
         base = batch_loss(m, batch, alpha=0.0, l1=0.0)
         with_l1 = batch_loss(m, batch, alpha=0.0, l1=0.1)
         # rows 0 and 1 have |.| sums 1.0 and 2.0; row 2 is untouched
@@ -87,9 +85,9 @@ class TestLossValues:
 
     def test_mean_over_entries(self):
         m = EmbeddingMatrix(["a", "b"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        one = entry_batch([(0, 1, 0.5, -1, -1, False)])
+        one = entry_batch([(0, 1, 0.5, -1, -1)])
         two = entry_batch(
-            [(0, 1, 0.5, -1, -1, False), (0, 0, 0.0, -1, -1, True)]
+            [(0, 1, 0.5, -1, -1), (0, 0, 0.0, -1, -1)]
         )
         # entry losses: 0.25 and 1.0
         assert batch_loss(m, one, alpha=0.0) == pytest.approx(0.25)
@@ -126,7 +124,7 @@ class TestGradients:
         V = rng.uniform(0.2, 1.0, size=(3, 4))
         m = EmbeddingMatrix(["a", "b", "c"], V)
         batch = entry_batch(
-            [(0, 1, 0.5, 2, 0, False), (0, 0, 0.0, 1, 1, True)]
+            [(0, 1, 0.5, 2, 0), (0, 0, 0.0, 1, 1)]
         )
         touched, grads = batch_gradients(m, batch, alpha=0.1, l1=0.0)
         fd = finite_difference_grads(
@@ -139,7 +137,7 @@ class TestGradients:
     def test_untouched_rows_not_reported(self):
         V = np.ones((5, 2))
         m = EmbeddingMatrix([f"n{k}" for k in range(5)], V)
-        batch = entry_batch([(0, 1, 0.5, -1, -1, False)])
+        batch = entry_batch([(0, 1, 0.5, -1, -1)])
         touched, _ = batch_gradients(m, batch, alpha=0.01, l1=0.1)
         assert touched.tolist() == [0, 1]
 
@@ -225,8 +223,8 @@ class TestMakeBatches:
         cfg = TrainConfig(d=4, negatives=3, batch_size=1000)
         (batch,) = list(make_batches(pairs, g, cfg, epoch_seed=[0, 0]))
         assert len(batch) == 5 * 7
-        assert (~batch.is_negative).nonzero()[0].tolist() == [0, 7, 14, 21, 28]
-        assert np.all(batch.s[batch.is_negative] == 0.0)
+        # the golds are > 0, so exactly the positives have a nonzero s
+        assert np.flatnonzero(batch.s).tolist() == [0, 7, 14, 21, 28]
         # each negative entry reuses one endpoint of its block's positive
         for b in range(5):
             pos_i, pos_j = batch.i[7 * b], batch.j[7 * b]
@@ -241,7 +239,7 @@ class TestMakeBatches:
         cfg = TrainConfig(d=4, negatives=0, batch_size=1000)
         (batch,) = list(make_batches(pairs, g, cfg, epoch_seed=0))
         assert len(batch) == 4
-        assert not batch.is_negative.any()
+        assert np.all(batch.s > 0.0)
 
     def test_total_negative_budget_splits_unevenly(self):
         g = self.graph()
@@ -265,7 +263,7 @@ class TestMakeBatches:
         b = list(make_batches(pairs, g, cfg, epoch_seed=[3, 1]))
         c = list(make_batches(pairs, g, cfg, epoch_seed=[3, 2]))
         for x, y in zip(a, b):
-            for name in ("i", "j", "s", "ni", "nj", "is_negative"):
+            for name in ("i", "j", "s", "ni", "nj"):
                 assert np.array_equal(getattr(x, name), getattr(y, name))
         assert any(
             not np.array_equal(x.i, y.i) or not np.array_equal(x.ni, y.ni)
@@ -277,7 +275,7 @@ class TestMakeBatches:
         pairs = self.pairs_for(g, 6)
         cfg = TrainConfig(d=4, negatives=5, batch_size=10_000)
         (batch,) = list(make_batches(pairs, g, cfg, epoch_seed=9))
-        partners = batch.j[batch.is_negative]
+        partners = batch.j[batch.s == 0.0]  # the golds are > 0
         assert partners.min() >= 0 and partners.max() < g.n
 
     def test_neighbor_slots_respect_adjacency(self):
