@@ -33,15 +33,17 @@ def one_vs_all_graph(
 ) -> np.ndarray:
     """Raw measure similarity of `v` to every node, self included.
 
-    Matches the per-pair measure functions elementwise; unreachable nodes
-    (or pairs without a common subsumer) score 0. JCN keeps its infinity
-    sentinel for zero-distance pairs.
+    Scores a one-source SimilarityRows.block, one traversal over the
+    nodes `v` reaches, and scatters it into a dense row. Matches the
+    per-pair measure functions elementwise; unreachable nodes (or pairs
+    without a common subsumer) score 0. JCN keeps its infinity sentinel
+    for zero-distance pairs.
     """
     return _dense_row(SimilarityRows(g, measure, depths, ic_table), v)
 
 
 def _dense_row(rows: SimilarityRows, v: str) -> np.ndarray:
-    targets, sims = rows.row(rows.g.idx(v))
+    _, targets, sims = rows.block(np.array([rows.g.idx(v)]))
     sims[np.isnan(sims)] = 0.0
     out = np.zeros(rows.g.n)
     out[targets] = sims

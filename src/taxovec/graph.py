@@ -173,7 +173,8 @@ def load_edge_list(path: str | Path, virtual_root: str | None = None) -> Taxonom
     that id is appended and every parentless node is attached to it as a
     child; it must be an id an edge list could hold, not empty, padded or
     holding a TAB or line break. An id may not begin with `#`: first on a
-    pairs-file line, it would read back as a comment.
+    pairs-file line, it would read back as a comment. A file holding no
+    node is a StructuralError.
     """
     mentions: list[str] = []
     edges: list[tuple[str, str]] = []
@@ -187,6 +188,8 @@ def load_edge_list(path: str | Path, virtual_root: str | None = None) -> Taxonom
                 raise RecordError(f"{where}: node id {fields[1]!r} begins with '#', which starts a comment")
             edges.append((fields[0], fields[1]))
     ids = dict.fromkeys(mentions)
+    if not ids:
+        raise StructuralError(f"{path}: the graph holds no node")
 
     if virtual_root is not None:
         # an id an edge list could not hold would not read back from a pairs file
@@ -203,22 +206,20 @@ def load_edge_list(path: str | Path, virtual_root: str | None = None) -> Taxonom
     return TaxonomyGraph(list(ids), edges)
 
 
-def bfs_distances(
-    adjacency: list[list[int]], src: int, max_dist: int | None = None
-) -> tuple[list[int], list[int]]:
-    """Breadth-first reach of `src` over an adjacency list.
+def bfs_distances(adjacency: list[list[int]], src: int) -> tuple[list[int], list[int]]:
+    """Breadth-first reach of `src` over an adjacency list, one node at a time.
 
     Returns (order, starts): the reached nodes in visit order, `src`
     first, and level offsets such that the nodes at distance d are
-    order[starts[d]:starts[d + 1]] (the last level may be empty). With
-    `max_dist`, only nodes within that many edges are visited, so the
-    work follows the reach rather than the graph size.
+    order[starts[d]:starts[d + 1]] (the last level is empty). The package
+    scores through SimilarityRows.block's bit-parallel traversal; this
+    plain BFS is the single-source reference it can be timed against.
     """
     seen = bytearray(len(adjacency))
     seen[src] = 1
     order = [src]
     starts = [0]
-    while starts[-1] < len(order) and (max_dist is None or len(starts) <= max_dist):
+    while starts[-1] < len(order):
         level = order[starts[-1] :]
         starts.append(len(order))
         for u in level:

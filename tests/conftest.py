@@ -81,6 +81,11 @@ def edge_lists(draw, forest: bool):
     return n, sorted(edges)
 
 
+def edges_of(g: TaxonomyGraph) -> list[tuple[int, int]]:
+    """The graph's child->parent edges as index pairs."""
+    return [(c, p) for c in range(g.n) for p in g.parents[c]]
+
+
 def graph_from(n: int, edges: list[tuple[int, int]], virtual_root: bool) -> TaxonomyGraph:
     lines = [f"n{i}" for i in range(n)] + [f"n{c}\tn{p}" for c, p in edges]
     with tempfile.TemporaryDirectory() as tmp:

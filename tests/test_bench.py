@@ -14,7 +14,7 @@ from taxovec.graph import compute_depths
 from taxovec.metrics import pair_similarity, propagate_counts
 from taxovec.trainer import EmbeddingMatrix, score
 
-from conftest import random_dag_graph, random_tree_graph
+from conftest import graph_from, random_dag_edges, random_dag_graph, random_tree_graph
 
 
 class TestOneVsAllGraph:
@@ -30,8 +30,11 @@ class TestOneVsAllGraph:
         assert got[g.idx("lone")] == 0.0
 
     def test_matches_pairwise_measures(self):
-        for seed in range(3):
-            g = random_dag_graph(25, seed, extra=4)
+        # three DAGs, then a forest of five trees (some sharing a child), bare and under a virtual root
+        forest = [(c, p) for c, p in random_dag_edges(25, 3, extra=4) if c % 5]
+        graphs = [random_dag_graph(25, seed, extra=4) for seed in range(3)]
+        graphs += [graph_from(25, forest, virtual_root=False), graph_from(25, forest, virtual_root=True)]
+        for seed, g in enumerate(graphs):
             depths = compute_depths(g)
             rng = np.random.default_rng(seed)
             table = propagate_counts(

@@ -173,6 +173,20 @@ class TestSimilarities:
         joined = "\n".join(data_rows(workdir / "pairs.tsv"))
         assert "ROOT" in joined
 
+    @pytest.mark.parametrize("measure", ["shp", "lch", "wup"])
+    @pytest.mark.parametrize("extra", [[], ["--virtual-root", "ROOT"]])
+    def test_graph_without_nodes_is_a_data_error(self, workdir, capsys, measure, extra):
+        # only a comment and a blank line: no node, so no depth and no pair
+        (workdir / "empty.tsv").write_text("# nothing yet\n\n")
+        code = main(
+            ["similarities", "--graph", "empty.tsv", "--measure", measure,
+             "--output", "pairs.tsv", *extra]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "empty.tsv" in err and "holds no node" in err
+        assert not (workdir / "pairs.tsv").exists()
+
 
 @pytest.fixture()
 def tree_pairs(workdir):

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxovec.dataset import (
     DEFAULT_THRESHOLDS,
+    MODES,
     DatasetConfig,
     TrainingPair,
     build_fast,
@@ -25,9 +28,9 @@ from taxovec.errors import (
     EmptyDatasetError,
 )
 from taxovec.graph import TaxonomyGraph, compute_depths
-from taxovec.metrics import propagate_counts
+from taxovec.metrics import MEASURES, pair_similarity, propagate_counts
 
-from conftest import ids_for, random_dag_edges, random_tree_graph
+from conftest import edges_of, graphs, ids_for, random_dag_edges, random_tree_graph
 from oracles import (
     ancestor_closure,
     depth_oracle,
@@ -333,6 +336,48 @@ class TestFilesAndDeterminism:
                 key = tuple(sorted((p.u, p.v)))
                 assert key not in seen
                 seen.add(key)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    g=graphs,
+    measure=st.sampled_from(MEASURES),
+    mode=st.sampled_from(MODES),
+    k=st.sampled_from([1, 3, None]),  # None: k = n
+    threshold=st.sampled_from([0.0, None]),
+    seed=st.integers(0, 3),
+)
+def test_pairs_keep_the_dataset_invariants(g, measure, mode, k, threshold, seed):
+    rng = np.random.default_rng(seed)
+    raw = [float(x) for x in rng.integers(0, 3, size=g.n)]
+    raw[0] += 1.0
+    depths, table = compute_depths(g), propagate_counts(g, raw)
+    cfg = DatasetConfig(measure, threshold, g.n if k is None else k, mode, seed)
+    try:
+        build = (build_full if mode == "full" else build_fast)(g, cfg, depths, table)
+    except (EmptyDatasetError, DegenerateRangeError):
+        return
+    # each node's top-k by the references: pair_similarity over the
+    # Floyd-Warshall reach (two edges in fast mode), ties to the smaller index
+    reach = floyd_warshall_undirected(g.n, edges_of(g)) <= (2 if mode == "fast" else g.n)
+
+    def top_k(u):
+        partners = sorted(
+            (-pair_similarity(measure, g, g.ids[u], g.ids[v], depths, table), v)
+            for v in np.flatnonzero(reach[u]).tolist()
+            if v != u
+        )
+        return [v for neg, v in partners if -neg >= cfg.raw_threshold][: cfg.top_k]
+
+    tops = [top_k(u) for u in range(g.n)]
+    seen = set()
+    for p in build.pairs:
+        u, v = g.idx(p.u), g.idx(p.v)
+        assert 0.0 <= p.s <= 1.0
+        assert u != v
+        assert (min(u, v), max(u, v)) not in seen
+        seen.add((min(u, v), max(u, v)))
+        assert v in tops[u] or u in tops[v]
 
 
 class TestTrainingPairType:

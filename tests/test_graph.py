@@ -22,6 +22,7 @@ from taxovec.metrics import lcs_index
 
 from conftest import (
     edge_lists,
+    edges_of,
     graphs,
     ids_for,
     random_dag_edges,
@@ -104,6 +105,14 @@ class TestLoadEdgeList:
         p = tmp_path / "g.tsv"
         p.write_text("a\tr\nb\tr\nc\ta\n")
         with pytest.raises(StructuralError, match="virtual root id .* is empty, padded or holds"):
+            load_edge_list(p, virtual_root=root)
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    @pytest.mark.parametrize("root", [None, "ROOT"])
+    def test_file_without_nodes_is_rejected(self, tmp_path, text, root):
+        p = tmp_path / "g.tsv"
+        p.write_text(text)
+        with pytest.raises(StructuralError, match="g.tsv: the graph holds no node"):
             load_edge_list(p, virtual_root=root)
 
     def test_virtual_root_collision(self, tmp_path):
@@ -202,9 +211,9 @@ def lowest_common_subsumer(g, depths, u, v):
 
 
 def second_order_neighborhood(g, v):
-    """Nodes the breadth-first reach finds within two edges of `v`, minus `v`."""
-    order, _ = bfs_distances(g.neighbors, g.idx(v), max_dist=2)
-    return {g.ids[i] for i in order[1:]}
+    """Nodes one or two undirected edges from `v`, by Floyd-Warshall."""
+    dist = floyd_warshall_undirected(g.n, edges_of(g))[g.idx(v)]
+    return {g.ids[i] for i in np.flatnonzero((dist >= 1) & (dist <= 2))}
 
 
 class TestLowestCommonSubsumer:
@@ -279,17 +288,11 @@ class TestBfsDistances:
                     for v in order[starts[d] : starts[d + 1]]:
                         assert dist[src, v] == d
 
-    def test_max_dist_cuts_the_reach(self):
+    def test_chain_reach_in_level_order(self):
         g = TaxonomyGraph(["a", "b", "c", "d"], [("b", "a"), ("c", "b"), ("d", "c")])
-        assert bfs_distances(g.neighbors, 0, max_dist=0) == ([0], [0, 1])
-        assert bfs_distances(g.neighbors, 0, max_dist=1) == ([0, 1], [0, 1, 2])
         order, starts = bfs_distances(g.neighbors, 0)
         assert order == [0, 1, 2, 3]
         assert starts[:4] == [0, 1, 2, 3]
-
-
-def edges_of(g):
-    return [(c, p) for c in range(g.n) for p in g.parents[c]]
 
 
 @PROPERTY_SETTINGS

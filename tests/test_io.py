@@ -360,17 +360,28 @@ def test_only_io_opens_files_for_writing():
 PER_PAIR_REFERENCE = {"pair_similarity", "shortest_path_length", "lcs_index", "wup_index", "jcn_index"}
 
 
-def test_only_metrics_calls_the_per_pair_reference():
-    # bulk scoring goes through SimilarityRows; the scalar path is the tests' reference
+def calls_in_package(names: set[str]) -> dict[str, list[int]]:
+    """Line numbers of the calls to any of `names`, per module of the package."""
     src = Path(taxovec.__file__).parent
-    found = {
+    return {
         f.name: [
             node.lineno
             for node in ast.walk(ast.parse(f.read_text()))
             if isinstance(node, ast.Call)
-            and getattr(node.func, "attr", getattr(node.func, "id", None)) in PER_PAIR_REFERENCE
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
         ]
         for f in sorted(src.glob("*.py"))
     }
+
+
+def test_only_metrics_calls_the_per_pair_reference():
+    # bulk scoring goes through SimilarityRows; the scalar path is the tests' reference
+    found = calls_in_package(PER_PAIR_REFERENCE)
     assert found.pop("metrics.py"), "the guard no longer sees pair_similarity's own calls"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_no_module_calls_the_single_source_bfs():
+    # every traversal in the package is SimilarityRows.block's; bfs_distances is a reference
+    found = calls_in_package({"bfs_distances"})
     assert {name: lines for name, lines in found.items() if lines} == {}

@@ -1,5 +1,5 @@
-"""Similarity-row kernel tests: rows against the per-pair measures, and
-block passes against rows.
+"""Similarity-row kernel tests: blocks of one source and of many sources
+against the oracles, the Floyd-Warshall reach and the per-pair measures.
 
 Graphs are drawn by hypothesis: random DAGs with multiple inheritance,
 forests whose trees can share a child, and the same forests joined under
@@ -18,17 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxovec.errors import ConfigError
-from taxovec.graph import TaxonomyGraph, compute_depths, shortest_path_length
+from taxovec.graph import TaxonomyGraph, compute_depths
 from taxovec.metrics import (
     BLOCK,
     MEASURES,
     SimilarityRows,
+    lch_from_path,
     lcs_index,
     pair_similarity,
     propagate_counts,
+    shp_from_path,
 )
 
-from conftest import graph_from, graphs, random_dag_edges
+from conftest import edges_of, graph_from, graphs, random_dag_edges
 from oracles import floyd_warshall_undirected
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -41,34 +43,51 @@ def context(g: TaxonomyGraph, seed: int):
     return compute_depths(g), propagate_counts(g, raw)
 
 
-def dense_rows(g, measure, depths, table, max_dist=None) -> np.ndarray:
-    """n x n matrix of rows; NaN where a node is not in the source's row."""
+def distances(g: TaxonomyGraph) -> np.ndarray:
+    """Floyd-Warshall undirected distances; inf without a path."""
+    return floyd_warshall_undirected(g.n, edges_of(g))
+
+
+def block_rows(rows: SimilarityRows, sources, max_dist=None) -> tuple[np.ndarray, np.ndarray]:
+    """One block as len(sources) x n matrices (reached, scores); scores is
+    NaN where a node is absent for a source. Each (source, target) pair
+    must occur once."""
+    sources = np.asarray(sources, dtype=np.int64)
+    got, targets, scores = rows.block(sources, max_dist)
+    row_of = {s: k for k, s in enumerate(sources.tolist())}
+    at = np.array([row_of[s] for s in got.tolist()], dtype=np.int64)
+    hits = np.zeros((len(sources), rows.g.n), dtype=np.int64)
+    np.add.at(hits, (at, targets), 1)
+    assert hits.max(initial=1) == 1
+    out = np.full(hits.shape, np.nan)
+    out[at, targets] = scores
+    return hits.astype(bool), out
+
+
+def dense_rows(g, measure, depths, table, max_dist=None) -> tuple[np.ndarray, np.ndarray]:
+    """(reached, scores) as n x n matrices, one one-source block per row."""
     rows = SimilarityRows(g, measure, depths, table)
-    out = np.full((g.n, g.n), np.nan)
-    for src in range(g.n):
-        targets, sims = rows.row(src, max_dist)
-        assert targets[0] == src
-        out[src, targets] = sims
-    return out
+    reached, scores = zip(*(block_rows(rows, [src], max_dist) for src in range(g.n)))
+    return np.vstack(reached), np.vstack(scores)
 
 
 @PROPERTY_SETTINGS
 @given(g=graphs, seed=st.integers(0, 3))
 def test_row_equals_pair_similarity(g, seed):
     depths, table = context(g, seed)
+    dist = distances(g)
     for measure in MEASURES:
-        rows = dense_rows(g, measure, depths, table)
+        reached, rows = dense_rows(g, measure, depths, table)
+        assert np.array_equal(reached, np.isfinite(dist))
         for u in range(g.n):
             for v in range(g.n):
                 want = pair_similarity(measure, g, g.ids[u], g.ids[v], depths, table)
                 got = rows[u, v]
-                if math.isnan(got):
-                    # absent: no path; NaN inside the row: no common subsumer
+                if not reached[u, v]:  # no path
+                    assert math.isnan(got) and want == 0.0
+                elif math.isnan(got):  # connected, but no common subsumer
+                    assert measure in ("wup", "jcn") and lcs_index(g, depths, u, v) is None
                     assert want == 0.0
-                    if measure in ("shp", "lch"):
-                        assert shortest_path_length(g, g.ids[u], g.ids[v]) is None
-                    else:
-                        assert lcs_index(g, depths, u, v) is None
                 else:
                     assert got == want
 
@@ -78,21 +97,39 @@ def test_row_equals_pair_similarity(g, seed):
 def test_rows_are_symmetric(g, seed):
     depths, table = context(g, seed)
     for measure in MEASURES:
-        rows = dense_rows(g, measure, depths, table)
+        reached, rows = dense_rows(g, measure, depths, table)
+        assert np.array_equal(reached, reached.T)
         assert np.array_equal(rows, rows.T, equal_nan=True)
 
 
 @PROPERTY_SETTINGS
 @given(g=graphs)
 def test_two_edge_reach_matches_floyd_warshall(g):
-    edges = [(c, p) for c in range(g.n) for p in g.parents[c]]
-    dist = floyd_warshall_undirected(g.n, edges)
+    dist = distances(g)
     depths, table = context(g, 0)
-    full = dense_rows(g, "wup", depths, table)
-    for src in range(g.n):
-        targets, sims = SimilarityRows(g, "wup", depths).row(src, max_dist=2)
-        assert sorted(targets.tolist()) == np.flatnonzero(dist[src] <= 2).tolist()
-        assert np.array_equal(sims, full[src, targets], equal_nan=True)
+    _, full = dense_rows(g, "wup", depths, table)
+    reached, near = dense_rows(g, "wup", depths, table, max_dist=2)
+    assert np.array_equal(reached, dist <= 2)
+    assert np.array_equal(near, np.where(reached, full, np.nan), equal_nan=True)
+
+
+def oracle_scores(g, measure, depths, table, dist) -> np.ndarray:
+    """n x n raw scores from the references, NaN without a path or, for
+    wup/jcn, without a common subsumer. shp/lch map the Floyd-Warshall
+    distance through shp_from_path/lch_from_path, as pair_similarity does
+    with its own BFS distance; wup/jcn are pair_similarity."""
+    out = np.full((g.n, g.n), np.nan)
+    ancestors = [g.ancestors(i) for i in range(g.n)]
+    for u, v in zip(*np.nonzero(np.triu(np.isfinite(dist)))):  # symmetric: u <= v
+        u, v, d = int(u), int(v), int(dist[u, v])
+        if measure == "shp":
+            out[u, v] = shp_from_path(d)
+        elif measure == "lch":
+            out[u, v] = lch_from_path(d, depths.max_depth)
+        elif ancestors[u] & ancestors[v]:
+            out[u, v] = pair_similarity(measure, g, g.ids[u], g.ids[v], depths, table)
+        out[v, u] = out[u, v]
+    return out
 
 
 @st.composite
@@ -117,20 +154,17 @@ def block_graphs(draw):
 
 def assert_blocks_equal_rows(g, measure, depths, table, max_dist, picks=()):
     """Every block of consecutive sources, then each array in `picks`,
-    against row() of each of its sources."""
+    against the oracle rows of its sources: the Floyd-Warshall reach
+    within `max_dist` and oracle_scores on it."""
+    dist = distances(g)
+    reach = dist <= (g.n if max_dist is None else max_dist)
+    want = np.where(reach, oracle_scores(g, measure, depths, table, dist), np.nan)
     rows = SimilarityRows(g, measure, depths, table)
     blocks = [np.arange(first, min(first + BLOCK, g.n)) for first in range(0, g.n, BLOCK)]
     for block in [*blocks, *picks]:
-        sources, targets, scores = rows.block(block, max_dist)
-        assert set(sources.tolist()) == set(block.tolist())
-        for src in block.tolist():
-            mine = sources == src
-            got = sorted(zip(targets[mine].tolist(), scores[mine].tolist()))
-            want_t, want_s = rows.row(src, max_dist)
-            want = sorted(zip(want_t.tolist(), want_s.tolist()))
-            assert [t for t, _ in got] == [t for t, _ in want]
-            for (_, a), (_, b) in zip(got, want):
-                assert a == b or (math.isnan(a) and math.isnan(b))
+        reached, got = block_rows(rows, block, max_dist)
+        assert np.array_equal(reached, reach[block])
+        assert np.array_equal(got, want[block], equal_nan=True)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -187,21 +221,16 @@ class TestSimilarityRows:
             [("a1", "a0"), ("b1", "b0"), ("s", "a1"), ("s", "b1")],
         )
         depths = compute_depths(g)
-        targets, sims = SimilarityRows(g, "wup", depths).row(g.idx("a1"))
+        _, targets, sims = SimilarityRows(g, "wup", depths).block(np.array([g.idx("a1")]))
         got = dict(zip((g.ids[t] for t in targets), sims.tolist()))
         assert set(got) == set(g.ids)
         assert math.isnan(got["b1"]) and math.isnan(got["b0"])
         assert got["s"] == pair_similarity("wup", g, "a1", "s", depths)
 
-    def test_shp_row_in_visit_order(self, chain3):
-        targets, sims = SimilarityRows(chain3, "shp").row(chain3.idx("a"))
-        assert targets.tolist() == [0, 1, 2]
-        assert sims.tolist() == [1.0, 0.5, 1 / 3]
-
     def test_unreachable_nodes_are_absent(self):
         g = TaxonomyGraph(["a", "b", "lone"], [("b", "a")])
         for measure in ("shp", "wup"):
-            targets, _ = SimilarityRows(g, measure, compute_depths(g)).row(g.idx("a"))
+            _, targets, _ = SimilarityRows(g, measure, compute_depths(g)).block(np.array([g.idx("a")]))
             assert g.idx("lone") not in targets.tolist()
 
     def test_scorers_on_one_graph_share_its_schedule_and_ic_vector(self):
