@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -465,6 +466,8 @@ def cmd_bench(graph_path, virtual_root, measure, ic_counts, model_path, dim, que
         "measure": measure, "methods": ",".join(method_tuple), "repeats": repeats,
         "queries": ",".join(query_list), "topk": topk, "dim": dim,
         "virtual_root": virtual_root or "-",
+        # the dot timings depend on BLAS threading, which the environment sets
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset",
     }
     write_manifest(manifest_path or "taxovec-bench.manifest", "bench", config, inputs, seed, time.perf_counter() - t0)
 

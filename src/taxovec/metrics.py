@@ -18,6 +18,7 @@ through one score function per measure.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -233,6 +234,7 @@ class SimilarityRows:
     ):
         self.g = g
         self.measure = _measure_with_context(measure, depths, ic_table)
+        self._degree = np.diff(g.csr[0])
         if self.measure == "shp":
             self._path_score = shp_from_path
         elif self.measure == "lch":
@@ -251,56 +253,83 @@ class SimilarityRows:
         self, sources: np.ndarray, max_dist: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sources, targets, scores) triples for an array of at most BLOCK
-        distinct dense indices `sources`, in any order.
+        distinct dense indices `sources`, in any order; more sources, a
+        repeated source or an index outside the graph is a config error.
 
         For each of those sources the triples hold every node within
         `max_dist` undirected edges of it (all connected nodes when None),
-        the source itself included, with its raw similarity; the triples
-        run in order of distance. Nodes absent for a source have no path
-        to it within the limit. A wup/jcn target sharing no common
-        subsumer with its source scores NaN, where pair_similarity
-        reports 0.0.
+        the source itself included, with its raw similarity. Nodes absent
+        for a source have no path to it within the limit. A wup/jcn target
+        sharing no common subsumer with its source scores NaN, where
+        pair_similarity reports 0.0. The triples run by distance: first
+        the sources in the order given, then each later level by target
+        index and, within a target, by source position.
 
-        Each level ORs the frontier's words into their neighbours' words
-        over the frontier's CSR slices only, and unpacks just the words
-        that gained bits. A level costs the frontier's edges plus one
-        scan of an n-word array, and only reached pairs are
-        materialised, so a fast-mode block costs its reach, not BLOCK x n.
+        Bit j of a node's word stands for sources[j]. One dense `unseen`
+        array holds each node's source bits not yet reached. A level ORs
+        the frontier's words into their neighbours' words over the
+        frontier's CSR slices only, masks the result with `unseen` and
+        keeps the nonzero words as the next frontier: about a dozen numpy
+        calls, the frontier's edges and a few scans of n words. The
+        levels' (frontier, words) are held and unpacked together, in one
+        unpackbits per flush, which comes when the held words would pass
+        n, so one unpack never takes more words than one level can hold.
+        Only the low 1, 2, 4 or 8 bytes of a word are unpacked, as the
+        block has up to 8, 16, 32 or 64 sources, so a one-source query
+        unpacks 8 bits per reached node. Each pair's source position is
+        kept in one byte until the scores are taken. Only reached pairs
+        are materialised, so a fast-mode block costs its reach, not
+        BLOCK x n.
         """
         offsets, flat = self.g.csr
+        n = self.g.n
         src = np.asarray(sources, dtype=np.int64)
+        ordered = np.sort(src)
+        if (
+            len(src) > BLOCK
+            or (len(src) and (ordered[0] < 0 or ordered[-1] >= n))
+            or (ordered[1:] == ordered[:-1]).any()
+        ):
+            raise ConfigError(
+                f"a block takes at most {BLOCK} distinct node indices in [0, {n}), got "
+                f"{len(src)} sources, {len(np.unique(src))} distinct, from {ordered[0]} to {ordered[-1]}"
+            )
+        width = next(w for w in (1, 2, 4, 8) if len(src) <= 8 * w)  # bytes unpacked per word
         frontier = src
         words = np.left_shift(np.uint64(1), np.arange(len(src), dtype=np.uint64))
-        seen = np.zeros(self.g.n, dtype=np.uint64)
-        seen[src] = words
-        reach = np.zeros(self.g.n, dtype=np.uint64)  # work array, all zero between levels
-        targets, columns, sizes = [src], [np.arange(len(src))], [len(src)]  # per distance
-        while max_dist is None or len(sizes) <= max_dist:
+        unseen = np.full(n, (1 << len(src)) - 1, dtype=np.uint64)
+        unseen[src] ^= words
+        reach = np.zeros(n, dtype=np.uint64)  # work array, all zero between levels
+        held, parts = [], []  # levels not yet unpacked, and (targets, columns, sizes) of those that were
+        count = 0  # words held
+        for level in itertools.count():
+            if count + len(frontier) > n:
+                parts.append(_unpack(held, width))
+                held, count = [], 0
+            held.append((frontier, words))
+            count += len(frontier)
+            if level == max_dist:
+                break
             # OR each frontier word into the words of its node's neighbours
-            degree = offsets[frontier + 1] - offsets[frontier]
+            degree = self._degree[frontier]
             edges = spans(offsets[frontier], degree)
             np.bitwise_or.at(reach, flat[edges], np.repeat(words, degree))
-            touched = np.flatnonzero(reach != 0)  # a bool mask scans about 4x faster than words
-            new = reach[touched] & ~seen[touched]
-            reach[touched] = 0
-            fresh = np.flatnonzero(new != 0)
-            if not len(fresh):
+            reach &= unseen
+            frontier = np.flatnonzero(reach != 0)  # a bool mask scans about 4x faster than words
+            if not len(frontier):
                 break
-            frontier, words = touched[fresh], new[fresh]
-            seen[frontier] |= words
-            # emit (target, source) for the set bits of the new words only
-            bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-            found = np.flatnonzero(bits.view(bool))  # word i, bit j at 64 * i + j
-            targets.append(frontier[found >> 6])
-            columns.append(found & 63)
-            sizes.append(len(found))
-        targets = np.concatenate(targets)
-        columns = np.concatenate(columns)
+            words = reach[frontier]
+            reach[frontier] = 0
+            unseen[frontier] ^= words
+        parts.append(_unpack(held, width))
+        targets, columns, sizes = zip(*parts)
+        targets, columns = np.concatenate(targets), np.concatenate(columns)
+        heads = src[columns]
         if self.measure in ("shp", "lch"):
-            dist = np.repeat(np.arange(len(sizes)), sizes)
-            return src[columns], targets, self._scores(src[columns], targets, dist)
+            sizes = [size for part in sizes for size in part]
+            return heads, targets, self._scores(heads, targets, np.repeat(np.arange(len(sizes)), sizes))
         best = self._subsumers(src, targets)
-        return src[columns], targets, self._scores(src[columns], targets, best[targets, columns])
+        return heads, targets, self._scores(heads, targets, best[targets, columns])
 
     def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
         """Raw scores of every pair in us x vs, shape (len(us), len(vs)).
@@ -383,3 +412,19 @@ class SimilarityRows:
                 scores[np.isinf(ic[src]) | np.isinf(ic[targets])] = 0.0
         scores[key < 0] = np.nan
         return scores
+
+
+def _unpack(held: list[tuple[np.ndarray, np.ndarray]], width: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(targets, columns, sizes) of the set bits of BFS levels held as
+    (nodes, words): the low `width` bytes of each word, in one unpackbits.
+    Bits run by level, node order within it, then bit; sizes counts the
+    bits of each level."""
+    shift = (8 * width).bit_length() - 1
+    nodes = np.concatenate([f for f, _ in held])
+    packed = np.concatenate([w for _, w in held]).astype(f"<u{width}", copy=False).view(np.uint8)
+    found = np.flatnonzero(np.unpackbits(packed, bitorder="little").view(bool))  # word i, bit j at (i << shift) + j
+    stops = [end << shift for end in itertools.accumulate(len(f) for f, _ in held)]
+    ends = np.searchsorted(found, stops).tolist()
+    columns = found.astype(np.uint8) & np.uint8(8 * width - 1)  # a column fits a byte: 8 x less memory
+    found >>= shift
+    return nodes[found], columns, [b - a for a, b in zip([0, *ends], ends)]

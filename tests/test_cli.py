@@ -565,6 +565,24 @@ class TestBench:
         got = read_manifest(workdir / "taxovec-bench.manifest")
         assert got["config.queries"] == "c,d"
 
+    @pytest.mark.parametrize(
+        "env, want",
+        [({}, "unset"), ({"OMP_NUM_THREADS": "2"}, "2"),
+         ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, "1")],
+    )
+    def test_manifest_records_blas_threads(self, workdir, monkeypatch, env, want):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        code = main(
+            ["bench", "--graph", "tree.tsv", "--measure", "shp",
+             "--dim", "8", "--queries", "2", "--repeats", "5"]
+        )
+        assert code == 0
+        got = read_manifest(workdir / "taxovec-bench.manifest")
+        assert got["config.blas_threads"] == want
+
     def test_too_few_repeats(self, workdir, capsys):
         code = main(
             ["bench", "--graph", "tree.tsv", "--measure", "shp",

@@ -10,6 +10,7 @@ of a partial last block all occur.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxovec import metrics
 from taxovec.errors import ConfigError
 from taxovec.graph import TaxonomyGraph, compute_depths
 from taxovec.metrics import (
@@ -183,17 +185,100 @@ def test_block_equals_rows(g, measure, max_dist, seed, pick):
     assert_blocks_equal_rows(g, measure, depths, table, max_dist, picks=[sources])
 
 
-@pytest.mark.parametrize("measure", MEASURES)
-@pytest.mark.parametrize("max_dist", [None, 2, 1, 0])
-def test_block_equals_rows_past_one_block(measure, max_dist):
-    # 150 nodes, two of them isolated, three blocks
+@functools.cache
+def past_one_block_graph() -> TaxonomyGraph:
+    """150 nodes, two of them isolated, three blocks."""
     n = 150
     edges = [(c, p) for c, p in random_dag_edges(n, 7, extra=40) if c not in (1, 2)]
     edges = [(c, p) for c, p in edges if not {c, p} & {40, 100}]
-    g = graph_from(n, edges, virtual_root=False)
+    return graph_from(n, edges, virtual_root=False)
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("max_dist", [None, 2, 1, 0])
+def test_block_equals_rows_past_one_block(measure, max_dist):
+    g = past_one_block_graph()
     depths, table = context(g, 1)
-    picks = [np.array([149, 3, 77, 40, 0, 120]), np.random.default_rng(2).choice(n, BLOCK, replace=False)]
+    picks = [np.array([149, 3, 77, 40, 0, 120]), np.random.default_rng(2).choice(g.n, BLOCK, replace=False)]
     assert_blocks_equal_rows(g, measure, depths, table, max_dist, picks)
+
+
+@functools.cache
+def past_one_block_oracle(measure: str) -> tuple[np.ndarray, np.ndarray]:
+    """Floyd-Warshall distances and oracle_scores of past_one_block_graph."""
+    g = past_one_block_graph()
+    depths, table = context(g, 1)
+    dist = distances(g)
+    return dist, oracle_scores(g, measure, depths, table, dist)
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("max_dist", [None, 0, 1, 2])
+@pytest.mark.parametrize("k", [1, 8, 9, 16, 17, 32, 33, 63, 64])
+def test_block_triples_run_in_level_order(measure, max_dist, k):
+    # every unpack width (1, 2, 4 and 8 bytes of a word) and both sides of
+    # each width's limit; the sources come in no particular order
+    g = past_one_block_graph()
+    depths, table = context(g, 1)
+    dist, want = past_one_block_oracle(measure)
+    sources = np.random.default_rng(k).choice(g.n, k, replace=False)
+    d = dist[sources]
+    column, target = np.nonzero(d <= (g.n if max_dist is None else max_dist))
+    d = d[column, target]
+    later = np.lexsort((column, target, d))[np.count_nonzero(d == 0) :]  # by (distance, target, column)
+    want_src = np.concatenate((sources, sources[column[later]]))  # level 0: the sources as given
+    want_tgt = np.concatenate((sources, target[later]))
+    got_src, got_tgt, got = SimilarityRows(g, measure, depths, table).block(sources, max_dist)
+    assert got_src.tolist() == want_src.tolist()
+    assert got_tgt.tolist() == want_tgt.tolist()
+    assert np.array_equal(got, want[want_src, want_tgt], equal_nan=True)
+
+
+def test_block_unpacks_at_most_n_words_per_call(monkeypatch):
+    # 64 full-reach sources on a 320-node path with side branches: the
+    # levels hold several times n words in all, and each unpackbits call
+    # takes at most n of them (8 bytes each), so emission memory stays
+    # that of one n-word level
+    n = 320
+    edges = [(c, c - 1) for c in range(1, 300)] + [(c, c - 290) for c in range(300, n)]
+    g = graph_from(n, edges, virtual_root=False)
+    depths, table = context(g, 0)
+    unpackbits = np.unpackbits
+    words = []
+
+    def spy(packed, *args, **kwargs):
+        words.append(packed.size // 8)
+        return unpackbits(packed, *args, **kwargs)
+
+    monkeypatch.setattr(metrics.np, "unpackbits", spy)
+    for measure in ("shp", "wup"):
+        for sources in (np.arange(0, n, 5), np.arange(n - 64, n)[::-1]):
+            words.clear()
+            got_src, got_tgt, _ = SimilarityRows(g, measure, depths, table).block(sources)
+            assert len(got_src) == len(sources) * n
+            assert len(set(zip(got_src.tolist(), got_tgt.tolist()))) == len(sources) * n
+            assert sum(words) > 2 * n and max(words) <= n
+
+
+class TestBlockSources:
+    def test_more_than_block_sources_is_a_config_error(self):
+        g = past_one_block_graph()
+        rows = SimilarityRows(g, "shp")
+        with pytest.raises(ConfigError, match=f"at most {BLOCK} distinct"):
+            rows.block(np.arange(BLOCK + 6))
+        assert len(rows.block(np.arange(BLOCK))[0]) == np.isfinite(distances(g)[:BLOCK]).sum()
+
+    @pytest.mark.parametrize("sources", [[5, 5, 7], [7, 5, 7], [0, 1, 0]])
+    def test_a_repeated_source_is_a_config_error(self, sources):
+        rows = SimilarityRows(past_one_block_graph(), "shp")
+        with pytest.raises(ConfigError, match="distinct"):
+            rows.block(np.array(sources))
+
+    @pytest.mark.parametrize("sources", [[-1], [3, 150], [149, -150]])
+    def test_an_index_outside_the_graph_is_a_config_error(self, sources):
+        rows = SimilarityRows(past_one_block_graph(), "shp")
+        with pytest.raises(ConfigError, match=r"in \[0, 150\)"):
+            rows.block(np.array(sources))
 
 
 @settings(max_examples=40, deadline=None, database=None)
