@@ -332,10 +332,10 @@ def cmd_wsd(graph_path, virtual_root, instances_path, scorer_kind, measure, ic_c
     if sweep:
         try:
             lo, hi, step = (float(x) for x in sweep.split(":"))
-            if step <= 0 or hi < lo:
+            if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:  # inf would never end
                 raise ValueError
         except ValueError:
-            raise click.UsageError("--sweep expects `lo:hi:step` with step > 0")
+            raise click.UsageError("--sweep expects finite `lo:hi:step` with step > 0")
         while lo <= hi + 1e-12:
             sweep_values.append(lo)
             lo += step

@@ -20,6 +20,7 @@ nodes x BLOCK subsumer table) plus O(nodes * top_k) for the survivors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -68,6 +69,8 @@ class DatasetConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected full or fast")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise ConfigError("threshold must be a number, got nan")
 
     @property
     def raw_threshold(self) -> float:

@@ -25,7 +25,8 @@ class TaxonomyGraph:
     """Immutable directed acyclic hypernym graph over string node ids.
 
     Construction runs one topological pass that rejects a cycle and stores
-    every node's level and depth; `csr` and `schedule`, the array forms the
+    every node's level and depth; `csr` (the undirected adjacency) and
+    `schedule` (the parent edges grouped by level), the array forms the
     measures and the trainer share, are derived once per graph on first use.
     """
 
@@ -126,29 +127,21 @@ class TaxonomyGraph:
         return _flatten(self.neighbors)
 
     @functools.cached_property
-    def schedule(self) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
-        """The levels as an int64 array, and the levels above 0 as a
-        schedule for a DP that needs every parent before its child.
+    def schedule(self) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """The levels as an int64 array, and the parent edges grouped by
+        level as a schedule for a DP that needs every parent before its child.
 
-        Per level from 1 up the schedule holds: its nodes in index order,
-        each node followed by its parents (its family), the offsets of
-        those families (for np.maximum.reduceat), and for every family
-        entry the position of its node among the level's nodes.
+        Entry k holds the int64 arrays (children, parents) of every edge
+        whose child is at level k + 1, by child index, then in parents[c]
+        order; every parent sits at a lower level.
         """
         level = np.array(self.levels, dtype=np.int64)
-        order = np.argsort(level, kind="stable")
-        bounds = np.searchsorted(level[order], np.arange(level.max(initial=0) + 2)).tolist()
-        offsets, flat = _flatten(self.parents)
-        n_parents = np.diff(offsets)[order]
-        parents = flat[spans(offsets[order], n_parents)]
-        families = np.insert(parents, np.cumsum(n_parents) - n_parents, order)  # all, in level order
-        family_at = np.concatenate(([0], np.cumsum(n_parents + 1)))
-        owner = np.repeat(np.arange(self.n), n_parents + 1)
-        schedule = []
-        for a, b in zip(bounds[1:-1], bounds[2:]):
-            lo, hi = family_at[a], family_at[b]
-            schedule.append((order[a:b], families[lo:hi], family_at[a:b] - lo, owner[lo:hi] - a))
-        return level, schedule
+        offsets, parents = _flatten(self.parents)
+        children = np.repeat(np.arange(self.n), np.diff(offsets))
+        order = np.argsort(level[children], kind="stable")
+        children, parents = children[order], parents[order]
+        bounds = np.searchsorted(level[children], np.arange(1, level.max(initial=0) + 2)).tolist()
+        return level, [(children[a:b], parents[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)

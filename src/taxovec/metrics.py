@@ -213,13 +213,13 @@ class SimilarityRows:
     Scores agree exactly with pair_similarity. shp/lch map each
     breadth-first distance through shp_from_path/lch_from_path. wup/jcn
     take the deepest common subsumer of each source and each target from
-    one DP, _subsumers, over a topological schedule of the DAG:
+    one DP, _subsumers, over the DAG's parent edges grouped by level:
 
         best[t] = max(key(t) if t is an ancestor of src, best[p] for parents p)
 
     with key (depth, -index), the tie order of lcs_index, and one column
-    per source. The DP visits only the ancestor closure of the targets.
-    The schedule and the CSR adjacency are derived once per graph
+    per source. The DP folds only the edges into the ancestor closure of
+    the targets. The schedule and the CSR adjacency are derived once per graph
     (g.schedule, g.csr) and the IC vector once per table
     (ic_table.ic_vector), so an instance costs only its key ranks. Both
     shapes score through _scores, so each formula lives once.
@@ -365,9 +365,10 @@ class SimilarityRows:
         t as best[t, j], -1 where there is none. Exact at `targets` and
         their ancestors.
 
-        A downward pass over the schedule marks the ancestor closure of
-        `targets`; the DP then runs upward over the marked nodes only and
-        skips every level without one.
+        best starts at each source's reflexive ancestors, seeded from
+        g.ancestors. A downward pass over the schedule's parent edges marks
+        the ancestor closure of `targets`; the DP then folds each level's
+        marked edges upward with np.maximum.at, parents before children.
         """
         best = np.full((self.g.n, len(sources)), -1, dtype=np.int64)
         for j, s in enumerate(sources.tolist()):
@@ -377,16 +378,11 @@ class SimilarityRows:
         levels = self._schedule[: self._level[targets].max(initial=0)]
         marked = np.zeros(self.g.n, dtype=bool)
         marked[targets] = True
-        hits = []  # deepest level first
-        for nodes, families, _, owner in reversed(levels):
-            hit = marked[nodes]
-            marked[families[hit[owner]]] = True
-            hits.append(hit)
-        for (nodes, families, offsets, owner), hit in zip(levels, reversed(hits)):
-            if hit.any():
-                keep = hit[owner]  # the marked nodes' families, still contiguous
-                offs = np.cumsum(keep)[offsets[hit]] - 1
-                best[nodes[hit]] = np.maximum.reduceat(best[families[keep]], offs, axis=0)
+        for children, parents in reversed(levels):
+            marked[parents[marked[children]]] = True
+        for children, parents in levels:
+            hit = marked[children]
+            np.maximum.at(best, children[hit], best[parents[hit]])
         return best
 
     def _scores(self, src: np.ndarray, targets: np.ndarray, key: np.ndarray) -> np.ndarray:

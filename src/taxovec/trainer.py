@@ -200,18 +200,18 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.d}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.negatives < 0:
             raise ConfigError(f"negatives must be >= 0, got {self.negatives}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.l1 < 0:
-            raise ConfigError(f"l1 must be >= 0, got {self.l1}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.l1) and self.l1 >= 0):
+            raise ConfigError(f"l1 must be finite and >= 0, got {self.l1}")
         if self.early_stop_patience < 1:
             raise ConfigError(
                 f"early_stop_patience must be >= 1, got {self.early_stop_patience}"
@@ -417,12 +417,18 @@ def _epoch_batches(
         )
 
 
-def _dev_spearman(m: EmbeddingMatrix, dev: list[TrainingPair]) -> float:
+def _dev_spearman(m: EmbeddingMatrix, dev: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+    """Spearman of the dev pairs' golds against their dots, each dot computed
+    as score(m, u, v) does, from float64 copies of the two rows."""
     from .evaluation import spearman  # deferred: evaluation imports this module
 
-    preds = [score(m, p.u, p.v, "dot") for p in dev]
-    golds = [p.s for p in dev]
-    return spearman(preds, golds)
+    I, J, S = dev
+    V = m.matrix
+    preds = [
+        float(V[i].astype(np.float64) @ V[j].astype(np.float64))
+        for i, j in zip(I.tolist(), J.tolist())
+    ]
+    return spearman(preds, S.tolist())
 
 
 def train(
@@ -446,6 +452,13 @@ def train(
     if len(nodes_seen) < 2:
         raise ConfigError("training pairs must cover at least 2 distinct nodes")
     ijs = _index_pairs(pairs, g)
+    dev = _index_pairs(cfg.dev_set, g) if cfg.dev_set else None
+    if dev is not None:  # checked before the first batch, not after an epoch
+        golds = dev[2]
+        if len(golds) < 3:
+            raise DataError(f"the dev set needs at least 3 pairs, got {len(golds)}")
+        if np.all(golds == golds[0]):
+            raise DataError("the dev set's golds are constant, so it has no rank correlation")
 
     rng = np.random.default_rng(cfg.seed)
     V = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(g.n, cfg.d)).astype(cfg.dtype)
@@ -502,8 +515,8 @@ def train(
                 V[touched] = rows
 
         dev_rho = None
-        if cfg.dev_set:
-            dev_rho = _dev_spearman(m, cfg.dev_set)
+        if dev is not None:
+            dev_rho = _dev_spearman(m, dev)
         if on_epoch is not None:
             on_epoch(
                 EpochStats(

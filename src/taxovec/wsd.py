@@ -15,6 +15,7 @@ so a threshold sweep scores each sentence once.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +54,8 @@ class WsdConfig:
     threshold: float = 0.95
 
     def __post_init__(self) -> None:
+        if math.isnan(self.threshold):
+            raise ConfigError("threshold must be a number, got nan")
         normalized = isinstance(self.scorer, MeasureScorer) and self.scorer.norm_range
         if normalized and not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(

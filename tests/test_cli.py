@@ -162,6 +162,15 @@ class TestSimilarities:
         assert not (workdir / "pairs.tsv").exists()
         assert not (workdir / "pairs.tsv.manifest").exists()
 
+    def test_nan_threshold_is_a_usage_error(self, workdir, capsys):
+        code = main(
+            ["similarities", "--graph", "tree.tsv", "--measure", "shp",
+             "--threshold", "nan", "--output", "pairs.tsv"]
+        )
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (workdir / "pairs.tsv").exists()
+
     def test_virtual_root_connects_forest(self, workdir):
         (workdir / "forest.tsv").write_text("b\ta\nd\tc\n")
         code = main(
@@ -242,6 +251,18 @@ class TestTrain:
         assert code == 0
         assert "dev_spearman=" in capsys.readouterr().out
 
+    def test_unusable_dev_set_fails_before_the_first_epoch(self, tree_pairs, capsys):
+        (tree_pairs / "dev.tsv").write_text("a\tr\t0.5\nc\ta\t0.5\n")
+        code = main(
+            ["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv",
+             "--dev-pairs", "dev.tsv", "--dim", "4", "--epochs", "2", "--output", "emb.txt"]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "dev set" in err
+        assert "epoch 0" not in out
+        assert not (tree_pairs / "emb.txt").exists()
+
     def test_divergence_exits_three(self, tree_pairs, capsys):
         code = main(
             ["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv",
@@ -250,6 +271,18 @@ class TestTrain:
         )
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--alpha", "--l1", "--learning-rate"])
+    def test_nan_hyperparameter_is_a_usage_error(self, tree_pairs, capsys, option):
+        code = main(
+            ["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv",
+             "--dim", "4", "--epochs", "2", option, "nan", "--output", "emb.txt"]
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "usage error" in err and "nan" in err
+        assert "epoch" not in out
+        assert not (tree_pairs / "emb.txt").exists()
 
     def test_bad_pairs_file_exits_two(self, tree_pairs, capsys):
         (tree_pairs / "bad.tsv").write_text("a\tb\t1.5\n")
@@ -462,6 +495,16 @@ class TestWsd:
         assert "sweep t=0.3000 f1=1.0000" in out
         assert len(calls) == 2  # one grid per sentence for all four thresholds
 
+    def test_nan_threshold_is_a_usage_error(self, workdir, capsys):
+        (workdir / "inst.tsv").write_text(self.INSTANCES)
+        code = main(
+            ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv",
+             "--measure", "shp", "--threshold", "nan", "--predictions", "preds.tsv"]
+        )
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (workdir / "preds.tsv").exists()
+
     def test_bad_sweep_spec(self, workdir, capsys):
         (workdir / "inst.tsv").write_text(self.INSTANCES)
         code = main(
@@ -469,6 +512,16 @@ class TestWsd:
              "--measure", "shp", "--sweep", "backwards"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("spec", ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.5", "-inf:0:0.5"])
+    def test_non_finite_sweep_spec_is_a_usage_error(self, workdir, capsys, spec):
+        (workdir / "inst.tsv").write_text(self.INSTANCES)
+        code = main(
+            ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv",
+             "--measure", "shp", "--sweep", spec]
+        )
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_random_baseline_seeded(self, workdir, capsys):
         (workdir / "inst.tsv").write_text(self.INSTANCES)

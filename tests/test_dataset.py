@@ -179,6 +179,8 @@ class TestBuildFull:
             DatasetConfig(measure="shp", top_k=0)
         with pytest.raises(ConfigError):
             DatasetConfig(measure="shp", mode="turbo")
+        with pytest.raises(ConfigError, match="nan"):
+            DatasetConfig(measure="shp", threshold=float("nan"))
 
     def test_requires_depths_and_ic(self, chain3):
         with pytest.raises(ConfigError):

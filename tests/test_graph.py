@@ -18,7 +18,7 @@ from taxovec.graph import (
     load_edge_list,
     shortest_path_length,
 )
-from taxovec.metrics import lcs_index
+from taxovec.metrics import SimilarityRows, lcs_index, pair_similarity, propagate_counts
 
 from conftest import (
     edge_lists,
@@ -300,6 +300,51 @@ class TestBfsDistances:
 def test_levels_and_depths_match_the_oracles(g):
     assert list(g.levels) == level_oracle(g.n, edges_of(g))
     assert list(compute_depths(g).depths) == depth_oracle(g.n, edges_of(g))
+
+
+def assert_schedule_contract(g):
+    """g.schedule holds one (children, parents) int64 pair per level from 1
+    up; together they hold every parent edge once, each child at its
+    entry's level and each parent at a lower one."""
+    level, schedule = g.schedule
+    assert level.dtype == np.int64 and level.tolist() == list(g.levels)
+    assert len(schedule) == max(g.levels)
+    seen = []
+    for k, (children, parents) in enumerate(schedule, start=1):
+        assert children.dtype == parents.dtype == np.int64
+        assert len(children) == len(parents) > 0
+        assert (level[children] == k).all()
+        assert (level[parents] < k).all()
+        seen += zip(children.tolist(), parents.tolist())
+    assert sorted(seen) == sorted(edges_of(g))  # the graph holds each edge once
+
+
+@PROPERTY_SETTINGS
+@given(g=graphs)
+def test_schedule_holds_each_parent_edge_once_by_level(g):
+    assert_schedule_contract(g)
+
+
+def test_schedule_repeats_a_child_once_per_parent():
+    # d has three parents on two levels, so the DP folds three edges into d
+    g = TaxonomyGraph(
+        ["r", "a", "b", "c", "d"],
+        [("a", "r"), ("b", "r"), ("c", "a"), ("d", "b"), ("d", "c"), ("d", "a")],
+    )
+    assert_schedule_contract(g)
+    _, schedule = g.schedule
+    assert [(c.tolist(), p.tolist()) for c, p in schedule] == [
+        ([1, 2], [0, 0]),
+        ([3], [1]),
+        ([4, 4, 4], [2, 3, 1]),
+    ]
+    depths = compute_depths(g)
+    for measure in ("wup", "jcn"):
+        table = propagate_counts(g, [1.0] * g.n)
+        grid = SimilarityRows(g, measure, depths, table).grid(g.ids, g.ids)
+        assert grid.tolist() == [
+            [pair_similarity(measure, g, u, v, depths, table) for v in g.ids] for u in g.ids
+        ]
 
 
 @PROPERTY_SETTINGS

@@ -385,3 +385,11 @@ def test_no_module_calls_the_single_source_bfs():
     # every traversal in the package is SimilarityRows.block's; bfs_distances is a reference
     found = calls_in_package({"bfs_distances"})
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_metrics_walks_ancestor_sets():
+    # the Python ancestor walk seeds _subsumers and serves propagate_counts and
+    # lcs_index; every other upward pass runs over g.schedule
+    found = calls_in_package({"ancestors"})
+    assert found.pop("metrics.py"), "the guard no longer sees the _subsumers seeds"
+    assert {name: lines for name, lines in found.items() if lines} == {}

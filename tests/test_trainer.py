@@ -379,6 +379,32 @@ class TestTraining:
         with pytest.raises(UnknownNodeError):
             train([TrainingPair("a", "z", 0.5)], g, TrainConfig(d=4))
 
+    @pytest.mark.parametrize(
+        "dev, error",
+        [
+            ([TrainingPair("n000", "zz", 0.5)] * 3, UnknownNodeError),
+            ([TrainingPair("n000", "n001", 0.5), TrainingPair("n001", "n002", 0.3)], DataError),
+            ([TrainingPair("n000", f"n00{k}", 0.5) for k in range(1, 5)], DataError),
+        ],
+        ids=["unknown-id", "two-pairs", "constant-golds"],
+    )
+    def test_bad_dev_set_fails_before_the_first_batch(self, dev, error, monkeypatch):
+        import taxovec.trainer
+
+        calls = []
+        core = taxovec.trainer._loss_and_grads
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(taxovec.trainer, "_loss_and_grads", spy)
+        g = random_tree_graph(12, 6)
+        build = build_full(g, DatasetConfig(measure="shp", seed=1))
+        with pytest.raises(error):
+            train(build.pairs, g, TrainConfig(d=4, epochs=2, dev_set=dev))
+        assert calls == []
+
     def test_dtype_controls_storage(self):
         g = random_tree_graph(12, 6)
         build = build_full(g, DatasetConfig(measure="shp", seed=1))
@@ -468,6 +494,13 @@ class TestModelIO:
             TrainConfig(d=4, learning_rate=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(d=4, epochs=0)
+
+    @pytest.mark.parametrize("field", ["alpha", "l1", "learning_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hyperparameters_are_config_errors(self, field, value):
+        # NaN compares false against every bound, so it used to pass unchecked
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(d=4, **{field: value})
 
 
 def train_digest(tmp_path, **overrides):

@@ -301,6 +301,13 @@ class TestConfig:
         raw = MeasureScorer(star3, "shp", depths)
         WsdConfig(raw, threshold=1.5)  # raw scale: any threshold goes
 
+    def test_nan_threshold_is_a_config_error(self, star3):
+        # NaN keeps no edge, which would silently give every token its first sense
+        depths = compute_depths(star3)
+        for norm_range in (None, (0.2, 0.8)):
+            with pytest.raises(ConfigError, match="nan"):
+                WsdConfig(MeasureScorer(star3, "shp", depths, norm_range=norm_range), threshold=float("nan"))
+
 
 class TestInstanceIO:
     SAMPLE = (
