@@ -11,7 +11,7 @@ from .bench import BenchReport, BenchResult, one_vs_all_dot, one_vs_all_graph, r
 from .dataset import (
     DatasetBuild,
     DatasetConfig,
-    TrainingPair,
+    Pairs,
     build_fast,
     build_full,
     read_pairs,
@@ -60,7 +60,6 @@ from .trainer import (
     EmbeddingMatrix,
     TrainConfig,
     batch_gradients,
-    batch_loss,
     load_embeddings,
     make_batches,
     save_embeddings,
@@ -99,6 +98,7 @@ __all__ = [
     "MeasureScorer",
     "ModelScorer",
     "NumericError",
+    "Pairs",
     "RecordError",
     "SentenceInstance",
     "SimilarityRows",
@@ -106,12 +106,10 @@ __all__ = [
     "TaxonomyGraph",
     "TaxovecError",
     "TrainConfig",
-    "TrainingPair",
     "UnknownNodeError",
     "WsdConfig",
     "artifact_version",
     "batch_gradients",
-    "batch_loss",
     "build_fast",
     "build_full",
     "build_sentence_graph",

@@ -173,9 +173,7 @@ def cmd_train(graph_path, virtual_root, pairs_path, dev_path, dim, alpha, negati
     g = load_edge_list(graph_path, virtual_root)
     check_writable_ids(g.ids)  # fail before training, not at the save
     pairs, _ = read_pairs(pairs_path)
-    dev_set = None
-    if dev_path:
-        dev_set, _ = read_pairs(dev_path)
+    dev_set = read_pairs(dev_path)[0] if dev_path else None
     cfg = TrainConfig(
         d=dim,
         alpha=alpha,

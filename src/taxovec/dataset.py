@@ -16,24 +16,24 @@ canonically before the shuffle, so the file depends only on the graph
 and the config. Memory is one block's triples (at most BLOCK x nodes in
 full mode, BLOCK x the two-edge reach in fast mode; wup/jcn add a
 nodes x BLOCK subsumer table) plus O(nodes * top_k) for the survivors.
+
+The pairs flow from the build through the pairs file to the trainer as
+one columnar Pairs; TrainingPair is only the row type of its indexing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateRangeError,
-    EmptyDatasetError,
-    RecordError,
-)
+from .errors import ConfigError, DegenerateRangeError, EmptyDatasetError, RecordError
 from .graph import DepthIndex, TaxonomyGraph
 from .io import atomic_write, header, real, records
 from .metrics import BLOCK, InformationContentTable, SimilarityRows, validate_measure
@@ -42,11 +42,55 @@ DEFAULT_THRESHOLDS = {"shp": 0.1, "jcn": 0.1, "wup": 0.3, "lch": 1.5}
 
 MODES = ("full", "fast")
 
+WRITE_CHUNK = 1 << 16  # pairs converted to Python values at a time by write_pairs
+
 
 class TrainingPair(NamedTuple):
     u: str
     v: str
     s: float
+
+
+@dataclass(frozen=True, eq=False)
+class Pairs(Sequence):
+    """Pairs as columns: pair k joins ids[i[k]] and ids[j[k]] with score s[k].
+
+    An int indexes one pair as a TrainingPair; a slice or a mask selects
+    a Pairs over the same ids.
+    """
+
+    ids: tuple[str, ...]
+    i: np.ndarray  # int32
+    j: np.ndarray  # int32
+    s: np.ndarray  # float64
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, str, float]]) -> Pairs:
+        """Pairs from (u, v, s) rows, ids numbered in order of first mention."""
+        index: dict[str, int] = {}
+        ends, sims = array("i"), array("d")
+        for u, v, s in rows:
+            ends.append(index.setdefault(u, len(index)))
+            ends.append(index.setdefault(v, len(index)))
+            sims.append(s)
+        ends = np.frombuffer(ends, dtype=np.int32).reshape(-1, 2)
+        return cls(tuple(index), ends[:, 0], ends[:, 1], np.frombuffer(sims, dtype=np.float64))
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return TrainingPair(self.ids[self.i[key]], self.ids[self.j[key]], float(self.s[key]))
+        return Pairs(self.ids, self.i[key], self.j[key], self.s[key])
+
+    def on(self, g: TaxonomyGraph) -> tuple[np.ndarray, np.ndarray]:
+        """Both ends of every pair as int64 indices into g; UnknownNodeError names the first unknown end."""
+        ends = np.stack([self.i, self.j], axis=1).ravel()
+        at = np.array([g.index.get(node, -1) for node in self.ids], dtype=np.int64)[ends]
+        if (at < 0).any():
+            g.idx(self.ids[ends[np.argmax(at < 0)]])
+        return at[0::2], at[1::2]
 
 
 @dataclass(frozen=True)
@@ -83,7 +127,7 @@ class DatasetConfig:
 class DatasetBuild:
     """Finished dataset plus the statistics the run manifest reports."""
 
-    pairs: list[TrainingPair]
+    pairs: Pairs
     config: DatasetConfig
     candidate_count: int
     threshold_kept: int
@@ -160,13 +204,8 @@ def _build(
 
     perm = np.random.default_rng(cfg.seed).permutation(len(codes))
     codes, normalized = codes[perm], normalized[perm]
-    ids = g.ids
-    pairs = [
-        TrainingPair(ids[a], ids[b], s)
-        for a, b, s in zip((codes // g.n).tolist(), (codes % g.n).tolist(), normalized.tolist())
-    ]
     return DatasetBuild(
-        pairs=pairs,
+        pairs=Pairs(g.ids, (codes // g.n).astype(np.int32), (codes % g.n).astype(np.int32), normalized),
         config=cfg,
         candidate_count=candidates,
         threshold_kept=kept,
@@ -228,34 +267,42 @@ def write_pairs(path: str | Path, build: DatasetBuild) -> None:
     with atomic_write(path) as fh:
         for key, value in build.header().items():
             fh.write(f"# {key}={value}\n")
-        for u, v, s in build.pairs:
-            fh.write(f"{u}\t{v}\t{s!r}\n")
+        pairs, ids = build.pairs, build.pairs.ids
+        for k in range(0, len(pairs), WRITE_CHUNK):
+            i, j, s = (col[k:k + WRITE_CHUNK].tolist() for col in (pairs.i, pairs.j, pairs.s))
+            for a, b, x in zip(i, j, s):
+                fh.write(f"{ids[a]}\t{ids[b]}\t{x!r}\n")
 
 
 PAIRS_LAYOUT = "u<TAB>v<TAB>s"
-_pair = partial(tuple.__new__, TrainingPair)  # TrainingPair(u, v, s) without its Python-level __new__
 
 
-def read_pairs(path: str | Path) -> tuple[list[TrainingPair], dict[str, str]]:
+def read_pairs(path: str | Path) -> tuple[Pairs, dict[str, str]]:
     """Read a training-pairs file; returns (pairs, read_pairs_header(path)).
 
-    s must lie in [0, 1]. A self pair, or a pair whose unordered ends
-    repeat an earlier line's, is a DataError naming both lines.
+    Ids are numbered in order of first mention. s must lie in [0, 1]. A
+    self pair, or a pair whose unordered ends repeat an earlier line's,
+    is a DataError naming both lines.
     """
-    pairs: list[TrainingPair] = []
-    seen: set[tuple[str, str]] = set()
-    for where, (u, v, s) in records(path, PAIRS_LAYOUT):
-        sim = real(s, where, "similarity")
-        if not 0.0 <= sim <= 1.0:
-            raise RecordError(f"{where}: similarity {sim!r} outside [0,1]")
-        if u == v:
-            raise RecordError(f"{where}: self pair on {u!r}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:  # rescan for the first line rather than keep every line's
-            first = next(w for w, f in records(path, PAIRS_LAYOUT) if sorted(f[:2]) == list(key))
-            raise RecordError(f"{where}: pair ({u!r}, {v!r}) repeats {first}")
-        seen.add(key)
-        pairs.append(_pair((u, v, sim)))
+
+    def rows() -> Iterator[tuple[str, str, float]]:
+        for where, (u, v, s) in records(path, PAIRS_LAYOUT):
+            sim = real(s, where, "similarity")
+            if not 0.0 <= sim <= 1.0:
+                raise RecordError(f"{where}: similarity {sim!r} outside [0,1]")
+            if u == v:
+                raise RecordError(f"{where}: self pair on {u!r}")
+            yield u, v, sim
+
+    pairs = Pairs.from_rows(rows())
+    codes = np.minimum(pairs.i, pairs.j).astype(np.int64) * len(pairs.ids) + np.maximum(pairs.i, pairs.j)
+    if (np.diff(np.sort(codes)) == 0).any():  # rescan for the two lines rather than keep every line's
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        k = int(np.flatnonzero(first[inverse] != np.arange(len(codes)))[0])
+        e = int(first[inverse[k]])
+        lines = itertools.islice(records(path, PAIRS_LAYOUT), k + 1)
+        (earlier, _), (where, (u, v, _)) = (rec for r, rec in enumerate(lines) if r in (e, k))
+        raise RecordError(f"{where}: pair ({u!r}, {v!r}) repeats {earlier}")
     return pairs, read_pairs_header(path)
 
 

@@ -165,14 +165,18 @@ def validate_measure(measure: str) -> str:
 
 
 def _measure_with_context(
-    measure: str, depths: DepthIndex | None, ic_table: InformationContentTable | None
+    measure: str, g: TaxonomyGraph, depths: DepthIndex | None, ic_table: InformationContentTable | None
 ) -> str:
-    """Validated measure name; a missing DepthIndex or IC table is a config error."""
+    """Validated measure name; a missing or another graph's DepthIndex or IC table is a config error."""
     m = validate_measure(measure)
     if m in ("lch", "wup", "jcn") and depths is None:
         raise ConfigError(f"measure {m!r} requires node depths")
+    if m in ("lch", "wup", "jcn") and depths.depths is not g.depths and depths.depths != g.depths:
+        raise ConfigError(f"measure {m!r} was given the depths of another graph")
     if m == "jcn" and ic_table is None:
         raise ConfigError("measure 'jcn' requires an information content table")
+    if m == "jcn" and len(ic_table.counts) != g.n:
+        raise ConfigError(f"measure 'jcn' was given an IC table of {len(ic_table.counts)} nodes, not {g.n}")
     return m
 
 
@@ -189,7 +193,7 @@ def pair_similarity(
     `lch` and `wup` need a DepthIndex, `jcn` needs both a DepthIndex and
     an InformationContentTable; missing requirements are config errors.
     """
-    m = _measure_with_context(measure, depths, ic_table)
+    m = _measure_with_context(measure, g, depths, ic_table)
     if m == "shp":
         return shp_from_path(shortest_path_length(g, u, v))
     if m == "lch":
@@ -233,7 +237,7 @@ class SimilarityRows:
         ic_table: InformationContentTable | None = None,
     ):
         self.g = g
-        self.measure = _measure_with_context(measure, depths, ic_table)
+        self.measure = _measure_with_context(measure, g, depths, ic_table)
         self._degree = np.diff(g.csr[0])
         if self.measure == "shp":
             self._path_score = shp_from_path

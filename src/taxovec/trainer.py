@@ -16,22 +16,22 @@ Per batch, every gradient contribution lands in its (touched row, column)
 cell through one flat `np.bincount`, which adds the cell's contributions
 in entry order starting from +0.0, exactly as an `np.add.at` scatter
 would. The Adam step gathers each moment array's touched rows once,
-updates them in place and writes them back once. Pairs are mapped to
-index arrays once per `train` call. A seed fixes the saved embedding
-byte for byte; the tests pin the digests.
+updates them in place and writes them back once. Each epoch maps the
+pairs' ids to graph indices with `Pairs.on`, once per id, not per pair.
+A seed fixes the saved embedding byte for byte; the tests pin the digests.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .dataset import TrainingPair
+from .dataset import Pairs
 from .errors import ConfigError, DataError, NumericError, UnknownNodeError
 from .graph import TaxonomyGraph
 from .io import atomic_write, natural, open_text
@@ -193,7 +193,7 @@ class TrainConfig:
     l1: float = 1e-5
     seed: int = 0
     early_stop_patience: int = 2
-    dev_set: list[TrainingPair] | None = None
+    dev_set: Pairs | None = None
     neg_total: bool = False  # split `negatives` across both sides instead of n per side
     dtype: str = "float32"
 
@@ -246,11 +246,12 @@ class EpochStats:
 
 
 def _loss_and_grads(
-    V: np.ndarray, batch: Batch, alpha: float, l1: float, want_grads: bool
-) -> tuple[float, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Shared core for batch_loss and batch_gradients.
+    V: np.ndarray, batch: Batch, alpha: float, l1: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Loss of one batch, its mean entry loss plus the L1 penalty over the
+    rows it touches, and the loss's gradient; train and batch_gradients share it.
 
-    Returns (loss, touched_rows, grads_per_touched_row_or_None, per_entry_terms).
+    Returns (loss, touched_rows, grads_per_touched_row, per_entry_terms).
     All math in float64 regardless of storage dtype.
     """
     vi = V[batch.i].astype(np.float64, copy=False)
@@ -278,8 +279,6 @@ def _loss_and_grads(
     if l1 > 0.0:
         vt = V[touched].astype(np.float64, copy=False)
         loss += l1 * float(np.abs(vt).sum())
-    if not want_grads:
-        return loss, touched, None, terms
 
     with np.errstate(over="ignore", invalid="ignore"):  # diverged rows surface
         gi = 2.0 * err[:, None] * vj                    # as a non-finite loss
@@ -306,20 +305,14 @@ def _loss_and_grads(
     return loss, touched, grads, terms
 
 
-def batch_loss(m: EmbeddingMatrix, batch: Batch, alpha: float, l1: float = 0.0) -> float:
-    """Mean entry loss plus the L1 penalty over rows the batch touches."""
-    loss, _, _, _ = _loss_and_grads(m.matrix, batch, alpha, l1, want_grads=False)
-    return loss
-
-
 def batch_gradients(
     m: EmbeddingMatrix, batch: Batch, alpha: float, l1: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of batch_loss w.r.t. each touched row.
+    """Gradient of the batch loss w.r.t. each touched row.
 
     Returns (touched_row_indices, gradient_rows), rows sorted ascending.
     """
-    _, touched, grads, _ = _loss_and_grads(m.matrix, batch, alpha, l1, want_grads=True)
+    _, touched, grads, _ = _loss_and_grads(m.matrix, batch, alpha, l1)
     return touched, grads
 
 
@@ -336,23 +329,7 @@ def _sample_neighbors(
     return np.where(deg > 0, flat[picks], -1)
 
 
-def _index_pairs(
-    pairs: list[TrainingPair], g: TaxonomyGraph
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoint indices and gold scores; UnknownNodeError for a missing node."""
-    P = len(pairs)
-    I = np.fromiter((g.idx(p.u) for p in pairs), dtype=np.int64, count=P)
-    J = np.fromiter((g.idx(p.v) for p in pairs), dtype=np.int64, count=P)
-    S = np.fromiter((p.s for p in pairs), dtype=np.float64, count=P)
-    return I, J, S
-
-
-def make_batches(
-    pairs: list[TrainingPair],
-    g: TaxonomyGraph,
-    cfg: TrainConfig,
-    epoch_seed,
-) -> Iterator[Batch]:
+def make_batches(pairs: Pairs, g: TaxonomyGraph, cfg: TrainConfig, epoch_seed) -> Iterator[Batch]:
     """Shuffled positives, each followed by its negatives, chunked into batches.
 
     Entry order per positive: the positive itself, then the first-endpoint
@@ -362,30 +339,17 @@ def make_batches(
     (permutation, i-side negatives, j-side negatives, i neighbors,
     j neighbors), which makes the stream a pure function of the seed.
     """
-    if not pairs:
+    if not len(pairs):
         raise ConfigError("cannot make batches from an empty pair list")
-    return _epoch_batches(_index_pairs(pairs, g), g.csr, cfg, epoch_seed)
-
-
-def _epoch_batches(
-    ijs: tuple[np.ndarray, np.ndarray, np.ndarray],
-    csr: tuple[np.ndarray, np.ndarray],
-    cfg: TrainConfig,
-    epoch_seed,
-) -> Iterator[Batch]:
-    """make_batches over pairs already mapped by _index_pairs and the
-    graph's CSR adjacency, so train() maps the pairs once."""
+    I, J = pairs.on(g)
     rng = np.random.default_rng(epoch_seed)
-    I, J, S = ijs
-    offsets, flat = csr
-    n = len(offsets) - 1
-    P = len(I)
+    P = len(pairs)
     perm = rng.permutation(P)
-    I, J, S = I[perm], J[perm], S[perm]
+    I, J, S = I[perm], J[perm], pairs.s[perm]
 
     n_i, n_j = cfg.negatives_per_side()
-    K = rng.integers(0, n, size=(P, n_i), dtype=np.int64)
-    L = rng.integers(0, n, size=(P, n_j), dtype=np.int64)
+    K = rng.integers(0, g.n, size=(P, n_i), dtype=np.int64)
+    L = rng.integers(0, g.n, size=(P, n_j), dtype=np.int64)
 
     block = 1 + n_i + n_j
     E = P * block
@@ -403,18 +367,12 @@ def _epoch_batches(
         ei[1 + n_i + t :: block] = J
         ej[1 + n_i + t :: block] = L[:, t]
 
-    ni = _sample_neighbors(offsets, flat, ei, rng)
-    nj = _sample_neighbors(offsets, flat, ej, rng)
+    ni = _sample_neighbors(*g.csr, ei, rng)
+    nj = _sample_neighbors(*g.csr, ej, rng)
 
     for start in range(0, E, cfg.batch_size):
-        end = min(start + cfg.batch_size, E)
-        yield Batch(
-            i=ei[start:end],
-            j=ej[start:end],
-            s=es[start:end],
-            ni=ni[start:end],
-            nj=nj[start:end],
-        )
+        cut = slice(start, start + cfg.batch_size)
+        yield Batch(i=ei[cut], j=ej[cut], s=es[cut], ni=ni[cut], nj=nj[cut])
 
 
 def _dev_spearman(m: EmbeddingMatrix, dev: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
@@ -432,7 +390,7 @@ def _dev_spearman(m: EmbeddingMatrix, dev: tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def train(
-    pairs: list[TrainingPair],
+    pairs: Pairs,
     g: TaxonomyGraph,
     cfg: TrainConfig,
     on_epoch: Callable[[EpochStats], None] | None = None,
@@ -446,13 +404,11 @@ def train(
     epochs run. A non-finite batch loss aborts with the epoch, batch, and
     first offending pair.
     """
-    if not pairs:
+    if not len(pairs):
         raise ConfigError("training needs at least one pair")
-    nodes_seen = {p.u for p in pairs} | {p.v for p in pairs}
-    if len(nodes_seen) < 2:
+    if len(np.union1d(pairs.i, pairs.j)) < 2:
         raise ConfigError("training pairs must cover at least 2 distinct nodes")
-    ijs = _index_pairs(pairs, g)
-    dev = _index_pairs(cfg.dev_set, g) if cfg.dev_set else None
+    dev = (*cfg.dev_set.on(g), cfg.dev_set.s) if cfg.dev_set else None
     if dev is not None:  # checked before the first batch, not after an epoch
         golds = dev[2]
         if len(golds) < 3:
@@ -474,11 +430,8 @@ def train(
 
     for epoch in range(cfg.epochs):
         losses: list[float] = []
-        batches = _epoch_batches(ijs, g.csr, cfg, [cfg.seed, epoch])
-        for bi, batch in enumerate(batches):
-            loss, touched, grads, terms = _loss_and_grads(
-                V, batch, cfg.alpha, cfg.l1, want_grads=True
-            )
+        for bi, batch in enumerate(make_batches(pairs, g, cfg, [cfg.seed, epoch])):
+            loss, touched, grads, terms = _loss_and_grads(V, batch, cfg.alpha, cfg.l1)
             if not math.isfinite(loss):
                 bad = int(np.flatnonzero(~np.isfinite(terms))[0]) if len(terms) else 0
                 u, v = m.ids[int(batch.i[bad])], m.ids[int(batch.j[bad])]

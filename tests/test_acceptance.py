@@ -24,8 +24,8 @@ from taxovec.trainer import (
     Batch,
     EmbeddingMatrix,
     TrainConfig,
+    _loss_and_grads,
     batch_gradients,
-    batch_loss,
     train,
 )
 from taxovec.wsd import SentenceInstance, Token, WsdConfig, build_sentence_graph, select_senses
@@ -168,7 +168,7 @@ def test_criterion_2_gradient_check():
         m = EmbeddingMatrix([f"n{r}" for r in range(n_rows)], V)
         touched, grads = batch_gradients(m, batch, alpha=alpha, l1=l1)
         fd = finite_difference_grads(
-            lambda M: batch_loss(EmbeddingMatrix(m.ids, M), batch, alpha=alpha, l1=l1),
+            lambda M: _loss_and_grads(M, batch, alpha, l1)[0],
             V,
             touched,
         )

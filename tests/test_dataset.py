@@ -13,6 +13,7 @@ from taxovec.dataset import (
     DEFAULT_THRESHOLDS,
     MODES,
     DatasetConfig,
+    Pairs,
     TrainingPair,
     build_fast,
     build_full,
@@ -26,6 +27,7 @@ from taxovec.errors import (
     DataError,
     DegenerateRangeError,
     EmptyDatasetError,
+    UnknownNodeError,
 )
 from taxovec.graph import TaxonomyGraph, compute_depths
 from taxovec.metrics import MEASURES, pair_similarity, propagate_counts
@@ -268,7 +270,7 @@ class TestFilesAndDeterminism:
         path = tmp_path / "pairs.tsv"
         write_pairs(path, build)
         pairs, meta = read_pairs(path)
-        assert pairs == build.pairs
+        assert list(pairs) == list(build.pairs)
         assert meta["measure"] == "shp"
         assert meta["mode"] == "full"
         assert meta["seed"] == "5"
@@ -290,7 +292,7 @@ class TestFilesAndDeterminism:
         g = random_tree_graph(25, 11)
         b0 = build_full(g, DatasetConfig(measure="shp", top_k=5, seed=0))
         b1 = build_full(g, DatasetConfig(measure="shp", top_k=5, seed=1))
-        assert b0.pairs != b1.pairs
+        assert list(b0.pairs) != list(b1.pairs)
         assert sorted(b0.pairs) == sorted(b1.pairs)
 
     def test_read_rejects_bad_rows(self, tmp_path):
@@ -314,6 +316,10 @@ class TestFilesAndDeterminism:
             p.write_text(f"# norm_min=0.0\na\tb\t0.5\nc\td\t1.0\n\n{repeat}\n")
             with pytest.raises(DataError, match=rf"pairs.tsv:5: pair .* repeats {p}:2$"):
                 read_pairs(p)
+        # the first repeat in line order, though (a, b) sorts before (c, d)
+        p.write_text("a\tb\t0.5\nc\td\t1.0\nd\tc\t0.5\nb\ta\t0.5\n")
+        with pytest.raises(DataError, match=rf"pairs.tsv:3: pair \('d', 'c'\) repeats {p}:2$"):
+            read_pairs(p)
 
     def test_header_is_the_leading_comment_block(self, tmp_path):
         p = tmp_path / "pairs.tsv"
@@ -323,10 +329,12 @@ class TestFilesAndDeterminism:
     def test_read_skips_utf8_bom(self, tmp_path):
         p = tmp_path / "pairs.tsv"
         p.write_text("\ufeff# norm_min=0.25\na\tb\t0.5\n", encoding="utf-8")
-        assert read_pairs(p) == ([TrainingPair("a", "b", 0.5)], {"norm_min": "0.25"})
+        pairs, meta = read_pairs(p)
+        assert (list(pairs), meta) == ([TrainingPair("a", "b", 0.5)], {"norm_min": "0.25"})
         assert read_pairs_header(p) == {"norm_min": "0.25"}
         p.write_text("\ufeffa\tb\t0.5\n", encoding="utf-8")
-        assert read_pairs(p) == ([TrainingPair("a", "b", 0.5)], {})
+        pairs, meta = read_pairs(p)
+        assert (list(pairs), meta) == ([TrainingPair("a", "b", 0.5)], {})
 
     def test_pair_invariants(self):
         for seed in range(4):
@@ -387,6 +395,38 @@ class TestTrainingPairType:
         p = TrainingPair("a", "b", 0.5)
         assert tuple(p) == ("a", "b", 0.5)
         assert p.s == 0.5
+
+
+class TestPairs:
+    ROWS = [("b", "a", 0.5), ("c", "b", 0.25), ("a", "d", 1.0)]
+
+    def test_from_rows_numbers_ids_by_first_mention(self):
+        pairs = Pairs.from_rows(self.ROWS)
+        assert pairs.ids == ("b", "a", "c", "d")
+        assert (pairs.i.tolist(), pairs.j.tolist(), pairs.s.tolist()) == ([0, 2, 1], [1, 0, 3], [0.5, 0.25, 1.0])
+        assert (pairs.i.dtype, pairs.j.dtype, pairs.s.dtype) == (np.int32, np.int32, np.float64)
+        assert list(pairs) == [TrainingPair(*row) for row in self.ROWS]
+
+    def test_indexing(self):
+        pairs = Pairs.from_rows(self.ROWS)
+        assert len(pairs) == 3
+        assert pairs[-1] == pairs[np.int64(2)] == TrainingPair("a", "d", 1.0)
+        with pytest.raises(IndexError):
+            pairs[3]
+        for view in (pairs[1:], pairs[np.array([False, True, True])]):
+            assert isinstance(view, Pairs) and view.ids is pairs.ids
+            assert list(view) == list(pairs)[1:]
+        assert len(Pairs.from_rows([])) == 0
+
+    def test_on_maps_ids_to_graph_indices(self):
+        g = TaxonomyGraph(["a", "b", "c", "d"], [("b", "a"), ("c", "b"), ("d", "a")])
+        i, j = Pairs.from_rows(self.ROWS).on(g)
+        assert (i.tolist(), j.tolist(), i.dtype) == ([1, 2, 0], [0, 1, 3], np.int64)
+        # an unknown id is named only if a selected pair holds it
+        g3 = TaxonomyGraph(["a", "b", "c"], [("b", "a"), ("c", "b")])
+        assert Pairs.from_rows(self.ROWS)[:2].on(g3)[0].tolist() == [1, 2]
+        with pytest.raises(UnknownNodeError, match="'d'"):
+            Pairs.from_rows(self.ROWS).on(g3)
 
 
 # Multi-inheritance DAG; then a forest whose node `s` has a parent in each

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import taxovec
 from taxovec import io, trainer
 from taxovec.cli import main
-from taxovec.dataset import DatasetBuild, DatasetConfig, TrainingPair, read_pairs, write_pairs
+from taxovec.dataset import DatasetBuild, DatasetConfig, Pairs, TrainingPair, read_pairs, write_pairs
 from taxovec.errors import DataError, RecordError
 from taxovec.trainer import EmbeddingMatrix, load_embeddings, save_embeddings
 
@@ -248,11 +248,12 @@ class TestRoundTrips:
             if u != v and frozenset((u, v)) not in seen:
                 seen.add(frozenset((u, v)))
                 unique.append(TrainingPair(u, v, s))
-        build = DatasetBuild(unique, DatasetConfig(measure="wup", top_k=7, seed=3), 0, 0, *norm)
+        build = DatasetBuild(Pairs.from_rows(unique), DatasetConfig(measure="wup", top_k=7, seed=3), 0, 0, *norm)
         with tempfile.TemporaryDirectory() as d:
             p = Path(d) / "pairs.tsv"
             write_pairs(p, build)
-            assert read_pairs(p) == (unique, build.header())
+            pairs, meta = read_pairs(p)
+            assert (list(pairs), meta) == (unique, build.header())
 
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 70), d=st.integers(1, 4),
@@ -354,6 +355,22 @@ def test_only_io_opens_files_for_writing():
     src = Path(taxovec.__file__).parent
     found = {f.name: list(_write_opens(ast.parse(f.read_text()))) for f in sorted(src.glob("*.py"))}
     assert found.pop("io.py"), "the guard no longer sees atomic_write's own open"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_dataset_names_the_pair_row_type():
+    # pairs cross module boundaries as columns; every other module, the trainer
+    # included, sees index arrays and never builds or reads a TrainingPair
+    src = Path(taxovec.__file__).parent
+    found = {
+        f.name: [
+            node.lineno
+            for node in ast.walk(ast.parse(f.read_text()))
+            if "TrainingPair" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        ]
+        for f in sorted(src.glob("*.py"))
+    }
+    assert found.pop("dataset.py"), "the guard no longer sees dataset's own TrainingPair"
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from taxovec.dataset import DatasetConfig, build_fast, build_full
 from taxovec.errors import ConfigError, DataError, UnknownNodeError
 from taxovec.graph import TaxonomyGraph, compute_depths, shortest_path_length
 from taxovec.metrics import (
@@ -286,6 +287,31 @@ class TestValidation:
 
     def test_case_insensitive(self):
         assert validate_measure("ShP") == "shp"
+
+    @pytest.mark.parametrize("measure", ["lch", "wup", "jcn"])
+    def test_depths_of_another_graph_rejected(self, measure):
+        # lch used to score them silently, and wup to fail inside numpy
+        g, big = random_tree_graph(40, 1), random_dag_graph(300, 2, extra=30)
+        table = propagate_counts(g, [1.0] * g.n)
+        with pytest.raises(ConfigError, match="depths of another graph"):
+            build_full(g, DatasetConfig(measure=measure), compute_depths(big), table)
+        with pytest.raises(ConfigError, match="depths of another graph"):
+            pair_similarity(measure, g, g.ids[1], g.ids[2], compute_depths(big), table)
+
+    def test_ic_table_of_another_graph_rejected(self):
+        g, big = random_tree_graph(40, 1), random_dag_graph(300, 2, extra=30)
+        table = propagate_counts(big, [1.0] * big.n)
+        with pytest.raises(ConfigError, match="IC table of 300 nodes, not 40"):
+            build_full(g, DatasetConfig(measure="jcn"), compute_depths(g), table)
+        with pytest.raises(ConfigError, match="IC table of 300 nodes, not 40"):
+            pair_similarity("jcn", g, g.ids[1], g.ids[2], compute_depths(g), table)
+
+    def test_shp_ignores_another_graphs_context(self):
+        # a fast shp build may be handed the depths and IC table of a larger graph
+        g, big = random_dag_graph(300, 2, extra=30), random_tree_graph(40, 1)
+        table = propagate_counts(big, [1.0] * big.n)
+        cfg = DatasetConfig(measure="shp", seed=3)
+        assert list(build_fast(g, cfg, compute_depths(big), table).pairs) == list(build_fast(g, cfg).pairs)
 
     def test_wup_self_uses_lcs_identity(self, chain3):
         depths = compute_depths(chain3)

@@ -4,19 +4,33 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taxovec.dataset import DatasetConfig, TrainingPair, build_full
+from taxovec.dataset import (
+    MODES,
+    DatasetConfig,
+    Pairs,
+    TrainingPair,
+    build_fast,
+    build_full,
+    read_pairs,
+    write_pairs,
+)
+from taxovec.errors import DegenerateRangeError, EmptyDatasetError
 from taxovec.errors import ConfigError, DataError, NumericError, UnknownNodeError
 from taxovec.graph import TaxonomyGraph
 from taxovec.trainer import (
     Batch,
     EmbeddingMatrix,
     TrainConfig,
+    _loss_and_grads,
     batch_gradients,
-    batch_loss,
     load_embeddings,
     make_batches,
     save_embeddings,
@@ -24,8 +38,13 @@ from taxovec.trainer import (
     train,
 )
 
-from conftest import random_dag_graph, random_tree_graph
+from conftest import graphs, random_dag_graph, random_tree_graph
 from oracles import finite_difference_grads
+
+
+def batch_loss(m, batch, alpha, l1=0.0):
+    """The loss of the core that train() and batch_gradients() share."""
+    return _loss_and_grads(m.matrix, batch, alpha, l1)[0]
 
 
 def entry_batch(entries):
@@ -212,10 +231,10 @@ class TestMakeBatches:
 
     def pairs_for(self, g, count=5):
         ids = g.ids
-        return [
+        return Pairs.from_rows(
             TrainingPair(ids[k], ids[(k + 1) % len(ids)], 0.1 * (k + 1))
             for k in range(count)
-        ]
+        )
 
     def test_block_layout_three_per_side(self):
         g = self.graph()
@@ -282,7 +301,7 @@ class TestMakeBatches:
         g = TaxonomyGraph(
             ["r", "x", "y", "lone"], [("x", "r"), ("y", "r")]
         )
-        pairs = [TrainingPair("r", "x", 1.0), TrainingPair("lone", "y", 0.2)]
+        pairs = Pairs.from_rows([TrainingPair("r", "x", 1.0), TrainingPair("lone", "y", 0.2)])
         cfg = TrainConfig(d=4, negatives=2, batch_size=1000)
         (batch,) = list(make_batches(pairs, g, cfg, epoch_seed=5))
         for e in range(len(batch)):
@@ -295,7 +314,7 @@ class TestMakeBatches:
     def test_empty_pairs_rejected(self):
         g = self.graph()
         with pytest.raises(ConfigError):
-            list(make_batches([], g, TrainConfig(d=4), epoch_seed=0))
+            list(make_batches(Pairs.from_rows([]), g, TrainConfig(d=4), epoch_seed=0))
 
 
 class TestTraining:
@@ -321,7 +340,7 @@ class TestTraining:
 
     def test_single_pair_converges_to_target(self):
         g = TaxonomyGraph(["a", "b"], [("b", "a")])
-        pairs = [TrainingPair("a", "b", 0.8)]
+        pairs = Pairs.from_rows([TrainingPair("a", "b", 0.8)])
         cfg = TrainConfig(
             d=4, alpha=0.0, negatives=0, l1=0.0, epochs=500,
             learning_rate=0.01, batch_size=10, seed=1,
@@ -349,7 +368,7 @@ class TestTraining:
         g = random_tree_graph(25, 9)
         build = build_full(g, DatasetConfig(measure="shp", seed=0))
         dev = build.pairs[::3]
-        tr = [p for k, p in enumerate(build.pairs) if k % 3]
+        tr = Pairs.from_rows(p for k, p in enumerate(build.pairs) if k % 3)
         stats = []
         cfg = TrainConfig(d=8, epochs=60, seed=2, dev_set=dev, early_stop_patience=2)
         m = train(tr, g, cfg, on_epoch=stats.append)
@@ -370,21 +389,29 @@ class TestTraining:
 
     def test_nonfinite_loss_reports_location(self):
         g = TaxonomyGraph(["a", "b", "c"], [("b", "a"), ("c", "b")])
-        pairs = [TrainingPair("a", "b", 1e155), TrainingPair("b", "c", 0.5)]
+        pairs = Pairs.from_rows([TrainingPair("a", "b", 1e155), TrainingPair("b", "c", 0.5)])
         with pytest.raises(NumericError, match="epoch 0"):
             train(pairs, g, TrainConfig(d=4, seed=0))
 
     def test_unknown_pair_node_rejected(self):
         g = TaxonomyGraph(["a", "b"], [("b", "a")])
         with pytest.raises(UnknownNodeError):
-            train([TrainingPair("a", "z", 0.5)], g, TrainConfig(d=4))
+            train(Pairs.from_rows([TrainingPair("a", "z", 0.5)]), g, TrainConfig(d=4))
+
+    def test_unknown_id_of_a_pairs_file_named_in_file_order(self, tmp_path):
+        g = TaxonomyGraph(["a", "b"], [("b", "a")])
+        path = tmp_path / "pairs.tsv"
+        path.write_text("a\tx\t0.5\nq\tb\t0.2\n")
+        pairs, _ = read_pairs(path)
+        with pytest.raises(UnknownNodeError, match="'x'"):
+            train(pairs, g, TrainConfig(d=4))
 
     @pytest.mark.parametrize(
         "dev, error",
         [
-            ([TrainingPair("n000", "zz", 0.5)] * 3, UnknownNodeError),
-            ([TrainingPair("n000", "n001", 0.5), TrainingPair("n001", "n002", 0.3)], DataError),
-            ([TrainingPair("n000", f"n00{k}", 0.5) for k in range(1, 5)], DataError),
+            (Pairs.from_rows([TrainingPair("n000", "zz", 0.5)] * 3), UnknownNodeError),
+            (Pairs.from_rows([TrainingPair("n000", "n001", 0.5), TrainingPair("n001", "n002", 0.3)]), DataError),
+            (Pairs.from_rows([TrainingPair("n000", f"n00{k}", 0.5) for k in range(1, 5)]), DataError),
         ],
         ids=["unknown-id", "two-pairs", "constant-golds"],
     )
@@ -503,6 +530,28 @@ class TestModelIO:
             TrainConfig(d=4, **{field: value})
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(g=graphs, mode=st.sampled_from(MODES), seed=st.integers(0, 3))
+def test_training_on_the_written_file_saves_the_same_bytes(g, mode, seed):
+    # read_pairs numbers ids by first mention in the file, the build by graph
+    # index; Pairs.on must map both to the same rows
+    cfg = DatasetConfig(measure="shp", top_k=3, seed=seed)
+    try:
+        build = (build_full if mode == "full" else build_fast)(g, cfg)
+    except (EmptyDatasetError, DegenerateRangeError):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.tsv"
+        write_pairs(path, build)
+        read, _ = read_pairs(path)
+        saved = []
+        for pairs in (build.pairs, read):
+            m = train(pairs, g, TrainConfig(d=3, epochs=2, batch_size=16, seed=seed))
+            save_embeddings(m, path)
+            saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+
+
 def train_digest(tmp_path, **overrides):
     """sha256 of the saved text embedding of one seeded run, with the
     number of epochs it ran and of pairs it trained on.
@@ -515,7 +564,7 @@ def train_digest(tmp_path, **overrides):
     kwargs = dict(d=24, epochs=3, seed=5)
     if overrides.pop("early_stop", False):
         kwargs.update(epochs=60, dev_set=pairs[::3])
-        pairs = [p for k, p in enumerate(pairs) if k % 3]
+        pairs = Pairs.from_rows(p for k, p in enumerate(pairs) if k % 3)
     kwargs.update(overrides)
     stats = []
     m = train(pairs, g, TrainConfig(**kwargs), on_epoch=stats.append)
