@@ -33,7 +33,6 @@ from .evaluation import (
     EvalReport,
     LemmaPairRecord,
     MeasureScorer,
-    ModelScorer,
     dynamic_selection,
     evaluate,
     spearman,
@@ -58,6 +57,7 @@ from .metrics import (
 from .trainer import (
     Batch,
     EmbeddingMatrix,
+    ModelScorer,
     TrainConfig,
     batch_gradients,
     load_embeddings,

@@ -12,12 +12,14 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import bench as bench_mod
 from . import wsd as wsd_mod
@@ -32,7 +34,6 @@ from .dataset import (
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import (
     MeasureScorer,
-    ModelScorer,
     evaluate,
     load_candidates,
     load_lemma_pairs,
@@ -46,6 +47,7 @@ from .metrics import MEASURES, load_raw_counts, propagate_counts
 from .trainer import (
     EmbeddingMatrix,
     EpochStats,
+    ModelScorer,
     TrainConfig,
     check_writable_ids,
     load_embeddings,
@@ -215,6 +217,27 @@ def cmd_train(graph_path, virtual_root, pairs_path, dev_path, dim, alpha, negati
     click.echo(f"wrote {m.n}x{m.d} embeddings to {output}")
 
 
+def _scorer_options(default: str):
+    """The four options that choose the pair scorer of eval-sim and wsd."""
+    options = (
+        click.option("--scorer", "scorer_kind", type=click.Choice(["model", "measure"]), default=default, show_default=True),
+        click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False), default=None),
+        click.option("--score-mode", type=click.Choice(["dot", "cosine"]), default="dot", show_default=True),
+        click.option("--norm-from", type=click.Path(exists=True, dir_okay=False), default=None, help="Dataset file whose header rescales a measure scorer to [0,1]."),
+    )
+    return lambda command: functools.reduce(lambda cmd, option: option(cmd), reversed(options), command)
+
+
+def _refuse_unread(scorer_kind: str, measure_options: tuple[str, ...] = ()) -> None:
+    """A usage error for an option given on the command line that the scorer
+    never reads, so that the manifest records no input the run ignored."""
+    unread = ("model_path", "score_mode") if scorer_kind == "measure" else ("norm_from", *measure_options)
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if param.name in unread and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"{param.opts[0]} is not read with --scorer {scorer_kind}")
+
+
 def _build_scorer(scorer_kind, g, measure, depths, ic_table, model_path, score_mode, norm_from):
     if scorer_kind == "model":
         if model_path is None:
@@ -239,12 +262,9 @@ value row. Histogram TSV: `bin_lo<TAB>bin_hi<TAB>count` per bin.
 @click.option("--candidates", "candidates_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--measure", type=click.Choice(MEASURES), required=True, help="Graph measure for static selection / measure golds.")
 @click.option("--ic-counts", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--scorer", "scorer_kind", type=click.Choice(["model", "measure"]), default="model", show_default=True)
-@click.option("--score-mode", type=click.Choice(["dot", "cosine"]), default="dot", show_default=True)
+@_scorer_options("model")
 @click.option("--selection", type=click.Choice(["static", "dynamic"]), default="static", show_default=True)
 @click.option("--golds", type=click.Choice(["human", "measure"]), default="human", show_default=True)
-@click.option("--norm-from", type=click.Path(exists=True, dir_okay=False), default=None, help="Dataset file whose header normalizes a measure scorer.")
 @click.option("--histogram", "histogram_path", type=click.Path(dir_okay=False), default=None, help="Write predicted-score histogram TSV here.")
 @click.option("--bins", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None, help="Write the report as TSV here.")
@@ -252,6 +272,7 @@ value row. Histogram TSV: `bin_lo<TAB>bin_hi<TAB>count` per bin.
 def cmd_eval_sim(graph_path, virtual_root, pairs_path, candidates_path, measure, ic_counts, model_path, scorer_kind, score_mode, selection, golds, norm_from, histogram_path, bins, report_path, manifest_path):
     """Rank-correlation evaluation over lemma pair benchmarks."""
     t0 = time.perf_counter()
+    _refuse_unread(scorer_kind)
     inputs = _inputs(
         graph=graph_path, pairs=pairs_path, candidates=candidates_path,
         ic_counts=ic_counts, model=model_path, norm_from=norm_from,
@@ -301,12 +322,9 @@ node id in the last column.
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--virtual-root", default=None)
 @click.option("--instances", "instances_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--scorer", "scorer_kind", type=click.Choice(["model", "measure"]), default="measure", show_default=True)
+@_scorer_options("measure")
 @click.option("--measure", type=click.Choice(MEASURES), default=None)
 @click.option("--ic-counts", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--score-mode", type=click.Choice(["dot", "cosine"]), default="dot", show_default=True)
-@click.option("--norm-from", type=click.Path(exists=True, dir_okay=False), default=None, help="Dataset file whose header rescales a measure scorer to [0,1].")
 @click.option("--threshold", type=float, default=0.95, show_default=True, help="Edges require similarity strictly above this.")
 @click.option("--sweep", default=None, help="Informational threshold sweep `lo:hi:step`.")
 @click.option("--baseline", type=click.Choice(["random", "first"]), default=None, help="Also score a baseline.")
@@ -316,6 +334,7 @@ node id in the last column.
 def cmd_wsd(graph_path, virtual_root, instances_path, scorer_kind, measure, ic_counts, model_path, score_mode, norm_from, threshold, sweep, baseline, seed, predictions_path, manifest_path):
     """Disambiguate word senses by weighted-degree centrality."""
     t0 = time.perf_counter()
+    _refuse_unread(scorer_kind, measure_options=("measure", "ic_counts"))
     inputs = _inputs(
         graph=graph_path, instances=instances_path,
         ic_counts=ic_counts, model=model_path, norm_from=norm_from,

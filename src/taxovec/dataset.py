@@ -198,8 +198,11 @@ def _build(
         raise EmptyDatasetError(
             f"no pairs survive threshold {threshold!r} for measure {measure!r}"
         )
-    # both ends of a pair may keep it; their scores are equal bit for bit
-    codes, index = np.unique(codes, return_index=True)
+    # both ends of a pair may keep it, with scores equal bit for bit: any will do
+    index = np.argsort(codes)
+    codes = codes[index]
+    first = np.concatenate(([True], codes[1:] != codes[:-1]))
+    codes, index = codes[first], index[first]
     normalized, lo, hi = _normalize(np.concatenate(sims)[index])
 
     perm = np.random.default_rng(cfg.seed).permutation(len(codes))

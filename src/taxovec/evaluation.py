@@ -8,8 +8,9 @@ one selection loop. The reported number is the Spearman correlation
 between predicted scores and gold scores (human judgments, or the graph
 measure's own values when it serves as the gold standard).
 
-A scorer offers `has(node)` and `grid(us, vs)`: a float64 array of the
-scores of every pair in us x vs, raising UnknownNodeError for unknown ids.
+A scorer offers `has(node)`, `grid(us, vs)`, a float64 array of the scores
+of every pair in us x vs, and `pairs(us, vs)`, one per aligned pair
+(us[k], vs[k]); both raise UnknownNodeError for unknown ids.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import ConfigError, DataError, DegenerateRangeError
 from .graph import DepthIndex, TaxonomyGraph
 from .io import real, records
 from .metrics import BLOCK, InformationContentTable, SimilarityRows
-from .trainer import EmbeddingMatrix
+from .trainer import EmbeddingMatrix, ModelScorer
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -147,36 +148,10 @@ class MeasureScorer:
         lo, hi = self.norm_range
         return np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
 
-
-class ModelScorer:
-    """Scores node pairs with embedding dot products or cosines.
-
-    A grid gathers its rows once and takes one matmul stacked over single
-    rows, so each cell is the float64 dot of trainer.score and equals it;
-    a live self pair's cosine is exactly 1.0 in both.
-    """
-
-    def __init__(self, m: EmbeddingMatrix, mode: str = "dot"):
-        if mode not in ("dot", "cosine"):
-            raise ConfigError(f"unknown score mode {mode!r}; expected dot or cosine")
-        self.m = m
-        self.mode = mode
-        self.name = f"model[{mode}]"
-
-    def has(self, node: str) -> bool:
-        return node in self.m.index
-
-    def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
-        rows_a, rows_b = ([self.m.idx(x) for x in xs] for xs in (us, vs))
-        a, b = (self.m.matrix[rows].astype(np.float64) for rows in (rows_a, rows_b))
-        out = (a[:, None, None, :] @ b[None, :, :, None])[:, :, 0, 0]  # row-by-row dots
-        if self.mode == "cosine":
-            norm_a, norm_b = (np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) for x in (a, b))
-            live = ~np.logical_or.outer(norm_a < 1e-300, norm_b < 1e-300)  # else 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(live, out / np.outer(norm_a, norm_b), 0.0)
-            out[live & np.equal.outer(rows_a, rows_b)] = 1.0  # self pairs, as in trainer.score
-        return out
+    def pairs(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
+        """The diagonal of one grid per BLOCK aligned pairs."""
+        blocks = range(0, len(us), BLOCK)
+        return np.concatenate([np.empty(0), *(np.diagonal(self.grid(us[k : k + BLOCK], vs[k : k + BLOCK])) for k in blocks)])
 
 
 def _select(
@@ -226,15 +201,6 @@ def dynamic_selection(
     return _select(records, (scorer.grid(r.candidates1, r.candidates2) for r in records))
 
 
-def _pair_scores(scorer: MeasureScorer | ModelScorer, pairs: list[SelectedPair]) -> list[float]:
-    """The scorer's value on each pair, from one grid per BLOCK pairs."""
-    scores: list[float] = []
-    for k in range(0, len(pairs), BLOCK):
-        chunk = pairs[k : k + BLOCK]
-        scores += np.diagonal(scorer.grid([p.u for p in chunk], [p.v for p in chunk])).tolist()
-    return scores
-
-
 @dataclass
 class EvalReport:
     spearman: float
@@ -268,7 +234,7 @@ def evaluate(
         if g is None or measure is None:
             raise ConfigError("static selection requires a graph and a measure")
         selected, excluded = static_selection(records, g, measure, depths, ic_table)
-        preds = _pair_scores(scorer, selected)
+        preds = scorer.pairs([p.u for p in selected], [p.v for p in selected]).tolist()
     elif selection == "dynamic":
         if not isinstance(scorer, ModelScorer):
             raise ConfigError("dynamic selection requires a model scorer")
@@ -287,7 +253,8 @@ def evaluate(
         if selection == "static":
             gold_values = [p.selection_score for p in selected]
         else:
-            gold_values = _pair_scores(MeasureScorer(g, measure, depths, ic_table), selected)
+            measure_scorer = MeasureScorer(g, measure, depths, ic_table)
+            gold_values = measure_scorer.pairs([p.u for p in selected], [p.v for p in selected]).tolist()
     else:
         raise ConfigError(f"unknown golds {golds!r}; expected human or measure")
 

@@ -77,24 +77,48 @@ class EmbeddingMatrix:
         return self.matrix[self.idx(node)]
 
 
-def score(m: EmbeddingMatrix, u: str, v: str, mode: str = "dot") -> float:
-    """Dot product or cosine of two node rows, computed in float64.
+class ModelScorer:
+    """The one model similarity: float64 dots or cosines of rows, each dot
+    `a @ b` from one matmul stacked over single rows. A cosine with a zero
+    row is 0.0, and of a nonzero row with itself exactly 1.0 (not 1 - 2**-53)."""
 
-    The cosine of a nonzero row with itself is exactly 1.0.
-    """
-    a = m.row(u).astype(np.float64)
-    b = m.row(v).astype(np.float64)
-    if mode == "dot":
-        return float(a @ b)
-    if mode == "cosine":
-        na = math.sqrt(float(a @ a))
-        nb = math.sqrt(float(b @ b))
-        if na < 1e-300 or nb < 1e-300:
-            return 0.0
-        if u == v:  # dot / (na * nb) can round to 1 - 2**-53 for a row with itself
-            return 1.0
-        return float(a @ b) / (na * nb)
-    raise ConfigError(f"unknown score mode {mode!r}; expected dot or cosine")
+    def __init__(self, m: EmbeddingMatrix, mode: str = "dot"):
+        if mode not in ("dot", "cosine"):
+            raise ConfigError(f"unknown score mode {mode!r}; expected dot or cosine")
+        self.m = m
+        self.mode = mode
+        self.name = f"model[{mode}]"
+
+    def has(self, node: str) -> bool:
+        return node in self.m.index
+
+    def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
+        """The (len(us), len(vs)) scores of every pair in us x vs."""
+        return self.scores(self._rows(us)[:, None], self._rows(vs)[None, :])
+
+    def pairs(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
+        """The score of each aligned pair (us[k], vs[k])."""
+        return self.scores(self._rows(us), self._rows(vs))
+
+    def _rows(self, nodes: Sequence[str]) -> np.ndarray:
+        return np.array([self.m.idx(node) for node in nodes], dtype=np.int64)
+
+    def scores(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+        """Scores of the row pairs of two broadcast index arrays."""
+        a, b = (self.m.matrix[rows].astype(np.float64) for rows in (rows_a, rows_b))
+        out = (a[..., None, :] @ b[..., :, None])[..., 0, 0]  # row-by-row dots
+        if self.mode == "cosine":
+            norm_a, norm_b = (np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0]) for x in (a, b))
+            live = ~((norm_a < 1e-300) | (norm_b < 1e-300))  # else 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where(live, out / (norm_a * norm_b), 0.0)
+            out[live & (rows_a == rows_b)] = 1.0
+        return out
+
+
+def score(m: EmbeddingMatrix, u: str, v: str, mode: str = "dot") -> float:
+    """ModelScorer's dot product or cosine of two node rows."""
+    return float(ModelScorer(m, mode).pairs([u], [v])[0])
 
 
 def check_writable_ids(ids: Sequence[str]) -> None:
@@ -375,20 +399,6 @@ def make_batches(pairs: Pairs, g: TaxonomyGraph, cfg: TrainConfig, epoch_seed) -
         yield Batch(i=ei[cut], j=ej[cut], s=es[cut], ni=ni[cut], nj=nj[cut])
 
 
-def _dev_spearman(m: EmbeddingMatrix, dev: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
-    """Spearman of the dev pairs' golds against their dots, each dot computed
-    as score(m, u, v) does, from float64 copies of the two rows."""
-    from .evaluation import spearman  # deferred: evaluation imports this module
-
-    I, J, S = dev
-    V = m.matrix
-    preds = [
-        float(V[i].astype(np.float64) @ V[j].astype(np.float64))
-        for i, j in zip(I.tolist(), J.tolist())
-    ]
-    return spearman(preds, S.tolist())
-
-
 def train(
     pairs: Pairs,
     g: TaxonomyGraph,
@@ -404,6 +414,7 @@ def train(
     epochs run. A non-finite batch loss aborts with the epoch, batch, and
     first offending pair.
     """
+    from .evaluation import spearman  # deferred: evaluation imports this module
     if not len(pairs):
         raise ConfigError("training needs at least one pair")
     if len(np.union1d(pairs.i, pairs.j)) < 2:
@@ -419,6 +430,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     V = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(g.n, cfg.d)).astype(cfg.dtype)
     m = EmbeddingMatrix(g.ids, V)
+    scorer = ModelScorer(m)
 
     adam_m = np.zeros((g.n, cfg.d), dtype=np.float64)
     adam_v = np.zeros((g.n, cfg.d), dtype=np.float64)
@@ -467,9 +479,7 @@ def train(
             with np.errstate(over="ignore"):  # float32 overflow -> NumericError next batch
                 V[touched] = rows
 
-        dev_rho = None
-        if dev is not None:
-            dev_rho = _dev_spearman(m, dev)
+        dev_rho = None if dev is None else spearman(scorer.scores(dev[0], dev[1]), dev[2])
         if on_epoch is not None:
             on_epoch(
                 EpochStats(

@@ -119,6 +119,28 @@ def spearman_oracle(x: list[float], y: list[float]) -> float:
     return cov / math.sqrt(vx * vy)
 
 
+def model_score_oracle(matrix: np.ndarray, i: int, j: int, mode: str) -> float:
+    """Dot or cosine of rows i and j, one 1-D float64 `a @ b` per product
+    (np.dot, unlike `@`, returns -0.0 for a one-element product of 0 and a
+    negative entry).
+
+    Cosine: 0.0 when either row's norm is below 1e-300, exactly 1.0 for a
+    row with itself, otherwise dot / (|a| * |b|).
+    """
+    a = np.array(matrix[i], dtype=np.float64)
+    b = np.array(matrix[j], dtype=np.float64)
+    dot = float(a @ b)
+    if mode == "dot":
+        return dot
+    norm_a = math.sqrt(float(a @ a))
+    norm_b = math.sqrt(float(b @ b))
+    if norm_a < 1e-300 or norm_b < 1e-300:
+        return 0.0
+    if i == j:
+        return 1.0
+    return dot / (norm_a * norm_b)
+
+
 def finite_difference_grads(loss_fn, matrix: np.ndarray, rows, h: float = 1e-5):
     """Central-difference gradient of loss_fn(matrix) for the given rows."""
     grads = np.zeros((len(rows), matrix.shape[1]))

@@ -10,7 +10,9 @@ from taxovec.dataset import read_pairs
 from taxovec.errors import DataError
 from taxovec.manifest import file_digest, read_manifest
 from taxovec.evaluation import MeasureScorer
-from taxovec.trainer import load_embeddings, score
+from taxovec.trainer import load_embeddings
+
+from oracles import model_score_oracle
 
 CHAIN = "b\ta\nc\tb\n"
 # r with children a, b; a has c, d; b has e, f
@@ -428,6 +430,47 @@ class TestEvalSim:
         assert "requires --model" in capsys.readouterr().err
 
 
+EVAL_SIM = ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv",
+            "--candidates", "candidates.tsv", "--measure", "shp", "--report", "out.tsv"]
+WSD = ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv", "--threshold", "0.3",
+       "--predictions", "out.tsv"]
+
+
+class TestUnreadScorerOptions:
+    # a run never reads these options under its scorer; accepting them would
+    # put a model digest or a score mode it never used in the manifest
+
+    @pytest.mark.parametrize(
+        "command, valid, unread",
+        [
+            (EVAL_SIM, ["--scorer", "measure"], ["--model", "emb.txt"]),
+            (EVAL_SIM, ["--scorer", "measure"], ["--score-mode", "cosine"]),
+            (EVAL_SIM, ["--model", "emb.txt"], ["--norm-from", "pairs.tsv"]),
+            (WSD, ["--scorer", "model", "--model", "emb.txt"], ["--norm-from", "pairs.tsv"]),
+            (WSD, ["--scorer", "model", "--model", "emb.txt"], ["--measure", "shp"]),
+            (WSD, ["--scorer", "model", "--model", "emb.txt"], ["--ic-counts", "counts.tsv"]),
+            (WSD, ["--measure", "shp"], ["--model", "emb.txt"]),
+            (WSD, ["--measure", "shp"], ["--score-mode", "cosine"]),
+        ],
+        ids=["eval-sim-measure-model", "eval-sim-measure-score-mode", "eval-sim-model-norm-from",
+             "wsd-model-norm-from", "wsd-model-measure", "wsd-model-ic-counts",
+             "wsd-measure-model", "wsd-measure-score-mode"],
+    )
+    def test_usage_error_names_the_option(self, workdir, capsys, command, valid, unread):
+        TestEvalSim().setup_files(workdir)
+        (workdir / "inst.tsv").write_text(TestWsd.INSTANCES)
+        (workdir / "counts.tsv").write_text("c\t3\nd\t1\n")
+        (workdir / "emb.txt").write_text(
+            "7 2\n" + "".join(f"{node} {k % 3 - 1}.5 {k % 2}.25\n" for k, node in enumerate("arbcdef"))
+        )
+        assert main(["similarities", "--graph", "tree.tsv", "--measure", "shp", "--output", "pairs.tsv"]) == 0
+        scorer = "model" if "emb.txt" in valid else "measure"
+        assert main([*command, *valid, *unread]) == 1
+        assert f"{unread[0]} is not read with --scorer {scorer}" in capsys.readouterr().err
+        assert not list(workdir.glob("out.tsv")) + list(workdir.glob("taxovec-*.manifest"))
+        assert main([*command, *valid]) == 0
+
+
 class TestWsd:
     INSTANCES = (
         "s1\t0\tfirst\tc,e\tc\n"
@@ -576,7 +619,7 @@ class TestNeighbors:
         got = [l.split("\t") for l in capsys.readouterr().out.splitlines()]
         assert [node for node, _ in got] == ["a", "d", "b", "c"]
         for node, value in got:
-            want = score(m, "a", node, "cosine")
+            want = model_score_oracle(m.matrix, m.idx("a"), m.idx(node), "cosine")
             assert abs(float(value) - want) <= 1e-12 * abs(want)
         assert main(["neighbors", "--model", "emb.txt", "--node", "b",
                      "--k", "4", "--score-mode", "cosine"]) == 0

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from taxovec.dataset import DatasetConfig, build_full
 from taxovec.errors import ConfigError, DataError, DegenerateRangeError, UnknownNodeError
@@ -29,7 +31,7 @@ from taxovec.metrics import pair_similarity, propagate_counts
 from taxovec.trainer import EmbeddingMatrix, TrainConfig, score, train
 
 from conftest import random_dag_graph, random_tree_graph
-from oracles import spearman_oracle
+from oracles import model_score_oracle, spearman_oracle
 
 
 class TestSpearman:
@@ -41,6 +43,23 @@ class TestSpearman:
     def test_tied_ranks_fractional(self):
         assert spearman([1, 2, 2, 4], [1, 3, 3, 2]) == pytest.approx(1 / 3)
         assert spearman_oracle([1, 2, 2, 4], [1, 3, 3, 2]) == pytest.approx(1 / 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)), min_size=3, max_size=40),
+        st.sampled_from([lambda v: v**3, lambda v: math.exp(v / 64), math.atan]),
+        st.sampled_from([lambda v: -v, lambda v: 1 / (v + 2000), lambda v: math.exp(-v / 64)]),
+    )
+    def test_rank_transform_property(self, points, increasing, decreasing):
+        # integer draws keep every transform injective in floats, so ties
+        # survive exactly and the ranks, hence rho, move exactly
+        x, y = [float(a) for a, _ in points], [float(b) for _, b in points]
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        rho = spearman(x, y)
+        assert spearman([increasing(v) for v in x], y) == rho
+        assert spearman(x, [increasing(v) for v in y]) == rho
+        assert spearman([decreasing(v) for v in x], y) == -rho
+        assert spearman(x, [decreasing(v) for v in y]) == -rho
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
@@ -374,9 +393,9 @@ class TestMeasureScorerNormalization:
 
 
 class TestScorerGrids:
-    """grid is the one scoring entry point; cells match the per-pair functions."""
+    """grid and pairs are the scoring entry points; cells match the per-pair references."""
 
-    def test_model_grid_matches_trainer_score(self):
+    def test_model_grid_matches_score_oracle(self):
         rng = np.random.default_rng(3)
         ids = [f"n{i}" for i in range(9)]
         for dtype in (np.float32, np.float64):
@@ -389,9 +408,36 @@ class TestScorerGrids:
                 assert grid.shape == (len(us), len(vs)) and grid.dtype == np.float64
                 for i, u in enumerate(us):
                     for j, v in enumerate(vs):
-                        want = score(m, u, v, mode)
+                        want = model_score_oracle(matrix, m.idx(u), m.idx(v), mode)
                         assert abs(grid[i, j] - want) <= 1e-12 * abs(want)
             assert ModelScorer(m, "cosine").grid(["n4"], ids).tolist() == [[0.0] * 9]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.sampled_from([1, 2, 3, 7, 16, 33, 300]),
+        st.sampled_from([np.float32, np.float64]),
+        st.sampled_from(["dot", "cosine"]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_pairs_equal_grid_diagonal_and_oracle_bit_for_bit(self, n, d, dtype, mode, seed, data):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(n, d)).astype(dtype)
+        matrix[rng.random(n) < 0.3] = 0.0  # zero rows
+        ids = [f"n{i}" for i in range(n)]
+        m = EmbeddingMatrix(ids, matrix)
+        picks = st.lists(st.integers(0, n - 1), min_size=1, max_size=12)
+        rows_u = data.draw(picks)  # repeated ids and self pairs come up often
+        rows_v = data.draw(st.lists(st.integers(0, n - 1), min_size=len(rows_u), max_size=len(rows_u)))
+        us, vs = [ids[i] for i in rows_u], [ids[j] for j in rows_v]
+        scorer = ModelScorer(m, mode)
+        pairs = scorer.pairs(us, vs)
+        grid = scorer.grid(us, vs)
+        oracle = np.array([[model_score_oracle(matrix, i, j, mode) for j in rows_v] for i in rows_u])
+        assert pairs.dtype == grid.dtype == np.float64
+        assert pairs.tobytes() == np.diagonal(grid).tobytes() == np.diagonal(oracle).tobytes()
+        assert grid.tobytes() == oracle.tobytes()
 
     def test_model_grid_unknown_id(self):
         m = EmbeddingMatrix(["a", "b"], np.ones((2, 3)))

@@ -410,3 +410,22 @@ def test_only_metrics_walks_ancestor_sets():
     found = calls_in_package({"ancestors"})
     assert found.pop("metrics.py"), "the guard no longer sees the _subsumers seeds"
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+MATMUL_SITES = {("trainer.py", "ModelScorer"), ("bench.py", "one_vs_all_dot"), ("evaluation.py", "spearman")}
+
+
+def test_only_the_model_scorer_computes_model_similarity():
+    # every model similarity is ModelScorer's; bench's stored-dtype one-vs-all
+    # product and spearman's Pearson are the only other matrix products
+    src = Path(taxovec.__file__).parent
+    found = {
+        (f.name, getattr(top, "name", None), node.lineno)
+        for f in sorted(src.glob("*.py"))
+        for top in ast.parse(f.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(getattr(node, "op", None), ast.MatMult)
+    }
+    assert any(site[:2] == ("trainer.py", "ModelScorer") for site in found), \
+        "the guard no longer sees ModelScorer's own matmul"
+    assert sorted(site for site in found if site[:2] not in MATMUL_SITES) == []
