@@ -120,6 +120,8 @@ def run_benchmark(
         raise ConfigError(f"repeats must be >= 5, got {repeats}")
     if not queries:
         raise ConfigError("need at least one query node")
+    if not methods:
+        raise ConfigError("need at least one method; expected graph, dot or both")
     for method in methods:
         if method not in ("graph", "dot"):
             raise ConfigError(f"unknown method {method!r}; expected graph or dot")

@@ -3,9 +3,12 @@
 Subcommands cover the full pipeline: `similarities` builds training
 datasets, `train` fits embeddings, `eval-sim` runs the rank-correlation
 evaluation, `wsd` disambiguates word senses, `neighbors` ranks nearest
-nodes, and `bench` times one-vs-all queries. Every run writes a manifest
-(key=value text) recording the resolved config, input digests, seed,
-version, and wall time.
+nodes, and `bench` times one-vs-all queries. Each command body returns its
+resolved config; the `_command` scaffold writes the run's manifest
+(key=value text) with it, the given input files' digests, the seed, the
+virtual root, the version and the wall time, to `--manifest`, else
+`<output>.manifest`, else `taxovec-<command>.manifest`. An option given that
+the run never reads is a usage error raised before any input is read.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -66,28 +69,70 @@ def cli() -> None:
     """Node embeddings that approximate taxonomy graph similarity measures."""
 
 
-def _inputs(**paths: str | None) -> dict[str, str]:
-    """Manifest inputs: every given path, without the options left out.
-
-    Every command calls this first: a TAB or line break in a path would
-    break its manifest line, so it fails before anything is read or written.
-    """
-    inputs = {name: path for name, path in paths.items() if path}
-    for name, path in inputs.items():
-        if any(ch in path for ch in "\t\r\n"):
-            raise DataError(f"--{name.replace('_', '-')} path {path!r} holds a TAB or line break")
-    return inputs
+def _options(*options):
+    """One decorator stacking `options`, the first outermost."""
+    return lambda command: functools.reduce(lambda cmd, option: option(cmd), reversed(options), command)
 
 
-def _measure_context(g, measure: str, ic_counts: str | None):
-    """Depths and IC table as the measure requires; missing IC is a usage error."""
+INPUT = click.Path(exists=True, dir_okay=False)
+GRAPH_OPTIONS = _options(
+    click.option("--graph", required=True, type=INPUT),
+    click.option("--virtual-root", default=None, help="Attach parentless nodes to a synthetic root with this id."),
+)
+IC_COUNTS_OPTION = click.option("--ic-counts", type=INPUT, default=None, help="Corpus counts; read only with --measure jcn.")
+
+
+def _command(name: str, epilog: str | None = None):
+    """Register a command whose body returns its config; add `--manifest`,
+    time the run and write its manifest. Its inputs are the given options
+    typed `click.Path(exists=True)`, keyed by option name; a TAB or line
+    break in one would break its manifest line, so it fails first."""
+
+    def register(body):
+        @functools.wraps(body)
+        def run(manifest, **options):
+            t0 = time.perf_counter()
+            inputs = {}
+            for param in click.get_current_context().command.params:
+                path = options.get(param.name)
+                if isinstance(param.type, click.Path) and param.type.exists and path:
+                    if any(ch in path for ch in "\t\r\n"):
+                        raise DataError(f"{param.opts[0]} path {path!r} holds a TAB or line break")
+                    inputs[param.name] = path
+            config = body(**options)
+            if "virtual_root" in options:
+                config["virtual_root"] = options["virtual_root"] or "-"
+            write_manifest(manifest or default.format(**options), name, config, inputs, options.get("seed"), time.perf_counter() - t0)
+
+        command = cli.command(name, epilog=epilog)(run)
+        default = "{output}.manifest" if "output" in {p.name for p in command.params} else f"taxovec-{name}.manifest"
+        command.params.append(click.Option(
+            ["--manifest"], type=click.Path(dir_okay=False), help=f"Defaults to {default.format(output='<output>')}."))
+        return command
+
+    return register
+
+
+def _refuse_unread(why: str, *names: str) -> None:
+    """A usage error for any of `names` given on the command line: the run
+    never reads them, and the manifest must record nothing it ignored."""
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if param.name in names and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"{param.opts[0]} is not read {why}")
+
+
+def _load_graph(graph: str, virtual_root: str | None, measure: str | None, ic_counts: str | None):
+    """The graph, with the depths and IC table the measure needs; IC counts
+    are read only for jcn, and jcn without them is a usage error."""
+    if measure != "jcn":
+        _refuse_unread("without --measure jcn", "ic_counts")
+    elif ic_counts is None:
+        raise click.UsageError("--measure jcn requires --ic-counts")
+    g = load_edge_list(graph, virtual_root)
     depths = compute_depths(g) if measure in ("lch", "wup", "jcn") else None
-    ic_table = None
-    if measure == "jcn":
-        if ic_counts is None:
-            raise click.UsageError("--measure jcn requires --ic-counts")
-        ic_table = propagate_counts(g, load_raw_counts(ic_counts, g))
-    return depths, ic_table
+    ic_table = propagate_counts(g, load_raw_counts(ic_counts, g)) if measure == "jcn" else None
+    return g, depths, ic_table
 
 
 def _norm_range_from(pairs_file: str | None) -> tuple[float, float] | None:
@@ -102,7 +147,7 @@ def _norm_range_from(pairs_file: str | None) -> tuple[float, float] | None:
         ) from None
 
 
-@cli.command(
+@_command(
     "similarities",
     epilog=GRAPH_FORMAT_HELP
     + """
@@ -111,39 +156,30 @@ norm_min, norm_max) followed by `u<TAB>v<TAB>s` rows, s in [0,1].
 IC counts file (jcn only): `node<TAB>count` lines.
 """,
 )
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--virtual-root", default=None, help="Attach parentless nodes to a synthetic root with this id.")
+@GRAPH_OPTIONS
 @click.option("--measure", required=True, type=click.Choice(MEASURES))
 @click.option("--mode", type=click.Choice(["full", "fast"]), default="full", show_default=True)
 @click.option("--threshold", type=float, default=None, help="Raw similarity cutoff; defaults per measure (shp/jcn 0.1, wup 0.3, lch 1.5).")
 @click.option("--top-k", type=click.IntRange(min=1), default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--ic-counts", type=click.Path(exists=True, dir_okay=False), default=None, help="Corpus counts for jcn.")
+@IC_COUNTS_OPTION
 @click.option("--output", required=True, type=click.Path(dir_okay=False, writable=True))
-@click.option("--manifest", "manifest_path", type=click.Path(dir_okay=False), default=None, help="Defaults to <output>.manifest.")
-def cmd_similarities(graph_path, virtual_root, measure, mode, threshold, top_k, seed, ic_counts, output, manifest_path):
+def cmd_similarities(graph, virtual_root, measure, mode, threshold, top_k, seed, ic_counts, output):
     """Build a training dataset of similarity-scored node pairs."""
-    t0 = time.perf_counter()
-    inputs = _inputs(graph=graph_path, ic_counts=ic_counts)
-    g = load_edge_list(graph_path, virtual_root)
-    depths, ic_table = _measure_context(g, measure, ic_counts)
+    g, depths, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
     cfg = DatasetConfig(measure=measure, threshold=threshold, top_k=top_k, mode=mode, seed=seed)
     builder = build_fast if mode == "fast" else build_full
     build = builder(g, cfg, depths, ic_table)
     write_pairs(output, build)
-
-    config = dict(build.header())
-    config["virtual_root"] = virtual_root or "-"
-    write_manifest(manifest_path or f"{output}.manifest", "similarities", config, inputs, seed, time.perf_counter() - t0)
-
     click.echo(
         f"candidates={build.candidate_count} threshold_kept={build.threshold_kept} "
         f"pairs={len(build.pairs)} norm_min={build.norm_min!r} norm_max={build.norm_max!r}"
     )
     click.echo(f"wrote {len(build.pairs)} pairs to {output}")
+    return dict(build.header())
 
 
-@cli.command(
+@_command(
     "train",
     epilog=GRAPH_FORMAT_HELP
     + """
@@ -151,10 +187,9 @@ Pairs file: output of `similarities`. Embeddings output: text, header
 `N d`, then `node_id v1 ... vd` per row.
 """,
 )
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--virtual-root", default=None)
-@click.option("--pairs", "pairs_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--dev-pairs", "dev_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Held-out pairs; enables early stopping on dev Spearman.")
+@GRAPH_OPTIONS
+@click.option("--pairs", required=True, type=INPUT)
+@click.option("--dev-pairs", type=INPUT, default=None, help="Held-out pairs; enables early stopping on dev Spearman.")
 @click.option("--dim", type=click.IntRange(min=1), default=300, show_default=True)
 @click.option("--alpha", type=float, default=0.01, show_default=True, help="Adjacency regularization weight.")
 @click.option("--negatives", type=click.IntRange(min=0), default=3, show_default=True)
@@ -167,29 +202,19 @@ Pairs file: output of `similarities`. Embeddings output: text, header
 @click.option("--patience", type=click.IntRange(min=1), default=2, show_default=True, help="Early-stop after this many non-improving epochs (needs --dev-pairs).")
 @click.option("--dtype", type=click.Choice(["float32", "float64"]), default="float32", show_default=True)
 @click.option("--output", required=True, type=click.Path(dir_okay=False, writable=True))
-@click.option("--manifest", "manifest_path", type=click.Path(dir_okay=False), default=None, help="Defaults to <output>.manifest.")
-def cmd_train(graph_path, virtual_root, pairs_path, dev_path, dim, alpha, negatives, neg_per_side, batch_size, epochs, learning_rate, l1, seed, patience, dtype, output, manifest_path):
+def cmd_train(graph, virtual_root, pairs, dev_pairs, dim, alpha, negatives, neg_per_side, batch_size, epochs, learning_rate, l1, seed, patience, dtype, output):
     """Fit node embeddings to a training dataset."""
-    t0 = time.perf_counter()
-    inputs = _inputs(graph=graph_path, pairs=pairs_path, dev_pairs=dev_path)
-    g = load_edge_list(graph_path, virtual_root)
+    if dev_pairs is None:
+        _refuse_unread("without --dev-pairs", "patience")
+    g = load_edge_list(graph, virtual_root)
     check_writable_ids(g.ids)  # fail before training, not at the save
-    pairs, _ = read_pairs(pairs_path)
-    dev_set = read_pairs(dev_path)[0] if dev_path else None
-    cfg = TrainConfig(
-        d=dim,
-        alpha=alpha,
-        negatives=negatives,
-        batch_size=batch_size,
-        epochs=epochs,
-        learning_rate=learning_rate,
-        l1=l1,
-        seed=seed,
-        early_stop_patience=patience,
-        dev_set=dev_set,
-        neg_total=not neg_per_side,
-        dtype=dtype,
-    )
+    training, _ = read_pairs(pairs)
+    dev_set = read_pairs(dev_pairs)[0] if dev_pairs else None
+    hyper = {  # the trainer's settings and the manifest's config
+        "d": dim, "alpha": alpha, "negatives": negatives, "batch_size": batch_size, "epochs": epochs,
+        "learning_rate": learning_rate, "l1": l1, "early_stop_patience": patience, "dtype": dtype,
+    }
+    cfg = TrainConfig(**hyper, seed=seed, dev_set=dev_set, neg_total=not neg_per_side)
     click.echo(
         f"training: d={dim} alpha={alpha} negatives={negatives} "
         f"({'per-side' if neg_per_side else 'total'}) batch_size={batch_size} "
@@ -202,53 +227,33 @@ def cmd_train(graph_path, virtual_root, pairs_path, dev_path, dim, alpha, negati
             line += f" dev_spearman={stats.dev_spearman:.4f}"
         click.echo(line)
 
-    m = train(pairs, g, cfg, on_epoch=on_epoch)
+    m = train(training, g, cfg, on_epoch=on_epoch)
     save_embeddings(m, output)
-
-    config = {
-        "d": dim, "alpha": alpha, "negatives": negatives,
-        "neg_mode": "per-side" if neg_per_side else "total",
-        "batch_size": batch_size, "epochs": epochs,
-        "learning_rate": learning_rate, "l1": l1,
-        "early_stop_patience": patience, "dtype": dtype,
-        "virtual_root": virtual_root or "-",
-    }
-    write_manifest(manifest_path or f"{output}.manifest", "train", config, inputs, seed, time.perf_counter() - t0)
     click.echo(f"wrote {m.n}x{m.d} embeddings to {output}")
+    return {**hyper, "neg_mode": "per-side" if neg_per_side else "total"}
 
 
 def _scorer_options(default: str):
     """The four options that choose the pair scorer of eval-sim and wsd."""
-    options = (
+    return _options(
         click.option("--scorer", "scorer_kind", type=click.Choice(["model", "measure"]), default=default, show_default=True),
-        click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False), default=None),
+        click.option("--model", type=INPUT, default=None),
         click.option("--score-mode", type=click.Choice(["dot", "cosine"]), default="dot", show_default=True),
-        click.option("--norm-from", type=click.Path(exists=True, dir_okay=False), default=None, help="Dataset file whose header rescales a measure scorer to [0,1]."),
+        click.option("--norm-from", type=INPUT, default=None, help="Dataset file whose header rescales a measure scorer to [0,1]."),
     )
-    return lambda command: functools.reduce(lambda cmd, option: option(cmd), reversed(options), command)
 
 
-def _refuse_unread(scorer_kind: str, measure_options: tuple[str, ...] = ()) -> None:
-    """A usage error for an option given on the command line that the scorer
-    never reads, so that the manifest records no input the run ignored."""
-    unread = ("model_path", "score_mode") if scorer_kind == "measure" else ("norm_from", *measure_options)
-    ctx = click.get_current_context()
-    for param in ctx.command.params:
-        if param.name in unread and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
-            raise click.UsageError(f"{param.opts[0]} is not read with --scorer {scorer_kind}")
-
-
-def _build_scorer(scorer_kind, g, measure, depths, ic_table, model_path, score_mode, norm_from):
+def _build_scorer(scorer_kind, g, measure, depths, ic_table, model, score_mode, norm_from):
     if scorer_kind == "model":
-        if model_path is None:
+        if model is None:
             raise click.UsageError("--scorer model requires --model")
-        return ModelScorer(load_embeddings(model_path), score_mode)
+        return ModelScorer(load_embeddings(model), score_mode)
     if measure is None:
         raise click.UsageError("--scorer measure requires --measure")
     return MeasureScorer(g, measure, depths, ic_table, _norm_range_from(norm_from))
 
 
-@cli.command(
+@_command(
     "eval-sim",
     epilog="""
 Lemma pairs file: `lemma1<TAB>lemma2<TAB>gold_score`. Candidates file:
@@ -256,31 +261,25 @@ Lemma pairs file: `lemma1<TAB>lemma2<TAB>gold_score`. Candidates file:
 value row. Histogram TSV: `bin_lo<TAB>bin_hi<TAB>count` per bin.
 """,
 )
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--virtual-root", default=None)
-@click.option("--pairs", "pairs_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Lemma pairs with gold scores.")
-@click.option("--candidates", "candidates_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@GRAPH_OPTIONS
+@click.option("--pairs", required=True, type=INPUT, help="Lemma pairs with gold scores.")
+@click.option("--candidates", required=True, type=INPUT)
 @click.option("--measure", type=click.Choice(MEASURES), required=True, help="Graph measure for static selection / measure golds.")
-@click.option("--ic-counts", type=click.Path(exists=True, dir_okay=False), default=None)
+@IC_COUNTS_OPTION
 @_scorer_options("model")
 @click.option("--selection", type=click.Choice(["static", "dynamic"]), default="static", show_default=True)
 @click.option("--golds", type=click.Choice(["human", "measure"]), default="human", show_default=True)
 @click.option("--histogram", "histogram_path", type=click.Path(dir_okay=False), default=None, help="Write predicted-score histogram TSV here.")
 @click.option("--bins", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None, help="Write the report as TSV here.")
-@click.option("--manifest", "manifest_path", type=click.Path(dir_okay=False), default=None, help="Defaults to taxovec-eval-sim.manifest.")
-def cmd_eval_sim(graph_path, virtual_root, pairs_path, candidates_path, measure, ic_counts, model_path, scorer_kind, score_mode, selection, golds, norm_from, histogram_path, bins, report_path, manifest_path):
+def cmd_eval_sim(graph, virtual_root, pairs, candidates, measure, ic_counts, model, scorer_kind, score_mode, selection, golds, norm_from, histogram_path, bins, report_path):
     """Rank-correlation evaluation over lemma pair benchmarks."""
-    t0 = time.perf_counter()
-    _refuse_unread(scorer_kind)
-    inputs = _inputs(
-        graph=graph_path, pairs=pairs_path, candidates=candidates_path,
-        ic_counts=ic_counts, model=model_path, norm_from=norm_from,
-    )
-    g = load_edge_list(graph_path, virtual_root)
-    depths, ic_table = _measure_context(g, measure, ic_counts)
-    records, missing = make_records(load_lemma_pairs(pairs_path), load_candidates(candidates_path))
-    scorer = _build_scorer(scorer_kind, g, measure, depths, ic_table, model_path, score_mode, norm_from)
+    _refuse_unread(f"with --scorer {scorer_kind}", *(("model", "score_mode") if scorer_kind == "measure" else ("norm_from",)))
+    if histogram_path is None:
+        _refuse_unread("without --histogram", "bins")
+    g, depths, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
+    records, missing = make_records(load_lemma_pairs(pairs), load_candidates(candidates))
+    scorer = _build_scorer(scorer_kind, g, measure, depths, ic_table, model, score_mode, norm_from)
 
     report = evaluate(records, scorer, selection, g=g, measure=measure, depths=depths, ic_table=ic_table, golds=golds)
     click.echo(f"spearman={report.spearman:.4f}")
@@ -300,16 +299,13 @@ def cmd_eval_sim(graph_path, virtual_root, pairs_path, candidates_path, measure,
         with atomic_write(histogram_path) as fh:
             for lo, hi, count in rows:
                 fh.write(f"{lo!r}\t{hi!r}\t{count}\n")
-
-    config = {
+    return {
         "measure": measure, "scorer": scorer_kind, "score_mode": score_mode,
         "selection": selection, "golds": golds, "bins": bins,
-        "virtual_root": virtual_root or "-",
     }
-    write_manifest(manifest_path or "taxovec-eval-sim.manifest", "eval-sim", config, inputs, None, time.perf_counter() - t0)
 
 
-@cli.command(
+@_command(
     "wsd",
     epilog="""
 Instance file: one token per line,
@@ -319,31 +315,24 @@ line between sentences. The predictions file mirrors it with the chosen
 node id in the last column.
 """,
 )
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--virtual-root", default=None)
-@click.option("--instances", "instances_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@GRAPH_OPTIONS
+@click.option("--instances", required=True, type=INPUT)
 @_scorer_options("measure")
 @click.option("--measure", type=click.Choice(MEASURES), default=None)
-@click.option("--ic-counts", type=click.Path(exists=True, dir_okay=False), default=None)
+@IC_COUNTS_OPTION
 @click.option("--threshold", type=float, default=0.95, show_default=True, help="Edges require similarity strictly above this.")
 @click.option("--sweep", default=None, help="Informational threshold sweep `lo:hi:step`.")
 @click.option("--baseline", type=click.Choice(["random", "first"]), default=None, help="Also score a baseline.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for the random baseline.")
 @click.option("--predictions", "predictions_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--manifest", "manifest_path", type=click.Path(dir_okay=False), default=None, help="Defaults to taxovec-wsd.manifest.")
-def cmd_wsd(graph_path, virtual_root, instances_path, scorer_kind, measure, ic_counts, model_path, score_mode, norm_from, threshold, sweep, baseline, seed, predictions_path, manifest_path):
+def cmd_wsd(graph, virtual_root, instances, scorer_kind, measure, ic_counts, model, score_mode, norm_from, threshold, sweep, baseline, seed, predictions_path):
     """Disambiguate word senses by weighted-degree centrality."""
-    t0 = time.perf_counter()
-    _refuse_unread(scorer_kind, measure_options=("measure", "ic_counts"))
-    inputs = _inputs(
-        graph=graph_path, instances=instances_path,
-        ic_counts=ic_counts, model=model_path, norm_from=norm_from,
-    )
-    g = load_edge_list(graph_path, virtual_root)
-    depths, ic_table = _measure_context(g, measure or "shp", ic_counts) if scorer_kind == "measure" else (None, None)
-    scorer = _build_scorer(scorer_kind, g, measure, depths, ic_table, model_path, score_mode, norm_from)
-    instances = wsd_mod.load_instances(instances_path)
-    golds = wsd_mod.gold_maps(instances)
+    unread = ("model", "score_mode") if scorer_kind == "measure" else ("norm_from", "measure", "ic_counts")
+    _refuse_unread(f"with --scorer {scorer_kind}", *unread)
+    g, depths, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
+    scorer = _build_scorer(scorer_kind, g, measure, depths, ic_table, model, score_mode, norm_from)
+    tokens = wsd_mod.load_instances(instances)
+    golds = wsd_mod.gold_maps(tokens)
 
     sweep_values = []
     if sweep:
@@ -358,7 +347,7 @@ def cmd_wsd(graph_path, virtual_root, instances_path, scorer_kind, measure, ic_c
             lo += step
 
     (predictions, skipped), *swept = wsd_mod.disambiguate_sweep(
-        instances, scorer, [threshold, *sweep_values]
+        tokens, scorer, [threshold, *sweep_values]
     )
     result = wsd_mod.micro_f1(predictions, golds)
     click.echo(
@@ -370,36 +359,30 @@ def cmd_wsd(graph_path, virtual_root, instances_path, scorer_kind, measure, ic_c
     )
 
     if baseline:
-        picks = (wsd_mod.random_sense_baseline(instances, seed) if baseline == "random"
-                 else wsd_mod.first_sense_baseline(instances))
+        picks = (wsd_mod.random_sense_baseline(tokens, seed) if baseline == "random"
+                 else wsd_mod.first_sense_baseline(tokens))
         click.echo(f"baseline={baseline} f1={wsd_mod.micro_f1(picks, golds).f1:.4f}")
 
     for t, (preds_t, _) in zip(sweep_values, swept):
         click.echo(f"sweep t={t:.4f} f1={wsd_mod.micro_f1(preds_t, golds).f1:.4f}")
 
     if predictions_path:
-        wsd_mod.write_predictions(predictions_path, instances, predictions)
+        wsd_mod.write_predictions(predictions_path, tokens, predictions)
         click.echo(f"wrote predictions to {predictions_path}")
-
-    config = {
+    return {
         "scorer": scorer_kind, "measure": measure or "-", "score_mode": score_mode,
         "threshold": threshold, "baseline": baseline or "-",
-        "virtual_root": virtual_root or "-",
     }
-    write_manifest(manifest_path or "taxovec-wsd.manifest", "wsd", config, inputs, seed, time.perf_counter() - t0)
 
 
-@cli.command("neighbors")
-@click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_command("neighbors")
+@click.option("--model", required=True, type=INPUT)
 @click.option("--node", required=True)
 @click.option("-k", "--k", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--score-mode", type=click.Choice(["dot", "cosine"]), default="dot", show_default=True)
-@click.option("--manifest", "manifest_path", type=click.Path(dir_okay=False), default=None, help="Defaults to taxovec-neighbors.manifest.")
-def cmd_neighbors(model_path, node, k, score_mode, manifest_path):
+def cmd_neighbors(model, node, k, score_mode):
     """Rank all nodes by similarity to one node (the node itself included)."""
-    t0 = time.perf_counter()
-    inputs = _inputs(model=model_path)
-    m = load_embeddings(model_path)
+    m = load_embeddings(model)
     if k > m.n:
         click.echo(f"k={k} exceeds node count {m.n}; clipping to {m.n}", err=True)
         k = m.n
@@ -408,17 +391,14 @@ def cmd_neighbors(model_path, node, k, score_mode, manifest_path):
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")[:k]
     for idx in order:
         click.echo(f"{m.ids[int(idx)]}\t{float(scores[int(idx)])!r}")
-
-    config = {"node": node, "k": k, "score_mode": score_mode}
-    write_manifest(manifest_path or "taxovec-neighbors.manifest", "neighbors", config, inputs, None, time.perf_counter() - t0)
+    return {"node": node, "k": k, "score_mode": score_mode}
 
 
-@cli.command("bench")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--virtual-root", default=None)
+@_command("bench")
+@GRAPH_OPTIONS
 @click.option("--measure", type=click.Choice(MEASURES), default="shp", show_default=True)
-@click.option("--ic-counts", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Embeddings for the dot method; omitted -> random float32 matrix.")
+@IC_COUNTS_OPTION
+@click.option("--model", type=INPUT, default=None, help="Embeddings for the dot method; omitted -> random float32 matrix.")
 @click.option("--dim", type=click.IntRange(min=1), default=300, show_default=True, help="Dimension of the random matrix when --model is omitted.")
 @click.option("--queries", type=click.IntRange(min=1), default=10, show_default=True, help="How many query nodes to sample.")
 @click.option("--query-nodes", default=None, help="Comma-separated node ids; overrides --queries.")
@@ -427,30 +407,27 @@ def cmd_neighbors(model_path, node, k, score_mode, manifest_path):
 @click.option("--topk", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None, help="Write the report as TSV here.")
-@click.option("--manifest", "manifest_path", type=click.Path(dir_okay=False), default=None, help="Defaults to taxovec-bench.manifest.")
-def cmd_bench(graph_path, virtual_root, measure, ic_counts, model_path, dim, queries, query_nodes, repeats, methods, topk, seed, report_path, manifest_path):
+def cmd_bench(graph, virtual_root, measure, ic_counts, model, dim, queries, query_nodes, repeats, methods, topk, seed, report_path):
     """Time one-vs-all similarity queries: graph traversal vs dot products."""
-    t0 = time.perf_counter()
-    inputs = _inputs(graph=graph_path, ic_counts=ic_counts, model=model_path)
-    g = load_edge_list(graph_path, virtual_root)
-    depths, ic_table = _measure_context(g, measure, ic_counts)
     method_tuple = tuple(s.strip() for s in methods.split(",") if s.strip())
+    if "dot" not in method_tuple:
+        _refuse_unread("without dot in --methods", "model", "dim")
+    elif model:
+        _refuse_unread("with --model", "dim")
+    g, depths, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
 
     m = None
-    if "dot" in method_tuple:
-        if model_path:
-            m = load_embeddings(model_path)
-        else:
-            rng = np.random.default_rng(seed)
-            matrix = rng.uniform(-0.05, 0.05, size=(g.n, dim)).astype(np.float32)
-            m = EmbeddingMatrix(g.ids, matrix)
+    if "dot" in method_tuple and model:
+        m = load_embeddings(model)
+    elif "dot" in method_tuple:
+        matrix = np.random.default_rng(seed).uniform(-0.05, 0.05, size=(g.n, dim)).astype(np.float32)
+        m = EmbeddingMatrix(g.ids, matrix)
 
     if query_nodes:
         query_list = [s.strip() for s in query_nodes.split(",") if s.strip()]
     else:
-        rng = np.random.default_rng(seed)
-        count = min(queries, g.n)
-        query_list = [g.ids[int(i)] for i in rng.choice(g.n, size=count, replace=False)]
+        picks = np.random.default_rng(seed).choice(g.n, size=min(queries, g.n), replace=False)
+        query_list = [g.ids[int(i)] for i in picks]
 
     result = bench_mod.run_benchmark(
         g, measure, m, query_list, repeats=repeats, depths=depths,
@@ -458,15 +435,13 @@ def cmd_bench(graph_path, virtual_root, measure, ic_counts, model_path, dim, que
     )
 
     reports = [r for r in (result.graph, result.dot) if r is not None]
-    rows = []
+    rows = [("method", "sec/query", "targets", "repeats", "speedup")]
     for report in reports:
         speedup = "-" if report.speedup is None else f"{report.speedup:.1f}"
         rows.append((report.method, f"{report.seconds_per_query:.3e}", str(report.n_targets), str(report.repeats), speedup))
         if report.timer_warning:
             click.echo(f"warning: {report.method} medians are below timer resolution; increase --queries", err=True)
-    widths = [max(len(r[c]) for r in rows + [("method", "sec/query", "targets", "repeats", "speedup")]) for c in range(5)]
-    header = ("method", "sec/query", "targets", "repeats", "speedup")
-    click.echo("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    widths = [max(len(r[c]) for r in rows) for c in range(5)]
     for r in rows:
         click.echo("  ".join(v.ljust(w) for v, w in zip(r, widths)))
     if result.topk_overlap is not None:
@@ -478,15 +453,12 @@ def cmd_bench(graph_path, virtual_root, measure, ic_counts, model_path, dim, que
             for report in reports:
                 speedup = "" if report.speedup is None else repr(report.speedup)
                 fh.write(f"{report.method}\t{report.seconds_per_query!r}\t{report.n_targets}\t{report.repeats}\t{speedup}\n")
-
-    config = {
+    return {
         "measure": measure, "methods": ",".join(method_tuple), "repeats": repeats,
         "queries": ",".join(query_list), "topk": topk, "dim": dim,
-        "virtual_root": virtual_root or "-",
         # the dot timings depend on BLAS threading, which the environment sets
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset",
     }
-    write_manifest(manifest_path or "taxovec-bench.manifest", "bench", config, inputs, seed, time.perf_counter() - t0)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -434,29 +436,46 @@ EVAL_SIM = ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv",
             "--candidates", "candidates.tsv", "--measure", "shp", "--report", "out.tsv"]
 WSD = ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv", "--threshold", "0.3",
        "--predictions", "out.tsv"]
+SIMILARITIES = ["similarities", "--graph", "tree.tsv", "--output", "out.tsv"]
+TRAIN = ["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv", "--dim", "4", "--epochs", "1",
+         "--output", "out.tsv"]
+BENCH = ["bench", "--graph", "tree.tsv", "--queries", "2", "--repeats", "5", "--report", "out.tsv"]
 
 
 class TestUnreadScorerOptions:
-    # a run never reads these options under its scorer; accepting them would
-    # put a model digest or a score mode it never used in the manifest
+    # a run never reads these options in its mode; accepting them would put
+    # a model digest, a score mode or a setting it never used in the manifest
 
     @pytest.mark.parametrize(
-        "command, valid, unread",
+        "command, valid, unread, why",
         [
-            (EVAL_SIM, ["--scorer", "measure"], ["--model", "emb.txt"]),
-            (EVAL_SIM, ["--scorer", "measure"], ["--score-mode", "cosine"]),
-            (EVAL_SIM, ["--model", "emb.txt"], ["--norm-from", "pairs.tsv"]),
-            (WSD, ["--scorer", "model", "--model", "emb.txt"], ["--norm-from", "pairs.tsv"]),
-            (WSD, ["--scorer", "model", "--model", "emb.txt"], ["--measure", "shp"]),
-            (WSD, ["--scorer", "model", "--model", "emb.txt"], ["--ic-counts", "counts.tsv"]),
-            (WSD, ["--measure", "shp"], ["--model", "emb.txt"]),
-            (WSD, ["--measure", "shp"], ["--score-mode", "cosine"]),
+            (EVAL_SIM, ["--scorer", "measure"], ["--model", "emb.txt"], "with --scorer measure"),
+            (EVAL_SIM, ["--scorer", "measure"], ["--score-mode", "cosine"], "with --scorer measure"),
+            (EVAL_SIM, ["--model", "emb.txt"], ["--norm-from", "pairs.tsv"], "with --scorer model"),
+            (WSD, ["--scorer", "model", "--model", "emb.txt"], ["--norm-from", "pairs.tsv"], "with --scorer model"),
+            (WSD, ["--scorer", "model", "--model", "emb.txt"], ["--measure", "shp"], "with --scorer model"),
+            (WSD, ["--scorer", "model", "--model", "emb.txt"], ["--ic-counts", "counts.tsv"], "with --scorer model"),
+            (WSD, ["--measure", "shp"], ["--model", "emb.txt"], "with --scorer measure"),
+            (WSD, ["--measure", "shp"], ["--score-mode", "cosine"], "with --scorer measure"),
+            (SIMILARITIES, ["--measure", "shp"], ["--ic-counts", "counts.tsv"], "without --measure jcn"),
+            (EVAL_SIM, ["--scorer", "measure"], ["--ic-counts", "counts.tsv"], "without --measure jcn"),
+            (EVAL_SIM, ["--model", "emb.txt"], ["--ic-counts", "counts.tsv"], "without --measure jcn"),
+            (WSD, ["--measure", "wup"], ["--ic-counts", "counts.tsv"], "without --measure jcn"),
+            (BENCH, ["--measure", "lch", "--dim", "4"], ["--ic-counts", "counts.tsv"], "without --measure jcn"),
+            (BENCH, ["--model", "emb.txt"], ["--dim", "4"], "with --model"),
+            (BENCH, ["--methods", "graph"], ["--model", "emb.txt"], "without dot in --methods"),
+            (BENCH, ["--methods", "graph"], ["--dim", "4"], "without dot in --methods"),
+            (EVAL_SIM, ["--scorer", "measure"], ["--bins", "3"], "without --histogram"),
+            (TRAIN, [], ["--patience", "1"], "without --dev-pairs"),
         ],
         ids=["eval-sim-measure-model", "eval-sim-measure-score-mode", "eval-sim-model-norm-from",
              "wsd-model-norm-from", "wsd-model-measure", "wsd-model-ic-counts",
-             "wsd-measure-model", "wsd-measure-score-mode"],
+             "wsd-measure-model", "wsd-measure-score-mode",
+             "similarities-shp-ic-counts", "eval-sim-measure-shp-ic-counts", "eval-sim-model-shp-ic-counts",
+             "wsd-wup-ic-counts", "bench-lch-ic-counts", "bench-model-dim", "bench-graph-model",
+             "bench-graph-dim", "eval-sim-bins", "train-patience"],
     )
-    def test_usage_error_names_the_option(self, workdir, capsys, command, valid, unread):
+    def test_usage_error_names_the_option(self, workdir, capsys, command, valid, unread, why):
         TestEvalSim().setup_files(workdir)
         (workdir / "inst.tsv").write_text(TestWsd.INSTANCES)
         (workdir / "counts.tsv").write_text("c\t3\nd\t1\n")
@@ -464,10 +483,9 @@ class TestUnreadScorerOptions:
             "7 2\n" + "".join(f"{node} {k % 3 - 1}.5 {k % 2}.25\n" for k, node in enumerate("arbcdef"))
         )
         assert main(["similarities", "--graph", "tree.tsv", "--measure", "shp", "--output", "pairs.tsv"]) == 0
-        scorer = "model" if "emb.txt" in valid else "measure"
         assert main([*command, *valid, *unread]) == 1
-        assert f"{unread[0]} is not read with --scorer {scorer}" in capsys.readouterr().err
-        assert not list(workdir.glob("out.tsv")) + list(workdir.glob("taxovec-*.manifest"))
+        assert f"{unread[0]} is not read {why}" in capsys.readouterr().err
+        assert not list(workdir.glob("out.tsv*")) + list(workdir.glob("taxovec-*.manifest"))
         assert main([*command, *valid]) == 0
 
 
@@ -679,6 +697,13 @@ class TestBench:
         got = read_manifest(workdir / "taxovec-bench.manifest")
         assert got["config.blas_threads"] == want
 
+    def test_empty_method_list_is_a_usage_error(self, workdir, capsys):
+        # at least one method must run: an empty list would time nothing
+        code = main(["bench", "--graph", "tree.tsv", "--methods", ",", "--repeats", "5"])
+        assert code == 1
+        assert "need at least one method" in capsys.readouterr().err
+        assert not (workdir / "taxovec-bench.manifest").exists()
+
     def test_too_few_repeats(self, workdir, capsys):
         code = main(
             ["bench", "--graph", "tree.tsv", "--measure", "shp",
@@ -722,3 +747,64 @@ class TestEntryPoint:
              "--measure", "shp", "--output", "pairs.tsv"]
         )
         assert code == 1
+
+
+GOLDEN = Path(__file__).with_name("cli_golden.txt")
+# runs of each command and mode on tree.tsv; bench's stdout and the timing
+# columns of its report are left out, since they vary from run to run
+GOLDEN_RUNS = [
+    ["similarities", "--graph", "tree.tsv", "--measure", "shp", "--output", "pairs.tsv"],
+    ["similarities", "--graph", "tree.tsv", "--virtual-root", "top", "--measure", "jcn",
+     "--ic-counts", "counts.tsv", "--mode", "fast", "--seed", "3", "--output", "jcn.tsv",
+     "--manifest", "jcn.manifest"],
+    ["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv", "--dev-pairs", "pairs.tsv",
+     "--dim", "4", "--epochs", "3", "--patience", "1", "--seed", "2", "--output", "emb.txt"],
+    ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv", "--candidates",
+     "candidates.tsv", "--measure", "shp", "--scorer", "measure", "--norm-from", "pairs.tsv",
+     "--golds", "measure", "--report", "eval.tsv", "--histogram", "hist.tsv", "--bins", "3"],
+    ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv", "--candidates",
+     "candidates.tsv", "--measure", "wup", "--model", "emb.txt", "--score-mode", "cosine",
+     "--selection", "dynamic", "--report", "eval-model.tsv", "--manifest", "eval-model.manifest"],
+    ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv", "--measure", "jcn",
+     "--ic-counts", "counts.tsv", "--threshold", "0.3", "--sweep", "0:0.5:0.25",
+     "--baseline", "random", "--seed", "4", "--predictions", "preds.tsv"],
+    ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv", "--scorer", "model",
+     "--model", "emb.txt", "--threshold", "0.1", "--predictions", "preds-model.tsv",
+     "--manifest", "wsd-model.manifest"],
+    ["neighbors", "--model", "emb.txt", "--node", "c", "-k", "3", "--score-mode", "cosine"],
+    ["bench", "--graph", "tree.tsv", "--measure", "lch", "--dim", "4", "--queries", "2",
+     "--repeats", "5", "--seed", "1", "--report", "bench.tsv"],
+    ["bench", "--graph", "tree.tsv", "--methods", "dot", "--model", "emb.txt",
+     "--query-nodes", "c,d", "--repeats", "5", "--manifest", "bench-model.manifest"],
+]
+
+
+def golden_text(workdir, capsys, monkeypatch) -> str:
+    """Every output, manifest and stdout of GOLDEN_RUNS, wall time and version masked."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    TestEvalSim().setup_files(workdir)
+    (workdir / "inst.tsv").write_text(TestWsd.INSTANCES)
+    (workdir / "counts.tsv").write_text("c\t3\nd\t1\n")
+    fixtures = {p.name for p in workdir.iterdir()}
+    sections = []
+    for args in GOLDEN_RUNS:
+        assert main(args) == 0, args
+        out = capsys.readouterr().out
+        sections.append(f"==> stdout of {' '.join(args)} <==\n{'' if args[0] == 'bench' else out}")
+    for path in sorted(p for p in workdir.iterdir() if p.name not in fixtures):
+        lines = path.read_text().splitlines()
+        if path.name.endswith("manifest"):
+            lines = [line.partition("=")[0] + "=*" if line.startswith(("wall_time_s=", "version=")) else line
+                     for line in lines]
+        if path.name == "bench.tsv":
+            lines = [f"{m}\t*\t{n}\t{r}\t*" for m, _, n, r, _ in (line.split("\t") for line in lines)]
+        sections.append(f"==> {path.name} <==\n" + "".join(line + "\n" for line in lines))
+    return "".join(sections)
+
+
+def test_outputs_and_manifests_match_the_pinned_text(workdir, capsys, monkeypatch):
+    # pins the pairs, embeddings, reports, predictions, stdout and manifests
+    # of every command byte for byte; recapture cli_golden.txt only for a
+    # change that means to alter them
+    assert golden_text(workdir, capsys, monkeypatch) == GOLDEN.read_text()

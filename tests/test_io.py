@@ -429,3 +429,27 @@ def test_only_the_model_scorer_computes_model_similarity():
     assert any(site[:2] == ("trainer.py", "ModelScorer") for site in found), \
         "the guard no longer sees ModelScorer's own matmul"
     assert sorted(site for site in found if site[:2] not in MATMUL_SITES) == []
+
+
+def test_only_the_command_scaffold_times_runs_and_writes_manifests():
+    # a command body does its work and returns its config; cli._command around
+    # it derives the inputs, the manifest path, the seed and the wall time
+    found = calls_in_package({"write_manifest"})
+    assert found.pop("cli.py"), "the guard no longer sees the scaffold's write_manifest"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    cli = ast.parse((Path(taxovec.__file__).parent / "cli.py").read_text())
+    sites = {
+        (top.name, node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id)
+        for top in cli.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("write_manifest", "perf_counter")
+    }
+    assert sites == {("_command", "write_manifest"), ("_command", "perf_counter")}
+    takes_manifest = [
+        node.name
+        for node in ast.walk(cli)
+        if isinstance(node, ast.FunctionDef)
+        and {"manifest", "manifest_path"} & {a.arg for a in [*node.args.args, *node.args.kwonlyargs]}
+    ]
+    assert takes_manifest == ["run"], "only the scaffold's wrapper takes the manifest option"
