@@ -74,6 +74,8 @@ def _options(*options):
     return lambda command: functools.reduce(lambda cmd, option: option(cmd), reversed(options), command)
 
 
+SWEEP_MAX = 1000  # thresholds one `wsd --sweep` may ask for; each keeps every token's prediction
+
 INPUT = click.Path(exists=True, dir_okay=False)
 GRAPH_OPTIONS = _options(
     click.option("--graph", required=True, type=INPUT),
@@ -329,6 +331,8 @@ def cmd_wsd(graph, virtual_root, instances, scorer_kind, measure, ic_counts, mod
     """Disambiguate word senses by weighted-degree centrality."""
     unread = ("model", "score_mode") if scorer_kind == "measure" else ("norm_from", "measure", "ic_counts")
     _refuse_unread(f"with --scorer {scorer_kind}", *unread)
+    if baseline != "random":
+        _refuse_unread("without --baseline random", "seed")
     g, depths, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
     scorer = _build_scorer(scorer_kind, g, measure, depths, ic_table, model, score_mode, norm_from)
     tokens = wsd_mod.load_instances(instances)
@@ -342,7 +346,13 @@ def cmd_wsd(graph, virtual_root, instances, scorer_kind, measure, ic_counts, mod
                 raise ValueError
         except ValueError:
             raise click.UsageError("--sweep expects finite `lo:hi:step` with step > 0")
-        while lo <= hi + 1e-12:
+        beyond_first = (hi + 1e-12 - lo) / step  # inf for a subnormal step
+        if not beyond_first < SWEEP_MAX:
+            raise click.UsageError(
+                f"--sweep {sweep} asks for {np.floor(beyond_first) + 1:.6g} thresholds; at most {SWEEP_MAX} are allowed"
+            )
+        # the count, with one spare for rounding, also ends a step below lo's resolution
+        while lo <= hi + 1e-12 and len(sweep_values) <= beyond_first + 1:
             sweep_values.append(lo)
             lo += step
 
@@ -414,6 +424,12 @@ def cmd_bench(graph, virtual_root, measure, ic_counts, model, dim, queries, quer
         _refuse_unread("without dot in --methods", "model", "dim")
     elif model:
         _refuse_unread("with --model", "dim")
+    if not {"graph", "dot"} <= set(method_tuple):
+        _refuse_unread("unless --methods has both graph and dot", "topk")
+    if query_nodes:
+        _refuse_unread("with --query-nodes", "queries")
+        if model or "dot" not in method_tuple:
+            _refuse_unread("with --query-nodes unless dot runs on the random matrix", "seed")
     g, depths, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
 
     m = None

@@ -12,12 +12,15 @@ with lazy sparse moments: untouched rows keep their state, touched rows
 use the global step for bias correction. Parameters are stored in
 float32 by default; all arithmetic runs in float64.
 
-Per batch, every gradient contribution lands in its (touched row, column)
-cell through one flat `np.bincount`, which adds the cell's contributions
-in entry order starting from +0.0, exactly as an `np.add.at` scatter
-would. The Adam step gathers each moment array's touched rows once,
-updates them in place and writes them back once. Each epoch maps the
-pairs' ids to graph indices with `Pairs.on`, once per id, not per pair.
+Per batch, the gradient contributions fill one (rows, d) block in
+scatter order and are summed per touched row by occurrence level (see
+`_sum_by_row`): each cell gets the additions an `np.add.at` scatter
+makes, in entry order from +0.0, so the sums are bit for bit the same.
+`np.add.reduceat` was ruled out: it does not add in order. The touched
+rows are gathered once, for the L1 term and the Adam step, which gathers
+each moment array's touched rows once, updates them in place and writes
+them back once. Each epoch maps the pairs' ids to graph indices with
+`Pairs.on`, once per id, not per pair.
 A seed fixes the saved embedding byte for byte; the tests pin the digests.
 """
 
@@ -41,6 +44,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 INIT_SCALE = 0.05
+
+HUB_OCCURRENCES = 8  # a row recurring more often in a batch sums its gradient in one pass
 
 CHUNK_ROWS = 64  # embedding rows per np.loadtxt call; larger chunks were no faster and raised peak RSS
 
@@ -271,11 +276,12 @@ class EpochStats:
 
 def _loss_and_grads(
     V: np.ndarray, batch: Batch, alpha: float, l1: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Loss of one batch, its mean entry loss plus the L1 penalty over the
     rows it touches, and the loss's gradient; train and batch_gradients share it.
 
-    Returns (loss, touched_rows, grads_per_touched_row, per_entry_terms).
+    Returns (loss, touched_rows, grads_per_touched_row, per_entry_terms,
+    touched_values), the last the touched rows of V in float64, a copy.
     All math in float64 regardless of storage dtype.
     """
     vi = V[batch.i].astype(np.float64, copy=False)
@@ -295,38 +301,71 @@ def _loss_and_grads(
     size = len(batch)
     loss = float(terms.sum() / size)
 
-    # Gradient rows in scatter order: every i, every j, then (with alpha)
-    # every present ni and nj. The same list defines the touched rows, so
-    # one unique gives both the rows and each contribution's slot.
-    rows = np.concatenate([batch.i, batch.j, batch.ni[has_ni], batch.nj[has_nj]])
-    touched, slot = np.unique(rows, return_inverse=True)
-    if l1 > 0.0:
-        vt = V[touched].astype(np.float64, copy=False)
-        loss += l1 * float(np.abs(vt).sum())
-
+    # Gradient rows in scatter order: every i, every j, then every present
+    # ni and nj, each with its contribution in one (rows, d) block. With
+    # alpha == 0 the neighbors are still touched, with zero contributions.
+    ni, nj = batch.ni[has_ni], batch.nj[has_nj]
+    rows = np.concatenate([batch.i, batch.j, ni, nj])
+    contribs = np.empty((len(rows), V.shape[1]))
+    gi, gj = contribs[:size], contribs[size : 2 * size]
+    gn, gm = contribs[2 * size : 2 * size + len(ni)], contribs[2 * size + len(ni) :]
     with np.errstate(over="ignore", invalid="ignore"):  # diverged rows surface
-        gi = 2.0 * err[:, None] * vj                    # as a non-finite loss
-        gj = 2.0 * err[:, None] * vi
-        contribs = [gi, gj]
+        err2 = 2.0 * err[:, None]                       # as a non-finite loss
+        np.multiply(err2, vj, out=gi)
+        np.multiply(err2, vi, out=gj)
         if alpha != 0.0:
-            gi -= alpha * vn * has_ni[:, None]
-            gj -= alpha * vm * has_nj[:, None]
-            contribs += [-alpha * vi[has_ni], -alpha * vj[has_nj]]
-    all_contribs = np.concatenate(contribs)
-    all_contribs /= size
+            for part, nbr, has in ((gi, vn, has_ni), (gj, vm, has_nj)):
+                nbr *= alpha  # part -= alpha * nbr * has, in place
+                np.multiply(nbr, has[:, None], out=nbr)
+                part -= nbr
+            np.multiply(vi[has_ni], -alpha, out=gn)
+            np.multiply(vj[has_nj], -alpha, out=gm)
+        else:
+            contribs[2 * size :] = 0.0
+        contribs /= size
+    touched, grads = _sum_by_row(rows, contribs)
 
-    # One flat bincount sums every contribution into its (row, column) cell
-    # in entry order, starting from +0.0: the same additions as np.add.at.
-    d = V.shape[1]
-    cells = (slot[: len(all_contribs), None] * d + np.arange(d)).ravel()
-    grads = np.bincount(
-        cells, weights=all_contribs.ravel(), minlength=len(touched) * d
-    ).reshape(-1, d)
+    vt = V[touched].astype(np.float64, copy=False)
     if l1 > 0.0:
-        np.sign(vt, out=vt)
-        vt *= l1
-        grads += vt
-    return loss, touched, grads, terms
+        work = np.abs(vt)
+        loss += l1 * float(work.sum())
+        np.sign(vt, out=work)
+        work *= l1
+        grads += work
+    return loss, touched, grads, terms, vt
+
+
+def _sum_by_row(rows: np.ndarray, contribs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct rows and, per row, the sum of its contributions
+    contribs[k] (rows[k] == row), added in k order starting from +0.0, the
+    additions an np.add.at scatter makes.
+
+    One stable argsort lists each row's positions in k order. The first
+    occurrences open the sums; then each later occurrence rank adds its
+    contributions to the rows that recur that often, one vectorized add
+    per rank. A row recurring more than HUB_OCCURRENCES times sums its own
+    contributions with one np.add.accumulate, which adds in order too; its
+    ((c0 + c1) + ...) + 0.0 equals ((0.0 + c0) + c1) + ..., as a partial
+    sum is -0.0 only while every term so far is.
+    """
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    first = np.empty(len(rows), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(rows))
+    grads = contribs[order[starts]]
+    grads += 0.0
+    hubs = counts > HUB_OCCURRENCES
+    for slot in np.flatnonzero(hubs):
+        at = order[starts[slot] : starts[slot] + counts[slot]]
+        grads[slot] = np.add.accumulate(contribs[at], axis=0)[-1] + 0.0
+    counts[hubs] = 1  # summed; out of the rank loop
+    for rank in range(1, int(counts.max(initial=1))):
+        slots = np.flatnonzero(counts > rank)
+        grads[slots] += contribs[order[starts[slots] + rank]]
+    return ranked[starts], grads
 
 
 def batch_gradients(
@@ -336,7 +375,7 @@ def batch_gradients(
 
     Returns (touched_row_indices, gradient_rows), rows sorted ascending.
     """
-    _, touched, grads, _ = _loss_and_grads(m.matrix, batch, alpha, l1)
+    _, touched, grads, _, _ = _loss_and_grads(m.matrix, batch, alpha, l1)
     return touched, grads
 
 
@@ -443,7 +482,7 @@ def train(
     for epoch in range(cfg.epochs):
         losses: list[float] = []
         for bi, batch in enumerate(make_batches(pairs, g, cfg, [cfg.seed, epoch])):
-            loss, touched, grads, terms = _loss_and_grads(V, batch, cfg.alpha, cfg.l1)
+            loss, touched, grads, terms, rows = _loss_and_grads(V, batch, cfg.alpha, cfg.l1)
             if not math.isfinite(loss):
                 bad = int(np.flatnonzero(~np.isfinite(terms))[0]) if len(terms) else 0
                 u, v = m.ids[int(batch.i[bad])], m.ids[int(batch.j[bad])]
@@ -474,7 +513,6 @@ def train(
             np.sqrt(vv, out=vv)
             vv += ADAM_EPS
             mm /= vv
-            rows = V[touched].astype(np.float64, copy=False)
             rows -= mm
             with np.errstate(over="ignore"):  # float32 overflow -> NumericError next batch
                 V[touched] = rows

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taxovec.cli import _norm_range_from, main
+from taxovec.cli import SWEEP_MAX, _norm_range_from, main
 from taxovec.dataset import read_pairs
 from taxovec.errors import DataError
 from taxovec.manifest import file_digest, read_manifest
@@ -440,6 +440,7 @@ SIMILARITIES = ["similarities", "--graph", "tree.tsv", "--output", "out.tsv"]
 TRAIN = ["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv", "--dim", "4", "--epochs", "1",
          "--output", "out.tsv"]
 BENCH = ["bench", "--graph", "tree.tsv", "--queries", "2", "--repeats", "5", "--report", "out.tsv"]
+BENCH_NODES = ["bench", "--graph", "tree.tsv", "--query-nodes", "c,d", "--repeats", "5", "--report", "out.tsv"]
 
 
 class TestUnreadScorerOptions:
@@ -467,13 +468,24 @@ class TestUnreadScorerOptions:
             (BENCH, ["--methods", "graph"], ["--dim", "4"], "without dot in --methods"),
             (EVAL_SIM, ["--scorer", "measure"], ["--bins", "3"], "without --histogram"),
             (TRAIN, [], ["--patience", "1"], "without --dev-pairs"),
+            (WSD, ["--measure", "shp"], ["--seed", "3"], "without --baseline random"),
+            (WSD, ["--measure", "shp", "--baseline", "first"], ["--seed", "3"], "without --baseline random"),
+            (BENCH_NODES, [], ["--queries", "2"], "with --query-nodes"),
+            (BENCH, ["--methods", "graph"], ["--topk", "3"], "unless --methods has both graph and dot"),
+            (BENCH, ["--methods", "dot"], ["--topk", "3"], "unless --methods has both graph and dot"),
+            (BENCH_NODES, ["--methods", "graph"], ["--seed", "3"],
+             "with --query-nodes unless dot runs on the random matrix"),
+            (BENCH_NODES, ["--model", "emb.txt"], ["--seed", "3"],
+             "with --query-nodes unless dot runs on the random matrix"),
         ],
         ids=["eval-sim-measure-model", "eval-sim-measure-score-mode", "eval-sim-model-norm-from",
              "wsd-model-norm-from", "wsd-model-measure", "wsd-model-ic-counts",
              "wsd-measure-model", "wsd-measure-score-mode",
              "similarities-shp-ic-counts", "eval-sim-measure-shp-ic-counts", "eval-sim-model-shp-ic-counts",
              "wsd-wup-ic-counts", "bench-lch-ic-counts", "bench-model-dim", "bench-graph-model",
-             "bench-graph-dim", "eval-sim-bins", "train-patience"],
+             "bench-graph-dim", "eval-sim-bins", "train-patience", "wsd-no-baseline-seed",
+             "wsd-first-baseline-seed", "bench-query-nodes-queries", "bench-graph-topk", "bench-dot-topk",
+             "bench-query-nodes-graph-seed", "bench-query-nodes-model-seed"],
     )
     def test_usage_error_names_the_option(self, workdir, capsys, command, valid, unread, why):
         TestEvalSim().setup_files(workdir)
@@ -573,6 +585,37 @@ class TestWsd:
              "--measure", "shp", "--sweep", "backwards"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("spec", [f"0:1:{1 / SWEEP_MAX}", "0:1:1e-12", "0:1:1e-320"])
+    def test_sweep_over_the_cap_is_a_usage_error(self, workdir, capsys, spec):
+        (workdir / "inst.tsv").write_text(self.INSTANCES)
+        code = main(
+            ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv",
+             "--measure", "shp", "--sweep", spec]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        count = {"0:1:1e-12": "1e+12", "0:1:1e-320": "inf"}.get(spec, str(SWEEP_MAX + 1))
+        assert f"asks for {count} thresholds; at most {SWEEP_MAX}" in err
+        assert not (workdir / "taxovec-wsd.manifest").exists()
+
+    def test_sweep_at_the_cap_runs(self, workdir, capsys):
+        (workdir / "inst.tsv").write_text(self.INSTANCES)
+        code = main(
+            ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv",
+             "--measure", "shp", "--sweep", f"0:{SWEEP_MAX - 1}:1"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("sweep t=") == SWEEP_MAX
+
+    def test_sweep_step_below_resolution_ends(self, workdir, capsys):
+        (workdir / "inst.tsv").write_text(self.INSTANCES)
+        code = main(
+            ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv",
+             "--measure", "shp", "--sweep", "1e17:1e17:1"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("sweep t=") <= 2
 
     @pytest.mark.parametrize("spec", ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.5", "-inf:0:0.5"])
     def test_non_finite_sweep_spec_is_a_usage_error(self, workdir, capsys, spec):

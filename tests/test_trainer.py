@@ -26,6 +26,7 @@ from taxovec.errors import DegenerateRangeError, EmptyDatasetError
 from taxovec.errors import ConfigError, DataError, NumericError, UnknownNodeError
 from taxovec.graph import TaxonomyGraph
 from taxovec.trainer import (
+    HUB_OCCURRENCES,
     Batch,
     EmbeddingMatrix,
     TrainConfig,
@@ -223,6 +224,82 @@ class TestScatterReference:
         _, ref = add_at_gradients(V, batch, alpha, 0.0)
         assert grads.tobytes() == ref.tobytes()
         assert not np.signbit(grads).any()
+
+    def assert_matches_reference(self, V, batch, alpha, l1):
+        m = EmbeddingMatrix([f"n{k}" for k in range(len(V))], V)
+        touched, grads = batch_gradients(m, batch, alpha, l1)
+        ref_touched, ref = add_at_gradients(V, batch, alpha, l1)
+        assert touched.tobytes() == ref_touched.tobytes()
+        assert grads.tobytes() == ref.tobytes()
+        return touched, grads
+
+    @pytest.mark.parametrize("size", [1, 97, 1000])
+    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    def test_one_row_in_every_slot(self, size, alpha):
+        # 4 * size occurrences: the rank loop at size 1, one accumulate above HUB_OCCURRENCES
+        rng = np.random.default_rng(size)
+        V = rng.normal(size=(6, 33))
+        row = np.full(size, 4, dtype=np.int64)
+        batch = Batch(i=row, j=row.copy(), s=rng.random(size), ni=row.copy(), nj=row.copy())
+        touched, _ = self.assert_matches_reference(V, batch, alpha, 1e-3)
+        assert touched.tolist() == [4]
+
+    @pytest.mark.parametrize("size", [1, 97])
+    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    def test_one_row_of_negative_zero_contributions(self, size, alpha):
+        # 2 * (0 - 0.5) * (+0.0) is -0.0 in every slot; the sum still starts from +0.0
+        V = np.zeros((3, 4))
+        row = np.ones(size, dtype=np.int64)
+        batch = Batch(i=row, j=row.copy(), s=np.full(size, 0.5), ni=row.copy(), nj=row.copy())
+        _, grads = self.assert_matches_reference(V, batch, alpha, 0.0)
+        assert not np.signbit(grads).any()
+
+    @pytest.mark.parametrize("l1", [0.0, 1e-3])
+    def test_zero_alpha_touches_neighbors_with_zero_gradient(self, l1):
+        rng = np.random.default_rng(8)
+        V = rng.normal(size=(40, 7)).astype(np.float32)
+        batch = random_batch(20, 60, rng)  # endpoints in rows 0-19
+        batch.ni[:] = rng.integers(20, 40, len(batch))  # neighbors only in rows 20-39
+        batch.nj[:] = rng.integers(20, 40, len(batch))
+        touched, grads = self.assert_matches_reference(V, batch, 0.0, l1)
+        only_neighbors = touched >= 20
+        assert only_neighbors.any()
+        expected = np.zeros((only_neighbors.sum(), 7))  # each sum starts from +0.0
+        if l1 > 0.0:
+            expected += l1 * np.sign(V[touched[only_neighbors]].astype(np.float64))
+        assert grads[only_neighbors].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_zero_signs_on_the_rank_loop(self, alpha):
+        rng = np.random.default_rng(12)
+        V = np.where(rng.random((60, 5)) < 0.5, -0.0, 0.0)
+        batch = random_batch(60, 25, rng)
+        batch.s[:] = rng.choice([-0.5, 0.5], len(batch))  # products of -0.0 and +0.0
+        rows = np.concatenate([batch.i, batch.j, batch.ni[batch.ni >= 0], batch.nj[batch.nj >= 0]])
+        counts = np.unique(rows, return_counts=True)[1]
+        assert 1 < counts.max() <= HUB_OCCURRENCES  # no row leaves the rank loop
+        _, grads = self.assert_matches_reference(V, batch, alpha, 0.0)
+        assert not np.signbit(grads).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 50),
+        d=st.integers(1, 12),
+        size=st.integers(1, 150),
+        dtype=st.sampled_from(["float32", "float64"]),
+        alpha=st.sampled_from([0.0, 0.01, 0.5]),
+        l1=st.sampled_from([0.0, 1e-3]),
+        missing=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_random_batches_property(self, seed, n_rows, d, size, dtype, alpha, l1, missing):
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(n_rows, d)).astype(dtype)
+        V[rng.random(V.shape) < 0.1] = 0.0
+        batch = random_batch(n_rows, size, rng)
+        batch.ni[rng.random(size) < missing] = -1
+        batch.nj[rng.random(size) < missing] = -1
+        self.assert_matches_reference(V, batch, alpha, l1)
 
 
 class TestMakeBatches:
