@@ -17,20 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import DepthIndex, TaxonomyGraph
+from .graph import TaxonomyGraph
 from .metrics import InformationContentTable, SimilarityRows
 from .trainer import EmbeddingMatrix
 
 TIMER_FLOOR_S = 100e-6
 
 
-def one_vs_all_graph(
-    g: TaxonomyGraph,
-    measure: str,
-    v: str,
-    depths: DepthIndex | None = None,
-    ic_table: InformationContentTable | None = None,
-) -> np.ndarray:
+def one_vs_all_graph(g: TaxonomyGraph, measure: str, v: str, *, ic_table: InformationContentTable | None = None) -> np.ndarray:
     """Raw measure similarity of `v` to every node, self included.
 
     Scores a one-source SimilarityRows.block, one traversal over the
@@ -39,7 +33,7 @@ def one_vs_all_graph(
     without a common subsumer) score 0. JCN keeps its infinity sentinel
     for zero-distance pairs.
     """
-    return _dense_row(SimilarityRows(g, measure, depths, ic_table), v)
+    return _dense_row(SimilarityRows(g, measure, ic_table=ic_table), v)
 
 
 def _dense_row(rows: SimilarityRows, v: str) -> np.ndarray:
@@ -105,7 +99,7 @@ def run_benchmark(
     m: EmbeddingMatrix | None,
     queries: list[str],
     repeats: int = 5,
-    depths: DepthIndex | None = None,
+    *,
     ic_table: InformationContentTable | None = None,
     methods: tuple[str, ...] = ("graph", "dot"),
     topk: int = 10,
@@ -132,7 +126,7 @@ def run_benchmark(
     if "graph" in methods:
         for q in queries:
             g.idx(q)
-        rows = SimilarityRows(g, measure, depths, ic_table)  # set-up shared by every query
+        rows = SimilarityRows(g, measure, ic_table=ic_table)  # set-up shared by every query
         per_query, warn = _time_passes(lambda q: _dense_row(rows, q), queries, repeats)
         graph_report = BenchReport(
             method=f"graph[{measure.lower()}]",

@@ -7,8 +7,8 @@ nodes, and `bench` times one-vs-all queries. Each command body returns its
 resolved config; the `_command` scaffold writes the run's manifest
 (key=value text) with it, the given input files' digests, the seed, the
 virtual root, the version and the wall time, to `--manifest`, else
-`<output>.manifest`, else `taxovec-<command>.manifest`. An option given that
-the run never reads is a usage error raised before any input is read.
+`<output>.manifest`, else `taxovec-<command>.manifest`. An option the run
+never reads is, if given, a usage error raised before any input is read.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -43,7 +43,7 @@ from .evaluation import (
     make_records,
     score_histogram,
 )
-from .graph import compute_depths, load_edge_list
+from .graph import load_edge_list
 from .io import atomic_write, real
 from .manifest import write_manifest
 from .metrics import MEASURES, load_raw_counts, propagate_counts
@@ -83,19 +83,24 @@ GRAPH_OPTIONS = _options(
 )
 IC_COUNTS_OPTION = click.option("--ic-counts", type=INPUT, default=None, help="Corpus counts; read only with --measure jcn.")
 
+UNREAD = "taxovec.unread"  # context meta: the names of the options the run never reads
+
 
 def _command(name: str, epilog: str | None = None):
     """Register a command whose body returns its config; add `--manifest`,
     time the run and write its manifest. Its inputs are the given options
     typed `click.Path(exists=True)`, keyed by option name; a TAB or line
-    break in one would break its manifest line, so it fails first."""
+    break in one would break its manifest line, so it fails first. The
+    seed is `-` unless the run reads `--seed`; the body writes `-` for
+    the config entries it did not read."""
 
     def register(body):
         @functools.wraps(body)
         def run(manifest, **options):
             t0 = time.perf_counter()
+            ctx = click.get_current_context()
             inputs = {}
-            for param in click.get_current_context().command.params:
+            for param in ctx.command.params:
                 path = options.get(param.name)
                 if isinstance(param.type, click.Path) and param.type.exists and path:
                     if any(ch in path for ch in "\t\r\n"):
@@ -104,7 +109,8 @@ def _command(name: str, epilog: str | None = None):
             config = body(**options)
             if "virtual_root" in options:
                 config["virtual_root"] = options["virtual_root"] or "-"
-            write_manifest(manifest or default.format(**options), name, config, inputs, options.get("seed"), time.perf_counter() - t0)
+            seed = None if "seed" in ctx.meta.get(UNREAD, ()) else options.get("seed")
+            write_manifest(manifest or default.format(**options), name, config, inputs, seed, time.perf_counter() - t0)
 
         command = cli.command(name, epilog=epilog)(run)
         default = "{output}.manifest" if "output" in {p.name for p in command.params} else f"taxovec-{name}.manifest"
@@ -117,24 +123,25 @@ def _command(name: str, epilog: str | None = None):
 
 def _refuse_unread(why: str, *names: str) -> None:
     """A usage error for any of `names` given on the command line: the run
-    never reads them, and the manifest must record nothing it ignored."""
+    never reads them, and the manifest must record nothing it ignored, so
+    the names are also kept for the scaffold's seed."""
     ctx = click.get_current_context()
+    ctx.meta.setdefault(UNREAD, set()).update(names)
     for param in ctx.command.params:
         if param.name in names and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
             raise click.UsageError(f"{param.opts[0]} is not read {why}")
 
 
 def _load_graph(graph: str, virtual_root: str | None, measure: str | None, ic_counts: str | None):
-    """The graph, with the depths and IC table the measure needs; IC counts
-    are read only for jcn, and jcn without them is a usage error."""
+    """The graph, with the IC table jcn needs; IC counts are read only for
+    jcn, and jcn without them is a usage error."""
     if measure != "jcn":
         _refuse_unread("without --measure jcn", "ic_counts")
     elif ic_counts is None:
         raise click.UsageError("--measure jcn requires --ic-counts")
     g = load_edge_list(graph, virtual_root)
-    depths = compute_depths(g) if measure in ("lch", "wup", "jcn") else None
     ic_table = propagate_counts(g, load_raw_counts(ic_counts, g)) if measure == "jcn" else None
-    return g, depths, ic_table
+    return g, ic_table
 
 
 def _norm_range_from(pairs_file: str | None) -> tuple[float, float] | None:
@@ -168,10 +175,10 @@ IC counts file (jcn only): `node<TAB>count` lines.
 @click.option("--output", required=True, type=click.Path(dir_okay=False, writable=True))
 def cmd_similarities(graph, virtual_root, measure, mode, threshold, top_k, seed, ic_counts, output):
     """Build a training dataset of similarity-scored node pairs."""
-    g, depths, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
+    g, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
     cfg = DatasetConfig(measure=measure, threshold=threshold, top_k=top_k, mode=mode, seed=seed)
     builder = build_fast if mode == "fast" else build_full
-    build = builder(g, cfg, depths, ic_table)
+    build = builder(g, cfg, ic_table=ic_table)
     write_pairs(output, build)
     click.echo(
         f"candidates={build.candidate_count} threshold_kept={build.threshold_kept} "
@@ -232,7 +239,7 @@ def cmd_train(graph, virtual_root, pairs, dev_pairs, dim, alpha, negatives, neg_
     m = train(training, g, cfg, on_epoch=on_epoch)
     save_embeddings(m, output)
     click.echo(f"wrote {m.n}x{m.d} embeddings to {output}")
-    return {**hyper, "neg_mode": "per-side" if neg_per_side else "total"}
+    return {**hyper, "early_stop_patience": patience if dev_pairs else "-", "neg_mode": "per-side" if neg_per_side else "total"}
 
 
 def _scorer_options(default: str):
@@ -245,14 +252,14 @@ def _scorer_options(default: str):
     )
 
 
-def _build_scorer(scorer_kind, g, measure, depths, ic_table, model, score_mode, norm_from):
+def _build_scorer(scorer_kind, g, measure, ic_table, model, score_mode, norm_from):
     if scorer_kind == "model":
         if model is None:
             raise click.UsageError("--scorer model requires --model")
         return ModelScorer(load_embeddings(model), score_mode)
     if measure is None:
         raise click.UsageError("--scorer measure requires --measure")
-    return MeasureScorer(g, measure, depths, ic_table, _norm_range_from(norm_from))
+    return MeasureScorer(g, measure, ic_table=ic_table, norm_range=_norm_range_from(norm_from))
 
 
 @_command(
@@ -279,11 +286,11 @@ def cmd_eval_sim(graph, virtual_root, pairs, candidates, measure, ic_counts, mod
     _refuse_unread(f"with --scorer {scorer_kind}", *(("model", "score_mode") if scorer_kind == "measure" else ("norm_from",)))
     if histogram_path is None:
         _refuse_unread("without --histogram", "bins")
-    g, depths, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
+    g, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
     records, missing = make_records(load_lemma_pairs(pairs), load_candidates(candidates))
-    scorer = _build_scorer(scorer_kind, g, measure, depths, ic_table, model, score_mode, norm_from)
+    scorer = _build_scorer(scorer_kind, g, measure, ic_table, model, score_mode, norm_from)
 
-    report = evaluate(records, scorer, selection, g=g, measure=measure, depths=depths, ic_table=ic_table, golds=golds)
+    report = evaluate(records, scorer, selection, g=g, measure=measure, ic_table=ic_table, golds=golds)
     click.echo(f"spearman={report.spearman:.4f}")
     click.echo(
         f"evaluated={report.n_evaluated} excluded_selection={report.n_excluded} "
@@ -302,8 +309,8 @@ def cmd_eval_sim(graph, virtual_root, pairs, candidates, measure, ic_counts, mod
             for lo, hi, count in rows:
                 fh.write(f"{lo!r}\t{hi!r}\t{count}\n")
     return {
-        "measure": measure, "scorer": scorer_kind, "score_mode": score_mode,
-        "selection": selection, "golds": golds, "bins": bins,
+        "measure": measure, "scorer": scorer_kind, "score_mode": score_mode if scorer_kind == "model" else "-",
+        "selection": selection, "golds": golds, "bins": bins if histogram_path else "-",
     }
 
 
@@ -333,8 +340,8 @@ def cmd_wsd(graph, virtual_root, instances, scorer_kind, measure, ic_counts, mod
     _refuse_unread(f"with --scorer {scorer_kind}", *unread)
     if baseline != "random":
         _refuse_unread("without --baseline random", "seed")
-    g, depths, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
-    scorer = _build_scorer(scorer_kind, g, measure, depths, ic_table, model, score_mode, norm_from)
+    g, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
+    scorer = _build_scorer(scorer_kind, g, measure, ic_table, model, score_mode, norm_from)
     tokens = wsd_mod.load_instances(instances)
     golds = wsd_mod.gold_maps(tokens)
 
@@ -380,7 +387,7 @@ def cmd_wsd(graph, virtual_root, instances, scorer_kind, measure, ic_counts, mod
         wsd_mod.write_predictions(predictions_path, tokens, predictions)
         click.echo(f"wrote predictions to {predictions_path}")
     return {
-        "scorer": scorer_kind, "measure": measure or "-", "score_mode": score_mode,
+        "scorer": scorer_kind, "measure": measure or "-", "score_mode": score_mode if scorer_kind == "model" else "-",
         "threshold": threshold, "baseline": baseline or "-",
     }
 
@@ -420,22 +427,24 @@ def cmd_neighbors(model, node, k, score_mode):
 def cmd_bench(graph, virtual_root, measure, ic_counts, model, dim, queries, query_nodes, repeats, methods, topk, seed, report_path):
     """Time one-vs-all similarity queries: graph traversal vs dot products."""
     method_tuple = tuple(s.strip() for s in methods.split(",") if s.strip())
-    if "dot" not in method_tuple:
+    graph_runs, dot_runs = "graph" in method_tuple, "dot" in method_tuple
+    random_matrix = dot_runs and not model
+    if not graph_runs:
+        _refuse_unread("without graph in --methods", "measure", "ic_counts")
+    if not dot_runs:
         _refuse_unread("without dot in --methods", "model", "dim")
     elif model:
         _refuse_unread("with --model", "dim")
-    if not {"graph", "dot"} <= set(method_tuple):
+    if not (graph_runs and dot_runs):
         _refuse_unread("unless --methods has both graph and dot", "topk")
     if query_nodes:
         _refuse_unread("with --query-nodes", "queries")
-        if model or "dot" not in method_tuple:
+        if not random_matrix:
             _refuse_unread("with --query-nodes unless dot runs on the random matrix", "seed")
-    g, depths, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
+    g, ic_table = _load_graph(graph, virtual_root, measure if graph_runs else None, ic_counts)
 
-    m = None
-    if "dot" in method_tuple and model:
-        m = load_embeddings(model)
-    elif "dot" in method_tuple:
+    m = load_embeddings(model) if model else None  # --model without dot is refused above
+    if random_matrix:
         matrix = np.random.default_rng(seed).uniform(-0.05, 0.05, size=(g.n, dim)).astype(np.float32)
         m = EmbeddingMatrix(g.ids, matrix)
 
@@ -446,7 +455,7 @@ def cmd_bench(graph, virtual_root, measure, ic_counts, model, dim, queries, quer
         query_list = [g.ids[int(i)] for i in picks]
 
     result = bench_mod.run_benchmark(
-        g, measure, m, query_list, repeats=repeats, depths=depths,
+        g, measure, m, query_list, repeats=repeats,
         ic_table=ic_table, methods=method_tuple, topk=topk,
     )
 
@@ -470,8 +479,9 @@ def cmd_bench(graph, virtual_root, measure, ic_counts, model, dim, queries, quer
                 speedup = "" if report.speedup is None else repr(report.speedup)
                 fh.write(f"{report.method}\t{report.seconds_per_query!r}\t{report.n_targets}\t{report.repeats}\t{speedup}\n")
     return {
-        "measure": measure, "methods": ",".join(method_tuple), "repeats": repeats,
-        "queries": ",".join(query_list), "topk": topk, "dim": dim,
+        "measure": measure if graph_runs else "-", "methods": ",".join(method_tuple), "repeats": repeats,
+        "queries": ",".join(query_list), "topk": topk if graph_runs and dot_runs else "-",
+        "dim": dim if random_matrix else "-",
         # the dot timings depend on BLAS threading, which the environment sets
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset",
     }

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateRangeError, EmptyDatasetError, RecordError
 from .graph import DepthIndex, TaxonomyGraph
 from .io import atomic_write, header, real, records
-from .metrics import BLOCK, InformationContentTable, SimilarityRows, validate_measure
+from .metrics import BLOCK, InformationContentTable, SimilarityRows, _check_depths, validate_measure
 
 DEFAULT_THRESHOLDS = {"shp": 0.1, "jcn": 0.1, "wup": 0.3, "lch": 1.5}
 
@@ -171,14 +171,9 @@ def _normalize(values: np.ndarray) -> tuple[np.ndarray, float, float]:
     return np.fmax(np.fmin((values - lo) / span, 1.0), 0.0), lo, hi
 
 
-def _build(
-    g: TaxonomyGraph,
-    cfg: DatasetConfig,
-    depths: DepthIndex | None,
-    ic_table: InformationContentTable | None,
-) -> DatasetBuild:
+def _build(g: TaxonomyGraph, cfg: DatasetConfig, ic_table: InformationContentTable | None) -> DatasetBuild:
     measure = cfg.measure.lower()
-    rows = SimilarityRows(g, measure, depths, ic_table)
+    rows = SimilarityRows(g, measure, ic_table=ic_table)
     max_dist = 2 if cfg.mode == "fast" else None
     threshold = cfg.raw_threshold
 
@@ -251,8 +246,10 @@ def build_full(
     depths: DepthIndex | None = None,
     ic_table: InformationContentTable | None = None,
 ) -> DatasetBuild:
-    """Dataset over all connected pairs. See the module docstring for the pipeline."""
-    return _build(g, replace(cfg, mode="full"), depths, ic_table)
+    """Dataset over all connected pairs. See the module docstring for the pipeline.
+    Another graph's `depths` is a config error; the value is otherwise unused."""
+    _check_depths(cfg.measure, g, depths)
+    return _build(g, replace(cfg, mode="full"), ic_table)
 
 
 def build_fast(
@@ -261,8 +258,10 @@ def build_fast(
     depths: DepthIndex | None = None,
     ic_table: InformationContentTable | None = None,
 ) -> DatasetBuild:
-    """Dataset restricted to second-order neighborhoods (distance 1 or 2)."""
-    return _build(g, replace(cfg, mode="fast"), depths, ic_table)
+    """Dataset restricted to second-order neighborhoods (distance 1 or 2).
+    Another graph's `depths` is a config error; the value is otherwise unused."""
+    _check_depths(cfg.measure, g, depths)
+    return _build(g, replace(cfg, mode="fast"), ic_table)
 
 
 def write_pairs(path: str | Path, build: DatasetBuild) -> None:

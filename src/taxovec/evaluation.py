@@ -23,10 +23,10 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateRangeError
-from .graph import DepthIndex, TaxonomyGraph
+from .graph import TaxonomyGraph
 from .io import real, records
 from .metrics import BLOCK, InformationContentTable, SimilarityRows
-from .trainer import EmbeddingMatrix, ModelScorer
+from .trainer import ModelScorer
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -118,12 +118,12 @@ class MeasureScorer:
         self,
         g: TaxonomyGraph,
         measure: str,
-        depths: DepthIndex | None = None,
+        *,
         ic_table: InformationContentTable | None = None,
         norm_range: tuple[float, float] | None = None,
     ):
         self.g = g
-        self.rows = SimilarityRows(g, measure, depths, ic_table)
+        self.rows = SimilarityRows(g, measure, ic_table=ic_table)
         self.measure = self.rows.measure
         if norm_range is not None:
             lo, hi = norm_range
@@ -176,7 +176,7 @@ def static_selection(
     records: list[LemmaPairRecord],
     g: TaxonomyGraph,
     measure: str,
-    depths: DepthIndex | None = None,
+    *,
     ic_table: InformationContentTable | None = None,
 ) -> tuple[list[SelectedPair], int]:
     """Per record, the candidate pair with maximal raw graph similarity.
@@ -184,20 +184,15 @@ def static_selection(
     The grid is SimilarityRows.grid, where a disconnected pair (no path
     for shp/lch, no common subsumer for wup/jcn) is a NaN cell.
     """
-    rows = SimilarityRows(g, measure, depths, ic_table)
+    rows = SimilarityRows(g, measure, ic_table=ic_table)
     return _select(records, (rows.grid(r.candidates1, r.candidates2) for r in records))
 
 
-def dynamic_selection(
-    records: list[LemmaPairRecord],
-    m: EmbeddingMatrix,
-    mode: str = "dot",
-) -> tuple[list[SelectedPair], int]:
+def dynamic_selection(records: list[LemmaPairRecord], scorer: ModelScorer) -> tuple[list[SelectedPair], int]:
     """Per record, the candidate pair the model itself scores highest.
 
-    The grid is ModelScorer.grid. Unembedded candidates raise a lookup error.
+    The grid is scorer.grid. Unembedded candidates raise a lookup error.
     """
-    scorer = ModelScorer(m, mode)
     return _select(records, (scorer.grid(r.candidates1, r.candidates2) for r in records))
 
 
@@ -218,7 +213,7 @@ def evaluate(
     selection: str,
     g: TaxonomyGraph | None = None,
     measure: str | None = None,
-    depths: DepthIndex | None = None,
+    *,
     ic_table: InformationContentTable | None = None,
     golds: str = "human",
 ) -> EvalReport:
@@ -233,12 +228,12 @@ def evaluate(
     if selection == "static":
         if g is None or measure is None:
             raise ConfigError("static selection requires a graph and a measure")
-        selected, excluded = static_selection(records, g, measure, depths, ic_table)
+        selected, excluded = static_selection(records, g, measure, ic_table=ic_table)
         preds = scorer.pairs([p.u for p in selected], [p.v for p in selected]).tolist()
     elif selection == "dynamic":
         if not isinstance(scorer, ModelScorer):
             raise ConfigError("dynamic selection requires a model scorer")
-        selected, excluded = dynamic_selection(records, scorer.m, scorer.mode)
+        selected, excluded = dynamic_selection(records, scorer)
         preds = [p.selection_score for p in selected]
     else:
         raise ConfigError(f"unknown selection {selection!r}; expected static or dynamic")
@@ -253,7 +248,7 @@ def evaluate(
         if selection == "static":
             gold_values = [p.selection_score for p in selected]
         else:
-            measure_scorer = MeasureScorer(g, measure, depths, ic_table)
+            measure_scorer = MeasureScorer(g, measure, ic_table=ic_table)
             gold_values = measure_scorer.pairs([p.u for p in selected], [p.v for p in selected]).tolist()
     else:
         raise ConfigError(f"unknown golds {golds!r}; expected human or measure")

@@ -55,7 +55,7 @@ class TaxonomyGraph:
         self.neighbors: list[list[int]] = [
             sorted(set(parents[i]) | set(children[i])) for i in range(n)
         ]
-        self.levels, self.depths = self._topological_pass()
+        self.levels, self.depths, self.max_depth = self._topological_pass()
 
     @property
     def n(self) -> int:
@@ -85,11 +85,12 @@ class TaxonomyGraph:
                     stack.append(p)
         return result
 
-    def _topological_pass(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(levels, depths) of every node from one Kahn pass, parents first.
+    def _topological_pass(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(levels, depths, max_depth) of the nodes from one Kahn pass, parents first.
 
         A node's level is its longest parent path to a root and its depth
-        1 + its shortest one (roots: level 0, depth 1). A node the pass
+        1 + its shortest one (roots: level 0, depth 1); max_depth is the
+        largest depth (0 for a graph without nodes). A node the pass
         never reaches still has an unreached parent, so walking those
         parents closes a cycle; the StructuralError names its last edge.
         """
@@ -115,7 +116,7 @@ class TaxonomyGraph:
                 walked.add(u)
                 child, u = u, next(p for p in self.parents[u] if remaining[p])
             raise StructuralError(f"cycle through edge {self.ids[child]!r} -> {self.ids[u]!r}")
-        return tuple(levels), tuple(depths)
+        return tuple(levels), tuple(depths), max(depths, default=0)
 
     @functools.cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,16 +147,14 @@ class TaxonomyGraph:
 
 @dataclass(frozen=True)
 class DepthIndex:
-    """Node depths counted in nodes along the shortest path to a root.
+    """A graph's depths and max_depth, as compute_depths returns them.
 
-    depth(root) = 1; max_depth is the maximum depth over all nodes.
+    The measures read g.depths and g.max_depth; build_full, build_fast and
+    pair_similarity still accept a DepthIndex and check it is the graph's own.
     """
 
     depths: tuple[int, ...]
     max_depth: int
-
-    def depth(self, i: int) -> int:
-        return self.depths[i]
 
 
 def load_edge_list(path: str | Path, virtual_root: str | None = None) -> TaxonomyGraph:
@@ -259,5 +258,5 @@ def shortest_path_length(g: TaxonomyGraph, u: str, v: str) -> int | None:
 
 
 def compute_depths(g: TaxonomyGraph) -> DepthIndex:
-    """Depth of every node: 1 + edges on the shortest parent path to a root."""
-    return DepthIndex(g.depths, max(g.depths))
+    """g.depths and g.max_depth as a DepthIndex."""
+    return DepthIndex(g.depths, g.max_depth)

@@ -12,7 +12,7 @@ in two shapes: block() scores up to BLOCK sources against every node they
 reach in one traversal (dataset builds, and one-vs-all queries as a block
 of one), and grid() scores every pair of two id lists (static selection,
 measure scorers). wup/jcn share one subsumer DP, and both shapes go
-through one score function per measure.
+through one score function per measure; the measures read g.depths.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def lch_from_path(pathlen: int | None, max_depth: int) -> float:
     return -math.log((pathlen + 1) / (2.0 * max_depth))
 
 
-def lcs_index(g: TaxonomyGraph, depths: DepthIndex, ui: int, vi: int) -> int | None:
+def lcs_index(g: TaxonomyGraph, ui: int, vi: int) -> int | None:
     """Dense index of the deepest common ancestor, or None.
 
     Ancestorhood is reflexive. Ties on depth break toward the smaller
@@ -119,24 +119,18 @@ def lcs_index(g: TaxonomyGraph, depths: DepthIndex, ui: int, vi: int) -> int | N
     common = g.ancestors(ui) & g.ancestors(vi)
     if not common:
         return None
-    return max(common, key=lambda a: (depths.depths[a], -a))
+    return max(common, key=lambda a: (g.depths[a], -a))
 
 
-def wup_index(g: TaxonomyGraph, depths: DepthIndex, ui: int, vi: int) -> float:
+def wup_index(g: TaxonomyGraph, ui: int, vi: int) -> float:
     """Wu-Palmer 2*depth(lcs) / (depth(u)+depth(v)); 0.0 without a common subsumer."""
-    lcs = lcs_index(g, depths, ui, vi)
+    lcs = lcs_index(g, ui, vi)
     if lcs is None:
         return 0.0
-    return 2.0 * depths.depths[lcs] / (depths.depths[ui] + depths.depths[vi])
+    return 2.0 * g.depths[lcs] / (g.depths[ui] + g.depths[vi])
 
 
-def jcn_index(
-    g: TaxonomyGraph,
-    depths: DepthIndex,
-    table: InformationContentTable,
-    ui: int,
-    vi: int,
-) -> float:
+def jcn_index(g: TaxonomyGraph, table: InformationContentTable, ui: int, vi: int) -> float:
     """Jiang-Conrath 1 / (ic(u) + ic(v) - 2*ic(lcs)).
 
     Unobserved endpoints (infinite IC) score 0.0; a distance that
@@ -146,7 +140,7 @@ def jcn_index(
     ic_v = table.ic(vi)
     if math.isinf(ic_u) or math.isinf(ic_v):
         return 0.0
-    lcs = lcs_index(g, depths, ui, vi)
+    lcs = lcs_index(g, ui, vi)
     if lcs is None:
         return 0.0
     denom = ic_u + ic_v - 2.0 * table.ic(lcs)
@@ -164,20 +158,22 @@ def validate_measure(measure: str) -> str:
     return m
 
 
-def _measure_with_context(
-    measure: str, g: TaxonomyGraph, depths: DepthIndex | None, ic_table: InformationContentTable | None
-) -> str:
-    """Validated measure name; a missing or another graph's DepthIndex or IC table is a config error."""
+def _measure_with_context(measure: str, g: TaxonomyGraph, ic_table: InformationContentTable | None) -> str:
+    """Validated measure name; a missing or another graph's IC table is a config error."""
     m = validate_measure(measure)
-    if m in ("lch", "wup", "jcn") and depths is None:
-        raise ConfigError(f"measure {m!r} requires node depths")
-    if m in ("lch", "wup", "jcn") and depths.depths is not g.depths and depths.depths != g.depths:
-        raise ConfigError(f"measure {m!r} was given the depths of another graph")
     if m == "jcn" and ic_table is None:
         raise ConfigError("measure 'jcn' requires an information content table")
     if m == "jcn" and len(ic_table.counts) != g.n:
         raise ConfigError(f"measure 'jcn' was given an IC table of {len(ic_table.counts)} nodes, not {g.n}")
     return m
+
+
+def _check_depths(measure: str, g: TaxonomyGraph, depths: DepthIndex | None) -> None:
+    """The check behind the `depths` slot of build_full, build_fast and
+    pair_similarity: lch, wup and jcn read g.depths, so another graph's
+    DepthIndex is a config error; the value is otherwise unused."""
+    if depths is not None and measure.lower() in ("lch", "wup", "jcn") and depths.depths != g.depths:
+        raise ConfigError(f"measure {measure.lower()!r} was given the depths of another graph")
 
 
 def pair_similarity(
@@ -190,18 +186,19 @@ def pair_similarity(
 ) -> float:
     """Score one pair of node ids under the named measure.
 
-    `lch` and `wup` need a DepthIndex, `jcn` needs both a DepthIndex and
-    an InformationContentTable; missing requirements are config errors.
+    `jcn` needs an InformationContentTable. A missing one, or another
+    graph's `depths`, is a config error; `depths` is otherwise unused.
     """
-    m = _measure_with_context(measure, g, depths, ic_table)
+    _check_depths(measure, g, depths)
+    m = _measure_with_context(measure, g, ic_table)
     if m == "shp":
         return shp_from_path(shortest_path_length(g, u, v))
     if m == "lch":
-        return lch_from_path(shortest_path_length(g, u, v), depths.max_depth)
+        return lch_from_path(shortest_path_length(g, u, v), g.max_depth)
     ui, vi = g.idx(u), g.idx(v)
     if m == "wup":
-        return wup_index(g, depths, ui, vi)
-    return jcn_index(g, depths, ic_table, ui, vi)
+        return wup_index(g, ui, vi)
+    return jcn_index(g, ic_table, ui, vi)
 
 
 class SimilarityRows:
@@ -229,23 +226,17 @@ class SimilarityRows:
     shapes score through _scores, so each formula lives once.
     """
 
-    def __init__(
-        self,
-        g: TaxonomyGraph,
-        measure: str,
-        depths: DepthIndex | None = None,
-        ic_table: InformationContentTable | None = None,
-    ):
+    def __init__(self, g: TaxonomyGraph, measure: str, *, ic_table: InformationContentTable | None = None):
         self.g = g
-        self.measure = _measure_with_context(measure, g, depths, ic_table)
+        self.measure = _measure_with_context(measure, g, ic_table)
         self._degree = np.diff(g.csr[0])
         if self.measure == "shp":
             self._path_score = shp_from_path
         elif self.measure == "lch":
-            self._path_score = functools.partial(lch_from_path, max_depth=depths.max_depth)
+            self._path_score = functools.partial(lch_from_path, max_depth=g.max_depth)
         else:
             n = g.n
-            self._depth = np.asarray(depths.depths, dtype=np.int64)
+            self._depth = np.asarray(g.depths, dtype=np.int64)
             self._by_rank = np.lexsort((-np.arange(n), self._depth))
             self._rank = np.empty(n, dtype=np.int64)
             self._rank[self._by_rank] = np.arange(n)

@@ -18,7 +18,7 @@ from taxovec.bench import one_vs_all_dot, one_vs_all_graph, run_benchmark
 from taxovec.cli import main
 from taxovec.dataset import DatasetConfig, build_fast, build_full
 from taxovec.evaluation import spearman
-from taxovec.graph import TaxonomyGraph, compute_depths
+from taxovec.graph import TaxonomyGraph
 from taxovec.metrics import pair_similarity, propagate_counts
 from taxovec.trainer import (
     Batch,
@@ -101,12 +101,11 @@ def test_criterion_1_metric_oracle_equivalence():
             raw[0] = 1.0
         counts, total = ic_counts_oracle(n, edges, raw)
 
-        depths = compute_depths(g)
         table = propagate_counts(g, raw)
         for u in range(n):
             for v in range(u, n):
                 for measure in ("shp", "lch", "wup", "jcn"):
-                    got = pair_similarity(measure, g, ids[u], ids[v], depths, table)
+                    got = pair_similarity(measure, g, ids[u], ids[v], ic_table=table)
                     want = _oracle_similarity(
                         measure, dist, anc, odepths, counts, total, u, v
                     )
@@ -228,11 +227,10 @@ def test_criterion_4_fast_dataset_fidelity():
         ids = ids_for(n)
         g = TaxonomyGraph(ids, [(ids[c], ids[p]) for c, p in edges])
         dist = floyd_warshall_undirected(n, edges)
-        depths = compute_depths(g)
         for measure, threshold in (("shp", None), ("lch", 0.0)):
             cfg = DatasetConfig(measure=measure, threshold=threshold, seed=k)
-            full = build_full(g, cfg, depths)
-            fast = build_fast(g, cfg, depths)
+            full = build_full(g, cfg)
+            fast = build_fast(g, cfg)
             full_raw = {
                 (p.u, p.v): p.s * (full.norm_max - full.norm_min) + full.norm_min
                 for p in full.pairs
@@ -410,19 +408,18 @@ def test_criterion_7_one_vs_all_speedup():
     parents = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
     ids = [f"n{i}" for i in range(n)]
     g = TaxonomyGraph(ids, [(ids[i], ids[int(p)]) for i, p in enumerate(parents, start=1)])
-    depths = compute_depths(g)
     V = rng.uniform(-0.05, 0.05, size=(n, 300)).astype(np.float32)
     m = EmbeddingMatrix(ids, V)
 
     queries = [ids[0], ids[n // 2], ids[n - 1]]
-    res = run_benchmark(g, "lch", m, queries, repeats=5, depths=depths)
+    res = run_benchmark(g, "lch", m, queries, repeats=5)
     graph_s = res.graph.seconds_per_query
     dot_s = res.dot.seconds_per_query
     speedup = graph_s / dot_s
 
-    lch_row = one_vs_all_graph(g, "lch", queries[1], depths)
+    lch_row = one_vs_all_graph(g, "lch", queries[1])
     for t in rng.integers(0, n, 120):
-        want = pair_similarity("lch", g, queries[1], ids[int(t)], depths)
+        want = pair_similarity("lch", g, queries[1], ids[int(t)])
         assert abs(float(lch_row[int(t)]) - want) <= 1e-6
     dot_row = one_vs_all_dot(m, queries[1])
     qrow = m.row(queries[1])

@@ -11,7 +11,7 @@ import pytest
 from taxovec.bench import one_vs_all_dot, one_vs_all_graph, run_benchmark
 from taxovec.errors import ConfigError
 from taxovec.graph import compute_depths
-from taxovec.metrics import pair_similarity, propagate_counts
+from taxovec.metrics import lch_from_path, pair_similarity, propagate_counts
 from taxovec.trainer import EmbeddingMatrix, score
 
 from conftest import graph_from, random_dag_edges, random_dag_graph, random_tree_graph
@@ -35,27 +35,27 @@ class TestOneVsAllGraph:
         graphs = [random_dag_graph(25, seed, extra=4) for seed in range(3)]
         graphs += [graph_from(25, forest, virtual_root=False), graph_from(25, forest, virtual_root=True)]
         for seed, g in enumerate(graphs):
-            depths = compute_depths(g)
             rng = np.random.default_rng(seed)
             table = propagate_counts(
                 g, [float(x) for x in rng.integers(1, 6, size=g.n)]
             )
             for measure in ("shp", "lch", "wup", "jcn"):
                 for src in (g.ids[0], g.ids[g.n // 2], g.ids[-1]):
-                    row = one_vs_all_graph(g, measure, src, depths, table)
+                    row = one_vs_all_graph(g, measure, src, ic_table=table)
                     for t, tid in enumerate(g.ids):
-                        want = pair_similarity(measure, g, src, tid, depths, table)
+                        want = pair_similarity(measure, g, src, tid, ic_table=table)
                         assert row[t] == want
 
     def test_jcn_keeps_infinity_on_self(self, chain3):
-        depths = compute_depths(chain3)
         table = propagate_counts(chain3, [1.0, 1.0, 1.0])
-        row = one_vs_all_graph(chain3, "jcn", "b", depths, table)
+        row = one_vs_all_graph(chain3, "jcn", "b", ic_table=table)
         assert math.isinf(row[chain3.idx("b")])
 
-    def test_lch_requires_depths(self, chain3):
-        with pytest.raises(ConfigError):
-            one_vs_all_graph(chain3, "lch", "a")
+    def test_lch_reads_the_graphs_depths(self, chain3):
+        # D = 3 on the chain a <- b <- c; a stale positional DepthIndex is refused
+        assert one_vs_all_graph(chain3, "lch", "a").tolist() == [lch_from_path(d, 3) for d in (0, 1, 2)]
+        with pytest.raises(TypeError):
+            one_vs_all_graph(chain3, "lch", "a", compute_depths(chain3))
 
 
 class TestOneVsAllDot:

@@ -244,6 +244,14 @@ class TestTrain:
         assert got["config.dtype"] == "float32"
         assert got["input.pairs.sha256"] == file_digest(tree_pairs / "pairs.tsv")
 
+    def test_manifest_dashes_the_patience_without_dev_pairs(self, tree_pairs):
+        # early stopping needs a dev set: without one the default patience is never read
+        args = ["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv", "--dim", "4", "--epochs", "1"]
+        main(args + ["--output", "a.txt"])
+        main(args + ["--dev-pairs", "pairs.tsv", "--output", "b.txt"])
+        assert read_manifest(tree_pairs / "a.txt.manifest")["config.early_stop_patience"] == "-"
+        assert read_manifest(tree_pairs / "b.txt.manifest")["config.early_stop_patience"] == "2"
+
     def test_dev_pairs_enable_early_stop_reporting(self, tree_pairs, capsys):
         main(["similarities", "--graph", "tree.tsv", "--measure", "shp",
               "--seed", "9", "--output", "dev.tsv"])
@@ -477,6 +485,10 @@ class TestUnreadScorerOptions:
              "with --query-nodes unless dot runs on the random matrix"),
             (BENCH_NODES, ["--model", "emb.txt"], ["--seed", "3"],
              "with --query-nodes unless dot runs on the random matrix"),
+            (BENCH, ["--methods", "dot"], ["--measure", "wup"], "without graph in --methods"),
+            (BENCH, ["--methods", "dot"], ["--ic-counts", "counts.tsv"], "without graph in --methods"),
+            (BENCH, ["--methods", "dot"], ["--measure", "jcn", "--ic-counts", "counts.tsv"],
+             "without graph in --methods"),
         ],
         ids=["eval-sim-measure-model", "eval-sim-measure-score-mode", "eval-sim-model-norm-from",
              "wsd-model-norm-from", "wsd-model-measure", "wsd-model-ic-counts",
@@ -485,7 +497,8 @@ class TestUnreadScorerOptions:
              "wsd-wup-ic-counts", "bench-lch-ic-counts", "bench-model-dim", "bench-graph-model",
              "bench-graph-dim", "eval-sim-bins", "train-patience", "wsd-no-baseline-seed",
              "wsd-first-baseline-seed", "bench-query-nodes-queries", "bench-graph-topk", "bench-dot-topk",
-             "bench-query-nodes-graph-seed", "bench-query-nodes-model-seed"],
+             "bench-query-nodes-graph-seed", "bench-query-nodes-model-seed", "bench-dot-measure",
+             "bench-dot-ic-counts", "bench-dot-jcn-ic-counts"],
     )
     def test_usage_error_names_the_option(self, workdir, capsys, command, valid, unread, why):
         TestEvalSim().setup_files(workdir)

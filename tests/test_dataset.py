@@ -136,7 +136,6 @@ class TestBuildFull:
             edges = random_dag_edges(n, seed, extra=6)
             ids = ids_for(n)
             g = TaxonomyGraph(ids, [(ids[c], ids[p]) for c, p in edges])
-            depths = compute_depths(g)
             rng = np.random.default_rng(seed)
             raw_counts = [float(x) for x in rng.integers(1, 9, size=n)]
             table = propagate_counts(g, raw_counts)
@@ -148,7 +147,7 @@ class TestBuildFull:
                 cfg = DatasetConfig(
                     measure=measure, threshold=threshold, top_k=4, seed=seed
                 )
-                build = build_full(g, cfg, depths, table)
+                build = build_full(g, cfg, ic_table=table)
                 _, expected_norm, lo, hi = pipeline_oracle(
                     n, edges, measure, cfg.raw_threshold, 4, raw_counts
                 )
@@ -184,11 +183,11 @@ class TestBuildFull:
         with pytest.raises(ConfigError, match="nan"):
             DatasetConfig(measure="shp", threshold=float("nan"))
 
-    def test_requires_depths_and_ic(self, chain3):
-        with pytest.raises(ConfigError):
-            build_full(chain3, DatasetConfig(measure="lch"))
-        with pytest.raises(ConfigError):
-            build_full(chain3, DatasetConfig(measure="jcn"), compute_depths(chain3))
+    def test_jcn_requires_ic_and_lch_reads_the_graphs_depths(self, chain3):
+        with pytest.raises(ConfigError, match="information content"):
+            build_full(chain3, DatasetConfig(measure="jcn"))
+        cfg = DatasetConfig(measure="lch", threshold=0.0)
+        assert list(build_full(chain3, cfg).pairs) == list(build_full(chain3, cfg, compute_depths(chain3)).pairs)
 
 
 class TestBuildFast:
@@ -208,14 +207,13 @@ class TestBuildFast:
             edges = random_dag_edges(n, seed, extra=seed % 4)
             ids = ids_for(n)
             g = TaxonomyGraph(ids, [(ids[c], ids[p]) for c, p in edges])
-            depths = compute_depths(g)
             dist = floyd_warshall_undirected(n, edges)
             for measure, threshold in (("shp", None), ("lch", 0.5)):
                 cfg = DatasetConfig(
                     measure=measure, threshold=threshold, top_k=5, seed=seed
                 )
-                full = build_full(g, cfg, depths)
-                fast = build_fast(g, cfg, depths)
+                full = build_full(g, cfg)
+                fast = build_fast(g, cfg)
                 full_keys = {
                     (g.idx(p.u), g.idx(p.v))
                     for p in full.pairs
@@ -361,10 +359,10 @@ def test_pairs_keep_the_dataset_invariants(g, measure, mode, k, threshold, seed)
     rng = np.random.default_rng(seed)
     raw = [float(x) for x in rng.integers(0, 3, size=g.n)]
     raw[0] += 1.0
-    depths, table = compute_depths(g), propagate_counts(g, raw)
+    table = propagate_counts(g, raw)
     cfg = DatasetConfig(measure, threshold, g.n if k is None else k, mode, seed)
     try:
-        build = (build_full if mode == "full" else build_fast)(g, cfg, depths, table)
+        build = (build_full if mode == "full" else build_fast)(g, cfg, ic_table=table)
     except (EmptyDatasetError, DegenerateRangeError):
         return
     # each node's top-k by the references: pair_similarity over the
@@ -373,7 +371,7 @@ def test_pairs_keep_the_dataset_invariants(g, measure, mode, k, threshold, seed)
 
     def top_k(u):
         partners = sorted(
-            (-pair_similarity(measure, g, g.ids[u], g.ids[v], depths, table), v)
+            (-pair_similarity(measure, g, g.ids[u], g.ids[v], ic_table=table), v)
             for v in np.flatnonzero(reach[u]).tolist()
             if v != u
         )
@@ -543,10 +541,9 @@ def pairs_digests(tmp_path) -> dict[str, str]:
     out = {}
     for name, measure, mode, threshold, top_k in cases:
         g = graphs[name]
-        depths = compute_depths(g)
         table = propagate_counts(g, [float(i % 3) for i in range(g.n)])
         cfg = DatasetConfig(measure=measure, threshold=threshold, top_k=top_k, mode=mode, seed=11)
-        build = (build_fast if mode == "fast" else build_full)(g, cfg, depths, table)
+        build = (build_fast if mode == "fast" else build_full)(g, cfg, ic_table=table)
         path = tmp_path / "pairs.tsv"
         write_pairs(path, build)
         key = f"{name}/{measure}/{mode}/{threshold}/{top_k}"

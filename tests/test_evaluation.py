@@ -26,7 +26,7 @@ from taxovec.evaluation import (
     spearman,
     static_selection,
 )
-from taxovec.graph import TaxonomyGraph, compute_depths
+from taxovec.graph import TaxonomyGraph
 from taxovec.metrics import pair_similarity, propagate_counts
 from taxovec.trainer import EmbeddingMatrix, TrainConfig, score, train
 
@@ -134,7 +134,7 @@ class TestLoaders:
         assert records[0].candidates2 == ("n2", "n3")
 
 
-def brute_force_static(records, g, measure, depths, ic_table=None):
+def brute_force_static(records, g, measure, ic_table=None):
     """In-order scan keeping the strictly best candidate pair per record.
 
     Connectivity is shp > 0 (a path exists), which on the single-tree
@@ -146,9 +146,9 @@ def brute_force_static(records, g, measure, depths, ic_table=None):
         chosen = None
         for c1 in rec.candidates1:
             for c2 in rec.candidates2:
-                if pair_similarity("shp", g, c1, c2, depths) <= 0.0:
+                if pair_similarity("shp", g, c1, c2) <= 0.0:
                     continue
-                sim = pair_similarity(measure, g, c1, c2, depths, ic_table)
+                sim = pair_similarity(measure, g, c1, c2, ic_table=ic_table)
                 if chosen is None or sim > chosen[0]:
                     chosen = (sim, c1, c2)
         if chosen is None:
@@ -189,17 +189,16 @@ class TestStaticSelection:
             ["a0", "a1", "x", "b0", "b1", "s"],
             [("a1", "a0"), ("x", "a0"), ("b1", "b0"), ("s", "a1"), ("s", "b1")],
         )
-        depths = compute_depths(g)
         table = propagate_counts(g, [1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
         records = [
             LemmaPairRecord("l1", "l2", 1.0, ("a1",), ("b1",)),  # no subsumer
             LemmaPairRecord("l3", "l4", 2.0, ("a1", "b1"), ("x",)),  # a0 is shared
         ]
         for measure in ("wup", "jcn"):
-            sel, excluded = static_selection(records, g, measure, depths, table)
+            sel, excluded = static_selection(records, g, measure, ic_table=table)
             assert excluded == 1
             assert [(p.u, p.v) for p in sel] == [("a1", "x")]
-            want = pair_similarity(measure, g, "a1", "x", depths, table)
+            want = pair_similarity(measure, g, "a1", "x", ic_table=table)
             assert sel[0].selection_score == want
         assert sel[0].selection_score == 0.0
         # both pairs have a path, so shp keeps both records
@@ -209,15 +208,14 @@ class TestStaticSelection:
         rng = random.Random(4)
         for seed in range(5):
             g = random_tree_graph(20, seed)
-            depths = compute_depths(g)
             records = []
             for r in range(8):
                 c1 = tuple(rng.sample(g.ids, rng.randint(1, 4)))
                 c2 = tuple(rng.sample(g.ids, rng.randint(1, 4)))
                 records.append(LemmaPairRecord(f"u{r}", f"v{r}", float(r), c1, c2))
             for measure in ("shp", "lch", "wup"):
-                got, got_ex = static_selection(records, g, measure, depths)
-                want, want_ex = brute_force_static(records, g, measure, depths)
+                got, got_ex = static_selection(records, g, measure)
+                want, want_ex = brute_force_static(records, g, measure)
                 assert got_ex == want_ex
                 assert [(p.u, p.v) for p in got] == [(p.u, p.v) for p in want]
                 for gp, wp in zip(got, want):
@@ -243,7 +241,7 @@ class TestDynamicSelection:
             )
             for r in range(6)
         ]
-        sel, excluded = dynamic_selection(records, m, "dot")
+        sel, excluded = dynamic_selection(records, ModelScorer(m, "dot"))
         assert excluded == 0
         for rec, pick in zip(records, sel):
             best = max(
@@ -257,7 +255,6 @@ class TestDynamicSelection:
     def test_dominates_static_choice_under_model_score(self):
         g = random_tree_graph(20, 3)
         m = self.embedding(g, seed=5)
-        depths = compute_depths(g)
         rng = random.Random(1)
         records = [
             LemmaPairRecord(
@@ -269,8 +266,8 @@ class TestDynamicSelection:
             )
             for r in range(8)
         ]
-        dyn, _ = dynamic_selection(records, m, "dot")
-        sta, _ = static_selection(records, g, "shp", depths)
+        dyn, _ = dynamic_selection(records, ModelScorer(m, "dot"))
+        sta, _ = static_selection(records, g, "shp")
         for d, s in zip(dyn, sta):
             assert score(m, d.u, d.v) >= score(m, s.u, s.v) - 1e-12
 
@@ -278,7 +275,6 @@ class TestDynamicSelection:
 class TestEvaluate:
     def setup_graph(self):
         g = random_tree_graph(25, 6)
-        depths = compute_depths(g)
         rng = random.Random(11)
         records = [
             LemmaPairRecord(
@@ -290,50 +286,43 @@ class TestEvaluate:
             )
             for r in range(10)
         ]
-        return g, depths, records
+        return g, records
 
     def test_measure_scorer_self_correlation(self):
-        g, depths, records = self.setup_graph()
-        scorer = MeasureScorer(g, "shp", depths)
-        report = evaluate(
-            records, scorer, "static", g=g, measure="shp", depths=depths,
-            golds="measure",
-        )
+        g, records = self.setup_graph()
+        scorer = MeasureScorer(g, "shp")
+        report = evaluate(records, scorer, "static", g=g, measure="shp", golds="measure")
         assert report.spearman == pytest.approx(1.0)
         assert report.n_evaluated == len(records)
         assert report.scorer == "shp[raw]"
         assert report.golds == "measure"
 
     def test_human_golds_match_hand_computation(self):
-        g, depths, records = self.setup_graph()
-        scorer = MeasureScorer(g, "shp", depths)
-        report = evaluate(
-            records, scorer, "static", g=g, measure="shp", depths=depths
-        )
-        sel, _ = static_selection(records, g, "shp", depths)
+        g, records = self.setup_graph()
+        scorer = MeasureScorer(g, "shp")
+        report = evaluate(records, scorer, "static", g=g, measure="shp")
+        sel, _ = static_selection(records, g, "shp")
         expected = spearman(
             [scorer.grid([p.u], [p.v])[0, 0] for p in sel], [p.gold_score for p in sel]
         )
         assert report.spearman == pytest.approx(expected)
 
     def test_returns_predictions_of_selected_pairs(self):
-        g, depths, records = self.setup_graph()
-        scorer = MeasureScorer(g, "shp", depths)
-        report = evaluate(records, scorer, "static", g=g, measure="shp", depths=depths)
-        sel, _ = static_selection(records, g, "shp", depths)
+        g, records = self.setup_graph()
+        scorer = MeasureScorer(g, "shp")
+        report = evaluate(records, scorer, "static", g=g, measure="shp")
+        sel, _ = static_selection(records, g, "shp")
         assert report.predictions == [scorer.grid([p.u], [p.v])[0, 0] for p in sel]
 
     def test_record_order_does_not_matter(self):
-        g, depths, records = self.setup_graph()
-        scorer = MeasureScorer(g, "shp", depths)
-        a = evaluate(records, scorer, "static", g=g, measure="shp", depths=depths)
-        b = evaluate(
-            records[::-1], scorer, "static", g=g, measure="shp", depths=depths
-        )
+        g, records = self.setup_graph()
+        scorer = MeasureScorer(g, "shp")
+        a = evaluate(records, scorer, "static", g=g, measure="shp")
+        b = evaluate(records[::-1], scorer, "static", g=g, measure="shp")
         assert a.spearman == pytest.approx(b.spearman)
 
     def test_dynamic_with_model(self):
-        g, depths, records = self.setup_graph()
+        g, records = self.setup_graph()
         m = train(
             build_full(g, DatasetConfig(measure="shp", seed=0)).pairs,
             g,
@@ -345,8 +334,8 @@ class TestEvaluate:
         assert -1.0 <= report.spearman <= 1.0
 
     def test_config_errors(self):
-        g, depths, records = self.setup_graph()
-        scorer = MeasureScorer(g, "shp", depths)
+        g, records = self.setup_graph()
+        scorer = MeasureScorer(g, "shp")
         with pytest.raises(ConfigError):
             evaluate(records, scorer, "static")  # no graph/measure
         with pytest.raises(ConfigError):
@@ -354,22 +343,18 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(records, scorer, "sideways", g=g, measure="shp")
         with pytest.raises(ConfigError):
-            evaluate(
-                records, scorer, "static", g=g, measure="shp", depths=depths,
-                golds="oracle",
-            )
+            evaluate(records, scorer, "static", g=g, measure="shp", golds="oracle")
 
     def test_too_few_records(self):
-        g, depths, records = self.setup_graph()
-        scorer = MeasureScorer(g, "shp", depths)
+        g, records = self.setup_graph()
+        scorer = MeasureScorer(g, "shp")
         with pytest.raises(DataError, match="at least 3"):
-            evaluate(records[:2], scorer, "static", g=g, measure="shp", depths=depths)
+            evaluate(records[:2], scorer, "static", g=g, measure="shp")
 
 
 class TestMeasureScorerNormalization:
     def test_rescale_and_clip(self, star3):
-        depths = compute_depths(star3)
-        scorer = MeasureScorer(star3, "shp", depths, norm_range=(0.4, 0.8))
+        scorer = MeasureScorer(star3, "shp", norm_range=(0.4, 0.8))
         # raw shp(x, y) = 1/3 -> below range -> clips to 0
         assert scorer.grid(["x"], ["y"])[0, 0] == 0.0
         # raw shp(r, x) = 0.5 -> (0.5 - 0.4) / 0.4 = 0.25
@@ -380,11 +365,9 @@ class TestMeasureScorerNormalization:
 
     def test_degenerate_range_rejected(self, star3):
         with pytest.raises(DegenerateRangeError):
-            MeasureScorer(star3, "shp", compute_depths(star3), norm_range=(0.5, 0.5))
+            MeasureScorer(star3, "shp", norm_range=(0.5, 0.5))
         with pytest.raises(DegenerateRangeError):
-            MeasureScorer(
-                star3, "shp", compute_depths(star3), norm_range=(0.0, math.inf)
-            )
+            MeasureScorer(star3, "shp", norm_range=(0.0, math.inf))
 
     def test_model_scorer_mode_validation(self):
         m = EmbeddingMatrix(["a"], np.zeros((1, 2)))
@@ -448,21 +431,20 @@ class TestScorerGrids:
 
     def test_measure_grid_matches_pair_similarity(self):
         g = random_dag_graph(30, 5, extra=9)
-        depths = compute_depths(g)
         raw_counts = [float((7 * i) % 5) for i in range(g.n)]  # some nodes unobserved
         table = propagate_counts(g, raw_counts)
         us, vs = g.ids[::3] + g.ids[:4], g.ids[1::4] + g.ids[::9]  # repeats, self pairs
         for measure in ("shp", "lch", "wup", "jcn"):
             want = np.array(
-                [[pair_similarity(measure, g, u, v, depths, table) for v in vs] for u in us]
+                [[pair_similarity(measure, g, u, v, ic_table=table) for v in vs] for u in us]
             )
-            raw = MeasureScorer(g, measure, depths, table).grid(us, vs)
+            raw = MeasureScorer(g, measure, ic_table=table).grid(us, vs)
             assert np.array_equal(raw, want)
             if measure == "jcn":  # unobserved endpoints score 0.0, collapsed distances inf
                 assert (raw == 0.0).any() and np.isinf(raw).any()
             finite = want[np.isfinite(want)]
             lo, hi = np.percentile(finite, 25), np.percentile(finite, 75)
-            norm = MeasureScorer(g, measure, depths, table, norm_range=(lo, hi)).grid(us, vs)
+            norm = MeasureScorer(g, measure, ic_table=table, norm_range=(lo, hi)).grid(us, vs)
             clipped = [[max(0.0, min(1.0, (x - lo) / (hi - lo))) for x in row] for row in want]
             assert norm.tolist() == clipped
             assert 0.0 < norm.mean() < 1.0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from taxovec.errors import RecordError, StructuralError, UnknownNodeError
 from taxovec.graph import (
+    DepthIndex,
     TaxonomyGraph,
     bfs_distances,
     compute_depths,
@@ -183,15 +184,14 @@ class TestShortestPath:
 
 class TestDepths:
     def test_root_depth_is_one(self, chain3):
-        d = compute_depths(chain3)
-        assert d.depth(chain3.idx("a")) == 1
-        assert d.max_depth == 3
+        assert chain3.depths[chain3.idx("a")] == 1
+        assert chain3.max_depth == 3
+        assert compute_depths(chain3) == DepthIndex(chain3.depths, 3)
 
     def test_multi_parent_takes_shortest_root_path(self):
         # d has parents b (depth 2) and a (depth 1): depth(d) = 2, not 3
         g = TaxonomyGraph(["a", "b", "d"], [("b", "a"), ("d", "b"), ("d", "a")])
-        d = compute_depths(g)
-        assert d.depth(g.idx("d")) == 2
+        assert g.depths[g.idx("d")] == 2
 
     def test_matches_oracle_on_random_dags(self):
         for seed in range(8):
@@ -199,14 +199,13 @@ class TestDepths:
             edges = random_dag_edges(n, seed, extra=10)
             g = TaxonomyGraph(ids_for(n), [(f"n{c:03d}", f"n{p:03d}") for c, p in edges])
             expected = depth_oracle(n, edges)
-            got = compute_depths(g)
-            assert list(got.depths) == expected
-            assert got.max_depth == max(expected)
+            assert list(g.depths) == expected
+            assert g.max_depth == max(expected)
 
 
-def lowest_common_subsumer(g, depths, u, v):
+def lowest_common_subsumer(g, u, v):
     """lcs_index over node ids."""
-    lcs = lcs_index(g, depths, g.idx(u), g.idx(v))
+    lcs = lcs_index(g, g.idx(u), g.idx(v))
     return None if lcs is None else g.ids[lcs]
 
 
@@ -218,37 +217,32 @@ def second_order_neighborhood(g, v):
 
 class TestLowestCommonSubsumer:
     def test_star_siblings(self, star3):
-        d = compute_depths(star3)
-        assert lowest_common_subsumer(star3, d, "x", "y") == "r"
+        assert lowest_common_subsumer(star3, "x", "y") == "r"
 
     def test_reflexive(self, star3):
-        d = compute_depths(star3)
-        assert lowest_common_subsumer(star3, d, "x", "x") == "x"
+        assert lowest_common_subsumer(star3, "x", "x") == "x"
 
     def test_none_across_components(self):
         g = TaxonomyGraph(["a", "b", "c", "d"], [("b", "a"), ("d", "c")])
-        d = compute_depths(g)
-        assert lowest_common_subsumer(g, d, "b", "d") is None
+        assert lowest_common_subsumer(g, "b", "d") is None
 
     def test_depth_tie_breaks_to_smaller_index(self):
         # z and w share two depth-2 ancestors p and q; p has the smaller index
         ids = ["r", "p", "q", "z", "w"]
         edges = [("p", "r"), ("q", "r"), ("z", "p"), ("z", "q"), ("w", "p"), ("w", "q")]
         g = TaxonomyGraph(ids, edges)
-        d = compute_depths(g)
-        assert lowest_common_subsumer(g, d, "z", "w") == "p"
+        assert lowest_common_subsumer(g, "z", "w") == "p"
 
     def test_matches_oracle_on_random_dags(self):
         for seed in range(8):
             n = 30
             edges = random_dag_edges(n, seed, extra=12)
             g = TaxonomyGraph(ids_for(n), [(f"n{c:03d}", f"n{p:03d}") for c, p in edges])
-            depths = compute_depths(g)
             anc = ancestor_closure(n, edges)
             for u in range(n):
                 for v in range(u, n):
-                    expected = lcs_oracle(anc, list(depths.depths), u, v)
-                    got = lowest_common_subsumer(g, depths, g.ids[u], g.ids[v])
+                    expected = lcs_oracle(anc, list(g.depths), u, v)
+                    got = lowest_common_subsumer(g, g.ids[u], g.ids[v])
                     assert got == (None if expected is None else g.ids[expected])
 
 
@@ -299,7 +293,7 @@ class TestBfsDistances:
 @given(g=graphs)
 def test_levels_and_depths_match_the_oracles(g):
     assert list(g.levels) == level_oracle(g.n, edges_of(g))
-    assert list(compute_depths(g).depths) == depth_oracle(g.n, edges_of(g))
+    assert list(g.depths) == depth_oracle(g.n, edges_of(g))
 
 
 def assert_schedule_contract(g):
@@ -338,12 +332,11 @@ def test_schedule_repeats_a_child_once_per_parent():
         ([3], [1]),
         ([4, 4, 4], [2, 3, 1]),
     ]
-    depths = compute_depths(g)
     for measure in ("wup", "jcn"):
         table = propagate_counts(g, [1.0] * g.n)
-        grid = SimilarityRows(g, measure, depths, table).grid(g.ids, g.ids)
+        grid = SimilarityRows(g, measure, ic_table=table).grid(g.ids, g.ids)
         assert grid.tolist() == [
-            [pair_similarity(measure, g, u, v, depths, table) for v in g.ids] for u in g.ids
+            [pair_similarity(measure, g, u, v, ic_table=table) for v in g.ids] for u in g.ids
         ]
 
 
@@ -379,7 +372,5 @@ class TestConstruction:
     def test_depths_cover_every_node(self):
         for seed in range(5):
             g = random_dag_graph(40, seed, extra=15)
-            d = compute_depths(g)
-            assert len(d.depths) == g.n
-            assert all(1 <= dep <= d.max_depth for dep in d.depths)
-            assert not math.isnan(d.max_depth)
+            assert len(g.depths) == g.n
+            assert all(1 <= dep <= g.max_depth for dep in g.depths)

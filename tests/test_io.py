@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import inspect
 import itertools
 import os
 import random
@@ -453,3 +454,37 @@ def test_only_the_command_scaffold_times_runs_and_writes_manifests():
         and {"manifest", "manifest_path"} & {a.arg for a in [*node.args.args, *node.args.kwonlyargs]}
     ]
     assert takes_manifest == ["run"], "only the scaffold's wrapper takes the manifest option"
+
+
+DEPTHS_SLOTS = {
+    ("dataset.py", "build_fast"), ("dataset.py", "build_full"),
+    ("metrics.py", "pair_similarity"), ("metrics.py", "_check_depths"),
+}
+
+
+def test_measures_read_depths_from_the_graph():
+    # g.depths and g.max_depth are the only depths: build_full, build_fast and
+    # pair_similarity keep a checked `depths` slot for old callers, and no other
+    # function takes one; only graph.py builds a DepthIndex, and nothing calls
+    # compute_depths
+    src = Path(taxovec.__file__).parent
+    takes_depths = {
+        (f.name, node.name)
+        for f in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(f.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "depths" in {a.arg for a in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]}
+    }
+    assert takes_depths == DEPTHS_SLOTS
+    found = calls_in_package({"DepthIndex", "compute_depths"})
+    assert found.pop("graph.py"), "the guard no longer sees compute_depths' own DepthIndex"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize(
+    "fn", ["SimilarityRows", "MeasureScorer", "static_selection", "evaluate", "one_vs_all_graph", "run_benchmark"]
+)
+def test_ic_table_is_keyword_only_where_depths_came_before_it(fn):
+    # a stale positional DepthIndex is a TypeError instead of an IC table
+    ic_table = inspect.signature(getattr(taxovec, fn)).parameters["ic_table"]
+    assert ic_table.kind is inspect.Parameter.KEYWORD_ONLY

@@ -44,53 +44,49 @@ class TestLch:
         assert lch_from_path(0, 10) == pytest.approx(2.995732273553991, rel=1e-12)
 
     def test_chain_endpoints(self, chain3):
-        depths = compute_depths(chain3)
-        got = pair_similarity("lch", chain3, "a", "c", depths)
+        got = pair_similarity("lch", chain3, "a", "c")
         assert got == pytest.approx(0.6931471805599453, rel=1e-12)
 
     def test_matches_formula_on_random_trees(self):
         for seed in range(5):
             g = random_tree_graph(40, seed)
-            depths = compute_depths(g)
             rng = np.random.default_rng(seed)
             for _ in range(30):
                 u, v = (g.ids[int(i)] for i in rng.integers(0, g.n, size=2))
                 pathlen = shortest_path_length(g, u, v)
-                expected = -math.log((pathlen + 1) / (2.0 * depths.max_depth))
-                got = pair_similarity("lch", g, u, v, depths)
+                expected = -math.log((pathlen + 1) / (2.0 * g.max_depth))
+                got = pair_similarity("lch", g, u, v)
                 assert got == pytest.approx(expected, rel=1e-6)
 
-    def test_requires_depths(self, chain3):
-        with pytest.raises(ConfigError):
-            pair_similarity("lch", chain3, "a", "c")
+    def test_reads_the_graphs_depths(self, chain3):
+        # the graph's own DepthIndex is accepted and changes nothing
+        assert pair_similarity("lch", chain3, "a", "c") == lch_from_path(2, chain3.max_depth)
+        assert pair_similarity("lch", chain3, "a", "c", compute_depths(chain3)) == lch_from_path(2, 3)
 
 
 class TestWup:
     def test_identity(self, star3):
-        depths = compute_depths(star3)
-        assert pair_similarity("wup", star3, "x", "x", depths) == 1.0
+        assert pair_similarity("wup", star3, "x", "x") == 1.0
 
     def test_siblings_under_root(self, star3):
-        depths = compute_depths(star3)
-        assert pair_similarity("wup", star3, "x", "y", depths) == pytest.approx(0.5)
+        assert pair_similarity("wup", star3, "x", "y") == pytest.approx(0.5)
 
     def test_matches_ancestor_oracle(self):
         for seed in range(6):
             n = 30
             edges = random_dag_edges(n, seed, extra=10)
             g = TaxonomyGraph(ids_for(n), [(f"n{c:03d}", f"n{p:03d}") for c, p in edges])
-            depths = compute_depths(g)
             anc = ancestor_closure(n, edges)
             rng = np.random.default_rng(seed)
             for _ in range(40):
                 u, v = (int(i) for i in rng.integers(0, n, size=2))
-                lcs = lcs_oracle(anc, list(depths.depths), u, v)
+                lcs = lcs_oracle(anc, list(g.depths), u, v)
                 expected = (
                     0.0
                     if lcs is None
-                    else 2.0 * depths.depths[lcs] / (depths.depths[u] + depths.depths[v])
+                    else 2.0 * g.depths[lcs] / (g.depths[u] + g.depths[v])
                 )
-                got = pair_similarity("wup", g, g.ids[u], g.ids[v], depths)
+                got = pair_similarity("wup", g, g.ids[u], g.ids[v])
                 assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -100,35 +96,30 @@ class TestJcn:
         return propagate_counts(star3, [2.0, 1.0, 1.0])
 
     def test_hand_computed_value(self, star3):
-        depths = compute_depths(star3)
         table = self.fixture_table(star3)
         assert table.counts == (4.0, 1.0, 1.0)
-        got = pair_similarity("jcn", star3, "x", "y", depths, table)
+        got = pair_similarity("jcn", star3, "x", "y", ic_table=table)
         assert got == pytest.approx(1.0 / (2.0 * math.log(4.0)), rel=1e-12)
 
     def test_zero_denominator_is_inf(self, star3):
-        depths = compute_depths(star3)
         table = self.fixture_table(star3)
-        assert pair_similarity("jcn", star3, "x", "x", depths, table) == math.inf
+        assert pair_similarity("jcn", star3, "x", "x", ic_table=table) == math.inf
         # distinct nodes with identical ic and an lcs absorbing all mass
-        assert jcn_index(star3, depths, table, star3.idx("x"), star3.idx("x")) == math.inf
+        assert jcn_index(star3, table, star3.idx("x"), star3.idx("x")) == math.inf
 
     def test_zero_count_endpoint_scores_zero(self, star3):
-        depths = compute_depths(star3)
         table = propagate_counts(star3, [2.0, 0.0, 1.0])
         assert table.ic(star3.idx("x")) == math.inf
-        assert pair_similarity("jcn", star3, "x", "y", depths, table) == 0.0
+        assert pair_similarity("jcn", star3, "x", "y", ic_table=table) == 0.0
 
     def test_requires_ic_table(self, star3):
-        depths = compute_depths(star3)
         with pytest.raises(ConfigError):
-            pair_similarity("jcn", star3, "x", "y", depths)
+            pair_similarity("jcn", star3, "x", "y")
 
     def test_no_common_subsumer_scores_zero(self):
         g = TaxonomyGraph(["a", "b", "c", "d"], [("b", "a"), ("d", "c")])
-        depths = compute_depths(g)
         table = propagate_counts(g, [1.0, 1.0, 1.0, 1.0])
-        assert pair_similarity("jcn", g, "b", "d", depths, table) == 0.0
+        assert pair_similarity("jcn", g, "b", "d", ic_table=table) == 0.0
 
 
 class TestPropagateCounts:
@@ -215,19 +206,18 @@ class TestLoadRawCounts:
 class TestMeasureProperties:
     def _context(self, seed):
         g = random_dag_graph(25, seed, extra=8)
-        depths = compute_depths(g)
         rng = np.random.default_rng(seed)
         table = propagate_counts(g, [float(x) for x in rng.integers(1, 8, size=g.n)])
-        return g, depths, table, rng
+        return g, table, rng
 
     def test_symmetry(self):
         for seed in range(5):
-            g, depths, table, rng = self._context(seed)
+            g, table, rng = self._context(seed)
             for _ in range(25):
                 u, v = (g.ids[int(i)] for i in rng.integers(0, g.n, size=2))
                 for measure in ("shp", "lch", "wup", "jcn"):
-                    uv = pair_similarity(measure, g, u, v, depths, table)
-                    vu = pair_similarity(measure, g, v, u, depths, table)
+                    uv = pair_similarity(measure, g, u, v, ic_table=table)
+                    vu = pair_similarity(measure, g, v, u, ic_table=table)
                     assert uv == pytest.approx(vu, rel=1e-12) or (
                         math.isinf(uv) and math.isinf(vu)
                     )
@@ -245,38 +235,36 @@ class TestMeasureProperties:
         # than its descendant, pushing wup above 1
         for seed in range(4):
             g = random_tree_graph(25, seed)
-            depths = compute_depths(g)
             rng = np.random.default_rng(seed)
             table = propagate_counts(g, [float(x) for x in rng.integers(1, 8, size=g.n)])
-            log_bound = math.log(2 * depths.max_depth)
+            log_bound = math.log(2 * g.max_depth)
             for _ in range(30):
                 u, v = (g.ids[int(i)] for i in rng.integers(0, g.n, size=2))
                 if shortest_path_length(g, u, v) is None:
                     continue
                 assert 0.0 < pair_similarity("shp", g, u, v) <= 1.0
-                lch = pair_similarity("lch", g, u, v, depths)
+                lch = pair_similarity("lch", g, u, v)
                 assert 0.0 < lch <= log_bound + 1e-12
-                wup = pair_similarity("wup", g, u, v, depths, table)
+                wup = pair_similarity("wup", g, u, v, ic_table=table)
                 assert 0.0 < wup <= 1.0
 
     def test_wup_positive_on_dags(self):
         for seed in range(4):
-            g, depths, table, rng = self._context(seed)
+            g, table, rng = self._context(seed)
             for _ in range(30):
                 u, v = (g.ids[int(i)] for i in rng.integers(0, g.n, size=2))
-                assert pair_similarity("wup", g, u, v, depths, table) > 0.0
+                assert pair_similarity("wup", g, u, v, ic_table=table) > 0.0
 
     def test_self_similarity_maximal(self):
         for seed in range(4):
             g = random_tree_graph(25, seed)
-            depths = compute_depths(g)
             rng = np.random.default_rng(seed)
             table = propagate_counts(g, [float(x) for x in rng.integers(1, 8, size=g.n)])
             for u in (g.ids[int(i)] for i in rng.integers(0, g.n, size=5)):
                 for measure in ("shp", "lch", "wup", "jcn"):
-                    self_sim = pair_similarity(measure, g, u, u, depths, table)
+                    self_sim = pair_similarity(measure, g, u, u, ic_table=table)
                     for v in (g.ids[int(i)] for i in rng.integers(0, g.n, size=10)):
-                        other = pair_similarity(measure, g, u, v, depths, table)
+                        other = pair_similarity(measure, g, u, v, ic_table=table)
                         assert self_sim >= other
 
 
@@ -302,9 +290,9 @@ class TestValidation:
         g, big = random_tree_graph(40, 1), random_dag_graph(300, 2, extra=30)
         table = propagate_counts(big, [1.0] * big.n)
         with pytest.raises(ConfigError, match="IC table of 300 nodes, not 40"):
-            build_full(g, DatasetConfig(measure="jcn"), compute_depths(g), table)
+            build_full(g, DatasetConfig(measure="jcn"), ic_table=table)
         with pytest.raises(ConfigError, match="IC table of 300 nodes, not 40"):
-            pair_similarity("jcn", g, g.ids[1], g.ids[2], compute_depths(g), table)
+            pair_similarity("jcn", g, g.ids[1], g.ids[2], ic_table=table)
 
     def test_shp_ignores_another_graphs_context(self):
         # a fast shp build may be handed the depths and IC table of a larger graph
@@ -314,6 +302,5 @@ class TestValidation:
         assert list(build_fast(g, cfg, compute_depths(big), table).pairs) == list(build_fast(g, cfg).pairs)
 
     def test_wup_self_uses_lcs_identity(self, chain3):
-        depths = compute_depths(chain3)
-        got = wup_index(chain3, depths, chain3.idx("c"), chain3.idx("c"))
+        got = wup_index(chain3, chain3.idx("c"), chain3.idx("c"))
         assert got == 1.0

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from taxovec import metrics
 from taxovec.errors import ConfigError
-from taxovec.graph import TaxonomyGraph, compute_depths
+from taxovec.graph import TaxonomyGraph
 from taxovec.metrics import (
     BLOCK,
     MEASURES,
@@ -42,7 +42,7 @@ def context(g: TaxonomyGraph, seed: int):
     rng = np.random.default_rng(seed)
     raw = [float(x) for x in rng.integers(0, 3, size=g.n)]
     raw[0] += 1.0  # some mass, some unobserved nodes
-    return compute_depths(g), propagate_counts(g, raw)
+    return propagate_counts(g, raw)
 
 
 def distances(g: TaxonomyGraph) -> np.ndarray:
@@ -66,9 +66,9 @@ def block_rows(rows: SimilarityRows, sources, max_dist=None) -> tuple[np.ndarray
     return hits.astype(bool), out
 
 
-def dense_rows(g, measure, depths, table, max_dist=None) -> tuple[np.ndarray, np.ndarray]:
+def dense_rows(g, measure, table, max_dist=None) -> tuple[np.ndarray, np.ndarray]:
     """(reached, scores) as n x n matrices, one one-source block per row."""
-    rows = SimilarityRows(g, measure, depths, table)
+    rows = SimilarityRows(g, measure, ic_table=table)
     reached, scores = zip(*(block_rows(rows, [src], max_dist) for src in range(g.n)))
     return np.vstack(reached), np.vstack(scores)
 
@@ -76,19 +76,19 @@ def dense_rows(g, measure, depths, table, max_dist=None) -> tuple[np.ndarray, np
 @PROPERTY_SETTINGS
 @given(g=graphs, seed=st.integers(0, 3))
 def test_row_equals_pair_similarity(g, seed):
-    depths, table = context(g, seed)
+    table = context(g, seed)
     dist = distances(g)
     for measure in MEASURES:
-        reached, rows = dense_rows(g, measure, depths, table)
+        reached, rows = dense_rows(g, measure, table)
         assert np.array_equal(reached, np.isfinite(dist))
         for u in range(g.n):
             for v in range(g.n):
-                want = pair_similarity(measure, g, g.ids[u], g.ids[v], depths, table)
+                want = pair_similarity(measure, g, g.ids[u], g.ids[v], ic_table=table)
                 got = rows[u, v]
                 if not reached[u, v]:  # no path
                     assert math.isnan(got) and want == 0.0
                 elif math.isnan(got):  # connected, but no common subsumer
-                    assert measure in ("wup", "jcn") and lcs_index(g, depths, u, v) is None
+                    assert measure in ("wup", "jcn") and lcs_index(g, u, v) is None
                     assert want == 0.0
                 else:
                     assert got == want
@@ -97,9 +97,9 @@ def test_row_equals_pair_similarity(g, seed):
 @PROPERTY_SETTINGS
 @given(g=graphs, seed=st.integers(0, 3))
 def test_rows_are_symmetric(g, seed):
-    depths, table = context(g, seed)
+    table = context(g, seed)
     for measure in MEASURES:
-        reached, rows = dense_rows(g, measure, depths, table)
+        reached, rows = dense_rows(g, measure, table)
         assert np.array_equal(reached, reached.T)
         assert np.array_equal(rows, rows.T, equal_nan=True)
 
@@ -108,14 +108,14 @@ def test_rows_are_symmetric(g, seed):
 @given(g=graphs)
 def test_two_edge_reach_matches_floyd_warshall(g):
     dist = distances(g)
-    depths, table = context(g, 0)
-    _, full = dense_rows(g, "wup", depths, table)
-    reached, near = dense_rows(g, "wup", depths, table, max_dist=2)
+    table = context(g, 0)
+    _, full = dense_rows(g, "wup", table)
+    reached, near = dense_rows(g, "wup", table, max_dist=2)
     assert np.array_equal(reached, dist <= 2)
     assert np.array_equal(near, np.where(reached, full, np.nan), equal_nan=True)
 
 
-def oracle_scores(g, measure, depths, table, dist) -> np.ndarray:
+def oracle_scores(g, measure, table, dist) -> np.ndarray:
     """n x n raw scores from the references, NaN without a path or, for
     wup/jcn, without a common subsumer. shp/lch map the Floyd-Warshall
     distance through shp_from_path/lch_from_path, as pair_similarity does
@@ -127,9 +127,9 @@ def oracle_scores(g, measure, depths, table, dist) -> np.ndarray:
         if measure == "shp":
             out[u, v] = shp_from_path(d)
         elif measure == "lch":
-            out[u, v] = lch_from_path(d, depths.max_depth)
+            out[u, v] = lch_from_path(d, g.max_depth)
         elif ancestors[u] & ancestors[v]:
-            out[u, v] = pair_similarity(measure, g, g.ids[u], g.ids[v], depths, table)
+            out[u, v] = pair_similarity(measure, g, g.ids[u], g.ids[v], ic_table=table)
         out[v, u] = out[u, v]
     return out
 
@@ -154,14 +154,14 @@ def block_graphs(draw):
     return graph_from(n, sorted(edges), virtual_root=kind == "rooted")
 
 
-def assert_blocks_equal_rows(g, measure, depths, table, max_dist, picks=()):
+def assert_blocks_equal_rows(g, measure, table, max_dist, picks=()):
     """Every block of consecutive sources, then each array in `picks`,
     against the oracle rows of its sources: the Floyd-Warshall reach
     within `max_dist` and oracle_scores on it."""
     dist = distances(g)
     reach = dist <= (g.n if max_dist is None else max_dist)
-    want = np.where(reach, oracle_scores(g, measure, depths, table, dist), np.nan)
-    rows = SimilarityRows(g, measure, depths, table)
+    want = np.where(reach, oracle_scores(g, measure, table, dist), np.nan)
+    rows = SimilarityRows(g, measure, ic_table=table)
     blocks = [np.arange(first, min(first + BLOCK, g.n)) for first in range(0, g.n, BLOCK)]
     for block in [*blocks, *picks]:
         reached, got = block_rows(rows, block, max_dist)
@@ -178,11 +178,11 @@ def assert_blocks_equal_rows(g, measure, depths, table, max_dist, picks=()):
     pick=st.tuples(st.integers(1, BLOCK), st.integers(0, 2**32 - 1)),
 )
 def test_block_equals_rows(g, measure, max_dist, seed, pick):
-    depths, table = context(g, seed)
+    table = context(g, seed)
     # also up to BLOCK sources drawn anywhere, in no particular order
     size, pick_seed = pick
     sources = np.random.default_rng(pick_seed).choice(g.n, size=min(size, g.n), replace=False)
-    assert_blocks_equal_rows(g, measure, depths, table, max_dist, picks=[sources])
+    assert_blocks_equal_rows(g, measure, table, max_dist, picks=[sources])
 
 
 @functools.cache
@@ -198,18 +198,18 @@ def past_one_block_graph() -> TaxonomyGraph:
 @pytest.mark.parametrize("max_dist", [None, 2, 1, 0])
 def test_block_equals_rows_past_one_block(measure, max_dist):
     g = past_one_block_graph()
-    depths, table = context(g, 1)
+    table = context(g, 1)
     picks = [np.array([149, 3, 77, 40, 0, 120]), np.random.default_rng(2).choice(g.n, BLOCK, replace=False)]
-    assert_blocks_equal_rows(g, measure, depths, table, max_dist, picks)
+    assert_blocks_equal_rows(g, measure, table, max_dist, picks)
 
 
 @functools.cache
 def past_one_block_oracle(measure: str) -> tuple[np.ndarray, np.ndarray]:
     """Floyd-Warshall distances and oracle_scores of past_one_block_graph."""
     g = past_one_block_graph()
-    depths, table = context(g, 1)
+    table = context(g, 1)
     dist = distances(g)
-    return dist, oracle_scores(g, measure, depths, table, dist)
+    return dist, oracle_scores(g, measure, table, dist)
 
 
 @pytest.mark.parametrize("measure", MEASURES)
@@ -219,7 +219,7 @@ def test_block_triples_run_in_level_order(measure, max_dist, k):
     # every unpack width (1, 2, 4 and 8 bytes of a word) and both sides of
     # each width's limit; the sources come in no particular order
     g = past_one_block_graph()
-    depths, table = context(g, 1)
+    table = context(g, 1)
     dist, want = past_one_block_oracle(measure)
     sources = np.random.default_rng(k).choice(g.n, k, replace=False)
     d = dist[sources]
@@ -228,7 +228,7 @@ def test_block_triples_run_in_level_order(measure, max_dist, k):
     later = np.lexsort((column, target, d))[np.count_nonzero(d == 0) :]  # by (distance, target, column)
     want_src = np.concatenate((sources, sources[column[later]]))  # level 0: the sources as given
     want_tgt = np.concatenate((sources, target[later]))
-    got_src, got_tgt, got = SimilarityRows(g, measure, depths, table).block(sources, max_dist)
+    got_src, got_tgt, got = SimilarityRows(g, measure, ic_table=table).block(sources, max_dist)
     assert got_src.tolist() == want_src.tolist()
     assert got_tgt.tolist() == want_tgt.tolist()
     assert np.array_equal(got, want[want_src, want_tgt], equal_nan=True)
@@ -242,7 +242,7 @@ def test_block_unpacks_at_most_n_words_per_call(monkeypatch):
     n = 320
     edges = [(c, c - 1) for c in range(1, 300)] + [(c, c - 290) for c in range(300, n)]
     g = graph_from(n, edges, virtual_root=False)
-    depths, table = context(g, 0)
+    table = context(g, 0)
     unpackbits = np.unpackbits
     words = []
 
@@ -254,7 +254,7 @@ def test_block_unpacks_at_most_n_words_per_call(monkeypatch):
     for measure in ("shp", "wup"):
         for sources in (np.arange(0, n, 5), np.arange(n - 64, n)[::-1]):
             words.clear()
-            got_src, got_tgt, _ = SimilarityRows(g, measure, depths, table).block(sources)
+            got_src, got_tgt, _ = SimilarityRows(g, measure, ic_table=table).block(sources)
             assert len(got_src) == len(sources) * n
             assert len(set(zip(got_src.tolist(), got_tgt.tolist()))) == len(sources) * n
             assert sum(words) > 2 * n and max(words) <= n
@@ -284,16 +284,16 @@ class TestBlockSources:
 @settings(max_examples=40, deadline=None, database=None)
 @given(g=block_graphs(), seed=st.integers(0, 3), data=st.data())
 def test_grid_equals_pair_similarity(g, seed, data):
-    depths, table = context(g, seed)
+    table = context(g, seed)
     ids = st.sampled_from(g.ids)
     many = st.lists(ids, unique=True, min_size=min(g.n, BLOCK + 1), max_size=min(g.n, BLOCK + 8))
     # few or more than BLOCK distinct ids, some repeated; either side may be empty
     us = data.draw(st.one_of(st.lists(ids, max_size=8), many.map(lambda xs: xs + xs[:3])))
     vs = data.draw(st.lists(ids, max_size=6))
     for measure in MEASURES:
-        got = SimilarityRows(g, measure, depths, table).grid(us, vs)
+        got = SimilarityRows(g, measure, ic_table=table).grid(us, vs)
         assert got.shape == (len(us), len(vs))
-        want = {(u, v): pair_similarity(measure, g, u, v, depths, table) for u in us for v in vs}
+        want = {(u, v): pair_similarity(measure, g, u, v, ic_table=table) for u in us for v in vs}
         got[np.isnan(got)] = 0.0
         assert got.tolist() == [[want[u, v] for v in vs] for u in us]
 
@@ -305,24 +305,23 @@ class TestSimilarityRows:
             ["a0", "a1", "b0", "b1", "s"],
             [("a1", "a0"), ("b1", "b0"), ("s", "a1"), ("s", "b1")],
         )
-        depths = compute_depths(g)
-        _, targets, sims = SimilarityRows(g, "wup", depths).block(np.array([g.idx("a1")]))
+        _, targets, sims = SimilarityRows(g, "wup").block(np.array([g.idx("a1")]))
         got = dict(zip((g.ids[t] for t in targets), sims.tolist()))
         assert set(got) == set(g.ids)
         assert math.isnan(got["b1"]) and math.isnan(got["b0"])
-        assert got["s"] == pair_similarity("wup", g, "a1", "s", depths)
+        assert got["s"] == pair_similarity("wup", g, "a1", "s")
 
     def test_unreachable_nodes_are_absent(self):
         g = TaxonomyGraph(["a", "b", "lone"], [("b", "a")])
         for measure in ("shp", "wup"):
-            _, targets, _ = SimilarityRows(g, measure, compute_depths(g)).block(np.array([g.idx("a")]))
+            _, targets, _ = SimilarityRows(g, measure).block(np.array([g.idx("a")]))
             assert g.idx("lone") not in targets.tolist()
 
     def test_scorers_on_one_graph_share_its_schedule_and_ic_vector(self):
         # the set-up derived per graph and per table is built once, not per scorer
         g = graph_from(30, random_dag_edges(30, 3, extra=8), virtual_root=False)
-        depths, table = context(g, 0)
-        rows = [SimilarityRows(g, m, depths, table) for m in ("wup", "jcn", "wup", "jcn")]
+        table = context(g, 0)
+        rows = [SimilarityRows(g, m, ic_table=table) for m in ("wup", "jcn", "wup", "jcn")]
         level, schedule = g.schedule
         for r in rows:
             assert r._level is level and r._schedule is schedule
@@ -331,9 +330,7 @@ class TestSimilarityRows:
         assert rows[0].grid(g.ids, g.ids).tobytes() == rows[2].grid(g.ids, g.ids).tobytes()
 
     def test_missing_context_is_a_config_error(self, chain3):
-        with pytest.raises(ConfigError, match="depths"):
-            SimilarityRows(chain3, "wup")
         with pytest.raises(ConfigError, match="information content"):
-            SimilarityRows(chain3, "jcn", compute_depths(chain3))
+            SimilarityRows(chain3, "jcn")
         with pytest.raises(ConfigError, match="unknown measure"):
             SimilarityRows(chain3, "cosine")

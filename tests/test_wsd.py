@@ -7,7 +7,6 @@ import pytest
 
 from taxovec.errors import ConfigError, DataError, UnknownNodeError
 from taxovec.evaluation import MeasureScorer
-from taxovec.graph import compute_depths
 from taxovec.wsd import (
     SentenceInstance,
     Token,
@@ -161,8 +160,7 @@ class TestSelectSenses:
 
 class TestDisambiguate:
     def test_end_to_end_with_measure_scorer(self, star3):
-        depths = compute_depths(star3)
-        scorer = MeasureScorer(star3, "shp", depths)
+        scorer = MeasureScorer(star3, "shp")
         inst = sentence(
             (0, "first", ("x", "r"), "x"), (1, "second", ("y",), "y")
         )
@@ -218,7 +216,7 @@ class TestSweep:
         assert results[0][0] != results[2][0]  # the thresholds do differ
 
     def test_normalized_scorer_rejects_any_out_of_range_threshold(self, star3):
-        scorer = MeasureScorer(star3, "shp", compute_depths(star3), norm_range=(0.2, 1.0))
+        scorer = MeasureScorer(star3, "shp", norm_range=(0.2, 1.0))
         inst = sentence((0, "x", ("x",), None), (1, "y", ("y",), None))
         with pytest.raises(ConfigError, match="outside"):
             disambiguate_sweep([inst], scorer, (0.5, 1.5))
@@ -294,19 +292,17 @@ class TestMicroF1:
 
 class TestConfig:
     def test_normalized_scorer_threshold_range(self, star3):
-        depths = compute_depths(star3)
-        normalized = MeasureScorer(star3, "shp", depths, norm_range=(0.2, 0.8))
+        normalized = MeasureScorer(star3, "shp", norm_range=(0.2, 0.8))
         with pytest.raises(ConfigError):
             WsdConfig(normalized, threshold=1.5)
-        raw = MeasureScorer(star3, "shp", depths)
+        raw = MeasureScorer(star3, "shp")
         WsdConfig(raw, threshold=1.5)  # raw scale: any threshold goes
 
     def test_nan_threshold_is_a_config_error(self, star3):
         # NaN keeps no edge, which would silently give every token its first sense
-        depths = compute_depths(star3)
         for norm_range in (None, (0.2, 0.8)):
             with pytest.raises(ConfigError, match="nan"):
-                WsdConfig(MeasureScorer(star3, "shp", depths, norm_range=norm_range), threshold=float("nan"))
+                WsdConfig(MeasureScorer(star3, "shp", norm_range=norm_range), threshold=float("nan"))
 
 
 class TestInstanceIO:
