@@ -273,7 +273,7 @@ value row. Histogram TSV: `bin_lo<TAB>bin_hi<TAB>count` per bin.
 @GRAPH_OPTIONS
 @click.option("--pairs", required=True, type=INPUT, help="Lemma pairs with gold scores.")
 @click.option("--candidates", required=True, type=INPUT)
-@click.option("--measure", type=click.Choice(MEASURES), required=True, help="Graph measure for static selection / measure golds.")
+@click.option("--measure", type=click.Choice(MEASURES), default=None, help="Graph measure for static selection, measure golds or the measure scorer.")
 @IC_COUNTS_OPTION
 @_scorer_options("model")
 @click.option("--selection", type=click.Choice(["static", "dynamic"]), default="static", show_default=True)
@@ -286,6 +286,15 @@ def cmd_eval_sim(graph, virtual_root, pairs, candidates, measure, ic_counts, mod
     _refuse_unread(f"with --scorer {scorer_kind}", *(("model", "score_mode") if scorer_kind == "measure" else ("norm_from",)))
     if histogram_path is None:
         _refuse_unread("without --histogram", "bins")
+    readers = [f"--{option} {value}" for option, value, reads in (
+        ("selection", "static", selection == "static"),
+        ("golds", "measure", golds == "measure"),
+        ("scorer", "measure", scorer_kind == "measure"),
+    ) if reads]
+    if not readers:
+        _refuse_unread("with --selection dynamic, --golds human and --scorer model", "measure")
+    elif measure is None:
+        raise click.UsageError(f"{readers[0]} requires --measure")
     g, ic_table = _load_graph(graph, virtual_root, measure, ic_counts)
     records, missing = make_records(load_lemma_pairs(pairs), load_candidates(candidates))
     scorer = _build_scorer(scorer_kind, g, measure, ic_table, model, score_mode, norm_from)
@@ -309,7 +318,7 @@ def cmd_eval_sim(graph, virtual_root, pairs, candidates, measure, ic_counts, mod
             for lo, hi, count in rows:
                 fh.write(f"{lo!r}\t{hi!r}\t{count}\n")
     return {
-        "measure": measure, "scorer": scorer_kind, "score_mode": score_mode if scorer_kind == "model" else "-",
+        "measure": measure or "-", "scorer": scorer_kind, "score_mode": score_mode if scorer_kind == "model" else "-",
         "selection": selection, "golds": golds, "bins": bins if histogram_path else "-",
     }
 

@@ -6,16 +6,21 @@ at most two edges in fast mode), drop pairs under a raw threshold, keep
 each node's top-k most similar partners, unity-normalize the survivors,
 and shuffle with a seeded PRNG.
 
-The sources are scored BLOCK at a time by SimilarityRows.block, one
+The sources are walked BLOCK at a time by SimilarityRows.levels, one
 bit-parallel traversal per block, and each block's top-k are selected
 for all of its sources at once. Similarity is symmetric, so a node's own
-triples hold all of its partners and its top-k come from its own block.
-A kept pair is recorded once per end as the code min*n + max; one
-np.unique over the codes merges the two ends and sorts the survivors
+partners are all reached from its block and its top-k come from there.
+shp and lch fall strictly with distance: their pairs are read from the
+levels themselves, the threshold as a distance cutoff that a full build
+walks no further than, and the top-k as each source's nearest levels.
+wup and jcn score every reached pair with SimilarityRows.block and sort
+them. A kept pair is recorded once per end as the code min*n + max; one
+sort of the codes merges the two ends and orders the survivors
 canonically before the shuffle, so the file depends only on the graph
-and the config. Memory is one block's triples (at most BLOCK x nodes in
-full mode, BLOCK x the two-edge reach in fast mode; wup/jcn add a
-nodes x BLOCK subsumer table) plus O(nodes * top_k) for the survivors.
+and the config. Memory is one block's levels (for wup/jcn its scored
+triples, at most BLOCK x nodes in full mode, BLOCK x the two-edge reach in
+fast mode, and a nodes x BLOCK subsumer table) plus O(nodes * top_k) for
+the survivors.
 
 The pairs flow from the build through the pairs file to the trainer as
 one columnar Pairs; TrainingPair is only the row type of its indexing.
@@ -23,6 +28,7 @@ one columnar Pairs; TrainingPair is only the row type of its indexing.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from array import array
@@ -36,13 +42,17 @@ import numpy as np
 from .errors import ConfigError, DegenerateRangeError, EmptyDatasetError, RecordError
 from .graph import DepthIndex, TaxonomyGraph
 from .io import atomic_write, header, real, records
-from .metrics import BLOCK, InformationContentTable, SimilarityRows, _check_depths, validate_measure
+from .metrics import BLOCK, InformationContentTable, SimilarityRows, _check_depths, unpack, validate_measure
 
 DEFAULT_THRESHOLDS = {"shp": 0.1, "jcn": 0.1, "wup": 0.3, "lch": 1.5}
 
 MODES = ("full", "fast")
 
-WRITE_CHUNK = 1 << 16  # pairs converted to Python values at a time by write_pairs
+WRITE_CHUNK = 1 << 12  # pairs converted to Python values at a time by write_pairs
+
+LEVEL_MEASURES = ("shp", "lch")  # scores that fall strictly with BFS distance: pairs read from the levels
+
+_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits of each byte value
 
 
 class TrainingPair(NamedTuple):
@@ -174,31 +184,14 @@ def _normalize(values: np.ndarray) -> tuple[np.ndarray, float, float]:
 def _build(g: TaxonomyGraph, cfg: DatasetConfig, ic_table: InformationContentTable | None) -> DatasetBuild:
     measure = cfg.measure.lower()
     rows = SimilarityRows(g, measure, ic_table=ic_table)
-    max_dist = 2 if cfg.mode == "fast" else None
     threshold = cfg.raw_threshold
-
-    codes, sims = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    candidates = 0
-    kept = 0
-    for first in range(0, g.n, BLOCK):
-        block_codes, block_sims, block_candidates, block_kept = _select_block(
-            rows.block(np.arange(first, min(first + BLOCK, g.n)), max_dist), g.n, threshold, cfg.top_k
-        )
-        codes.append(block_codes)
-        sims.append(block_sims)
-        candidates += block_candidates
-        kept += block_kept
-    codes = np.concatenate(codes)
+    select = _select_by_levels if measure in LEVEL_MEASURES else _select_by_blocks
+    codes, sims, candidates, kept = select(rows, 2 if cfg.mode == "fast" else None, threshold, cfg.top_k)
     if not len(codes):
         raise EmptyDatasetError(
             f"no pairs survive threshold {threshold!r} for measure {measure!r}"
         )
-    # both ends of a pair may keep it, with scores equal bit for bit: any will do
-    index = np.argsort(codes)
-    codes = codes[index]
-    first = np.concatenate(([True], codes[1:] != codes[:-1]))
-    codes, index = codes[first], index[first]
-    normalized, lo, hi = _normalize(np.concatenate(sims)[index])
+    normalized, lo, hi = _normalize(sims)
 
     perm = np.random.default_rng(cfg.seed).permutation(len(codes))
     codes, normalized = codes[perm], normalized[perm]
@@ -210,6 +203,140 @@ def _build(g: TaxonomyGraph, cfg: DatasetConfig, ic_table: InformationContentTab
         norm_min=lo,
         norm_max=hi,
     )
+
+
+def _merge(codes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes in order, each with its value. Both ends of a
+    pair may keep it, with values equal bit for bit: any will do."""
+    order = np.argsort(codes)
+    codes = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    return codes[first], values[order[first]]
+
+
+def _blocks(n: int) -> Iterator[np.ndarray]:
+    """The sources of each block pass: BLOCK consecutive node indices at a time."""
+    return (np.arange(first, min(first + BLOCK, n)) for first in range(0, n, BLOCK))
+
+
+def _select_by_blocks(
+    rows: SimilarityRows, max_dist: int | None, threshold: float, top_k: int
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """wup/jcn: the kept pairs of every block as distinct codes min*n +
+    max in order, with their raw scores, and the candidate and
+    threshold-kept counts, from SimilarityRows.block's triples through
+    _select_block."""
+    codes, sims, candidates, kept = [np.empty(0, dtype=np.int64)], [np.empty(0)], 0, 0
+    for sources in _blocks(rows.g.n):
+        block_codes, block_sims, block_candidates, block_kept = _select_block(
+            rows.block(sources, max_dist), rows.g.n, threshold, top_k
+        )
+        codes.append(block_codes)
+        sims.append(block_sims)
+        candidates += block_candidates
+        kept += block_kept
+    return *_merge(np.concatenate(codes), np.concatenate(sims)), candidates, kept
+
+
+def _select_by_levels(
+    rows: SimilarityRows, max_dist: int | None, threshold: float, top_k: int
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """shp/lch: what _select_by_blocks returns, read from the BFS levels.
+
+    The scores fall strictly with distance, so a pair passes the
+    threshold when its distance is at most the last one whose score
+    passes. A full build walks no further; a fast build walks both of its
+    levels for its candidate count. The levels count each pair from both
+    of its ends, and a full build's candidates are the connected pairs,
+    from the graph's components. The kept pairs carry their distance,
+    in the fewest bytes that hold it, until they are merged.
+    """
+    g = rows.g
+    passing = bisect.bisect_left(
+        range(g.n if max_dist is None else max_dist + 1), True, key=lambda d: not rows.path_score(d) >= threshold
+    )
+    scores = np.array([rows.path_score(d) for d in range(passing)])
+    walk = max(passing - 1, 0) if max_dist is None else max_dist
+    codes, dists, reached, kept = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint8)], 0, 0
+    for sources in _blocks(g.n):
+        block_codes, block_dists, block_reached = _select_levels(rows, sources, walk, passing, top_k)
+        codes.append(block_codes)
+        dists.append(block_dists)
+        reached += sum(block_reached)
+        kept += sum(block_reached[:passing])
+    if max_dist is None:
+        sizes = np.bincount(g.components)
+        candidates = int((sizes * (sizes - 1) // 2).sum())
+    else:
+        candidates = reached // 2
+    codes, dists = _merge(np.concatenate(codes), np.concatenate(dists))
+    return codes, scores[dists], candidates, kept // 2
+
+
+def _select_levels(
+    rows: SimilarityRows, sources: np.ndarray, max_dist: int, passing: int, top_k: int
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """shp/lch: each source's top-k partners from the BFS levels of a
+    block of sources, walked up to `max_dist`, where the distances below
+    `passing` are those whose score passes the threshold.
+
+    The scores fall strictly with distance, so a source's top-k by (score
+    desc, partner index asc) are its nearest whole levels, then the
+    lowest-index partners of the first level that overflows. Returns the
+    kept pairs as codes min*n + max with their distances, and for each
+    distance walked the (source, target) pairs first reached there, by a
+    byte-table popcount of the level's words (none at distance 0).
+
+    No pair is scored or sorted beyond the kept ones. The passing levels
+    are held and unpacked together, masked to the sources still short of
+    k; a flush comes when the held words would pass n or the k x
+    short-source partners still wanted, and unpacking stops once every
+    source holds k.
+    """
+    n = rows.g.n
+    need = np.full(len(sources), top_k, dtype=np.int64)  # partners each source still lacks
+    held, held_words, kept, reached = [], 0, [], [0]  # distance 0 holds the sources themselves
+    for dist, (nodes, words) in enumerate(rows.levels(sources, max_dist)):
+        if dist == 0:
+            continue
+        reached.append(int(np.take(_BITS, words.view(np.uint8)).sum(dtype=np.int64)))
+        if dist >= passing or not need.any():
+            continue
+        if held and held_words + len(nodes) > min(n, top_k * np.count_nonzero(need)):
+            kept.append(_take_nearest(held, need, sources, passing, n))
+            held, held_words = [], 0
+        if need.any():
+            held.append((dist, nodes, words))
+            held_words += len(nodes)
+    if held:
+        kept.append(_take_nearest(held, need, sources, passing, n))
+    codes, dists = zip(*kept) if kept else ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint8)])
+    return np.concatenate(codes), np.concatenate(dists), reached
+
+
+def _take_nearest(
+    held: list[tuple[int, np.ndarray, np.ndarray]], need: np.ndarray, sources: np.ndarray, passing: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest partners of each source in held (distance, nodes,
+    words) levels, as codes min*n + max with their distances, in the
+    fewest bytes that hold a distance below `passing`: up to need[j] for
+    sources[j], by (distance, partner index), taken from need."""
+    if not need.all():  # unpack only the bits of the sources still short
+        short = np.bitwise_or.reduce(np.left_shift(np.uint64(1), np.flatnonzero(need).astype(np.uint64)))
+        masked = [(dist, nodes, words & short) for dist, nodes, words in held]
+        held = [(dist, nodes[words != 0], words[words != 0]) for dist, nodes, words in masked]
+    targets, columns, sizes = unpack([(nodes, words) for _, nodes, words in held], len(sources))
+    dist = np.repeat(np.array([d for d, _, _ in held], dtype=np.min_scalar_type(passing)), sizes)
+    found = np.bincount(columns, minlength=len(sources))
+    if (found > need).any():  # a source overflows: keep its nearest by (distance, partner index)
+        order = np.argsort(columns, kind="stable")  # unpacked by distance and partner index
+        targets, columns, dist = targets[order], columns[order], dist[order]
+        take = np.arange(len(columns)) - np.repeat(np.cumsum(found) - found, found) < need[columns]
+        targets, columns, dist = targets[take], columns[take], dist[take]
+    need -= np.minimum(found, need)
+    heads = sources[columns]
+    return np.minimum(heads, targets) * n + np.maximum(heads, targets), dist
 
 
 def _select_block(
@@ -265,15 +392,23 @@ def build_fast(
 
 
 def write_pairs(path: str | Path, build: DatasetBuild) -> None:
-    """Write a `# key=value` header followed by `u<TAB>v<TAB>s` rows."""
+    """Write a `# key=value` header followed by `u<TAB>v<TAB>s` rows, s
+    as repr() gives it.
+
+    Each chunk's rows are written as one string, and each distinct score
+    of a chunk is formatted once: distinct by its bits, so -0.0 and 0.0
+    stay apart.
+    """
     with atomic_write(path) as fh:
         for key, value in build.header().items():
             fh.write(f"# {key}={value}\n")
         pairs, ids = build.pairs, build.pairs.ids
         for k in range(0, len(pairs), WRITE_CHUNK):
-            i, j, s = (col[k:k + WRITE_CHUNK].tolist() for col in (pairs.i, pairs.j, pairs.s))
-            for a, b, x in zip(i, j, s):
-                fh.write(f"{ids[a]}\t{ids[b]}\t{x!r}\n")
+            chunk = slice(k, k + WRITE_CHUNK)
+            bits, inverse = np.unique(pairs.s[chunk].view(np.uint64), return_inverse=True)
+            text = [repr(x) for x in bits.view(np.float64).tolist()]
+            rows = zip(pairs.i[chunk].tolist(), pairs.j[chunk].tolist(), inverse.tolist())
+            fh.write("".join([f"{ids[a]}\t{ids[b]}\t{text[x]}\n" for a, b, x in rows]))
 
 
 PAIRS_LAYOUT = "u<TAB>v<TAB>s"

@@ -25,9 +25,11 @@ class TaxonomyGraph:
     """Immutable directed acyclic hypernym graph over string node ids.
 
     Construction runs one topological pass that rejects a cycle and stores
-    every node's level and depth; `csr` (the undirected adjacency) and
-    `schedule` (the parent edges grouped by level), the array forms the
-    measures and the trainer share, are derived once per graph on first use.
+    every node's level and depth; `csr` (the undirected adjacency),
+    `schedule` (the parent edges grouped by level) and `components` (each
+    node's connected component), the array forms the measures, the
+    dataset builds and the trainer share, are derived once per graph on
+    first use.
     """
 
     def __init__(self, ids: Sequence[str], edges: Iterable[tuple[str, str]]):
@@ -143,6 +145,26 @@ class TaxonomyGraph:
         children, parents = children[order], parents[order]
         bounds = np.searchsorted(level[children], np.arange(1, level.max(initial=0) + 2)).tolist()
         return level, [(children[a:b], parents[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    @functools.cached_property
+    def components(self) -> np.ndarray:
+        """Each node's connected component in the undirected adjacency as
+        an int64 label, the components numbered 0, 1, ... in the order of
+        their smallest node index."""
+        label = [-1] * self.n
+        count = 0
+        for start in range(self.n):
+            if label[start] >= 0:
+                continue
+            label[start] = count
+            stack = [start]
+            while stack:
+                for w in self.neighbors[stack.pop()]:
+                    if label[w] < 0:
+                        label[w] = count
+                        stack.append(w)
+            count += 1
+        return np.array(label, dtype=np.int64)
 
 
 @dataclass(frozen=True)

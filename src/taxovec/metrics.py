@@ -9,10 +9,12 @@ clips such pairs to the top of the similarity range.
 pair_similarity scores one pair; it and its scalar helpers are the
 per-pair reference. SimilarityRows scores many pairs with the same values,
 in two shapes: block() scores up to BLOCK sources against every node they
-reach in one traversal (dataset builds, and one-vs-all queries as a block
-of one), and grid() scores every pair of two id lists (static selection,
-measure scorers). wup/jcn share one subsumer DP, and both shapes go
-through one score function per measure; the measures read g.depths.
+reach in one traversal (wup/jcn dataset builds, and one-vs-all queries as
+a block of one), and grid() scores every pair of two id lists (static
+selection, measure scorers). Both walk the bit-parallel BFS of levels(),
+which shp/lch dataset builds also read directly. wup/jcn share one
+subsumer DP, and both shapes go through one score function per measure;
+the measures read g.depths.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -202,19 +204,25 @@ def pair_similarity(
 
 
 class SimilarityRows:
-    """Scores many node pairs under one measure, in two shapes.
+    """Scores many node pairs under one measure, in two shapes, over one
+    traversal:
 
-    - block(sources, max_dist): up to BLOCK sources against every node
-      they reach, by one bit-parallel BFS with one uint64 word per node and
-      bit j for the j-th source (Then et al., VLDB 2014; dataset builds, and
-      one-vs-all queries as a block of one source);
+    - levels(sources, max_dist): the breadth-first levels of up to BLOCK
+      sources, by one bit-parallel BFS with one uint64 word per node and
+      bit j for the j-th source (Then et al., VLDB 2014); the only
+      traversal, read directly by shp/lch dataset builds;
+    - block(sources, max_dist): those sources against every node they
+      reach, unpacked from levels() (wup/jcn dataset builds, and one-vs-all
+      queries as a block of one source);
     - grid(us, vs): every pair of two id lists (static selection, measure
       scorers), through block() for shp/lch and the DP alone for wup/jcn.
 
     Scores agree exactly with pair_similarity. shp/lch map each
-    breadth-first distance through shp_from_path/lch_from_path. wup/jcn
-    take the deepest common subsumer of each source and each target from
-    one DP, _subsumers, over the DAG's parent edges grouped by level:
+    breadth-first distance through path_score (shp_from_path, or
+    lch_from_path at the graph's max_depth), which falls strictly as the
+    distance grows. wup/jcn take the deepest common subsumer of each
+    source and each target from one DP, _subsumers, over the DAG's parent
+    edges grouped by level:
 
         best[t] = max(key(t) if t is an ancestor of src, best[p] for parents p)
 
@@ -231,9 +239,9 @@ class SimilarityRows:
         self.measure = _measure_with_context(measure, g, ic_table)
         self._degree = np.diff(g.csr[0])
         if self.measure == "shp":
-            self._path_score = shp_from_path
+            self.path_score = shp_from_path
         elif self.measure == "lch":
-            self._path_score = functools.partial(lch_from_path, max_depth=g.max_depth)
+            self.path_score = functools.partial(lch_from_path, max_depth=g.max_depth)
         else:
             n = g.n
             self._depth = np.asarray(g.depths, dtype=np.int64)
@@ -244,37 +252,27 @@ class SimilarityRows:
         if self.measure == "jcn":
             self._ic = ic_table.ic_vector
 
-    def block(
+    def levels(
         self, sources: np.ndarray, max_dist: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sources, targets, scores) triples for an array of at most BLOCK
-        distinct dense indices `sources`, in any order; more sources, a
-        repeated source or an index outside the graph is a config error.
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The breadth-first levels of an array of at most BLOCK distinct
+        dense indices `sources`, in any order, as (nodes, words) per
+        distance d = 0, 1, ... up to `max_dist` (all of their reach when
+        None). More sources, a repeated source or an index outside the
+        graph is a config error, raised at the first level.
 
-        For each of those sources the triples hold every node within
-        `max_dist` undirected edges of it (all connected nodes when None),
-        the source itself included, with its raw similarity. Nodes absent
-        for a source have no path to it within the limit. A wup/jcn target
-        sharing no common subsumer with its source scores NaN, where
-        pair_similarity reports 0.0. The triples run by distance: first
-        the sources in the order given, then each later level by target
-        index and, within a target, by source position.
+        Bit j of a word stands for sources[j]: level d holds the nodes
+        that some source first reaches at distance d, in index order, and
+        each node's word has the bits of the sources that do. Level 0 is
+        the sources in the order given, each with its own bit. The levels
+        are fresh arrays that a consumer may hold.
 
-        Bit j of a node's word stands for sources[j]. One dense `unseen`
-        array holds each node's source bits not yet reached. A level ORs
-        the frontier's words into their neighbours' words over the
-        frontier's CSR slices only, masks the result with `unseen` and
-        keeps the nonzero words as the next frontier: about a dozen numpy
-        calls, the frontier's edges and a few scans of n words. The
-        levels' (frontier, words) are held and unpacked together, in one
-        unpackbits per flush, which comes when the held words would pass
-        n, so one unpack never takes more words than one level can hold.
-        Only the low 1, 2, 4 or 8 bytes of a word are unpacked, as the
-        block has up to 8, 16, 32 or 64 sources, so a one-source query
-        unpacks 8 bits per reached node. Each pair's source position is
-        kept in one byte until the scores are taken. Only reached pairs
-        are materialised, so a fast-mode block costs its reach, not
-        BLOCK x n.
+        One dense `unseen` array holds each node's source bits not yet
+        reached. A level ORs the frontier's words into their neighbours'
+        words over the frontier's CSR slices only, masks the result with
+        `unseen` and keeps the nonzero words as the next frontier: about a
+        dozen numpy calls, the frontier's edges and a few scans of n words
+        (Then et al., VLDB 2014).
         """
         offsets, flat = self.g.csr
         n = self.g.n
@@ -289,22 +287,15 @@ class SimilarityRows:
                 f"a block takes at most {BLOCK} distinct node indices in [0, {n}), got "
                 f"{len(src)} sources, {len(np.unique(src))} distinct, from {ordered[0]} to {ordered[-1]}"
             )
-        width = next(w for w in (1, 2, 4, 8) if len(src) <= 8 * w)  # bytes unpacked per word
         frontier = src
         words = np.left_shift(np.uint64(1), np.arange(len(src), dtype=np.uint64))
         unseen = np.full(n, (1 << len(src)) - 1, dtype=np.uint64)
         unseen[src] ^= words
         reach = np.zeros(n, dtype=np.uint64)  # work array, all zero between levels
-        held, parts = [], []  # levels not yet unpacked, and (targets, columns, sizes) of those that were
-        count = 0  # words held
         for level in itertools.count():
-            if count + len(frontier) > n:
-                parts.append(_unpack(held, width))
-                held, count = [], 0
-            held.append((frontier, words))
-            count += len(frontier)
+            yield frontier, words
             if level == max_dist:
-                break
+                return
             # OR each frontier word into the words of its node's neighbours
             degree = self._degree[frontier]
             edges = spans(offsets[frontier], degree)
@@ -312,11 +303,43 @@ class SimilarityRows:
             reach &= unseen
             frontier = np.flatnonzero(reach != 0)  # a bool mask scans about 4x faster than words
             if not len(frontier):
-                break
+                return
             words = reach[frontier]
             reach[frontier] = 0
             unseen[frontier] ^= words
-        parts.append(_unpack(held, width))
+
+    def block(
+        self, sources: np.ndarray, max_dist: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sources, targets, scores) triples for the sources of levels():
+        for each source, every node within `max_dist` undirected edges of
+        it (all connected nodes when None), the source itself included,
+        with its raw similarity. Nodes absent for a source have no path to
+        it within the limit. A wup/jcn target sharing no common subsumer
+        with its source scores NaN, where pair_similarity reports 0.0. The
+        triples run by distance: first the sources in the order given,
+        then each later level by target index and, within a target, by
+        source position.
+
+        The levels are held and unpacked together, in one unpackbits per
+        flush, which comes when the held words would pass n, so one unpack
+        never takes more words than one level can hold. Each pair's source
+        position is kept in one byte until the scores are taken. Only
+        reached pairs are materialised, so a fast-mode block costs its
+        reach, not BLOCK x n; a full-reach block costs BLOCK x its
+        component. shp/lch dataset builds read their pairs from levels()
+        instead.
+        """
+        src = np.asarray(sources, dtype=np.int64)
+        held, parts = [], []  # levels not yet unpacked, and (targets, columns, sizes) of those that were
+        count = 0  # words held
+        for frontier, words in self.levels(src, max_dist):
+            if count + len(frontier) > self.g.n:
+                parts.append(unpack(held, len(src)))
+                held, count = [], 0
+            held.append((frontier, words))
+            count += len(frontier)
+        parts.append(unpack(held, len(src)))
         targets, columns, sizes = zip(*parts)
         targets, columns = np.concatenate(targets), np.concatenate(columns)
         heads = src[columns]
@@ -389,7 +412,7 @@ class SimilarityRows:
         for wup/jcn, -1 where there is none (scored NaN).
         """
         if self.measure in ("shp", "lch"):
-            per_dist = [self._path_score(d) for d in range(int(key.max(initial=0)) + 1)]
+            per_dist = [self.path_score(d) for d in range(int(key.max(initial=0)) + 1)]
             return np.array(per_dist)[key]
         lcs = self._by_rank[key]  # garbage where key < 0; masked below
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -405,11 +428,14 @@ class SimilarityRows:
         return scores
 
 
-def _unpack(held: list[tuple[np.ndarray, np.ndarray]], width: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def unpack(held: list[tuple[np.ndarray, np.ndarray]], sources: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """(targets, columns, sizes) of the set bits of BFS levels held as
-    (nodes, words): the low `width` bytes of each word, in one unpackbits.
-    Bits run by level, node order within it, then bit; sizes counts the
-    bits of each level."""
+    (nodes, words), for a block of `sources` sources: only the low 1, 2,
+    4 or 8 bytes of each word are unpacked, as the block has up to 8, 16,
+    32 or 64 sources, in one unpackbits, so a one-source query unpacks 8
+    bits per reached node. Bits run by level, node order within it, then
+    bit; sizes counts the bits of each level."""
+    width = next((w for w in (1, 2, 4) if sources <= 8 * w), 8)  # bytes unpacked per word
     shift = (8 * width).bit_length() - 1
     nodes = np.concatenate([f for f, _ in held])
     packed = np.concatenate([w for _, w in held]).astype(f"<u{width}", copy=False).view(np.uint8)

@@ -6,10 +6,12 @@ import tempfile
 from collections import deque
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from taxovec.graph import TaxonomyGraph, load_edge_list
+from taxovec.metrics import BLOCK
 
 from oracles import prufer_tree
 
@@ -44,8 +46,6 @@ def random_tree_graph(n: int, seed: int) -> TaxonomyGraph:
 
 def random_dag_edges(n: int, seed: int, extra: int = 0) -> list[tuple[int, int]]:
     """Tree plus `extra` forward edges toward strictly smaller indices."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     edges = [(i, int(rng.integers(0, i))) for i in range(1, n)]
     present = set(edges)
@@ -101,6 +101,26 @@ graphs = st.one_of(
     edge_lists(forest=True).map(lambda ne: graph_from(*ne, virtual_root=False)),
     edge_lists(forest=True).map(lambda ne: graph_from(*ne, virtual_root=True)),
 )
+
+
+@st.composite
+def block_graphs(draw):
+    """Graphs of 1 to 200 nodes: DAGs, forests or forests under a virtual
+    root, some with isolated nodes anywhere in the load order."""
+    n = draw(st.one_of(st.integers(1, 200), st.sampled_from([1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 1])))
+    kind = draw(st.sampled_from(["dag", "forest", "rooted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = set()
+    for c in range(1, n):
+        if kind == "dag" or rng.random() < 0.8:
+            edges.add((c, int(rng.integers(0, c))))
+    for _ in range(int(rng.integers(0, n // 4 + 1))):
+        c = int(rng.integers(1, n))
+        edges.add((c, int(rng.integers(0, c))))
+    if draw(st.booleans()):
+        isolated = set(rng.choice(n, size=min(n, 3), replace=False).tolist())
+        edges = {(c, p) for c, p in edges if c not in isolated and p not in isolated}
+    return graph_from(n, sorted(edges), virtual_root=kind == "rooted")
 
 
 @pytest.fixture

@@ -353,7 +353,7 @@ class TestEvalSim:
               "--dim", "8", "--epochs", "3", "--output", "emb.txt"])
         code = main(
             ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv",
-             "--candidates", "candidates.tsv", "--measure", "shp",
+             "--candidates", "candidates.tsv",
              "--model", "emb.txt", "--selection", "dynamic",
              "--histogram", "hist.tsv", "--bins", "4"]
         )
@@ -440,6 +440,8 @@ class TestEvalSim:
         assert "requires --model" in capsys.readouterr().err
 
 
+EVAL_SIM_DYNAMIC = ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv",
+                    "--candidates", "candidates.tsv", "--selection", "dynamic", "--report", "out.tsv"]
 EVAL_SIM = ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv",
             "--candidates", "candidates.tsv", "--measure", "shp", "--report", "out.tsv"]
 WSD = ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv", "--threshold", "0.3",
@@ -489,6 +491,10 @@ class TestUnreadScorerOptions:
             (BENCH, ["--methods", "dot"], ["--ic-counts", "counts.tsv"], "without graph in --methods"),
             (BENCH, ["--methods", "dot"], ["--measure", "jcn", "--ic-counts", "counts.tsv"],
              "without graph in --methods"),
+            (EVAL_SIM_DYNAMIC, ["--model", "emb.txt"], ["--measure", "jcn"],
+             "with --selection dynamic, --golds human and --scorer model"),
+            (EVAL_SIM_DYNAMIC, ["--model", "emb.txt"], ["--measure", "wup"],
+             "with --selection dynamic, --golds human and --scorer model"),
         ],
         ids=["eval-sim-measure-model", "eval-sim-measure-score-mode", "eval-sim-model-norm-from",
              "wsd-model-norm-from", "wsd-model-measure", "wsd-model-ic-counts",
@@ -498,7 +504,7 @@ class TestUnreadScorerOptions:
              "bench-graph-dim", "eval-sim-bins", "train-patience", "wsd-no-baseline-seed",
              "wsd-first-baseline-seed", "bench-query-nodes-queries", "bench-graph-topk", "bench-dot-topk",
              "bench-query-nodes-graph-seed", "bench-query-nodes-model-seed", "bench-dot-measure",
-             "bench-dot-ic-counts", "bench-dot-jcn-ic-counts"],
+             "bench-dot-ic-counts", "bench-dot-jcn-ic-counts", "eval-sim-dynamic-jcn", "eval-sim-dynamic-wup"],
     )
     def test_usage_error_names_the_option(self, workdir, capsys, command, valid, unread, why):
         TestEvalSim().setup_files(workdir)
@@ -512,6 +518,26 @@ class TestUnreadScorerOptions:
         assert f"{unread[0]} is not read {why}" in capsys.readouterr().err
         assert not list(workdir.glob("out.tsv*")) + list(workdir.glob("taxovec-*.manifest"))
         assert main([*command, *valid]) == 0
+
+
+@pytest.mark.parametrize(
+    "args, reader",
+    [
+        (["--model", "emb.txt"], "--selection static"),
+        (["--model", "emb.txt", "--selection", "dynamic", "--golds", "measure"], "--golds measure"),
+        (["--scorer", "measure", "--selection", "dynamic"], "--scorer measure"),
+    ],
+    ids=["static-selection", "measure-golds", "measure-scorer"],
+)
+def test_eval_sim_requires_measure_where_the_run_reads_it(workdir, capsys, args, reader):
+    TestEvalSim().setup_files(workdir)
+    (workdir / "emb.txt").write_text(
+        "7 2\n" + "".join(f"{node} {k % 3 - 1}.5 {k % 2}.25\n" for k, node in enumerate("arbcdef"))
+    )
+    base = [arg for arg in EVAL_SIM if arg not in ("--measure", "shp")]
+    assert main([*base, *args]) == 1
+    assert f"{reader} requires --measure" in capsys.readouterr().err
+    assert not list(workdir.glob("out.tsv*")) + list(workdir.glob("taxovec-*.manifest"))
 
 
 class TestWsd:
@@ -819,7 +845,7 @@ GOLDEN_RUNS = [
      "candidates.tsv", "--measure", "shp", "--scorer", "measure", "--norm-from", "pairs.tsv",
      "--golds", "measure", "--report", "eval.tsv", "--histogram", "hist.tsv", "--bins", "3"],
     ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv", "--candidates",
-     "candidates.tsv", "--measure", "wup", "--model", "emb.txt", "--score-mode", "cosine",
+     "candidates.tsv", "--model", "emb.txt", "--score-mode", "cosine",
      "--selection", "dynamic", "--report", "eval-model.tsv", "--manifest", "eval-model.manifest"],
     ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv", "--measure", "jcn",
      "--ic-counts", "counts.tsv", "--threshold", "0.3", "--sweep", "0:0.5:0.25",

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxovec import dataset
 from taxovec.dataset import (
     DEFAULT_THRESHOLDS,
     MODES,
@@ -30,9 +32,9 @@ from taxovec.errors import (
     UnknownNodeError,
 )
 from taxovec.graph import TaxonomyGraph, compute_depths
-from taxovec.metrics import MEASURES, pair_similarity, propagate_counts
+from taxovec.metrics import MEASURES, SimilarityRows, pair_similarity, propagate_counts
 
-from conftest import edges_of, graphs, ids_for, random_dag_edges, random_tree_graph
+from conftest import block_graphs, edges_of, graphs, ids_for, random_dag_edges, random_tree_graph
 from oracles import (
     ancestor_closure,
     depth_oracle,
@@ -276,6 +278,19 @@ class TestFilesAndDeterminism:
         assert float(meta["norm_max"]) == build.norm_max
         assert int(meta["top_k"]) == 50
 
+    def test_scores_formatted_by_their_bits_across_chunks(self, tmp_path, monkeypatch):
+        # each chunk's distinct scores are formatted once: -0.0 stays apart
+        # from 0.0, and a score repeated across chunks is written alike
+        monkeypatch.setattr(dataset, "WRITE_CHUNK", 3)
+        s = np.array([0.0, -0.0, 0.5, 1 / 3, 0.5, -0.0, 0.0, 1.0])
+        i, j = np.zeros(len(s), dtype=np.int32), np.arange(1, len(s) + 1, dtype=np.int32)
+        ids = tuple(f"n{k}" for k in range(len(s) + 1))
+        build = dataset.DatasetBuild(Pairs(ids, i, j, s), DatasetConfig("shp"), 0, 0, 0.0, 1.0)
+        path = tmp_path / "pairs.tsv"
+        write_pairs(path, build)
+        rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        assert rows == [f"n0\t{ids[b]}\t{x!r}" for b, x in zip(j.tolist(), s.tolist())]
+
     def test_byte_identical_across_runs(self, tmp_path):
         for seed in (0, 7):
             g = random_tree_graph(25, 11)
@@ -386,6 +401,47 @@ def test_pairs_keep_the_dataset_invariants(g, measure, mode, k, threshold, seed)
         assert (min(u, v), max(u, v)) not in seen
         seen.add((min(u, v), max(u, v)))
         assert v in tops[u] or u in tops[v]
+
+
+def build_outcome(g, cfg):
+    """The pairs, header and counts of a build, or the type and message of its data error."""
+    try:
+        b = (build_full if cfg.mode == "full" else build_fast)(g, cfg)
+    except DataError as e:
+        return type(e), str(e)
+    return b.pairs.i.tobytes(), b.pairs.j.tobytes(), b.pairs.s.tobytes(), b.header(), b.candidate_count, b.threshold_kept
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    g=st.one_of(graphs, block_graphs()),
+    measure=st.sampled_from(dataset.LEVEL_MEASURES),
+    mode=st.sampled_from(MODES),
+    k=st.sampled_from([1, 50, None]),  # None: k = n
+    data=st.data(),
+)
+def test_level_selection_matches_block_selection(g, measure, mode, k, data):
+    # the reference is the wup/jcn path: SimilarityRows.block's scored
+    # triples through _select_block, sorted per source
+    rows = SimilarityRows(g, measure)
+    score = rows.path_score
+    at = score(data.draw(st.integers(0, g.n), label="distance"))
+    threshold = data.draw(st.sampled_from([
+        at, math.nextafter(at, math.inf), math.nextafter(at, -math.inf), 0.0, -1.0, -math.inf,
+        math.nextafter(score(1), math.inf),  # no pair passes
+    ]), label="threshold")
+    cfg = DatasetConfig(measure, threshold, g.n if k is None else k, mode, seed=3)
+    # the merged codes, raw scores and counts, also where the build then raises
+    args = (rows, 2 if mode == "fast" else None, threshold, cfg.top_k)
+    got, want = dataset._select_by_levels(*args), dataset._select_by_blocks(*args)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert got[2:] == want[2:]
+    got = build_outcome(g, cfg)
+    with mock.patch.object(dataset, "LEVEL_MEASURES", ()):
+        want = build_outcome(g, cfg)
+    assert got == want
+    if threshold > score(1):
+        assert want == (EmptyDatasetError, f"no pairs survive threshold {threshold!r} for measure {measure!r}")
 
 
 class TestTrainingPairType:

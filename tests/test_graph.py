@@ -296,6 +296,18 @@ def test_levels_and_depths_match_the_oracles(g):
     assert list(g.depths) == depth_oracle(g.n, edges_of(g))
 
 
+@PROPERTY_SETTINGS
+@given(g=graphs)
+def test_components_are_the_floyd_warshall_reach(g):
+    label = g.components
+    assert label.dtype == np.int64
+    connected = np.isfinite(floyd_warshall_undirected(g.n, edges_of(g)))
+    assert np.array_equal(label[:, None] == label[None, :], connected)
+    # numbered in the order of their smallest node
+    first = np.sort(np.unique(label, return_index=True)[1])
+    assert label[first].tolist() == list(range(len(first)))
+
+
 def assert_schedule_contract(g):
     """g.schedule holds one (children, parents) int64 pair per level from 1
     up; together they hold every parent edge once, each child at its

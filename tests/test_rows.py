@@ -32,7 +32,7 @@ from taxovec.metrics import (
     shp_from_path,
 )
 
-from conftest import edges_of, graph_from, graphs, random_dag_edges
+from conftest import block_graphs, edges_of, graph_from, graphs, random_dag_edges
 from oracles import floyd_warshall_undirected
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -132,26 +132,6 @@ def oracle_scores(g, measure, table, dist) -> np.ndarray:
             out[u, v] = pair_similarity(measure, g, g.ids[u], g.ids[v], ic_table=table)
         out[v, u] = out[u, v]
     return out
-
-
-@st.composite
-def block_graphs(draw):
-    """Graphs of 1 to 200 nodes: DAGs, forests or forests under a virtual
-    root, some with isolated nodes anywhere in the load order."""
-    n = draw(st.one_of(st.integers(1, 200), st.sampled_from([1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 1])))
-    kind = draw(st.sampled_from(["dag", "forest", "rooted"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    edges = set()
-    for c in range(1, n):
-        if kind == "dag" or rng.random() < 0.8:
-            edges.add((c, int(rng.integers(0, c))))
-    for _ in range(int(rng.integers(0, n // 4 + 1))):
-        c = int(rng.integers(1, n))
-        edges.add((c, int(rng.integers(0, c))))
-    if draw(st.booleans()):
-        isolated = set(rng.choice(n, size=min(n, 3), replace=False).tolist())
-        edges = {(c, p) for c, p in edges if c not in isolated and p not in isolated}
-    return graph_from(n, sorted(edges), virtual_root=kind == "rooted")
 
 
 def assert_blocks_equal_rows(g, measure, table, max_dist, picks=()):
