@@ -15,7 +15,6 @@ from .dataset import (
     build_fast,
     build_full,
     read_pairs,
-    unity_normalize,
     write_pairs,
 )
 from .errors import (
@@ -138,7 +137,6 @@ __all__ = [
     "spearman",
     "static_selection",
     "train",
-    "unity_normalize",
     "write_manifest",
     "write_pairs",
 ]

@@ -9,13 +9,18 @@ resolved config; the `_command` scaffold writes the run's manifest
 virtual root, the version and the wall time, to `--manifest`, else
 `<output>.manifest`, else `taxovec-<command>.manifest`. An option the run
 never reads is, if given, a usage error raised before any input is read.
+So is an integer option that sizes an array numpy cannot index, once the
+inputs it is multiplied by are read.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. A
+run that runs out of memory exits 2 with a one-line message, as inputs
+too large for the machine are data errors.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 import time
@@ -75,6 +80,7 @@ def _options(*options):
 
 
 SWEEP_MAX = 1000  # thresholds one `wsd --sweep` may ask for; each keeps every token's prediction
+BINS_MAX = 10_000  # `eval-sim --bins`; the histogram writes a line per bin
 
 INPUT = click.Path(exists=True, dir_okay=False)
 GRAPH_OPTIONS = _options(
@@ -130,6 +136,13 @@ def _refuse_unread(why: str, *names: str) -> None:
     for param in ctx.command.params:
         if param.name in names and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
             raise click.UsageError(f"{param.opts[0]} is not read {why}")
+
+
+def _refuse_oversized(option: str, value: int, *shape: int) -> None:
+    """A usage error naming `option` when `value` makes an array of `shape`
+    float64s too large for numpy to index, which numpy would raise mid-run."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise click.UsageError(f"{option} {value} asks for a {' x '.join(map(str, shape))} array, too large to create")
 
 
 def _load_graph(graph: str, virtual_root: str | None, measure: str | None, ic_counts: str | None):
@@ -224,6 +237,8 @@ def cmd_train(graph, virtual_root, pairs, dev_pairs, dim, alpha, negatives, neg_
         "learning_rate": learning_rate, "l1": l1, "early_stop_patience": patience, "dtype": dtype,
     }
     cfg = TrainConfig(**hyper, seed=seed, dev_set=dev_set, neg_total=not neg_per_side)
+    _refuse_oversized("--dim", dim, g.n, dim)  # the matrix and its Adam moments
+    _refuse_oversized("--negatives", negatives, len(training), 1 + sum(cfg.negatives_per_side()))  # an epoch's entries
     click.echo(
         f"training: d={dim} alpha={alpha} negatives={negatives} "
         f"({'per-side' if neg_per_side else 'total'}) batch_size={batch_size} "
@@ -279,7 +294,7 @@ value row. Histogram TSV: `bin_lo<TAB>bin_hi<TAB>count` per bin.
 @click.option("--selection", type=click.Choice(["static", "dynamic"]), default="static", show_default=True)
 @click.option("--golds", type=click.Choice(["human", "measure"]), default="human", show_default=True)
 @click.option("--histogram", "histogram_path", type=click.Path(dir_okay=False), default=None, help="Write predicted-score histogram TSV here.")
-@click.option("--bins", type=click.IntRange(min=1), default=20, show_default=True)
+@click.option("--bins", type=click.IntRange(min=1, max=BINS_MAX), default=20, show_default=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None, help="Write the report as TSV here.")
 def cmd_eval_sim(graph, virtual_root, pairs, candidates, measure, ic_counts, model, scorer_kind, score_mode, selection, golds, norm_from, histogram_path, bins, report_path):
     """Rank-correlation evaluation over lemma pair benchmarks."""
@@ -454,6 +469,7 @@ def cmd_bench(graph, virtual_root, measure, ic_counts, model, dim, queries, quer
 
     m = load_embeddings(model) if model else None  # --model without dot is refused above
     if random_matrix:
+        _refuse_oversized("--dim", dim, g.n, dim)
         matrix = np.random.default_rng(seed).uniform(-0.05, 0.05, size=(g.n, dim)).astype(np.float32)
         m = EmbeddingMatrix(g.ids, matrix)
 
@@ -517,6 +533,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (DataError, OSError) as exc:
         click.echo(f"data error: {exc}", err=True)
+        return 2
+    except MemoryError as exc:
+        click.echo(f"data error: out of memory{f': {exc}' if str(exc) else ''}", err=True)
         return 2
 
 

@@ -156,18 +156,13 @@ class DatasetBuild:
         }
 
 
-def unity_normalize(values: list[float]) -> list[float]:
-    """Map values to [0,1] by (x - min)/(max - min).
+def _normalize(values: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Map values to [0,1] by (x - min)/(max - min); also returns the finite (min, max).
 
     Infinite sentinels are excluded from the min/max statistics and end
     up clipped to 1.0. Fewer than two distinct finite values leave the
     map undefined.
     """
-    return _normalize(np.asarray(values, dtype=np.float64))[0].tolist()
-
-
-def _normalize(values: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """unity_normalize over an array; also returns the finite (min, max)."""
     finite = values[np.isfinite(values)]
     if len(finite) < 2:
         raise DegenerateRangeError(
@@ -186,7 +181,9 @@ def _build(g: TaxonomyGraph, cfg: DatasetConfig, ic_table: InformationContentTab
     rows = SimilarityRows(g, measure, ic_table=ic_table)
     threshold = cfg.raw_threshold
     select = _select_by_levels if measure in LEVEL_MEASURES else _select_by_blocks
-    codes, sims, candidates, kept = select(rows, 2 if cfg.mode == "fast" else None, threshold, cfg.top_k)
+    # any k >= n - 1 keeps every partner, so k is clamped to n: a k beyond int64 would overflow the selection
+    top_k = min(cfg.top_k, g.n)
+    codes, sims, candidates, kept = select(rows, 2 if cfg.mode == "fast" else None, threshold, top_k)
     if not len(codes):
         raise EmptyDatasetError(
             f"no pairs survive threshold {threshold!r} for measure {measure!r}"

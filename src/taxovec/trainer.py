@@ -178,7 +178,10 @@ def load_embeddings(path: str | Path, dtype: str = "float32") -> EmbeddingMatrix
         except DataError:
             raise DataError(f"{p}:1: bad header {' '.join(header)!r}") from None
         ids: list[str] = []
-        matrix = np.empty((n, d), dtype=dtype)
+        try:
+            matrix = np.empty((n, d), dtype=dtype)
+        except (MemoryError, ValueError):  # ValueError: beyond what numpy can index
+            raise DataError(f"{p}:1: header `{n} {d}` declares a {n} x {d} matrix that cannot be created") from None
         while len(ids) < n:
             first = len(ids) + 2  # file line of the chunk's first row
             want = min(CHUNK_ROWS, n - len(ids))

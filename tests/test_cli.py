@@ -830,6 +830,76 @@ class TestEntryPoint:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command, loader", [
+        (["similarities", "--graph", "tree.tsv", "--measure", "shp", "--output", "out.tsv"], "load_edge_list"),
+        (["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv", "--dim", "2", "--output", "out.tsv"], "read_pairs"),
+    ], ids=["similarities", "train"])
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 EiB for an array", ""])
+    def test_memory_error_is_a_one_line_data_error(self, workdir, capsys, monkeypatch, command, loader, message):
+        assert main(["similarities", "--graph", "tree.tsv", "--measure", "shp", "--output", "pairs.tsv"]) == 0
+        capsys.readouterr()
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"taxovec.cli.{loader}", out_of_memory)
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: out of memory{': ' + message if message else ''}\n"
+        assert not list(workdir.glob("out.tsv*"))
+
+
+class TestArraySizingOptions:
+    """An integer option that sizes an array numpy cannot index is a usage
+    error naming it, with no output; the sizes all overflow int64 element
+    counts, which numpy refuses before allocating."""
+
+    def test_top_k_beyond_int64_keeps_every_partner(self, workdir, capsys):
+        args = ["similarities", "--graph", "tree.tsv", "--measure", "shp"]
+        assert main([*args, "--top-k", "6", "--output", "every.tsv"]) == 0
+        assert main([*args, "--top-k", "99999999999999999999", "--output", "huge.tsv"]) == 0
+        assert data_rows(workdir / "huge.tsv") == data_rows(workdir / "every.tsv")
+        assert header_meta(workdir / "huge.tsv")["top_k"] == "99999999999999999999"
+
+    def test_bins_beyond_the_cap_are_refused_before_any_input_is_read(self, workdir, capsys):
+        (workdir / "lemma_pairs.tsv").write_text("not a lemma pairs file\n")
+        (workdir / "candidates.tsv").write_text("cup\tc\n")
+        code = main(["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv", "--candidates",
+                     "candidates.tsv", "--measure", "shp", "--scorer", "measure", "--histogram", "hist.tsv",
+                     "--bins", "99999999999999999999"])
+        assert code == 1
+        assert "--bins" in capsys.readouterr().err
+        assert not list(workdir.glob("hist.tsv*")) + list(workdir.glob("taxovec-*.manifest"))
+
+    @pytest.mark.parametrize("option, value", [
+        ("--dim", "99999999999999999999"),
+        ("--dim", str(2**62)),  # overflows only times the 7 nodes
+        ("--negatives", "99999999999999999999"),
+        ("--negatives", str(2**61)),  # overflows only times the 21 pairs' 1 + 2 * 2**61 entries
+    ])
+    def test_train(self, workdir, capsys, option, value):
+        assert main(["similarities", "--graph", "tree.tsv", "--measure", "shp", "--output", "pairs.tsv"]) == 0
+        capsys.readouterr()
+        code = main(["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv", "--epochs", "1", "--dim", "2",
+                     option, value, "--output", "emb.txt"])
+        assert code == 1
+        assert f"{option} {value} asks for a " in capsys.readouterr().err
+        assert not list(workdir.glob("emb.txt*"))
+
+    @pytest.mark.parametrize("value", ["99999999999999999999", str(2**62)])
+    def test_bench_dim(self, workdir, capsys, value):
+        code = main(["bench", "--graph", "tree.tsv", "--methods", "dot", "--dim", value, "--report", "bench.tsv"])
+        assert code == 1
+        assert f"--dim {value} asks for a 7 x {value} array" in capsys.readouterr().err
+        assert not list(workdir.glob("bench.tsv*")) + list(workdir.glob("taxovec-*.manifest"))
+
+    def test_embedding_header_beyond_int64_is_a_data_error(self, workdir, capsys):
+        (workdir / "emb.txt").write_text("99999999999999999999 3\na 1 2 3\n")
+        assert main(["neighbors", "--model", "emb.txt", "--node", "a"]) == 2
+        assert "emb.txt:1: header `99999999999999999999 3` declares a 99999999999999999999 x 3 matrix" in (
+            capsys.readouterr().err)
+        assert not list(workdir.glob("taxovec-*.manifest"))
+
 
 GOLDEN = Path(__file__).with_name("cli_golden.txt")
 # runs of each command and mode on tree.tsv; bench's stdout and the timing

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from taxovec import dataset
 from taxovec.dataset import (
     DEFAULT_THRESHOLDS,
+    _normalize,
     MODES,
     DatasetConfig,
     Pairs,
@@ -21,7 +22,6 @@ from taxovec.dataset import (
     build_full,
     read_pairs,
     read_pairs_header,
-    unity_normalize,
     write_pairs,
 )
 from taxovec.errors import (
@@ -131,6 +131,18 @@ class TestBuildFull:
             ("c1", "c2"), ("c1", "c3"), ("c1", "c4"),
         }
         assert got == expected
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("measure", ["shp", "wup"])
+    def test_top_k_beyond_int64_keeps_every_partner(self, measure, mode):
+        g = random_tree_graph(30, 1)
+        builder = build_fast if mode == "fast" else build_full
+        huge = builder(g, DatasetConfig(measure=measure, top_k=2**63, mode=mode))
+        every = builder(g, DatasetConfig(measure=measure, top_k=g.n - 1, mode=mode))
+        assert huge.header()["top_k"] == str(2**63)
+        for column in ("i", "j", "s"):
+            np.testing.assert_array_equal(getattr(huge.pairs, column), getattr(every.pairs, column))
+        assert (huge.candidate_count, huge.threshold_kept) == (every.candidate_count, every.threshold_kept)
 
     def test_matches_pipeline_oracle_all_measures(self):
         for seed in range(4):
@@ -243,24 +255,24 @@ class TestBuildFast:
 
 class TestUnityNormalize:
     def test_affine_endpoints(self):
-        assert unity_normalize([1.5, 3.0, 4.5]) == [0.0, 0.5, 1.0]
+        assert _normalize(np.array([1.5, 3.0, 4.5]))[0].tolist() == [0.0, 0.5, 1.0]
 
     def test_infinity_clipped_to_one(self):
-        assert unity_normalize([math.inf, 1.0, 2.0]) == [1.0, 0.0, 1.0]
+        assert _normalize(np.array([math.inf, 1.0, 2.0]))[0].tolist() == [1.0, 0.0, 1.0]
 
     def test_degenerate_all_equal(self):
         with pytest.raises(DegenerateRangeError):
-            unity_normalize([2.0, 2.0, 2.0])
+            _normalize(np.array([2.0, 2.0, 2.0]))
 
     def test_too_few_finite(self):
         with pytest.raises(DegenerateRangeError):
-            unity_normalize([math.inf, 1.0])
+            _normalize(np.array([math.inf, 1.0]))
 
     def test_rank_preserving(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             values = [float(v) for v in rng.normal(size=20)]
-            out = unity_normalize(values)
+            out = _normalize(np.array(values))[0].tolist()
             assert spearman_oracle(values, out) == pytest.approx(1.0)
 
 

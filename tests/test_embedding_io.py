@@ -167,6 +167,28 @@ class TestHeaderAndTrailer:
         with pytest.raises(DataError, match=f":1: bad header '{header}'"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("header", ["99999999999999999999 3", "3 99999999999999999999", "4611686018427387904 4"])
+    def test_header_beyond_numpys_index_range_is_a_data_error(self, tmp_path, header):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{header}\na 1 2\n")
+        n, d = header.split()
+        with pytest.raises(DataError, match=f":1: header `{header}` declares a {n} x {d} matrix that cannot be created"):
+            load_embeddings(path)
+
+    def test_header_whose_matrix_fails_to_allocate_is_a_data_error(self, tmp_path, monkeypatch):
+        empty = np.empty
+
+        def refuse_the_header(shape, dtype=float):  # stands in for the allocation, which is never made
+            if shape == (99999999999999, 3):
+                raise MemoryError("Unable to allocate 1.07 PiB")
+            return empty(shape, dtype=dtype)
+
+        monkeypatch.setattr(np, "empty", refuse_the_header)
+        path = tmp_path / "emb.txt"
+        path.write_text("99999999999999 3\na 1 2 3\n")
+        with pytest.raises(DataError, match=":1: header `99999999999999 3` declares a 99999999999999 x 3 matrix"):
+            load_embeddings(path)
+
     def test_rows_beyond_n_are_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1 2\na 1 2\nb 3 4\n")

@@ -1,0 +1,243 @@
+"""A/B a stage of taxovec at a git revision against the working tree's.
+
+Extracts `src/taxovec` as committed at REV (`git archive`) and imports it
+under another package name next to the working tree's, so each side runs
+its own package end to end on inputs it loads itself. Each case checks
+that both sides write byte-identical output (sha256; `DIFFER` exits 1),
+then times alternating rounds, the side that runs first alternating, and
+prints each side's median and quartiles and the rounds the working tree won.
+
+- `build`: pairs files for shp, lch, wup and jcn in full and fast mode on
+  perfbench's `build` inputs, timed as build + write_pairs. With `--nodes
+  N --measure M`: one full build per side, each in a child process, on a
+  `gen.make_dag` graph of N nodes (seed: the first of --seeds), with its
+  seconds, peak RSS (ru_maxrss) and identity.
+- `train`: saved embeddings of train() on perfbench's `train` inputs
+  (d=300, float32, 2 epochs, with the dev set). With `--star`: time per
+  batch on a star graph (one root, LEAVES leaves, every root-leaf pair at
+  s=1, one epoch, no dev set), where the root recurs in nearly every
+  entry, the worst case for a per-row gradient sum.
+
+    python3 tools/ab.py build --rev HEAD --seeds 5 6 --pairs 10
+    python3 tools/ab.py train --rev HEAD --star --batch-sizes 100 1000
+
+Inputs go under a temporary directory unless --work names one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import hashlib
+import importlib.util
+import io
+import math
+import multiprocessing
+import resource
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402  (perfbench's input generator, used read-only)
+
+MEASURES = ("shp", "lch", "wup", "jcn")
+MODES = ("full", "fast")
+TRAIN_DIM = 300  # as perfbench's train workload
+TRAIN_EPOCHS = 2
+STAR_NEGATIVES = 3  # per side, the trainer's default: each pair makes 1 + 2 * 3 entries
+
+
+def package(root: Path, name: str):
+    """Import the taxovec package under `root` (a directory holding
+    taxovec/) as `name`; its modules import each other relatively."""
+    spec = importlib.util.spec_from_file_location(
+        name, root / "taxovec" / "__init__.py", submodule_search_locations=[str(root / "taxovec")])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    for sub in ("dataset", "graph", "metrics", "trainer"):
+        importlib.import_module(f"{name}.{sub}")
+    return module
+
+
+def extract(rev: str, into: Path) -> Path:
+    """src/taxovec as committed at rev, written under `into`; returns the directory holding taxovec/."""
+    archive = subprocess.run(["git", "archive", rev, "src/taxovec"], cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+    return into / "src"
+
+
+def load_build(inputs: Path, mode: str, measure: str, pkg):
+    g = pkg.graph.load_edge_list(inputs / f"{mode}_graph.tsv")
+    counts = inputs / "full_counts.tsv"
+    table = pkg.metrics.propagate_counts(g, pkg.metrics.load_raw_counts(counts, g)) if measure == "jcn" else None
+    return g, pkg.dataset.DatasetConfig(measure=measure, mode=mode), table
+
+
+def build_once(pkg, inputs, out: Path) -> float:
+    """Seconds of one build + write_pairs, as the benchmark's build pass times them."""
+    g, cfg, table = inputs
+    builder = pkg.dataset.build_fast if cfg.mode == "fast" else pkg.dataset.build_full
+    t0 = time.perf_counter()
+    pkg.dataset.write_pairs(out, builder(g, cfg, ic_table=table))
+    return time.perf_counter() - t0
+
+
+def build_cases(seeds: list[int], work: Path):
+    for seed in seeds:
+        inputs = work / f"build-{seed}"
+        gen.generate("build", seed, inputs)  # keeps a directory already there
+        for measure in MEASURES:
+            for mode in MODES:
+                load = functools.partial(load_build, inputs, mode, measure)
+                yield f"seed {seed} {mode} {measure}", load, build_once, "pairs files", 1e3, "ms"
+
+
+def load_train(inputs: Path, seed: int, pkg):
+    dev, _ = pkg.dataset.read_pairs(inputs / "dev.tsv")
+    cfg = pkg.trainer.TrainConfig(d=TRAIN_DIM, epochs=TRAIN_EPOCHS, seed=seed,
+                                  early_stop_patience=TRAIN_EPOCHS, dev_set=dev)
+    return pkg.graph.load_edge_list(inputs / "graph.tsv"), pkg.dataset.read_pairs(inputs / "pairs.tsv")[0], cfg
+
+
+def load_star(leaves: int, batch_size: int, seed: int, pkg):
+    ids = ["root"] + [f"leaf{k}" for k in range(leaves)]
+    g = pkg.graph.TaxonomyGraph(ids, [(leaf, "root") for leaf in ids[1:]])
+    pairs = pkg.dataset.Pairs.from_rows(("root", leaf, 1.0) for leaf in ids[1:])
+    cfg = pkg.trainer.TrainConfig(d=TRAIN_DIM, epochs=1, seed=seed, batch_size=batch_size, negatives=STAR_NEGATIVES)
+    return g, pairs, cfg
+
+
+def train_once(pkg, inputs, out: Path) -> float:
+    """Seconds of one train(); the embedding it returns is saved to out, untimed."""
+    g, pairs, cfg = inputs
+    t0 = time.perf_counter()
+    m = pkg.trainer.train(pairs, g, cfg)
+    secs = time.perf_counter() - t0
+    pkg.trainer.save_embeddings(m, out)
+    return secs
+
+
+def train_cases(seeds: list[int], work: Path):
+    for seed in seeds:
+        inputs = work / f"train-{seed}"
+        gen.generate("train", seed, inputs)
+        load = functools.partial(load_train, inputs, seed)
+        yield f"train seed {seed}", load, train_once, "saved embeddings", 1.0, "s per train()"
+
+
+def star_cases(leaves: int, batch_sizes: list[int], seed: int):
+    for size in batch_sizes:
+        batches = math.ceil(leaves * (1 + 2 * STAR_NEGATIVES) / size)
+        load = functools.partial(load_star, leaves, size, seed)
+        yield f"star {leaves} leaves, batch {size}", load, train_once, "saved embeddings", 1e3 / batches, "ms per batch"
+
+
+def check_identical(label: str, output: str, paths: list[Path]) -> None:
+    """Print whether the files hold the same bytes; exit 1 when they differ."""
+    same = len({hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}) == 1
+    print(f"{label}: {output} {'byte-identical' if same else 'DIFFER'}")
+    if not same:
+        sys.exit(1)
+
+
+def report(label: str, times: dict[str, list[float]], scale: float, unit: str) -> None:
+    (base_name, base), (work_name, work) = times.items()
+    for name, xs in times.items():
+        quartiles = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
+        q1, med, q3 = (scale * x for x in quartiles)
+        print(f"{label} {name}: median {med:.4g} {unit}, quartiles {q1:.4g}-{q3:.4g}")
+    wins = sum(w < b for b, w in zip(base, work))
+    change = statistics.median(work) / statistics.median(base) - 1
+    print(f"{label} {work_name} won {wins}/{len(base)} pairs, median {change:+.1%} against {base_name}")
+
+
+def compare(sides: dict, cases, n_pairs: int, work: Path) -> dict[str, list[float]]:
+    """Check and time (label, load, run, output, scale, unit) cases: load(package) gives a side's inputs, and
+    run(package, inputs, out) writes `out` and returns seconds, reported times `scale` in `unit`.
+    Returns each side's seconds per round, summed over the cases."""
+    totals = {name: [0.0] * n_pairs for name in sides}
+    names = list(sides)
+    for label, load, run, output, scale, unit in cases:
+        inputs = {name: load(pkg) for name, pkg in sides.items()}
+        outs = {name: work / f"side{k}.out" for k, name in enumerate(names)}
+        for name in names:
+            run(sides[name], inputs[name], outs[name])
+        check_identical(label, output, list(outs.values()))
+        times = {name: [] for name in names}
+        for k in range(n_pairs):
+            for name in names if k % 2 == 0 else names[::-1]:
+                secs = run(sides[name], inputs[name], outs[name])
+                times[name].append(secs)
+                totals[name][k] += secs
+        report(label, times, scale, unit)
+    return totals
+
+
+def child(root: Path, graph: Path, measure: str, out: Path) -> tuple[float, float]:
+    """One full build + write_pairs with the package under `root`: its seconds and this process's peak RSS in MB."""
+    pkg = package(root, "taxovec_side")
+    g = pkg.graph.load_edge_list(graph)
+    secs = build_once(pkg, (g, pkg.dataset.DatasetConfig(measure=measure, mode="full"), None), out)
+    return secs, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def large(roots: dict[str, Path], nodes: int, seed: int, measure: str, work: Path) -> None:
+    graph = work / f"dag-{nodes}-{seed}.tsv"
+    if not graph.exists():
+        gen.write_graph(graph, gen.make_dag(np.random.default_rng(seed), nodes))
+    outs = []
+    for k, (name, root) in enumerate(roots.items()):
+        outs.append(work / f"large-{k}.tsv")
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            secs, maxrss_mb = pool.submit(child, root, graph, measure, outs[-1]).result()
+        print(f"{nodes} nodes, full {measure}, {name}: {secs:.2f} s, peak RSS {maxrss_mb:.0f} MB")
+    check_identical(f"{nodes} nodes, full {measure}", "pairs files", outs)
+
+
+def main() -> None:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--rev", default="HEAD", help="git revision of the baseline src/taxovec")
+    common.add_argument("--seeds", type=int, nargs="+", default=[5])
+    common.add_argument("--pairs", type=int, default=10, help="alternating rounds per case")
+    common.add_argument("--work", type=Path, help="directory for inputs and outputs")
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    stages = ap.add_subparsers(dest="stage", required=True)
+    build = stages.add_parser("build", parents=[common], help="dataset builds")
+    build.add_argument("--nodes", type=int, help="one full build per side on a make_dag graph this large")
+    build.add_argument("--measure", choices=MEASURES, default="shp", help="the measure of the --nodes build")
+    train = stages.add_parser("train", parents=[common], help="train()")
+    train.add_argument("--star", action="store_true", help="time a star graph instead")
+    train.add_argument("--leaves", type=int, default=2000)
+    train.add_argument("--batch-sizes", type=int, nargs="+", default=[100, 1000])
+    args = ap.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.work or Path(tmp)
+        work.mkdir(parents=True, exist_ok=True)
+        roots = {args.rev: extract(args.rev, Path(tmp) / "rev"), "working tree": ROOT / "src"}
+        if args.stage == "build" and args.nodes:
+            large(roots, args.nodes, args.seeds[0], args.measure, work)
+            return
+        sides = {name: package(root, f"taxovec_side{k}") for k, (name, root) in enumerate(roots.items())}
+        if args.stage == "build":
+            report("all cases", compare(sides, build_cases(args.seeds, work), args.pairs, work), 1e3, "ms")
+        elif args.star:
+            compare(sides, star_cases(args.leaves, args.batch_sizes, args.seeds[0]), args.pairs, work)
+        else:
+            compare(sides, train_cases(args.seeds, work), args.pairs, work)
+
+
+if __name__ == "__main__":
+    main()
