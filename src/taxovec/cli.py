@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import click
 import numpy as np
@@ -183,7 +184,7 @@ IC counts file (jcn only): `node<TAB>count` lines.
 @click.option("--mode", type=click.Choice(["full", "fast"]), default="full", show_default=True)
 @click.option("--threshold", type=float, default=None, help="Raw similarity cutoff; defaults per measure (shp/jcn 0.1, wup 0.3, lch 1.5).")
 @click.option("--top-k", type=click.IntRange(min=1), default=50, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @IC_COUNTS_OPTION
 @click.option("--output", required=True, type=click.Path(dir_okay=False, writable=True))
 def cmd_similarities(graph, virtual_root, measure, mode, threshold, top_k, seed, ic_counts, output):
@@ -220,7 +221,7 @@ Pairs file: output of `similarities`. Embeddings output: text, header
 @click.option("--epochs", type=click.IntRange(min=1), default=15, show_default=True)
 @click.option("--learning-rate", "--lr", type=float, default=0.001, show_default=True)
 @click.option("--l1", type=float, default=1e-5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--patience", type=click.IntRange(min=1), default=2, show_default=True, help="Early-stop after this many non-improving epochs (needs --dev-pairs).")
 @click.option("--dtype", type=click.Choice(["float32", "float64"]), default="float32", show_default=True)
 @click.option("--output", required=True, type=click.Path(dir_okay=False, writable=True))
@@ -356,7 +357,7 @@ node id in the last column.
 @click.option("--threshold", type=float, default=0.95, show_default=True, help="Edges require similarity strictly above this.")
 @click.option("--sweep", default=None, help="Informational threshold sweep `lo:hi:step`.")
 @click.option("--baseline", type=click.Choice(["random", "first"]), default=None, help="Also score a baseline.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for the random baseline.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for the random baseline.")
 @click.option("--predictions", "predictions_path", type=click.Path(dir_okay=False), default=None)
 def cmd_wsd(graph, virtual_root, instances, scorer_kind, measure, ic_counts, model, score_mode, norm_from, threshold, sweep, baseline, seed, predictions_path):
     """Disambiguate word senses by weighted-degree centrality."""
@@ -443,14 +444,18 @@ def cmd_neighbors(model, node, k, score_mode):
 @click.option("--dim", type=click.IntRange(min=1), default=300, show_default=True, help="Dimension of the random matrix when --model is omitted.")
 @click.option("--queries", type=click.IntRange(min=1), default=10, show_default=True, help="How many query nodes to sample.")
 @click.option("--query-nodes", default=None, help="Comma-separated node ids; overrides --queries.")
-@click.option("--repeats", type=click.IntRange(min=1), default=5, show_default=True)
+@click.option("--repeats", type=click.IntRange(min=5), default=5, show_default=True, help="Timed passes; the median needs 5.")
 @click.option("--methods", default="graph,dot", show_default=True, help="Comma-separated subset of graph,dot.")
 @click.option("--topk", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None, help="Write the report as TSV here.")
 def cmd_bench(graph, virtual_root, measure, ic_counts, model, dim, queries, query_nodes, repeats, methods, topk, seed, report_path):
     """Time one-vs-all similarity queries: graph traversal vs dot products."""
     method_tuple = tuple(s.strip() for s in methods.split(",") if s.strip())
+    unknown = [method for method in method_tuple if method not in ("graph", "dot")]
+    if unknown or not method_tuple:
+        why = f"unknown method {unknown[0]!r}" if unknown else "need at least one method"
+        raise click.UsageError(f"--methods {methods!r}: {why}; expected graph, dot or both")
     graph_runs, dot_runs = "graph" in method_tuple, "dot" in method_tuple
     random_matrix = dot_runs and not model
     if not graph_runs:
@@ -479,10 +484,12 @@ def cmd_bench(graph, virtual_root, measure, ic_counts, model, dim, queries, quer
         picks = np.random.default_rng(seed).choice(g.n, size=min(queries, g.n), replace=False)
         query_list = [g.ids[int(i)] for i in picks]
 
-    result = bench_mod.run_benchmark(
-        g, measure, m, query_list, repeats=repeats,
-        ic_table=ic_table, methods=method_tuple, topk=topk,
-    )
+    with warnings.catch_warnings():  # a report's timer_warning is printed below, as one line
+        warnings.filterwarnings("ignore", "median pass time", UserWarning)
+        result = bench_mod.run_benchmark(
+            g, measure, m, query_list, repeats=repeats,
+            ic_table=ic_table, methods=method_tuple, topk=topk,
+        )
 
     reports = [r for r in (result.graph, result.dot) if r is not None]
     rows = [("method", "sec/query", "targets", "repeats", "speedup")]

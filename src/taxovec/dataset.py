@@ -17,10 +17,13 @@ wup and jcn score every reached pair with SimilarityRows.block and sort
 them. A kept pair is recorded once per end as the code min*n + max; one
 sort of the codes merges the two ends and orders the survivors
 canonically before the shuffle, so the file depends only on the graph
-and the config. Memory is one block's levels (for wup/jcn its scored
-triples, at most BLOCK x nodes in full mode, BLOCK x the two-edge reach in
-fast mode, and a nodes x BLOCK subsumer table) plus O(nodes * top_k) for
-the survivors.
+and the config. shp/lch pairs carry their distance until that merge and
+their score after it. Every block counts the pairs it reached and kept
+at the threshold from both ends, so halving the sums counts each pair
+once; a full build's candidates are its connected pairs instead. Memory
+is one block's levels (for wup/jcn its scored triples, at most BLOCK x
+nodes in full mode, BLOCK x the two-edge reach in fast mode, and a nodes
+x BLOCK subsumer table) plus O(nodes * top_k) for the survivors.
 
 The pairs flow from the build through the pairs file to the trainer as
 one columnar Pairs; TrainingPair is only the row type of its indexing.
@@ -177,18 +180,36 @@ def _normalize(values: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 
 def _build(g: TaxonomyGraph, cfg: DatasetConfig, ic_table: InformationContentTable | None) -> DatasetBuild:
+    """The one loop over the blocks for every measure. A block's selector gives its kept codes with their
+    values (shp/lch: distances) and the pairs it reached and kept at the threshold, counted from both ends."""
     measure = cfg.measure.lower()
     rows = SimilarityRows(g, measure, ic_table=ic_table)
     threshold = cfg.raw_threshold
-    select = _select_by_levels if measure in LEVEL_MEASURES else _select_by_blocks
+    max_dist = 2 if cfg.mode == "fast" else None
     # any k >= n - 1 keeps every partner, so k is clamped to n: a k beyond int64 would overflow the selection
     top_k = min(cfg.top_k, g.n)
-    codes, sims, candidates, kept = select(rows, 2 if cfg.mode == "fast" else None, threshold, top_k)
-    if not len(codes):
-        raise EmptyDatasetError(
-            f"no pairs survive threshold {threshold!r} for measure {measure!r}"
+    if measure in LEVEL_MEASURES:
+        # the scores fall strictly with distance, so a pair passes the threshold when its distance is
+        # below `passing`; a full build walks no further, a fast build both of its levels for its count
+        passing = bisect.bisect_left(
+            range(g.n if max_dist is None else max_dist + 1), True, key=lambda d: not rows.path_score(d) >= threshold
         )
-    normalized, lo, hi = _normalize(sims)
+        walk = max(passing - 1, 0) if max_dist is None else max_dist
+        scores = np.array([rows.path_score(d) for d in range(passing)])
+        select = lambda sources: _select_levels(rows, sources, walk, passing, top_k)  # noqa: E731
+    else:
+        scores = None
+        select = lambda sources: _select_block(rows.block(sources, max_dist), g.n, threshold, top_k)  # noqa: E731
+    codes, values, reached, kept = zip(*map(select, _blocks(g.n)))
+    codes, values = _merge(np.concatenate(codes), np.concatenate(values))
+    if not len(codes):
+        raise EmptyDatasetError(f"no pairs survive threshold {threshold!r} for measure {measure!r}")
+    if max_dist is None:  # every connected pair is a candidate, walked or not
+        sizes = np.bincount(g.components)
+        candidates = int((sizes * (sizes - 1) // 2).sum())
+    else:
+        candidates = sum(reached) // 2
+    normalized, lo, hi = _normalize(values if scores is None else scores[values])
 
     perm = np.random.default_rng(cfg.seed).permutation(len(codes))
     codes, normalized = codes[perm], normalized[perm]
@@ -196,7 +217,7 @@ def _build(g: TaxonomyGraph, cfg: DatasetConfig, ic_table: InformationContentTab
         pairs=Pairs(g.ids, (codes // g.n).astype(np.int32), (codes % g.n).astype(np.int32), normalized),
         config=cfg,
         candidate_count=candidates,
-        threshold_kept=kept,
+        threshold_kept=sum(kept) // 2,
         norm_min=lo,
         norm_max=hi,
     )
@@ -217,63 +238,9 @@ def _blocks(n: int) -> Iterator[np.ndarray]:
     return (np.arange(first, min(first + BLOCK, n)) for first in range(0, n, BLOCK))
 
 
-def _select_by_blocks(
-    rows: SimilarityRows, max_dist: int | None, threshold: float, top_k: int
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """wup/jcn: the kept pairs of every block as distinct codes min*n +
-    max in order, with their raw scores, and the candidate and
-    threshold-kept counts, from SimilarityRows.block's triples through
-    _select_block."""
-    codes, sims, candidates, kept = [np.empty(0, dtype=np.int64)], [np.empty(0)], 0, 0
-    for sources in _blocks(rows.g.n):
-        block_codes, block_sims, block_candidates, block_kept = _select_block(
-            rows.block(sources, max_dist), rows.g.n, threshold, top_k
-        )
-        codes.append(block_codes)
-        sims.append(block_sims)
-        candidates += block_candidates
-        kept += block_kept
-    return *_merge(np.concatenate(codes), np.concatenate(sims)), candidates, kept
-
-
-def _select_by_levels(
-    rows: SimilarityRows, max_dist: int | None, threshold: float, top_k: int
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """shp/lch: what _select_by_blocks returns, read from the BFS levels.
-
-    The scores fall strictly with distance, so a pair passes the
-    threshold when its distance is at most the last one whose score
-    passes. A full build walks no further; a fast build walks both of its
-    levels for its candidate count. The levels count each pair from both
-    of its ends, and a full build's candidates are the connected pairs,
-    from the graph's components. The kept pairs carry their distance,
-    in the fewest bytes that hold it, until they are merged.
-    """
-    g = rows.g
-    passing = bisect.bisect_left(
-        range(g.n if max_dist is None else max_dist + 1), True, key=lambda d: not rows.path_score(d) >= threshold
-    )
-    scores = np.array([rows.path_score(d) for d in range(passing)])
-    walk = max(passing - 1, 0) if max_dist is None else max_dist
-    codes, dists, reached, kept = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint8)], 0, 0
-    for sources in _blocks(g.n):
-        block_codes, block_dists, block_reached = _select_levels(rows, sources, walk, passing, top_k)
-        codes.append(block_codes)
-        dists.append(block_dists)
-        reached += sum(block_reached)
-        kept += sum(block_reached[:passing])
-    if max_dist is None:
-        sizes = np.bincount(g.components)
-        candidates = int((sizes * (sizes - 1) // 2).sum())
-    else:
-        candidates = reached // 2
-    codes, dists = _merge(np.concatenate(codes), np.concatenate(dists))
-    return codes, scores[dists], candidates, kept // 2
-
-
 def _select_levels(
     rows: SimilarityRows, sources: np.ndarray, max_dist: int, passing: int, top_k: int
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, int, int]:
     """shp/lch: each source's top-k partners from the BFS levels of a
     block of sources, walked up to `max_dist`, where the distances below
     `passing` are those whose score passes the threshold.
@@ -281,9 +248,9 @@ def _select_levels(
     The scores fall strictly with distance, so a source's top-k by (score
     desc, partner index asc) are its nearest whole levels, then the
     lowest-index partners of the first level that overflows. Returns the
-    kept pairs as codes min*n + max with their distances, and for each
-    distance walked the (source, target) pairs first reached there, by a
-    byte-table popcount of the level's words (none at distance 0).
+    kept pairs as codes min*n + max with their distances, and the
+    (source, target) pairs reached within `max_dist` and within the
+    threshold, by a byte-table popcount of each level's words.
 
     No pair is scored or sorted beyond the kept ones. The passing levels
     are held and unpacked together, masked to the sources still short of
@@ -309,7 +276,7 @@ def _select_levels(
     if held:
         kept.append(_take_nearest(held, need, sources, passing, n))
     codes, dists = zip(*kept) if kept else ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint8)])
-    return np.concatenate(codes), np.concatenate(dists), reached
+    return np.concatenate(codes), np.concatenate(dists), sum(reached), sum(reached[:passing])
 
 
 def _take_nearest(
@@ -342,16 +309,14 @@ def _select_block(
     """Each source's top-k partners from one block's triples.
 
     Returns the kept pairs as codes min*n + max with their raw scores,
-    and the block's candidate and threshold-kept counts, each unordered
-    pair counted from its smaller end.
+    and the (source, target) pairs reached and passing the threshold,
+    the source itself left out.
     """
     src, tgt, sim = triples
     sim[np.isnan(sim)] = 0.0  # a reached pair without common subsumer
-    passing = sim >= threshold
-    later = tgt > src
-    candidates = int(np.count_nonzero(later))
-    kept = int(np.count_nonzero(passing & later))
-    passing &= tgt != src
+    other = tgt != src
+    passing = other & (sim >= threshold)
+    reached, kept = int(np.count_nonzero(other)), int(np.count_nonzero(passing))
     src, tgt, sim = src[passing], tgt[passing], sim[passing]
     # similarity is symmetric, so a node's own triples hold all its partners;
     # its top-k are the best by (sim desc, partner index asc)
@@ -361,7 +326,7 @@ def _select_block(
     sizes = np.bincount(src - src[:1])
     top = np.arange(len(src)) - np.repeat(np.cumsum(sizes) - sizes, sizes) < top_k
     src, tgt = src[top], tgt[top]
-    return np.minimum(src, tgt) * n + np.maximum(src, tgt), sim[top], candidates, kept
+    return np.minimum(src, tgt) * n + np.maximum(src, tgt), sim[top], reached, kept
 
 
 def build_full(

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from taxovec import cli, dataset, io, manifest, wsd
 from taxovec.cli import SWEEP_MAX, _norm_range_from, main
 from taxovec.dataset import read_pairs
 from taxovec.errors import DataError
@@ -793,6 +796,79 @@ class TestBench:
         )
         assert code == 1
         assert "repeats" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--repeats", "4", "4 is not in the range x>=5"),
+        ("--methods", "foo", "unknown method 'foo'"),
+        ("--methods", ",", "need at least one method"),
+        ("--methods", "graph,dots", "unknown method 'dots'"),
+    ])
+    def test_bad_repeats_or_methods_fail_before_any_input_is_read(self, workdir, capsys, option, value, message):
+        # the graph is cyclic: reading it would be a data error (exit 2)
+        (workdir / "cycle.tsv").write_text("a\tb\nb\ta\n")
+        assert main(["bench", "--graph", "cycle.tsv", "--dim", "4", "--queries", "2", option, value]) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["chain.tsv", "cycle.tsv", "tree.tsv"]
+
+    def test_timer_floor_prints_one_warning_line(self, workdir, capsys):
+        # one tiny dot product per pass is far under the timer floor
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bench", "--graph", "tree.tsv", "--methods", "dot", "--dim", "4", "--query-nodes", "c"]) == 0
+        assert not [w for w in caught if "median pass time" in str(w.message)]
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: dot[float32] medians are below timer resolution; increase --queries"
+        ]
+
+
+@pytest.mark.parametrize("command", [
+    [*SIMILARITIES, "--measure", "shp"],
+    TRAIN,
+    [*WSD, "--measure", "shp", "--baseline", "random"],
+    [*BENCH, "--dim", "4"],
+], ids=["similarities", "train", "wsd-random-baseline", "bench"])
+def test_negative_seed_is_a_usage_error(workdir, capsys, command):
+    (workdir / "inst.tsv").write_text(TestWsd.INSTANCES)
+    assert main(["similarities", "--graph", "tree.tsv", "--measure", "shp", "--output", "pairs.tsv"]) == 0
+    capsys.readouterr()
+    assert main([*command, "--seed", "-1"]) == 1
+    assert "Invalid value for '--seed': -1 is not in the range x>=0" in capsys.readouterr().err
+    assert not list(workdir.glob("out.tsv*")) + list(workdir.glob("taxovec-*.manifest"))
+
+
+@pytest.mark.parametrize("command, target", [
+    ([*SIMILARITIES, "--measure", "shp"], "out.tsv"),
+    ([*WSD, "--measure", "shp"], "out.tsv"),
+    ([*EVAL_SIM, "--scorer", "measure"], "out.tsv"),
+    ([*EVAL_SIM[:-2], "--scorer", "measure", "--histogram", "out.tsv"], "out.tsv"),
+    ([*BENCH, "--dim", "4"], "out.tsv"),
+    (BENCH[:-2] + ["--dim", "4"], "taxovec-bench.manifest"),
+], ids=["write_pairs", "wsd-predictions", "eval-sim-report", "eval-sim-histogram", "bench-report", "manifest"])
+def test_interrupted_writer_leaves_no_file(workdir, capsys, monkeypatch, command, target):
+    # Ctrl-C at the target's first write exits 1 with `aborted` and leaves
+    # neither the target nor its temporary file, nor any later output
+    TestEvalSim().setup_files(workdir)
+    (workdir / "inst.tsv").write_text(TestWsd.INSTANCES)
+    before = sorted(p.name for p in workdir.iterdir())
+
+    class Interrupted:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise KeyboardInterrupt
+
+    @contextlib.contextmanager
+    def interrupting_write(path):
+        with io.atomic_write(path) as fh:
+            yield Interrupted(fh) if Path(path).name == target else fh
+
+    for module in (cli, dataset, manifest, wsd):
+        monkeypatch.setattr(module, "atomic_write", interrupting_write)
+    assert main(command) == 1
+    assert "aborted" in capsys.readouterr().err
+    assert sorted(p.name for p in workdir.iterdir()) == before
 
 
 class TestEntryPoint:

@@ -32,7 +32,7 @@ from taxovec.errors import (
     UnknownNodeError,
 )
 from taxovec.graph import TaxonomyGraph, compute_depths
-from taxovec.metrics import MEASURES, SimilarityRows, pair_similarity, propagate_counts
+from taxovec.metrics import BLOCK, MEASURES, SimilarityRows, pair_similarity, propagate_counts
 
 from conftest import block_graphs, edges_of, graphs, ids_for, random_dag_edges, random_tree_graph
 from oracles import (
@@ -434,7 +434,7 @@ def build_outcome(g, cfg):
 )
 def test_level_selection_matches_block_selection(g, measure, mode, k, data):
     # the reference is the wup/jcn path: SimilarityRows.block's scored
-    # triples through _select_block, sorted per source
+    # triples through _select_block, block by block
     rows = SimilarityRows(g, measure)
     score = rows.path_score
     at = score(data.draw(st.integers(0, g.n), label="distance"))
@@ -443,11 +443,23 @@ def test_level_selection_matches_block_selection(g, measure, mode, k, data):
         math.nextafter(score(1), math.inf),  # no pair passes
     ]), label="threshold")
     cfg = DatasetConfig(measure, threshold, g.n if k is None else k, mode, seed=3)
-    # the merged codes, raw scores and counts, also where the build then raises
-    args = (rows, 2 if mode == "fast" else None, threshold, cfg.top_k)
-    got, want = dataset._select_by_levels(*args), dataset._select_by_blocks(*args)
-    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
-    assert got[2:] == want[2:]
+    # the distances whose score passes, and how far a build walks: a full one to the last of them
+    max_dist = 2 if mode == "fast" else None
+    passing = sum(score(d) >= threshold for d in range(g.n if max_dist is None else max_dist + 1))
+    walk = max(passing - 1, 0) if max_dist is None else max_dist
+    top_k = min(cfg.top_k, g.n)
+    for first in range(0, g.n, BLOCK):
+        sources = np.arange(first, min(first + BLOCK, g.n))
+        codes, dists, reached, kept = dataset._select_levels(rows, sources, walk, passing, top_k)
+        want = dataset._select_block(rows.block(sources, max_dist), g.n, threshold, top_k)
+        got_order, want_order = np.argsort(codes, kind="stable"), np.argsort(want[0], kind="stable")
+        assert codes[got_order].tobytes() == want[0][want_order].tobytes()
+        sims = np.array([score(d) for d in range(passing)])[dists[got_order]]
+        assert sims.tobytes() == want[1][want_order].tobytes()
+        assert kept == want[3]
+        if max_dist is not None:  # a full build's levels stop at the threshold
+            assert reached == want[2]
+    # the pairs, header and counts of the whole build, also where it raises
     got = build_outcome(g, cfg)
     with mock.patch.object(dataset, "LEVEL_MEASURES", ()):
         want = build_outcome(g, cfg)

@@ -10,8 +10,10 @@ prints each side's median and quartiles and the rounds the working tree won.
 - `build`: pairs files for shp, lch, wup and jcn in full and fast mode on
   perfbench's `build` inputs, timed as build + write_pairs. With `--nodes
   N --measure M`: one full build per side, each in a child process, on a
-  `gen.make_dag` graph of N nodes (seed: the first of --seeds), with its
-  seconds, peak RSS (ru_maxrss) and identity.
+  `gen.make_dag` graph of N nodes (seed: the first of --seeds), jcn with
+  the IC table of `gen.write_counts` counts written beside it, with its
+  seconds, peak RSS (ru_maxrss) and identity. A failed child is one line
+  naming its error (exit 1).
 - `train`: saved embeddings of train() on perfbench's `train` inputs
   (d=300, float32, 2 epochs, with the dev set). With `--star`: time per
   batch on a star graph (one root, LEAVES leaves, every root-leaf pair at
@@ -78,9 +80,8 @@ def extract(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def load_build(inputs: Path, mode: str, measure: str, pkg):
-    g = pkg.graph.load_edge_list(inputs / f"{mode}_graph.tsv")
-    counts = inputs / "full_counts.tsv"
+def load_build(graph: Path, counts: Path, mode: str, measure: str, pkg):
+    g = pkg.graph.load_edge_list(graph)
     table = pkg.metrics.propagate_counts(g, pkg.metrics.load_raw_counts(counts, g)) if measure == "jcn" else None
     return g, pkg.dataset.DatasetConfig(measure=measure, mode=mode), table
 
@@ -100,7 +101,8 @@ def build_cases(seeds: list[int], work: Path):
         gen.generate("build", seed, inputs)  # keeps a directory already there
         for measure in MEASURES:
             for mode in MODES:
-                load = functools.partial(load_build, inputs, mode, measure)
+                graph, counts = inputs / f"{mode}_graph.tsv", inputs / "full_counts.tsv"
+                load = functools.partial(load_build, graph, counts, mode, measure)
                 yield f"seed {seed} {mode} {measure}", load, build_once, "pairs files", 1e3, "ms"
 
 
@@ -185,32 +187,46 @@ def compare(sides: dict, cases, n_pairs: int, work: Path) -> dict[str, list[floa
     return totals
 
 
-def child(root: Path, graph: Path, measure: str, out: Path) -> tuple[float, float]:
-    """One full build + write_pairs with the package under `root`: its seconds and this process's peak RSS in MB."""
-    pkg = package(root, "taxovec_side")
-    g = pkg.graph.load_edge_list(graph)
-    secs = build_once(pkg, (g, pkg.dataset.DatasetConfig(measure=measure, mode="full"), None), out)
+def child(root: Path, graph: Path, counts: Path, measure: str, out: Path) -> tuple[float, float]:
+    """One full build + write_pairs with the package under `root`: its seconds and this process's peak RSS in MB.
+    An error is raised again as a RuntimeError, as the parent cannot unpickle the side package's classes."""
+    try:
+        pkg = package(root, "taxovec_side")
+        secs = build_once(pkg, load_build(graph, counts, "full", measure, pkg), out)
+    except Exception as exc:
+        raise RuntimeError(f"{type(exc).__name__}: {exc}") from None
     return secs, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def large(roots: dict[str, Path], nodes: int, seed: int, measure: str, work: Path) -> None:
-    graph = work / f"dag-{nodes}-{seed}.tsv"
-    if not graph.exists():
-        gen.write_graph(graph, gen.make_dag(np.random.default_rng(seed), nodes))
-    outs = []
+    graph, counts = work / f"dag-{nodes}-{seed}.tsv", work / f"dag-{nodes}-{seed}-counts.tsv"
+    if not counts.exists():
+        rng = np.random.default_rng(seed)
+        gen.write_graph(graph, gen.make_dag(rng, nodes))
+        gen.write_counts(counts, rng, nodes)
+    label, outs = f"{nodes} nodes, full {measure}", []
     for k, (name, root) in enumerate(roots.items()):
         outs.append(work / f"large-{k}.tsv")
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            secs, maxrss_mb = pool.submit(child, root, graph, measure, outs[-1]).result()
-        print(f"{nodes} nodes, full {measure}, {name}: {secs:.2f} s, peak RSS {maxrss_mb:.0f} MB")
-    check_identical(f"{nodes} nodes, full {measure}", "pairs files", outs)
+        try:
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+                secs, maxrss_mb = pool.submit(child, root, graph, counts, measure, outs[-1]).result()
+        except Exception as exc:  # the child's error, or its death (BrokenProcessPool)
+            sys.exit(f"{label}, {name}: failed: {exc}")
+        print(f"{label}, {name}: {secs:.2f} s, peak RSS {maxrss_mb:.0f} MB")
+    check_identical(label, "pairs files", outs)
+
+
+def at_least_one(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is below 1")
+    return int(text)
 
 
 def main() -> None:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rev", default="HEAD", help="git revision of the baseline src/taxovec")
     common.add_argument("--seeds", type=int, nargs="+", default=[5])
-    common.add_argument("--pairs", type=int, default=10, help="alternating rounds per case")
+    common.add_argument("--pairs", type=at_least_one, default=10, help="alternating rounds per case")
     common.add_argument("--work", type=Path, help="directory for inputs and outputs")
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     stages = ap.add_subparsers(dest="stage", required=True)
