@@ -68,7 +68,6 @@ from .trainer import (
 from .wsd import (
     SentenceInstance,
     WsdConfig,
-    build_sentence_graph,
     disambiguate,
     disambiguate_sweep,
     micro_f1,
@@ -111,7 +110,6 @@ __all__ = [
     "batch_gradients",
     "build_fast",
     "build_full",
-    "build_sentence_graph",
     "compute_depths",
     "disambiguate",
     "disambiguate_sweep",

@@ -174,9 +174,13 @@ def _normalize(values: np.ndarray) -> tuple[np.ndarray, float, float]:
     lo, hi = float(finite.min()), float(finite.max())
     if hi - lo < 1e-12:
         raise DegenerateRangeError(f"all finite values equal ({lo!r}); range degenerate")
-    span = hi - lo
+    return rescale(values, lo, hi), lo, hi
+
+
+def rescale(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """(x - lo)/(hi - lo) clipped to [0,1]: the map of the pairs files, and of a scorer normalized by one."""
     # fmin before fmax, as max(0, min(1, x)): NaN maps to 1.0
-    return np.fmax(np.fmin((values - lo) / span, 1.0), 0.0), lo, hi
+    return np.fmax(np.fmin((values - lo) / (hi - lo), 1.0), 0.0)
 
 
 def _build(g: TaxonomyGraph, cfg: DatasetConfig, ic_table: InformationContentTable | None) -> DatasetBuild:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: DataError and its subclasses exit
-with 2, NumericError with 3. Usage problems are raised as click usage
-errors and exit with 1.
+with 2, except ConfigError, which is a usage error and exits with 1 like
+click's own usage errors; NumericError exits with 3.
 """
 
 

@@ -22,7 +22,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateRangeError
+from .dataset import rescale
+from .errors import ConfigError, DataError, DegenerateRangeError, RecordError
 from .graph import TaxonomyGraph
 from .io import real, records
 from .metrics import BLOCK, InformationContentTable, SimilarityRows
@@ -79,11 +80,15 @@ def load_lemma_pairs(path: str | Path) -> list[tuple[str, str, float]]:
 
 
 def load_candidates(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Read `lemma<TAB>comma-separated node ids` into a candidate map."""
-    return {
-        lemma: tuple(c.strip() for c in cand_s.split(",") if c.strip())
-        for _, (lemma, cand_s) in records(path, "lemma<TAB>candidates")
-    }
+    """Read `lemma<TAB>comma-separated node ids` into a candidate map; a
+    lemma on a second line is a RecordError naming the first."""
+    candidates: dict[str, tuple[str, ...]] = {}
+    first: dict[str, str] = {}
+    for where, (lemma, cand_s) in records(path, "lemma<TAB>candidates"):
+        if first.setdefault(lemma, where) != where:
+            raise RecordError(f"{where}: lemma {lemma!r} repeats {first[lemma]}")
+        candidates[lemma] = tuple(c.strip() for c in cand_s.split(",") if c.strip())
+    return candidates
 
 
 def make_records(
@@ -140,13 +145,10 @@ class MeasureScorer:
 
     def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
         """SimilarityRows.grid with pair_similarity's 0.0 for a pair without a
-        path or common subsumer, rescaled and clipped to [0,1] when normalized."""
+        path or common subsumer, put through dataset.rescale when normalized."""
         raw = self.rows.grid(us, vs)
         raw[np.isnan(raw)] = 0.0
-        if self.norm_range is None:
-            return raw
-        lo, hi = self.norm_range
-        return np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
+        return raw if self.norm_range is None else rescale(raw, *self.norm_range)
 
     def pairs(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
         """The diagonal of one grid per BLOCK aligned pairs."""

@@ -9,8 +9,8 @@ most frequent sense when lists are frequency-ordered.
 
 Scoring and thresholding are separate steps: score_sentence takes one
 `grid(us, vs)` of the scorer (see evaluation) over a sentence's candidates
-that the scorer `has`, and SentenceScores.graph thresholds those scores,
-so a threshold sweep scores each sentence once.
+that the scorer `has`, and SentenceScores.degrees sums the weights above a
+threshold, so a threshold sweep scores each sentence once.
 """
 
 from __future__ import annotations
@@ -67,13 +67,6 @@ GraphNode = tuple[int, str]  # (token index, candidate id); same id may recur pe
 
 
 @dataclass
-class SentenceGraph:
-    degree: dict[GraphNode, float]
-    edges: list[tuple[GraphNode, GraphNode, float]]
-    skipped_pairs: int = 0
-
-
-@dataclass
 class SentenceScores:
     """A sentence's scored cross-token pairs: `pairs` index `nodes` in (token a,
     token b, candidate of a, candidate of b) order with a before b."""
@@ -83,15 +76,15 @@ class SentenceScores:
     weights: np.ndarray
     skipped_pairs: int
 
-    def graph(self, threshold: float) -> SentenceGraph:
-        """Edges strictly above `threshold`, degrees summed in pair order."""
-        graph = SentenceGraph(dict.fromkeys(self.nodes, 0.0), [], self.skipped_pairs)
+    def degrees(self, threshold: float) -> dict[GraphNode, float]:
+        """Each node's sum of the weights strictly above `threshold`, summed
+        in pair order; a node listed twice is one key."""
+        degree = dict.fromkeys(self.nodes, 0.0)
         keep = self.weights > threshold
         for (a, b), w in zip(self.pairs[keep].tolist(), self.weights[keep].tolist()):
-            graph.edges.append((self.nodes[a], self.nodes[b], w))
-            graph.degree[self.nodes[a]] += w
-            graph.degree[self.nodes[b]] += w
-        return graph
+            degree[self.nodes[a]] += w
+            degree[self.nodes[b]] += w
+        return degree
 
 
 def score_sentence(
@@ -113,24 +106,15 @@ def score_sentence(
     return SentenceScores(nodes, pairs[scored], weights, len(pairs) - len(weights))
 
 
-def build_sentence_graph(inst: SentenceInstance, cfg: WsdConfig) -> SentenceGraph:
-    """Weighted graph over candidate senses; edges only across tokens.
-
-    A pair the scorer cannot handle (unknown node, no embedding) is
-    skipped and counted rather than failing the sentence.
-    """
-    return score_sentence(inst, cfg.scorer).graph(cfg.threshold)
-
-
-def select_senses(graph: SentenceGraph, inst: SentenceInstance) -> dict[int, str]:
+def select_senses(degrees: Mapping[GraphNode, float], inst: SentenceInstance) -> dict[int, str]:
     """Chosen candidate per token index, by maximal weighted degree.
 
     Only a strictly higher degree displaces an earlier candidate, so ties
-    (and isolated columns) resolve to the first listed sense. Tokens
+    (and nodes without degree) resolve to the first listed sense. Tokens
     without candidates are absent from the result.
     """
     return {  # max keeps the first of equal keys
-        tok.index: max(tok.candidates, key=lambda cand: graph.degree.get((tok.index, cand), 0.0))
+        tok.index: max(tok.candidates, key=lambda cand: degrees.get((tok.index, cand), 0.0))
         for tok in inst.tokens
         if tok.candidates
     }
@@ -153,7 +137,7 @@ def disambiguate_sweep(
     scored = [score_sentence(inst, scorer) for inst in instances]
     skipped = sum(s.skipped_pairs for s in scored)
     return [
-        ([select_senses(s.graph(cfg.threshold), inst) for s, inst in zip(scored, instances)], skipped)
+        ([select_senses(s.degrees(cfg.threshold), inst) for s, inst in zip(scored, instances)], skipped)
         for cfg in cfgs
     ]
 
@@ -174,11 +158,8 @@ def random_sense_baseline(
 
 
 def first_sense_baseline(instances: list[SentenceInstance]) -> list[dict[int, str]]:
-    """First listed candidate per token (most frequent sense when so ordered)."""
-    return [
-        {tok.index: tok.candidates[0] for tok in inst.tokens if tok.candidates}
-        for inst in instances
-    ]
+    """First listed candidate per token: select_senses with every candidate tied."""
+    return [select_senses({}, inst) for inst in instances]
 
 
 @dataclass

@@ -86,8 +86,17 @@ def edges_of(g: TaxonomyGraph) -> list[tuple[int, int]]:
     return [(c, p) for c in range(g.n) for p in g.parents[c]]
 
 
+def edge_list_lines(n: int, edges: list[tuple[int, int]]) -> list[str]:
+    """An edge-list file's lines: every node alone, then every edge."""
+    return [f"n{i}" for i in range(n)] + [f"n{c}\tn{p}" for c, p in edges]
+
+
 def graph_from(n: int, edges: list[tuple[int, int]], virtual_root: bool) -> TaxonomyGraph:
-    lines = [f"n{i}" for i in range(n)] + [f"n{c}\tn{p}" for c, p in edges]
+    return graph_from_lines(edge_list_lines(n, edges), virtual_root)
+
+
+def graph_from_lines(lines: list[str], virtual_root: bool) -> TaxonomyGraph:
+    """load_edge_list of the lines; nodes are numbered in order of first mention."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.tsv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -97,6 +97,39 @@ def ic_counts_oracle(
     return counts, total
 
 
+def wsd_degree_oracle(tokens, weight, threshold):
+    """Degrees, picks and skipped count of a sentence by nested loops.
+
+    `tokens` are (token index, candidates); `weight(u, v)` is a pair's score
+    or None when the scorer lacks an end. Token pairs a before b in listed
+    order, then each candidate of a and of b in listed order: a weight
+    strictly above `threshold` adds to the (index, candidate) degree of a,
+    then of b. Each token then picks the first candidate of highest degree.
+    """
+    degree = {}
+    for index, cands in tokens:
+        for cand in cands:
+            degree[(index, cand)] = 0.0
+    skipped = 0
+    for a in range(len(tokens)):
+        for b in range(a + 1, len(tokens)):
+            (ia, ca), (ib, cb) = tokens[a], tokens[b]
+            for u in ca:
+                for v in cb:
+                    w = weight(u, v)
+                    if w is None:
+                        skipped += 1
+                    elif w > threshold:
+                        degree[(ia, u)] += w
+                        degree[(ib, v)] += w
+    picks = {}
+    for index, cands in tokens:
+        for cand in cands:
+            if index not in picks or degree[(index, cand)] > degree[(index, picks[index])]:
+                picks[index] = cand
+    return degree, picks, skipped
+
+
 def spearman_oracle(x: list[float], y: list[float]) -> float:
     """Counting-based fractional ranks, then a hand-rolled Pearson."""
 

@@ -28,7 +28,7 @@ from taxovec.trainer import (
     batch_gradients,
     train,
 )
-from taxovec.wsd import SentenceInstance, Token, WsdConfig, build_sentence_graph, select_senses
+from taxovec.wsd import SentenceInstance, Token, score_sentence, select_senses
 
 from conftest import ids_for, random_dag_edges, random_tree_graph, rooted_tree_edges
 from oracles import (
@@ -359,21 +359,22 @@ def test_criterion_6_wsd_selection_logic():
 
     # all four cross-token scores clear the threshold; degrees by hand,
     # written as the same float sums the accumulator performs
-    graph = build_sentence_graph(inst, WsdConfig(scorer, threshold=0.5))
-    assert len(graph.edges) == 4
-    assert graph.degree[(0, "A1")] == 0.6 + 0.7
-    assert graph.degree[(0, "A2")] == 0.9 + 0.55
-    assert graph.degree[(1, "B1")] == 0.6 + 0.9
-    assert graph.degree[(1, "B2")] == 0.7 + 0.55
-    assert select_senses(graph, inst) == {0: "A2", 1: "B1"}
+    scores = score_sentence(inst, scorer)
+    degree = scores.degrees(0.5)
+    assert np.count_nonzero(scores.weights > 0.5) == 4
+    assert degree[(0, "A1")] == 0.6 + 0.7
+    assert degree[(0, "A2")] == 0.9 + 0.55
+    assert degree[(1, "B1")] == 0.6 + 0.9
+    assert degree[(1, "B2")] == 0.7 + 0.55
+    assert select_senses(degree, inst) == {0: "A2", 1: "B1"}
 
     # raising the threshold to 0.7 drops the 0.6 and 0.55 edges and,
     # because the comparison is strict, the 0.7 edge as well
-    graph = build_sentence_graph(inst, WsdConfig(scorer, threshold=0.7))
-    assert len(graph.edges) == 1
-    assert graph.degree[(0, "A1")] == 0.0
-    assert graph.degree[(0, "A2")] == 0.9
-    assert select_senses(graph, inst) == {0: "A2", 1: "B1"}
+    degree = scores.degrees(0.7)
+    assert np.count_nonzero(scores.weights > 0.7) == 1
+    assert degree[(0, "A1")] == 0.0
+    assert degree[(0, "A2")] == 0.9
+    assert select_senses(degree, inst) == {0: "A2", 1: "B1"}
 
     # equal degrees fall back to the earliest candidate in listed order
     tied = SentenceInstance(
@@ -383,14 +384,14 @@ def test_criterion_6_wsd_selection_logic():
             Token(1, "delta", ("Y1",), None),
         ),
     )
-    graph = build_sentence_graph(tied, WsdConfig(_PairTable({}, default=0.8), threshold=0.5))
-    assert graph.degree[(0, "X2")] == graph.degree[(0, "X1")] == 0.8
-    assert select_senses(graph, tied) == {0: "X2", 1: "Y1"}
+    scores = score_sentence(tied, _PairTable({}, default=0.8))
+    degree = scores.degrees(0.5)
+    assert degree[(0, "X2")] == degree[(0, "X1")] == 0.8
+    assert select_senses(degree, tied) == {0: "X2", 1: "Y1"}
 
     # no surviving edges at all: every token falls back to its first sense
-    graph = build_sentence_graph(tied, WsdConfig(_PairTable({}, default=0.8), threshold=0.99))
-    assert not graph.edges
-    assert select_senses(graph, tied) == {0: "X2", 1: "Y1"}
+    assert np.count_nonzero(scores.weights > 0.99) == 0
+    assert select_senses(scores.degrees(0.99), tied) == {0: "X2", 1: "Y1"}
     print("hand-built sentence fixtures: degrees, exclusions, tie-breaks exact")
 
 

@@ -380,6 +380,19 @@ class TestEvalSim:
         assert len(rows) == 3
         assert sum(int(r.split("\t")[2]) for r in rows) == evaluated
 
+    def test_repeated_lemma_is_a_data_error(self, workdir, capsys):
+        self.setup_files(workdir)
+        with open(workdir / "candidates.tsv", "a") as fh:
+            fh.write("cup\tr\n")
+        code = main(
+            ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv",
+             "--candidates", "candidates.tsv", "--measure", "shp",
+             "--scorer", "measure", "--report", "report.tsv"]
+        )
+        assert code == 2
+        assert "candidates.tsv:9: lemma 'cup' repeats candidates.tsv:1" in capsys.readouterr().err
+        assert not (workdir / "report.tsv").exists()
+
     def test_normalized_measure_scorer(self, workdir, capsys):
         self.setup_files(workdir)
         main(["similarities", "--graph", "tree.tsv", "--measure", "shp",

@@ -34,7 +34,17 @@ from taxovec.errors import (
 from taxovec.graph import TaxonomyGraph, compute_depths
 from taxovec.metrics import BLOCK, MEASURES, SimilarityRows, pair_similarity, propagate_counts
 
-from conftest import block_graphs, edges_of, graphs, ids_for, random_dag_edges, random_tree_graph
+from conftest import (
+    block_graphs,
+    edge_list_lines,
+    edge_lists,
+    edges_of,
+    graph_from_lines,
+    graphs,
+    ids_for,
+    random_dag_edges,
+    random_tree_graph,
+)
 from oracles import (
     ancestor_closure,
     depth_oracle,
@@ -466,6 +476,37 @@ def test_level_selection_matches_block_selection(g, measure, mode, k, data):
     assert got == want
     if threshold > score(1):
         assert want == (EmptyDatasetError, f"no pairs survive threshold {threshold!r} for measure {measure!r}")
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    ne=st.one_of(edge_lists(forest=False), edge_lists(forest=True)),
+    virtual_root=st.booleans(),
+    # jcn is left out, and so is a top-k below n: jcn's deepest common subsumer
+    # breaks depth ties by node index (lcs_index) and the top-k breaks score
+    # ties by partner index, so both follow the id numbering as documented
+    measure=st.sampled_from(["shp", "lch", "wup"]),
+    mode=st.sampled_from(MODES),
+    threshold=st.sampled_from([0.0, None]),
+    data=st.data(),
+)
+def test_pairs_do_not_depend_on_the_edge_list_order(ne, virtual_root, measure, mode, threshold, data):
+    # DAGs with multiple inheritance and forests, alone or under a virtual root;
+    # shuffling the lines renumbers the nodes by first mention
+    lines = edge_list_lines(*ne)
+    shuffled = data.draw(st.permutations(lines), label="lines")
+
+    def outcome(g):
+        cfg = DatasetConfig(measure, threshold, g.n, mode)
+        try:
+            b = (build_full if mode == "full" else build_fast)(g, cfg)
+        except DataError as e:
+            return type(e), str(e)
+        pairs = {frozenset((p.u, p.v)): p.s.hex() for p in b.pairs}
+        assert len(pairs) == len(b.pairs)
+        return pairs, b.candidate_count, b.threshold_kept, b.norm_min, b.norm_max
+
+    assert outcome(graph_from_lines(shuffled, virtual_root)) == outcome(graph_from_lines(lines, virtual_root))
 
 
 class TestTrainingPairType:

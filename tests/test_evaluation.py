@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taxovec.dataset import DatasetConfig, build_full
-from taxovec.errors import ConfigError, DataError, DegenerateRangeError, UnknownNodeError
+from taxovec.errors import ConfigError, DataError, DegenerateRangeError, RecordError, UnknownNodeError
 from taxovec.evaluation import (
     LemmaPairRecord,
     MeasureScorer,
@@ -122,6 +123,12 @@ class TestLoaders:
         assert got["ghost"] == ()
         p.write_text("cat only\n")
         with pytest.raises(DataError, match=":1"):
+            load_candidates(p)
+
+    def test_repeated_lemma_names_the_earlier_line(self, tmp_path):
+        p = tmp_path / "cands.tsv"
+        p.write_text("x\ta\n# comment\ny\tc\nx\tb\n")
+        with pytest.raises(RecordError, match=rf"^{re.escape(str(p))}:4: lemma 'x' repeats {re.escape(str(p))}:1$"):
             load_candidates(p)
 
     def test_make_records_excludes_unmapped(self):

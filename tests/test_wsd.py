@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxovec.errors import ConfigError, DataError, UnknownNodeError
 from taxovec.evaluation import MeasureScorer
@@ -11,7 +13,6 @@ from taxovec.wsd import (
     SentenceInstance,
     Token,
     WsdConfig,
-    build_sentence_graph,
     disambiguate,
     disambiguate_sweep,
     first_sense_baseline,
@@ -19,9 +20,12 @@ from taxovec.wsd import (
     load_instances,
     micro_f1,
     random_sense_baseline,
+    score_sentence,
     select_senses,
     write_predictions,
 )
+
+from oracles import wsd_degree_oracle
 
 
 class StubScorer:
@@ -52,25 +56,24 @@ def sentence(*tokens):
 class TestBuildSentenceGraph:
     def test_single_edge_above_threshold(self):
         inst = sentence((0, "cat", ("A",), None), (1, "dog", ("B",), None))
-        scorer = StubScorer({("A", "B"): 0.99})
-        graph = build_sentence_graph(inst, WsdConfig(scorer, threshold=0.95))
-        assert len(graph.edges) == 1
-        assert graph.degree[(0, "A")] == pytest.approx(0.99)
-        assert graph.degree[(1, "B")] == pytest.approx(0.99)
+        scores = score_sentence(inst, StubScorer({("A", "B"): 0.99}))
+        degree = scores.degrees(0.95)
+        assert np.count_nonzero(scores.weights > 0.95) == 1
+        assert degree[(0, "A")] == pytest.approx(0.99)
+        assert degree[(1, "B")] == pytest.approx(0.99)
 
     def test_below_and_at_threshold_excluded(self):
         inst = sentence((0, "cat", ("A",), None), (1, "dog", ("B",), None))
         for w in (0.5, 0.95):
-            scorer = StubScorer({("A", "B"): w})
-            graph = build_sentence_graph(inst, WsdConfig(scorer, threshold=0.95))
-            assert graph.edges == []
-            assert graph.degree[(0, "A")] == 0.0
+            scores = score_sentence(inst, StubScorer({("A", "B"): w}))
+            assert np.count_nonzero(scores.weights > 0.95) == 0
+            assert scores.degrees(0.95)[(0, "A")] == 0.0
 
     def test_no_intra_token_edges(self):
         inst = sentence((0, "bank", ("A", "B"), None))
-        scorer = StubScorer({("A", "B"): 1.0})
-        graph = build_sentence_graph(inst, WsdConfig(scorer, threshold=0.5))
-        assert graph.edges == []
+        scores = score_sentence(inst, StubScorer({("A", "B"): 1.0}))
+        assert np.count_nonzero(scores.weights > 0.5) == 0
+        assert scores.degrees(0.5) == {(0, "A"): 0.0, (0, "B"): 0.0}
 
     def test_degrees_accumulate_across_tokens(self):
         inst = sentence(
@@ -79,20 +82,20 @@ class TestBuildSentenceGraph:
         scorer = StubScorer(
             {("A1", "B1"): 0.96, ("A2", "B1"): 0.96, ("A2", "B2"): 0.97}
         )
-        graph = build_sentence_graph(inst, WsdConfig(scorer, threshold=0.95))
-        assert graph.degree[(0, "A1")] == pytest.approx(0.96)
-        assert graph.degree[(0, "A2")] == pytest.approx(1.93)
-        assert graph.degree[(1, "B1")] == pytest.approx(1.92)
-        assert graph.degree[(1, "B2")] == pytest.approx(0.97)
+        degree = score_sentence(inst, scorer).degrees(0.95)
+        assert degree[(0, "A1")] == pytest.approx(0.96)
+        assert degree[(0, "A2")] == pytest.approx(1.93)
+        assert degree[(1, "B1")] == pytest.approx(1.92)
+        assert degree[(1, "B2")] == pytest.approx(0.97)
 
     def test_scorer_failures_skipped_and_counted(self):
         inst = sentence(
             (0, "x", ("A", "GONE"), None), (1, "y", ("B",), None)
         )
         scorer = StubScorer({("A", "B"): 0.99}, missing={"GONE"})
-        graph = build_sentence_graph(inst, WsdConfig(scorer, threshold=0.9))
-        assert graph.skipped_pairs == 1
-        assert len(graph.edges) == 1
+        scores = score_sentence(inst, scorer)
+        assert scores.skipped_pairs == 1
+        assert np.count_nonzero(scores.weights > 0.9) == 1
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(2)
@@ -103,15 +106,10 @@ class TestBuildSentenceGraph:
         table = {
             (a, b): float(rng.random()) for a in cands[:3] for b in cands[3:]
         }
-        scorer = StubScorer(table)
+        scores = score_sentence(inst, StubScorer(table))
         prev = None
         for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
-            edges = {
-                (na, nb)
-                for na, nb, _ in build_sentence_graph(
-                    inst, WsdConfig(scorer, threshold=threshold)
-                ).edges
-            }
+            edges = set(map(tuple, scores.pairs[scores.weights > threshold].tolist()))
             if prev is not None:
                 assert edges <= prev
             prev = edges
@@ -125,37 +123,67 @@ class TestSelectSenses:
         scorer = StubScorer(
             {("A1", "B1"): 0.96, ("A2", "B1"): 0.96, ("A2", "B2"): 0.97}
         )
-        graph = build_sentence_graph(inst, WsdConfig(scorer, threshold=0.95))
-        assert select_senses(graph, inst) == {0: "A2", 1: "B1"}
+        degree = score_sentence(inst, scorer).degrees(0.95)
+        assert select_senses(degree, inst) == {0: "A2", 1: "B1"}
 
     def test_no_edges_falls_back_to_first_candidate(self):
         inst = sentence((0, "x", ("A1", "A2"), None), (1, "y", ("B1",), None))
-        graph = build_sentence_graph(
-            inst, WsdConfig(StubScorer({}), threshold=0.95)
-        )
-        assert select_senses(graph, inst) == {0: "A1", 1: "B1"}
+        degree = score_sentence(inst, StubScorer({})).degrees(0.95)
+        assert select_senses(degree, inst) == {0: "A1", 1: "B1"}
 
     def test_degree_tie_keeps_earlier_candidate(self):
         inst = sentence(
             (0, "x", ("A1", "A2"), None), (1, "y", ("B",), None)
         )
         scorer = StubScorer({("A1", "B"): 0.99, ("A2", "B"): 0.99})
-        graph = build_sentence_graph(inst, WsdConfig(scorer, threshold=0.9))
-        assert select_senses(graph, inst)[0] == "A1"
+        degree = score_sentence(inst, scorer).degrees(0.9)
+        assert select_senses(degree, inst)[0] == "A1"
 
     def test_tokens_without_candidates_absent(self):
         inst = sentence((0, "x", (), None), (1, "y", ("B",), None))
-        graph = build_sentence_graph(
-            inst, WsdConfig(StubScorer({}), threshold=0.9)
-        )
-        assert select_senses(graph, inst) == {1: "B"}
+        degree = score_sentence(inst, StubScorer({})).degrees(0.9)
+        assert select_senses(degree, inst) == {1: "B"}
 
     def test_candidate_order_breaks_ties(self):
         scorer = StubScorer({})
         for order in (("A1", "A2"), ("A2", "A1")):
             inst = sentence((0, "x", order, None))
-            graph = build_sentence_graph(inst, WsdConfig(scorer, threshold=0.9))
-            assert select_senses(graph, inst)[0] == order[0]
+            degree = score_sentence(inst, scorer).degrees(0.9)
+            assert select_senses(degree, inst)[0] == order[0]
+
+
+POOL = ("c0", "c1", "c2", "c3", "GONE")  # few ids, so they repeat within and across tokens
+
+
+@st.composite
+def scored_sentences(draw):
+    """A sentence of up to 5 tokens, some without candidates, over POOL; a
+    symmetric table of weights; and a threshold, often equal to a weight."""
+    tokens = tuple(
+        Token(k, f"t{k}", tuple(draw(st.lists(st.sampled_from(POOL), max_size=4))), None)
+        for k in range(draw(st.integers(0, 5)))
+    )
+    weight = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    table = {(u, v): draw(weight) for k, u in enumerate(POOL) for v in POOL[k:]}
+    threshold = draw(st.one_of(st.sampled_from(sorted(set(table.values()))), st.floats(-0.5, 1.5)))
+    return SentenceInstance("s", tokens), table, threshold
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(scored_sentences())
+def test_degrees_and_picks_match_the_reference(case):
+    inst, table, threshold = case
+    scorer = StubScorer(table, missing={"GONE"})
+    weight = lambda u, v: None if "GONE" in (u, v) else table.get((u, v), table.get((v, u)))  # noqa: E731
+    want_degree, want_picks, want_skipped = wsd_degree_oracle(
+        [(tok.index, tok.candidates) for tok in inst.tokens], weight, threshold
+    )
+    scores = score_sentence(inst, scorer)
+    degree = scores.degrees(threshold)
+    assert {k: v.hex() for k, v in degree.items()} == {k: v.hex() for k, v in want_degree.items()}
+    assert select_senses(degree, inst) == want_picks
+    assert scores.skipped_pairs == want_skipped
+    assert disambiguate([inst], WsdConfig(scorer, threshold)) == ([want_picks], want_skipped)
 
 
 class TestDisambiguate:
