@@ -27,18 +27,23 @@ TIMER_FLOOR_S = 100e-6
 def one_vs_all_graph(g: TaxonomyGraph, measure: str, v: str, *, ic_table: InformationContentTable | None = None) -> np.ndarray:
     """Raw measure similarity of `v` to every node, self included.
 
-    Scores a one-source SimilarityRows.block, one traversal over the
-    nodes `v` reaches, and scatters it into a dense row. Matches the
-    per-pair measure functions elementwise; unreachable nodes (or pairs
-    without a common subsumer) score 0. JCN keeps its infinity sentinel
-    for zero-distance pairs.
+    shp/lch score a one-source SimilarityRows.block, one traversal over
+    the nodes `v` reaches, scattered into a dense row; wup/jcn read a
+    one-source SimilarityRows.table, the subsumer DP without a traversal.
+    Matches the per-pair measure functions elementwise; unreachable nodes
+    (or pairs without a common subsumer) score 0. JCN keeps its infinity
+    sentinel for zero-distance pairs.
     """
     return _dense_row(SimilarityRows(g, measure, ic_table=ic_table), v)
 
 
 def _dense_row(rows: SimilarityRows, v: str) -> np.ndarray:
-    _, targets, sims = rows.block(np.array([rows.g.idx(v)]))
-    sims[np.isnan(sims)] = 0.0
+    source = np.array([rows.g.idx(v)])
+    if rows.measure in ("wup", "jcn"):
+        out = rows.table(source)[:, 0]
+        out[np.isnan(out)] = 0.0  # no common subsumer
+        return out
+    _, targets, sims = rows.block(source)
     out = np.zeros(rows.g.n)
     out[targets] = sims
     return out

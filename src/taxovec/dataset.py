@@ -6,24 +6,29 @@ at most two edges in fast mode), drop pairs under a raw threshold, keep
 each node's top-k most similar partners, unity-normalize the survivors,
 and shuffle with a seeded PRNG.
 
-The sources are walked BLOCK at a time by SimilarityRows.levels, one
-bit-parallel traversal per block, and each block's top-k are selected
-for all of its sources at once. Similarity is symmetric, so a node's own
-partners are all reached from its block and its top-k come from there.
-shp and lch fall strictly with distance: their pairs are read from the
-levels themselves, the threshold as a distance cutoff that a full build
-walks no further than, and the top-k as each source's nearest levels.
-wup and jcn score every reached pair with SimilarityRows.block and sort
-them. A kept pair is recorded once per end as the code min*n + max; one
-sort of the codes merges the two ends and orders the survivors
-canonically before the shuffle, so the file depends only on the graph
-and the config. shp/lch pairs carry their distance until that merge and
-their score after it. Every block counts the pairs it reached and kept
-at the threshold from both ends, so halving the sums counts each pair
-once; a full build's candidates are its connected pairs instead. Memory
-is one block's levels (for wup/jcn its scored triples, at most BLOCK x
-nodes in full mode, BLOCK x the two-edge reach in fast mode, and a nodes
-x BLOCK subsumer table) plus O(nodes * top_k) for the survivors.
+The sources are taken BLOCK at a time, and each block's top-k are
+selected for all of its sources at once. Similarity is symmetric, so a
+node's own partners are all scored from its block and its top-k come from
+there. shp and lch fall strictly with distance: their pairs are read from
+the levels of one bit-parallel traversal per block
+(SimilarityRows.levels), the threshold as a distance cutoff that a full
+build walks no further than, and the top-k as each source's nearest
+levels. A full wup/jcn build makes every node of a source's component a
+target, so it runs no traversal: SimilarityRows.table scores the block
+against every node from the subsumer DP, the table is masked to each
+source's component without the source, and only the passing entries are
+sorted. A fast wup/jcn build scores the sparse two-edge reach of
+SimilarityRows.block and sorts it. A kept pair is recorded once per end
+as the code min*n + max; one sort of the codes merges the two ends and
+orders the survivors canonically before the shuffle, so the file depends
+only on the graph and the config. shp/lch pairs carry their distance
+until that merge and their score after it. Every block counts the pairs
+it reached and kept at the threshold from both ends, so halving the sums
+counts each pair once; a full build's candidates are its connected pairs
+instead. Memory is one block's levels for shp/lch; for full wup/jcn a
+nodes x BLOCK score table and subsumer table, with a few temporaries of
+that size; for fast wup/jcn the triples of BLOCK x the two-edge reach
+and the subsumer table; plus O(nodes * top_k) for the survivors.
 
 The pairs flow from the build through the pairs file to the trainer as
 one columnar Pairs; TrainingPair is only the row type of its indexing.
@@ -192,6 +197,7 @@ def _build(g: TaxonomyGraph, cfg: DatasetConfig, ic_table: InformationContentTab
     max_dist = 2 if cfg.mode == "fast" else None
     # any k >= n - 1 keeps every partner, so k is clamped to n: a k beyond int64 would overflow the selection
     top_k = min(cfg.top_k, g.n)
+    scores = None  # shp/lch: the score of each passing distance, which their values index
     if measure in LEVEL_MEASURES:
         # the scores fall strictly with distance, so a pair passes the threshold when its distance is
         # below `passing`; a full build walks no further, a fast build both of its levels for its count
@@ -201,8 +207,9 @@ def _build(g: TaxonomyGraph, cfg: DatasetConfig, ic_table: InformationContentTab
         walk = max(passing - 1, 0) if max_dist is None else max_dist
         scores = np.array([rows.path_score(d) for d in range(passing)])
         select = lambda sources: _select_levels(rows, sources, walk, passing, top_k)  # noqa: E731
+    elif measure in ("wup", "jcn") and max_dist is None:
+        select = lambda sources: _select_table(rows, sources, threshold, top_k)  # noqa: E731
     else:
-        scores = None
         select = lambda sources: _select_block(rows.block(sources, max_dist), g.n, threshold, top_k)  # noqa: E731
     codes, values, reached, kept = zip(*map(select, _blocks(g.n)))
     codes, values = _merge(np.concatenate(codes), np.concatenate(values))
@@ -320,17 +327,43 @@ def _select_block(
     sim[np.isnan(sim)] = 0.0  # a reached pair without common subsumer
     other = tgt != src
     passing = other & (sim >= threshold)
-    reached, kept = int(np.count_nonzero(other)), int(np.count_nonzero(passing))
-    src, tgt, sim = src[passing], tgt[passing], sim[passing]
-    # similarity is symmetric, so a node's own triples hold all its partners;
-    # its top-k are the best by (sim desc, partner index asc)
+    codes, kept_sims = _top_k(src[passing], tgt[passing], sim[passing], n, top_k)
+    return codes, kept_sims, int(np.count_nonzero(other)), int(np.count_nonzero(passing))
+
+
+def _select_table(
+    rows: SimilarityRows, sources: np.ndarray, threshold: float, top_k: int
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """wup/jcn in full mode: each source's top-k partners from one dense
+    table of every node's score against it, SimilarityRows.table.
+
+    The table is masked to each source's component without the source
+    itself, so a pair in another component is never a candidate, at any
+    threshold. Returns as _select_block.
+    """
+    sim = rows.table(sources)  # a column per source
+    sim[np.isnan(sim)] = 0.0  # a connected pair without common subsumer
+    component = rows.g.components
+    other = component[:, None] == component[sources]
+    other[sources, np.arange(len(sources))] = False
+    passing = other & (sim >= threshold)
+    tgt, column = np.nonzero(passing)  # in the order of sim[passing]
+    codes, kept_sims = _top_k(sources[column], tgt, sim[passing], rows.g.n, top_k)
+    return codes, kept_sims, int(np.count_nonzero(other)), int(np.count_nonzero(passing))
+
+
+def _top_k(src: np.ndarray, tgt: np.ndarray, sim: np.ndarray, n: int, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each source's top-k of its passing (source, target, score) triples,
+    as codes min*n + max with their scores. Similarity is symmetric, so a
+    node's own triples hold all its partners; its top-k are the best by
+    (sim desc, partner index asc)."""
     order = np.lexsort((tgt, -sim, src))
     src, tgt, sim = src[order], tgt[order], sim[order]
     # each triple's rank among its source's, from the sizes of the source runs
     sizes = np.bincount(src - src[:1])
     top = np.arange(len(src)) - np.repeat(np.cumsum(sizes) - sizes, sizes) < top_k
     src, tgt = src[top], tgt[top]
-    return np.minimum(src, tgt) * n + np.maximum(src, tgt), sim[top], reached, kept
+    return np.minimum(src, tgt) * n + np.maximum(src, tgt), sim[top]
 
 
 def build_full(

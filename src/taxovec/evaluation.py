@@ -72,11 +72,16 @@ class SelectedPair(NamedTuple):
 
 
 def load_lemma_pairs(path: str | Path) -> list[tuple[str, str, float]]:
-    """Read `lemma1<TAB>lemma2<TAB>score` lines (see taxovec.io)."""
-    return [
-        (l1, l2, real(gold, where, "score"))
-        for where, (l1, l2, gold) in records(path, "lemma1<TAB>lemma2<TAB>score")
-    ]
+    """Read `lemma1<TAB>lemma2<TAB>score` lines (see taxovec.io); a pair on
+    a second line, in either order, is a RecordError naming the first."""
+    pairs: list[tuple[str, str, float]] = []
+    first: dict[frozenset[str], str] = {}
+    for where, (l1, l2, gold) in records(path, "lemma1<TAB>lemma2<TAB>score"):
+        earlier = first.setdefault(frozenset((l1, l2)), where)
+        if earlier != where:
+            raise RecordError(f"{where}: lemma pair ({l1!r}, {l2!r}) repeats {earlier}")
+        pairs.append((l1, l2, real(gold, where, "score")))
+    return pairs
 
 
 def load_candidates(path: str | Path) -> dict[str, tuple[str, ...]]:

@@ -7,14 +7,14 @@ the distance collapse to zero returns math.inf; normalization downstream
 clips such pairs to the top of the similarity range.
 
 pair_similarity scores one pair; it and its scalar helpers are the
-per-pair reference. SimilarityRows scores many pairs with the same values,
-in two shapes: block() scores up to BLOCK sources against every node they
-reach in one traversal (wup/jcn dataset builds, and one-vs-all queries as
-a block of one), and grid() scores every pair of two id lists (static
-selection, measure scorers). Both walk the bit-parallel BFS of levels(),
-which shp/lch dataset builds also read directly. wup/jcn share one
-subsumer DP, and both shapes go through one score function per measure;
-the measures read g.depths.
+per-pair reference. SimilarityRows scores many pairs with the same values:
+block() scores up to BLOCK sources against every node they reach in one
+traversal, the bit-parallel BFS of levels(), which shp/lch dataset builds
+also read directly; table() scores wup/jcn sources against every node (or
+given targets) by the subsumer DP alone; and grid() scores every pair of
+two id lists through block() for shp/lch and table() for wup/jcn. Every
+shape goes through one score function per measure; the measures read
+g.depths.
 """
 
 from __future__ import annotations
@@ -204,18 +204,22 @@ def pair_similarity(
 
 
 class SimilarityRows:
-    """Scores many node pairs under one measure, in two shapes, over one
-    traversal:
+    """Scores many node pairs under one measure:
 
     - levels(sources, max_dist): the breadth-first levels of up to BLOCK
       sources, by one bit-parallel BFS with one uint64 word per node and
       bit j for the j-th source (Then et al., VLDB 2014); the only
       traversal, read directly by shp/lch dataset builds;
     - block(sources, max_dist): those sources against every node they
-      reach, unpacked from levels() (wup/jcn dataset builds, and one-vs-all
-      queries as a block of one source);
+      reach, unpacked from levels() (fast wup/jcn dataset builds, whose
+      two-edge reach is sparse, grid() and one-vs-all queries for
+      shp/lch);
+    - table(sources, targets): wup/jcn only, those sources against every
+      node, or against `targets`, as one dense table from the subsumer DP
+      alone, without a traversal (full wup/jcn dataset builds, one-vs-all
+      queries as a table of one source, and grid());
     - grid(us, vs): every pair of two id lists (static selection, measure
-      scorers), through block() for shp/lch and the DP alone for wup/jcn.
+      scorers), through block() for shp/lch and table() for wup/jcn.
 
     Scores agree exactly with pair_similarity. shp/lch map each
     breadth-first distance through path_score (shp_from_path, or
@@ -228,10 +232,11 @@ class SimilarityRows:
 
     with key (depth, -index), the tie order of lcs_index, and one column
     per source. The DP folds only the edges into the ancestor closure of
-    the targets. The schedule and the CSR adjacency are derived once per graph
-    (g.schedule, g.csr) and the IC vector once per table
-    (ic_table.ic_vector), so an instance costs only its key ranks. Both
-    shapes score through _scores, so each formula lives once.
+    the targets, every edge when every node is a target. The schedule and
+    the CSR adjacency are derived once per graph (g.schedule, g.csr) and
+    the IC vector once per table (ic_table.ic_vector), so an instance
+    costs only its key ranks. Every shape scores through _scores, so each
+    formula lives once.
     """
 
     def __init__(self, g: TaxonomyGraph, measure: str, *, ic_table: InformationContentTable | None = None):
@@ -328,7 +333,7 @@ class SimilarityRows:
         reached pairs are materialised, so a fast-mode block costs its
         reach, not BLOCK x n; a full-reach block costs BLOCK x its
         component. shp/lch dataset builds read their pairs from levels()
-        instead.
+        instead, and full wup/jcn builds from table().
         """
         src = np.asarray(sources, dtype=np.int64)
         held, parts = [], []  # levels not yet unpacked, and (targets, columns, sizes) of those that were
@@ -356,8 +361,8 @@ class SimilarityRows:
         scores NaN, where pair_similarity reports 0.0; an unknown id
         raises UnknownNodeError. Repeated ids are scored once. shp/lch
         run one full-reach block() per BLOCK distinct ids of `us` and keep
-        the `vs` columns; wup/jcn run no traversal, only the subsumer DP
-        over the ancestor closure of `vs`, BLOCK ids of `us` at a time.
+        the `vs` columns; wup/jcn run no traversal, only table() against
+        the distinct ids of `vs`, BLOCK ids of `us` at a time.
         """
         (rows, row_of), (cols, col_of) = (
             np.unique(np.array([self.g.idx(x) for x in xs], dtype=np.int64), return_inverse=True)
@@ -374,33 +379,72 @@ class SimilarityRows:
                 hit = col >= 0
                 out[first + np.searchsorted(src, sources[hit]), col[hit]] = scores[hit]
             else:
-                best = self._subsumers(src, cols)
-                out[first : first + len(src)] = self._scores(src[:, None], cols, best[cols].T)
+                out[first : first + len(src)] = self.table(src, cols).T
         return out[row_of][:, col_of]
 
-    def _subsumers(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    def table(self, sources: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
+        """wup/jcn: raw scores of targets x sources, shape (len(targets),
+        len(sources)), one column per source as in _subsumers; every node
+        is a target when `targets` is None (full wup/jcn dataset builds,
+        one-vs-all queries as one source). A pair without a common
+        subsumer, so every pair in another component, scores NaN, where
+        pair_similarity reports 0.0. No traversal: the subsumer DP alone,
+        then _scores, whose formulas are symmetric in the two ends.
+        """
+        best = self._subsumers(sources, targets)
+        if targets is None:
+            return self._scores(np.arange(self.g.n)[:, None], sources, best)
+        return self._scores(targets[:, None], sources, best[targets])
+
+    def _subsumers(self, sources: np.ndarray, targets: np.ndarray | None) -> np.ndarray:
         """Key rank of the deepest common subsumer of sources[j] and node
         t as best[t, j], -1 where there is none. Exact at `targets` and
-        their ancestors.
+        their ancestors, or at every node when `targets` is None.
 
-        best starts at each source's reflexive ancestors, seeded from
-        g.ancestors. A downward pass over the schedule's parent edges marks
-        the ancestor closure of `targets`; the DP then folds each level's
-        marked edges upward with np.maximum.at, parents before children.
+        best starts at _seed: by the bit pass for a full block of BLOCK
+        sources with every node a target, where it measured faster, and
+        from g.ancestors for fewer sources or given targets, where it did.
+        A downward pass over the schedule marks the ancestor closure of
+        `targets`; the DP then folds each level's marked edges (every edge
+        when `targets` is None) upward with np.maximum.at, parents before
+        children.
         """
-        best = np.full((self.g.n, len(sources)), -1, dtype=np.int64)
+        best = self._seed(sources, bits=targets is None and len(sources) == BLOCK)
+        levels = self._schedule
+        if targets is not None:
+            # a node's best depends only on lower levels: stop at the deepest target
+            levels = levels[: self._level[targets].max(initial=0)]
+            marked = np.zeros(self.g.n, dtype=bool)
+            marked[targets] = True
+            for children, parents in reversed(levels):
+                marked[parents[marked[children]]] = True
+        for children, parents in levels:
+            if targets is not None:
+                hit = marked[children]
+                children, parents = children[hit], parents[hit]
+            np.maximum.at(best, children, best[parents])
+        return best
+
+    def _seed(self, sources: np.ndarray, bits: bool) -> np.ndarray:
+        """Each source's reflexive ancestors a at their key rank, best[a, j]
+        for sources[j], and -1 elsewhere. With `bits`, one upward pass of
+        uint64 words over the schedule's parent edges finds them, bit j for
+        sources[j] (at most BLOCK sources); without, g.ancestors does, one
+        Python set per source."""
+        n = self.g.n
+        best = np.full((n, len(sources)), -1, dtype=np.int64)
+        if bits:
+            words = np.zeros(n, dtype=np.uint64)
+            words[sources] = np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64))
+            for children, parents in reversed(self._schedule):
+                np.bitwise_or.at(words, parents, words[children])
+            packed = words.astype("<u8", copy=False).view(np.uint8).reshape(n, 8)
+            found = np.unpackbits(packed, axis=1, bitorder="little")[:, : len(sources)]  # bit j in column j
+            np.copyto(best, self._rank[:, None], where=found.view(bool))
+            return best
         for j, s in enumerate(sources.tolist()):
             anc = np.fromiter(self.g.ancestors(s), dtype=np.int64)
             best[anc, j] = self._rank[anc]
-        # a node's best depends only on lower levels: stop at the deepest target
-        levels = self._schedule[: self._level[targets].max(initial=0)]
-        marked = np.zeros(self.g.n, dtype=bool)
-        marked[targets] = True
-        for children, parents in reversed(levels):
-            marked[parents[marked[children]]] = True
-        for children, parents in levels:
-            hit = marked[children]
-            np.maximum.at(best, children[hit], best[parents[hit]])
         return best
 
     def _scores(self, src: np.ndarray, targets: np.ndarray, key: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Graph-centrality word sense disambiguation.
 
-Every candidate sense of every token in a sentence becomes a node; edges
-connect candidates of different tokens whenever a scorer rates the pair
-strictly above a threshold. Each token then takes its candidate with the
-highest weighted degree (sum of incident edge weights); ties, including
-the no-edges case, fall back to the first listed candidate, which is the
-most frequent sense when lists are frequency-ordered.
+Every candidate sense of every token in a sentence becomes a node (a
+sense listed twice for one token is one node); edges connect candidates
+of different tokens whenever a scorer rates the pair strictly above a
+threshold. Each token then takes its candidate with the highest weighted
+degree (sum of incident edge weights); ties, including the no-edges
+case, fall back to the first listed candidate, which is the most
+frequent sense when lists are frequency-ordered.
 
 Scoring and thresholding are separate steps: score_sentence takes one
 `grid(us, vs)` of the scorer (see evaluation) over a sentence's candidates
@@ -63,13 +64,14 @@ class WsdConfig:
             )
 
 
-GraphNode = tuple[int, str]  # (token index, candidate id); same id may recur per token
+GraphNode = tuple[int, str]  # (token index, candidate id); a candidate listed twice for a token is one node
 
 
 @dataclass
 class SentenceScores:
-    """A sentence's scored cross-token pairs: `pairs` index `nodes` in (token a,
-    token b, candidate of a, candidate of b) order with a before b."""
+    """A sentence's scored cross-token pairs: `pairs` index the distinct
+    `nodes` in (token a, token b, candidate of a, candidate of b) order
+    with a before b."""
 
     nodes: list[GraphNode]
     pairs: np.ndarray
@@ -78,7 +80,7 @@ class SentenceScores:
 
     def degrees(self, threshold: float) -> dict[GraphNode, float]:
         """Each node's sum of the weights strictly above `threshold`, summed
-        in pair order; a node listed twice is one key."""
+        in pair order."""
         degree = dict.fromkeys(self.nodes, 0.0)
         keep = self.weights > threshold
         for (a, b), w in zip(self.pairs[keep].tolist(), self.weights[keep].tolist()):
@@ -91,10 +93,12 @@ def score_sentence(
     inst: SentenceInstance, scorer: MeasureScorer | ModelScorer
 ) -> SentenceScores:
     """One scorer grid over the sentence's known candidates; a pair with a
-    candidate the scorer does not have is left out and counted as skipped."""
-    slots = [tok for tok in inst.tokens if tok.candidates]
-    nodes = [(tok.index, cand) for tok in slots for cand in tok.candidates]
-    slot = np.repeat(np.arange(len(slots)), [len(tok.candidates) for tok in slots])
+    candidate the scorer does not have is left out and counted as skipped.
+    A candidate listed twice for one token is scored once, at its first
+    place, so the listing cannot weigh a partner's degree."""
+    slots = [(tok.index, dict.fromkeys(tok.candidates)) for tok in inst.tokens if tok.candidates]
+    nodes = [(index, cand) for index, cands in slots for cand in cands]
+    slot = np.repeat(np.arange(len(slots)), [len(cands) for _, cands in slots])
     known = list(dict.fromkeys(cand for _, cand in nodes if scorer.has(cand)))
     col = {cand: k for k, cand in enumerate(known)}
     pos = np.array([col.get(cand, -1) for _, cand in nodes], dtype=np.int64)

@@ -101,11 +101,14 @@ def wsd_degree_oracle(tokens, weight, threshold):
     """Degrees, picks and skipped count of a sentence by nested loops.
 
     `tokens` are (token index, candidates); `weight(u, v)` is a pair's score
-    or None when the scorer lacks an end. Token pairs a before b in listed
-    order, then each candidate of a and of b in listed order: a weight
-    strictly above `threshold` adds to the (index, candidate) degree of a,
-    then of b. Each token then picks the first candidate of highest degree.
+    or None when the scorer lacks an end. A candidate listed twice for one
+    token counts once, at its first place. Token pairs a before b in listed
+    order, then each distinct candidate of a and of b in listed order: a
+    weight strictly above `threshold` adds to the (index, candidate) degree
+    of a, then of b. Each token then picks the first candidate of highest
+    degree.
     """
+    tokens = [(index, list(dict.fromkeys(cands))) for index, cands in tokens]
     degree = {}
     for index, cands in tokens:
         for cand in cands:

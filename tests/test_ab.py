@@ -1,7 +1,7 @@
 """tools/ab.py with the working tree's package on both sides: one round of
 one build case and one train case, so an API change in src/ that breaks
-the harness fails here; a large jcn build in child processes; and the
-harness's own refusals."""
+the harness fails here; a large jcn build in child processes, in full
+and fast mode; and the harness's own refusals."""
 
 from __future__ import annotations
 
@@ -36,12 +36,22 @@ def test_one_round_of_a_build_and_a_train_case_is_byte_identical(ab, tmp_path, c
 
 
 def test_large_jcn_build_reads_the_counts_written_beside_the_graph(ab, tmp_path, capsys):
-    ab.large({"base": ROOT / "src", "change": ROOT / "src"}, 60, 5, "jcn", tmp_path)
-    out = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in out] == ["60 nodes, full jcn, base", "60 nodes, full jcn, change",
-                                                     "60 nodes, full jcn"]
-    assert out[2] == "60 nodes, full jcn: pairs files byte-identical"
+    for mode in ab.MODES:
+        ab.large({"base": ROOT / "src", "change": ROOT / "src"}, 60, 5, "jcn", tmp_path, mode)
+        out = capsys.readouterr().out.splitlines()
+        label = f"60 nodes, {mode} jcn"
+        assert [line.split(":")[0] for line in out] == [f"{label}, base", f"{label}, change", label]
+        assert out[2] == f"{label}: pairs files byte-identical"
     assert (tmp_path / "dag-60-5-counts.tsv").exists()
+
+
+def test_a_large_build_takes_its_mode_from_the_command_line(ab, monkeypatch):
+    runs = []
+    monkeypatch.setattr(ab, "large", lambda roots, *args: runs.append((list(roots), *args)))
+    monkeypatch.setattr(sys, "argv", ["ab.py", "build", "--nodes", "60", "--measure", "wup", "--mode", "fast"])
+    ab.main()
+    (names, nodes, seed, measure, _, mode), = runs
+    assert (names, nodes, seed, measure, mode) == (["HEAD", "working tree"], 60, 5, "wup", "fast")
 
 
 def test_a_failed_child_is_one_line_naming_its_error(ab, tmp_path):

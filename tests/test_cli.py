@@ -393,6 +393,19 @@ class TestEvalSim:
         assert "candidates.tsv:9: lemma 'cup' repeats candidates.tsv:1" in capsys.readouterr().err
         assert not (workdir / "report.tsv").exists()
 
+    def test_repeated_lemma_pair_is_a_data_error(self, workdir, capsys):
+        self.setup_files(workdir)
+        with open(workdir / "lemma_pairs.tsv", "a") as fh:
+            fh.write("mug\tcup\t3.0\n")
+        code = main(
+            ["eval-sim", "--graph", "tree.tsv", "--pairs", "lemma_pairs.tsv",
+             "--candidates", "candidates.tsv", "--measure", "shp",
+             "--scorer", "measure", "--report", "report.tsv"]
+        )
+        assert code == 2
+        assert "lemma_pairs.tsv:5: lemma pair ('mug', 'cup') repeats lemma_pairs.tsv:1" in capsys.readouterr().err
+        assert not (workdir / "report.tsv").exists()
+
     def test_normalized_measure_scorer(self, workdir, capsys):
         self.setup_files(workdir)
         main(["similarities", "--graph", "tree.tsv", "--measure", "shp",

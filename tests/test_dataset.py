@@ -425,10 +425,10 @@ def test_pairs_keep_the_dataset_invariants(g, measure, mode, k, threshold, seed)
         assert v in tops[u] or u in tops[v]
 
 
-def build_outcome(g, cfg):
+def build_outcome(g, cfg, ic_table=None):
     """The pairs, header and counts of a build, or the type and message of its data error."""
     try:
-        b = (build_full if cfg.mode == "full" else build_fast)(g, cfg)
+        b = (build_full if cfg.mode == "full" else build_fast)(g, cfg, ic_table=ic_table)
     except DataError as e:
         return type(e), str(e)
     return b.pairs.i.tobytes(), b.pairs.j.tobytes(), b.pairs.s.tobytes(), b.header(), b.candidate_count, b.threshold_kept
@@ -443,8 +443,9 @@ def build_outcome(g, cfg):
     data=st.data(),
 )
 def test_level_selection_matches_block_selection(g, measure, mode, k, data):
-    # the reference is the wup/jcn path: SimilarityRows.block's scored
-    # triples through _select_block, block by block
+    # the reference is the fast wup/jcn path: SimilarityRows.block's scored
+    # triples through _select_block, block by block; with LEVEL_MEASURES
+    # emptied, a whole shp/lch build takes that path in both modes
     rows = SimilarityRows(g, measure)
     score = rows.path_score
     at = score(data.draw(st.integers(0, g.n), label="distance"))
@@ -476,6 +477,46 @@ def test_level_selection_matches_block_selection(g, measure, mode, k, data):
     assert got == want
     if threshold > score(1):
         assert want == (EmptyDatasetError, f"no pairs survive threshold {threshold!r} for measure {measure!r}")
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    g=st.one_of(graphs, block_graphs()),
+    measure=st.sampled_from(["wup", "jcn"]),
+    k=st.sampled_from([1, 50, None]),  # None: k = n
+    data=st.data(),
+)
+def test_table_selection_matches_block_selection(g, measure, k, data):
+    # the reference is SimilarityRows.block's scored triples over each
+    # source's whole reach through _select_block, block by block
+    rng = np.random.default_rng(data.draw(st.integers(0, 3), label="counts"))
+    raw = [float(x) for x in rng.integers(0, 3, size=g.n)]
+    raw[0] += 1.0  # zero counts too: infinite IC ends score 0.0, collapsed distances +inf
+    table = propagate_counts(g, raw)
+    rows = SimilarityRows(g, measure, ic_table=table)
+    grid = rows.grid(g.ids, g.ids)
+    u, v = (data.draw(st.integers(0, g.n - 1), label=end) for end in ("u", "v"))
+    at = 0.0 if np.isnan(grid[u, v]) else float(grid[u, v])
+    threshold = data.draw(st.sampled_from([
+        at, math.nextafter(at, math.inf), math.nextafter(at, -math.inf), 0.0, -math.inf,
+        math.nextafter(grid[np.isfinite(grid)].max(initial=0.0), math.inf),  # above every finite score
+    ]), label="threshold")
+    cfg = DatasetConfig(measure, threshold, g.n if k is None else k, "full", seed=3)
+    top_k = min(cfg.top_k, g.n)
+    for first in range(0, g.n, BLOCK):
+        sources = np.arange(first, min(first + BLOCK, g.n))
+        got = dataset._select_table(rows, sources, threshold, top_k)
+        want = dataset._select_block(rows.block(sources), g.n, threshold, top_k)
+        got_order, want_order = np.argsort(got[0], kind="stable"), np.argsort(want[0], kind="stable")
+        assert got[0][got_order].tobytes() == want[0][want_order].tobytes()
+        assert got[1][got_order].tobytes() == want[1][want_order].tobytes()
+        assert got[2:] == want[2:]  # reached and kept, from both ends
+    # the pairs, header and counts of the whole build, also where it raises
+    got = build_outcome(g, cfg, table)
+    block = lambda rows, sources, t, k: dataset._select_block(rows.block(sources), rows.g.n, t, k)  # noqa: E731
+    with mock.patch.object(dataset, "_select_table", block):
+        want = build_outcome(g, cfg, table)
+    assert got == want
 
 
 @settings(max_examples=100, deadline=None, database=None)

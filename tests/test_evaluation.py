@@ -131,6 +131,15 @@ class TestLoaders:
         with pytest.raises(RecordError, match=rf"^{re.escape(str(p))}:4: lemma 'x' repeats {re.escape(str(p))}:1$"):
             load_candidates(p)
 
+    def test_repeated_lemma_pair_names_the_earlier_line(self, tmp_path):
+        p = tmp_path / "pairs.tsv"
+        for repeat in ("x\ty\t3.0", "y\tx\t1.0"):  # the same gold or another, in either order
+            p.write_text(f"x\ty\t1.0\n# comment\nx\tz\t2.0\n{repeat}\n")
+            u, v = repeat.split("\t")[:2]
+            at = re.escape(str(p))
+            with pytest.raises(RecordError, match=rf"^{at}:4: lemma pair \('{u}', '{v}'\) repeats {at}:1$"):
+                load_lemma_pairs(p)
+
     def test_make_records_excludes_unmapped(self):
         pairs = [("a", "b", 1.0), ("a", "zz", 2.0), ("ghost", "b", 3.0)]
         cands = {"a": ("n1",), "b": ("n2", "n3"), "ghost": ()}

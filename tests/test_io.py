@@ -406,10 +406,10 @@ def test_no_module_calls_the_single_source_bfs():
 
 
 def test_only_metrics_walks_ancestor_sets():
-    # the Python ancestor walk seeds _subsumers and serves propagate_counts and
-    # lcs_index; every other upward pass runs over g.schedule
+    # the Python ancestor walk seeds small subsumer DPs (_seed) and serves
+    # propagate_counts and lcs_index; every other upward pass runs over g.schedule
     found = calls_in_package({"ancestors"})
-    assert found.pop("metrics.py"), "the guard no longer sees the _subsumers seeds"
+    assert found.pop("metrics.py"), "the guard no longer sees the _seed walk"
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

@@ -314,3 +314,11 @@ class TestSimilarityRows:
             SimilarityRows(chain3, "jcn")
         with pytest.raises(ConfigError, match="unknown measure"):
             SimilarityRows(chain3, "cosine")
+
+
+@PROPERTY_SETTINGS
+@given(g=st.one_of(graphs, block_graphs()), count=st.sampled_from([1, 3, BLOCK]), data=st.data())
+def test_bit_pass_seed_equals_the_ancestor_sets(g, count, data):
+    sources = np.array(data.draw(st.permutations(range(g.n)), label="order")[:count], dtype=np.int64)
+    rows = SimilarityRows(g, "wup")
+    assert rows._seed(sources, bits=True).tobytes() == rows._seed(sources, bits=False).tobytes()

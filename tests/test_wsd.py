@@ -151,6 +151,16 @@ class TestSelectSenses:
             degree = score_sentence(inst, scorer).degrees(0.9)
             assert select_senses(degree, inst)[0] == order[0]
 
+    def test_a_candidate_listed_twice_counts_once(self):
+        # listed twice, A would count twice in B's degree: 1.2 against C's 1.0
+        scorer = StubScorer({("A", "B"): 0.6, ("C", "D"): 1.0})
+        for x in (("A",), ("A", "A")):
+            inst = sentence((0, "x", x, None), (1, "y", ("C", "B"), None), (2, "z", ("D",), None))
+            scores = score_sentence(inst, scorer)
+            assert scores.degrees(0.5) == {(0, "A"): 0.6, (1, "C"): 1.0, (1, "B"): 0.6, (2, "D"): 1.0}
+            assert len(scores.weights) == 5
+            assert disambiguate([inst], WsdConfig(scorer, threshold=0.5)) == ([{0: "A", 1: "C", 2: "D"}], 0)
+
 
 POOL = ("c0", "c1", "c2", "c3", "GONE")  # few ids, so they repeat within and across tokens
 

@@ -9,11 +9,12 @@ prints each side's median and quartiles and the rounds the working tree won.
 
 - `build`: pairs files for shp, lch, wup and jcn in full and fast mode on
   perfbench's `build` inputs, timed as build + write_pairs. With `--nodes
-  N --measure M`: one full build per side, each in a child process, on a
-  `gen.make_dag` graph of N nodes (seed: the first of --seeds), jcn with
-  the IC table of `gen.write_counts` counts written beside it, with its
-  seconds, peak RSS (ru_maxrss) and identity. A failed child is one line
-  naming its error (exit 1).
+  N --measure M [--mode {full,fast}]`: one build per side (full unless
+  --mode says fast), each in a child process, on a `gen.make_dag` graph
+  of N nodes (seed: the first of --seeds), jcn with the IC table of
+  `gen.write_counts` counts written beside it, with its seconds, peak RSS
+  (ru_maxrss) and identity. A failed child is one line naming its error
+  (exit 1).
 - `train`: saved embeddings of train() on perfbench's `train` inputs
   (d=300, float32, 2 epochs, with the dev set). With `--star`: time per
   batch on a star graph (one root, LEAVES leaves, every root-leaf pair at
@@ -21,6 +22,7 @@ prints each side's median and quartiles and the rounds the working tree won.
   entry, the worst case for a per-row gradient sum.
 
     python3 tools/ab.py build --rev HEAD --seeds 5 6 --pairs 10
+    python3 tools/ab.py build --rev HEAD --nodes 12000 --measure wup --mode fast
     python3 tools/ab.py train --rev HEAD --star --batch-sizes 100 1000
 
 Inputs go under a temporary directory unless --work names one.
@@ -187,29 +189,29 @@ def compare(sides: dict, cases, n_pairs: int, work: Path) -> dict[str, list[floa
     return totals
 
 
-def child(root: Path, graph: Path, counts: Path, measure: str, out: Path) -> tuple[float, float]:
-    """One full build + write_pairs with the package under `root`: its seconds and this process's peak RSS in MB.
+def child(root: Path, graph: Path, counts: Path, mode: str, measure: str, out: Path) -> tuple[float, float]:
+    """One build + write_pairs with the package under `root`: its seconds and this process's peak RSS in MB.
     An error is raised again as a RuntimeError, as the parent cannot unpickle the side package's classes."""
     try:
         pkg = package(root, "taxovec_side")
-        secs = build_once(pkg, load_build(graph, counts, "full", measure, pkg), out)
+        secs = build_once(pkg, load_build(graph, counts, mode, measure, pkg), out)
     except Exception as exc:
         raise RuntimeError(f"{type(exc).__name__}: {exc}") from None
     return secs, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def large(roots: dict[str, Path], nodes: int, seed: int, measure: str, work: Path) -> None:
+def large(roots: dict[str, Path], nodes: int, seed: int, measure: str, work: Path, mode: str = "full") -> None:
     graph, counts = work / f"dag-{nodes}-{seed}.tsv", work / f"dag-{nodes}-{seed}-counts.tsv"
     if not counts.exists():
         rng = np.random.default_rng(seed)
         gen.write_graph(graph, gen.make_dag(rng, nodes))
         gen.write_counts(counts, rng, nodes)
-    label, outs = f"{nodes} nodes, full {measure}", []
+    label, outs = f"{nodes} nodes, {mode} {measure}", []
     for k, (name, root) in enumerate(roots.items()):
         outs.append(work / f"large-{k}.tsv")
         try:
             with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-                secs, maxrss_mb = pool.submit(child, root, graph, counts, measure, outs[-1]).result()
+                secs, maxrss_mb = pool.submit(child, root, graph, counts, mode, measure, outs[-1]).result()
         except Exception as exc:  # the child's error, or its death (BrokenProcessPool)
             sys.exit(f"{label}, {name}: failed: {exc}")
         print(f"{label}, {name}: {secs:.2f} s, peak RSS {maxrss_mb:.0f} MB")
@@ -231,8 +233,9 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     stages = ap.add_subparsers(dest="stage", required=True)
     build = stages.add_parser("build", parents=[common], help="dataset builds")
-    build.add_argument("--nodes", type=int, help="one full build per side on a make_dag graph this large")
+    build.add_argument("--nodes", type=int, help="one build per side on a make_dag graph this large")
     build.add_argument("--measure", choices=MEASURES, default="shp", help="the measure of the --nodes build")
+    build.add_argument("--mode", choices=MODES, default="full", help="the mode of the --nodes build")
     train = stages.add_parser("train", parents=[common], help="train()")
     train.add_argument("--star", action="store_true", help="time a star graph instead")
     train.add_argument("--leaves", type=int, default=2000)
@@ -244,7 +247,7 @@ def main() -> None:
         work.mkdir(parents=True, exist_ok=True)
         roots = {args.rev: extract(args.rev, Path(tmp) / "rev"), "working tree": ROOT / "src"}
         if args.stage == "build" and args.nodes:
-            large(roots, args.nodes, args.seeds[0], args.measure, work)
+            large(roots, args.nodes, args.seeds[0], args.measure, work, args.mode)
             return
         sides = {name: package(root, f"taxovec_side{k}") for k, (name, root) in enumerate(roots.items())}
         if args.stage == "build":
