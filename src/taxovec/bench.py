@@ -27,9 +27,10 @@ TIMER_FLOOR_S = 100e-6
 def one_vs_all_graph(g: TaxonomyGraph, measure: str, v: str, *, ic_table: InformationContentTable | None = None) -> np.ndarray:
     """Raw measure similarity of `v` to every node, self included.
 
-    shp/lch score a one-source SimilarityRows.block, one traversal over
-    the nodes `v` reaches, scattered into a dense row; wup/jcn read a
-    one-source SimilarityRows.table, the subsumer DP without a traversal.
+    shp/lch walk the one-source SimilarityRows.levels, one traversal over
+    the nodes `v` reaches, and give each level's nodes the score of its
+    distance in a zero row; wup/jcn read a one-source
+    SimilarityRows.table, the subsumer DP without a traversal.
     Matches the per-pair measure functions elementwise; unreachable nodes
     (or pairs without a common subsumer) score 0. JCN keeps its infinity
     sentinel for zero-distance pairs.
@@ -43,9 +44,9 @@ def _dense_row(rows: SimilarityRows, v: str) -> np.ndarray:
         out = rows.table(source)[:, 0]
         out[np.isnan(out)] = 0.0  # no common subsumer
         return out
-    _, targets, sims = rows.block(source)
     out = np.zeros(rows.g.n)
-    out[targets] = sims
+    for dist, (nodes, _) in enumerate(rows.levels(source)):
+        out[nodes] = rows.path_score(dist)
     return out
 
 
@@ -117,6 +118,8 @@ def run_benchmark(
     """
     if repeats < 5:
         raise ConfigError(f"repeats must be >= 5, got {repeats}")
+    if topk < 1:
+        raise ConfigError(f"topk must be >= 1, got {topk}")
     if not queries:
         raise ConfigError("need at least one query node")
     if not methods:

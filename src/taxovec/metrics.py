@@ -10,11 +10,11 @@ pair_similarity scores one pair; it and its scalar helpers are the
 per-pair reference. SimilarityRows scores many pairs with the same values:
 block() scores up to BLOCK sources against every node they reach in one
 traversal, the bit-parallel BFS of levels(), which shp/lch dataset builds
-also read directly; table() scores wup/jcn sources against every node (or
-given targets) by the subsumer DP alone; and grid() scores every pair of
-two id lists through block() for shp/lch and table() for wup/jcn. Every
-shape goes through one score function per measure; the measures read
-g.depths.
+and one-vs-all rows also read directly; table() scores wup/jcn sources
+against every node (or given targets) by the subsumer DP alone; and grid()
+scores every pair of two id lists through block() for shp/lch and table()
+for wup/jcn. Every shape goes through one score function per measure; the
+measures read g.depths.
 """
 
 from __future__ import annotations
@@ -208,12 +208,12 @@ class SimilarityRows:
 
     - levels(sources, max_dist): the breadth-first levels of up to BLOCK
       sources, by one bit-parallel BFS with one uint64 word per node and
-      bit j for the j-th source (Then et al., VLDB 2014); the only
-      traversal, read directly by shp/lch dataset builds;
+      bit j for the j-th source (Then et al., VLDB 2014), or by a bool
+      frontier for one source; the only traversal, read directly by
+      shp/lch dataset builds and shp/lch one-vs-all queries;
     - block(sources, max_dist): those sources against every node they
       reach, unpacked from levels() (fast wup/jcn dataset builds, whose
-      two-edge reach is sparse, grid() and one-vs-all queries for
-      shp/lch);
+      two-edge reach is sparse, and grid() for shp/lch);
     - table(sources, targets): wup/jcn only, those sources against every
       node, or against `targets`, as one dense table from the subsumer DP
       alone, without a traversal (full wup/jcn dataset builds, one-vs-all
@@ -277,7 +277,9 @@ class SimilarityRows:
         words over the frontier's CSR slices only, masks the result with
         `unseen` and keeps the nonzero words as the next frontier: about a
         dozen numpy calls, the frontier's edges and a few scans of n words
-        (Then et al., VLDB 2014).
+        (Then et al., VLDB 2014). One source (one-vs-all rows, a grid or
+        block of one id) walks with n bools instead, _source_levels, as
+        its words are all 1: no repeat, OR scatter or word scans.
         """
         offsets, flat = self.g.csr
         n = self.g.n
@@ -292,6 +294,9 @@ class SimilarityRows:
                 f"a block takes at most {BLOCK} distinct node indices in [0, {n}), got "
                 f"{len(src)} sources, {len(np.unique(src))} distinct, from {ordered[0]} to {ordered[-1]}"
             )
+        if len(src) == 1:
+            yield from self._source_levels(src, max_dist)
+            return
         frontier = src
         words = np.left_shift(np.uint64(1), np.arange(len(src), dtype=np.uint64))
         unseen = np.full(n, (1 << len(src)) - 1, dtype=np.uint64)
@@ -313,6 +318,27 @@ class SimilarityRows:
             reach[frontier] = 0
             unseen[frontier] ^= words
 
+    def _source_levels(self, src: np.ndarray, max_dist: int | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """levels() of one source: every word is 1, so bool arrays stand in
+        for the words, a neighbour is marked by assignment, and each level
+        gets fresh words of ones."""
+        offsets, flat = self.g.csr
+        frontier = src
+        unseen = np.ones(self.g.n, dtype=bool)
+        unseen[src] = False
+        reach = np.zeros(self.g.n, dtype=bool)  # work array, all False between levels
+        for level in itertools.count():
+            yield frontier, np.ones(len(frontier), dtype=np.uint64)
+            if level == max_dist:
+                return
+            reach[flat[spans(offsets[frontier], self._degree[frontier])]] = True
+            reach &= unseen
+            frontier = np.flatnonzero(reach)
+            if not len(frontier):
+                return
+            reach[frontier] = False
+            unseen[frontier] = False
+
     def block(
         self, sources: np.ndarray, max_dist: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,7 +359,8 @@ class SimilarityRows:
         reached pairs are materialised, so a fast-mode block costs its
         reach, not BLOCK x n; a full-reach block costs BLOCK x its
         component. shp/lch dataset builds read their pairs from levels()
-        instead, and full wup/jcn builds from table().
+        instead, as do shp/lch one-vs-all rows, and full wup/jcn builds
+        read table().
         """
         src = np.asarray(sources, dtype=np.int64)
         held, parts = [], []  # levels not yet unpacked, and (targets, columns, sizes) of those that were
@@ -476,7 +503,7 @@ def unpack(held: list[tuple[np.ndarray, np.ndarray]], sources: int) -> tuple[np.
     """(targets, columns, sizes) of the set bits of BFS levels held as
     (nodes, words), for a block of `sources` sources: only the low 1, 2,
     4 or 8 bytes of each word are unpacked, as the block has up to 8, 16,
-    32 or 64 sources, in one unpackbits, so a one-source query unpacks 8
+    32 or 64 sources, in one unpackbits, so a one-source block unpacks 8
     bits per reached node. Bits run by level, node order within it, then
     bit; sizes counts the bits of each level."""
     width = next((w for w in (1, 2, 4) if sources <= 8 * w), 8)  # bytes unpacked per word

@@ -1,12 +1,14 @@
 """tools/ab.py with the working tree's package on both sides: one round of
-one build case and one train case, so an API change in src/ that breaks
-the harness fails here; a large jcn build in child processes, in full
-and fast mode; and the harness's own refusals."""
+one build case and one train case, and of the rows stage, so an API change
+in src/ that breaks the harness fails here; a large jcn build in child
+processes, in full and fast mode, and the alternation of its rounds; and
+the harness's own refusals."""
 
 from __future__ import annotations
 
 import importlib.util
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -40,18 +42,70 @@ def test_large_jcn_build_reads_the_counts_written_beside_the_graph(ab, tmp_path,
         ab.large({"base": ROOT / "src", "change": ROOT / "src"}, 60, 5, "jcn", tmp_path, mode)
         out = capsys.readouterr().out.splitlines()
         label = f"60 nodes, {mode} jcn"
-        assert [line.split(":")[0] for line in out] == [f"{label}, base", f"{label}, change", label]
-        assert out[2] == f"{label}: pairs files byte-identical"
+        assert [line.split(":")[0] for line in out] == [
+            label, *(f"{label} {name}" for name in ("base", "change", "base", "change")), out[5].split(":")[0]]
+        assert out[0] == f"{label}: pairs files byte-identical"
+        assert out[1].startswith(f"{label} base: peak RSS ") and out[1].endswith(" MB")
+        assert out[3].startswith(f"{label} base: median ") and " s, quartiles " in out[3]
+        assert out[5].startswith(f"{label} change won ") and out[5].endswith(" against base")
     assert (tmp_path / "dag-60-5-counts.tsv").exists()
 
 
 def test_a_large_build_takes_its_mode_from_the_command_line(ab, monkeypatch):
     runs = []
     monkeypatch.setattr(ab, "large", lambda roots, *args: runs.append((list(roots), *args)))
-    monkeypatch.setattr(sys, "argv", ["ab.py", "build", "--nodes", "60", "--measure", "wup", "--mode", "fast"])
+    monkeypatch.setattr(sys, "argv", ["ab.py", "build", "--nodes", "60", "--measure", "wup", "--mode", "fast",
+                                      "--pairs", "3"])
     ab.main()
-    (names, nodes, seed, measure, _, mode), = runs
-    assert (names, nodes, seed, measure, mode) == (["HEAD", "working tree"], 60, 5, "wup", "fast")
+    (names, nodes, seed, measure, _, mode, pairs), = runs
+    assert (names, nodes, seed, measure, mode, pairs) == (["HEAD", "working tree"], 60, 5, "wup", "fast", 3)
+
+
+def test_large_build_rounds_alternate_which_side_goes_first(ab, monkeypatch, tmp_path, capsys):
+    ran = []
+
+    class Inline:  # stands in for the child process: records the side and writes its output
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, root, graph, counts, mode, measure, out):
+            ran.append(out.name)
+            out.write_text("same pairs\n")
+            done = Future()
+            done.set_result((1.0 + len(ran), 40.0 + len(ran)))  # seconds, peak RSS in MB
+            return done
+
+    monkeypatch.setattr(ab, "ProcessPoolExecutor", Inline)
+    ab.large({"base": ROOT / "src", "change": ROOT / "src"}, 60, 5, "shp", tmp_path, n_pairs=3)
+    assert ran == ["large-0.tsv", "large-1.tsv", "large-1.tsv", "large-0.tsv", "large-0.tsv", "large-1.tsv"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [
+        "60 nodes, full shp: pairs files byte-identical",
+        "60 nodes, full shp base: peak RSS 45 MB",  # the largest of its rounds
+        "60 nodes, full shp change: peak RSS 46 MB",
+    ]
+    assert out[3] == "60 nodes, full shp base: median 5 s, quartiles 3.5-5.5"  # rounds of 2, 5 and 6 s
+    assert out[5] == "60 nodes, full shp change won 1/3 pairs, median -20.0% against base"  # 3, 4 and 7 s
+
+
+def test_one_round_of_the_rows_stage_is_byte_identical(ab, tmp_path, capsys):
+    sides = {name: ab.package(ROOT / "src", f"taxovec_ab_rows_{name}") for name in ("base", "change")}
+    totals = ab.compare(sides, ab.rows_cases([5], tmp_path, 300), 1, tmp_path)
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "identical" in line] == [
+        "seed 5 shp rows: rows byte-identical",
+        "seed 5 lch rows: rows byte-identical",
+        "seed 5 3x3 grids: grids byte-identical",
+    ]
+    assert out[3].startswith("seed 5 shp rows change won ") and out[3].endswith(" against base")
+    assert len(out) == 12 and all(len(xs) == 1 for xs in totals.values())
+    assert (tmp_path / "side0.out").stat().st_size == 2 * 9 * 8  # the last case: two 3x3 float64 grids
 
 
 def test_a_failed_child_is_one_line_naming_its_error(ab, tmp_path):

@@ -147,6 +147,13 @@ class TestRunBenchmark:
                 chain3, "shp", None, queries=["a"], repeats=5, methods=("dot",)
             )
 
+    @pytest.mark.parametrize("topk", [0, -2])
+    def test_a_top_k_below_one_is_a_config_error(self, chain3, topk):
+        # 0 used to divide by zero in the overlap, and -2 to report an overlap of -0.5
+        m = self.model_for(chain3, d=2)
+        with pytest.raises(ConfigError, match=f"topk must be >= 1, got {topk}"):
+            run_benchmark(chain3, "shp", m, queries=["a"], repeats=5, topk=topk)
+
     def test_dot_time_roughly_independent_of_graph_size(self):
         # a coarse sanity check: per-query dot time should scale with the
         # matrix, not with graph traversal work, so doubling d should not

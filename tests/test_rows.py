@@ -11,6 +11,7 @@ of a partial last block all occur.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxovec import metrics
+from taxovec.bench import one_vs_all_graph
 from taxovec.errors import ConfigError
 from taxovec.graph import TaxonomyGraph
 from taxovec.metrics import (
@@ -238,6 +240,36 @@ def test_block_unpacks_at_most_n_words_per_call(monkeypatch):
             assert len(got_src) == len(sources) * n
             assert len(set(zip(got_src.tolist(), got_tgt.tolist()))) == len(sources) * n
             assert sum(words) > 2 * n and max(words) <= n
+
+
+@PROPERTY_SETTINGS
+@given(g=st.one_of(graphs, block_graphs()), data=st.data())
+def test_one_source_levels_equal_its_bit_of_a_block(g, data):
+    # the bool walk of one source against that source's bit column of a
+    # bit-parallel walk of 2 to BLOCK sources, and the one-vs-all rows it
+    # serves against Floyd-Warshall; every word is written to as it comes,
+    # as a consumer may, and no walk may pass n levels
+    order = np.array(data.draw(st.permutations(range(g.n)), label="order"), dtype=np.int64)
+    rows = SimilarityRows(g, "shp")
+    for block in np.array_split(order, -(-g.n // BLOCK)):  # every part has 2 to BLOCK sources when n >= 2
+        for max_dist in (0, 1, 2, None):
+            multi = list(itertools.islice(rows.levels(block, max_dist), g.n + 1))
+            for j, s in enumerate(block.tolist()):
+                want = [nodes[(words >> np.uint64(j)) & np.uint64(1) == 1].tolist() for nodes, words in multi]
+                while not want[-1]:  # levels where only the other sources reach new nodes
+                    want.pop()
+                got = []
+                for nodes, words in itertools.islice(rows.levels(np.array([s]), max_dist), g.n + 1):
+                    assert words.dtype == np.uint64 and words.tolist() == [1] * len(nodes)
+                    assert words.flags.writeable and words.view(np.uint8).size == 8 * len(nodes)
+                    words[:] = 0
+                    got.append(nodes.tolist())
+                assert got == want
+    dist = distances(g)
+    for measure in ("shp", "lch"):
+        want = np.nan_to_num(oracle_scores(g, measure, None, dist), nan=0.0)
+        for s in range(g.n):
+            assert one_vs_all_graph(g, measure, g.ids[s]).tolist() == want[s].tolist()
 
 
 class TestBlockSources:

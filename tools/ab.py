@@ -9,12 +9,15 @@ prints each side's median and quartiles and the rounds the working tree won.
 
 - `build`: pairs files for shp, lch, wup and jcn in full and fast mode on
   perfbench's `build` inputs, timed as build + write_pairs. With `--nodes
-  N --measure M [--mode {full,fast}]`: one build per side (full unless
-  --mode says fast), each in a child process, on a `gen.make_dag` graph
-  of N nodes (seed: the first of --seeds), jcn with the IC table of
-  `gen.write_counts` counts written beside it, with its seconds, peak RSS
-  (ru_maxrss) and identity. A failed child is one line naming its error
-  (exit 1).
+  N --measure M [--mode {full,fast}]`: one build per side and round (full
+  unless --mode says fast), each in a child process, on a `gen.make_dag`
+  graph of N nodes (seed: the first of --seeds), jcn with the IC table of
+  `gen.write_counts` counts written beside it; the identity is checked
+  after the first round, and each side's peak RSS (ru_maxrss) is printed
+  with the times. A failed child is one line naming its error (exit 1).
+- `rows`: one-vs-all shp and lch rows (`one_vs_all_graph`) of ROW_QUERIES
+  fixed nodes, and one 3x3 shp and lch `grid`, on perfbench's `query`
+  graph, or with `--nodes N` on a `gen.make_dag` graph of N nodes.
 - `train`: saved embeddings of train() on perfbench's `train` inputs
   (d=300, float32, 2 epochs, with the dev set). With `--star`: time per
   batch on a star graph (one root, LEAVES leaves, every root-leaf pair at
@@ -22,7 +25,8 @@ prints each side's median and quartiles and the rounds the working tree won.
   entry, the worst case for a per-row gradient sum.
 
     python3 tools/ab.py build --rev HEAD --seeds 5 6 --pairs 10
-    python3 tools/ab.py build --rev HEAD --nodes 12000 --measure wup --mode fast
+    python3 tools/ab.py build --rev HEAD --nodes 12000 --measure wup --mode fast --pairs 5
+    python3 tools/ab.py rows --rev HEAD --seeds 7 11
     python3 tools/ab.py train --rev HEAD --star --batch-sizes 100 1000
 
 Inputs go under a temporary directory unless --work names one.
@@ -59,6 +63,8 @@ MODES = ("full", "fast")
 TRAIN_DIM = 300  # as perfbench's train workload
 TRAIN_EPOCHS = 2
 STAR_NEGATIVES = 3  # per side, the trainer's default: each pair makes 1 + 2 * 3 entries
+ROW_MEASURES = ("shp", "lch")
+ROW_QUERIES = 20  # one-vs-all rows per round; the first six nodes also make the 3x3 grid
 
 
 def package(root: Path, name: str):
@@ -69,7 +75,7 @@ def package(root: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
-    for sub in ("dataset", "graph", "metrics", "trainer"):
+    for sub in ("bench", "dataset", "graph", "metrics", "trainer"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -148,6 +154,57 @@ def star_cases(leaves: int, batch_sizes: list[int], seed: int):
         yield f"star {leaves} leaves, batch {size}", load, train_once, "saved embeddings", 1e3 / batches, "ms per batch"
 
 
+def dag(work: Path, nodes: int, seed: int) -> tuple[Path, Path]:
+    """A `gen.make_dag` graph of `nodes` nodes from `seed` and its `gen.write_counts` counts, written once."""
+    graph, counts = work / f"dag-{nodes}-{seed}.tsv", work / f"dag-{nodes}-{seed}-counts.tsv"
+    if not counts.exists():
+        rng = np.random.default_rng(seed)
+        gen.write_graph(graph, gen.make_dag(rng, nodes))
+        gen.write_counts(counts, rng, nodes)
+    return graph, counts
+
+
+def load_rows(graph: Path, seed: int, pkg):
+    g = pkg.graph.load_edge_list(graph)
+    picks = np.random.default_rng(seed).choice(g.n, size=min(ROW_QUERIES, g.n), replace=False)
+    return g, [g.ids[i] for i in picks.tolist()]
+
+
+def rows_once(measure: str, pkg, inputs, out: Path) -> float:
+    """Seconds of one one-vs-all row per query; the rows are written to out, untimed."""
+    g, queries = inputs
+    t0 = time.perf_counter()
+    rows = [pkg.bench.one_vs_all_graph(g, measure, q) for q in queries]
+    secs = time.perf_counter() - t0
+    out.write_bytes(np.stack(rows).tobytes())
+    return secs
+
+
+def grid_once(pkg, inputs, out: Path) -> float:
+    """Seconds of the shp and lch grids of the first three queries against the next three."""
+    g, queries = inputs
+    t0 = time.perf_counter()
+    grids = [pkg.metrics.SimilarityRows(g, m).grid(queries[:3], queries[3:6]) for m in ROW_MEASURES]
+    secs = time.perf_counter() - t0
+    out.write_bytes(np.stack(grids).tobytes())
+    return secs
+
+
+def rows_cases(seeds: list[int], work: Path, nodes: int | None):
+    for seed in seeds:
+        if nodes:
+            graph = dag(work, nodes, seed)[0]
+        else:
+            inputs = work / f"query-{seed}"
+            gen.generate("query", seed, inputs)
+            graph = inputs / "graph.tsv"
+        load = functools.partial(load_rows, graph, seed)
+        for measure in ROW_MEASURES:
+            run = functools.partial(rows_once, measure)
+            yield f"seed {seed} {measure} rows", load, run, "rows", 1e3 / ROW_QUERIES, "ms per row"
+        yield f"seed {seed} 3x3 grids", load, grid_once, "grids", 1e3, "ms per shp and lch grid"
+
+
 def check_identical(label: str, output: str, paths: list[Path]) -> None:
     """Print whether the files hold the same bytes; exit 1 when they differ."""
     same = len({hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}) == 1
@@ -200,22 +257,27 @@ def child(root: Path, graph: Path, counts: Path, mode: str, measure: str, out: P
     return secs, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def large(roots: dict[str, Path], nodes: int, seed: int, measure: str, work: Path, mode: str = "full") -> None:
-    graph, counts = work / f"dag-{nodes}-{seed}.tsv", work / f"dag-{nodes}-{seed}-counts.tsv"
-    if not counts.exists():
-        rng = np.random.default_rng(seed)
-        gen.write_graph(graph, gen.make_dag(rng, nodes))
-        gen.write_counts(counts, rng, nodes)
-    label, outs = f"{nodes} nodes, {mode} {measure}", []
-    for k, (name, root) in enumerate(roots.items()):
-        outs.append(work / f"large-{k}.tsv")
-        try:
-            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-                secs, maxrss_mb = pool.submit(child, root, graph, counts, mode, measure, outs[-1]).result()
-        except Exception as exc:  # the child's error, or its death (BrokenProcessPool)
-            sys.exit(f"{label}, {name}: failed: {exc}")
-        print(f"{label}, {name}: {secs:.2f} s, peak RSS {maxrss_mb:.0f} MB")
-    check_identical(label, "pairs files", outs)
+def large(roots: dict[str, Path], nodes: int, seed: int, measure: str, work: Path, mode: str = "full",
+          n_pairs: int = 1) -> None:
+    """`n_pairs` alternating rounds of one child-process build per side, checked for identity after the first."""
+    graph, counts = dag(work, nodes, seed)
+    label, names = f"{nodes} nodes, {mode} {measure}", list(roots)
+    outs = {name: work / f"large-{k}.tsv" for k, name in enumerate(names)}
+    times, peaks = {name: [] for name in names}, {name: 0.0 for name in names}
+    for k in range(n_pairs):
+        for name in names if k % 2 == 0 else names[::-1]:
+            try:
+                with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+                    secs, maxrss_mb = pool.submit(child, roots[name], graph, counts, mode, measure, outs[name]).result()
+            except Exception as exc:  # the child's error, or its death (BrokenProcessPool)
+                sys.exit(f"{label}, {name}: failed: {exc}")
+            times[name].append(secs)
+            peaks[name] = max(peaks[name], maxrss_mb)
+        if k == 0:
+            check_identical(label, "pairs files", list(outs.values()))
+    for name in names:
+        print(f"{label} {name}: peak RSS {peaks[name]:.0f} MB")
+    report(label, times, 1.0, "s")
 
 
 def at_least_one(text: str) -> int:
@@ -236,6 +298,8 @@ def main() -> None:
     build.add_argument("--nodes", type=int, help="one build per side on a make_dag graph this large")
     build.add_argument("--measure", choices=MEASURES, default="shp", help="the measure of the --nodes build")
     build.add_argument("--mode", choices=MODES, default="full", help="the mode of the --nodes build")
+    rows = stages.add_parser("rows", parents=[common], help="one-vs-all shp/lch rows and a 3x3 grid")
+    rows.add_argument("--nodes", type=int, help="on a make_dag graph this large instead of the query graph")
     train = stages.add_parser("train", parents=[common], help="train()")
     train.add_argument("--star", action="store_true", help="time a star graph instead")
     train.add_argument("--leaves", type=int, default=2000)
@@ -247,11 +311,13 @@ def main() -> None:
         work.mkdir(parents=True, exist_ok=True)
         roots = {args.rev: extract(args.rev, Path(tmp) / "rev"), "working tree": ROOT / "src"}
         if args.stage == "build" and args.nodes:
-            large(roots, args.nodes, args.seeds[0], args.measure, work, args.mode)
+            large(roots, args.nodes, args.seeds[0], args.measure, work, args.mode, args.pairs)
             return
         sides = {name: package(root, f"taxovec_side{k}") for k, (name, root) in enumerate(roots.items())}
         if args.stage == "build":
             report("all cases", compare(sides, build_cases(args.seeds, work), args.pairs, work), 1e3, "ms")
+        elif args.stage == "rows":
+            compare(sides, rows_cases(args.seeds, work, args.nodes), args.pairs, work)
         elif args.star:
             compare(sides, star_cases(args.leaves, args.batch_sizes, args.seeds[0]), args.pairs, work)
         else:
