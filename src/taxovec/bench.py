@@ -27,26 +27,18 @@ TIMER_FLOOR_S = 100e-6
 def one_vs_all_graph(g: TaxonomyGraph, measure: str, v: str, *, ic_table: InformationContentTable | None = None) -> np.ndarray:
     """Raw measure similarity of `v` to every node, self included.
 
-    shp/lch walk the one-source SimilarityRows.levels, one traversal over
-    the nodes `v` reaches, and give each level's nodes the score of its
-    distance in a zero row; wup/jcn read a one-source
-    SimilarityRows.table, the subsumer DP without a traversal.
-    Matches the per-pair measure functions elementwise; unreachable nodes
-    (or pairs without a common subsumer) score 0. JCN keeps its infinity
-    sentinel for zero-distance pairs.
+    Reads a one-source SimilarityRows.table: for shp/lch one traversal
+    over the nodes `v` reaches, for wup/jcn the subsumer DP without a
+    traversal. Matches the per-pair measure functions elementwise;
+    unreachable nodes (or pairs without a common subsumer) score 0. JCN
+    keeps its infinity sentinel for zero-distance pairs.
     """
     return _dense_row(SimilarityRows(g, measure, ic_table=ic_table), v)
 
 
 def _dense_row(rows: SimilarityRows, v: str) -> np.ndarray:
-    source = np.array([rows.g.idx(v)])
-    if rows.measure in ("wup", "jcn"):
-        out = rows.table(source)[:, 0]
-        out[np.isnan(out)] = 0.0  # no common subsumer
-        return out
-    out = np.zeros(rows.g.n)
-    for dist, (nodes, _) in enumerate(rows.levels(source)):
-        out[nodes] = rows.path_score(dist)
+    out = rows.table(np.array([rows.g.idx(v)]))[:, 0]
+    out[np.isnan(out)] = 0.0  # no path or no common subsumer
     return out
 
 

@@ -8,13 +8,13 @@ clips such pairs to the top of the similarity range.
 
 pair_similarity scores one pair; it and its scalar helpers are the
 per-pair reference. SimilarityRows scores many pairs with the same values:
-block() scores up to BLOCK sources against every node they reach in one
-traversal, the bit-parallel BFS of levels(), which shp/lch dataset builds
-and one-vs-all rows also read directly; table() scores wup/jcn sources
-against every node (or given targets) by the subsumer DP alone; and grid()
-scores every pair of two id lists through block() for shp/lch and table()
-for wup/jcn. Every shape goes through one score function per measure; the
-measures read g.depths.
+table() scores up to BLOCK sources against every node (or given targets)
+under every measure, shp/lch by walking the bit-parallel BFS of levels(),
+wup/jcn by the subsumer DP alone; one-vs-all rows are its tables of one
+source, and grid() scores every pair of two id lists through it. shp/lch
+dataset builds read levels() directly, and fast wup/jcn builds read
+block(), the sources against every node they reach. Every shape scores
+through one formula per measure; the measures read g.depths.
 """
 
 from __future__ import annotations
@@ -210,16 +210,18 @@ class SimilarityRows:
       sources, by one bit-parallel BFS with one uint64 word per node and
       bit j for the j-th source (Then et al., VLDB 2014), or by a bool
       frontier for one source; the only traversal, read directly by
-      shp/lch dataset builds and shp/lch one-vs-all queries;
+      shp/lch dataset builds and by table() for shp/lch;
     - block(sources, max_dist): those sources against every node they
       reach, unpacked from levels() (fast wup/jcn dataset builds, whose
-      two-edge reach is sparse, and grid() for shp/lch);
-    - table(sources, targets): wup/jcn only, those sources against every
-      node, or against `targets`, as one dense table from the subsumer DP
-      alone, without a traversal (full wup/jcn dataset builds, one-vs-all
-      queries as a table of one source, and grid());
+      two-edge reach is sparse);
+    - table(sources, targets): the one dense scorer, those sources
+      against every node, or against `targets`, for every measure:
+      shp/lch from levels(), stopping once every cell is reached, wup/jcn
+      from the subsumer DP alone, without a traversal (full wup/jcn
+      dataset builds, one-vs-all queries as a table of one source, and
+      grid());
     - grid(us, vs): every pair of two id lists (static selection, measure
-      scorers), through block() for shp/lch and table() for wup/jcn.
+      scorers, WSD), one table() per BLOCK ids of `us`.
 
     Scores agree exactly with pair_similarity. shp/lch map each
     breadth-first distance through path_score (shp_from_path, or
@@ -277,7 +279,7 @@ class SimilarityRows:
         words over the frontier's CSR slices only, masks the result with
         `unseen` and keeps the nonzero words as the next frontier: about a
         dozen numpy calls, the frontier's edges and a few scans of n words
-        (Then et al., VLDB 2014). One source (one-vs-all rows, a grid or
+        (Then et al., VLDB 2014). One source (one-vs-all rows, a table or
         block of one id) walks with n bools instead, _source_levels, as
         its words are all 1: no repeat, OR scatter or word scans.
         """
@@ -358,9 +360,11 @@ class SimilarityRows:
         position is kept in one byte until the scores are taken. Only
         reached pairs are materialised, so a fast-mode block costs its
         reach, not BLOCK x n; a full-reach block costs BLOCK x its
-        component. shp/lch dataset builds read their pairs from levels()
-        instead, as do shp/lch one-vs-all rows, and full wup/jcn builds
-        read table().
+        component. Fast wup/jcn dataset builds are its only product
+        caller: shp/lch builds read their pairs from levels() instead,
+        and full wup/jcn builds, one-vs-all rows and grids read table().
+        Its shp/lch branch stays as the tests' reference for the level
+        selection of shp/lch builds.
         """
         src = np.asarray(sources, dtype=np.int64)
         held, parts = [], []  # levels not yet unpacked, and (targets, columns, sizes) of those that were
@@ -386,42 +390,63 @@ class SimilarityRows:
 
         A pair without a path (shp/lch) or a common subsumer (wup/jcn)
         scores NaN, where pair_similarity reports 0.0; an unknown id
-        raises UnknownNodeError. Repeated ids are scored once. shp/lch
-        run one full-reach block() per BLOCK distinct ids of `us` and keep
-        the `vs` columns; wup/jcn run no traversal, only table() against
-        the distinct ids of `vs`, BLOCK ids of `us` at a time.
+        raises UnknownNodeError. Repeated ids are scored once: one table()
+        of BLOCK distinct ids of `us` against the distinct ids of `vs`.
         """
         (rows, row_of), (cols, col_of) = (
             np.unique(np.array([self.g.idx(x) for x in xs], dtype=np.int64), return_inverse=True)
             for xs in (us, vs)
         )
         out = np.full((len(rows), len(cols)), np.nan)
-        col_at = np.full(self.g.n, -1)
-        col_at[cols] = np.arange(len(cols))
         for first in range(0, len(rows) if len(cols) else 0, BLOCK):
-            src = rows[first : first + BLOCK]
-            if self.measure in ("shp", "lch"):
-                sources, targets, scores = self.block(src)
-                col = col_at[targets]
-                hit = col >= 0
-                out[first + np.searchsorted(src, sources[hit]), col[hit]] = scores[hit]
-            else:
-                out[first : first + len(src)] = self.table(src, cols).T
+            out[first : first + BLOCK] = self.table(rows[first : first + BLOCK], cols).T
         return out[row_of][:, col_of]
 
     def table(self, sources: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
-        """wup/jcn: raw scores of targets x sources, shape (len(targets),
-        len(sources)), one column per source as in _subsumers; every node
-        is a target when `targets` is None (full wup/jcn dataset builds,
-        one-vs-all queries as one source). A pair without a common
-        subsumer, so every pair in another component, scores NaN, where
-        pair_similarity reports 0.0. No traversal: the subsumer DP alone,
-        then _scores, whose formulas are symmetric in the two ends.
+        """Raw scores of targets x sources, shape (len(targets),
+        len(sources)), one column per source; every node is a target when
+        `targets` is None (full wup/jcn dataset builds, one-vs-all rows as
+        a table of one source). `targets` must be distinct, and `sources`
+        as levels() takes them. A pair without a path (shp/lch) or a
+        common subsumer (wup/jcn), so every pair in another component,
+        scores NaN, where pair_similarity reports 0.0.
+
+        shp/lch walk levels() (_path_table); wup/jcn run no traversal,
+        only the subsumer DP, then _scores, whose formulas are symmetric
+        in the two ends.
         """
+        if self.measure in ("shp", "lch"):
+            return self._path_table(sources, targets)
         best = self._subsumers(sources, targets)
         if targets is None:
             return self._scores(np.arange(self.g.n)[:, None], sources, best)
         return self._scores(targets[:, None], sources, best[targets])
+
+    def _path_table(self, sources: np.ndarray, targets: np.ndarray | None) -> np.ndarray:
+        """table() for shp/lch: each (target, source) cell gets path_score(d)
+        at the first level d of levels(sources) that reaches it. Only the
+        level's nodes that are targets are unpacked, one source's straight
+        into its column, and the walk stops once every cell is filled."""
+        out = np.full((self.g.n if targets is None else len(targets), len(sources)), np.nan)
+        row_at = None
+        if targets is not None:
+            row_at = np.full(self.g.n, -1)
+            row_at[targets] = np.arange(len(targets))
+        left = out.size
+        for dist, (nodes, words) in enumerate(self.levels(sources)):
+            if row_at is not None:  # keep the targets, as their rows of out
+                nodes = row_at[nodes]
+                hit = nodes >= 0
+                nodes, words = nodes[hit], words[hit]
+            if len(sources) == 1:  # its words are all 1
+                out[:, 0][nodes] = self.path_score(dist)
+            elif len(nodes):
+                nodes, columns, _ = unpack([(nodes, words)], len(sources))
+                out[nodes, columns] = self.path_score(dist)
+            left -= len(nodes)
+            if not left:
+                break
+        return out
 
     def _subsumers(self, sources: np.ndarray, targets: np.ndarray | None) -> np.ndarray:
         """Key rank of the deepest common subsumer of sources[j] and node

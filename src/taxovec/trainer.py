@@ -461,7 +461,7 @@ def train(
         raise ConfigError("training needs at least one pair")
     if len(np.union1d(pairs.i, pairs.j)) < 2:
         raise ConfigError("training pairs must cover at least 2 distinct nodes")
-    dev = (*cfg.dev_set.on(g), cfg.dev_set.s) if cfg.dev_set else None
+    dev = (*cfg.dev_set.on(g), cfg.dev_set.s) if cfg.dev_set is not None else None
     if dev is not None:  # checked before the first batch, not after an epoch
         golds = dev[2]
         if len(golds) < 3:

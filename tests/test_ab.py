@@ -102,10 +102,11 @@ def test_one_round_of_the_rows_stage_is_byte_identical(ab, tmp_path, capsys):
         "seed 5 shp rows: rows byte-identical",
         "seed 5 lch rows: rows byte-identical",
         "seed 5 3x3 grids: grids byte-identical",
+        "seed 5 64x64 grids: grids byte-identical",
     ]
     assert out[3].startswith("seed 5 shp rows change won ") and out[3].endswith(" against base")
-    assert len(out) == 12 and all(len(xs) == 1 for xs in totals.values())
-    assert (tmp_path / "side0.out").stat().st_size == 2 * 9 * 8  # the last case: two 3x3 float64 grids
+    assert len(out) == 16 and all(len(xs) == 1 for xs in totals.values())
+    assert (tmp_path / "side0.out").stat().st_size == 2 * 64 * 64 * 8  # the last case: two 64x64 float64 grids
 
 
 def test_a_failed_child_is_one_line_naming_its_error(ab, tmp_path):

@@ -278,6 +278,19 @@ class TestTrain:
         assert "epoch 0" not in out
         assert not (tree_pairs / "emb.txt").exists()
 
+    def test_empty_dev_set_fails_before_the_first_epoch(self, tree_pairs, capsys):
+        # an empty dev file must not quietly turn early stopping off
+        (tree_pairs / "dev.tsv").write_text("")
+        code = main(
+            ["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv",
+             "--dev-pairs", "dev.tsv", "--dim", "4", "--epochs", "2", "--output", "emb.txt"]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "dev set needs at least 3 pairs, got 0" in err
+        assert "epoch 0" not in out
+        assert not (tree_pairs / "emb.txt").exists()
+
     def test_divergence_exits_three(self, tree_pairs, capsys):
         code = main(
             ["train", "--graph", "tree.tsv", "--pairs", "pairs.tsv",

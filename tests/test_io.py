@@ -400,8 +400,24 @@ def test_only_metrics_calls_the_per_pair_reference():
 
 
 def test_no_module_calls_the_single_source_bfs():
-    # every traversal in the package is SimilarityRows.block's; bfs_distances is a reference
+    # every traversal in the package is SimilarityRows.levels'; bfs_distances is a reference
     found = calls_in_package({"bfs_distances"})
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_the_fast_dataset_build_unpacks_blocks():
+    # grids and one-vs-all rows read SimilarityRows.table for every measure;
+    # block() serves fast wup/jcn builds (and the tests, as a reference)
+    found = calls_in_package({"block"})
+    assert found.pop("dataset.py"), "the guard no longer sees the fast build's block call"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_metrics_and_the_dataset_build_walk_the_levels():
+    # the BFS levels feed table(), block() and the shp/lch dataset builds, nothing else
+    found = calls_in_package({"levels"})
+    assert found.pop("metrics.py"), "the guard no longer sees table()'s and block()'s walks"
+    assert found.pop("dataset.py"), "the guard no longer sees the shp/lch builds' walk"
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

@@ -1,5 +1,6 @@
-"""Similarity-row kernel tests: blocks of one source and of many sources
-against the oracles, the Floyd-Warshall reach and the per-pair measures.
+"""Similarity-row kernel tests: blocks, tables and grids of one source and
+of many sources against the oracles, the Floyd-Warshall reach and the
+per-pair measures.
 
 Graphs are drawn by hypothesis: random DAGs with multiple inheritance,
 forests whose trees can share a child, and the same forests joined under
@@ -308,6 +309,42 @@ def test_grid_equals_pair_similarity(g, seed, data):
         want = {(u, v): pair_similarity(measure, g, u, v, ic_table=table) for u in us for v in vs}
         got[np.isnan(got)] = 0.0
         assert got.tolist() == [[want[u, v] for v in vs] for u in us]
+
+
+@PROPERTY_SETTINGS
+@given(g=st.one_of(graphs, block_graphs()), seed=st.integers(0, 3), data=st.data())
+def test_table_equals_the_oracle_and_walks_no_further_than_its_farthest_cell(g, seed, data):
+    # one source or 2 to BLOCK sources in no particular order, against every
+    # node (targets None), a subset of distinct nodes in no particular order,
+    # or no node; a spy on levels() counts the levels the shp/lch walk takes
+    table = context(g, seed)
+    dist = distances(g)
+    order = data.draw(st.permutations(range(g.n)), label="order")
+    count = data.draw(st.one_of(st.just(1), st.integers(2, BLOCK)), label="sources")
+    sources = np.array(order[:count], dtype=np.int64)
+    picked = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(range(g.n)), unique=True)), label="targets")
+    targets = None if picked is None else np.array(picked, dtype=np.int64)
+    cells = np.arange(g.n) if targets is None else targets
+    reach = dist[np.ix_(cells, sources)]
+    if np.isfinite(reach).all():  # the walk ends at the level that reaches the last cell
+        want_levels = int(reach.max(initial=0)) + 1
+    else:  # an unreached cell: the walk runs through the sources' whole reach
+        want_levels = int(dist[sources][np.isfinite(dist[sources])].max()) + 1
+    for measure in MEASURES:
+        rows = SimilarityRows(g, measure, ic_table=table)
+        walk, walked = rows.levels, []
+
+        def spy(*args):
+            for level in walk(*args):
+                walked.append(level)
+                yield level
+
+        rows.levels = spy
+        got = rows.table(sources, targets)
+        want = oracle_scores(g, measure, table, dist)[np.ix_(cells, sources)]
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert len(walked) == (want_levels if measure in ("shp", "lch") else 0)
 
 
 class TestSimilarityRows:

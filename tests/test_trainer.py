@@ -489,8 +489,9 @@ class TestTraining:
             (Pairs.from_rows([TrainingPair("n000", "zz", 0.5)] * 3), UnknownNodeError),
             (Pairs.from_rows([TrainingPair("n000", "n001", 0.5), TrainingPair("n001", "n002", 0.3)]), DataError),
             (Pairs.from_rows([TrainingPair("n000", f"n00{k}", 0.5) for k in range(1, 5)]), DataError),
+            (Pairs.from_rows([]), DataError),  # an empty Pairs is falsy, but still a dev set
         ],
-        ids=["unknown-id", "two-pairs", "constant-golds"],
+        ids=["unknown-id", "two-pairs", "constant-golds", "empty"],
     )
     def test_bad_dev_set_fails_before_the_first_batch(self, dev, error, monkeypatch):
         import taxovec.trainer

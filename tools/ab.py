@@ -16,7 +16,8 @@ prints each side's median and quartiles and the rounds the working tree won.
   after the first round, and each side's peak RSS (ru_maxrss) is printed
   with the times. A failed child is one line naming its error (exit 1).
 - `rows`: one-vs-all shp and lch rows (`one_vs_all_graph`) of ROW_QUERIES
-  fixed nodes, and one 3x3 shp and lch `grid`, on perfbench's `query`
+  fixed nodes, one 3x3 shp and lch `grid`, and one 64x64 shp and lch
+  `grid` (the shape of `MeasureScorer.pairs`), on perfbench's `query`
   graph, or with `--nodes N` on a `gen.make_dag` graph of N nodes.
 - `train`: saved embeddings of train() on perfbench's `train` inputs
   (d=300, float32, 2 epochs, with the dev set). With `--star`: time per
@@ -65,6 +66,7 @@ TRAIN_EPOCHS = 2
 STAR_NEGATIVES = 3  # per side, the trainer's default: each pair makes 1 + 2 * 3 entries
 ROW_MEASURES = ("shp", "lch")
 ROW_QUERIES = 20  # one-vs-all rows per round; the first six nodes also make the 3x3 grid
+GRID_SIDES = (3, 64)  # grids of that many seeded ids against as many others; 64 is a block of sources
 
 
 def package(root: Path, name: str):
@@ -164,9 +166,9 @@ def dag(work: Path, nodes: int, seed: int) -> tuple[Path, Path]:
     return graph, counts
 
 
-def load_rows(graph: Path, seed: int, pkg):
+def load_rows(graph: Path, seed: int, count: int, pkg):
     g = pkg.graph.load_edge_list(graph)
-    picks = np.random.default_rng(seed).choice(g.n, size=min(ROW_QUERIES, g.n), replace=False)
+    picks = np.random.default_rng(seed).choice(g.n, size=min(count, g.n), replace=False)
     return g, [g.ids[i] for i in picks.tolist()]
 
 
@@ -180,11 +182,11 @@ def rows_once(measure: str, pkg, inputs, out: Path) -> float:
     return secs
 
 
-def grid_once(pkg, inputs, out: Path) -> float:
-    """Seconds of the shp and lch grids of the first three queries against the next three."""
+def grid_once(side: int, pkg, inputs, out: Path) -> float:
+    """Seconds of the shp and lch grids of the first `side` queries against the next `side`."""
     g, queries = inputs
     t0 = time.perf_counter()
-    grids = [pkg.metrics.SimilarityRows(g, m).grid(queries[:3], queries[3:6]) for m in ROW_MEASURES]
+    grids = [pkg.metrics.SimilarityRows(g, m).grid(queries[:side], queries[side : 2 * side]) for m in ROW_MEASURES]
     secs = time.perf_counter() - t0
     out.write_bytes(np.stack(grids).tobytes())
     return secs
@@ -198,11 +200,14 @@ def rows_cases(seeds: list[int], work: Path, nodes: int | None):
             inputs = work / f"query-{seed}"
             gen.generate("query", seed, inputs)
             graph = inputs / "graph.tsv"
-        load = functools.partial(load_rows, graph, seed)
+        load = functools.partial(load_rows, graph, seed, ROW_QUERIES)
         for measure in ROW_MEASURES:
             run = functools.partial(rows_once, measure)
             yield f"seed {seed} {measure} rows", load, run, "rows", 1e3 / ROW_QUERIES, "ms per row"
-        yield f"seed {seed} 3x3 grids", load, grid_once, "grids", 1e3, "ms per shp and lch grid"
+        for side in GRID_SIDES:
+            load = functools.partial(load_rows, graph, seed, max(ROW_QUERIES, 2 * side))  # 3x3: the rows' first six
+            run = functools.partial(grid_once, side)
+            yield f"seed {seed} {side}x{side} grids", load, run, "grids", 1e3, "ms per shp and lch grid"
 
 
 def check_identical(label: str, output: str, paths: list[Path]) -> None:
@@ -298,7 +303,7 @@ def main() -> None:
     build.add_argument("--nodes", type=int, help="one build per side on a make_dag graph this large")
     build.add_argument("--measure", choices=MEASURES, default="shp", help="the measure of the --nodes build")
     build.add_argument("--mode", choices=MODES, default="full", help="the mode of the --nodes build")
-    rows = stages.add_parser("rows", parents=[common], help="one-vs-all shp/lch rows and a 3x3 grid")
+    rows = stages.add_parser("rows", parents=[common], help="one-vs-all shp/lch rows, a 3x3 and a 64x64 grid")
     rows.add_argument("--nodes", type=int, help="on a make_dag graph this large instead of the query graph")
     train = stages.add_parser("train", parents=[common], help="train()")
     train.add_argument("--star", action="store_true", help="time a star graph instead")
