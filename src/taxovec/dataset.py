@@ -17,18 +17,19 @@ levels. A full wup/jcn build makes every node of a source's component a
 target, so it runs no traversal: SimilarityRows.table scores the block
 against every node from the subsumer DP, the table is masked to each
 source's component without the source, and only the passing entries are
-sorted. A fast wup/jcn build scores the sparse two-edge reach of
-SimilarityRows.block and sorts it. A kept pair is recorded once per end
-as the code min*n + max; one sort of the codes merges the two ends and
-orders the survivors canonically before the shuffle, so the file depends
-only on the graph and the config. shp/lch pairs carry their distance
-until that merge and their score after it. Every block counts the pairs
-it reached and kept at the threshold from both ends, so halving the sums
-counts each pair once; a full build's candidates are its connected pairs
-instead. Memory is one block's levels for shp/lch; for full wup/jcn a
-nodes x BLOCK score table and subsumer table, with a few temporaries of
-that size; for fast wup/jcn the triples of BLOCK x the two-edge reach
-and the subsumer table; plus O(nodes * top_k) for the survivors.
+sorted. A fast wup/jcn build scores only the cells of its sparse
+two-edge reach, from the levels, with SimilarityRows.table. A kept pair
+is recorded once per end as the code min*n + max; one sort of the codes
+merges the two ends and orders the survivors canonically before the
+shuffle, so the file depends only on the graph and the config. shp/lch
+pairs carry their distance until that merge and their score after it.
+Every block counts the pairs it reached and kept at the threshold from
+both ends, so halving the sums counts each pair once; a full build's
+candidates are its connected pairs instead. Memory is one block's levels
+for shp/lch; for full wup/jcn a nodes x BLOCK score table and subsumer
+table, with a few temporaries of that size; for fast wup/jcn the scored
+cells of its reach and the subsumer table; plus O(nodes * top_k) for the
+survivors.
 
 The pairs flow from the build through the pairs file to the trainer as
 one columnar Pairs; TrainingPair is only the row type of its indexing.
@@ -207,10 +208,10 @@ def _build(g: TaxonomyGraph, cfg: DatasetConfig, ic_table: InformationContentTab
         walk = max(passing - 1, 0) if max_dist is None else max_dist
         scores = np.array([rows.path_score(d) for d in range(passing)])
         select = lambda sources: _select_levels(rows, sources, walk, passing, top_k)  # noqa: E731
-    elif measure in ("wup", "jcn") and max_dist is None:
+    elif max_dist is None:
         select = lambda sources: _select_table(rows, sources, threshold, top_k)  # noqa: E731
     else:
-        select = lambda sources: _select_block(rows.block(sources, max_dist), g.n, threshold, top_k)  # noqa: E731
+        select = lambda sources: _select_reach(rows, sources, max_dist, threshold, top_k)  # noqa: E731
     codes, values, reached, kept = zip(*map(select, _blocks(g.n)))
     codes, values = _merge(np.concatenate(codes), np.concatenate(values))
     if not len(codes):
@@ -314,21 +315,25 @@ def _take_nearest(
     return np.minimum(heads, targets) * n + np.maximum(heads, targets), dist
 
 
-def _select_block(
-    triples: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, threshold: float, top_k: int
+def _select_reach(
+    rows: SimilarityRows, sources: np.ndarray, max_dist: int, threshold: float, top_k: int
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Each source's top-k partners from one block's triples.
+    """Each source's top-k partners among the nodes within `max_dist`
+    edges: the levels after the sources' own, unpacked in one call (at
+    most 2n words at max_dist 2) and scored by SimilarityRows.table.
 
     Returns the kept pairs as codes min*n + max with their raw scores,
-    and the (source, target) pairs reached and passing the threshold,
-    the source itself left out.
+    and the (source, target) cells reached and passing the threshold.
     """
-    src, tgt, sim = triples
+    held = list(rows.levels(sources, max_dist))[1:]  # level 0 holds the sources themselves
+    if not held:
+        return np.empty(0, dtype=np.int64), np.empty(0), 0, 0
+    targets, columns, _ = unpack(held, len(sources))
+    sim = rows.table(sources, targets, columns)
     sim[np.isnan(sim)] = 0.0  # a reached pair without common subsumer
-    other = tgt != src
-    passing = other & (sim >= threshold)
-    codes, kept_sims = _top_k(src[passing], tgt[passing], sim[passing], n, top_k)
-    return codes, kept_sims, int(np.count_nonzero(other)), int(np.count_nonzero(passing))
+    passing = sim >= threshold
+    codes, kept_sims = _top_k(sources[columns[passing]], targets[passing], sim[passing], rows.g.n, top_k)
+    return codes, kept_sims, len(targets), int(np.count_nonzero(passing))
 
 
 def _select_table(
@@ -339,7 +344,7 @@ def _select_table(
 
     The table is masked to each source's component without the source
     itself, so a pair in another component is never a candidate, at any
-    threshold. Returns as _select_block.
+    threshold. Returns as _select_reach.
     """
     sim = rows.table(sources)  # a column per source
     sim[np.isnan(sim)] = 0.0  # a connected pair without common subsumer

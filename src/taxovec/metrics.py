@@ -8,13 +8,13 @@ clips such pairs to the top of the similarity range.
 
 pair_similarity scores one pair; it and its scalar helpers are the
 per-pair reference. SimilarityRows scores many pairs with the same values:
-table() scores up to BLOCK sources against every node (or given targets)
-under every measure, shp/lch by walking the bit-parallel BFS of levels(),
-wup/jcn by the subsumer DP alone; one-vs-all rows are its tables of one
-source, and grid() scores every pair of two id lists through it. shp/lch
-dataset builds read levels() directly, and fast wup/jcn builds read
-block(), the sources against every node they reach. Every shape scores
-through one formula per measure; the measures read g.depths.
+table() scores up to BLOCK sources against every node, given targets or
+given (target, source) cells under every measure, shp/lch by walking the
+bit-parallel BFS of levels(), wup/jcn by the subsumer DP alone; one-vs-all
+rows are its tables of one source, and grid() scores every pair of two id
+lists through it. shp/lch dataset builds read levels() directly, and fast
+wup/jcn builds score the cells of levels() through table(). Every shape
+scores through one formula per measure; the measures read g.depths.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, RecordError
+from .errors import ConfigError, DataError, RecordError, UnknownNodeError
 from .graph import DepthIndex, TaxonomyGraph, shortest_path_length, spans
 from .io import real, records
 
@@ -63,14 +63,16 @@ def load_raw_counts(path: str | Path, g: TaxonomyGraph) -> list[float]:
     """Read `node<TAB>count` lines (see taxovec.io) into a dense raw-count vector.
 
     Nodes absent from the file get 0; repeated nodes accumulate. Unknown
-    ids and negative or non-finite counts are data errors.
+    ids and negative or non-finite counts are data errors at file:line.
     """
     raw = [0.0] * g.n
     for where, (node, count_s) in records(path, "node<TAB>count"):
         count = real(count_s, where, "count")
         if count < 0:
             raise RecordError(f"{where}: negative count for {node!r}")
-        raw[g.idx(node)] += count
+        if not g.has(node):
+            raise UnknownNodeError(f"{where}: unknown node id {node!r}")
+        raw[g.index[node]] += count
     return raw
 
 
@@ -210,16 +212,14 @@ class SimilarityRows:
       sources, by one bit-parallel BFS with one uint64 word per node and
       bit j for the j-th source (Then et al., VLDB 2014), or by a bool
       frontier for one source; the only traversal, read directly by
-      shp/lch dataset builds and by table() for shp/lch;
-    - block(sources, max_dist): those sources against every node they
-      reach, unpacked from levels() (fast wup/jcn dataset builds, whose
-      two-edge reach is sparse);
-    - table(sources, targets): the one dense scorer, those sources
-      against every node, or against `targets`, for every measure:
-      shp/lch from levels(), stopping once every cell is reached, wup/jcn
-      from the subsumer DP alone, without a traversal (full wup/jcn
-      dataset builds, one-vs-all queries as a table of one source, and
-      grid());
+      dataset builds and by table() for shp/lch;
+    - table(sources, targets, columns): the one scorer, those sources
+      against every node, or against `targets`, for every measure, or
+      only the cells (targets[k], sources[columns[k]]): shp/lch from
+      levels(), stopping once every cell is reached, wup/jcn from the
+      subsumer DP alone, without a traversal (dataset builds of wup/jcn,
+      on the cells their fast walk reached, one-vs-all queries as a
+      table of one source, and grid());
     - grid(us, vs): every pair of two id lists (static selection, measure
       scorers, WSD), one table() per BLOCK ids of `us`.
 
@@ -279,8 +279,8 @@ class SimilarityRows:
         words over the frontier's CSR slices only, masks the result with
         `unseen` and keeps the nonzero words as the next frontier: about a
         dozen numpy calls, the frontier's edges and a few scans of n words
-        (Then et al., VLDB 2014). One source (one-vs-all rows, a table or
-        block of one id) walks with n bools instead, _source_levels, as
+        (Then et al., VLDB 2014). One source (one-vs-all rows, a table
+        of one id) walks with n bools instead, _source_levels, as
         its words are all 1: no repeat, OR scatter or word scans.
         """
         offsets, flat = self.g.csr
@@ -341,50 +341,6 @@ class SimilarityRows:
             reach[frontier] = False
             unseen[frontier] = False
 
-    def block(
-        self, sources: np.ndarray, max_dist: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sources, targets, scores) triples for the sources of levels():
-        for each source, every node within `max_dist` undirected edges of
-        it (all connected nodes when None), the source itself included,
-        with its raw similarity. Nodes absent for a source have no path to
-        it within the limit. A wup/jcn target sharing no common subsumer
-        with its source scores NaN, where pair_similarity reports 0.0. The
-        triples run by distance: first the sources in the order given,
-        then each later level by target index and, within a target, by
-        source position.
-
-        The levels are held and unpacked together, in one unpackbits per
-        flush, which comes when the held words would pass n, so one unpack
-        never takes more words than one level can hold. Each pair's source
-        position is kept in one byte until the scores are taken. Only
-        reached pairs are materialised, so a fast-mode block costs its
-        reach, not BLOCK x n; a full-reach block costs BLOCK x its
-        component. Fast wup/jcn dataset builds are its only product
-        caller: shp/lch builds read their pairs from levels() instead,
-        and full wup/jcn builds, one-vs-all rows and grids read table().
-        Its shp/lch branch stays as the tests' reference for the level
-        selection of shp/lch builds.
-        """
-        src = np.asarray(sources, dtype=np.int64)
-        held, parts = [], []  # levels not yet unpacked, and (targets, columns, sizes) of those that were
-        count = 0  # words held
-        for frontier, words in self.levels(src, max_dist):
-            if count + len(frontier) > self.g.n:
-                parts.append(unpack(held, len(src)))
-                held, count = [], 0
-            held.append((frontier, words))
-            count += len(frontier)
-        parts.append(unpack(held, len(src)))
-        targets, columns, sizes = zip(*parts)
-        targets, columns = np.concatenate(targets), np.concatenate(columns)
-        heads = src[columns]
-        if self.measure in ("shp", "lch"):
-            sizes = [size for part in sizes for size in part]
-            return heads, targets, self._scores(heads, targets, np.repeat(np.arange(len(sizes)), sizes))
-        best = self._subsumers(src, targets)
-        return heads, targets, self._scores(heads, targets, best[targets, columns])
-
     def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
         """Raw scores of every pair in us x vs, shape (len(us), len(vs)).
 
@@ -402,22 +358,31 @@ class SimilarityRows:
             out[first : first + BLOCK] = self.table(rows[first : first + BLOCK], cols).T
         return out[row_of][:, col_of]
 
-    def table(self, sources: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
+    def table(
+        self, sources: np.ndarray, targets: np.ndarray | None = None, columns: np.ndarray | None = None
+    ) -> np.ndarray:
         """Raw scores of targets x sources, shape (len(targets),
         len(sources)), one column per source; every node is a target when
         `targets` is None (full wup/jcn dataset builds, one-vs-all rows as
-        a table of one source). `targets` must be distinct, and `sources`
-        as levels() takes them. A pair without a path (shp/lch) or a
-        common subsumer (wup/jcn), so every pair in another component,
+        a table of one source). With `columns`, the 1-D scores of the
+        cells (targets[k], sources[columns[k]]) (fast wup/jcn dataset
+        builds), where `targets` may repeat; else they must be distinct.
+        `sources` as levels() takes them. A pair without a path (shp/lch)
+        or a common subsumer (wup/jcn), so every pair in another component,
         scores NaN, where pair_similarity reports 0.0.
 
-        shp/lch walk levels() (_path_table); wup/jcn run no traversal,
-        only the subsumer DP, then _scores, whose formulas are symmetric
-        in the two ends.
+        shp/lch walk levels() (_path_table), cells over their distinct
+        targets; wup/jcn run no traversal, only the subsumer DP, then
+        _scores, whose formulas are symmetric in the two ends.
         """
         if self.measure in ("shp", "lch"):
-            return self._path_table(sources, targets)
+            if columns is None:
+                return self._path_table(sources, targets)
+            distinct, row = np.unique(targets, return_inverse=True)
+            return self._path_table(sources, distinct)[row, columns]
         best = self._subsumers(sources, targets)
+        if columns is not None:
+            return self._scores(sources[columns], targets, best[targets, columns])
         if targets is None:
             return self._scores(np.arange(self.g.n)[:, None], sources, best)
         return self._scores(targets[:, None], sources, best[targets])
@@ -500,16 +465,12 @@ class SimilarityRows:
         return best
 
     def _scores(self, src: np.ndarray, targets: np.ndarray, key: np.ndarray) -> np.ndarray:
-        """Raw similarities of the pairs (src, targets).
+        """Raw wup/jcn similarities of the pairs (src, targets).
 
-        `src` and `targets` broadcast against `key`: one index per
-        triple, or a column and a row of a grid. `key` is the breadth-first
-        distance for shp/lch, and the rank of the deepest common subsumer
-        for wup/jcn, -1 where there is none (scored NaN).
+        `src` and `targets` broadcast against `key`: one index per cell,
+        or a column and a row of a table. `key` is the rank of the deepest
+        common subsumer, -1 where there is none (scored NaN).
         """
-        if self.measure in ("shp", "lch"):
-            per_dist = [self.path_score(d) for d in range(int(key.max(initial=0)) + 1)]
-            return np.array(per_dist)[key]
         lcs = self._by_rank[key]  # garbage where key < 0; masked below
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.measure == "wup":

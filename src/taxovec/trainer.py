@@ -78,9 +78,6 @@ class EmbeddingMatrix:
         except KeyError:
             raise UnknownNodeError(f"node {node!r} has no embedding") from None
 
-    def row(self, node: str) -> np.ndarray:
-        return self.matrix[self.idx(node)]
-
 
 class ModelScorer:
     """The one model similarity: float64 dots or cosines of rows, each dot

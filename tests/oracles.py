@@ -97,6 +97,58 @@ def ic_counts_oracle(
     return counts, total
 
 
+def pipeline_oracle(n, edges, measure, threshold, k, raw_counts=None, max_dist=None):
+    """Independent dataset pipeline: dense matrices and full sorts.
+
+    The candidates are the connected pairs, or with `max_dist` the pairs
+    at most that many undirected edges apart (fast mode: 2). Returns
+    (survivor dict {(i,j): raw}, normalized dict, norm_min, norm_max,
+    candidate count, count of candidates passing the threshold).
+    """
+    dist = floyd_warshall_undirected(n, edges)
+    depths = depth_oracle(n, edges)
+    anc = ancestor_closure(n, edges)
+    max_depth = max(depths)
+    if raw_counts is not None:
+        counts, total = ic_counts_oracle(n, edges, raw_counts)
+
+    def sim(u, v):
+        if measure == "shp":
+            return 1.0 / (1.0 + dist[u, v])
+        if measure == "lch":
+            return -math.log((dist[u, v] + 1) / (2.0 * max_depth))
+        lcs = lcs_oracle(anc, depths, u, v)
+        if lcs is None:
+            return 0.0
+        if measure == "wup":
+            return 2.0 * depths[lcs] / (depths[u] + depths[v])
+        ic = lambda x: math.inf if counts[x] <= 0 else -math.log(counts[x] / total)
+        if math.isinf(ic(u)) or math.isinf(ic(v)):
+            return 0.0
+        denom = ic(u) + ic(v) - 2 * ic(lcs)
+        return math.inf if denom < 1e-12 else 1.0 / denom
+
+    reach = n if max_dist is None else max_dist  # an unreachable pair is inf apart
+    reached = [(u, v) for u in range(n) for v in range(u + 1, n) if dist[u, v] <= reach]
+    candidates = {(u, v): s for u, v in reached if (s := sim(u, v)) >= threshold}
+    per_node: dict[int, list[tuple[float, int]]] = {i: [] for i in range(n)}
+    for (u, v), s in candidates.items():
+        per_node[u].append((s, v))
+        per_node[v].append((s, u))
+    survivors = {}
+    for node, partners in per_node.items():
+        partners.sort(key=lambda t: (-t[0], t[1]))
+        for s, partner in partners[:k]:
+            key = (node, partner) if node < partner else (partner, node)
+            survivors[key] = s
+    finite = [s for s in survivors.values() if math.isfinite(s)]
+    lo, hi = min(finite), max(finite)
+    normalized = {
+        key: min(1.0, max(0.0, (s - lo) / (hi - lo))) for key, s in survivors.items()
+    }
+    return survivors, normalized, lo, hi, len(reached), len(candidates)
+
+
 def wsd_degree_oracle(tokens, weight, threshold):
     """Degrees, picks and skipped count of a sentence by nested loops.
 

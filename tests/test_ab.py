@@ -117,10 +117,20 @@ def test_a_failed_child_is_one_line_naming_its_error(ab, tmp_path):
     assert "\n" not in message
 
 
-@pytest.mark.parametrize("pairs", ["0", "-3"])
-def test_fewer_than_one_round_is_a_usage_error(ab, monkeypatch, capsys, pairs):
-    monkeypatch.setattr(sys, "argv", ["ab.py", "build", "--pairs", pairs])
+@pytest.mark.parametrize("args", [
+    pytest.param(["build", "--pairs", "0"], id="0"),
+    pytest.param(["build", "--pairs", "-3"], id="-3"),
+    pytest.param(["build", "--nodes", "0"], id="build-nodes-0"),
+    pytest.param(["rows", "--nodes", "-5"], id="rows-nodes--5"),
+    pytest.param(["train", "--star", "--leaves", "0"], id="leaves-0"),
+    pytest.param(["train", "--star", "--batch-sizes", "100", "0"], id="batch-sizes-0"),
+])
+def test_fewer_than_one_round_is_a_usage_error(ab, monkeypatch, capsys, args):
+    # also any other count below 1, refused before a revision is extracted
+    monkeypatch.setattr(sys, "argv", ["ab.py", *args])
+    monkeypatch.setattr(ab, "extract", lambda *a: pytest.fail("extracted a revision"))
     with pytest.raises(SystemExit) as exit_:
         ab.main()
     assert exit_.value.code == 2
-    assert f"argument --pairs: {pairs} is below 1" in capsys.readouterr().err
+    option = next(arg for arg in reversed(args) if arg.startswith("--"))
+    assert f"argument {option}: {args[-1]} is below 1" in capsys.readouterr().err

@@ -183,7 +183,7 @@ def test_criterion_2_gradient_check():
 
 
 def _fit_spearman(m, pairs):
-    dots = [float(m.row(p.u) @ m.row(p.v)) for p in pairs]
+    dots = [float(m.matrix[m.idx(p.u)] @ m.matrix[m.idx(p.v)]) for p in pairs]
     return spearman(dots, [p.s for p in pairs])
 
 
@@ -423,7 +423,7 @@ def test_criterion_7_one_vs_all_speedup():
         want = pair_similarity("lch", g, queries[1], ids[int(t)])
         assert abs(float(lch_row[int(t)]) - want) <= 1e-6
     dot_row = one_vs_all_dot(m, queries[1])
-    qrow = m.row(queries[1])
+    qrow = m.matrix[m.idx(queries[1])]
     for t in rng.integers(0, n, 500):
         want = float(qrow @ m.matrix[int(t)])
         assert abs(float(dot_row[int(t)]) - want) <= 1e-6

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from unittest import mock
 
@@ -32,81 +33,21 @@ from taxovec.errors import (
     UnknownNodeError,
 )
 from taxovec.graph import TaxonomyGraph, compute_depths
-from taxovec.metrics import BLOCK, MEASURES, SimilarityRows, pair_similarity, propagate_counts
+from taxovec.metrics import BLOCK, MEASURES, SimilarityRows, pair_similarity, propagate_counts, unpack
 
 from conftest import (
     block_graphs,
     edge_list_lines,
     edge_lists,
     edges_of,
+    graph_from,
     graph_from_lines,
     graphs,
     ids_for,
     random_dag_edges,
     random_tree_graph,
 )
-from oracles import (
-    ancestor_closure,
-    depth_oracle,
-    floyd_warshall_undirected,
-    ic_counts_oracle,
-    lcs_oracle,
-    spearman_oracle,
-)
-
-
-def pipeline_oracle(n, edges, measure, threshold, k, raw_counts=None):
-    """Independent full-mode pipeline: dense matrices and full sorts.
-
-    Returns (survivor dict {(i,j): raw}, normalized dict, norm_min, norm_max).
-    """
-    dist = floyd_warshall_undirected(n, edges)
-    depths = depth_oracle(n, edges)
-    anc = ancestor_closure(n, edges)
-    max_depth = max(depths)
-    if raw_counts is not None:
-        counts, total = ic_counts_oracle(n, edges, raw_counts)
-
-    def sim(u, v):
-        if measure == "shp":
-            return 1.0 / (1.0 + dist[u, v]) if math.isfinite(dist[u, v]) else 0.0
-        if measure == "lch":
-            if not math.isfinite(dist[u, v]):
-                return 0.0
-            return -math.log((dist[u, v] + 1) / (2.0 * max_depth))
-        lcs = lcs_oracle(anc, depths, u, v)
-        if lcs is None:
-            return 0.0
-        if measure == "wup":
-            return 2.0 * depths[lcs] / (depths[u] + depths[v])
-        ic = lambda x: math.inf if counts[x] <= 0 else -math.log(counts[x] / total)
-        if math.isinf(ic(u)) or math.isinf(ic(v)):
-            return 0.0
-        denom = ic(u) + ic(v) - 2 * ic(lcs)
-        return math.inf if denom < 1e-12 else 1.0 / denom
-
-    candidates = {
-        (u, v): sim(u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if math.isfinite(dist[u, v]) and sim(u, v) >= threshold
-    }
-    per_node: dict[int, list[tuple[float, int]]] = {i: [] for i in range(n)}
-    for (u, v), s in candidates.items():
-        per_node[u].append((s, v))
-        per_node[v].append((s, u))
-    survivors = {}
-    for node, partners in per_node.items():
-        partners.sort(key=lambda t: (-t[0], t[1]))
-        for s, partner in partners[:k]:
-            key = (node, partner) if node < partner else (partner, node)
-            survivors[key] = s
-    finite = [s for s in survivors.values() if math.isfinite(s)]
-    lo, hi = min(finite), max(finite)
-    normalized = {
-        key: min(1.0, max(0.0, (s - lo) / (hi - lo))) for key, s in survivors.items()
-    }
-    return survivors, normalized, lo, hi
+from oracles import floyd_warshall_undirected, pipeline_oracle, spearman_oracle
 
 
 class TestBuildFull:
@@ -155,7 +96,8 @@ class TestBuildFull:
         assert (huge.candidate_count, huge.threshold_kept) == (every.candidate_count, every.threshold_kept)
 
     def test_matches_pipeline_oracle_all_measures(self):
-        for seed in range(4):
+        # both modes: fast mode's reach is the Floyd-Warshall pairs at most 2 edges apart
+        for seed, mode in itertools.product(range(4), MODES):
             n = 24
             edges = random_dag_edges(n, seed, extra=6)
             ids = ids_for(n)
@@ -169,20 +111,21 @@ class TestBuildFull:
                 ("shp", None), ("lch", 0.5), ("wup", None), ("jcn", None)
             ):
                 cfg = DatasetConfig(
-                    measure=measure, threshold=threshold, top_k=4, seed=seed
+                    measure=measure, threshold=threshold, top_k=4, mode=mode, seed=seed
                 )
-                build = build_full(g, cfg, ic_table=table)
-                _, expected_norm, lo, hi = pipeline_oracle(
-                    n, edges, measure, cfg.raw_threshold, 4, raw_counts
+                build = (build_full if mode == "full" else build_fast)(g, cfg, ic_table=table)
+                _, expected_norm, lo, hi, candidates, kept = pipeline_oracle(
+                    n, edges, measure, cfg.raw_threshold, 4, raw_counts, max_dist=2 if mode == "fast" else None
                 )
                 got = {
                     (g.idx(p.u), g.idx(p.v)): p.s for p in build.pairs
                 }
-                assert set(got) == set(expected_norm), measure
+                assert set(got) == set(expected_norm), (mode, measure)
                 for key, s in expected_norm.items():
-                    assert got[key] == pytest.approx(s, abs=1e-12), (measure, key)
+                    assert got[key] == pytest.approx(s, abs=1e-12), (mode, measure, key)
                 assert build.norm_min == pytest.approx(lo)
                 assert build.norm_max == pytest.approx(hi)
+                assert (build.candidate_count, build.threshold_kept) == (candidates, kept), (mode, measure)
 
     def test_outputs_in_unit_range_and_above_threshold(self):
         for seed in range(4):
@@ -442,10 +385,11 @@ def build_outcome(g, cfg, ic_table=None):
     k=st.sampled_from([1, 50, None]),  # None: k = n
     data=st.data(),
 )
-def test_level_selection_matches_block_selection(g, measure, mode, k, data):
-    # the reference is the fast wup/jcn path: SimilarityRows.block's scored
-    # triples through _select_block, block by block; with LEVEL_MEASURES
-    # emptied, a whole shp/lch build takes that path in both modes
+def test_level_selection_matches_reach_selection(g, measure, mode, k, data):
+    # the reference is the fast wup/jcn path, _select_reach: the levels'
+    # reach scored by SimilarityRows.table, block by block; with
+    # LEVEL_MEASURES emptied, a whole shp/lch build takes the wup/jcn paths,
+    # _select_reach in fast mode and the dense _select_table in full mode
     rows = SimilarityRows(g, measure)
     score = rows.path_score
     at = score(data.draw(st.integers(0, g.n), label="distance"))
@@ -462,7 +406,7 @@ def test_level_selection_matches_block_selection(g, measure, mode, k, data):
     for first in range(0, g.n, BLOCK):
         sources = np.arange(first, min(first + BLOCK, g.n))
         codes, dists, reached, kept = dataset._select_levels(rows, sources, walk, passing, top_k)
-        want = dataset._select_block(rows.block(sources, max_dist), g.n, threshold, top_k)
+        want = dataset._select_reach(rows, sources, max_dist, threshold, top_k)
         got_order, want_order = np.argsort(codes, kind="stable"), np.argsort(want[0], kind="stable")
         assert codes[got_order].tobytes() == want[0][want_order].tobytes()
         sims = np.array([score(d) for d in range(passing)])[dists[got_order]]
@@ -486,9 +430,9 @@ def test_level_selection_matches_block_selection(g, measure, mode, k, data):
     k=st.sampled_from([1, 50, None]),  # None: k = n
     data=st.data(),
 )
-def test_table_selection_matches_block_selection(g, measure, k, data):
-    # the reference is SimilarityRows.block's scored triples over each
-    # source's whole reach through _select_block, block by block
+def test_table_selection_matches_reach_selection(g, measure, k, data):
+    # the reference is _select_reach over each source's whole reach: the
+    # levels' cells scored by SimilarityRows.table, block by block
     rng = np.random.default_rng(data.draw(st.integers(0, 3), label="counts"))
     raw = [float(x) for x in rng.integers(0, 3, size=g.n)]
     raw[0] += 1.0  # zero counts too: infinite IC ends score 0.0, collapsed distances +inf
@@ -506,17 +450,41 @@ def test_table_selection_matches_block_selection(g, measure, k, data):
     for first in range(0, g.n, BLOCK):
         sources = np.arange(first, min(first + BLOCK, g.n))
         got = dataset._select_table(rows, sources, threshold, top_k)
-        want = dataset._select_block(rows.block(sources), g.n, threshold, top_k)
+        want = dataset._select_reach(rows, sources, None, threshold, top_k)
         got_order, want_order = np.argsort(got[0], kind="stable"), np.argsort(want[0], kind="stable")
         assert got[0][got_order].tobytes() == want[0][want_order].tobytes()
         assert got[1][got_order].tobytes() == want[1][want_order].tobytes()
         assert got[2:] == want[2:]  # reached and kept, from both ends
     # the pairs, header and counts of the whole build, also where it raises
     got = build_outcome(g, cfg, table)
-    block = lambda rows, sources, t, k: dataset._select_block(rows.block(sources), rows.g.n, t, k)  # noqa: E731
-    with mock.patch.object(dataset, "_select_table", block):
+    reach = lambda rows, sources, t, k: dataset._select_reach(rows, sources, None, t, k)  # noqa: E731
+    with mock.patch.object(dataset, "_select_table", reach):
         want = build_outcome(g, cfg, table)
     assert got == want
+
+
+def test_reach_selection_unpacks_at_most_2n_words(monkeypatch):
+    # a root and 63 of its n - 1 children as sources: the root reaches every
+    # child at distance 1 and each child source every other child at
+    # distance 2, so the two levels hold 2n - 1 words, more than one level
+    # can, all unpacked in one call; a level holds a node once, so a walk of
+    # max_dist 2 never unpacks more than 2n words
+    n = 320
+    g = graph_from(n, [(c, 0) for c in range(1, n)], virtual_root=False)
+    table = propagate_counts(g, [1.0] * n)
+    words = []
+
+    def spy(held, sources):
+        words.append(sum(len(nodes) for nodes, _ in held))
+        return unpack(held, sources)
+
+    monkeypatch.setattr(dataset, "unpack", spy)
+    for measure in ("wup", "jcn"):
+        words.clear()
+        rows = SimilarityRows(g, measure, ic_table=table)
+        _, _, reached, _ = dataset._select_reach(rows, np.arange(BLOCK), 2, 0.0, n)
+        assert words == [2 * n - 1]
+        assert reached == BLOCK * (n - 1)  # every other node is within two edges of each source
 
 
 @settings(max_examples=100, deadline=None, database=None)

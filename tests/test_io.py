@@ -405,19 +405,20 @@ def test_no_module_calls_the_single_source_bfs():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-def test_only_the_fast_dataset_build_unpacks_blocks():
-    # grids and one-vs-all rows read SimilarityRows.table for every measure;
-    # block() serves fast wup/jcn builds (and the tests, as a reference)
-    found = calls_in_package({"block"})
-    assert found.pop("dataset.py"), "the guard no longer sees the fast build's block call"
+def test_only_metrics_and_the_dataset_build_unpack_levels():
+    # the levels' words are unpacked by table()'s shp/lch walk and by the
+    # shp/lch and fast wup/jcn dataset builds, nothing else
+    found = calls_in_package({"unpack"})
+    assert found.pop("metrics.py"), "the guard no longer sees table()'s unpack"
+    assert found.pop("dataset.py"), "the guard no longer sees the builds' unpacks"
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_only_metrics_and_the_dataset_build_walk_the_levels():
-    # the BFS levels feed table(), block() and the shp/lch dataset builds, nothing else
+    # the BFS levels feed table() and the shp/lch and fast wup/jcn dataset builds, nothing else
     found = calls_in_package({"levels"})
-    assert found.pop("metrics.py"), "the guard no longer sees table()'s and block()'s walks"
-    assert found.pop("dataset.py"), "the guard no longer sees the shp/lch builds' walk"
+    assert found.pop("metrics.py"), "the guard no longer sees table()'s walk"
+    assert found.pop("dataset.py"), "the guard no longer sees the builds' walks"
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,8 +193,8 @@ class TestLoadRawCounts:
 
     def test_unknown_node_rejected(self, tmp_path, chain3):
         p = tmp_path / "c.tsv"
-        p.write_text("zzz\t3\n")
-        with pytest.raises(UnknownNodeError):
+        p.write_text("a\t1\nzzz\t3\n")
+        with pytest.raises(UnknownNodeError, match=rf"^{re.escape(str(p))}:2: unknown node id 'zzz'$"):
             load_raw_counts(p, chain3)
 
     def test_malformed_line(self, tmp_path, chain3):

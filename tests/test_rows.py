@@ -1,6 +1,7 @@
-"""Similarity-row kernel tests: blocks, tables and grids of one source and
-of many sources against the oracles, the Floyd-Warshall reach and the
-per-pair measures.
+"""Similarity-row kernel tests: the levels, tables and grids of one source
+and of many sources against the oracles, the Floyd-Warshall reach and
+the per-pair measures. A block of sources is checked as its reach from
+levels() with each reached cell scored by table(sources, targets, columns).
 
 Graphs are drawn by hypothesis: random DAGs with multiple inheritance,
 forests whose trees can share a child, and the same forests joined under
@@ -53,19 +54,27 @@ def distances(g: TaxonomyGraph) -> np.ndarray:
     return floyd_warshall_undirected(g.n, edges_of(g))
 
 
+def reach_cells(rows: SimilarityRows, sources, max_dist=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(targets, columns, scores) of a block: every (target, source) cell
+    that levels() reaches within `max_dist`, unpacked, and its score from
+    the aligned table()."""
+    sources = np.asarray(sources, dtype=np.int64)
+    targets, columns, _ = metrics.unpack(list(rows.levels(sources, max_dist)), len(sources))
+    scores = rows.table(sources, targets, columns)
+    assert scores.shape == targets.shape
+    return targets, columns, scores
+
+
 def block_rows(rows: SimilarityRows, sources, max_dist=None) -> tuple[np.ndarray, np.ndarray]:
     """One block as len(sources) x n matrices (reached, scores); scores is
     NaN where a node is absent for a source. Each (source, target) pair
     must occur once."""
-    sources = np.asarray(sources, dtype=np.int64)
-    got, targets, scores = rows.block(sources, max_dist)
-    row_of = {s: k for k, s in enumerate(sources.tolist())}
-    at = np.array([row_of[s] for s in got.tolist()], dtype=np.int64)
+    targets, columns, scores = reach_cells(rows, sources, max_dist)
     hits = np.zeros((len(sources), rows.g.n), dtype=np.int64)
-    np.add.at(hits, (at, targets), 1)
+    np.add.at(hits, (columns, targets), 1)
     assert hits.max(initial=1) == 1
     out = np.full(hits.shape, np.nan)
-    out[at, targets] = scores
+    out[columns, targets] = scores
     return hits.astype(bool), out
 
 
@@ -199,8 +208,10 @@ def past_one_block_oracle(measure: str) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("max_dist", [None, 0, 1, 2])
 @pytest.mark.parametrize("k", [1, 8, 9, 16, 17, 32, 33, 63, 64])
 def test_block_triples_run_in_level_order(measure, max_dist, k):
-    # every unpack width (1, 2, 4 and 8 bytes of a word) and both sides of
-    # each width's limit; the sources come in no particular order
+    # the unpacked cells of the levels run by distance, then target, then
+    # source position, as _take_nearest reads them, and the aligned table()
+    # scores each; every unpack width (1, 2, 4 and 8 bytes of a word) and
+    # both sides of each width's limit; the sources come in no particular order
     g = past_one_block_graph()
     table = context(g, 1)
     dist, want = past_one_block_oracle(measure)
@@ -211,36 +222,11 @@ def test_block_triples_run_in_level_order(measure, max_dist, k):
     later = np.lexsort((column, target, d))[np.count_nonzero(d == 0) :]  # by (distance, target, column)
     want_src = np.concatenate((sources, sources[column[later]]))  # level 0: the sources as given
     want_tgt = np.concatenate((sources, target[later]))
-    got_src, got_tgt, got = SimilarityRows(g, measure, ic_table=table).block(sources, max_dist)
+    got_tgt, got_col, got = reach_cells(SimilarityRows(g, measure, ic_table=table), sources, max_dist)
+    got_src = sources[got_col]
     assert got_src.tolist() == want_src.tolist()
     assert got_tgt.tolist() == want_tgt.tolist()
     assert np.array_equal(got, want[want_src, want_tgt], equal_nan=True)
-
-
-def test_block_unpacks_at_most_n_words_per_call(monkeypatch):
-    # 64 full-reach sources on a 320-node path with side branches: the
-    # levels hold several times n words in all, and each unpackbits call
-    # takes at most n of them (8 bytes each), so emission memory stays
-    # that of one n-word level
-    n = 320
-    edges = [(c, c - 1) for c in range(1, 300)] + [(c, c - 290) for c in range(300, n)]
-    g = graph_from(n, edges, virtual_root=False)
-    table = context(g, 0)
-    unpackbits = np.unpackbits
-    words = []
-
-    def spy(packed, *args, **kwargs):
-        words.append(packed.size // 8)
-        return unpackbits(packed, *args, **kwargs)
-
-    monkeypatch.setattr(metrics.np, "unpackbits", spy)
-    for measure in ("shp", "wup"):
-        for sources in (np.arange(0, n, 5), np.arange(n - 64, n)[::-1]):
-            words.clear()
-            got_src, got_tgt, _ = SimilarityRows(g, measure, ic_table=table).block(sources)
-            assert len(got_src) == len(sources) * n
-            assert len(set(zip(got_src.tolist(), got_tgt.tolist()))) == len(sources) * n
-            assert sum(words) > 2 * n and max(words) <= n
 
 
 @PROPERTY_SETTINGS
@@ -273,25 +259,42 @@ def test_one_source_levels_equal_its_bit_of_a_block(g, data):
             assert one_vs_all_graph(g, measure, g.ids[s]).tolist() == want[s].tolist()
 
 
+def source_calls(rows: SimilarityRows, sources: np.ndarray):
+    """Each way to hand a block of sources to levels(): directly (checked
+    at its first level), and through an shp/lch table() on every node, on
+    given targets and on given cells."""
+    cell = np.zeros(1, dtype=np.int64)
+    return [
+        lambda: next(rows.levels(sources)),
+        lambda: rows.table(sources),
+        lambda: rows.table(sources, cell),
+        lambda: rows.table(sources, cell, cell),
+    ]
+
+
 class TestBlockSources:
     def test_more_than_block_sources_is_a_config_error(self):
         g = past_one_block_graph()
         rows = SimilarityRows(g, "shp")
-        with pytest.raises(ConfigError, match=f"at most {BLOCK} distinct"):
-            rows.block(np.arange(BLOCK + 6))
-        assert len(rows.block(np.arange(BLOCK))[0]) == np.isfinite(distances(g)[:BLOCK]).sum()
+        for call in source_calls(rows, np.arange(BLOCK + 6)):
+            with pytest.raises(ConfigError, match=f"at most {BLOCK} distinct"):
+                call()
+        targets, _, _ = reach_cells(rows, np.arange(BLOCK))
+        assert len(targets) == np.isfinite(distances(g)[:BLOCK]).sum()
 
     @pytest.mark.parametrize("sources", [[5, 5, 7], [7, 5, 7], [0, 1, 0]])
     def test_a_repeated_source_is_a_config_error(self, sources):
         rows = SimilarityRows(past_one_block_graph(), "shp")
-        with pytest.raises(ConfigError, match="distinct"):
-            rows.block(np.array(sources))
+        for call in source_calls(rows, np.array(sources)):
+            with pytest.raises(ConfigError, match="distinct"):
+                call()
 
     @pytest.mark.parametrize("sources", [[-1], [3, 150], [149, -150]])
     def test_an_index_outside_the_graph_is_a_config_error(self, sources):
         rows = SimilarityRows(past_one_block_graph(), "shp")
-        with pytest.raises(ConfigError, match=r"in \[0, 150\)"):
-            rows.block(np.array(sources))
+        for call in source_calls(rows, np.array(sources)):
+            with pytest.raises(ConfigError, match=r"in \[0, 150\)"):
+                call()
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -354,7 +357,7 @@ class TestSimilarityRows:
             ["a0", "a1", "b0", "b1", "s"],
             [("a1", "a0"), ("b1", "b0"), ("s", "a1"), ("s", "b1")],
         )
-        _, targets, sims = SimilarityRows(g, "wup").block(np.array([g.idx("a1")]))
+        targets, _, sims = reach_cells(SimilarityRows(g, "wup"), [g.idx("a1")])
         got = dict(zip((g.ids[t] for t in targets), sims.tolist()))
         assert set(got) == set(g.ids)
         assert math.isnan(got["b1"]) and math.isnan(got["b0"])
@@ -363,7 +366,7 @@ class TestSimilarityRows:
     def test_unreachable_nodes_are_absent(self):
         g = TaxonomyGraph(["a", "b", "lone"], [("b", "a")])
         for measure in ("shp", "wup"):
-            _, targets, _ = SimilarityRows(g, measure).block(np.array([g.idx("a")]))
+            targets, _, _ = reach_cells(SimilarityRows(g, measure), [g.idx("a")])
             assert g.idx("lone") not in targets.tolist()
 
     def test_scorers_on_one_graph_share_its_schedule_and_ic_vector(self):

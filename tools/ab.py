@@ -300,15 +300,15 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     stages = ap.add_subparsers(dest="stage", required=True)
     build = stages.add_parser("build", parents=[common], help="dataset builds")
-    build.add_argument("--nodes", type=int, help="one build per side on a make_dag graph this large")
+    build.add_argument("--nodes", type=at_least_one, help="one build per side on a make_dag graph this large")
     build.add_argument("--measure", choices=MEASURES, default="shp", help="the measure of the --nodes build")
     build.add_argument("--mode", choices=MODES, default="full", help="the mode of the --nodes build")
     rows = stages.add_parser("rows", parents=[common], help="one-vs-all shp/lch rows, a 3x3 and a 64x64 grid")
-    rows.add_argument("--nodes", type=int, help="on a make_dag graph this large instead of the query graph")
+    rows.add_argument("--nodes", type=at_least_one, help="on a make_dag graph this large instead of the query graph")
     train = stages.add_parser("train", parents=[common], help="train()")
     train.add_argument("--star", action="store_true", help="time a star graph instead")
-    train.add_argument("--leaves", type=int, default=2000)
-    train.add_argument("--batch-sizes", type=int, nargs="+", default=[100, 1000])
+    train.add_argument("--leaves", type=at_least_one, default=2000)
+    train.add_argument("--batch-sizes", type=at_least_one, nargs="+", default=[100, 1000])
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
