@@ -3,14 +3,18 @@
 A lemma maps to several candidate nodes, so scoring a lemma pair means
 first choosing one node pair. Static selection picks the pair maximizing
 a raw graph measure; dynamic selection picks the pair the embedding model
-itself scores highest. Both take one grid of scores per record and share
-one selection loop. The reported number is the Spearman correlation
-between predicted scores and gold scores (human judgments, or the graph
-measure's own values when it serves as the gold standard).
+itself scores highest. Both take one grid of scores per record, all of a
+run's grids from one call, and share one selection loop. The reported
+number is the Spearman correlation between predicted scores and gold
+scores (human judgments, or the graph measure's own values when it serves
+as the gold standard).
 
-A scorer offers `has(node)`, `grid(us, vs)`, a float64 array of the scores
-of every pair in us x vs, and `pairs(us, vs)`, one per aligned pair
-(us[k], vs[k]); both raise UnknownNodeError for unknown ids.
+A scorer offers `has(node)`; `grid(us, vs)`, a float64 array of the scores
+of every pair in us x vs; `grids(requests)`, the grid of each (us, vs)
+request of a list (a run's records or sentences), with the same cells as
+one grid() per request, which a measure scorer takes from a few shared
+tables; and `pairs(us, vs)`, one per aligned pair (us[k], vs[k]). All
+raise UnknownNodeError for unknown ids.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,11 +153,17 @@ class MeasureScorer:
         return self.g.has(node)
 
     def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
-        """SimilarityRows.grid with pair_similarity's 0.0 for a pair without a
-        path or common subsumer, put through dataset.rescale when normalized."""
-        raw = self.rows.grid(us, vs)
-        raw[np.isnan(raw)] = 0.0
-        return raw if self.norm_range is None else rescale(raw, *self.norm_range)
+        """grids() of the one request."""
+        return self.grids([(us, vs)])[0]
+
+    def grids(self, requests: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[np.ndarray]:
+        """SimilarityRows.grids with pair_similarity's 0.0 for a pair without
+        a path or common subsumer, put through dataset.rescale when normalized."""
+        out = []
+        for raw in self.rows.grids(requests):
+            raw[np.isnan(raw)] = 0.0
+            out.append(raw if self.norm_range is None else rescale(raw, *self.norm_range))
+        return out
 
     def pairs(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
         """The diagonal of one grid per BLOCK aligned pairs."""
@@ -162,7 +172,7 @@ class MeasureScorer:
 
 
 def _select(
-    records: list[LemmaPairRecord], grids: Iterable[np.ndarray]
+    records: list[LemmaPairRecord], grids: list[np.ndarray]
 ) -> tuple[list[SelectedPair], int]:
     """Per record, the first strict maximum in (c1, c2) order of its
     candidates1 x candidates2 grid, skipping NaN cells; records whose
@@ -188,19 +198,20 @@ def static_selection(
 ) -> tuple[list[SelectedPair], int]:
     """Per record, the candidate pair with maximal raw graph similarity.
 
-    The grid is SimilarityRows.grid, where a disconnected pair (no path
-    for shp/lch, no common subsumer for wup/jcn) is a NaN cell.
+    The grids are one SimilarityRows.grids call, where a disconnected pair
+    (no path for shp/lch, no common subsumer for wup/jcn) is a NaN cell.
     """
     rows = SimilarityRows(g, measure, ic_table=ic_table)
-    return _select(records, (rows.grid(r.candidates1, r.candidates2) for r in records))
+    return _select(records, rows.grids([(r.candidates1, r.candidates2) for r in records]))
 
 
 def dynamic_selection(records: list[LemmaPairRecord], scorer: ModelScorer) -> tuple[list[SelectedPair], int]:
     """Per record, the candidate pair the model itself scores highest.
 
-    The grid is scorer.grid. Unembedded candidates raise a lookup error.
+    The grids are one scorer.grids call. Unembedded candidates raise a
+    lookup error.
     """
-    return _select(records, (scorer.grid(r.candidates1, r.candidates2) for r in records))
+    return _select(records, scorer.grids([(r.candidates1, r.candidates2) for r in records]))
 
 
 @dataclass

@@ -9,6 +9,7 @@ the same inputs and seed back reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import hashlib
+import os
 from importlib import metadata
 from pathlib import Path
 from typing import Mapping
@@ -25,10 +26,13 @@ def artifact_version() -> str:
 
 
 def file_digest(path: str | Path) -> str:
+    """sha256 of the file, read into one reused buffer of 1 MiB, or of the
+    file's size plus one when smaller, so a small file touches no more."""
     h = hashlib.sha256()
     with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+        buf = memoryview(bytearray(min(1 << 20, os.fstat(fh.fileno()).st_size + 1)))
+        while size := fh.readinto(buf):
+            h.update(buf[:size])
     return h.hexdigest()
 
 

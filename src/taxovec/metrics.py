@@ -11,10 +11,11 @@ per-pair reference. SimilarityRows scores many pairs with the same values:
 table() scores up to BLOCK sources against every node, given targets or
 given (target, source) cells under every measure, shp/lch by walking the
 bit-parallel BFS of levels(), wup/jcn by the subsumer DP alone; one-vs-all
-rows are its tables of one source, and grid() scores every pair of two id
-lists through it. shp/lch dataset builds read levels() directly, and fast
-wup/jcn builds score the cells of levels() through table(). Every shape
-scores through one formula per measure; the measures read g.depths.
+rows are its tables of one source, and grids() scores every pair of two id
+lists, for many such requests at once, through it. shp/lch dataset builds
+read levels() directly, and fast wup/jcn builds score the cells of levels()
+through table(). Every shape scores through one formula per measure; the
+measures read g.depths.
 """
 
 from __future__ import annotations
@@ -216,12 +217,14 @@ class SimilarityRows:
     - table(sources, targets, columns): the one scorer, those sources
       against every node, or against `targets`, for every measure, or
       only the cells (targets[k], sources[columns[k]]): shp/lch from
-      levels(), stopping once every cell is reached, wup/jcn from the
-      subsumer DP alone, without a traversal (dataset builds of wup/jcn,
-      on the cells their fast walk reached, one-vs-all queries as a
-      table of one source, and grid());
-    - grid(us, vs): every pair of two id lists (static selection, measure
-      scorers, WSD), one table() per BLOCK ids of `us`.
+      levels(), stopping once every cell asked for is reached, wup/jcn
+      from the subsumer DP alone, without a traversal (dataset builds of
+      wup/jcn, on the cells their fast walk reached, one-vs-all queries as
+      a table of one source, and grids());
+    - grids(requests): every pair of two id lists, for each (us, vs)
+      request of a run (static selection, measure scorers, WSD), one
+      aligned table() of the requested cells per BLOCK distinct ids of
+      the `us` of consecutive requests; grid(us, vs) is one request.
 
     Scores agree exactly with pair_similarity. shp/lch map each
     breadth-first distance through path_score (shp_from_path, or
@@ -285,17 +288,7 @@ class SimilarityRows:
         """
         offsets, flat = self.g.csr
         n = self.g.n
-        src = np.asarray(sources, dtype=np.int64)
-        ordered = np.sort(src)
-        if (
-            len(src) > BLOCK
-            or (len(src) and (ordered[0] < 0 or ordered[-1] >= n))
-            or (ordered[1:] == ordered[:-1]).any()
-        ):
-            raise ConfigError(
-                f"a block takes at most {BLOCK} distinct node indices in [0, {n}), got "
-                f"{len(src)} sources, {len(np.unique(src))} distinct, from {ordered[0]} to {ordered[-1]}"
-            )
+        src = self._block(sources)
         if len(src) == 1:
             yield from self._source_levels(src, max_dist)
             return
@@ -341,22 +334,71 @@ class SimilarityRows:
             reach[frontier] = False
             unseen[frontier] = False
 
+    def _block(self, sources: np.ndarray) -> np.ndarray:
+        """`sources` as an int64 array, checked as levels() and table() take
+        them: at most BLOCK distinct node indices, or a config error."""
+        n = self.g.n
+        src = np.asarray(sources, dtype=np.int64)
+        ordered = np.sort(src)
+        if (
+            len(src) > BLOCK
+            or (len(src) and (ordered[0] < 0 or ordered[-1] >= n))
+            or (ordered[1:] == ordered[:-1]).any()
+        ):
+            raise ConfigError(
+                f"a block takes at most {BLOCK} distinct node indices in [0, {n}), got "
+                f"{len(src)} sources, {len(np.unique(src))} distinct, from {ordered[0]} to {ordered[-1]}"
+            )
+        return src
+
     def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
-        """Raw scores of every pair in us x vs, shape (len(us), len(vs)).
+        """Raw scores of every pair in us x vs, shape (len(us), len(vs)):
+        grids() of the one request."""
+        return self.grids([(us, vs)])[0]
+
+    def grids(self, requests: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[np.ndarray]:
+        """The grid of each (us, vs) request: raw scores of every pair in us
+        x vs, shape (len(us), len(vs)).
 
         A pair without a path (shp/lch) or a common subsumer (wup/jcn)
-        scores NaN, where pair_similarity reports 0.0; an unknown id
-        raises UnknownNodeError. Repeated ids are scored once: one table()
-        of BLOCK distinct ids of `us` against the distinct ids of `vs`.
+        scores NaN, where pair_similarity reports 0.0; an unknown id in any
+        request raises UnknownNodeError before anything is scored. Repeated
+        ids are scored once. Each request's distinct ids of `us` split into
+        pieces of BLOCK, and consecutive pieces whose distinct ids fit in
+        BLOCK sources share one aligned table() of just their requested
+        cells, so a shp/lch walk stops at the farthest requested cell; a
+        piece alone, all of whose cells are requested, takes the dense
+        table() of its ids against the distinct ids of `vs`.
         """
-        (rows, row_of), (cols, col_of) = (
-            np.unique(np.array([self.g.idx(x) for x in xs], dtype=np.int64), return_inverse=True)
-            for xs in (us, vs)
-        )
-        out = np.full((len(rows), len(cols)), np.nan)
-        for first in range(0, len(rows) if len(cols) else 0, BLOCK):
-            out[first : first + BLOCK] = self.table(rows[first : first + BLOCK], cols).T
-        return out[row_of][:, col_of]
+        sides = [
+            [np.unique(np.array([self.g.idx(x) for x in xs], dtype=np.int64), return_inverse=True) for xs in request]
+            for request in requests
+        ]
+        out = [np.full((len(rows), len(cols)), np.nan) for (rows, _), (cols, _) in sides]
+        groups: list[list[tuple[int, int, np.ndarray, np.ndarray]]] = []  # (request, first row, rows, columns)
+        held: set[int] = set()  # the rows of the last group
+        for k, ((rows, _), (cols, _)) in enumerate(sides):
+            for first in range(0, len(rows) if len(cols) else 0, BLOCK):
+                piece = rows[first : first + BLOCK]
+                if not groups or len(held.union(piece.tolist())) > BLOCK:
+                    groups.append([])
+                    held = set()
+                groups[-1].append((k, first, piece, cols))
+                held.update(piece.tolist())
+        for group in groups:
+            if len(group) == 1:  # all of one piece's cells: the dense table, no cell lists to build
+                (k, first, piece, cols), = group
+                out[k][first : first + len(piece)] = self.table(piece, cols).T
+                continue
+            sources = np.unique(np.concatenate([piece for _, _, piece, _ in group]))
+            targets = np.concatenate([np.tile(cols, len(piece)) for _, _, piece, cols in group])
+            columns = np.concatenate([np.repeat(np.searchsorted(sources, piece), len(cols)) for _, _, piece, cols in group])
+            cells = self.table(sources, targets, columns)
+            at = 0
+            for k, first, piece, cols in group:
+                out[k][first : first + len(piece)] = cells[at : at + len(piece) * len(cols)].reshape(len(piece), len(cols))
+                at += len(piece) * len(cols)
+        return [grid[row_of][:, col_of] for grid, ((_, row_of), (_, col_of)) in zip(out, sides)]
 
     def table(
         self, sources: np.ndarray, targets: np.ndarray | None = None, columns: np.ndarray | None = None
@@ -366,20 +408,25 @@ class SimilarityRows:
         `targets` is None (full wup/jcn dataset builds, one-vs-all rows as
         a table of one source). With `columns`, the 1-D scores of the
         cells (targets[k], sources[columns[k]]) (fast wup/jcn dataset
-        builds), where `targets` may repeat; else they must be distinct.
-        `sources` as levels() takes them. A pair without a path (shp/lch)
-        or a common subsumer (wup/jcn), so every pair in another component,
-        scores NaN, where pair_similarity reports 0.0.
+        builds, grids()), where `targets` may repeat; else they must be
+        distinct. `sources` as levels() takes them, checked for every
+        measure. A pair without a path (shp/lch) or a common subsumer
+        (wup/jcn), so every pair in another component, scores NaN, where
+        pair_similarity reports 0.0.
 
         shp/lch walk levels() (_path_table), cells over their distinct
-        targets; wup/jcn run no traversal, only the subsumer DP, then
-        _scores, whose formulas are symmetric in the two ends.
+        targets, until the last cell asked for is reached; wup/jcn run no
+        traversal, only the subsumer DP, then _scores, whose formulas are
+        symmetric in the two ends.
         """
+        sources = self._block(sources)
         if self.measure in ("shp", "lch"):
             if columns is None:
                 return self._path_table(sources, targets)
             distinct, row = np.unique(targets, return_inverse=True)
-            return self._path_table(sources, distinct)[row, columns]
+            wanted = np.zeros((len(distinct), len(sources)), dtype=bool)
+            wanted[row, columns] = True
+            return self._path_table(sources, distinct, None if wanted.all() else wanted)[row, columns]
         best = self._subsumers(sources, targets)
         if columns is not None:
             return self._scores(sources[columns], targets, best[targets, columns])
@@ -387,28 +434,32 @@ class SimilarityRows:
             return self._scores(np.arange(self.g.n)[:, None], sources, best)
         return self._scores(targets[:, None], sources, best[targets])
 
-    def _path_table(self, sources: np.ndarray, targets: np.ndarray | None) -> np.ndarray:
+    def _path_table(
+        self, sources: np.ndarray, targets: np.ndarray | None, wanted: np.ndarray | None = None
+    ) -> np.ndarray:
         """table() for shp/lch: each (target, source) cell gets path_score(d)
         at the first level d of levels(sources) that reaches it. Only the
         level's nodes that are targets are unpacked, one source's straight
-        into its column, and the walk stops once every cell is filled."""
+        into its column, and the walk stops once every cell is filled, or
+        every cell that the bool mask `wanted` marks (None: all of them)."""
         out = np.full((self.g.n if targets is None else len(targets), len(sources)), np.nan)
         row_at = None
         if targets is not None:
             row_at = np.full(self.g.n, -1)
             row_at[targets] = np.arange(len(targets))
-        left = out.size
+        left = out.size if wanted is None else np.count_nonzero(wanted)
         for dist, (nodes, words) in enumerate(self.levels(sources)):
             if row_at is not None:  # keep the targets, as their rows of out
                 nodes = row_at[nodes]
                 hit = nodes >= 0
                 nodes, words = nodes[hit], words[hit]
+            columns = 0
             if len(sources) == 1:  # its words are all 1
                 out[:, 0][nodes] = self.path_score(dist)
             elif len(nodes):
                 nodes, columns, _ = unpack([(nodes, words)], len(sources))
                 out[nodes, columns] = self.path_score(dist)
-            left -= len(nodes)
+            left -= len(nodes) if wanted is None else np.count_nonzero(wanted[nodes, columns])
             if not left:
                 break
         return out

@@ -8,10 +8,12 @@ degree (sum of incident edge weights); ties, including the no-edges
 case, fall back to the first listed candidate, which is the most
 frequent sense when lists are frequency-ordered.
 
-Scoring and thresholding are separate steps: score_sentence takes one
-`grid(us, vs)` of the scorer (see evaluation) over a sentence's candidates
-that the scorer `has`, and SentenceScores.degrees sums the weights above a
-threshold, so a threshold sweep scores each sentence once.
+Scoring and thresholding are separate steps: score_sentences scores a
+whole run with one `grids` call of the scorer (see evaluation), one square
+grid per sentence over its candidates that the scorer `has`, and
+RunScores.degrees sums the weights above a threshold of every sentence
+with one bincount, so a threshold sweep scores each sentence once.
+score_sentence and SentenceScores are the same for one sentence.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, RecordError
 from .evaluation import MeasureScorer, ModelScorer
+from .graph import spans
 from .io import atomic_write, natural, paragraphs
 
 
@@ -67,6 +70,14 @@ class WsdConfig:
 GraphNode = tuple[int, str]  # (token index, candidate id); a candidate listed twice for a token is one node
 
 
+def _degrees(pairs: np.ndarray, weights: np.ndarray, threshold: float, nodes: int) -> list[float]:
+    """Each of `nodes` nodes' sum of the weights strictly above `threshold`
+    of the pairs it ends, added in pair order from 0.0 by one bincount."""
+    keep = weights > threshold
+    degree = np.bincount(pairs[keep].ravel(), np.repeat(weights[keep], 2), minlength=nodes)
+    return degree.astype(np.float64, copy=False).tolist()  # no pair kept: bincount gives int zeros
+
+
 @dataclass
 class SentenceScores:
     """A sentence's scored cross-token pairs: `pairs` index the distinct
@@ -81,33 +92,99 @@ class SentenceScores:
     def degrees(self, threshold: float) -> dict[GraphNode, float]:
         """Each node's sum of the weights strictly above `threshold`, summed
         in pair order."""
-        degree = dict.fromkeys(self.nodes, 0.0)
-        keep = self.weights > threshold
-        for (a, b), w in zip(self.pairs[keep].tolist(), self.weights[keep].tolist()):
-            degree[self.nodes[a]] += w
-            degree[self.nodes[b]] += w
-        return degree
+        return dict(zip(self.nodes, _degrees(self.pairs, self.weights, threshold, len(self.nodes))))
 
 
-def score_sentence(
-    inst: SentenceInstance, scorer: MeasureScorer | ModelScorer
-) -> SentenceScores:
-    """One scorer grid over the sentence's known candidates; a pair with a
-    candidate the scorer does not have is left out and counted as skipped.
-    A candidate listed twice for one token is scored once, at its first
-    place, so the listing cannot weigh a partner's degree."""
-    slots = [(tok.index, dict.fromkeys(tok.candidates)) for tok in inst.tokens if tok.candidates]
-    nodes = [(index, cand) for index, cands in slots for cand in cands]
-    slot = np.repeat(np.arange(len(slots)), [len(cands) for _, cands in slots])
-    known = list(dict.fromkeys(cand for _, cand in nodes if scorer.has(cand)))
-    col = {cand: k for k, cand in enumerate(known)}
-    pos = np.array([col.get(cand, -1) for _, cand in nodes], dtype=np.int64)
-    a, b = np.nonzero(slot[:, None] < slot[None, :])
-    pairs = np.column_stack((a, b))[np.lexsort((b, a, slot[b], slot[a]))]
-    cells = pos[pairs]
-    scored = (cells >= 0).all(axis=1)
-    weights = scorer.grid(known, known)[cells[scored, 0], cells[scored, 1]]
-    return SentenceScores(nodes, pairs[scored], weights, len(pairs) - len(weights))
+@dataclass
+class RunScores:
+    """The SentenceScores of a run of sentences in run-wide arrays: sentence
+    k owns nodes[starts[k]:starts[k + 1]] and the rows
+    pair_starts[k]:pair_starts[k + 1] of `pairs` (run-wide node indices)
+    and `weights`, and skipped[k] pairs."""
+
+    nodes: list[GraphNode]
+    starts: list[int]
+    pairs: np.ndarray
+    weights: np.ndarray
+    pair_starts: list[int]
+    skipped: list[int]
+
+    def sentence(self, k: int) -> SentenceScores:
+        first, (lo, hi) = self.starts[k], self.pair_starts[k : k + 2]
+        return SentenceScores(self.nodes[first : self.starts[k + 1]], self.pairs[lo:hi] - first,
+                              self.weights[lo:hi], self.skipped[k])
+
+    def degrees(self, threshold: float) -> list[dict[GraphNode, float]]:
+        """SentenceScores.degrees of every sentence, from one bincount."""
+        degree = _degrees(self.pairs, self.weights, threshold, len(self.nodes))
+        return [dict(zip(self.nodes[a:b], degree[a:b])) for a, b in zip(self.starts, self.starts[1:])]
+
+
+def score_sentence(inst: SentenceInstance, scorer: MeasureScorer | ModelScorer) -> SentenceScores:
+    """score_sentences of the one sentence."""
+    return score_sentences([inst], scorer).sentence(0)
+
+
+def score_sentences(
+    instances: Sequence[SentenceInstance], scorer: MeasureScorer | ModelScorer
+) -> RunScores:
+    """Each sentence's cross-token pairs scored from one scorer grid over
+    its distinct known candidates, all grids from one `grids` call; a pair
+    with a candidate the scorer does not have is left out and counted as
+    skipped. A candidate listed twice for one token is scored once, at its
+    first place, so the listing cannot weigh a partner's degree.
+
+    A slot is a token with candidates, holding its distinct ones. After
+    one pass over the tokens, the pairs are enumerated run-wide: each slot
+    against the later slots of its sentence, then each such slot pair's
+    candidates, a-major, which is SentenceScores' pair order.
+    """
+    nodes: list[GraphNode] = []
+    starts = [0]  # each sentence's first node
+    sizes: list[int] = []  # distinct candidates per slot
+    ends: list[int] = []  # per slot, the slot past its sentence's last one
+    pos: list[int] = []  # each node's place in its sentence's known candidates, -1 if unknown
+    knowns: list[list[str]] = []
+    for inst in instances:
+        col: dict[str, int] = {}
+        first = len(sizes)
+        for tok in inst.tokens:
+            if tok.candidates:
+                cands = dict.fromkeys(tok.candidates)
+                sizes.append(len(cands))
+                for cand in cands:
+                    nodes.append((tok.index, cand))
+                    if cand not in col and scorer.has(cand):
+                        col[cand] = len(col)
+                    pos.append(col.get(cand, -1))
+        ends.extend([len(sizes)] * (len(sizes) - first))
+        starts.append(len(nodes))
+        knowns.append(list(col))
+
+    size = np.array(sizes, dtype=np.int64)
+    slot = np.arange(len(size))
+    later = np.array(ends, dtype=np.int64) - slot - 1  # partner slots of each slot
+    sa = np.repeat(slot, later)
+    sb = spans(slot + 1, later)
+    cells = size[sa] * size[sb]
+    i, j = np.divmod(spans(np.zeros_like(cells), cells), np.repeat(size[sb], cells))
+    lead = np.cumsum(size) - size  # each slot's first node
+    a, b = np.repeat(lead[sa], cells) + i, np.repeat(lead[sb], cells) + j
+
+    grids = scorer.grids([(known, known) for known in knowns])
+    width = np.array([len(known) for known in knowns], dtype=np.int64)
+    corner = np.cumsum(width * width) - width * width  # each grid's first cell in `flat`
+    flat = np.concatenate([np.empty(0), *(grid.ravel() for grid in grids)])
+    owner = np.repeat(np.arange(len(instances)), np.diff(starts))[a]  # each pair's sentence
+    total = np.bincount(owner, minlength=len(instances))
+    place = np.array(pos, dtype=np.int64)
+    place_a, place_b = place[a], place[b]
+    scored = (place_a >= 0) & (place_b >= 0)
+    a, b, place_a, place_b, owner = (x[scored] for x in (a, b, place_a, place_b, owner))
+    weights = flat[corner[owner] + place_a * width[owner] + place_b]
+    kept = np.bincount(owner, minlength=len(instances))
+    return RunScores(nodes, starts, np.column_stack((a, b)), weights, [0, *np.cumsum(kept).tolist()],
+                     (total - kept).tolist())
 
 
 def select_senses(degrees: Mapping[GraphNode, float], inst: SentenceInstance) -> dict[int, str]:
@@ -138,10 +215,10 @@ def disambiguate_sweep(
 ) -> list[tuple[list[dict[int, str]], int]]:
     """disambiguate at every threshold in turn, scoring each sentence once."""
     cfgs = [WsdConfig(scorer, t) for t in thresholds]  # validates every threshold first
-    scored = [score_sentence(inst, scorer) for inst in instances]
-    skipped = sum(s.skipped_pairs for s in scored)
+    scored = score_sentences(instances, scorer)
+    skipped = sum(scored.skipped)
     return [
-        ([select_senses(s.degrees(cfg.threshold), inst) for s, inst in zip(scored, instances)], skipped)
+        ([select_senses(degree, inst) for degree, inst in zip(scored.degrees(cfg.threshold), instances)], skipped)
         for cfg in cfgs
     ]
 

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from taxovec.evaluation import MeasureScorer
 from taxovec.graph import TaxonomyGraph, load_edge_list
-from taxovec.metrics import BLOCK
+from taxovec.metrics import BLOCK, MEASURES, propagate_counts
+from taxovec.trainer import EmbeddingMatrix, ModelScorer
 
 from oracles import prufer_tree
 
@@ -130,6 +132,22 @@ def block_graphs(draw):
         isolated = set(rng.choice(n, size=min(n, 3), replace=False).tolist())
         edges = {(c, p) for c, p in edges if c not in isolated and p not in isolated}
     return graph_from(n, sorted(edges), virtual_root=kind == "rooted")
+
+
+def every_scorer(g: TaxonomyGraph, seed: int, d: int = 4) -> list:
+    """Each kind of scorer on g: model dots and cosines of a random float32
+    embedding of its nodes whose first row is zero, and measure scorers of
+    the four measures, raw and normalized, jcn on random corpus counts."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(g.n, d)).astype(np.float32)
+    matrix[0] = 0.0
+    m = EmbeddingMatrix(g.ids, matrix)
+    raw = [float(x) for x in rng.integers(0, 3, size=g.n)]
+    raw[0] += 1.0  # some mass, some unobserved nodes
+    table = propagate_counts(g, raw)
+    return [ModelScorer(m, mode) for mode in ("dot", "cosine")] + [
+        MeasureScorer(g, measure, ic_table=table, norm_range=norm) for measure in MEASURES for norm in (None, (0.1, 0.6))
+    ]
 
 
 @pytest.fixture

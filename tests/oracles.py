@@ -185,6 +185,38 @@ def wsd_degree_oracle(tokens, weight, threshold):
     return degree, picks, skipped
 
 
+def sentence_scores_oracle(inst, scorer):
+    """(nodes, pairs, weights, skipped) of one sentence by the per-sentence
+    logic: nodes are the (token index, candidate) of each token's distinct
+    candidates; one scorer grid over the sentence's distinct candidates
+    that the scorer has; the cross-token pairs from a mask of slot pairs,
+    put in (token a, token b, candidate of a, candidate of b) order by a
+    lexsort; pairs with a candidate the scorer lacks are skipped."""
+    slots = [(tok.index, dict.fromkeys(tok.candidates)) for tok in inst.tokens if tok.candidates]
+    nodes = [(index, cand) for index, cands in slots for cand in cands]
+    slot = np.repeat(np.arange(len(slots)), [len(cands) for _, cands in slots])
+    known = list(dict.fromkeys(cand for _, cand in nodes if scorer.has(cand)))
+    col = {cand: k for k, cand in enumerate(known)}
+    pos = np.array([col.get(cand, -1) for _, cand in nodes], dtype=np.int64)
+    a, b = np.nonzero(slot[:, None] < slot[None, :])
+    pairs = np.column_stack((a, b))[np.lexsort((b, a, slot[b], slot[a]))]
+    cells = pos[pairs]
+    scored = (cells >= 0).all(axis=1)
+    weights = scorer.grid(known, known)[cells[scored, 0], cells[scored, 1]]
+    return nodes, pairs[scored], weights, len(pairs) - len(weights)
+
+
+def sentence_degrees_oracle(nodes, pairs, weights, threshold):
+    """Each node's degree as a dict, the weights strictly above `threshold`
+    added to both ends one pair at a time, in pair order from 0.0."""
+    degree = dict.fromkeys(nodes, 0.0)
+    keep = weights > threshold
+    for (a, b), w in zip(pairs[keep].tolist(), weights[keep].tolist()):
+        degree[nodes[a]] += w
+        degree[nodes[b]] += w
+    return degree
+
+
 def spearman_oracle(x: list[float], y: list[float]) -> float:
     """Counting-based fractional ranks, then a hand-rolled Pearson."""
 

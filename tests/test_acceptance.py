@@ -338,6 +338,9 @@ class _PairTable:
         cells = [self.table.get(frozenset((u, v)), self.default) for u in us for v in vs]
         return np.array(cells, dtype=np.float64).reshape(len(us), len(vs))
 
+    def grids(self, requests):
+        return [self.grid(us, vs) for us, vs in requests]
+
 
 def test_criterion_6_wsd_selection_logic():
     """Sense selection reproduces hand-summed weighted degrees exactly."""

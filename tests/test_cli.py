@@ -631,13 +631,13 @@ class TestWsd:
 
     def test_sweep_scores_each_sentence_once(self, workdir, capsys, monkeypatch):
         calls = []
-        grid = MeasureScorer.grid
+        grids = MeasureScorer.grids
 
-        def counting_grid(self, us, vs):
-            calls.append((tuple(us), tuple(vs)))
-            return grid(self, us, vs)
+        def counting_grids(self, requests):
+            calls.append([(tuple(us), tuple(vs)) for us, vs in requests])
+            return grids(self, requests)
 
-        monkeypatch.setattr(MeasureScorer, "grid", counting_grid)
+        monkeypatch.setattr(MeasureScorer, "grids", counting_grids)
         (workdir / "inst.tsv").write_text(self.INSTANCES)
         code = main(
             ["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv",
@@ -647,7 +647,7 @@ class TestWsd:
         out = capsys.readouterr().out
         assert out.count("sweep t=") == 3
         assert "sweep t=0.3000 f1=1.0000" in out
-        assert len(calls) == 2  # one grid per sentence for all four thresholds
+        assert [len(requests) for requests in calls] == [2]  # one grid per sentence, one call for all four thresholds
 
     def test_nan_threshold_is_a_usage_error(self, workdir, capsys):
         (workdir / "inst.tsv").write_text(self.INSTANCES)

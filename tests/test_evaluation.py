@@ -28,10 +28,10 @@ from taxovec.evaluation import (
     static_selection,
 )
 from taxovec.graph import TaxonomyGraph
-from taxovec.metrics import pair_similarity, propagate_counts
+from taxovec.metrics import BLOCK, pair_similarity, propagate_counts
 from taxovec.trainer import EmbeddingMatrix, TrainConfig, score, train
 
-from conftest import random_dag_graph, random_tree_graph
+from conftest import block_graphs, every_scorer, random_dag_graph, random_tree_graph
 from oracles import model_score_oracle, spearman_oracle
 
 
@@ -437,6 +437,21 @@ class TestScorerGrids:
         assert pairs.dtype == grid.dtype == np.float64
         assert pairs.tobytes() == np.diagonal(grid).tobytes() == np.diagonal(oracle).tobytes()
         assert grid.tobytes() == oracle.tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(g=block_graphs(), seed=st.integers(0, 3), d=st.sampled_from([1, 7, 300]), data=st.data())
+    def test_grids_equal_one_grid_per_request_bit_for_bit(self, g, seed, d, data):
+        # requests of few or more than BLOCK distinct ids, some repeated; either side may be empty
+        ids = st.sampled_from(g.ids)
+        many = st.lists(ids, unique=True, min_size=min(g.n, BLOCK + 1), max_size=min(g.n, BLOCK + 8))
+        side = st.one_of(st.lists(ids, max_size=8), many.map(lambda xs: xs + xs[:3]))
+        requests = data.draw(st.lists(st.tuples(side, st.lists(ids, max_size=6)), max_size=6))
+        scorers = every_scorer(g, seed, d)  # model scorers (d wide) and measure scorers
+        for scorer in scorers + [s.rows for s in scorers if isinstance(s, MeasureScorer) and s.norm_range is None]:  # NaN kept
+            got = scorer.grids(requests)
+            want = [scorer.grid(us, vs) for us, vs in requests]
+            assert [x.shape for x in got] == [x.shape for x in want] == [(len(us), len(vs)) for us, vs in requests]
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     def test_model_grid_unknown_id(self):
         m = EmbeddingMatrix(["a", "b"], np.ones((2, 3)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import re
 
+import numpy as np
 import pytest
 
 from taxovec.errors import DataError
@@ -20,6 +21,11 @@ class TestFileDigest:
     def test_matches_hashlib(self, tmp_path):
         p = tmp_path / "blob.bin"
         p.write_bytes(b"graph data\n" * 1000)
+        assert file_digest(p) == hashlib.sha256(p.read_bytes()).hexdigest()
+
+    def test_matches_hashlib_past_one_buffer(self, tmp_path):
+        p = tmp_path / "big.bin"  # two full 1 MiB reads and a partial third
+        p.write_bytes(np.random.default_rng(0).bytes((5 << 19) + 3))
         assert file_digest(p) == hashlib.sha256(p.read_bytes()).hexdigest()
 
     def test_empty_file(self, tmp_path):

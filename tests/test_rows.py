@@ -259,40 +259,40 @@ def test_one_source_levels_equal_its_bit_of_a_block(g, data):
             assert one_vs_all_graph(g, measure, g.ids[s]).tolist() == want[s].tolist()
 
 
-def source_calls(rows: SimilarityRows, sources: np.ndarray):
-    """Each way to hand a block of sources to levels(): directly (checked
-    at its first level), and through an shp/lch table() on every node, on
-    given targets and on given cells."""
+def source_calls(g: TaxonomyGraph, sources: np.ndarray):
+    """Each way to hand a block of sources to a scorer of each measure:
+    levels() (checked at its first level), and table() on every node, on
+    given targets and on given cells, which check them for wup/jcn too."""
     cell = np.zeros(1, dtype=np.int64)
-    return [
-        lambda: next(rows.levels(sources)),
-        lambda: rows.table(sources),
-        lambda: rows.table(sources, cell),
-        lambda: rows.table(sources, cell, cell),
-    ]
+    table = context(g, 0)
+    for measure in MEASURES:
+        rows = SimilarityRows(g, measure, ic_table=table)
+        yield from (
+            lambda rows=rows: next(rows.levels(sources)),
+            lambda rows=rows: rows.table(sources),
+            lambda rows=rows: rows.table(sources, cell),
+            lambda rows=rows: rows.table(sources, cell, cell),
+        )
 
 
 class TestBlockSources:
     def test_more_than_block_sources_is_a_config_error(self):
         g = past_one_block_graph()
-        rows = SimilarityRows(g, "shp")
-        for call in source_calls(rows, np.arange(BLOCK + 6)):
+        for call in source_calls(g, np.arange(BLOCK + 6)):
             with pytest.raises(ConfigError, match=f"at most {BLOCK} distinct"):
                 call()
-        targets, _, _ = reach_cells(rows, np.arange(BLOCK))
+        targets, _, _ = reach_cells(SimilarityRows(g, "shp"), np.arange(BLOCK))
         assert len(targets) == np.isfinite(distances(g)[:BLOCK]).sum()
 
     @pytest.mark.parametrize("sources", [[5, 5, 7], [7, 5, 7], [0, 1, 0]])
     def test_a_repeated_source_is_a_config_error(self, sources):
-        rows = SimilarityRows(past_one_block_graph(), "shp")
-        for call in source_calls(rows, np.array(sources)):
+        for call in source_calls(past_one_block_graph(), np.array(sources)):
             with pytest.raises(ConfigError, match="distinct"):
                 call()
 
     @pytest.mark.parametrize("sources", [[-1], [3, 150], [149, -150]])
     def test_an_index_outside_the_graph_is_a_config_error(self, sources):
-        rows = SimilarityRows(past_one_block_graph(), "shp")
-        for call in source_calls(rows, np.array(sources)):
+        for call in source_calls(past_one_block_graph(), np.array(sources)):
             with pytest.raises(ConfigError, match=r"in \[0, 150\)"):
                 call()
 
@@ -348,6 +348,49 @@ def test_table_equals_the_oracle_and_walks_no_further_than_its_farthest_cell(g, 
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
         assert len(walked) == (want_levels if measure in ("shp", "lch") else 0)
+
+
+@PROPERTY_SETTINGS
+@given(g=st.one_of(graphs, block_graphs()), data=st.data())
+def test_grids_walk_no_further_than_their_farthest_requested_cell(g, data):
+    # requests of at most BLOCK // 3 distinct ids of `us` pack into groups of
+    # consecutive requests while their ids of `us` fit in BLOCK sources; a
+    # spy on levels() sees one walk per group, which ends at the level of the
+    # group's farthest requested cell, or runs through the sources' whole
+    # reach when a requested pair has no path; `vs` is often near `us`, so
+    # that a pair of two requests lies farther than any requested one
+    dist = distances(g)
+    nodes = st.sampled_from(range(g.n))
+
+    def request(us):
+        near = st.sampled_from(sorted({v for u in us for v in np.flatnonzero(dist[u] <= 1).tolist()}))
+        return st.tuples(st.just(us), st.lists(st.one_of(near, nodes) if us else nodes, max_size=6))
+
+    requests = data.draw(st.lists(st.lists(nodes, max_size=BLOCK // 3).flatmap(request), max_size=8), label="requests")
+    groups = []  # (sources, requested distances)
+    for us, vs in requests:
+        if us and vs:
+            if not groups or len(groups[-1][0] | set(us)) > BLOCK:
+                groups.append((set(), []))
+            groups[-1][0].update(us)
+            groups[-1][1].extend(dist[u, v] for u in us for v in vs)
+    for measure in ("shp", "lch"):
+        rows = SimilarityRows(g, measure)
+        walk, walks = rows.levels, []
+
+        def spy(sources, max_dist=None):
+            walked = []
+            walks.append((sorted(sources.tolist()), walked))
+            for level in walk(sources, max_dist):
+                walked.append(level)
+                yield level
+
+        rows.levels = spy
+        rows.grids([([g.ids[u] for u in us], [g.ids[v] for v in vs]) for us, vs in requests])
+        assert [sources for sources, _ in walks] == [sorted(sources) for sources, _ in groups]
+        for (sources, walked), (_, far) in zip(walks, groups):
+            reach = dist[sources][np.isfinite(dist[sources])]
+            assert len(walked) == int(max(far) if np.isfinite(far).all() else reach.max()) + 1
 
 
 class TestSimilarityRows:

@@ -21,11 +21,13 @@ from taxovec.wsd import (
     micro_f1,
     random_sense_baseline,
     score_sentence,
+    score_sentences,
     select_senses,
     write_predictions,
 )
 
-from oracles import wsd_degree_oracle
+from conftest import block_graphs, every_scorer, graphs
+from oracles import sentence_degrees_oracle, sentence_scores_oracle, wsd_degree_oracle
 
 
 class StubScorer:
@@ -47,6 +49,9 @@ class StubScorer:
                 raise UnknownNodeError(f"no such node {node!r}")
         cells = [self.table.get(frozenset((u, v)), self.default) for u in us for v in vs]
         return np.array(cells, dtype=np.float64).reshape(len(us), len(vs))
+
+    def grids(self, requests):
+        return [self.grid(us, vs) for us, vs in requests]
 
 
 def sentence(*tokens):
@@ -196,6 +201,39 @@ def test_degrees_and_picks_match_the_reference(case):
     assert disambiguate([inst], WsdConfig(scorer, threshold)) == ([want_picks], want_skipped)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(g=st.one_of(graphs, block_graphs()), seed=st.integers(0, 3), data=st.data())
+def test_a_run_scores_as_its_sentences_one_by_one(g, seed, data):
+    # up to 4 sentences of up to 5 tokens over a few of g's nodes and one it
+    # lacks, so candidates repeat within and across tokens and sentences
+    pool = data.draw(st.lists(st.sampled_from(g.ids), min_size=1, max_size=6), label="pool") + ["GONE"]
+    instances = [
+        SentenceInstance(f"s{k}", tuple(
+            Token(t, f"t{t}", tuple(data.draw(st.lists(st.sampled_from(pool), max_size=4))), None)
+            for t in range(data.draw(st.integers(0, 5)))
+        ))
+        for k in range(data.draw(st.integers(0, 4), label="sentences"))
+    ]
+    for scorer in every_scorer(g, seed):
+        run = score_sentences(instances, scorer)
+        want = [sentence_scores_oracle(inst, scorer) for inst in instances]
+        assert len(run.starts) == len(instances) + 1
+        for k, (nodes, pairs, weights, skipped) in enumerate(want):
+            got = run.sentence(k)
+            assert got.nodes == nodes and got.pairs.tolist() == pairs.tolist()
+            assert got.weights.tobytes() == weights.tobytes() and got.skipped_pairs == skipped
+        cells = np.concatenate([np.empty(0), *(weights for _, _, weights, _ in want)])
+        thresholds = [0.0, 0.5, *np.unique(cells[np.isfinite(cells)])[:3].tolist()]  # some equal to a weight
+        sweep = disambiguate_sweep(instances, scorer, thresholds)
+        for t, (picks, skipped) in zip(thresholds, sweep):
+            degrees = [sentence_degrees_oracle(*case[:3], t) for case in want]
+            assert [{k: v.hex() for k, v in d.items()} for d in run.degrees(t)] == [
+                {k: v.hex() for k, v in d.items()} for d in degrees
+            ]
+            assert picks == [select_senses(d, inst) for d, inst in zip(degrees, instances)]
+            assert skipped == sum(case[3] for case in want)
+
+
 class TestDisambiguate:
     def test_end_to_end_with_measure_scorer(self, star3):
         scorer = MeasureScorer(star3, "shp")
@@ -224,11 +262,15 @@ class TestDisambiguate:
 class CountingScorer(StubScorer):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.grid_calls = 0
+        self.grid_calls = self.grids_calls = 0
 
     def grid(self, us, vs):
         self.grid_calls += 1
         return super().grid(us, vs)
+
+    def grids(self, requests):
+        self.grids_calls += 1
+        return super().grids(requests)
 
 
 class TestSweep:
@@ -247,7 +289,7 @@ class TestSweep:
         thresholds = (0.2, 0.5, 0.8)
         scorer = CountingScorer(table, missing={"GONE"})
         results = disambiguate_sweep(insts, scorer, thresholds)
-        assert scorer.grid_calls == len(insts)
+        assert (scorer.grids_calls, scorer.grid_calls) == (1, len(insts))  # one grids call of a grid per sentence
         for t, result in zip(thresholds, results):
             assert result == disambiguate(insts, WsdConfig(scorer, threshold=t))
         assert results[0][1] == 6  # GONE against every candidate of tokens 0 and 1
