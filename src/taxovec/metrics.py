@@ -366,9 +366,7 @@ class SimilarityRows:
         ids are scored once. Each request's distinct ids of `us` split into
         pieces of BLOCK, and consecutive pieces whose distinct ids fit in
         BLOCK sources share one aligned table() of just their requested
-        cells, so a shp/lch walk stops at the farthest requested cell; a
-        piece alone, all of whose cells are requested, takes the dense
-        table() of its ids against the distinct ids of `vs`.
+        cells, so a shp/lch walk stops at the farthest requested cell.
         """
         sides = [
             [np.unique(np.array([self.g.idx(x) for x in xs], dtype=np.int64), return_inverse=True) for xs in request]
@@ -386,10 +384,6 @@ class SimilarityRows:
                 groups[-1].append((k, first, piece, cols))
                 held.update(piece.tolist())
         for group in groups:
-            if len(group) == 1:  # all of one piece's cells: the dense table, no cell lists to build
-                (k, first, piece, cols), = group
-                out[k][first : first + len(piece)] = self.table(piece, cols).T
-                continue
             sources = np.unique(np.concatenate([piece for _, _, piece, _ in group]))
             targets = np.concatenate([np.tile(cols, len(piece)) for _, _, piece, cols in group])
             columns = np.concatenate([np.repeat(np.searchsorted(sources, piece), len(cols)) for _, _, piece, cols in group])
@@ -425,7 +419,7 @@ class SimilarityRows:
                 return self._path_table(sources, targets)
             distinct, row = np.unique(targets, return_inverse=True)
             wanted = np.zeros((len(distinct), len(sources)), dtype=bool)
-            wanted[row, columns] = True
+            wanted[row, columns] = True  # a lone grid wants every cell: no mask, so no per-level count
             return self._path_table(sources, distinct, None if wanted.all() else wanted)[row, columns]
         best = self._subsumers(sources, targets)
         if columns is not None:

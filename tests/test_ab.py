@@ -109,22 +109,24 @@ def test_one_round_of_the_rows_stage_is_byte_identical(ab, tmp_path, capsys):
     assert (tmp_path / "side0.out").stat().st_size == 2 * 64 * 64 * 8  # the last case: two 64x64 float64 grids
 
 
-def test_one_round_of_the_query_stage_is_byte_identical(ab, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("measure", ["shp", "jcn"])  # jcn: with the IC table of the counts written beside
+def test_one_round_of_the_query_stage_is_byte_identical(ab, tmp_path, capsys, monkeypatch, measure):
     for key, value in {"nodes": 300, "dim": 8, "sentences": 12}.items():  # the query inputs, made small
         monkeypatch.setitem(ab.gen.PARAMS["query"], key, value)
-    sides = {name: ab.package(ROOT / "src", f"taxovec_ab_query_{name}") for name in ("base", "change")}
-    totals = ab.compare(sides, ab.query_cases([5], tmp_path), 1, tmp_path)
+    sides = {name: ab.package(ROOT / "src", f"taxovec_ab_query_{measure}_{name}") for name in ("base", "change")}
+    totals = ab.compare(sides, ab.query_cases([5], tmp_path, measure), 1, tmp_path)
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if "identical" in line] == [
         "seed 5 model wsd: predictions byte-identical",
-        "seed 5 shp wsd: predictions byte-identical",
+        f"seed 5 {measure} wsd: predictions byte-identical",
         "seed 5 static eval-sim: reports byte-identical",
         "seed 5 dynamic eval-sim: reports byte-identical",
     ]
     assert out[3].startswith("seed 5 model wsd change won ") and out[3].endswith(" against base")
     assert len(out) == 16 and all(len(xs) == 1 for xs in totals.values())
     assert (tmp_path / "side0.out").read_text().startswith("EvalReport(spearman=")  # the last case: a report
-    assert len(ab.load_query(tmp_path / "query-5", sides["base"])[3]) == 12  # sentences
+    inputs = ab.load_query(tmp_path / "query-5", measure, sides["base"])
+    assert len(inputs[3]) == 12 and (inputs[5] is not None) == (measure == "jcn")  # sentences, the IC table
 
 
 def test_a_failed_child_is_one_line_naming_its_error(ab, tmp_path):

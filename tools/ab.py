@@ -19,11 +19,12 @@ prints each side's median and quartiles and the rounds the working tree won.
   fixed nodes, one 3x3 shp and lch `grid`, and one 64x64 shp and lch
   `grid` (the shape of `MeasureScorer.pairs`), on perfbench's `query`
   graph, or with `--nodes N` on a `gen.make_dag` graph of N nodes.
-- `query`: `disambiguate_sweep` with the model (dot) scorer and with a raw
-  shp `MeasureScorer`, and static and dynamic `evaluate` with the model
-  scorer (shp selection), on perfbench's `query` inputs; the outputs
-  compared are each sweep's predictions and skipped counts, and each
-  report.
+- `query [--measure M]`: `disambiguate_sweep` with the model (dot) scorer
+  and with a raw `MeasureScorer` of M (shp unless --measure says otherwise),
+  and static and dynamic `evaluate` with the model scorer and M as the
+  selection measure, on perfbench's `query` inputs, jcn with the IC table
+  of `gen.write_counts` counts written beside them; the outputs compared
+  are each sweep's predictions and skipped counts, and each report.
 - `train`: saved embeddings of train() on perfbench's `train` inputs
   (d=300, float32, 2 epochs, with the dev set). With `--star`: time per
   batch on a star graph (one root, LEAVES leaves, every root-leaf pair at
@@ -34,6 +35,7 @@ prints each side's median and quartiles and the rounds the working tree won.
     python3 tools/ab.py build --rev HEAD --nodes 12000 --measure wup --mode fast --pairs 5
     python3 tools/ab.py rows --rev HEAD --seeds 7 11
     python3 tools/ab.py query --rev HEAD --seeds 7 11
+    python3 tools/ab.py query --rev HEAD --seeds 7 --measure jcn
     python3 tools/ab.py train --rev HEAD --star --batch-sizes 100 1000
 
 Inputs go under a temporary directory unless --work names one.
@@ -73,8 +75,8 @@ STAR_NEGATIVES = 3  # per side, the trainer's default: each pair makes 1 + 2 * 3
 ROW_MEASURES = ("shp", "lch")
 ROW_QUERIES = 20  # one-vs-all rows per round; the first six nodes also make the 3x3 grid
 GRID_SIDES = (3, 64)  # grids of that many seeded ids against as many others; 64 is a block of sources
-WSD_SWEEPS = {"model": (0.90, 0.93, 0.96, 0.99),  # perfbench's sweep
-              "shp": (0.2, 0.25, 1 / 3, 0.5)}  # raw shp scores 1/(1 + path length)
+MODEL_SWEEP = (0.90, 0.93, 0.96, 0.99)  # perfbench's sweep
+MEASURE_SWEEP = (0.2, 0.25, 1 / 3, 0.5)  # raw shp scores 1/(1 + path length); other measures: other picks, same work
 
 
 def package(root: Path, name: str):
@@ -218,43 +220,51 @@ def rows_cases(seeds: list[int], work: Path, nodes: int | None):
             yield f"seed {seed} {side}x{side} grids", load, run, "grids", 1e3, "ms per shp and lch grid"
 
 
-def load_query(inputs: Path, pkg):
+def load_query(inputs: Path, measure: str, pkg):
     g = pkg.graph.load_edge_list(inputs / "graph.tsv")
     m = pkg.trainer.load_embeddings(inputs / "embedding.txt")
     ev = pkg.evaluation
     records, _ = ev.make_records(ev.load_lemma_pairs(inputs / "lemma_pairs.tsv"),
                                  ev.load_candidates(inputs / "candidates.tsv"))
-    return g, m, records, pkg.wsd.load_instances(inputs / "wsd.tsv")
+    counts = inputs / "counts.tsv"
+    table = pkg.metrics.propagate_counts(g, pkg.metrics.load_raw_counts(counts, g)) if measure == "jcn" else None
+    return g, m, records, pkg.wsd.load_instances(inputs / "wsd.tsv"), measure, table
 
 
 def wsd_once(scorer: str, pkg, inputs, out: Path) -> float:
-    """Seconds of one disambiguate_sweep; its predictions and skipped counts are written to out, untimed."""
-    g, m, _, instances = inputs
-    made = pkg.trainer.ModelScorer(m, "dot") if scorer == "model" else pkg.evaluation.MeasureScorer(g, scorer)
+    """Seconds of one disambiguate_sweep with the model scorer or the measure's; its predictions and skipped
+    counts are written to out, untimed."""
+    g, m, _, instances, measure, table = inputs
+    if scorer == "model":
+        made, sweep = pkg.trainer.ModelScorer(m, "dot"), MODEL_SWEEP
+    else:
+        made, sweep = pkg.evaluation.MeasureScorer(g, measure, ic_table=table), MEASURE_SWEEP
     t0 = time.perf_counter()
-    results = pkg.wsd.disambiguate_sweep(instances, made, WSD_SWEEPS[scorer])
+    results = pkg.wsd.disambiguate_sweep(instances, made, sweep)
     secs = time.perf_counter() - t0
     out.write_text(repr(results))
     return secs
 
 
 def evaluate_once(selection: str, pkg, inputs, out: Path) -> float:
-    """Seconds of one evaluate() with the model scorer and shp selection; the report is written to out, untimed."""
-    g, m, records, _ = inputs
+    """Seconds of one evaluate() with the model scorer, the measure selecting; the report is written to out,
+    untimed."""
+    g, m, records, _, measure, table = inputs
     scorer = pkg.trainer.ModelScorer(m, "dot")
     t0 = time.perf_counter()
-    rep = pkg.evaluation.evaluate(records, scorer, selection, g=g, measure="shp")
+    rep = pkg.evaluation.evaluate(records, scorer, selection, g=g, measure=measure, ic_table=table)
     secs = time.perf_counter() - t0
     out.write_text(repr(rep))
     return secs
 
 
-def query_cases(seeds: list[int], work: Path):
+def query_cases(seeds: list[int], work: Path, measure: str = "shp"):
     for seed in seeds:
         inputs = work / f"query-{seed}"
         gen.generate("query", seed, inputs)
-        load = functools.partial(load_query, inputs)
-        for scorer in WSD_SWEEPS:
+        gen.write_counts(inputs / "counts.tsv", np.random.default_rng(seed), gen.PARAMS["query"]["nodes"])
+        load = functools.partial(load_query, inputs, measure)
+        for scorer in ("model", measure):
             run = functools.partial(wsd_once, scorer)
             yield f"seed {seed} {scorer} wsd", load, run, "predictions", 1e3, "ms per sweep"
         for selection in ("static", "dynamic"):
@@ -357,7 +367,8 @@ def main() -> None:
     build.add_argument("--mode", choices=MODES, default="full", help="the mode of the --nodes build")
     rows = stages.add_parser("rows", parents=[common], help="one-vs-all shp/lch rows, a 3x3 and a 64x64 grid")
     rows.add_argument("--nodes", type=at_least_one, help="on a make_dag graph this large instead of the query graph")
-    stages.add_parser("query", parents=[common], help="WSD sweeps and eval-sim on the query inputs")
+    query = stages.add_parser("query", parents=[common], help="WSD sweeps and eval-sim on the query inputs")
+    query.add_argument("--measure", choices=MEASURES, default="shp", help="the measure scorer's and selection's")
     train = stages.add_parser("train", parents=[common], help="train()")
     train.add_argument("--star", action="store_true", help="time a star graph instead")
     train.add_argument("--leaves", type=at_least_one, default=2000)
@@ -377,7 +388,7 @@ def main() -> None:
         elif args.stage == "rows":
             compare(sides, rows_cases(args.seeds, work, args.nodes), args.pairs, work)
         elif args.stage == "query":
-            compare(sides, query_cases(args.seeds, work), args.pairs, work)
+            compare(sides, query_cases(args.seeds, work, args.measure), args.pairs, work)
         elif args.star:
             compare(sides, star_cases(args.leaves, args.batch_sizes, args.seeds[0]), args.pairs, work)
         else:
