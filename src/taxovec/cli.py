@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import stat
 import sys
 import time
 import warnings
@@ -97,9 +98,11 @@ def _command(name: str, epilog: str | None = None):
     """Register a command whose body returns its config; add `--manifest`,
     time the run and write its manifest. Its inputs are the given options
     typed `click.Path(exists=True)`, keyed by option name; a TAB or line
-    break in one would break its manifest line, so it fails first. The
-    seed is `-` unless the run reads `--seed`; the body writes `-` for
-    the config entries it did not read."""
+    break in one would break its manifest line, so it fails first, and so
+    does a path that is not a regular file: the body would drain a pipe
+    or device before its digest is taken. The seed is `-` unless the run
+    reads `--seed`; the body writes `-` for the config entries it did
+    not read."""
 
     def register(body):
         @functools.wraps(body)
@@ -112,6 +115,8 @@ def _command(name: str, epilog: str | None = None):
                 if isinstance(param.type, click.Path) and param.type.exists and path:
                     if any(ch in path for ch in "\t\r\n"):
                         raise DataError(f"{param.opts[0]} path {path!r} holds a TAB or line break")
+                    if not stat.S_ISREG(os.stat(path).st_mode):
+                        raise DataError(f"{param.opts[0]} path {path!r} is not a regular file")
                     inputs[param.name] = path
             config = body(**options)
             if "virtual_root" in options:

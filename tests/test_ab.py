@@ -1,11 +1,13 @@
 """tools/ab.py with the working tree's package on both sides: one round of
-one build case and one train case, and of the rows and query stages, so an
-API change in src/ that breaks the harness fails here; a large jcn build in
-child processes, in full and fast mode, and the alternation of its rounds;
-and the harness's own refusals."""
+one build case and one train case, of the rows and query stages, and of
+the query stage's manifest case alone, so an API change in src/ that
+breaks the harness fails here; a large jcn build in child processes, in
+full and fast mode, and the alternation of its rounds; and the harness's
+own refusals."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import sys
 from concurrent.futures import Future
@@ -121,12 +123,40 @@ def test_one_round_of_the_query_stage_is_byte_identical(ab, tmp_path, capsys, mo
         f"seed 5 {measure} wsd: predictions byte-identical",
         "seed 5 static eval-sim: reports byte-identical",
         "seed 5 dynamic eval-sim: reports byte-identical",
+        "seed 5 manifests: manifests byte-identical",
     ]
     assert out[3].startswith("seed 5 model wsd change won ") and out[3].endswith(" against base")
-    assert len(out) == 16 and all(len(xs) == 1 for xs in totals.values())
-    assert (tmp_path / "side0.out").read_text().startswith("EvalReport(spearman=")  # the last case: a report
+    assert len(out) == 20 and all(len(xs) == 1 for xs in totals.values())
+    assert (tmp_path / "side0.out.eval-dynamic.manifest").read_text().startswith("subcommand=eval-sim\n")
     inputs = ab.load_query(tmp_path / "query-5", measure, sides["base"])
     assert len(inputs[3]) == 12 and (inputs[5] is not None) == (measure == "jcn")  # sentences, the IC table
+
+
+def test_one_round_of_the_manifest_case_is_byte_identical(ab, tmp_path, capsys, monkeypatch):
+    # the three manifests of a perfbench query pass, each input's digest as hashlib gives it
+    for key, value in {"nodes": 300, "dim": 8, "sentences": 12}.items():
+        monkeypatch.setitem(ab.gen.PARAMS["query"], key, value)
+    sides = {name: ab.package(ROOT / "src", f"taxovec_ab_manifest_{name}") for name in ("base", "change")}
+    cases = [case for case in ab.query_cases([5], tmp_path) if case[0] == "seed 5 manifests"]
+    ab.compare(sides, cases, 1, tmp_path)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "seed 5 manifests: manifests byte-identical" and len(out) == 4
+    inputs = tmp_path / "query-5"
+    manifests = [sides["base"].manifest.read_manifest(tmp_path / f"side1.out.{name}.manifest")
+                 for name in ("eval-static", "eval-dynamic", "wsd")]
+    assert [m["subcommand"] for m in manifests] == ["eval-sim", "eval-sim", "wsd"]
+    assert {m["wall_time_s"] for m in manifests} == {"0.000"}
+    assert [m["seed"] for m in manifests] == ["-", "-", "5"]
+    for m in manifests:
+        names = {key.split(".")[1] for key in m if key.startswith("input.")}
+        assert names >= {"graph", "model"}
+        for name in names:
+            path = Path(m[f"input.{name}.path"])
+            assert path.parent == inputs
+            assert m[f"input.{name}.sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    joined = b"".join((tmp_path / f"side0.out.{name}.manifest").read_bytes()
+                      for name in ("eval-static", "eval-dynamic", "wsd"))
+    assert (tmp_path / "side0.out").read_bytes() == joined
 
 
 def test_a_failed_child_is_one_line_naming_its_error(ab, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import os
 import warnings
 from pathlib import Path
 
@@ -937,6 +938,20 @@ class TestEntryPoint:
         assert code == 2
         assert f"{option} path" in capsys.readouterr().err
         assert sorted(p.name for p in workdir.iterdir()) == sorted([bad, "chain.tsv", "tree.tsv"])
+
+    def test_input_that_is_not_a_regular_file_fails_first(self, workdir, capsys):
+        # the run would drain a pipe before its manifest digest is taken, and record the empty file's
+        read_end, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "w") as fh:  # written and closed: a read of the pipe cannot block
+                fh.write(CHAIN)
+            path = f"/dev/fd/{read_end}"
+            code = main(["similarities", "--graph", path, "--measure", "shp", "--output", "out.tsv"])
+        finally:
+            os.close(read_end)
+        assert code == 2
+        assert f"--graph path {path!r} is not a regular file" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["chain.tsv", "tree.tsv"]
 
     def test_missing_input_file(self, workdir, capsys):
         code = main(

@@ -24,7 +24,10 @@ prints each side's median and quartiles and the rounds the working tree won.
   and static and dynamic `evaluate` with the model scorer and M as the
   selection measure, on perfbench's `query` inputs, jcn with the IC table
   of `gen.write_counts` counts written beside them; the outputs compared
-  are each sweep's predictions and skipped counts, and each report.
+  are each sweep's predictions and skipped counts, and each report. Then
+  the three `write_manifest` calls of perfbench's query pass (static and
+  dynamic eval-sim, wsd) on the same inputs, `wall_time_s` fixed at 0.0,
+  compared as the three manifests' bytes.
 - `train`: saved embeddings of train() on perfbench's `train` inputs
   (d=300, float32, 2 epochs, with the dev set). With `--star`: time per
   batch on a star graph (one root, LEAVES leaves, every root-leaf pair at
@@ -258,6 +261,30 @@ def evaluate_once(selection: str, pkg, inputs, out: Path) -> float:
     return secs
 
 
+def load_manifests(inputs: Path, seed: int, measure: str, pkg):
+    """The (name, subcommand, config, input files, seed) of the three write_manifest calls of a perfbench
+    query pass (static and dynamic eval-sim, then wsd) on the files under `inputs`."""
+    model, graph = inputs / "embedding.txt", inputs / "graph.tsv"
+    eval_inputs = {"graph": graph, "pairs": inputs / "lemma_pairs.tsv", "candidates": inputs / "candidates.tsv",
+                   "model": model}
+    calls = [(f"eval-{selection}", "eval-sim", {"selection": selection, "measure": measure}, eval_inputs, None)
+             for selection in ("static", "dynamic")]
+    wsd_inputs = {"graph": graph, "instances": inputs / "wsd.tsv", "model": model}
+    return [*calls, ("wsd", "wsd", {"threshold": MODEL_SWEEP[-1]}, wsd_inputs, seed)]
+
+
+def manifests_once(pkg, calls, out: Path) -> float:
+    """Seconds of the write_manifest calls, `wall_time_s` 0.0; the manifests are written beside out and then,
+    joined, to out, untimed."""
+    paths = [out.with_name(f"{out.name}.{name}.manifest") for name, *_ in calls]
+    t0 = time.perf_counter()
+    for path, (_, subcommand, config, files, seed) in zip(paths, calls):
+        pkg.manifest.write_manifest(path, subcommand, config, files, seed, 0.0)
+    secs = time.perf_counter() - t0
+    out.write_bytes(b"".join(path.read_bytes() for path in paths))
+    return secs
+
+
 def query_cases(seeds: list[int], work: Path, measure: str = "shp"):
     for seed in seeds:
         inputs = work / f"query-{seed}"
@@ -270,6 +297,8 @@ def query_cases(seeds: list[int], work: Path, measure: str = "shp"):
         for selection in ("static", "dynamic"):
             run = functools.partial(evaluate_once, selection)
             yield f"seed {seed} {selection} eval-sim", load, run, "reports", 1e3, "ms"
+        load = functools.partial(load_manifests, inputs, seed, measure)
+        yield f"seed {seed} manifests", load, manifests_once, "manifests", 1e3, "ms per three"
 
 
 def check_identical(label: str, output: str, paths: list[Path]) -> None:
@@ -367,7 +396,7 @@ def main() -> None:
     build.add_argument("--mode", choices=MODES, default="full", help="the mode of the --nodes build")
     rows = stages.add_parser("rows", parents=[common], help="one-vs-all shp/lch rows, a 3x3 and a 64x64 grid")
     rows.add_argument("--nodes", type=at_least_one, help="on a make_dag graph this large instead of the query graph")
-    query = stages.add_parser("query", parents=[common], help="WSD sweeps and eval-sim on the query inputs")
+    query = stages.add_parser("query", parents=[common], help="WSD sweeps, eval-sim and manifests on the query inputs")
     query.add_argument("--measure", choices=MEASURES, default="shp", help="the measure scorer's and selection's")
     train = stages.add_parser("train", parents=[common], help="train()")
     train.add_argument("--star", action="store_true", help="time a star graph instead")
