@@ -72,7 +72,6 @@ from .wsd import (
     disambiguate_sweep,
     micro_f1,
     random_sense_baseline,
-    select_senses,
 )
 
 __version__ = artifact_version()
@@ -130,7 +129,6 @@ __all__ = [
     "run_benchmark",
     "save_embeddings",
     "score",
-    "select_senses",
     "shortest_path_length",
     "spearman",
     "static_selection",

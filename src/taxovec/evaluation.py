@@ -13,8 +13,10 @@ A scorer offers `has(node)`; `grid(us, vs)`, a float64 array of the scores
 of every pair in us x vs; `grids(requests)`, the grid of each (us, vs)
 request of a list (a run's records or sentences), with the same cells as
 one grid() per request, which a measure scorer takes from a few shared
-tables; and `pairs(us, vs)`, one per aligned pair (us[k], vs[k]). All
-raise UnknownNodeError for unknown ids.
+tables; and `pairs(us, vs)`, the grid() cell of each aligned pair
+(us[k], vs[k]), which a measure scorer takes from one aligned table of
+just those cells per BLOCK pairs. All raise UnknownNodeError for unknown
+ids.
 """
 
 from __future__ import annotations
@@ -157,18 +159,25 @@ class MeasureScorer:
         return self.grids([(us, vs)])[0]
 
     def grids(self, requests: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[np.ndarray]:
-        """SimilarityRows.grids with pair_similarity's 0.0 for a pair without
-        a path or common subsumer, put through dataset.rescale when normalized."""
-        out = []
-        for raw in self.rows.grids(requests):
-            raw[np.isnan(raw)] = 0.0
-            out.append(raw if self.norm_range is None else rescale(raw, *self.norm_range))
-        return out
+        """SimilarityRows.grids through _scale."""
+        return [self._scale(raw) for raw in self.rows.grids(requests)]
 
     def pairs(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
-        """The diagonal of one grid per BLOCK aligned pairs."""
-        blocks = range(0, len(us), BLOCK)
-        return np.concatenate([np.empty(0), *(np.diagonal(self.grid(us[k : k + BLOCK], vs[k : k + BLOCK])) for k in blocks)])
+        """The grids() cell of each aligned pair (us[k], vs[k]): each BLOCK
+        of pairs is one aligned SimilarityRows.table of just its cells,
+        sources the block's distinct ids of `us`, put through _scale."""
+        us_at, vs_at = (np.array([self.g.idx(x) for x in xs], dtype=np.int64) for xs in (us, vs))
+        cells = []
+        for k in range(0, len(us), BLOCK):
+            sources, columns = np.unique(us_at[k : k + BLOCK], return_inverse=True)
+            cells.append(self.rows.table(sources, vs_at[k : k + BLOCK], columns))
+        return self._scale(np.concatenate([np.empty(0), *cells]))
+
+    def _scale(self, raw: np.ndarray) -> np.ndarray:
+        """Raw scores with pair_similarity's 0.0 for a NaN (a pair without a
+        path or common subsumer), put through dataset.rescale when normalized."""
+        raw[np.isnan(raw)] = 0.0
+        return raw if self.norm_range is None else rescale(raw, *self.norm_range)
 
 
 def _select(

@@ -44,8 +44,9 @@ _digests: dict[tuple[int, int], tuple[tuple[int, int, int], str]] = {}
 
 
 def file_digest(path: str | Path) -> str:
-    """sha256 of the file, read into one reused buffer of 1 MiB, or of the
-    file's size plus one when smaller, so a small file touches no more.
+    """sha256 of the file, read into one reused buffer of 1 MiB, or of a
+    regular file's size plus one when smaller, so a small file touches no
+    more. A pipe or device reports size 0, so it takes the full buffer.
 
     The digest of a regular file is kept for the rest of the process and
     returned again, unread, while the open file's device, inode, size,
@@ -62,12 +63,13 @@ def file_digest(path: str | Path) -> str:
         if kept and kept[0] == stamp:
             return kept[1]
         h = hashlib.sha256()
-        buf = memoryview(bytearray(min(1 << 20, st.st_size + 1)))
+        regular = stat.S_ISREG(st.st_mode)
+        buf = memoryview(bytearray(min(1 << 20, st.st_size + 1) if regular else 1 << 20))
         while size := fh.readinto(buf):
             h.update(buf[:size])
         unchanged = _stamp(os.fstat(fh.fileno())) == stamp
     digest = h.hexdigest()
-    if stat.S_ISREG(st.st_mode) and unchanged and max(st.st_mtime_ns, st.st_ctime_ns) <= start - _SETTLE_NS:
+    if regular and unchanged and max(st.st_mtime_ns, st.st_ctime_ns) <= start - _SETTLE_NS:
         _digests[key] = stamp, digest
     return digest
 

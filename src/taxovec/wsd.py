@@ -10,10 +10,11 @@ frequent sense when lists are frequency-ordered.
 
 Scoring and thresholding are separate steps: score_sentences scores a
 whole run with one `grids` call of the scorer (see evaluation), one square
-grid per sentence over its candidates that the scorer `has`, and
-RunScores.degrees sums the weights above a threshold of every sentence
-with one bincount, so a threshold sweep scores each sentence once.
-score_sentence and SentenceScores are the same for one sentence.
+grid per sentence over its candidates that the scorer `has`, into one
+RunScores of run-wide arrays. RunScores.picks then takes each token's
+sense from the degrees of one bincount over the whole run and one
+maximum.reduceat over its tokens, so a threshold sweep scores each
+sentence once and picks in a few numpy calls per threshold.
 """
 
 from __future__ import annotations
@@ -67,62 +68,45 @@ class WsdConfig:
             )
 
 
-GraphNode = tuple[int, str]  # (token index, candidate id); a candidate listed twice for a token is one node
-
-
-def _degrees(pairs: np.ndarray, weights: np.ndarray, threshold: float, nodes: int) -> list[float]:
-    """Each of `nodes` nodes' sum of the weights strictly above `threshold`
-    of the pairs it ends, added in pair order from 0.0 by one bincount."""
-    keep = weights > threshold
-    degree = np.bincount(pairs[keep].ravel(), np.repeat(weights[keep], 2), minlength=nodes)
-    return degree.astype(np.float64, copy=False).tolist()  # no pair kept: bincount gives int zeros
-
-
-@dataclass
-class SentenceScores:
-    """A sentence's scored cross-token pairs: `pairs` index the distinct
-    `nodes` in (token a, token b, candidate of a, candidate of b) order
-    with a before b."""
-
-    nodes: list[GraphNode]
-    pairs: np.ndarray
-    weights: np.ndarray
-    skipped_pairs: int
-
-    def degrees(self, threshold: float) -> dict[GraphNode, float]:
-        """Each node's sum of the weights strictly above `threshold`, summed
-        in pair order."""
-        return dict(zip(self.nodes, _degrees(self.pairs, self.weights, threshold, len(self.nodes))))
-
-
 @dataclass
 class RunScores:
-    """The SentenceScores of a run of sentences in run-wide arrays: sentence
-    k owns nodes[starts[k]:starts[k + 1]] and the rows
-    pair_starts[k]:pair_starts[k + 1] of `pairs` (run-wide node indices)
-    and `weights`, and skipped[k] pairs."""
+    """A run of sentences' scored cross-token pairs in run-wide arrays.
 
-    nodes: list[GraphNode]
+    A slot is a token with candidates. `nodes` are the (token index,
+    candidate) of each slot's distinct candidates: sentence k owns
+    nodes[starts[k]:starts[k + 1]] and slot s's nodes begin at slots[s].
+    `pairs` index `nodes` in (token a, token b, candidate of a, candidate
+    of b) order with a before b, sentence by sentence, with `weights`
+    their scores; `skipped` counts the pairs left out because the scorer
+    lacks a candidate.
+    """
+
+    nodes: list[tuple[int, str]]
     starts: list[int]
+    slots: np.ndarray
     pairs: np.ndarray
     weights: np.ndarray
-    pair_starts: list[int]
-    skipped: list[int]
+    skipped: int
 
-    def sentence(self, k: int) -> SentenceScores:
-        first, (lo, hi) = self.starts[k], self.pair_starts[k : k + 2]
-        return SentenceScores(self.nodes[first : self.starts[k + 1]], self.pairs[lo:hi] - first,
-                              self.weights[lo:hi], self.skipped[k])
+    def degrees(self, threshold: float) -> np.ndarray:
+        """Each node's sum of the weights strictly above `threshold` of the
+        pairs it ends, added in pair order from 0.0 by one bincount."""
+        keep = self.weights > threshold
+        degree = np.bincount(self.pairs[keep].ravel(), np.repeat(self.weights[keep], 2), minlength=len(self.nodes))
+        return degree.astype(np.float64, copy=False)  # no pair kept: bincount gives int zeros
 
-    def degrees(self, threshold: float) -> list[dict[GraphNode, float]]:
-        """SentenceScores.degrees of every sentence, from one bincount."""
-        degree = _degrees(self.pairs, self.weights, threshold, len(self.nodes))
-        return [dict(zip(self.nodes[a:b], degree[a:b])) for a, b in zip(self.starts, self.starts[1:])]
-
-
-def score_sentence(inst: SentenceInstance, scorer: MeasureScorer | ModelScorer) -> SentenceScores:
-    """score_sentences of the one sentence."""
-    return score_sentences([inst], scorer).sentence(0)
+    def picks(self, threshold: float) -> list[dict[int, str]]:
+        """Each sentence's {token index: candidate}: each slot's first node
+        of highest degree, so the first listed candidate wins ties and the
+        no-edges case. A token index held by two slots keeps the later's.
+        Degrees are never NaN (only weights above the threshold are
+        summed), so each slot's maximum is one of its nodes' degrees."""
+        degree = self.degrees(threshold)
+        best = np.maximum.reduceat(degree, self.slots)
+        hits = np.flatnonzero(degree == np.repeat(best, np.diff(self.slots, append=len(self.nodes))))
+        chosen = [self.nodes[k] for k in hits[np.searchsorted(hits, self.slots)].tolist()]
+        bounds = np.searchsorted(self.slots, self.starts).tolist()  # each sentence's first slot
+        return [dict(chosen[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def score_sentences(
@@ -134,12 +118,11 @@ def score_sentences(
     skipped. A candidate listed twice for one token is scored once, at its
     first place, so the listing cannot weigh a partner's degree.
 
-    A slot is a token with candidates, holding its distinct ones. After
-    one pass over the tokens, the pairs are enumerated run-wide: each slot
-    against the later slots of its sentence, then each such slot pair's
-    candidates, a-major, which is SentenceScores' pair order.
+    After one pass over the tokens, the pairs are enumerated run-wide:
+    each slot against the later slots of its sentence, then each such slot
+    pair's candidates, a-major, which is RunScores' pair order.
     """
-    nodes: list[GraphNode] = []
+    nodes: list[tuple[int, str]] = []
     starts = [0]  # each sentence's first node
     sizes: list[int] = []  # distinct candidates per slot
     ends: list[int] = []  # per slot, the slot past its sentence's last one
@@ -175,30 +158,12 @@ def score_sentences(
     width = np.array([len(known) for known in knowns], dtype=np.int64)
     corner = np.cumsum(width * width) - width * width  # each grid's first cell in `flat`
     flat = np.concatenate([np.empty(0), *(grid.ravel() for grid in grids)])
-    owner = np.repeat(np.arange(len(instances)), np.diff(starts))[a]  # each pair's sentence
-    total = np.bincount(owner, minlength=len(instances))
     place = np.array(pos, dtype=np.int64)
-    place_a, place_b = place[a], place[b]
-    scored = (place_a >= 0) & (place_b >= 0)
-    a, b, place_a, place_b, owner = (x[scored] for x in (a, b, place_a, place_b, owner))
-    weights = flat[corner[owner] + place_a * width[owner] + place_b]
-    kept = np.bincount(owner, minlength=len(instances))
-    return RunScores(nodes, starts, np.column_stack((a, b)), weights, [0, *np.cumsum(kept).tolist()],
-                     (total - kept).tolist())
-
-
-def select_senses(degrees: Mapping[GraphNode, float], inst: SentenceInstance) -> dict[int, str]:
-    """Chosen candidate per token index, by maximal weighted degree.
-
-    Only a strictly higher degree displaces an earlier candidate, so ties
-    (and nodes without degree) resolve to the first listed sense. Tokens
-    without candidates are absent from the result.
-    """
-    return {  # max keeps the first of equal keys
-        tok.index: max(tok.candidates, key=lambda cand: degrees.get((tok.index, cand), 0.0))
-        for tok in inst.tokens
-        if tok.candidates
-    }
+    scored = (place[a] >= 0) & (place[b] >= 0)
+    a, b = a[scored], b[scored]
+    owner = np.repeat(np.arange(len(instances)), np.diff(starts))[a]  # each pair's sentence
+    weights = flat[corner[owner] + place[a] * width[owner] + place[b]]
+    return RunScores(nodes, starts, lead, np.column_stack((a, b)), weights, len(scored) - len(a))
 
 
 def disambiguate(
@@ -216,11 +181,7 @@ def disambiguate_sweep(
     """disambiguate at every threshold in turn, scoring each sentence once."""
     cfgs = [WsdConfig(scorer, t) for t in thresholds]  # validates every threshold first
     scored = score_sentences(instances, scorer)
-    skipped = sum(scored.skipped)
-    return [
-        ([select_senses(degree, inst) for degree, inst in zip(scored.degrees(cfg.threshold), instances)], skipped)
-        for cfg in cfgs
-    ]
+    return [(scored.picks(cfg.threshold), scored.skipped) for cfg in cfgs]
 
 
 def random_sense_baseline(
@@ -239,8 +200,8 @@ def random_sense_baseline(
 
 
 def first_sense_baseline(instances: list[SentenceInstance]) -> list[dict[int, str]]:
-    """First listed candidate per token: select_senses with every candidate tied."""
-    return [select_senses({}, inst) for inst in instances]
+    """First listed candidate per token: RunScores.picks with every candidate tied."""
+    return [{tok.index: tok.candidates[0] for tok in inst.tokens if tok.candidates} for inst in instances]
 
 
 @dataclass

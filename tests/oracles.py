@@ -207,14 +207,33 @@ def sentence_scores_oracle(inst, scorer):
 
 
 def sentence_degrees_oracle(nodes, pairs, weights, threshold):
-    """Each node's degree as a dict, the weights strictly above `threshold`
-    added to both ends one pair at a time, in pair order from 0.0."""
-    degree = dict.fromkeys(nodes, 0.0)
+    """Each node's degree, in node order: the weights strictly above
+    `threshold` added to both ends one pair at a time, in pair order from
+    0.0. A node listed twice (two tokens of one index) keeps its own."""
+    degree = [0.0] * len(nodes)
     keep = weights > threshold
     for (a, b), w in zip(pairs[keep].tolist(), weights[keep].tolist()):
-        degree[nodes[a]] += w
-        degree[nodes[b]] += w
+        degree[a] += w
+        degree[b] += w
     return degree
+
+
+def sentence_picks_oracle(inst, degree):
+    """{token index: candidate} of a sentence given its nodes' degrees in
+    node order (each token's distinct candidates in turn): scanning each
+    token's candidates in listed order, only a strictly higher degree
+    displaces the one held, and a later token of the same index replaces
+    an earlier one's pick."""
+    picks, at = {}, 0
+    for tok in inst.tokens:
+        held = None
+        for cand in dict.fromkeys(tok.candidates):
+            if held is None or degree[at] > held[0]:
+                held = degree[at], cand
+            at += 1
+        if held is not None:
+            picks[tok.index] = held[1]
+    return picks
 
 
 def spearman_oracle(x: list[float], y: list[float]) -> float:

@@ -56,6 +56,7 @@ def test_large_jcn_build_reads_the_counts_written_beside_the_graph(ab, tmp_path,
 def test_a_large_build_takes_its_mode_from_the_command_line(ab, monkeypatch):
     runs = []
     monkeypatch.setattr(ab, "large", lambda roots, *args: runs.append((list(roots), *args)))
+    monkeypatch.setattr(ab, "extract", lambda rev, into: into)  # routes arguments only: no git checkout needed
     monkeypatch.setattr(sys, "argv", ["ab.py", "build", "--nodes", "60", "--measure", "wup", "--mode", "fast",
                                       "--pairs", "3"])
     ab.main()
@@ -105,10 +106,11 @@ def test_one_round_of_the_rows_stage_is_byte_identical(ab, tmp_path, capsys):
         "seed 5 lch rows: rows byte-identical",
         "seed 5 3x3 grids: grids byte-identical",
         "seed 5 64x64 grids: grids byte-identical",
+        "seed 5 64 pairs: pairs byte-identical",
     ]
     assert out[3].startswith("seed 5 shp rows change won ") and out[3].endswith(" against base")
-    assert len(out) == 16 and all(len(xs) == 1 for xs in totals.values())
-    assert (tmp_path / "side0.out").stat().st_size == 2 * 64 * 64 * 8  # the last case: two 64x64 float64 grids
+    assert len(out) == 20 and all(len(xs) == 1 for xs in totals.values())
+    assert (tmp_path / "side0.out").stat().st_size == 2 * 64 * 8  # the last case: shp and lch scores of 64 pairs
 
 
 @pytest.mark.parametrize("measure", ["shp", "jcn"])  # jcn: with the IC table of the counts written beside

@@ -28,7 +28,7 @@ from taxovec.trainer import (
     batch_gradients,
     train,
 )
-from taxovec.wsd import SentenceInstance, Token, score_sentence, select_senses
+from taxovec.wsd import SentenceInstance, Token, score_sentences
 
 from conftest import ids_for, random_dag_edges, random_tree_graph, rooted_tree_edges
 from oracles import (
@@ -362,22 +362,22 @@ def test_criterion_6_wsd_selection_logic():
 
     # all four cross-token scores clear the threshold; degrees by hand,
     # written as the same float sums the accumulator performs
-    scores = score_sentence(inst, scorer)
-    degree = scores.degrees(0.5)
+    scores = score_sentences([inst], scorer)
+    degree = dict(zip(scores.nodes, scores.degrees(0.5).tolist()))
     assert np.count_nonzero(scores.weights > 0.5) == 4
     assert degree[(0, "A1")] == 0.6 + 0.7
     assert degree[(0, "A2")] == 0.9 + 0.55
     assert degree[(1, "B1")] == 0.6 + 0.9
     assert degree[(1, "B2")] == 0.7 + 0.55
-    assert select_senses(degree, inst) == {0: "A2", 1: "B1"}
+    assert scores.picks(0.5) == [{0: "A2", 1: "B1"}]
 
     # raising the threshold to 0.7 drops the 0.6 and 0.55 edges and,
     # because the comparison is strict, the 0.7 edge as well
-    degree = scores.degrees(0.7)
+    degree = dict(zip(scores.nodes, scores.degrees(0.7).tolist()))
     assert np.count_nonzero(scores.weights > 0.7) == 1
     assert degree[(0, "A1")] == 0.0
     assert degree[(0, "A2")] == 0.9
-    assert select_senses(degree, inst) == {0: "A2", 1: "B1"}
+    assert scores.picks(0.7) == [{0: "A2", 1: "B1"}]
 
     # equal degrees fall back to the earliest candidate in listed order
     tied = SentenceInstance(
@@ -387,14 +387,14 @@ def test_criterion_6_wsd_selection_logic():
             Token(1, "delta", ("Y1",), None),
         ),
     )
-    scores = score_sentence(tied, _PairTable({}, default=0.8))
-    degree = scores.degrees(0.5)
+    scores = score_sentences([tied], _PairTable({}, default=0.8))
+    degree = dict(zip(scores.nodes, scores.degrees(0.5).tolist()))
     assert degree[(0, "X2")] == degree[(0, "X1")] == 0.8
-    assert select_senses(degree, tied) == {0: "X2", 1: "Y1"}
+    assert scores.picks(0.5) == [{0: "X2", 1: "Y1"}]
 
     # no surviving edges at all: every token falls back to its first sense
     assert np.count_nonzero(scores.weights > 0.99) == 0
-    assert select_senses(scores.degrees(0.99), tied) == {0: "X2", 1: "Y1"}
+    assert scores.picks(0.99) == [{0: "X2", 1: "Y1"}]
     print("hand-built sentence fixtures: degrees, exclusions, tie-breaks exact")
 
 

@@ -453,6 +453,19 @@ class TestScorerGrids:
             assert [x.shape for x in got] == [x.shape for x in want] == [(len(us), len(vs)) for us, vs in requests]
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(g=block_graphs(), seed=st.integers(0, 3), count=st.sampled_from([0, 1, 5, BLOCK, 2 * BLOCK + 3]))
+    def test_measure_pairs_equal_their_grid_cells_bit_for_bit(self, g, seed, count):
+        # aligned pairs past one block, ids repeated on both sides and self pairs among them
+        rng = np.random.default_rng(seed)
+        us, vs = ([g.ids[i] for i in rng.integers(0, g.n, size=count).tolist()] for _ in range(2))
+        for scorer in every_scorer(g, seed)[2:]:  # the measure scorers, raw and normalized
+            got = scorer.pairs(us, vs)
+            want = np.array([scorer.grid([u], [v])[0, 0] for u, v in zip(us, vs)], dtype=np.float64)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            with pytest.raises(UnknownNodeError):
+                scorer.pairs([g.ids[0], "zzz"], [g.ids[0], g.ids[0]])
+
     def test_model_grid_unknown_id(self):
         m = EmbeddingMatrix(["a", "b"], np.ones((2, 3)))
         scorer = ModelScorer(m)

@@ -155,6 +155,32 @@ class TestDigestMemo:
             os.close(read_end)
         assert len(hashed) == 2 and not memo
 
+    def test_a_pipe_is_read_in_full_buffers(self, monkeypatch):
+        # a pipe reports size 0: a buffer sized from it would take one byte per read
+        data = np.random.default_rng(0).bytes(5000)
+        updates, sha256 = [], hashlib.sha256
+
+        class Spy:
+            def __init__(self):
+                self.h = sha256()
+
+            def update(self, chunk):
+                updates.append(bytes(chunk))
+                self.h.update(chunk)
+
+            def hexdigest(self):
+                return self.h.hexdigest()
+
+        monkeypatch.setattr(manifest, "hashlib", SimpleNamespace(sha256=Spy))
+        read_end, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "wb") as fh:  # within a pipe's buffer, and closed: the reads cannot block
+                fh.write(data)
+            assert file_digest(f"/dev/fd/{read_end}") == sha256(data).hexdigest()
+        finally:
+            os.close(read_end)
+        assert b"".join(updates) == data and len(updates) <= 2
+
 
 class TestWriteRead:
     def test_round_trip_and_layout(self, tmp_path):

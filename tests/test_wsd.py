@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,14 +22,12 @@ from taxovec.wsd import (
     load_instances,
     micro_f1,
     random_sense_baseline,
-    score_sentence,
     score_sentences,
-    select_senses,
     write_predictions,
 )
 
 from conftest import block_graphs, every_scorer, graphs
-from oracles import sentence_degrees_oracle, sentence_scores_oracle, wsd_degree_oracle
+from oracles import sentence_degrees_oracle, sentence_picks_oracle, sentence_scores_oracle, wsd_degree_oracle
 
 
 class StubScorer:
@@ -58,11 +58,16 @@ def sentence(*tokens):
     return SentenceInstance("s1", tuple(Token(*t) for t in tokens))
 
 
+def degree_of(run, threshold):
+    """A one-sentence run's degrees by (token index, candidate)."""
+    return dict(zip(run.nodes, run.degrees(threshold).tolist()))
+
+
 class TestBuildSentenceGraph:
     def test_single_edge_above_threshold(self):
         inst = sentence((0, "cat", ("A",), None), (1, "dog", ("B",), None))
-        scores = score_sentence(inst, StubScorer({("A", "B"): 0.99}))
-        degree = scores.degrees(0.95)
+        scores = score_sentences([inst], StubScorer({("A", "B"): 0.99}))
+        degree = degree_of(scores, 0.95)
         assert np.count_nonzero(scores.weights > 0.95) == 1
         assert degree[(0, "A")] == pytest.approx(0.99)
         assert degree[(1, "B")] == pytest.approx(0.99)
@@ -70,15 +75,15 @@ class TestBuildSentenceGraph:
     def test_below_and_at_threshold_excluded(self):
         inst = sentence((0, "cat", ("A",), None), (1, "dog", ("B",), None))
         for w in (0.5, 0.95):
-            scores = score_sentence(inst, StubScorer({("A", "B"): w}))
+            scores = score_sentences([inst], StubScorer({("A", "B"): w}))
             assert np.count_nonzero(scores.weights > 0.95) == 0
-            assert scores.degrees(0.95)[(0, "A")] == 0.0
+            assert degree_of(scores, 0.95)[(0, "A")] == 0.0
 
     def test_no_intra_token_edges(self):
         inst = sentence((0, "bank", ("A", "B"), None))
-        scores = score_sentence(inst, StubScorer({("A", "B"): 1.0}))
+        scores = score_sentences([inst], StubScorer({("A", "B"): 1.0}))
         assert np.count_nonzero(scores.weights > 0.5) == 0
-        assert scores.degrees(0.5) == {(0, "A"): 0.0, (0, "B"): 0.0}
+        assert degree_of(scores, 0.5) == {(0, "A"): 0.0, (0, "B"): 0.0}
 
     def test_degrees_accumulate_across_tokens(self):
         inst = sentence(
@@ -87,7 +92,7 @@ class TestBuildSentenceGraph:
         scorer = StubScorer(
             {("A1", "B1"): 0.96, ("A2", "B1"): 0.96, ("A2", "B2"): 0.97}
         )
-        degree = score_sentence(inst, scorer).degrees(0.95)
+        degree = degree_of(score_sentences([inst], scorer), 0.95)
         assert degree[(0, "A1")] == pytest.approx(0.96)
         assert degree[(0, "A2")] == pytest.approx(1.93)
         assert degree[(1, "B1")] == pytest.approx(1.92)
@@ -98,8 +103,8 @@ class TestBuildSentenceGraph:
             (0, "x", ("A", "GONE"), None), (1, "y", ("B",), None)
         )
         scorer = StubScorer({("A", "B"): 0.99}, missing={"GONE"})
-        scores = score_sentence(inst, scorer)
-        assert scores.skipped_pairs == 1
+        scores = score_sentences([inst], scorer)
+        assert scores.skipped == 1
         assert np.count_nonzero(scores.weights > 0.9) == 1
 
     def test_threshold_monotonicity(self):
@@ -111,7 +116,7 @@ class TestBuildSentenceGraph:
         table = {
             (a, b): float(rng.random()) for a in cands[:3] for b in cands[3:]
         }
-        scores = score_sentence(inst, StubScorer(table))
+        scores = score_sentences([inst], StubScorer(table))
         prev = None
         for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
             edges = set(map(tuple, scores.pairs[scores.weights > threshold].tolist()))
@@ -128,41 +133,36 @@ class TestSelectSenses:
         scorer = StubScorer(
             {("A1", "B1"): 0.96, ("A2", "B1"): 0.96, ("A2", "B2"): 0.97}
         )
-        degree = score_sentence(inst, scorer).degrees(0.95)
-        assert select_senses(degree, inst) == {0: "A2", 1: "B1"}
+        assert score_sentences([inst], scorer).picks(0.95) == [{0: "A2", 1: "B1"}]
 
     def test_no_edges_falls_back_to_first_candidate(self):
         inst = sentence((0, "x", ("A1", "A2"), None), (1, "y", ("B1",), None))
-        degree = score_sentence(inst, StubScorer({})).degrees(0.95)
-        assert select_senses(degree, inst) == {0: "A1", 1: "B1"}
+        assert score_sentences([inst], StubScorer({})).picks(0.95) == [{0: "A1", 1: "B1"}]
 
     def test_degree_tie_keeps_earlier_candidate(self):
         inst = sentence(
             (0, "x", ("A1", "A2"), None), (1, "y", ("B",), None)
         )
         scorer = StubScorer({("A1", "B"): 0.99, ("A2", "B"): 0.99})
-        degree = score_sentence(inst, scorer).degrees(0.9)
-        assert select_senses(degree, inst)[0] == "A1"
+        assert score_sentences([inst], scorer).picks(0.9)[0][0] == "A1"
 
     def test_tokens_without_candidates_absent(self):
         inst = sentence((0, "x", (), None), (1, "y", ("B",), None))
-        degree = score_sentence(inst, StubScorer({})).degrees(0.9)
-        assert select_senses(degree, inst) == {1: "B"}
+        assert score_sentences([inst], StubScorer({})).picks(0.9) == [{1: "B"}]
 
     def test_candidate_order_breaks_ties(self):
         scorer = StubScorer({})
         for order in (("A1", "A2"), ("A2", "A1")):
             inst = sentence((0, "x", order, None))
-            degree = score_sentence(inst, scorer).degrees(0.9)
-            assert select_senses(degree, inst)[0] == order[0]
+            assert score_sentences([inst], scorer).picks(0.9)[0][0] == order[0]
 
     def test_a_candidate_listed_twice_counts_once(self):
         # listed twice, A would count twice in B's degree: 1.2 against C's 1.0
         scorer = StubScorer({("A", "B"): 0.6, ("C", "D"): 1.0})
         for x in (("A",), ("A", "A")):
             inst = sentence((0, "x", x, None), (1, "y", ("C", "B"), None), (2, "z", ("D",), None))
-            scores = score_sentence(inst, scorer)
-            assert scores.degrees(0.5) == {(0, "A"): 0.6, (1, "C"): 1.0, (1, "B"): 0.6, (2, "D"): 1.0}
+            scores = score_sentences([inst], scorer)
+            assert degree_of(scores, 0.5) == {(0, "A"): 0.6, (1, "C"): 1.0, (1, "B"): 0.6, (2, "D"): 1.0}
             assert len(scores.weights) == 5
             assert disambiguate([inst], WsdConfig(scorer, threshold=0.5)) == ([{0: "A", 1: "C", 2: "D"}], 0)
 
@@ -193,11 +193,11 @@ def test_degrees_and_picks_match_the_reference(case):
     want_degree, want_picks, want_skipped = wsd_degree_oracle(
         [(tok.index, tok.candidates) for tok in inst.tokens], weight, threshold
     )
-    scores = score_sentence(inst, scorer)
-    degree = scores.degrees(threshold)
+    scores = score_sentences([inst], scorer)
+    degree = degree_of(scores, threshold)
     assert {k: v.hex() for k, v in degree.items()} == {k: v.hex() for k, v in want_degree.items()}
-    assert select_senses(degree, inst) == want_picks
-    assert scores.skipped_pairs == want_skipped
+    assert scores.picks(threshold) == [want_picks]
+    assert scores.skipped == want_skipped
     assert disambiguate([inst], WsdConfig(scorer, threshold)) == ([want_picks], want_skipped)
 
 
@@ -205,7 +205,8 @@ def test_degrees_and_picks_match_the_reference(case):
 @given(g=st.one_of(graphs, block_graphs()), seed=st.integers(0, 3), data=st.data())
 def test_a_run_scores_as_its_sentences_one_by_one(g, seed, data):
     # up to 4 sentences of up to 5 tokens over a few of g's nodes and one it
-    # lacks, so candidates repeat within and across tokens and sentences
+    # lacks, so candidates repeat within and across tokens and sentences;
+    # then two hand-built ones that repeat a token index
     pool = data.draw(st.lists(st.sampled_from(g.ids), min_size=1, max_size=6), label="pool") + ["GONE"]
     instances = [
         SentenceInstance(f"s{k}", tuple(
@@ -214,24 +215,35 @@ def test_a_run_scores_as_its_sentences_one_by_one(g, seed, data):
         ))
         for k in range(data.draw(st.integers(0, 4), label="sentences"))
     ]
+    instances += [
+        SentenceInstance("r0", (Token(0, "a", (pool[-1], pool[0]), None), Token(0, "b", tuple(pool[:2]), None))),
+        SentenceInstance("r1", (Token(1, "a", tuple(pool[:3]), None), Token(2, "b", (pool[0],), None),
+                                Token(1, "c", (pool[-1], *pool[:2]), None), Token(1, "d", (), None))),
+    ]
+    firsts, at = [], 0  # each token's first node, run-wide
+    for inst in instances:
+        for tok in inst.tokens:
+            if tok.candidates:
+                firsts.append(at)
+                at += len(set(tok.candidates))
     for scorer in every_scorer(g, seed):
         run = score_sentences(instances, scorer)
         want = [sentence_scores_oracle(inst, scorer) for inst in instances]
-        assert len(run.starts) == len(instances) + 1
-        for k, (nodes, pairs, weights, skipped) in enumerate(want):
-            got = run.sentence(k)
-            assert got.nodes == nodes and got.pairs.tolist() == pairs.tolist()
-            assert got.weights.tobytes() == weights.tobytes() and got.skipped_pairs == skipped
-        cells = np.concatenate([np.empty(0), *(weights for _, _, weights, _ in want)])
+        assert run.starts == np.cumsum([0, *(len(nodes) for nodes, *_ in want)]).tolist()
+        assert run.nodes == [node for nodes, *_ in want for node in nodes] and run.slots.tolist() == firsts
+        offset = [pairs + first for (_, pairs, _, _), first in zip(want, run.starts)]
+        assert run.pairs.tolist() == np.concatenate([np.empty((0, 2), dtype=np.int64), *offset]).tolist()
+        assert run.weights.tobytes() == np.concatenate([np.empty(0), *(weights for _, _, weights, _ in want)]).tobytes()
+        assert run.skipped == sum(case[3] for case in want)
+        cells = run.weights
         thresholds = [0.0, 0.5, *np.unique(cells[np.isfinite(cells)])[:3].tolist()]  # some equal to a weight
         sweep = disambiguate_sweep(instances, scorer, thresholds)
         for t, (picks, skipped) in zip(thresholds, sweep):
             degrees = [sentence_degrees_oracle(*case[:3], t) for case in want]
-            assert [{k: v.hex() for k, v in d.items()} for d in run.degrees(t)] == [
-                {k: v.hex() for k, v in d.items()} for d in degrees
-            ]
-            assert picks == [select_senses(d, inst) for d, inst in zip(degrees, instances)]
-            assert skipped == sum(case[3] for case in want)
+            assert [x.hex() for x in run.degrees(t).tolist()] == [x.hex() for d in degrees for x in d]
+            assert picks == run.picks(t) == [sentence_picks_oracle(inst, d) for d, inst in zip(degrees, instances)]
+            assert skipped == run.skipped
+        assert first_sense_baseline(instances) == run.picks(math.inf)
 
 
 class TestDisambiguate:

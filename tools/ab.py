@@ -16,9 +16,9 @@ prints each side's median and quartiles and the rounds the working tree won.
   after the first round, and each side's peak RSS (ru_maxrss) is printed
   with the times. A failed child is one line naming its error (exit 1).
 - `rows`: one-vs-all shp and lch rows (`one_vs_all_graph`) of ROW_QUERIES
-  fixed nodes, one 3x3 shp and lch `grid`, and one 64x64 shp and lch
-  `grid` (the shape of `MeasureScorer.pairs`), on perfbench's `query`
-  graph, or with `--nodes N` on a `gen.make_dag` graph of N nodes.
+  fixed nodes, one 3x3 and one 64x64 shp and lch `grid`, and shp and lch
+  `MeasureScorer.pairs` of PAIRS seeded aligned pairs, on perfbench's
+  `query` graph, or with `--nodes N` on a `gen.make_dag` graph of N nodes.
 - `query [--measure M]`: `disambiguate_sweep` with the model (dot) scorer
   and with a raw `MeasureScorer` of M (shp unless --measure says otherwise),
   and static and dynamic `evaluate` with the model scorer and M as the
@@ -78,6 +78,7 @@ STAR_NEGATIVES = 3  # per side, the trainer's default: each pair makes 1 + 2 * 3
 ROW_MEASURES = ("shp", "lch")
 ROW_QUERIES = 20  # one-vs-all rows per round; the first six nodes also make the 3x3 grid
 GRID_SIDES = (3, 64)  # grids of that many seeded ids against as many others; 64 is a block of sources
+PAIRS = 64  # aligned pairs of seeded ids, one block of MeasureScorer.pairs
 MODEL_SWEEP = (0.90, 0.93, 0.96, 0.99)  # perfbench's sweep
 MEASURE_SWEEP = (0.2, 0.25, 1 / 3, 0.5)  # raw shp scores 1/(1 + path length); other measures: other picks, same work
 
@@ -205,6 +206,16 @@ def grid_once(side: int, pkg, inputs, out: Path) -> float:
     return secs
 
 
+def pairs_once(pkg, inputs, out: Path) -> float:
+    """Seconds of the shp and lch MeasureScorer.pairs of the first PAIRS queries with the next PAIRS."""
+    g, queries = inputs
+    t0 = time.perf_counter()
+    scores = [pkg.evaluation.MeasureScorer(g, m).pairs(queries[:PAIRS], queries[PAIRS:]) for m in ROW_MEASURES]
+    secs = time.perf_counter() - t0
+    out.write_bytes(np.stack(scores).tobytes())
+    return secs
+
+
 def rows_cases(seeds: list[int], work: Path, nodes: int | None):
     for seed in seeds:
         if nodes:
@@ -221,6 +232,8 @@ def rows_cases(seeds: list[int], work: Path, nodes: int | None):
             load = functools.partial(load_rows, graph, seed, max(ROW_QUERIES, 2 * side))  # 3x3: the rows' first six
             run = functools.partial(grid_once, side)
             yield f"seed {seed} {side}x{side} grids", load, run, "grids", 1e3, "ms per shp and lch grid"
+        load = functools.partial(load_rows, graph, seed, 2 * PAIRS)
+        yield f"seed {seed} {PAIRS} pairs", load, pairs_once, "pairs", 1e3, "ms per shp and lch pairs"
 
 
 def load_query(inputs: Path, measure: str, pkg):
@@ -394,7 +407,7 @@ def main() -> None:
     build.add_argument("--nodes", type=at_least_one, help="one build per side on a make_dag graph this large")
     build.add_argument("--measure", choices=MEASURES, default="shp", help="the measure of the --nodes build")
     build.add_argument("--mode", choices=MODES, default="full", help="the mode of the --nodes build")
-    rows = stages.add_parser("rows", parents=[common], help="one-vs-all shp/lch rows, a 3x3 and a 64x64 grid")
+    rows = stages.add_parser("rows", parents=[common], help="one-vs-all shp/lch rows, a 3x3 and a 64x64 grid, 64 pairs")
     rows.add_argument("--nodes", type=at_least_one, help="on a make_dag graph this large instead of the query graph")
     query = stages.add_parser("query", parents=[common], help="WSD sweeps, eval-sim and manifests on the query inputs")
     query.add_argument("--measure", choices=MEASURES, default="shp", help="the measure scorer's and selection's")
