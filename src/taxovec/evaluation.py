@@ -14,9 +14,9 @@ of every pair in us x vs; `grids(requests)`, the grid of each (us, vs)
 request of a list (a run's records or sentences), with the same cells as
 one grid() per request, which a measure scorer takes from a few shared
 tables; and `pairs(us, vs)`, the grid() cell of each aligned pair
-(us[k], vs[k]), which a measure scorer takes from one aligned table of
-just those cells per BLOCK pairs. All raise UnknownNodeError for unknown
-ids.
+(us[k], vs[k]), which a measure scorer takes from SimilarityRows.pairs.
+All raise UnknownNodeError for unknown ids, and pairs() raises DataError
+for sides of unequal length.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .dataset import rescale
 from .errors import ConfigError, DataError, DegenerateRangeError, RecordError
 from .graph import TaxonomyGraph
 from .io import real, records
-from .metrics import BLOCK, InformationContentTable, SimilarityRows
+from .metrics import InformationContentTable, SimilarityRows
 from .trainer import ModelScorer
 
 
@@ -163,15 +163,8 @@ class MeasureScorer:
         return [self._scale(raw) for raw in self.rows.grids(requests)]
 
     def pairs(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
-        """The grids() cell of each aligned pair (us[k], vs[k]): each BLOCK
-        of pairs is one aligned SimilarityRows.table of just its cells,
-        sources the block's distinct ids of `us`, put through _scale."""
-        us_at, vs_at = (np.array([self.g.idx(x) for x in xs], dtype=np.int64) for xs in (us, vs))
-        cells = []
-        for k in range(0, len(us), BLOCK):
-            sources, columns = np.unique(us_at[k : k + BLOCK], return_inverse=True)
-            cells.append(self.rows.table(sources, vs_at[k : k + BLOCK], columns))
-        return self._scale(np.concatenate([np.empty(0), *cells]))
+        """SimilarityRows.pairs through _scale."""
+        return self._scale(self.rows.pairs(us, vs))
 
     def _scale(self, raw: np.ndarray) -> np.ndarray:
         """Raw scores with pair_similarity's 0.0 for a NaN (a pair without a

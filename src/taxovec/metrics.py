@@ -12,10 +12,10 @@ table() scores up to BLOCK sources against every node, given targets or
 given (target, source) cells under every measure, shp/lch by walking the
 bit-parallel BFS of levels(), wup/jcn by the subsumer DP alone; one-vs-all
 rows are its tables of one source, and grids() scores every pair of two id
-lists, for many such requests at once, through it. shp/lch dataset builds
-read levels() directly, and fast wup/jcn builds score the cells of levels()
-through table(). Every shape scores through one formula per measure; the
-measures read g.depths.
+lists, for many such requests at once, and pairs() aligned pairs, through
+it. shp/lch dataset builds read levels() directly, and fast wup/jcn builds
+score the cells of levels() through table(). Every shape scores through one
+formula per measure; the measures read g.depths.
 """
 
 from __future__ import annotations
@@ -224,7 +224,9 @@ class SimilarityRows:
     - grids(requests): every pair of two id lists, for each (us, vs)
       request of a run (static selection, measure scorers, WSD), one
       aligned table() of the requested cells per BLOCK distinct ids of
-      the `us` of consecutive requests; grid(us, vs) is one request.
+      the `us` of consecutive requests; grid(us, vs) is one request;
+    - pairs(us, vs): each aligned pair (us[k], vs[k]) (measure scorers),
+      one aligned table() per BLOCK pairs.
 
     Scores agree exactly with pair_similarity. shp/lch map each
     breadth-first distance through path_score (shp_from_path, or
@@ -368,10 +370,7 @@ class SimilarityRows:
         BLOCK sources share one aligned table() of just their requested
         cells, so a shp/lch walk stops at the farthest requested cell.
         """
-        sides = [
-            [np.unique(np.array([self.g.idx(x) for x in xs], dtype=np.int64), return_inverse=True) for xs in request]
-            for request in requests
-        ]
+        sides = [[np.unique(self._ids(xs), return_inverse=True) for xs in request] for request in requests]
         out = [np.full((len(rows), len(cols)), np.nan) for (rows, _), (cols, _) in sides]
         groups: list[list[tuple[int, int, np.ndarray, np.ndarray]]] = []  # (request, first row, rows, columns)
         held: set[int] = set()  # the rows of the last group
@@ -384,15 +383,33 @@ class SimilarityRows:
                 groups[-1].append((k, first, piece, cols))
                 held.update(piece.tolist())
         for group in groups:
-            sources = np.unique(np.concatenate([piece for _, _, piece, _ in group]))
-            targets = np.concatenate([np.tile(cols, len(piece)) for _, _, piece, cols in group])
-            columns = np.concatenate([np.repeat(np.searchsorted(sources, piece), len(cols)) for _, _, piece, cols in group])
-            cells = self.table(sources, targets, columns)
+            rows = np.concatenate([np.repeat(piece, len(cols)) for _, _, piece, cols in group])
+            cells = self._cells(rows, np.concatenate([np.tile(cols, len(piece)) for _, _, piece, cols in group]))
             at = 0
             for k, first, piece, cols in group:
                 out[k][first : first + len(piece)] = cells[at : at + len(piece) * len(cols)].reshape(len(piece), len(cols))
                 at += len(piece) * len(cols)
         return [grid[row_of][:, col_of] for grid, ((_, row_of), (_, col_of)) in zip(out, sides)]
+
+    def pairs(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
+        """Raw scores of each aligned pair (us[k], vs[k]), the grids() cell
+        with its NaN, one _cells() per BLOCK pairs. Sides of unequal length
+        raise DataError, an unknown id UnknownNodeError, before anything is
+        scored."""
+        if len(us) != len(vs):
+            raise DataError(f"aligned pairs need sides of one length, got {len(us)} and {len(vs)}")
+        rows, targets = self._ids(us), self._ids(vs)
+        blocks = range(0, len(rows), BLOCK)
+        return np.concatenate([np.empty(0), *(self._cells(rows[k : k + BLOCK], targets[k : k + BLOCK]) for k in blocks)])
+
+    def _ids(self, xs: Sequence[str]) -> np.ndarray:
+        return np.array([self.g.idx(x) for x in xs], dtype=np.int64)
+
+    def _cells(self, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Raw scores of the cells (rows[k], targets[k]), at most BLOCK
+        distinct rows: one aligned table() whose sources are those rows."""
+        sources, columns = np.unique(rows, return_inverse=True)
+        return self.table(sources, targets, columns)
 
     def table(
         self, sources: np.ndarray, targets: np.ndarray | None = None, columns: np.ndarray | None = None

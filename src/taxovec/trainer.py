@@ -106,7 +106,10 @@ class ModelScorer:
         return [self.scores(self._rows(us)[:, None], self._rows(vs)[None, :]) for us, vs in requests]
 
     def pairs(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
-        """The score of each aligned pair (us[k], vs[k])."""
+        """The score of each aligned pair (us[k], vs[k]); sides of unequal
+        length raise DataError."""
+        if len(us) != len(vs):
+            raise DataError(f"aligned pairs need sides of one length, got {len(us)} and {len(vs)}")
         return self.scores(self._rows(us), self._rows(vs))
 
     def _rows(self, nodes: Sequence[str]) -> np.ndarray:

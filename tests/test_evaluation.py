@@ -437,6 +437,8 @@ class TestScorerGrids:
         assert pairs.dtype == grid.dtype == np.float64
         assert pairs.tobytes() == np.diagonal(grid).tobytes() == np.diagonal(oracle).tobytes()
         assert grid.tobytes() == oracle.tobytes()
+        with pytest.raises(DataError):  # a side of one is not broadcast
+            scorer.pairs(us + us[:1], us[:1])
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(g=block_graphs(), seed=st.integers(0, 3), d=st.sampled_from([1, 7, 300]), data=st.data())
@@ -465,6 +467,8 @@ class TestScorerGrids:
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
             with pytest.raises(UnknownNodeError):
                 scorer.pairs([g.ids[0], "zzz"], [g.ids[0], g.ids[0]])
+            with pytest.raises(DataError):  # a side of one is not broadcast
+                scorer.pairs([g.ids[0]] * 2, [g.ids[0]])
 
     def test_model_grid_unknown_id(self):
         m = EmbeddingMatrix(["a", "b"], np.ones((2, 3)))

@@ -206,7 +206,7 @@ def test_degrees_and_picks_match_the_reference(case):
 def test_a_run_scores_as_its_sentences_one_by_one(g, seed, data):
     # up to 4 sentences of up to 5 tokens over a few of g's nodes and one it
     # lacks, so candidates repeat within and across tokens and sentences;
-    # then two hand-built ones that repeat a token index
+    # then, if drawn, two hand-built ones that repeat a token index
     pool = data.draw(st.lists(st.sampled_from(g.ids), min_size=1, max_size=6), label="pool") + ["GONE"]
     instances = [
         SentenceInstance(f"s{k}", tuple(
@@ -215,11 +215,12 @@ def test_a_run_scores_as_its_sentences_one_by_one(g, seed, data):
         ))
         for k in range(data.draw(st.integers(0, 4), label="sentences"))
     ]
-    instances += [
-        SentenceInstance("r0", (Token(0, "a", (pool[-1], pool[0]), None), Token(0, "b", tuple(pool[:2]), None))),
-        SentenceInstance("r1", (Token(1, "a", tuple(pool[:3]), None), Token(2, "b", (pool[0],), None),
-                                Token(1, "c", (pool[-1], *pool[:2]), None), Token(1, "d", (), None))),
-    ]
+    if data.draw(st.booleans(), label="repeats"):
+        instances += [
+            SentenceInstance("r0", (Token(0, "a", (pool[-1], pool[0]), None), Token(0, "b", tuple(pool[:2]), None))),
+            SentenceInstance("r1", (Token(1, "a", tuple(pool[:3]), None), Token(2, "b", (pool[0],), None),
+                                    Token(1, "c", (pool[-1], *pool[:2]), None), Token(1, "d", (), None))),
+        ]
     firsts, at = [], 0  # each token's first node, run-wide
     for inst in instances:
         for tok in inst.tokens:
@@ -244,6 +245,15 @@ def test_a_run_scores_as_its_sentences_one_by_one(g, seed, data):
             assert picks == run.picks(t) == [sentence_picks_oracle(inst, d) for d, inst in zip(degrees, instances)]
             assert skipped == run.skipped
         assert first_sense_baseline(instances) == run.picks(math.inf)
+
+
+def test_an_empty_run_picks_nothing(star3):
+    for scorer in (MeasureScorer(star3, "shp"), MeasureScorer(star3, "wup")):
+        run = score_sentences([], scorer)
+        assert run.starts == [0] and run.nodes == [] and run.skipped == 0
+        assert run.degrees(0.5).tolist() == [] and run.picks(0.5) == run.picks(math.inf) == []
+        assert disambiguate_sweep([], scorer, [0.0, 0.5]) == [([], 0)] * 2
+        assert first_sense_baseline([]) == []
 
 
 class TestDisambiguate:
