@@ -100,29 +100,38 @@ def _command(name: str, epilog: str | None = None):
     typed `click.Path(exists=True)`, keyed by option name; a TAB or line
     break in one would break its manifest line, so it fails first, and so
     does a path that is not a regular file: the body would drain a pipe
-    or device before its digest is taken. The seed is `-` unless the run
-    reads `--seed`; the body writes `-` for the config entries it did
-    not read."""
+    or device before its digest is taken. An output (the other path
+    options, the manifest included) that names an input file is a usage
+    error, as the run would overwrite its own input. The seed is `-`
+    unless the run reads `--seed`; the body writes `-` for the config
+    entries it did not read."""
 
     def register(body):
         @functools.wraps(body)
         def run(manifest, **options):
             t0 = time.perf_counter()
             ctx = click.get_current_context()
-            inputs = {}
+            manifest = manifest or default.format(**options)
+            inputs, outputs = [], []
             for param in ctx.command.params:
-                path = options.get(param.name)
-                if isinstance(param.type, click.Path) and param.type.exists and path:
-                    if any(ch in path for ch in "\t\r\n"):
-                        raise DataError(f"{param.opts[0]} path {path!r} holds a TAB or line break")
-                    if not stat.S_ISREG(os.stat(path).st_mode):
-                        raise DataError(f"{param.opts[0]} path {path!r} is not a regular file")
-                    inputs[param.name] = path
+                path = manifest if param.name == "manifest" else options.get(param.name)
+                if isinstance(param.type, click.Path) and path:
+                    (inputs if param.type.exists else outputs).append((param, path))
+            for param, path in inputs:
+                if any(ch in path for ch in "\t\r\n"):
+                    raise DataError(f"{param.opts[0]} path {path!r} holds a TAB or line break")
+                if not stat.S_ISREG(os.stat(path).st_mode):
+                    raise DataError(f"{param.opts[0]} path {path!r} is not a regular file")
+            for out, path in outputs:
+                for param, read in inputs:
+                    if os.path.exists(path) and os.path.samefile(path, read):
+                        raise click.UsageError(f"{out.opts[0]} {path!r} names the {param.opts[0]} input; the run would overwrite it")
             config = body(**options)
             if "virtual_root" in options:
                 config["virtual_root"] = options["virtual_root"] or "-"
             seed = None if "seed" in ctx.meta.get(UNREAD, ()) else options.get("seed")
-            write_manifest(manifest or default.format(**options), name, config, inputs, seed, time.perf_counter() - t0)
+            paths = {param.name: path for param, path in inputs}
+            write_manifest(manifest, name, config, paths, seed, time.perf_counter() - t0)
 
         command = cli.command(name, epilog=epilog)(run)
         default = "{output}.manifest" if "output" in {p.name for p in command.params} else f"taxovec-{name}.manifest"
@@ -434,7 +443,7 @@ def cmd_neighbors(model, node, k, score_mode):
         click.echo(f"k={k} exceeds node count {m.n}; clipping to {m.n}", err=True)
         k = m.n
     scores = (bench_mod.one_vs_all_dot(m, node) if score_mode == "dot"
-              else ModelScorer(m, "cosine").grid([node], m.ids)[0])
+              else ModelScorer(m, "cosine").grids([([node], m.ids)])[0][0])
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")[:k]
     for idx in order:
         click.echo(f"{m.ids[int(idx)]}\t{float(scores[int(idx)])!r}")
@@ -471,7 +480,10 @@ def cmd_bench(graph, virtual_root, measure, ic_counts, model, dim, queries, quer
         _refuse_unread("with --model", "dim")
     if not (graph_runs and dot_runs):
         _refuse_unread("unless --methods has both graph and dot", "topk")
-    if query_nodes:
+    if query_nodes is not None:
+        query_list = [s.strip() for s in query_nodes.split(",") if s.strip()]
+        if not query_list:
+            raise click.UsageError(f"--query-nodes {query_nodes!r}: need at least one node id")
         _refuse_unread("with --query-nodes", "queries")
         if not random_matrix:
             _refuse_unread("with --query-nodes unless dot runs on the random matrix", "seed")
@@ -483,9 +495,7 @@ def cmd_bench(graph, virtual_root, measure, ic_counts, model, dim, queries, quer
         matrix = np.random.default_rng(seed).uniform(-0.05, 0.05, size=(g.n, dim)).astype(np.float32)
         m = EmbeddingMatrix(g.ids, matrix)
 
-    if query_nodes:
-        query_list = [s.strip() for s in query_nodes.split(",") if s.strip()]
-    else:
+    if query_nodes is None:
         picks = np.random.default_rng(seed).choice(g.n, size=min(queries, g.n), replace=False)
         query_list = [g.ids[int(i)] for i in picks]
 
@@ -502,7 +512,8 @@ def cmd_bench(graph, virtual_root, measure, ic_counts, model, dim, queries, quer
         speedup = "-" if report.speedup is None else f"{report.speedup:.1f}"
         rows.append((report.method, f"{report.seconds_per_query:.3e}", str(report.n_targets), str(report.repeats), speedup))
         if report.timer_warning:
-            click.echo(f"warning: {report.method} medians are below timer resolution; increase --queries", err=True)
+            more = "give more --query-nodes" if query_nodes is not None else "increase --queries"
+            click.echo(f"warning: {report.method} medians are below timer resolution; {more}", err=True)
     widths = [max(len(r[c]) for r in rows) for c in range(5)]
     for r in rows:
         click.echo("  ".join(v.ljust(w) for v, w in zip(r, widths)))

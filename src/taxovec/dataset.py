@@ -329,7 +329,7 @@ def _select_reach(
     if not held:
         return np.empty(0, dtype=np.int64), np.empty(0), 0, 0
     targets, columns, _ = unpack(held, len(sources))
-    sim = rows.table(sources, targets, columns)
+    sim = rows.table(sources, (targets, columns))
     sim[np.isnan(sim)] = 0.0  # a reached pair without common subsumer
     passing = sim >= threshold
     codes, kept_sims = _top_k(sources[columns[passing]], targets[passing], sim[passing], rows.g.n, top_k)

@@ -9,14 +9,14 @@ number is the Spearman correlation between predicted scores and gold
 scores (human judgments, or the graph measure's own values when it serves
 as the gold standard).
 
-A scorer offers `has(node)`; `grid(us, vs)`, a float64 array of the scores
-of every pair in us x vs; `grids(requests)`, the grid of each (us, vs)
-request of a list (a run's records or sentences), with the same cells as
-one grid() per request, which a measure scorer takes from a few shared
-tables; and `pairs(us, vs)`, the grid() cell of each aligned pair
-(us[k], vs[k]), which a measure scorer takes from SimilarityRows.pairs.
-All raise UnknownNodeError for unknown ids, and pairs() raises DataError
-for sides of unequal length.
+A scorer offers three methods: `has(node)`; `grids(requests)`, the grid
+of each (us, vs) request of a list (a run's records or sentences), a
+float64 array of the scores of every pair in us x vs; and `pairs(us,
+vs)`, the score of each aligned pair (us[k], vs[k]), the same as its
+grids() cell. A measure scorer takes both from SimilarityRows, whose one
+packer scores their cells in a few shared tables. Both raise
+UnknownNodeError for unknown ids, and pairs() raises DataError for sides
+of unequal length.
 """
 
 from __future__ import annotations
@@ -154,10 +154,6 @@ class MeasureScorer:
     def has(self, node: str) -> bool:
         return self.g.has(node)
 
-    def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
-        """grids() of the one request."""
-        return self.grids([(us, vs)])[0]
-
     def grids(self, requests: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[np.ndarray]:
         """SimilarityRows.grids through _scale."""
         return [self._scale(raw) for raw in self.rows.grids(requests)]
@@ -285,14 +281,12 @@ def evaluate(
     )
 
 
-def score_histogram(
-    values: list[float], bins: int = 20, lo: float = 0.0, hi: float = 1.0
-) -> list[tuple[float, float, int]]:
-    """Fixed-range histogram rows (bin_lo, bin_hi, count); out-of-range values clamp."""
+def score_histogram(values: list[float], bins: int = 20) -> list[tuple[float, float, int]]:
+    """Histogram rows (bin_lo, bin_hi, count) over [0, 1]; out-of-range values clamp."""
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
-    clamped = np.clip(np.asarray(values, dtype=np.float64), lo, hi)
-    counts, edges = np.histogram(clamped, bins=bins, range=(lo, hi))
+    clamped = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+    counts, edges = np.histogram(clamped, bins=bins, range=(0.0, 1.0))
     return [
         (float(edges[k]), float(edges[k + 1]), int(counts[k])) for k in range(bins)
     ]

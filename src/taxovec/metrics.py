@@ -8,14 +8,14 @@ clips such pairs to the top of the similarity range.
 
 pair_similarity scores one pair; it and its scalar helpers are the
 per-pair reference. SimilarityRows scores many pairs with the same values:
-table() scores up to BLOCK sources against every node, given targets or
-given (target, source) cells under every measure, shp/lch by walking the
-bit-parallel BFS of levels(), wup/jcn by the subsumer DP alone; one-vs-all
-rows are its tables of one source, and grids() scores every pair of two id
-lists, for many such requests at once, and pairs() aligned pairs, through
-it. shp/lch dataset builds read levels() directly, and fast wup/jcn builds
-score the cells of levels() through table(). Every shape scores through one
-formula per measure; the measures read g.depths.
+table() scores up to BLOCK sources against every node, or given (target,
+source) cells, under every measure, shp/lch by walking the bit-parallel BFS
+of levels(), wup/jcn by the subsumer DP alone; one-vs-all rows are its
+tables of one source, and grids() (every pair of two id lists, for many
+requests at once) and pairs() (aligned pairs) score through one packer of
+their cells. shp/lch dataset builds read levels() directly, and fast
+wup/jcn builds score the cells of levels() through table(). Every shape
+scores through one formula per measure; the measures read g.depths.
 """
 
 from __future__ import annotations
@@ -214,19 +214,18 @@ class SimilarityRows:
       bit j for the j-th source (Then et al., VLDB 2014), or by a bool
       frontier for one source; the only traversal, read directly by
       dataset builds and by table() for shp/lch;
-    - table(sources, targets, columns): the one scorer, those sources
-      against every node, or against `targets`, for every measure, or
-      only the cells (targets[k], sources[columns[k]]): shp/lch from
-      levels(), stopping once every cell asked for is reached, wup/jcn
-      from the subsumer DP alone, without a traversal (dataset builds of
-      wup/jcn, on the cells their fast walk reached, one-vs-all queries as
-      a table of one source, and grids());
+    - table(sources, cells): the one scorer, for every measure, dense
+      (those sources against every node) or aligned (only the cells
+      (targets[k], sources[columns[k]])): shp/lch from levels(), stopping
+      once every cell asked for is reached, wup/jcn from the subsumer DP
+      alone, without a traversal (dataset builds of wup/jcn, on the cells
+      their fast walk reached, one-vs-all queries as a table of one
+      source, and _packed);
     - grids(requests): every pair of two id lists, for each (us, vs)
-      request of a run (static selection, measure scorers, WSD), one
-      aligned table() of the requested cells per BLOCK distinct ids of
-      the `us` of consecutive requests; grid(us, vs) is one request;
-    - pairs(us, vs): each aligned pair (us[k], vs[k]) (measure scorers),
-      one aligned table() per BLOCK pairs.
+      request of a run (static selection, measure scorers, WSD), and
+      pairs(us, vs): each aligned pair (us[k], vs[k]) (measure scorers);
+      both score through _packed, one aligned table() per run of
+      consecutive pieces of cells whose distinct rows fit in BLOCK sources.
 
     Scores agree exactly with pair_similarity. shp/lch map each
     breadth-first distance through path_score (shp_from_path, or
@@ -353,11 +352,6 @@ class SimilarityRows:
             )
         return src
 
-    def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
-        """Raw scores of every pair in us x vs, shape (len(us), len(vs)):
-        grids() of the one request."""
-        return self.grids([(us, vs)])[0]
-
     def grids(self, requests: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[np.ndarray]:
         """The grid of each (us, vs) request: raw scores of every pair in us
         x vs, shape (len(us), len(vs)).
@@ -365,65 +359,61 @@ class SimilarityRows:
         A pair without a path (shp/lch) or a common subsumer (wup/jcn)
         scores NaN, where pair_similarity reports 0.0; an unknown id in any
         request raises UnknownNodeError before anything is scored. Repeated
-        ids are scored once. Each request's distinct ids of `us` split into
-        pieces of BLOCK, and consecutive pieces whose distinct ids fit in
-        BLOCK sources share one aligned table() of just their requested
-        cells, so a shp/lch walk stops at the farthest requested cell.
+        ids are scored once. _packed scores the pieces of BLOCK of each
+        request's distinct ids of `us`, each against its distinct `vs`.
         """
         sides = [[np.unique(self._ids(xs), return_inverse=True) for xs in request] for request in requests]
-        out = [np.full((len(rows), len(cols)), np.nan) for (rows, _), (cols, _) in sides]
-        groups: list[list[tuple[int, int, np.ndarray, np.ndarray]]] = []  # (request, first row, rows, columns)
-        held: set[int] = set()  # the rows of the last group
-        for k, ((rows, _), (cols, _)) in enumerate(sides):
-            for first in range(0, len(rows) if len(cols) else 0, BLOCK):
-                piece = rows[first : first + BLOCK]
-                if not groups or len(held.union(piece.tolist())) > BLOCK:
-                    groups.append([])
-                    held = set()
-                groups[-1].append((k, first, piece, cols))
-                held.update(piece.tolist())
-        for group in groups:
-            rows = np.concatenate([np.repeat(piece, len(cols)) for _, _, piece, cols in group])
-            cells = self._cells(rows, np.concatenate([np.tile(cols, len(piece)) for _, _, piece, cols in group]))
-            at = 0
-            for k, first, piece, cols in group:
-                out[k][first : first + len(piece)] = cells[at : at + len(piece) * len(cols)].reshape(len(piece), len(cols))
-                at += len(piece) * len(cols)
-        return [grid[row_of][:, col_of] for grid, ((_, row_of), (_, col_of)) in zip(out, sides)]
+        pieces = [(np.repeat(piece, len(cols)), np.tile(cols, len(piece)))
+                  for (rows, _), (cols, _) in sides for piece in (rows[k : k + BLOCK] for k in range(0, len(rows), BLOCK))]
+        sizes = [len(rows) * len(cols) for (rows, _), (cols, _) in sides]
+        grids = np.split(self._packed(pieces), np.cumsum(sizes)[:-1])
+        return [grid.reshape(len(rows), len(cols))[row_of][:, col_of]
+                for grid, ((rows, row_of), (cols, col_of)) in zip(grids, sides)]
 
     def pairs(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
         """Raw scores of each aligned pair (us[k], vs[k]), the grids() cell
-        with its NaN, one _cells() per BLOCK pairs. Sides of unequal length
-        raise DataError, an unknown id UnknownNodeError, before anything is
-        scored."""
+        with its NaN, from _packed pieces of BLOCK pairs. Sides of unequal
+        length raise DataError, an unknown id UnknownNodeError, before
+        anything is scored."""
         if len(us) != len(vs):
             raise DataError(f"aligned pairs need sides of one length, got {len(us)} and {len(vs)}")
         rows, targets = self._ids(us), self._ids(vs)
-        blocks = range(0, len(rows), BLOCK)
-        return np.concatenate([np.empty(0), *(self._cells(rows[k : k + BLOCK], targets[k : k + BLOCK]) for k in blocks)])
+        return self._packed([(rows[k : k + BLOCK], targets[k : k + BLOCK]) for k in range(0, len(rows), BLOCK)])
 
     def _ids(self, xs: Sequence[str]) -> np.ndarray:
         return np.array([self.g.idx(x) for x in xs], dtype=np.int64)
 
-    def _cells(self, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Raw scores of the cells (rows[k], targets[k]), at most BLOCK
-        distinct rows: one aligned table() whose sources are those rows."""
-        sources, columns = np.unique(rows, return_inverse=True)
-        return self.table(sources, targets, columns)
+    def _packed(self, pieces: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """Raw scores of the cells (rows[k], targets[k]) of each (rows,
+        targets) piece in turn, as one array; a piece has at most BLOCK
+        distinct rows. Consecutive pieces share one aligned table() while
+        their distinct rows fit in BLOCK sources, so a shp/lch walk stops
+        at the farthest cell of its group."""
+        groups: list[tuple[set[int], list[tuple[np.ndarray, np.ndarray]]]] = []  # (distinct rows, pieces)
+        for rows, targets in pieces:
+            if not len(rows):
+                continue
+            piece = set(rows.tolist())
+            if not groups or len(groups[-1][0] | piece) > BLOCK:
+                groups.append((set(), []))
+            groups[-1][0].update(piece)
+            groups[-1][1].append((rows, targets))
+        scores = [np.empty(0)]
+        for _, members in groups:
+            sources, columns = np.unique(np.concatenate([rows for rows, _ in members]), return_inverse=True)
+            scores.append(self.table(sources, (np.concatenate([targets for _, targets in members]), columns)))
+        return np.concatenate(scores)
 
-    def table(
-        self, sources: np.ndarray, targets: np.ndarray | None = None, columns: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Raw scores of targets x sources, shape (len(targets),
-        len(sources)), one column per source; every node is a target when
-        `targets` is None (full wup/jcn dataset builds, one-vs-all rows as
-        a table of one source). With `columns`, the 1-D scores of the
-        cells (targets[k], sources[columns[k]]) (fast wup/jcn dataset
-        builds, grids()), where `targets` may repeat; else they must be
-        distinct. `sources` as levels() takes them, checked for every
-        measure. A pair without a path (shp/lch) or a common subsumer
-        (wup/jcn), so every pair in another component, scores NaN, where
-        pair_similarity reports 0.0.
+    def table(self, sources: np.ndarray, cells: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        """Raw scores of `sources`, as levels() takes them, checked for
+        every measure. Dense: every node against them, shape (n,
+        len(sources)), one column per source (full wup/jcn dataset builds,
+        one-vs-all rows as a table of one source). Aligned, with `cells` =
+        (targets, columns): the 1-D scores of the cells (targets[k],
+        sources[columns[k]]), where `targets` may repeat (fast wup/jcn
+        dataset builds, _packed). A pair without a path (shp/lch) or a
+        common subsumer (wup/jcn), so every pair in another component,
+        scores NaN, where pair_similarity reports 0.0.
 
         shp/lch walk levels() (_path_table), cells over their distinct
         targets, until the last cell asked for is reached; wup/jcn run no
@@ -431,19 +421,18 @@ class SimilarityRows:
         symmetric in the two ends.
         """
         sources = self._block(sources)
-        if self.measure in ("shp", "lch"):
-            if columns is None:
-                return self._path_table(sources, targets)
+        walks = self.measure in ("shp", "lch")
+        if cells is None:
+            if walks:
+                return self._path_table(sources, None)
+            return self._scores(np.arange(self.g.n)[:, None], sources, self._subsumers(sources, None))
+        targets, columns = cells
+        if walks:
             distinct, row = np.unique(targets, return_inverse=True)
             wanted = np.zeros((len(distinct), len(sources)), dtype=bool)
             wanted[row, columns] = True  # a lone grid wants every cell: no mask, so no per-level count
             return self._path_table(sources, distinct, None if wanted.all() else wanted)[row, columns]
-        best = self._subsumers(sources, targets)
-        if columns is not None:
-            return self._scores(sources[columns], targets, best[targets, columns])
-        if targets is None:
-            return self._scores(np.arange(self.g.n)[:, None], sources, best)
-        return self._scores(targets[:, None], sources, best[targets])
+        return self._scores(sources[columns], targets, self._subsumers(sources, targets)[targets, columns])
 
     def _path_table(
         self, sources: np.ndarray, targets: np.ndarray | None, wanted: np.ndarray | None = None

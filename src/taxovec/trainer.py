@@ -94,13 +94,9 @@ class ModelScorer:
     def has(self, node: str) -> bool:
         return node in self.m.index
 
-    def grid(self, us: Sequence[str], vs: Sequence[str]) -> np.ndarray:
-        """The (len(us), len(vs)) scores of every pair in us x vs: grids()
-        of the one request."""
-        return self.grids([(us, vs)])[0]
-
     def grids(self, requests: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[np.ndarray]:
-        """The grid of each (us, vs) request, one scores() call each: every
+        """The grid of each (us, vs) request, the (len(us), len(vs)) scores
+        of every pair in us x vs, one scores() call each: every
         cell is one BLAS row dot, which costs far more than the call, so
         padding requests into one call gains nothing."""
         return [self.scores(self._rows(us)[:, None], self._rows(vs)[None, :]) for us, vs in requests]

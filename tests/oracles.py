@@ -202,7 +202,7 @@ def sentence_scores_oracle(inst, scorer):
     pairs = np.column_stack((a, b))[np.lexsort((b, a, slot[b], slot[a]))]
     cells = pos[pairs]
     scored = (cells >= 0).all(axis=1)
-    weights = scorer.grid(known, known)[cells[scored, 0], cells[scored, 1]]
+    weights = scorer.grids([(known, known)])[0][cells[scored, 0], cells[scored, 1]]
     return nodes, pairs[scored], weights, len(pairs) - len(weights)
 
 

@@ -334,12 +334,12 @@ class _PairTable:
     def has(self, node):
         return True
 
-    def grid(self, us, vs):
-        cells = [self.table.get(frozenset((u, v)), self.default) for u in us for v in vs]
-        return np.array(cells, dtype=np.float64).reshape(len(us), len(vs))
-
     def grids(self, requests):
-        return [self.grid(us, vs) for us, vs in requests]
+        return [
+            np.array([self.table.get(frozenset((u, v)), self.default) for u in us for v in vs],
+                     dtype=np.float64).reshape(len(us), len(vs))
+            for us, vs in requests
+        ]
 
 
 def test_criterion_6_wsd_selection_logic():

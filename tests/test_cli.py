@@ -842,6 +842,8 @@ class TestBench:
         ("--methods", "foo", "unknown method 'foo'"),
         ("--methods", ",", "need at least one method"),
         ("--methods", "graph,dots", "unknown method 'dots'"),
+        ("--query-nodes", ",", "--query-nodes ',': need at least one node id"),
+        ("--query-nodes", "", "--query-nodes '': need at least one node id"),
     ])
     def test_bad_repeats_or_methods_fail_before_any_input_is_read(self, workdir, capsys, option, value, message):
         # the graph is cyclic: reading it would be a data error (exit 2)
@@ -856,6 +858,14 @@ class TestBench:
             warnings.simplefilter("always")
             assert main(["bench", "--graph", "tree.tsv", "--methods", "dot", "--dim", "4", "--query-nodes", "c"]) == 0
         assert not [w for w in caught if "median pass time" in str(w.message)]
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: dot[float32] medians are below timer resolution; give more --query-nodes"
+        ]
+
+    def test_timer_floor_warning_asks_for_more_queries_when_they_are_sampled(self, workdir, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["bench", "--graph", "tree.tsv", "--methods", "dot", "--dim", "4", "--queries", "1"]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "warning: dot[float32] medians are below timer resolution; increase --queries"
         ]
@@ -952,6 +962,31 @@ class TestEntryPoint:
         assert code == 2
         assert f"--graph path {path!r} is not a regular file" in capsys.readouterr().err
         assert sorted(p.name for p in workdir.iterdir()) == ["chain.tsv", "tree.tsv"]
+
+    @pytest.mark.parametrize("args, output, source", [
+        (["similarities", "--graph", "tree.tsv", "--measure", "shp", "--output", "tree.tsv"], "--output", "--graph"),
+        (["similarities", "--graph", "tree.tsv", "--measure", "shp", "--output", "link.tsv"], "--output", "--graph"),
+        (["similarities", "--graph", "tree.tsv", "--measure", "shp", "--output", "out.tsv", "--manifest", "./tree.tsv"],
+         "--manifest", "--graph"),
+        (["similarities", "--graph", "out.tsv.manifest", "--measure", "shp", "--output", "out.tsv"], "--manifest", "--graph"),
+        ([*EVAL_SIM, "--scorer", "measure", "--histogram", "candidates.tsv"], "--histogram", "--candidates"),
+        ([*EVAL_SIM[:-1], "lemma_pairs.tsv", "--scorer", "measure"], "--report", "--pairs"),
+        (["wsd", "--graph", "tree.tsv", "--instances", "inst.tsv", "--measure", "shp", "--predictions", "inst.tsv"],
+         "--predictions", "--instances"),
+        ([*BENCH[:-1], "tree.tsv"], "--report", "--graph"),
+    ], ids=["output", "output-symlink", "manifest", "default-manifest", "histogram", "report", "predictions", "bench-report"])
+    def test_an_output_that_names_an_input_fails_first(self, workdir, capsys, args, output, source):
+        # the run would overwrite its own input, and record the output's digest as the input's
+        (workdir / "lemma_pairs.tsv").write_text("cup\tmug\t8.0\nseat\tchair\t6.5\nbird\tstone\t2.0\n")
+        (workdir / "candidates.tsv").write_text("cup\tc,d\nmug\td\nseat\te\nchair\tf\nbird\tc\nstone\tf\n")
+        (workdir / "inst.tsv").write_text(TestWsd.INSTANCES)
+        (workdir / "link.tsv").symlink_to("tree.tsv")
+        (workdir / "out.tsv.manifest").write_text(TREE)
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"{output} " in err and f"the {source} input" in err
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
     def test_missing_input_file(self, workdir, capsys):
         code = main(

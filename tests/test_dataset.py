@@ -438,7 +438,7 @@ def test_table_selection_matches_reach_selection(g, measure, k, data):
     raw[0] += 1.0  # zero counts too: infinite IC ends score 0.0, collapsed distances +inf
     table = propagate_counts(g, raw)
     rows = SimilarityRows(g, measure, ic_table=table)
-    grid = rows.grid(g.ids, g.ids)
+    grid = rows.grids([(g.ids, g.ids)])[0]
     u, v = (data.draw(st.integers(0, g.n - 1), label=end) for end in ("u", "v"))
     at = 0.0 if np.isnan(grid[u, v]) else float(grid[u, v])
     threshold = data.draw(st.sampled_from([

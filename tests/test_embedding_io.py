@@ -238,7 +238,7 @@ class TestSelfCosine:
             live = [u for u in ids if u != "n3"]
             assert all(score(m, u, u, "cosine") == 1.0 for u in live)
             assert score(m, "n3", "n3", "cosine") == 0.0
-            grid = ModelScorer(m, "cosine").grid(ids[:50], ids[:50])
+            grid = ModelScorer(m, "cosine").grids([(ids[:50], ids[:50])])[0]
             assert np.array_equal(np.diag(grid), [0.0 if u == "n3" else 1.0 for u in ids[:50]])
 
     def test_other_cells_keep_their_bits(self):
@@ -248,7 +248,7 @@ class TestSelfCosine:
         matrix[5] = matrix[4]  # identical rows of two nodes are not a self pair
         m = EmbeddingMatrix(ids, matrix)
         us, vs = ids[:8], ids[4:] + ["n0"]
-        grid = ModelScorer(m, "cosine").grid(us, vs)
+        grid = ModelScorer(m, "cosine").grids([(us, vs)])[0]
         for i, u in enumerate(us):
             for j, v in enumerate(vs):
                 assert grid[i, j] == score(m, u, v, "cosine")

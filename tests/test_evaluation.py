@@ -319,7 +319,7 @@ class TestEvaluate:
         report = evaluate(records, scorer, "static", g=g, measure="shp")
         sel, _ = static_selection(records, g, "shp")
         expected = spearman(
-            [scorer.grid([p.u], [p.v])[0, 0] for p in sel], [p.gold_score for p in sel]
+            [scorer.grids([([p.u], [p.v])])[0][0, 0] for p in sel], [p.gold_score for p in sel]
         )
         assert report.spearman == pytest.approx(expected)
 
@@ -328,7 +328,7 @@ class TestEvaluate:
         scorer = MeasureScorer(g, "shp")
         report = evaluate(records, scorer, "static", g=g, measure="shp")
         sel, _ = static_selection(records, g, "shp")
-        assert report.predictions == [scorer.grid([p.u], [p.v])[0, 0] for p in sel]
+        assert report.predictions == [scorer.grids([([p.u], [p.v])])[0][0, 0] for p in sel]
 
     def test_record_order_does_not_matter(self):
         g, records = self.setup_graph()
@@ -372,11 +372,11 @@ class TestMeasureScorerNormalization:
     def test_rescale_and_clip(self, star3):
         scorer = MeasureScorer(star3, "shp", norm_range=(0.4, 0.8))
         # raw shp(x, y) = 1/3 -> below range -> clips to 0
-        assert scorer.grid(["x"], ["y"])[0, 0] == 0.0
+        assert scorer.grids([(["x"], ["y"])])[0][0, 0] == 0.0
         # raw shp(r, x) = 0.5 -> (0.5 - 0.4) / 0.4 = 0.25
-        assert scorer.grid(["r"], ["x"])[0, 0] == pytest.approx(0.25)
+        assert scorer.grids([(["r"], ["x"])])[0][0, 0] == pytest.approx(0.25)
         # raw shp(x, x) = 1.0 -> above range -> clips to 1
-        assert scorer.grid(["x"], ["x"])[0, 0] == 1.0
+        assert scorer.grids([(["x"], ["x"])])[0][0, 0] == 1.0
         assert scorer.name == "shp[norm]"
 
     def test_degenerate_range_rejected(self, star3):
@@ -403,13 +403,13 @@ class TestScorerGrids:
             m = EmbeddingMatrix(ids, matrix)
             us, vs = ids[:6], ids[2:] + ["n4", "n0"]
             for mode in ("dot", "cosine"):
-                grid = ModelScorer(m, mode).grid(us, vs)
+                grid = ModelScorer(m, mode).grids([(us, vs)])[0]
                 assert grid.shape == (len(us), len(vs)) and grid.dtype == np.float64
                 for i, u in enumerate(us):
                     for j, v in enumerate(vs):
                         want = model_score_oracle(matrix, m.idx(u), m.idx(v), mode)
                         assert abs(grid[i, j] - want) <= 1e-12 * abs(want)
-            assert ModelScorer(m, "cosine").grid(["n4"], ids).tolist() == [[0.0] * 9]
+            assert ModelScorer(m, "cosine").grids([(["n4"], ids)])[0].tolist() == [[0.0] * 9]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -432,7 +432,7 @@ class TestScorerGrids:
         us, vs = [ids[i] for i in rows_u], [ids[j] for j in rows_v]
         scorer = ModelScorer(m, mode)
         pairs = scorer.pairs(us, vs)
-        grid = scorer.grid(us, vs)
+        grid = scorer.grids([(us, vs)])[0]
         oracle = np.array([[model_score_oracle(matrix, i, j, mode) for j in rows_v] for i in rows_u])
         assert pairs.dtype == grid.dtype == np.float64
         assert pairs.tobytes() == np.diagonal(grid).tobytes() == np.diagonal(oracle).tobytes()
@@ -451,7 +451,7 @@ class TestScorerGrids:
         scorers = every_scorer(g, seed, d)  # model scorers (d wide) and measure scorers
         for scorer in scorers + [s.rows for s in scorers if isinstance(s, MeasureScorer) and s.norm_range is None]:  # NaN kept
             got = scorer.grids(requests)
-            want = [scorer.grid(us, vs) for us, vs in requests]
+            want = [scorer.grids([(us, vs)])[0] for us, vs in requests]
             assert [x.shape for x in got] == [x.shape for x in want] == [(len(us), len(vs)) for us, vs in requests]
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
@@ -463,7 +463,7 @@ class TestScorerGrids:
         us, vs = ([g.ids[i] for i in rng.integers(0, g.n, size=count).tolist()] for _ in range(2))
         for scorer in every_scorer(g, seed)[2:]:  # the measure scorers, raw and normalized
             got = scorer.pairs(us, vs)
-            want = np.array([scorer.grid([u], [v])[0, 0] for u, v in zip(us, vs)], dtype=np.float64)
+            want = np.array([scorer.grids([([u], [v])])[0][0, 0] for u, v in zip(us, vs)], dtype=np.float64)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
             with pytest.raises(UnknownNodeError):
                 scorer.pairs([g.ids[0], "zzz"], [g.ids[0], g.ids[0]])
@@ -475,7 +475,7 @@ class TestScorerGrids:
         scorer = ModelScorer(m)
         assert scorer.has("a") and not scorer.has("zzz")
         with pytest.raises(UnknownNodeError):
-            scorer.grid(["a"], ["b", "zzz"])
+            scorer.grids([(["a"], ["b", "zzz"])])[0]
 
     def test_measure_grid_matches_pair_similarity(self):
         g = random_dag_graph(30, 5, extra=9)
@@ -486,13 +486,13 @@ class TestScorerGrids:
             want = np.array(
                 [[pair_similarity(measure, g, u, v, ic_table=table) for v in vs] for u in us]
             )
-            raw = MeasureScorer(g, measure, ic_table=table).grid(us, vs)
+            raw = MeasureScorer(g, measure, ic_table=table).grids([(us, vs)])[0]
             assert np.array_equal(raw, want)
             if measure == "jcn":  # unobserved endpoints score 0.0, collapsed distances inf
                 assert (raw == 0.0).any() and np.isinf(raw).any()
             finite = want[np.isfinite(want)]
             lo, hi = np.percentile(finite, 25), np.percentile(finite, 75)
-            norm = MeasureScorer(g, measure, ic_table=table, norm_range=(lo, hi)).grid(us, vs)
+            norm = MeasureScorer(g, measure, ic_table=table, norm_range=(lo, hi)).grids([(us, vs)])[0]
             clipped = [[max(0.0, min(1.0, (x - lo) / (hi - lo))) for x in row] for row in want]
             assert norm.tolist() == clipped
             assert 0.0 < norm.mean() < 1.0
@@ -501,7 +501,7 @@ class TestScorerGrids:
         scorer = MeasureScorer(star3, "shp")
         assert scorer.has("x") and not scorer.has("zzz")
         with pytest.raises(UnknownNodeError):
-            scorer.grid(["x", "zzz"], ["y"])
+            scorer.grids([(["x", "zzz"], ["y"])])[0]
 
 
 class TestScoreHistogram:

@@ -346,7 +346,7 @@ def test_schedule_repeats_a_child_once_per_parent():
     ]
     for measure in ("wup", "jcn"):
         table = propagate_counts(g, [1.0] * g.n)
-        grid = SimilarityRows(g, measure, ic_table=table).grid(g.ids, g.ids)
+        grid = SimilarityRows(g, measure, ic_table=table).grids([(g.ids, g.ids)])[0]
         assert grid.tolist() == [
             [pair_similarity(measure, g, u, v, ic_table=table) for v in g.ids] for u in g.ids
         ]

@@ -1,7 +1,7 @@
 """Similarity-row kernel tests: the levels, tables and grids of one source
 and of many sources against the oracles, the Floyd-Warshall reach and
 the per-pair measures. A block of sources is checked as its reach from
-levels() with each reached cell scored by table(sources, targets, columns).
+levels() with each reached cell scored by the aligned table(sources, cells).
 
 Graphs are drawn by hypothesis: random DAGs with multiple inheritance,
 forests whose trees can share a child, and the same forests joined under
@@ -60,7 +60,7 @@ def reach_cells(rows: SimilarityRows, sources, max_dist=None) -> tuple[np.ndarra
     the aligned table()."""
     sources = np.asarray(sources, dtype=np.int64)
     targets, columns, _ = metrics.unpack(list(rows.levels(sources, max_dist)), len(sources))
-    scores = rows.table(sources, targets, columns)
+    scores = rows.table(sources, (targets, columns))
     assert scores.shape == targets.shape
     return targets, columns, scores
 
@@ -261,8 +261,8 @@ def test_one_source_levels_equal_its_bit_of_a_block(g, data):
 
 def source_calls(g: TaxonomyGraph, sources: np.ndarray):
     """Each way to hand a block of sources to a scorer of each measure:
-    levels() (checked at its first level), and table() on every node, on
-    given targets and on given cells, which check them for wup/jcn too."""
+    levels() (checked at its first level), and table() on every node and
+    on given cells, which check them for wup/jcn too."""
     cell = np.zeros(1, dtype=np.int64)
     table = context(g, 0)
     for measure in MEASURES:
@@ -270,8 +270,7 @@ def source_calls(g: TaxonomyGraph, sources: np.ndarray):
         yield from (
             lambda rows=rows: next(rows.levels(sources)),
             lambda rows=rows: rows.table(sources),
-            lambda rows=rows: rows.table(sources, cell),
-            lambda rows=rows: rows.table(sources, cell, cell),
+            lambda rows=rows: rows.table(sources, (cell, cell)),
         )
 
 
@@ -307,7 +306,7 @@ def test_grid_equals_pair_similarity(g, seed, data):
     us = data.draw(st.one_of(st.lists(ids, max_size=8), many.map(lambda xs: xs + xs[:3])))
     vs = data.draw(st.lists(ids, max_size=6))
     for measure in MEASURES:
-        got = SimilarityRows(g, measure, ic_table=table).grid(us, vs)
+        got = SimilarityRows(g, measure, ic_table=table).grids([(us, vs)])[0]
         assert got.shape == (len(us), len(vs))
         want = {(u, v): pair_similarity(measure, g, u, v, ic_table=table) for u in us for v in vs}
         got[np.isnan(got)] = 0.0
@@ -318,8 +317,9 @@ def test_grid_equals_pair_similarity(g, seed, data):
 @given(g=st.one_of(graphs, block_graphs()), seed=st.integers(0, 3), data=st.data())
 def test_table_equals_the_oracle_and_walks_no_further_than_its_farthest_cell(g, seed, data):
     # one source or 2 to BLOCK sources in no particular order, against every
-    # node (targets None), a subset of distinct nodes in no particular order,
-    # or no node; a spy on levels() counts the levels the shp/lch walk takes
+    # node (the dense table), or every cell of a subset of distinct nodes in
+    # no particular order, or of no node (the aligned table); a spy on
+    # levels() counts the levels the shp/lch walk takes
     table = context(g, seed)
     dist = distances(g)
     order = data.draw(st.permutations(range(g.n)), label="order")
@@ -343,7 +343,11 @@ def test_table_equals_the_oracle_and_walks_no_further_than_its_farthest_cell(g, 
                 yield level
 
         rows.levels = spy
-        got = rows.table(sources, targets)
+        if targets is None:
+            got = rows.table(sources)
+        else:
+            columns = np.tile(np.arange(len(sources)), len(targets))
+            got = rows.table(sources, (np.repeat(targets, len(sources)), columns)).reshape(len(targets), len(sources))
         want = oracle_scores(g, measure, table, dist)[np.ix_(cells, sources)]
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
@@ -393,6 +397,32 @@ def test_grids_walk_no_further_than_their_farthest_requested_cell(g, data):
             assert len(walked) == int(max(far) if np.isfinite(far).all() else reach.max()) + 1
 
 
+@pytest.mark.parametrize("measure", ["shp", "lch"])
+@pytest.mark.parametrize("distinct, walks", [(10, 1), (2 * BLOCK, 2)])
+def test_pairs_whose_blocks_share_their_rows_share_one_walk(measure, distinct, walks):
+    # 2 * BLOCK aligned pairs make two blocks; over 10 distinct `us` their
+    # rows fit in one table, so a spy on levels() sees one walk; over
+    # 2 * BLOCK distinct `us` they do not, and it sees two
+    g = past_one_block_graph()
+    rng = np.random.default_rng(3)
+    us = [g.ids[i] for i in rng.permutation(g.n)[:distinct]]
+    us = [us[i] for i in rng.integers(0, distinct, 2 * BLOCK)] if distinct < 2 * BLOCK else us
+    vs = [g.ids[i] for i in rng.integers(0, g.n, 2 * BLOCK)]
+    rows = SimilarityRows(g, measure)
+    walk, walked = rows.levels, []
+
+    def spy(sources, max_dist=None):
+        walked.append(sorted(sources.tolist()))
+        yield from walk(sources, max_dist)
+
+    rows.levels = spy
+    got = rows.pairs(us, vs)
+    assert len(walked) == walks
+    assert sorted(i for sources in walked for i in sources) == sorted({g.idx(u) for u in us})
+    got[np.isnan(got)] = 0.0
+    assert got.tolist() == [pair_similarity(measure, g, u, v) for u, v in zip(us, vs)]
+
+
 class TestSimilarityRows:
     def test_nan_marks_connected_pair_without_common_subsumer(self):
         # s has a parent in each tree, so a1 and b1 are connected through it
@@ -422,7 +452,7 @@ class TestSimilarityRows:
             assert r._level is level and r._schedule is schedule
         assert rows[1]._ic is rows[3]._ic is table.ic_vector
         assert table.ic_vector.tolist() == [table.ic(i) for i in range(g.n)]
-        assert rows[0].grid(g.ids, g.ids).tobytes() == rows[2].grid(g.ids, g.ids).tobytes()
+        assert rows[0].grids([(g.ids, g.ids)])[0].tobytes() == rows[2].grids([(g.ids, g.ids)])[0].tobytes()
 
     def test_missing_context_is_a_config_error(self, chain3):
         with pytest.raises(ConfigError, match="information content"):

@@ -43,15 +43,15 @@ class StubScorer:
     def has(self, node):
         return node not in self.missing
 
-    def grid(self, us, vs):
-        for node in (*us, *vs):
+    def grids(self, requests):
+        for node in (node for us, vs in requests for node in (*us, *vs)):
             if node in self.missing:
                 raise UnknownNodeError(f"no such node {node!r}")
-        cells = [self.table.get(frozenset((u, v)), self.default) for u in us for v in vs]
-        return np.array(cells, dtype=np.float64).reshape(len(us), len(vs))
-
-    def grids(self, requests):
-        return [self.grid(us, vs) for us, vs in requests]
+        return [
+            np.array([self.table.get(frozenset((u, v)), self.default) for u in us for v in vs],
+                     dtype=np.float64).reshape(len(us), len(vs))
+            for us, vs in requests
+        ]
 
 
 def sentence(*tokens):
@@ -284,14 +284,11 @@ class TestDisambiguate:
 class CountingScorer(StubScorer):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.grid_calls = self.grids_calls = 0
-
-    def grid(self, us, vs):
-        self.grid_calls += 1
-        return super().grid(us, vs)
+        self.grids_calls = self.requests = 0
 
     def grids(self, requests):
         self.grids_calls += 1
+        self.requests += len(requests)
         return super().grids(requests)
 
 
@@ -311,7 +308,7 @@ class TestSweep:
         thresholds = (0.2, 0.5, 0.8)
         scorer = CountingScorer(table, missing={"GONE"})
         results = disambiguate_sweep(insts, scorer, thresholds)
-        assert (scorer.grids_calls, scorer.grid_calls) == (1, len(insts))  # one grids call of a grid per sentence
+        assert (scorer.grids_calls, scorer.requests) == (1, len(insts))  # one grids call of a grid per sentence
         for t, result in zip(thresholds, results):
             assert result == disambiguate(insts, WsdConfig(scorer, threshold=t))
         assert results[0][1] == 6  # GONE against every candidate of tokens 0 and 1

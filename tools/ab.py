@@ -16,9 +16,11 @@ prints each side's median and quartiles and the rounds the working tree won.
   after the first round, and each side's peak RSS (ru_maxrss) is printed
   with the times. A failed child is one line naming its error (exit 1).
 - `rows`: one-vs-all shp and lch rows (`one_vs_all_graph`) of ROW_QUERIES
-  fixed nodes, one 3x3 and one 64x64 shp and lch `grid`, and shp and lch
-  `MeasureScorer.pairs` of PAIRS seeded aligned pairs, on perfbench's
-  `query` graph, or with `--nodes N` on a `gen.make_dag` graph of N nodes.
+  fixed nodes, one 3x3 and one 64x64 shp and lch grid (`SimilarityRows.grids`
+  of one request), and shp and lch `MeasureScorer.pairs` of PAIRS seeded
+  aligned pairs, on perfbench's `query` graph, or with `--nodes N` on a
+  `gen.make_dag` graph of N nodes. Grids and pairs both score through
+  `SimilarityRows`' one packer of aligned tables.
 - `query [--measure M]`: `disambiguate_sweep` with the model (dot) scorer
   and with a raw `MeasureScorer` of M (shp unless --measure says otherwise),
   and static and dynamic `evaluate` with the model scorer and M as the
@@ -200,7 +202,8 @@ def grid_once(side: int, pkg, inputs, out: Path) -> float:
     """Seconds of the shp and lch grids of the first `side` queries against the next `side`."""
     g, queries = inputs
     t0 = time.perf_counter()
-    grids = [pkg.metrics.SimilarityRows(g, m).grid(queries[:side], queries[side : 2 * side]) for m in ROW_MEASURES]
+    request = (queries[:side], queries[side : 2 * side])
+    grids = [pkg.metrics.SimilarityRows(g, m).grids([request])[0] for m in ROW_MEASURES]
     secs = time.perf_counter() - t0
     out.write_bytes(np.stack(grids).tobytes())
     return secs
