@@ -102,7 +102,9 @@ def _command(name: str, epilog: str | None = None):
     does a path that is not a regular file: the body would drain a pipe
     or device before its digest is taken. An output (the other path
     options, the manifest included) that names an input file is a usage
-    error, as the run would overwrite its own input. The seed is `-`
+    error, as the run would overwrite its own input, and so are two
+    outputs that name one file (by os.path.realpath), as the later write
+    would replace the earlier. The seed is `-`
     unless the run reads `--seed`; the body writes `-` for the config
     entries it did not read."""
 
@@ -126,6 +128,10 @@ def _command(name: str, epilog: str | None = None):
                 for param, read in inputs:
                     if os.path.exists(path) and os.path.samefile(path, read):
                         raise click.UsageError(f"{out.opts[0]} {path!r} names the {param.opts[0]} input; the run would overwrite it")
+            for k, (out, path) in enumerate(outputs):
+                for param, other in outputs[:k]:
+                    if os.path.realpath(path) == os.path.realpath(other):
+                        raise click.UsageError(f"{out.opts[0]} {path!r} names the {param.opts[0]} output; one would overwrite the other")
             config = body(**options)
             if "virtual_root" in options:
                 config["virtual_root"] = options["virtual_root"] or "-"

@@ -24,12 +24,14 @@ from .io import records
 class TaxonomyGraph:
     """Immutable directed acyclic hypernym graph over string node ids.
 
-    Construction runs one topological pass that rejects a cycle and stores
-    every node's level and depth; `csr` (the undirected adjacency),
-    `schedule` (the parent edges grouped by level) and `components` (each
-    node's connected component), the array forms the measures, the
-    dataset builds and the trainer share, are derived once per graph on
-    first use.
+    Construction maps the edges to int64 CSR arrays (offsets, flat): the
+    parents and the children of each node in order of first mention, and
+    `csr`, the undirected adjacency the measures, the dataset builds and
+    the trainer share, node i's neighbors ascending in flat[offsets[i]:
+    offsets[i + 1]]. One topological pass over the child edges rejects a
+    cycle and stores every node's level and depth. `schedule` (the parent
+    edges grouped by level) and `components` (each node's connected
+    component) are derived from the arrays on first use.
     """
 
     def __init__(self, ids: Sequence[str], edges: Iterable[tuple[str, str]]):
@@ -38,26 +40,19 @@ class TaxonomyGraph:
         if len(self.index) != len(self.ids):
             raise StructuralError("duplicate node ids in graph construction")
 
-        n = len(self.ids)
-        parents: list[list[int]] = [[] for _ in range(n)]
-        children: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for child, parent in edges:
-            c, p = self.idx(child), self.idx(parent)
-            if c == p:
-                raise StructuralError(f"self-loop on node {child!r}")
-            if (c, p) in seen:
-                continue
-            seen.add((c, p))
-            parents[c].append(p)
-            children[p].append(c)
-
-        self.parents: list[list[int]] = parents
-        self.children: list[list[int]] = children
-        self.neighbors: list[list[int]] = [
-            sorted(set(parents[i]) | set(children[i])) for i in range(n)
-        ]
+        n, edges, get = len(self.ids), list(edges), self.index.get
+        c, p = np.array([get(x, -1) for a, b in edges for x in (a, b)], dtype=np.int64).reshape(-1, 2).T
+        bad = np.flatnonzero((c < 0) | (p < 0) | (c == p))
+        if len(bad):  # the first edge at fault, checked as a walk in input order checks it
+            child, parent = edges[bad[0]]
+            self.idx(child), self.idx(parent)
+            raise StructuralError(f"self-loop on node {child!r}")
+        first = np.sort(np.unique(c * n + p, return_index=True)[1])  # a repeated edge counts at its first mention
+        c, p = c[first], p[first]
+        self._parent_csr, self._child_csr = _csr(c, p, n), _csr(p, c, n)
         self.levels, self.depths, self.max_depth = self._topological_pass()
+        u, v = np.divmod(np.sort(np.concatenate((c * n + p, p * n + c))), n)  # acyclic: no edge both ways
+        self.csr: tuple[np.ndarray, np.ndarray] = _csr(u, v, n)
 
     @property
     def n(self) -> int:
@@ -74,7 +69,7 @@ class TaxonomyGraph:
 
     def roots(self) -> list[int]:
         """Indices of nodes without parents (isolated nodes included)."""
-        return [i for i in range(self.n) if not self.parents[i]]
+        return np.flatnonzero(np.diff(self._parent_csr[0]) == 0).tolist()
 
     def ancestors(self, i: int) -> set[int]:
         """Reflexive ancestor set of a dense index, following parent edges."""
@@ -97,13 +92,14 @@ class TaxonomyGraph:
         parents closes a cycle; the StructuralError names its last edge.
         """
         n = self.n
-        remaining = [len(ps) for ps in self.parents]
+        offsets, flat = (a.tolist() for a in self._child_csr)
+        remaining = np.diff(self._parent_csr[0]).tolist()
         order = [i for i, k in enumerate(remaining) if not k]
         levels = [0] * n
         depths = [1 if not k else n + 1 for k in remaining]
         for u in order:  # grows while it is walked
             lu, du = levels[u] + 1, depths[u] + 1
-            for c in self.children[u]:
+            for c in flat[offsets[u] : offsets[u + 1]]:
                 if levels[c] < lu:
                     levels[c] = lu
                 if depths[c] > du:
@@ -120,14 +116,11 @@ class TaxonomyGraph:
             raise StructuralError(f"cycle through edge {self.ids[child]!r} -> {self.ids[u]!r}")
         return tuple(levels), tuple(depths), max(depths, default=0)
 
-    @functools.cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The undirected adjacency as CSR arrays (offsets, flat), both int64.
-
-        The neighbors of node i are flat[offsets[i]:offsets[i + 1]], in the
-        sorted order of neighbors[i]; an isolated node has an empty slice.
-        """
-        return _flatten(self.neighbors)
+    # the CSR rows as lists, made on first use for ancestors() (propagate_counts, lcs_index,
+    # the subsumer seed without the bit pass), shortest_path_length and perfbench
+    parents = functools.cached_property(lambda self: _lists(*self._parent_csr))
+    children = functools.cached_property(lambda self: _lists(*self._child_csr))
+    neighbors = functools.cached_property(lambda self: _lists(*self.csr))
 
     @functools.cached_property
     def schedule(self) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
@@ -139,7 +132,7 @@ class TaxonomyGraph:
         order; every parent sits at a lower level.
         """
         level = np.array(self.levels, dtype=np.int64)
-        offsets, parents = _flatten(self.parents)
+        offsets, parents = self._parent_csr
         children = np.repeat(np.arange(self.n), np.diff(offsets))
         order = np.argsort(level[children], kind="stable")
         children, parents = children[order], parents[order]
@@ -151,6 +144,7 @@ class TaxonomyGraph:
         """Each node's connected component in the undirected adjacency as
         an int64 label, the components numbered 0, 1, ... in the order of
         their smallest node index."""
+        offsets, flat = (a.tolist() for a in self.csr)
         label = [-1] * self.n
         count = 0
         for start in range(self.n):
@@ -159,7 +153,8 @@ class TaxonomyGraph:
             label[start] = count
             stack = [start]
             while stack:
-                for w in self.neighbors[stack.pop()]:
+                u = stack.pop()
+                for w in flat[offsets[u] : offsets[u + 1]]:
                     if label[w] < 0:
                         label[w] = count
                         stack.append(w)
@@ -245,12 +240,16 @@ def bfs_distances(adjacency: list[list[int]], src: int) -> tuple[list[int], list
     return order, starts
 
 
-def _flatten(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, flat): index lists as one int64 array and n + 1 slice offsets."""
-    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=int(offsets[-1]))
-    return offsets, flat
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, flat) int64 CSR arrays of n rows: row i's cols, in given order, are flat[offsets[i]:offsets[i + 1]]."""
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return offsets, cols[np.argsort(rows, kind="stable")]
+
+
+def _lists(offsets: np.ndarray, flat: np.ndarray) -> list[list[int]]:
+    """The rows of CSR arrays as Python lists."""
+    flat = flat.tolist()
+    return [flat[a:b] for a, b in itertools.pairwise(offsets.tolist())]
 
 
 def spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

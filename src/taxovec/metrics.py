@@ -238,9 +238,9 @@ class SimilarityRows:
 
     with key (depth, -index), the tie order of lcs_index, and one column
     per source. The DP folds only the edges into the ancestor closure of
-    the targets, every edge when every node is a target. The schedule and
-    the CSR adjacency are derived once per graph (g.schedule, g.csr) and
-    the IC vector once per table (ic_table.ic_vector), so an instance
+    the targets, every edge when every node is a target. The CSR adjacency
+    is built when the graph loads (g.csr), the schedule once per graph
+    (g.schedule) and the IC vector once per table (ic_table.ic_vector), so an instance
     costs only its key ranks. Every shape scores through _scores, so each
     formula lives once.
     """

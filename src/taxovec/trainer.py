@@ -81,7 +81,7 @@ class EmbeddingMatrix:
 
 class ModelScorer:
     """The one model similarity: float64 dots or cosines of rows, each dot
-    `a @ b` from one matmul stacked over single rows. A cosine with a zero
+    `a @ b` one np.vecdot over the broadcast rows. A cosine with a zero
     row is 0.0, and of a nonzero row with itself exactly 1.0 (not 1 - 2**-53)."""
 
     def __init__(self, m: EmbeddingMatrix, mode: str = "dot"):
@@ -114,9 +114,9 @@ class ModelScorer:
     def scores(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
         """Scores of the row pairs of two broadcast index arrays."""
         a, b = (self.m.matrix[rows].astype(np.float64) for rows in (rows_a, rows_b))
-        out = (a[..., None, :] @ b[..., :, None])[..., 0, 0]  # row-by-row dots
+        out = np.vecdot(a, b)  # row-by-row dots
         if self.mode == "cosine":
-            norm_a, norm_b = (np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0]) for x in (a, b))
+            norm_a, norm_b = (np.sqrt(np.vecdot(x, x)) for x in (a, b))
             live = ~((norm_a < 1e-300) | (norm_b < 1e-300))  # else 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = np.where(live, out / (norm_a * norm_b), 0.0)

@@ -69,6 +69,49 @@ def level_oracle(n: int, parent_edges: list[tuple[int, int]]) -> list[int]:
     return [int(length[i].max()) for i in range(n)]
 
 
+def graph_lists_oracle(lines: list[str], virtual_root: str | None = None) -> dict:
+    """The graph of an edge-list file's record lines (no comments or blank
+    lines), built as Python lists one edge at a time: the ids in order of
+    first mention, then the virtual root with every parentless node as its
+    child in index order; each node's parents and children in order of
+    first mention, a repeated edge dropped; each node's sorted undirected
+    neighbours; the roots; and connected components by union-find,
+    numbered in order of their smallest node."""
+    fields = [line.split("\t") for line in lines]
+    ids = list(dict.fromkeys(node for f in fields for node in f))
+    index = {node: i for i, node in enumerate(ids)}
+    edges = [(index[f[0]], index[f[1]]) for f in fields if len(f) == 2]
+    if virtual_root is not None:
+        has_parent = {c for c, _ in edges}
+        edges += [(i, len(ids)) for i in range(len(ids)) if i not in has_parent]
+        ids.append(virtual_root)
+    n = len(ids)
+    parents: list[list[int]] = [[] for _ in range(n)]
+    children: list[list[int]] = [[] for _ in range(n)]
+    boss = list(range(n))
+
+    def find(x: int) -> int:
+        while boss[x] != x:
+            x = boss[x]
+        return x
+
+    for c, p in edges:
+        if p not in parents[c]:
+            parents[c].append(p)
+            children[p].append(c)
+        boss[find(c)] = find(p)
+    numbers: dict[int, int] = {}
+    return {
+        "ids": tuple(ids),
+        "parents": parents,
+        "children": children,
+        "neighbors": [sorted(set(parents[i]) | set(children[i])) for i in range(n)],
+        "roots": [i for i in range(n) if not parents[i]],
+        "components": [numbers.setdefault(find(i), len(numbers)) for i in range(n)],
+        "edges": [(c, p) for c in range(n) for p in parents[c]],
+    }
+
+
 def lcs_oracle(
     anc: list[set[int]], depths: list[int], u: int, v: int
 ) -> int | None:

@@ -2,8 +2,8 @@
 one build case and one train case, of the rows and query stages, and of
 the query stage's manifest case alone, so an API change in src/ that
 breaks the harness fails here; a large jcn build in child processes, in
-full and fast mode, and the alternation of its rounds; and the harness's
-own refusals."""
+full and fast mode, and the alternation of its rounds; the load stage's
+child processes, digest and cases; and the harness's own refusals."""
 
 from __future__ import annotations
 
@@ -95,6 +95,43 @@ def test_large_build_rounds_alternate_which_side_goes_first(ab, monkeypatch, tmp
     ]
     assert out[3] == "60 nodes, full shp base: median 5 s, quartiles 3.5-5.5"  # rounds of 2, 5 and 6 s
     assert out[5] == "60 nodes, full shp change won 1/3 pairs, median -20.0% against base"  # 3, 4 and 7 s
+
+
+@pytest.mark.parametrize("shape", [None, "chain"])
+def test_one_round_of_the_load_stage_times_both_sides_in_children(ab, monkeypatch, tmp_path, capsys, shape):
+    monkeypatch.setattr(ab, "extract", lambda rev, into: ROOT / "src")  # the working tree on both sides
+    monkeypatch.setattr(sys, "argv", ["ab.py", "load", "--nodes", "60", "--pairs", "1", "--work", str(tmp_path),
+                                      *(["--shape", shape] if shape else [])])
+    ab.main()
+    out = capsys.readouterr().out.splitlines()
+    label = f"60-node {shape or 'dag'} load"
+    assert out[0] == f"{label}: graphs byte-identical"
+    assert out[1].startswith(f"{label} HEAD: peak RSS ") and out[2].startswith(f"{label} working tree: peak RSS ")
+    assert out[3].startswith(f"{label} HEAD: median ") and " s, quartiles " in out[3]
+    assert out[5].startswith(f"{label} working tree won ") and len(out) == 6
+    g = ab.package(ROOT / "src", "taxovec_ab_load").graph.load_edge_list(tmp_path / "chain-60.tsv") if shape else None
+    assert shape is None or (g.n, g.max_depth, g.roots()) == (60, 60, [0])
+
+
+def test_the_load_digest_holds_the_graph_and_the_cases_cover_perfbench(ab, monkeypatch, tmp_path):
+    for workload, key in [("build", "full_nodes"), ("build", "fast_nodes"), ("train", "nodes"), ("query", "nodes")]:
+        monkeypatch.setitem(ab.gen.PARAMS[workload], key, 40)
+    monkeypatch.setitem(ab.gen.PARAMS["query"], "dim", 4)
+    monkeypatch.setattr(ab, "in_child", lambda fn, *args: fn(*args))  # so the small PARAMS hold
+    cases = list(ab.load_cases([5], tmp_path, None, None))
+    assert [label for label, _ in cases] == [f"seed 5 {name} load" for name in (
+        "build full_graph.tsv", "build fast_graph.tsv", "train graph.tsv", "query graph.tsv")]
+    load = ab.package(ROOT / "src", "taxovec_ab_digest").graph.load_edge_list
+    digests = [ab.graph_digest(load(graph)) for _, graph in cases[:2] + [cases[0]]]
+    assert digests[0] == digests[2] != digests[1]  # both build graphs have 40 nodes, in other shapes
+
+
+def test_a_load_shape_without_nodes_is_a_usage_error(ab, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ab.py", "load", "--shape", "chain"])
+    monkeypatch.setattr(ab, "extract", lambda *a: pytest.fail("extracted a revision"))
+    with pytest.raises(SystemExit) as exit_:
+        ab.main()
+    assert exit_.value.code == 2 and "argument --shape: needs --nodes" in capsys.readouterr().err
 
 
 def test_one_round_of_the_rows_stage_is_byte_identical(ab, tmp_path, capsys):

@@ -988,6 +988,22 @@ class TestEntryPoint:
         assert f"{output} " in err and f"the {source} input" in err
         assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
+    @pytest.mark.parametrize("args, later, earlier", [
+        ([*EVAL_SIM, "--scorer", "measure", "--histogram", "./out.tsv"], "--report", "--histogram"),
+        ([*EVAL_SIM, "--scorer", "measure", "--manifest", "out.tsv"], "--manifest", "--report"),
+        ([*EVAL_SIM, "--scorer", "measure", "--manifest", "link.tsv"], "--manifest", "--report"),
+    ], ids=["report-histogram", "report-manifest", "report-manifest-symlink"])
+    def test_two_outputs_that_name_one_file_fail_first(self, workdir, capsys, args, later, earlier):
+        # the later write would replace the earlier output, which the run reports as written
+        (workdir / "lemma_pairs.tsv").write_text("cup\tmug\t8.0\nseat\tchair\t6.5\nbird\tstone\t2.0\n")
+        (workdir / "candidates.tsv").write_text("cup\tc,d\nmug\td\nseat\te\nchair\tf\nbird\tc\nstone\tf\n")
+        (workdir / "link.tsv").symlink_to("out.tsv")
+        before = {p.name: p.read_bytes() for p in workdir.iterdir() if p.name != "link.tsv"}
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"{later} " in err and f"names the {earlier} output" in err
+        assert {p.name: p.read_bytes() for p in workdir.iterdir() if p.name != "link.tsv"} == before
+
     def test_missing_input_file(self, workdir, capsys):
         code = main(
             ["similarities", "--graph", "no-such-file.tsv",

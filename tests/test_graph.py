@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -24,6 +25,7 @@ from taxovec.metrics import SimilarityRows, lcs_index, pair_similarity, propagat
 from conftest import (
     edge_lists,
     edges_of,
+    graph_from_lines,
     graphs,
     ids_for,
     random_dag_edges,
@@ -31,7 +33,14 @@ from conftest import (
     random_tree_graph,
     rooted_tree_edges,
 )
-from oracles import ancestor_closure, depth_oracle, floyd_warshall_undirected, lcs_oracle, level_oracle
+from oracles import (
+    ancestor_closure,
+    depth_oracle,
+    floyd_warshall_undirected,
+    graph_lists_oracle,
+    lcs_oracle,
+    level_oracle,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -372,6 +381,39 @@ def test_a_named_cycle_edge_lies_on_a_cycle(ne, data):
     assert c in ancestor_closure(n, edges)[p]
 
 
+@st.composite
+def edge_files(draw):
+    """(lines, virtual root) of an edge-list file: a DAG with multiple
+    inheritance or a forest, some edges repeated, every node also alone on
+    a line, all in any order, so the nodes are numbered in any order and a
+    node of no edge is isolated; under a virtual root or not."""
+    n, edges = draw(edge_lists(forest=draw(st.booleans())))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    lines = [f"n{c}\tn{p}" for c, p in edges + repeats] + [f"n{i}" for i in range(n)]
+    return draw(st.permutations(lines)), draw(st.sampled_from([None, "ROOT"]))
+
+
+@PROPERTY_SETTINGS
+@given(file=edge_files())
+def test_the_arrays_hold_the_graph_a_list_builder_makes(file):
+    lines, root = file
+    g = graph_from_lines(lines, virtual_root=root is not None)
+    want = graph_lists_oracle(lines, root)
+    assert g.ids == want["ids"]
+    assert (g.parents, g.children, g.neighbors) == (want["parents"], want["children"], want["neighbors"])
+    assert g.roots() == want["roots"]
+    levels, depths = level_oracle(g.n, want["edges"]), depth_oracle(g.n, want["edges"])
+    assert (g.levels, g.depths, g.max_depth) == (tuple(levels), tuple(depths), max(depths))
+    offsets, flat = g.csr
+    assert offsets.dtype == flat.dtype == np.int64
+    assert offsets.tolist() == [0, *itertools.accumulate(map(len, want["neighbors"]))]
+    assert flat.tolist() == [w for ws in want["neighbors"] for w in ws]
+    level, schedule = g.schedule
+    by_level = [[(c, p) for c, p in want["edges"] if levels[c] == k] for k in range(1, max(levels) + 1)]
+    assert [list(zip(c.tolist(), p.tolist())) for c, p in schedule] == by_level
+    assert g.components.dtype == np.int64 and g.components.tolist() == want["components"]
+
+
 class TestConstruction:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(StructuralError):
@@ -380,6 +422,27 @@ class TestConstruction:
     def test_cycle_detected_in_constructor(self):
         with pytest.raises(StructuralError, match="cycle"):
             TaxonomyGraph(["a", "b"], [("a", "b"), ("b", "a")])
+
+    @pytest.mark.parametrize("edges, error, message", [
+        ([("x", "a")], UnknownNodeError, "unknown node id 'x'"),
+        ([("a", "y")], UnknownNodeError, "unknown node id 'y'"),
+        ([("x", "y")], UnknownNodeError, "unknown node id 'x'"),
+        ([("b", "b"), ("x", "a")], StructuralError, "self-loop on node 'b'"),
+        ([("b", "b"), ("a", "y")], StructuralError, "self-loop on node 'b'"),
+        ([("x", "a"), ("b", "b")], UnknownNodeError, "unknown node id 'x'"),
+        ([("a", "y"), ("b", "b")], UnknownNodeError, "unknown node id 'y'"),
+        ([("b", "a"), ("b", "a"), ("c", "c"), ("x", "a")], StructuralError, "self-loop on node 'c'"),
+        ([("b", "a"), ("b", "a"), ("x", "a"), ("c", "c")], UnknownNodeError, "unknown node id 'x'"),
+        ([("b", "a"), ("a", "b"), ("c", "c")], StructuralError, "self-loop on node 'c'"),
+        ([("b", "a"), ("a", "b"), ("a", "y")], UnknownNodeError, "unknown node id 'y'"),
+        ([("b", "a"), ("c", "b"), ("a", "c")], StructuralError, "cycle through edge 'b' -> 'a'"),
+        ([("b", "a"), ("b", "a"), ("a", "b")], StructuralError, "cycle through edge 'b' -> 'a'"),
+    ])
+    def test_the_first_edge_at_fault_in_input_order_names_the_error(self, edges, error, message):
+        # each edge is checked child, then parent, then for a self-loop; a cycle only once every edge passed
+        with pytest.raises(error) as err:
+            TaxonomyGraph(["a", "b", "c"], edges)
+        assert type(err.value) is error and str(err.value) == message
 
     def test_depths_cover_every_node(self):
         for seed in range(5):

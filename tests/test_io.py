@@ -435,7 +435,8 @@ MATMUL_SITES = {("trainer.py", "ModelScorer"), ("bench.py", "one_vs_all_dot"), (
 
 def test_only_the_model_scorer_computes_model_similarity():
     # every model similarity is ModelScorer's; bench's stored-dtype one-vs-all
-    # product and spearman's Pearson are the only other matrix products
+    # product and spearman's Pearson are the only other matrix products, `@`
+    # or np.vecdot
     src = Path(taxovec.__file__).parent
     found = {
         (f.name, getattr(top, "name", None), node.lineno)
@@ -443,9 +444,10 @@ def test_only_the_model_scorer_computes_model_similarity():
         for top in ast.parse(f.read_text()).body
         for node in ast.walk(top)
         if isinstance(getattr(node, "op", None), ast.MatMult)
+        or isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "vecdot"
     }
     assert any(site[:2] == ("trainer.py", "ModelScorer") for site in found), \
-        "the guard no longer sees ModelScorer's own matmul"
+        "the guard no longer sees ModelScorer's own row dots"
     assert sorted(site for site in found if site[:2] not in MATMUL_SITES) == []
 
 

@@ -30,6 +30,13 @@ prints each side's median and quartiles and the rounds the working tree won.
   the three `write_manifest` calls of perfbench's query pass (static and
   dynamic eval-sim, wsd) on the same inputs, `wall_time_s` fixed at 0.0,
   compared as the three manifests' bytes.
+- `load`: load_edge_list and the first use of the graph's `csr`,
+  `schedule` and `components`, timed together, on each of perfbench's
+  graphs (build, train and query), or with `--nodes N` on a `gen.make_dag`
+  graph of N nodes (`--shape chain`: a chain of N nodes). Each side loads
+  in a child process per round, so each prints its own peak RSS; the
+  output compared is a sha256 of the graph's ids, levels, depths, `csr`,
+  `schedule` and `components`.
 - `train`: saved embeddings of train() on perfbench's `train` inputs
   (d=300, float32, 2 epochs, with the dev set). With `--star`: time per
   batch on a star graph (one root, LEAVES leaves, every root-leaf pair at
@@ -41,6 +48,8 @@ prints each side's median and quartiles and the rounds the working tree won.
     python3 tools/ab.py rows --rev HEAD --seeds 7 11
     python3 tools/ab.py query --rev HEAD --seeds 7 11
     python3 tools/ab.py query --rev HEAD --seeds 7 --measure jcn
+    python3 tools/ab.py load --rev HEAD --seeds 7 23
+    python3 tools/ab.py load --rev HEAD --nodes 8000 --shape chain --pairs 10
     python3 tools/ab.py train --rev HEAD --star --batch-sizes 100 1000
 
 Inputs go under a temporary directory unless --work names one.
@@ -373,22 +382,83 @@ def large(roots: dict[str, Path], nodes: int, seed: int, measure: str, work: Pat
           n_pairs: int = 1) -> None:
     """`n_pairs` alternating rounds of one child-process build per side, checked for identity after the first."""
     graph, counts = dag(work, nodes, seed)
-    label, names = f"{nodes} nodes, {mode} {measure}", list(roots)
-    outs = {name: work / f"large-{k}.tsv" for k, name in enumerate(names)}
+    outs = {name: work / f"large-{k}.tsv" for k, name in enumerate(roots)}
+    alternate(f"{nodes} nodes, {mode} {measure}", roots, child, (graph, counts, mode, measure), "pairs files", outs,
+              n_pairs)
+
+
+def graph_digest(g) -> str:
+    """sha256 of a graph's ids, levels, depths, csr, schedule and components, each array with its length."""
+    level, schedule = g.schedule
+    digest = hashlib.sha256("\t".join(g.ids).encode())
+    for a in [np.array(g.levels), np.array(g.depths), *g.csr, level, *(x for pair in schedule for x in pair),
+              g.components]:
+        digest.update(np.array([a.size], dtype=np.int64).tobytes() + a.astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def load_child(root: Path, graph: Path, out: Path) -> tuple[float, float]:
+    """load_edge_list of `graph` with the package under `root` and the first use of its csr, schedule and
+    components: their seconds and this process's peak RSS in MB; graph_digest goes to out."""
+    try:
+        pkg = package(root, "taxovec_side")
+        t0 = time.perf_counter()
+        g = pkg.graph.load_edge_list(graph)
+        g.csr, g.schedule, g.components
+        secs = time.perf_counter() - t0
+        maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        out.write_text(graph_digest(g))
+    except Exception as exc:
+        raise RuntimeError(f"{type(exc).__name__}: {exc}") from None
+    return secs, maxrss_mb
+
+
+def write_chain(path: Path, nodes: int) -> None:
+    gen.write_graph(path, [[]] + [[k] for k in range(nodes - 1)])
+
+
+def in_child(fn, *args):
+    """fn(*args) in a spawned child process. A child's peak RSS starts at this process's, so the load stage also
+    writes its inputs in one."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def load_cases(seeds: list[int], work: Path, nodes: int | None, shape: str | None):
+    """(label, graph file) of each graph the load stage times, each written once in a child process."""
+    if nodes and shape == "chain":
+        graph = work / f"chain-{nodes}.tsv"
+        in_child(write_chain, graph, nodes)
+        yield f"{nodes}-node chain load", graph
+    elif nodes:
+        yield f"{nodes}-node dag load", in_child(dag, work, nodes, seeds[0])[0]
+    else:
+        for seed in seeds:
+            for workload, name in [("build", "full_graph.tsv"), ("build", "fast_graph.tsv"), ("train", "graph.tsv"),
+                                   ("query", "graph.tsv")]:
+                in_child(gen.generate, workload, seed, work / f"{workload}-{seed}")
+                yield f"seed {seed} {workload} {name} load", work / f"{workload}-{seed}" / name
+
+
+def alternate(label: str, roots: dict[str, Path], task, args: tuple, output: str, outs: dict[str, Path],
+              n_pairs: int) -> None:
+    """`n_pairs` alternating rounds of task(root, *args, out) per side, each in a child process that returns its
+    seconds and peak RSS in MB; the outputs are checked for identity after the first round. A failed child is
+    one line naming its error (exit 1)."""
+    names = list(roots)
     times, peaks = {name: [] for name in names}, {name: 0.0 for name in names}
     for k in range(n_pairs):
         for name in names if k % 2 == 0 else names[::-1]:
             try:
-                with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-                    secs, maxrss_mb = pool.submit(child, roots[name], graph, counts, mode, measure, outs[name]).result()
+                secs, maxrss_mb = in_child(task, roots[name], *args, outs[name])
             except Exception as exc:  # the child's error, or its death (BrokenProcessPool)
                 sys.exit(f"{label}, {name}: failed: {exc}")
             times[name].append(secs)
             peaks[name] = max(peaks[name], maxrss_mb)
         if k == 0:
-            check_identical(label, "pairs files", list(outs.values()))
+            check_identical(label, output, list(outs.values()))
     for name in names:
-        print(f"{label} {name}: peak RSS {peaks[name]:.0f} MB")
+        print(f"{label} {name}: peak RSS {peaks[name]:.4g} MB")
     report(label, times, 1.0, "s")
 
 
@@ -414,11 +484,16 @@ def main() -> None:
     rows.add_argument("--nodes", type=at_least_one, help="on a make_dag graph this large instead of the query graph")
     query = stages.add_parser("query", parents=[common], help="WSD sweeps, eval-sim and manifests on the query inputs")
     query.add_argument("--measure", choices=MEASURES, default="shp", help="the measure scorer's and selection's")
+    load = stages.add_parser("load", parents=[common], help="load_edge_list and first use of csr, schedule, components")
+    load.add_argument("--nodes", type=at_least_one, help="on a graph this large instead of perfbench's graphs")
+    load.add_argument("--shape", choices=("dag", "chain"), help="the --nodes graph: gen.make_dag (default) or a chain")
     train = stages.add_parser("train", parents=[common], help="train()")
     train.add_argument("--star", action="store_true", help="time a star graph instead")
     train.add_argument("--leaves", type=at_least_one, default=2000)
     train.add_argument("--batch-sizes", type=at_least_one, nargs="+", default=[100, 1000])
     args = ap.parse_args()
+    if args.stage == "load" and args.shape and not args.nodes:
+        ap.error("argument --shape: needs --nodes")
 
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
@@ -426,6 +501,11 @@ def main() -> None:
         roots = {args.rev: extract(args.rev, Path(tmp) / "rev"), "working tree": ROOT / "src"}
         if args.stage == "build" and args.nodes:
             large(roots, args.nodes, args.seeds[0], args.measure, work, args.mode, args.pairs)
+            return
+        if args.stage == "load":
+            outs = {name: work / f"load-{k}.out" for k, name in enumerate(roots)}
+            for label, graph in load_cases(args.seeds, work, args.nodes, args.shape):
+                alternate(label, roots, load_child, (graph,), "graphs", outs, args.pairs)
             return
         sides = {name: package(root, f"taxovec_side{k}") for k, (name, root) in enumerate(roots.items())}
         if args.stage == "build":
