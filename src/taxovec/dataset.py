@@ -15,14 +15,16 @@ the levels of one bit-parallel traversal per block
 build walks no further than, and the top-k as each source's nearest
 levels. A full wup/jcn build makes every node of a source's component a
 target, so it runs no traversal: SimilarityRows.table scores the block
-against every node from the subsumer DP, the table is masked to each
-source's component without the source, and only the passing entries are
-sorted. A fast wup/jcn build scores only the cells of its sparse
-two-edge reach, from the levels, with SimilarityRows.table. A kept pair
-is recorded once per end as the code min*n + max; one sort of the codes
-merges the two ends and orders the survivors canonically before the
-shuffle, so the file depends only on the graph and the config. shp/lch
-pairs carry their distance until that merge and their score after it.
+against every node from the subsumer DP, masked to each source's
+component without the source. A fast wup/jcn build scores only the cells
+of its sparse two-edge reach, from the levels. Both keep every passing
+cell when no source of the block has more than k of them, and otherwise
+sort one packed int64 key per cell: (source column, score rank, target).
+A kept pair is recorded once per end as the code min*n + max; one sort
+of the codes merges the two ends and orders the survivors canonically
+before the shuffle, so the file depends only on the graph and the
+config. shp/lch pairs carry their distance until that merge and their
+score after it.
 Every block counts the pairs it reached and kept at the threshold from
 both ends, so halving the sums counts each pair once; a full build's
 candidates are its connected pairs instead. Memory is one block's levels
@@ -60,8 +62,6 @@ MODES = ("full", "fast")
 WRITE_CHUNK = 1 << 12  # pairs converted to Python values at a time by write_pairs
 
 LEVEL_MEASURES = ("shp", "lch")  # scores that fall strictly with BFS distance: pairs read from the levels
-
-_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits of each byte value
 
 
 class TrainingPair(NamedTuple):
@@ -262,7 +262,7 @@ def _select_levels(
     lowest-index partners of the first level that overflows. Returns the
     kept pairs as codes min*n + max with their distances, and the
     (source, target) pairs reached within `max_dist` and within the
-    threshold, by a byte-table popcount of each level's words.
+    threshold, by np.bitwise_count of each level's words.
 
     No pair is scored or sorted beyond the kept ones. The passing levels
     are held and unpacked together, masked to the sources still short of
@@ -276,7 +276,7 @@ def _select_levels(
     for dist, (nodes, words) in enumerate(rows.levels(sources, max_dist)):
         if dist == 0:
             continue
-        reached.append(int(np.take(_BITS, words.view(np.uint8)).sum(dtype=np.int64)))
+        reached.append(int(np.bitwise_count(words).sum(dtype=np.int64)))
         if dist >= passing or not need.any():
             continue
         if held and held_words + len(nodes) > min(n, top_k * np.count_nonzero(need)):
@@ -320,7 +320,8 @@ def _select_reach(
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Each source's top-k partners among the nodes within `max_dist`
     edges: the levels after the sources' own, unpacked in one call (at
-    most 2n words at max_dist 2) and scored by SimilarityRows.table.
+    most 2n words at max_dist 2), scored by SimilarityRows.table and, the
+    passing cells only, selected by _top_k.
 
     Returns the kept pairs as codes min*n + max with their raw scores,
     and the (source, target) cells reached and passing the threshold.
@@ -332,7 +333,7 @@ def _select_reach(
     sim = rows.table(sources, (targets, columns))
     sim[np.isnan(sim)] = 0.0  # a reached pair without common subsumer
     passing = sim >= threshold
-    codes, kept_sims = _top_k(sources[columns[passing]], targets[passing], sim[passing], rows.g.n, top_k)
+    codes, kept_sims = _top_k(sources, columns[passing], targets[passing], sim[passing], rows.g.n, top_k)
     return codes, kept_sims, len(targets), int(np.count_nonzero(passing))
 
 
@@ -344,7 +345,8 @@ def _select_table(
 
     The table is masked to each source's component without the source
     itself, so a pair in another component is never a candidate, at any
-    threshold. Returns as _select_reach.
+    threshold; _top_k selects from the passing entries, column by column.
+    Returns as _select_reach.
     """
     sim = rows.table(sources)  # a column per source
     sim[np.isnan(sim)] = 0.0  # a connected pair without common subsumer
@@ -353,22 +355,40 @@ def _select_table(
     other[sources, np.arange(len(sources))] = False
     passing = other & (sim >= threshold)
     tgt, column = np.nonzero(passing)  # in the order of sim[passing]
-    codes, kept_sims = _top_k(sources[column], tgt, sim[passing], rows.g.n, top_k)
+    codes, kept_sims = _top_k(sources, column, tgt, sim[passing], rows.g.n, top_k)
     return codes, kept_sims, int(np.count_nonzero(other)), int(np.count_nonzero(passing))
 
 
-def _top_k(src: np.ndarray, tgt: np.ndarray, sim: np.ndarray, n: int, top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each source's top-k of its passing (source, target, score) triples,
-    as codes min*n + max with their scores. Similarity is symmetric, so a
-    node's own triples hold all its partners; its top-k are the best by
-    (sim desc, partner index asc)."""
-    order = np.lexsort((tgt, -sim, src))
-    src, tgt, sim = src[order], tgt[order], sim[order]
-    # each triple's rank among its source's, from the sizes of the source runs
-    sizes = np.bincount(src - src[:1])
-    top = np.arange(len(src)) - np.repeat(np.cumsum(sizes) - sizes, sizes) < top_k
-    src, tgt = src[top], tgt[top]
-    return np.minimum(src, tgt) * n + np.maximum(src, tgt), sim[top]
+def _top_k(
+    sources: np.ndarray, columns: np.ndarray, tgt: np.ndarray, sim: np.ndarray, n: int, top_k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each source's top-k of its passing triples (sources[columns[i]], tgt[i], sim[i]), as codes
+    min*n + max with their scores, bit for bit. Similarity is symmetric, so a node's own triples hold
+    all its partners; its top-k are the best by (sim desc, partner index asc).
+
+    When no source has more than k triples, all are kept unsorted: _merge orders the codes. Otherwise
+    one int64 key per triple, (column, descending score rank, target, sign bit: -0.0 ranks with 0.0),
+    is sorted and each column's first k kept. A key over 63 bits is a ConfigError.
+    """
+    sizes = np.bincount(columns, minlength=len(sources))
+    if sizes.max(initial=0) > top_k:
+        order = np.argsort(sim)
+        ascending = sim[order]
+        new = np.concatenate(([True], ascending[1:] != ascending[:-1]))
+        values = ascending[new][::-1]  # the distinct scores, best first
+        rank = np.empty(len(sim), dtype=np.int64)
+        rank[order] = len(values) - np.cumsum(new)
+        c, r, t = (len(sources) - 1).bit_length(), (len(values) - 1).bit_length(), (n - 1).bit_length()
+        if c + r + t + 1 > 63:
+            raise ConfigError(f"top-k key of {c + r + t + 1} bits for {n} nodes: the limit is 63")
+        # widened before the shift: a uint8 column shifted by an int stays uint8
+        key = ((columns.astype(np.int64) << r | rank) << t | tgt) << 1 | np.signbit(sim)
+        key.sort()
+        key = key[np.arange(len(key)) - np.repeat(np.cumsum(sizes) - sizes, sizes) < top_k]
+        columns, tgt = key >> (r + t + 1), key >> 1 & ((1 << t) - 1)
+        sim = np.copysign(values[key >> (t + 1) & ((1 << r) - 1)], -(key & 1))
+    heads = sources[columns]
+    return np.minimum(heads, tgt) * n + np.maximum(heads, tgt), sim
 
 
 def build_full(

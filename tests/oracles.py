@@ -8,6 +8,7 @@ so that agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -190,6 +191,20 @@ def pipeline_oracle(n, edges, measure, threshold, k, raw_counts=None, max_dist=N
         key: min(1.0, max(0.0, (s - lo) / (hi - lo))) for key, s in survivors.items()
     }
     return survivors, normalized, lo, hi, len(reached), len(candidates)
+
+
+def top_k_oracle(sources, columns, tgt, sim, n: int, k: int) -> list[tuple[int, bytes]]:
+    """Each source's top-k of its (sources[column], target, score) triples by
+    a Python sort on (-score, target), as sorted (code min*n + max, score
+    bits) entries, one per kept triple."""
+    partners: dict[int, list[tuple[float, int]]] = {}
+    for column, t, s in zip(columns.tolist(), tgt.tolist(), sim.tolist()):
+        partners.setdefault(int(sources[column]), []).append((s, t))
+    kept = []
+    for source, found in partners.items():
+        found.sort(key=lambda p: (-p[0], p[1]))
+        kept += [(min(source, t) * n + max(source, t), struct.pack("<d", s)) for s, t in found[:k]]
+    return sorted(kept)
 
 
 def wsd_degree_oracle(tokens, weight, threshold):

@@ -2,8 +2,9 @@
 one build case and one train case, of the rows and query stages, and of
 the query stage's manifest case alone, so an API change in src/ that
 breaks the harness fails here; a large jcn build in child processes, in
-full and fast mode, and the alternation of its rounds; the load stage's
-child processes, digest and cases; and the harness's own refusals."""
+full and fast mode, its graph made in a child, and the alternation of its
+rounds; the load stage's child processes, digest and cases; and the
+harness's own refusals."""
 
 from __future__ import annotations
 
@@ -77,10 +78,14 @@ def test_large_build_rounds_alternate_which_side_goes_first(ab, monkeypatch, tmp
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, root, graph, counts, mode, measure, out):
+        def submit(self, fn, *args):
+            done = Future()
+            if fn is not ab.child:  # the inputs, written in the stand-in too
+                done.set_result(fn(*args))
+                return done
+            out = args[-1]
             ran.append(out.name)
             out.write_text("same pairs\n")
-            done = Future()
             done.set_result((1.0 + len(ran), 40.0 + len(ran)))  # seconds, peak RSS in MB
             return done
 
@@ -95,6 +100,14 @@ def test_large_build_rounds_alternate_which_side_goes_first(ab, monkeypatch, tmp
     ]
     assert out[3] == "60 nodes, full shp base: median 5 s, quartiles 3.5-5.5"  # rounds of 2, 5 and 6 s
     assert out[5] == "60 nodes, full shp change won 1/3 pairs, median -20.0% against base"  # 3, 4 and 7 s
+
+
+def test_a_large_build_makes_its_graph_in_a_child(ab, monkeypatch, tmp_path, capsys):
+    # a spawned child imports perfbench's gen afresh, so only a make_dag call in this process meets the stand-in
+    monkeypatch.setattr(ab.gen, "make_dag", lambda *args: pytest.fail("make_dag ran in the parent"))
+    ab.large({"base": ROOT / "src", "change": ROOT / "src"}, 60, 5, "shp", tmp_path)
+    assert capsys.readouterr().out.startswith("60 nodes, full shp: pairs files byte-identical\n")
+    assert (tmp_path / "dag-60-5.tsv").exists() and (tmp_path / "dag-60-5-counts.tsv").exists()
 
 
 @pytest.mark.parametrize("shape", [None, "chain"])

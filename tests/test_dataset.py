@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taxovec import dataset
@@ -47,7 +48,7 @@ from conftest import (
     random_dag_edges,
     random_tree_graph,
 )
-from oracles import floyd_warshall_undirected, pipeline_oracle, spearman_oracle
+from oracles import floyd_warshall_undirected, pipeline_oracle, spearman_oracle, top_k_oracle
 
 
 class TestBuildFull:
@@ -461,6 +462,58 @@ def test_table_selection_matches_reach_selection(g, measure, k, data):
     with mock.patch.object(dataset, "_select_table", reach):
         want = build_outcome(g, cfg, table)
     assert got == want
+
+
+TIED_SCORES = [0.0, -0.0, math.inf, 1.0, 0.5]  # a few values, so that scores tie often
+
+
+@st.composite
+def top_k_inputs(draw):
+    """(sources, columns, tgt, sim, n, k) of one block: distinct (column,
+    target) cells, as a table or a reach gives them, with tied, signed-zero
+    and infinite scores, columns as uint8 (unpack) or int64 (np.nonzero)."""
+    n = draw(st.one_of(st.integers(1, 300), st.just(2**25)), label="n")
+    first = draw(st.integers(0, n - 1), label="first source")
+    sources = np.arange(first, min(first + BLOCK, n))
+    cells = draw(st.lists(st.tuples(st.integers(0, len(sources) - 1), st.integers(0, n - 1)), unique=True,
+                          max_size=200), label="cells")
+    score = st.one_of(st.sampled_from(TIED_SCORES), st.floats(allow_nan=False))
+    sim = np.array(draw(st.lists(score, min_size=len(cells), max_size=len(cells)), label="scores"), dtype=float)
+    columns = np.array([c for c, _ in cells], dtype=draw(st.sampled_from([np.uint8, np.int64]), label="dtype"))
+    largest = int(np.bincount(columns, minlength=len(sources)).max())
+    k = draw(st.integers(1, largest + 2), label="k")  # below, at and above the largest source's count
+    return sources, columns, np.array([t for _, t in cells], dtype=np.int64), sim, n, k
+
+
+def ties(k, dtype=np.int64):  # one source's triples at 0.0, -0.0 and inf, targets 0..4
+    return (np.array([9]), np.zeros(5, dtype=dtype), np.array([4, 0, 3, 1, 2]),
+            np.array([0.0, -0.0, math.inf, math.inf, -0.0]), 10, k)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@example(inputs=(np.arange(3), np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64), np.empty(0), 3, 1))
+@example(inputs=ties(1, np.uint8))  # k = 1: the lower target of the two inf
+@example(inputs=ties(3))  # a cut inside the tied zeros
+@example(inputs=ties(5))  # k = the group size: no sort
+@given(inputs=top_k_inputs())
+def test_top_k_keeps_each_sources_best_by_score_then_target(inputs):
+    sources, columns, tgt, sim, n, k = inputs
+    codes, kept = dataset._top_k(*inputs)
+    assert codes.dtype == np.int64 and kept.dtype == np.float64 and len(codes) == len(kept)
+    got = sorted(zip(codes.tolist(), (struct.pack("<d", s) for s in kept.tolist())))
+    assert got == top_k_oracle(sources, columns, tgt, sim, n, k)
+
+
+@pytest.mark.parametrize("n, bits", [(2**60, 63), (2**61, 64), (2**62, 65)])
+def test_a_top_k_key_over_63_bits_is_a_config_error(n, bits):
+    # two triples of one source: 1 column bit (two sources), 1 rank bit (two
+    # scores), the target bits of n and the sign bit; no array as large as n
+    inputs = (np.array([0, 1]), np.zeros(2, dtype=np.uint8), np.array([5, 6]), np.array([0.5, 0.25]), n, 1)
+    if bits == 63:
+        assert dataset._top_k(*inputs)[0].tolist() == [5]
+    else:
+        with pytest.raises(ConfigError, match=f"top-k key of {bits} bits for {n} nodes: the limit is 63"):
+            dataset._top_k(*inputs)
 
 
 def test_reach_selection_unpacks_at_most_2n_words(monkeypatch):

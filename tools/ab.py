@@ -14,7 +14,9 @@ prints each side's median and quartiles and the rounds the working tree won.
   graph of N nodes (seed: the first of --seeds), jcn with the IC table of
   `gen.write_counts` counts written beside it; the identity is checked
   after the first round, and each side's peak RSS (ru_maxrss) is printed
-  with the times. A failed child is one line naming its error (exit 1).
+  with the times. The graph and counts are written in a child process as
+  well, so that no side's peak RSS starts at the parent's. A failed child
+  is one line naming its error (exit 1).
 - `rows`: one-vs-all shp and lch rows (`one_vs_all_graph`) of ROW_QUERIES
   fixed nodes, one 3x3 and one 64x64 shp and lch grid (`SimilarityRows.grids`
   of one request), and shp and lch `MeasureScorer.pairs` of PAIRS seeded
@@ -380,8 +382,9 @@ def child(root: Path, graph: Path, counts: Path, mode: str, measure: str, out: P
 
 def large(roots: dict[str, Path], nodes: int, seed: int, measure: str, work: Path, mode: str = "full",
           n_pairs: int = 1) -> None:
-    """`n_pairs` alternating rounds of one child-process build per side, checked for identity after the first."""
-    graph, counts = dag(work, nodes, seed)
+    """`n_pairs` alternating rounds of one child-process build per side, checked for identity after the first.
+    The graph and counts are written in a child as well, since a child's peak RSS starts at its parent's."""
+    graph, counts = in_child(dag, work, nodes, seed)
     outs = {name: work / f"large-{k}.tsv" for k, name in enumerate(roots)}
     alternate(f"{nodes} nodes, {mode} {measure}", roots, child, (graph, counts, mode, measure), "pairs files", outs,
               n_pairs)
@@ -418,8 +421,8 @@ def write_chain(path: Path, nodes: int) -> None:
 
 
 def in_child(fn, *args):
-    """fn(*args) in a spawned child process. A child's peak RSS starts at this process's, so the load stage also
-    writes its inputs in one."""
+    """fn(*args) in a spawned child process. A child's peak RSS starts at this process's, so the load stage and a
+    large build also write their inputs in one."""
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         return pool.submit(fn, *args).result()
 
