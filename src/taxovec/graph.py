@@ -116,10 +116,9 @@ class TaxonomyGraph:
             raise StructuralError(f"cycle through edge {self.ids[child]!r} -> {self.ids[u]!r}")
         return tuple(levels), tuple(depths), max(depths, default=0)
 
-    # the CSR rows as lists, made on first use for ancestors() (propagate_counts, lcs_index,
+    # parents and neighbors as lists, made on first use for ancestors() (propagate_counts, lcs_index,
     # the subsumer seed without the bit pass), shortest_path_length and perfbench
     parents = functools.cached_property(lambda self: _lists(*self._parent_csr))
-    children = functools.cached_property(lambda self: _lists(*self._child_csr))
     neighbors = functools.cached_property(lambda self: _lists(*self.csr))
 
     @functools.cached_property
@@ -143,23 +142,22 @@ class TaxonomyGraph:
     def components(self) -> np.ndarray:
         """Each node's connected component in the undirected adjacency as
         an int64 label, the components numbered 0, 1, ... in the order of
-        their smallest node index."""
-        offsets, flat = (a.tolist() for a in self.csr)
-        label = [-1] * self.n
-        count = 0
-        for start in range(self.n):
-            if label[start] >= 0:
-                continue
-            label[start] = count
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in flat[offsets[u] : offsets[u + 1]]:
-                    if label[w] < 0:
-                        label[w] = count
-                        stack.append(w)
-            count += 1
-        return np.array(label, dtype=np.int64)
+        their smallest node index.
+
+        Label propagation over `csr`: each round hooks every label to the
+        smallest label across its edges, then follows the labels until
+        none moves; a round that changes nothing leaves each component
+        labelled by its smallest node.
+        """
+        offsets, flat = self.csr
+        rows = np.repeat(np.arange(self.n), np.diff(offsets))
+        label, last = np.arange(self.n), None
+        while not np.array_equal(label, last):
+            last, label = label, label.copy()
+            np.minimum.at(label, label[rows], label[flat])
+            while not np.array_equal(label, jumped := label[label]):
+                label = jumped
+        return np.unique(label, return_inverse=True)[1]
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 one build case and one train case, of the rows and query stages, and of
 the query stage's manifest case alone, so an API change in src/ that
 breaks the harness fails here; a large jcn build in child processes, in
-full and fast mode, its graph made in a child, and the alternation of its
-rounds; the load stage's child processes, digest and cases; and the
-harness's own refusals."""
+full and fast mode, its graph made in a child; the alternation of rounds
+and the printed lines of the one runner, in process and isolated; the
+load stage's child processes, digest and cases; and the harness's own
+refusals."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import sys
@@ -29,10 +31,12 @@ def ab(monkeypatch):
     return module
 
 
+SIDES = {"base": ROOT / "src", "change": ROOT / "src"}
+
+
 def test_one_round_of_a_build_and_a_train_case_is_byte_identical(ab, tmp_path, capsys):
-    sides = {name: ab.package(ROOT / "src", f"taxovec_ab_{name}") for name in ("base", "change")}
     cases = [next(ab.build_cases([5], tmp_path)), next(ab.train_cases([5], tmp_path))]
-    totals = ab.compare(sides, cases, 1, tmp_path)
+    totals = ab.compare(SIDES, cases, 1, tmp_path)
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "seed 5 full shp: pairs files byte-identical"
     assert out[4] == "train seed 5: saved embeddings byte-identical"
@@ -42,7 +46,7 @@ def test_one_round_of_a_build_and_a_train_case_is_byte_identical(ab, tmp_path, c
 
 def test_large_jcn_build_reads_the_counts_written_beside_the_graph(ab, tmp_path, capsys):
     for mode in ab.MODES:
-        ab.large({"base": ROOT / "src", "change": ROOT / "src"}, 60, 5, "jcn", tmp_path, mode)
+        ab.compare(SIDES, ab.large_cases(tmp_path, 60, 5, "jcn", mode), 1, tmp_path, isolated=True)
         out = capsys.readouterr().out.splitlines()
         label = f"60 nodes, {mode} jcn"
         assert [line.split(":")[0] for line in out] == [
@@ -56,19 +60,39 @@ def test_large_jcn_build_reads_the_counts_written_beside_the_graph(ab, tmp_path,
 
 def test_a_large_build_takes_its_mode_from_the_command_line(ab, monkeypatch):
     runs = []
-    monkeypatch.setattr(ab, "large", lambda roots, *args: runs.append((list(roots), *args)))
+    monkeypatch.setattr(ab, "large_cases", lambda work, *args: args)
+    monkeypatch.setattr(ab, "compare", lambda roots, cases, n_pairs, work, isolated: runs.append(
+        (list(roots), cases, n_pairs, isolated)))
     monkeypatch.setattr(ab, "extract", lambda rev, into: into)  # routes arguments only: no git checkout needed
     monkeypatch.setattr(sys, "argv", ["ab.py", "build", "--nodes", "60", "--measure", "wup", "--mode", "fast",
                                       "--pairs", "3"])
     ab.main()
-    (names, nodes, seed, measure, _, mode, pairs), = runs
-    assert (names, nodes, seed, measure, mode, pairs) == (["HEAD", "working tree"], 60, 5, "wup", "fast", 3)
+    assert runs == [(["HEAD", "working tree"], (60, 5, "wup", "fast"), 3, True)]
 
 
-def test_large_build_rounds_alternate_which_side_goes_first(ab, monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("isolated, first, printed", [
+    pytest.param(False, ["side0.out", "side1.out"], [  # an untimed run of 2 and 3 s, then rounds of 4 to 9 s
+        "case base: median 7 s, quartiles 5.5-7.5",
+        "case change: median 6 s, quartiles 5.5-7.5",
+        "case change won 1/3 pairs, median -14.3% against base",
+    ], id="in-process"),
+    pytest.param(True, [], [  # rounds of 2 to 7 s, each side's peak RSS the largest of its rounds
+        "case base: peak RSS 45 MB",
+        "case change: peak RSS 46 MB",
+        "case base: median 5 s, quartiles 3.5-5.5",
+        "case change: median 4 s, quartiles 3.5-5.5",
+        "case change won 1/3 pairs, median -20.0% against base",
+    ], id="isolated"),
+])
+def test_rounds_alternate_which_side_goes_first(ab, monkeypatch, tmp_path, capsys, isolated, first, printed):
     ran = []
 
-    class Inline:  # stands in for the child process: records the side and writes its output
+    def run(pkg, inputs, out):  # records the side and writes its output; each run takes a second longer
+        ran.append(out.name)
+        out.write_text(inputs)
+        return 1.0 + len(ran)
+
+    class Inline:  # stands in for the child process: runs the child here, its peak RSS made up
         def __init__(self, *args, **kwargs):
             pass
 
@@ -80,32 +104,23 @@ def test_large_build_rounds_alternate_which_side_goes_first(ab, monkeypatch, tmp
 
         def submit(self, fn, *args):
             done = Future()
-            if fn is not ab.child:  # the inputs, written in the stand-in too
-                done.set_result(fn(*args))
-                return done
-            out = args[-1]
-            ran.append(out.name)
-            out.write_text("same pairs\n")
-            done.set_result((1.0 + len(ran), 40.0 + len(ran)))  # seconds, peak RSS in MB
+            secs, _ = fn(*args)
+            done.set_result((secs, 40.0 + len(ran)))  # seconds, peak RSS in MB
             return done
 
     monkeypatch.setattr(ab, "ProcessPoolExecutor", Inline)
-    ab.large({"base": ROOT / "src", "change": ROOT / "src"}, 60, 5, "shp", tmp_path, n_pairs=3)
-    assert ran == ["large-0.tsv", "large-1.tsv", "large-1.tsv", "large-0.tsv", "large-0.tsv", "large-1.tsv"]
-    out = capsys.readouterr().out.splitlines()
-    assert out[:3] == [
-        "60 nodes, full shp: pairs files byte-identical",
-        "60 nodes, full shp base: peak RSS 45 MB",  # the largest of its rounds
-        "60 nodes, full shp change: peak RSS 46 MB",
-    ]
-    assert out[3] == "60 nodes, full shp base: median 5 s, quartiles 3.5-5.5"  # rounds of 2, 5 and 6 s
-    assert out[5] == "60 nodes, full shp change won 1/3 pairs, median -20.0% against base"  # 3, 4 and 7 s
+    case = ("case", functools.partial(ab.as_is, "same output\n"), run, "outputs", 1.0, "s")
+    totals = ab.compare(SIDES, [case], 3, tmp_path, isolated)
+    assert ran == [*first, "side0.out", "side1.out", "side1.out", "side0.out", "side0.out", "side1.out"]
+    assert capsys.readouterr().out.splitlines() == ["case: outputs byte-identical", *printed]
+    timed = [1.0 + k for k in range(len(first) + 1, len(ran) + 1)]
+    assert totals == {"base": [timed[0], timed[3], timed[4]], "change": [timed[1], timed[2], timed[5]]}
 
 
 def test_a_large_build_makes_its_graph_in_a_child(ab, monkeypatch, tmp_path, capsys):
     # a spawned child imports perfbench's gen afresh, so only a make_dag call in this process meets the stand-in
     monkeypatch.setattr(ab.gen, "make_dag", lambda *args: pytest.fail("make_dag ran in the parent"))
-    ab.large({"base": ROOT / "src", "change": ROOT / "src"}, 60, 5, "shp", tmp_path)
+    ab.compare(SIDES, ab.large_cases(tmp_path, 60, 5, "shp"), 1, tmp_path, isolated=True)
     assert capsys.readouterr().out.startswith("60 nodes, full shp: pairs files byte-identical\n")
     assert (tmp_path / "dag-60-5.tsv").exists() and (tmp_path / "dag-60-5-counts.tsv").exists()
 
@@ -132,10 +147,14 @@ def test_the_load_digest_holds_the_graph_and_the_cases_cover_perfbench(ab, monke
     monkeypatch.setitem(ab.gen.PARAMS["query"], "dim", 4)
     monkeypatch.setattr(ab, "in_child", lambda fn, *args: fn(*args))  # so the small PARAMS hold
     cases = list(ab.load_cases([5], tmp_path, None, None))
-    assert [label for label, _ in cases] == [f"seed 5 {name} load" for name in (
+    assert [case[0] for case in cases] == [f"seed 5 {name} load" for name in (
         "build full_graph.tsv", "build fast_graph.tsv", "train graph.tsv", "query graph.tsv")]
-    load = ab.package(ROOT / "src", "taxovec_ab_digest").graph.load_edge_list
-    digests = [ab.graph_digest(load(graph)) for _, graph in cases[:2] + [cases[0]]]
+    pkg = ab.package(ROOT / "src", "taxovec_ab_digest")
+    digests = []
+    for _, load, run, *_ in cases[:2] + [cases[0]]:
+        run(pkg, load(pkg), tmp_path / "digest")
+        digests.append((tmp_path / "digest").read_text())
+    assert digests[0] == ab.graph_digest(pkg.graph.load_edge_list(load(pkg)))
     assert digests[0] == digests[2] != digests[1]  # both build graphs have 40 nodes, in other shapes
 
 
@@ -148,8 +167,7 @@ def test_a_load_shape_without_nodes_is_a_usage_error(ab, monkeypatch, capsys):
 
 
 def test_one_round_of_the_rows_stage_is_byte_identical(ab, tmp_path, capsys):
-    sides = {name: ab.package(ROOT / "src", f"taxovec_ab_rows_{name}") for name in ("base", "change")}
-    totals = ab.compare(sides, ab.rows_cases([5], tmp_path, 300), 1, tmp_path)
+    totals = ab.compare(SIDES, ab.rows_cases([5], tmp_path, 300), 1, tmp_path)
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if "identical" in line] == [
         "seed 5 shp rows: rows byte-identical",
@@ -167,8 +185,7 @@ def test_one_round_of_the_rows_stage_is_byte_identical(ab, tmp_path, capsys):
 def test_one_round_of_the_query_stage_is_byte_identical(ab, tmp_path, capsys, monkeypatch, measure):
     for key, value in {"nodes": 300, "dim": 8, "sentences": 12}.items():  # the query inputs, made small
         monkeypatch.setitem(ab.gen.PARAMS["query"], key, value)
-    sides = {name: ab.package(ROOT / "src", f"taxovec_ab_query_{measure}_{name}") for name in ("base", "change")}
-    totals = ab.compare(sides, ab.query_cases([5], tmp_path, measure), 1, tmp_path)
+    totals = ab.compare(SIDES, ab.query_cases([5], tmp_path, measure), 1, tmp_path)
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if "identical" in line] == [
         "seed 5 model wsd: predictions byte-identical",
@@ -180,7 +197,7 @@ def test_one_round_of_the_query_stage_is_byte_identical(ab, tmp_path, capsys, mo
     assert out[3].startswith("seed 5 model wsd change won ") and out[3].endswith(" against base")
     assert len(out) == 20 and all(len(xs) == 1 for xs in totals.values())
     assert (tmp_path / "side0.out.eval-dynamic.manifest").read_text().startswith("subcommand=eval-sim\n")
-    inputs = ab.load_query(tmp_path / "query-5", measure, sides["base"])
+    inputs = ab.load_query(tmp_path / "query-5", measure, ab.package(ROOT / "src", f"taxovec_ab_query_{measure}"))
     assert len(inputs[3]) == 12 and (inputs[5] is not None) == (measure == "jcn")  # sentences, the IC table
 
 
@@ -188,13 +205,13 @@ def test_one_round_of_the_manifest_case_is_byte_identical(ab, tmp_path, capsys, 
     # the three manifests of a perfbench query pass, each input's digest as hashlib gives it
     for key, value in {"nodes": 300, "dim": 8, "sentences": 12}.items():
         monkeypatch.setitem(ab.gen.PARAMS["query"], key, value)
-    sides = {name: ab.package(ROOT / "src", f"taxovec_ab_manifest_{name}") for name in ("base", "change")}
     cases = [case for case in ab.query_cases([5], tmp_path) if case[0] == "seed 5 manifests"]
-    ab.compare(sides, cases, 1, tmp_path)
+    ab.compare(SIDES, cases, 1, tmp_path)
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "seed 5 manifests: manifests byte-identical" and len(out) == 4
     inputs = tmp_path / "query-5"
-    manifests = [sides["base"].manifest.read_manifest(tmp_path / f"side1.out.{name}.manifest")
+    read_manifest = ab.package(ROOT / "src", "taxovec_ab_manifest").manifest.read_manifest
+    manifests = [read_manifest(tmp_path / f"side1.out.{name}.manifest")
                  for name in ("eval-static", "eval-dynamic", "wsd")]
     assert [m["subcommand"] for m in manifests] == ["eval-sim", "eval-sim", "wsd"]
     assert {m["wall_time_s"] for m in manifests} == {"0.000"}
@@ -213,7 +230,7 @@ def test_one_round_of_the_manifest_case_is_byte_identical(ab, tmp_path, capsys, 
 
 def test_a_failed_child_is_one_line_naming_its_error(ab, tmp_path):
     with pytest.raises(SystemExit) as exit_:
-        ab.large({"nowhere": tmp_path / "no-src"}, 60, 5, "shp", tmp_path)
+        ab.compare({"nowhere": tmp_path / "no-src"}, ab.large_cases(tmp_path, 60, 5, "shp"), 1, tmp_path, True)
     message = str(exit_.value.code)
     assert message.startswith("60 nodes, full shp, nowhere: failed: FileNotFoundError: ")
     assert "\n" not in message

@@ -106,7 +106,7 @@ class TestLoadEdgeList:
         g = load_edge_list(p, virtual_root="ROOT")
         r = g.idx("ROOT")
         assert g.roots() == [r]
-        assert sorted(g.children[r]) == sorted(g.idx(x) for x in ("a", "c", "lone"))
+        assert [i for i, ps in enumerate(g.parents) if r in ps] == sorted(g.idx(x) for x in ("a", "c", "lone"))
         assert shortest_path_length(g, "b", "d") == 4
 
     @pytest.mark.parametrize("root", ["", "v\tx", "v\rx", "v\nx", " v", "v ", "\u3000v"])
@@ -317,6 +317,52 @@ def test_components_are_the_floyd_warshall_reach(g):
     assert label[first].tolist() == list(range(len(first)))
 
 
+class RoundCount:
+    """numpy as taxovec.graph sees it, counting the np.minimum.at calls:
+    one per round of the label propagation in g.components."""
+
+    def __init__(self):
+        self.rounds = 0
+        self.minimum = self
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def at(self, *args):
+        self.rounds += 1
+        np.minimum.at(*args)
+
+
+FIXED_SHAPES = {  # (child, parent) positions of n nodes
+    "chain": lambda n: [(k + 1, k) for k in range(n - 1)],
+    "zigzag": lambda n: [(b, a) for b in range(1, n, 2) for a in (b - 1, b + 1) if a < n],  # b_i under a_i, a_(i+1)
+    "star": lambda n: [(k, 0) for k in range(1, n)],
+    "forest": lambda n: [(k, k - k % 3) for k in range(n) if k % 3],  # 3-node trees
+    "isolated": lambda n: [(k + 1, k) for k in range(0, n - 1, 4)],  # a pair of nodes, then two alone, repeated
+}
+
+
+@pytest.mark.parametrize("shape, permuted, root", [
+    ("chain", True, None),
+    ("zigzag", True, None),
+    ("star", False, None),
+    ("forest", False, None),
+    ("isolated", False, None),
+    ("forest", True, "ROOT"),
+])
+def test_components_of_fixed_shapes_are_the_union_find(monkeypatch, shape, permuted, root):
+    n = 2000
+    order = np.random.default_rng(7).permutation(n).tolist() if permuted else range(n)
+    lines = [f"n{i}" for i in order] + [f"n{c}\tn{p}" for c, p in FIXED_SHAPES[shape](n)]  # numbered as listed
+    g = graph_from_lines(lines, virtual_root=root is not None)
+    spy = RoundCount()
+    monkeypatch.setattr("taxovec.graph.np", spy)
+    label = g.components
+    monkeypatch.undo()
+    assert label.dtype == np.int64 and label.tolist() == graph_lists_oracle(lines, root)["components"]
+    print(f"{shape}, permuted {permuted}, root {root}: {g.n} nodes, {label.max() + 1} components, {spy.rounds} rounds")
+
+
 def assert_schedule_contract(g):
     """g.schedule holds one (children, parents) int64 pair per level from 1
     up; together they hold every parent edge once, each child at its
@@ -400,7 +446,7 @@ def test_the_arrays_hold_the_graph_a_list_builder_makes(file):
     g = graph_from_lines(lines, virtual_root=root is not None)
     want = graph_lists_oracle(lines, root)
     assert g.ids == want["ids"]
-    assert (g.parents, g.children, g.neighbors) == (want["parents"], want["children"], want["neighbors"])
+    assert (g.parents, g.neighbors) == (want["parents"], want["neighbors"])
     assert g.roots() == want["roots"]
     levels, depths = level_oracle(g.n, want["edges"]), depth_oracle(g.n, want["edges"])
     assert (g.levels, g.depths, g.max_depth) == (tuple(levels), tuple(depths), max(depths))

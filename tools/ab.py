@@ -6,17 +6,21 @@ its own package end to end on inputs it loads itself. Each case checks
 that both sides write byte-identical output (sha256; `DIFFER` exits 1),
 then times alternating rounds, the side that runs first alternating, and
 prints each side's median and quartiles and the rounds the working tree won.
+One loop (`compare`) runs every case, in one of two modes. In process,
+each side's package is imported and each case's inputs loaded once, and
+an untimed first run of each side is checked for identity. Isolated (the
+large build and the load stage), every run is a child process that loads
+for itself and returns its peak RSS (ru_maxrss), printed per side; the
+first round is checked for identity, and a failed child is one line
+naming its error (exit 1). Their inputs are written in a child process as
+well, so that no side's peak RSS starts at the parent's.
 
 - `build`: pairs files for shp, lch, wup and jcn in full and fast mode on
   perfbench's `build` inputs, timed as build + write_pairs. With `--nodes
   N --measure M [--mode {full,fast}]`: one build per side and round (full
-  unless --mode says fast), each in a child process, on a `gen.make_dag`
-  graph of N nodes (seed: the first of --seeds), jcn with the IC table of
-  `gen.write_counts` counts written beside it; the identity is checked
-  after the first round, and each side's peak RSS (ru_maxrss) is printed
-  with the times. The graph and counts are written in a child process as
-  well, so that no side's peak RSS starts at the parent's. A failed child
-  is one line naming its error (exit 1).
+  unless --mode says fast), isolated, on a `gen.make_dag` graph of N nodes
+  (seed: the first of --seeds), jcn with the IC table of
+  `gen.write_counts` counts written beside it.
 - `rows`: one-vs-all shp and lch rows (`one_vs_all_graph`) of ROW_QUERIES
   fixed nodes, one 3x3 and one 64x64 shp and lch grid (`SimilarityRows.grids`
   of one request), and shp and lch `MeasureScorer.pairs` of PAIRS seeded
@@ -35,8 +39,7 @@ prints each side's median and quartiles and the rounds the working tree won.
 - `load`: load_edge_list and the first use of the graph's `csr`,
   `schedule` and `components`, timed together, on each of perfbench's
   graphs (build, train and query), or with `--nodes N` on a `gen.make_dag`
-  graph of N nodes (`--shape chain`: a chain of N nodes). Each side loads
-  in a child process per round, so each prints its own peak RSS; the
+  graph of N nodes (`--shape chain`: a chain of N nodes), isolated; the
   output compared is a sha256 of the graph's ids, levels, depths, `csr`,
   `schedule` and `components`.
 - `train`: saved embeddings of train() on perfbench's `train` inputs
@@ -98,7 +101,9 @@ MEASURE_SWEEP = (0.2, 0.25, 1 / 3, 0.5)  # raw shp scores 1/(1 + path length); o
 
 def package(root: Path, name: str):
     """Import the taxovec package under `root` (a directory holding
-    taxovec/) as `name`; its modules import each other relatively."""
+    taxovec/) as `name`, afresh; its modules import each other relatively."""
+    for stale in [key for key in sys.modules if key.startswith(f"{name}.")]:
+        del sys.modules[stale]  # else a package imported under `name` before would lend its modules
     spec = importlib.util.spec_from_file_location(
         name, root / "taxovec" / "__init__.py", submodule_search_locations=[str(root / "taxovec")])
     module = importlib.util.module_from_spec(spec)
@@ -347,47 +352,65 @@ def report(label: str, times: dict[str, list[float]], scale: float, unit: str) -
     print(f"{label} {work_name} won {wins}/{len(base)} pairs, median {change:+.1%} against {base_name}")
 
 
-def compare(sides: dict, cases, n_pairs: int, work: Path) -> dict[str, list[float]]:
-    """Check and time (label, load, run, output, scale, unit) cases: load(package) gives a side's inputs, and
-    run(package, inputs, out) writes `out` and returns seconds, reported times `scale` in `unit`.
-    Returns each side's seconds per round, summed over the cases."""
-    totals = {name: [0.0] * n_pairs for name in sides}
-    names = list(sides)
-    for label, load, run, output, scale, unit in cases:
-        inputs = {name: load(pkg) for name, pkg in sides.items()}
-        outs = {name: work / f"side{k}.out" for k, name in enumerate(names)}
-        for name in names:
-            run(sides[name], inputs[name], outs[name])
-        check_identical(label, output, list(outs.values()))
-        times = {name: [] for name in names}
-        for k in range(n_pairs):
-            for name in names if k % 2 == 0 else names[::-1]:
-                secs = run(sides[name], inputs[name], outs[name])
-                times[name].append(secs)
-                totals[name][k] += secs
-        report(label, times, scale, unit)
-    return totals
-
-
-def child(root: Path, graph: Path, counts: Path, mode: str, measure: str, out: Path) -> tuple[float, float]:
-    """One build + write_pairs with the package under `root`: its seconds and this process's peak RSS in MB.
-    An error is raised again as a RuntimeError, as the parent cannot unpickle the side package's classes."""
+def child(root: Path, load, run, out: Path) -> tuple[float, float]:
+    """run(package, load(package), out) with the package under `root`: its seconds and this process's peak RSS in
+    MB. An error is raised again as a RuntimeError, as the parent cannot unpickle the side package's classes."""
     try:
         pkg = package(root, "taxovec_side")
-        secs = build_once(pkg, load_build(graph, counts, mode, measure, pkg), out)
+        secs = run(pkg, load(pkg), out)
     except Exception as exc:
         raise RuntimeError(f"{type(exc).__name__}: {exc}") from None
     return secs, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def large(roots: dict[str, Path], nodes: int, seed: int, measure: str, work: Path, mode: str = "full",
-          n_pairs: int = 1) -> None:
-    """`n_pairs` alternating rounds of one child-process build per side, checked for identity after the first.
-    The graph and counts are written in a child as well, since a child's peak RSS starts at its parent's."""
+def compare(roots: dict[str, Path], cases, n_pairs: int, work: Path, isolated: bool = False) -> dict[str, list[float]]:
+    """Check and time (label, load, run, output, scale, unit) cases with the package under each side's root, in
+    process or isolated (see the module docstring): load(package) gives a side's inputs, and run(package, inputs,
+    out) writes `out` and returns seconds, reported times `scale` in `unit`. Returns each side's seconds per round,
+    summed over the cases."""
+    names = list(roots)
+    outs = {name: work / f"side{k}.out" for k, name in enumerate(names)}
+    sides = {} if isolated else {name: package(roots[name], f"taxovec_side{k}") for k, name in enumerate(names)}
+    totals = {name: [0.0] * n_pairs for name in names}
+    for label, load, run, output, scale, unit in cases:
+        inputs = {name: load(pkg) for name, pkg in sides.items()}
+        peaks = dict.fromkeys(names, 0.0)
+
+        def once(name: str) -> float:
+            if not isolated:
+                return run(sides[name], inputs[name], outs[name])
+            try:
+                secs, maxrss_mb = in_child(child, roots[name], load, run, outs[name])
+            except Exception as exc:  # the child's error, or its death (BrokenProcessPool)
+                sys.exit(f"{label}, {name}: failed: {exc}")
+            peaks[name] = max(peaks[name], maxrss_mb)
+            return secs
+
+        times = {name: [] for name in names}
+        if not isolated:
+            for name in names:
+                once(name)
+            check_identical(label, output, list(outs.values()))
+        for k in range(n_pairs):
+            for name in names if k % 2 == 0 else names[::-1]:
+                secs = once(name)
+                times[name].append(secs)
+                totals[name][k] += secs
+            if isolated and k == 0:
+                check_identical(label, output, list(outs.values()))
+        if isolated:
+            for name in names:
+                print(f"{label} {name}: peak RSS {peaks[name]:.4g} MB")
+        report(label, times, scale, unit)
+    return totals
+
+
+def large_cases(work: Path, nodes: int, seed: int, measure: str, mode: str = "full"):
+    """The case of one build + write_pairs on a `gen.make_dag` graph of `nodes` nodes, the graph and its counts
+    written in a child process."""
     graph, counts = in_child(dag, work, nodes, seed)
-    outs = {name: work / f"large-{k}.tsv" for k, name in enumerate(roots)}
-    alternate(f"{nodes} nodes, {mode} {measure}", roots, child, (graph, counts, mode, measure), "pairs files", outs,
-              n_pairs)
+    load = functools.partial(load_build, graph, counts, mode, measure)
+    yield f"{nodes} nodes, {mode} {measure}", load, build_once, "pairs files", 1.0, "s"
 
 
 def graph_digest(g) -> str:
@@ -400,20 +423,20 @@ def graph_digest(g) -> str:
     return digest.hexdigest()
 
 
-def load_child(root: Path, graph: Path, out: Path) -> tuple[float, float]:
-    """load_edge_list of `graph` with the package under `root` and the first use of its csr, schedule and
-    components: their seconds and this process's peak RSS in MB; graph_digest goes to out."""
-    try:
-        pkg = package(root, "taxovec_side")
-        t0 = time.perf_counter()
-        g = pkg.graph.load_edge_list(graph)
-        g.csr, g.schedule, g.components
-        secs = time.perf_counter() - t0
-        maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        out.write_text(graph_digest(g))
-    except Exception as exc:
-        raise RuntimeError(f"{type(exc).__name__}: {exc}") from None
-    return secs, maxrss_mb
+def as_is(value, pkg):
+    """A case's inputs that no side loads beforehand: a run that times the loading itself takes the file."""
+    return value
+
+
+def load_once(pkg, graph: Path, out: Path) -> float:
+    """Seconds of load_edge_list and the first use of the graph's csr, schedule and components; graph_digest is
+    written to out, untimed."""
+    t0 = time.perf_counter()
+    g = pkg.graph.load_edge_list(graph)
+    g.csr, g.schedule, g.components
+    secs = time.perf_counter() - t0
+    out.write_text(graph_digest(g))
+    return secs
 
 
 def write_chain(path: Path, nodes: int) -> None:
@@ -421,48 +444,29 @@ def write_chain(path: Path, nodes: int) -> None:
 
 
 def in_child(fn, *args):
-    """fn(*args) in a spawned child process. A child's peak RSS starts at this process's, so the load stage and a
-    large build also write their inputs in one."""
+    """fn(*args) in a spawned child process. A child's peak RSS starts at this process's, so the isolated cases
+    also write their inputs in one."""
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         return pool.submit(fn, *args).result()
 
 
 def load_cases(seeds: list[int], work: Path, nodes: int | None, shape: str | None):
-    """(label, graph file) of each graph the load stage times, each written once in a child process."""
+    """The load stage's cases, one per graph, each graph written once in a child process."""
     if nodes and shape == "chain":
         graph = work / f"chain-{nodes}.tsv"
         in_child(write_chain, graph, nodes)
-        yield f"{nodes}-node chain load", graph
+        graphs = [(f"{nodes}-node chain load", graph)]
     elif nodes:
-        yield f"{nodes}-node dag load", in_child(dag, work, nodes, seeds[0])[0]
+        graphs = [(f"{nodes}-node dag load", in_child(dag, work, nodes, seeds[0])[0])]
     else:
+        graphs = []
         for seed in seeds:
             for workload, name in [("build", "full_graph.tsv"), ("build", "fast_graph.tsv"), ("train", "graph.tsv"),
                                    ("query", "graph.tsv")]:
                 in_child(gen.generate, workload, seed, work / f"{workload}-{seed}")
-                yield f"seed {seed} {workload} {name} load", work / f"{workload}-{seed}" / name
-
-
-def alternate(label: str, roots: dict[str, Path], task, args: tuple, output: str, outs: dict[str, Path],
-              n_pairs: int) -> None:
-    """`n_pairs` alternating rounds of task(root, *args, out) per side, each in a child process that returns its
-    seconds and peak RSS in MB; the outputs are checked for identity after the first round. A failed child is
-    one line naming its error (exit 1)."""
-    names = list(roots)
-    times, peaks = {name: [] for name in names}, {name: 0.0 for name in names}
-    for k in range(n_pairs):
-        for name in names if k % 2 == 0 else names[::-1]:
-            try:
-                secs, maxrss_mb = in_child(task, roots[name], *args, outs[name])
-            except Exception as exc:  # the child's error, or its death (BrokenProcessPool)
-                sys.exit(f"{label}, {name}: failed: {exc}")
-            times[name].append(secs)
-            peaks[name] = max(peaks[name], maxrss_mb)
-        if k == 0:
-            check_identical(label, output, list(outs.values()))
-    for name in names:
-        print(f"{label} {name}: peak RSS {peaks[name]:.4g} MB")
-    report(label, times, 1.0, "s")
+                graphs.append((f"seed {seed} {workload} {name} load", work / f"{workload}-{seed}" / name))
+    for label, graph in graphs:
+        yield label, functools.partial(as_is, graph), load_once, "graphs", 1.0, "s"
 
 
 def at_least_one(text: str) -> int:
@@ -503,25 +507,20 @@ def main() -> None:
         work.mkdir(parents=True, exist_ok=True)
         roots = {args.rev: extract(args.rev, Path(tmp) / "rev"), "working tree": ROOT / "src"}
         if args.stage == "build" and args.nodes:
-            large(roots, args.nodes, args.seeds[0], args.measure, work, args.mode, args.pairs)
-            return
-        if args.stage == "load":
-            outs = {name: work / f"load-{k}.out" for k, name in enumerate(roots)}
-            for label, graph in load_cases(args.seeds, work, args.nodes, args.shape):
-                alternate(label, roots, load_child, (graph,), "graphs", outs, args.pairs)
-            return
-        sides = {name: package(root, f"taxovec_side{k}") for k, (name, root) in enumerate(roots.items())}
-        if args.stage == "build":
-            report("all cases", compare(sides, build_cases(args.seeds, work), args.pairs, work), 1e3, "ms")
+            cases = large_cases(work, args.nodes, args.seeds[0], args.measure, args.mode)
+            compare(roots, cases, args.pairs, work, isolated=True)
+        elif args.stage == "load":
+            compare(roots, load_cases(args.seeds, work, args.nodes, args.shape), args.pairs, work, isolated=True)
+        elif args.stage == "build":
+            report("all cases", compare(roots, build_cases(args.seeds, work), args.pairs, work), 1e3, "ms")
         elif args.stage == "rows":
-            compare(sides, rows_cases(args.seeds, work, args.nodes), args.pairs, work)
+            compare(roots, rows_cases(args.seeds, work, args.nodes), args.pairs, work)
         elif args.stage == "query":
-            compare(sides, query_cases(args.seeds, work, args.measure), args.pairs, work)
+            compare(roots, query_cases(args.seeds, work, args.measure), args.pairs, work)
         elif args.star:
-            compare(sides, star_cases(args.leaves, args.batch_sizes, args.seeds[0]), args.pairs, work)
+            compare(roots, star_cases(args.leaves, args.batch_sizes, args.seeds[0]), args.pairs, work)
         else:
-            compare(sides, train_cases(args.seeds, work), args.pairs, work)
-
+            compare(roots, train_cases(args.seeds, work), args.pairs, work)
 
 if __name__ == "__main__":
     main()
